@@ -3,6 +3,7 @@
 from .engine import (
     AnnularCheck,
     ConnectivityResult,
+    CssAnalysis,
     CssFamily,
     EntanglementVector,
     HoleConstraintResult,
@@ -28,7 +29,6 @@ from .errors import TopomiError
 from .graphs import SimpleGraph, cycle_graph, path_graph, rho, sigma_of_css
 from .grid import (
     OUTSIDE,
-    CssGraph,
     GridCss,
     HoleSet,
     adjacency_graph,

@@ -1,8 +1,8 @@
 """Batch front-end: analyze scenario files, run suites, query graphs and codes.
 
 Exit codes: 0 on success, 1..255 = number of failed scenarios (capped),
-64 on usage errors.  JSON output is byte-identical across runs and thread
-counts; timings only appear in the human-readable summary.
+64 on usage errors.  JSON output is byte-identical across runs; timings
+only appear in the human-readable summary.
 """
 
 from __future__ import annotations
@@ -13,12 +13,13 @@ import sys
 from pathlib import Path
 
 from . import engine
-from .engine import CssFamily, entanglement_vector, multipartite_information
+from .engine import CssFamily, entanglement_vector
 from .errors import TopomiError
 from .grid import load_grid
 from .model import EntropyModel
 from .scenarios import (
     Scenario,
+    evaluate_scenario,
     gallery_dir,
     load_scenario,
     run_scenario,
@@ -47,18 +48,13 @@ def _model_from_args(args) -> EntropyModel:
     )
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_model_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--log-base", choices=("e", "2"), default="e",
                         help="units for reported entropies (default: e)")
     parser.add_argument("--alpha", type=float, default=None,
                         help="per-link coefficient (default: log D; cancels from invariants)")
     parser.add_argument("--dimension", type=float, default=2.0,
                         help="total quantum dimension D (default: 2)")
-    parser.add_argument("--json", action="store_true", help="emit a JSON report")
-    parser.add_argument("--csv", type=Path, default=None,
-                        help="write the per-subset J table as CSV (analytic payloads)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="parallel scenario evaluation (results stay deterministic)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,24 +64,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="run a single scenario file")
     p.add_argument("file", type=Path)
-    _add_common(p)
+    _add_model_options(p)
+    p.add_argument("--csv", type=Path, default=None,
+                   help="write the per-subset J table as CSV (analytic payloads)")
 
     p = sub.add_parser("suite", help="run every scenario in a directory")
     p.add_argument("dir", type=Path, nargs="?", default=None,
                    help="scenario directory (default: the built-in gallery)")
-    _add_common(p)
+    _add_model_options(p)
 
     p = sub.add_parser("rho", help="induced-subgraph invariant of a graph file")
     p.add_argument("file", type=Path)
-    _add_common(p)
 
     p = sub.add_parser("stabilizer", help="exact code oracle on a lattice scenario")
     p.add_argument("file", type=Path)
-    _add_common(p)
 
     p = sub.add_parser("vector", help="entanglement vector of an annular family directory")
     p.add_argument("dir", type=Path)
-    _add_common(p)
+    _add_model_options(p)
+
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true", help="emit a JSON report")
     return parser
 
 
@@ -112,24 +111,21 @@ def _print_result(result, as_json: bool) -> None:
 
 
 def _cmd_analyze(args) -> int:
-    result = run_scenario(load_scenario(args.file), _model_from_args(args))
+    scn = load_scenario(args.file)
+    result, info = evaluate_scenario(scn, _model_from_args(args))
     if args.csv is not None:
-        scn = load_scenario(args.file)
-        if scn.kind == "analytic":
-            from .scenarios import scenario_css
-
-            report = multipartite_information(_model_from_args(args), scenario_css(scn))
-            with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-                engine.write_subset_table_csv(report, fh)
-        else:
+        if scn.kind != "analytic":
             print("--csv applies to analytic scenarios only", file=sys.stderr)
+        elif info is not None:
+            with open(args.csv, "w", encoding="utf-8", newline="") as fh:
+                engine.write_subset_table_csv(info, fh)
     _print_result(result, args.json)
     return 0 if result.passed else 1
 
 
 def _cmd_suite(args) -> int:
     directory = args.dir if args.dir is not None else gallery_dir()
-    suite = run_suite(directory, _model_from_args(args), threads=max(1, args.threads))
+    suite = run_suite(directory, _model_from_args(args))
     if args.json:
         sys.stdout.write(_dump_json(suite.to_json_dict()))
     else:
@@ -164,7 +160,7 @@ def _cmd_rho(args) -> int:
 def _cmd_stabilizer(args) -> int:
     scn = load_scenario(args.file)
     scn = Scenario(scn.name, "stabilizer", scn.payload, scn.expected, scn.case, scn.source_path)
-    result = run_scenario(scn, _model_from_args(args))
+    result = run_scenario(scn)
     _print_result(result, args.json)
     return 0 if result.passed else 1
 
@@ -210,7 +206,7 @@ def main(argv=None) -> int:
     except TopomiError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:  # the --csv output file
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

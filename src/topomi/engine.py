@@ -12,8 +12,10 @@ per-link coefficient cancels and
     I^N = -C^N log(D),    C^N = alternating sum of boundary counts J.
 
 C^N is an exact integer and is the primary quantity of record; reported
-information values are C^N scaled by the topological entropy.  Both
-evaluation routes are computed and compared on every call.
+information values are C^N scaled by the topological entropy.  The link
+terms need no evaluation: a grid segment borders at most two subsystems,
+so their alternating sum vanishes for N >= 3.  Entry points take a
+GridCss or a CssAnalysis, which computes each hole, loop and table once.
 """
 
 from __future__ import annotations
@@ -21,13 +23,13 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import (
     DisconnectedCss,
-    MismatchBetweenPaths,
     NotACycle,
     NotAnnular,
     TooManySubsystems,
@@ -35,10 +37,12 @@ from .errors import (
 )
 from .grid import (
     GridCss,
+    HoleSet,
+    SimpleGraph,
+    adjacency_graph,
     boundary_component_count,
-    euler_characteristic,
     find_holes,
-    loop_around_hole,
+    loop_around_known_hole,
     perimeter_links,
     restrict_css,
 )
@@ -48,8 +52,6 @@ from .model import EntropyModel
 #: recursion expansion enumerates subset sums of subsets, cost ~3^N
 RECURSION_CAP = 12
 
-PATH_RTOL = 1e-9
-
 
 def entropy_of_region(model: EntropyModel, region) -> float:
     """Model entropy alpha*n - J*log(D) of an explicit cell region."""
@@ -57,8 +59,67 @@ def entropy_of_region(model: EntropyModel, region) -> float:
 
 
 # ----------------------------------------------------------------------
-# connectivity count and the information value
+# one analysis per CSS, the connectivity count and the information value
 # ----------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class CssAnalysis:
+    """Holes, hole loops, adjacency graph, chi and 2^N tables of one CSS,
+    each computed on first use and kept as long as the analysis."""
+
+    css: GridCss
+
+    @staticmethod
+    def of(css: GridCss | CssAnalysis) -> CssAnalysis:
+        return css if isinstance(css, CssAnalysis) else CssAnalysis(css)
+
+    @cached_property
+    def holes(self) -> HoleSet:
+        return find_holes(self.css)
+
+    @cached_property
+    def graph(self) -> SimpleGraph:
+        return adjacency_graph(self.css)
+
+    @cached_property
+    def hole_loops(self) -> tuple[tuple[int, ...] | str, ...]:
+        """Loop around each hole, or the NotACycle message for a hole without one."""
+        loops: list[tuple[int, ...] | str] = []
+        for hole in self.holes.holes:
+            try:
+                loops.append(loop_around_known_hole(self.css, hole, self.graph))
+            except NotACycle as exc:
+                loops.append(str(exc))
+        return tuple(loops)
+
+    def cycle_loops(self) -> list[tuple[int, ...]]:
+        """The loop around every hole; NotACycle if some hole has none."""
+        for loop in self.hole_loops:
+            if isinstance(loop, str):
+                raise NotACycle(loop)
+        return list(self.hole_loops)
+
+    @cached_property
+    def loop_analyses(self) -> dict[tuple[int, ...], CssAnalysis]:
+        """Analysis of the CSS restricted to each hole loop."""
+        return {
+            loop: CssAnalysis(restrict_css(self.css, loop))
+            for loop in self.hole_loops
+            if not isinstance(loop, str)
+        }
+
+    @cached_property
+    def topology(self) -> UnionTopology:
+        return UnionTopology(self.css)
+
+    @cached_property
+    def chi(self) -> int:
+        """V - E + F, as ``grid.euler_characteristic`` computes it."""
+        n_comp = int(self.topology.component_table[-1])  # components of the footprint
+        if n_comp != 1:
+            raise DisconnectedCss(f"footprint has {n_comp} components")
+        return self.css.n_subsystems - self.graph.d_nn + self.holes.n_h + 1
+
 
 @dataclass(frozen=True)
 class ConnectivityResult:
@@ -67,35 +128,25 @@ class ConnectivityResult:
     per_subset_j: np.ndarray  # index = subset bitmask; entry 0 unused
 
 
-def connectivity_count(css: GridCss) -> ConnectivityResult:
+def connectivity_count(css: GridCss | CssAnalysis) -> ConnectivityResult:
     """C^N and the full J table over all 2^N - 1 non-empty subsets."""
-    topo = UnionTopology(css)
+    topo = CssAnalysis.of(css).topology
     c_n = int(topo.signs @ topo.j_table)
-    return ConnectivityResult(css.n_subsystems, c_n, topo.j_table)
+    return ConnectivityResult(topo.n, c_n, topo.j_table)
 
 
-def _information_value(model: EntropyModel, topo: UnionTopology) -> tuple[int, float]:
-    """(C^N, I^N) with the counting and entropy-sum routes reconciled.
-
-    The alternating sums over J and perimeter links are integer-exact, so
-    the entropy-sum route is alpha * sum(+-n) - log(D) * sum(+-J) without
-    float accumulation error.  The alpha term must vanish identically.
-    """
-    j_alt = int(topo.signs @ topo.j_table)
-    links_alt = int(topo.signs @ topo.boundary_links_table)
-    i_counting = -j_alt * model.s_topo
-    i_direct = model.alpha_value * links_alt - j_alt * model.s_topo
-    if abs(i_direct - i_counting) > PATH_RTOL * max(1.0, abs(i_counting)):
-        raise MismatchBetweenPaths(
-            f"entropy-sum route {i_direct} vs counting route {i_counting} "
-            f"(alternating link sum {links_alt})"
-        )
-    return j_alt, i_counting
+def _information_value(model: EntropyModel, analysis: CssAnalysis) -> tuple[int, float]:
+    """(C^N, I^N = -C^N S_topo); the N-partite information needs N >= 3."""
+    if analysis.css.n_subsystems < 3:
+        raise ValidationError("N-partite information needs N >= 3")
+    topo = analysis.topology
+    c_n = int(topo.signs @ topo.j_table)
+    return c_n, -c_n * model.s_topo
 
 
-def subset_entropy_table(model: EntropyModel, css: GridCss) -> np.ndarray:
+def subset_entropy_table(model: EntropyModel, css: GridCss | CssAnalysis) -> np.ndarray:
     """Model entropy of every subset union, indexed by bitmask (entry 0 = 0)."""
-    topo = UnionTopology(css)
+    topo = CssAnalysis.of(css).topology
     s = model.alpha_value * topo.boundary_links_table.astype(float)
     s -= model.s_topo * topo.j_table.astype(float)
     s[0] = 0.0
@@ -126,7 +177,6 @@ class InfoReport:
     chi: int | None
     holes: tuple[HoleReport, ...]
     constraint_sum: float | None
-    paths_agree: bool
     per_subset_j: np.ndarray
 
     @property
@@ -152,29 +202,25 @@ class InfoReport:
                 for h in self.holes
             ],
             "constraint_sum": self.constraint_sum,
-            "paths_agree": self.paths_agree,
         }
 
 
-def multipartite_information(model: EntropyModel, css: GridCss) -> InfoReport:
+def multipartite_information(model: EntropyModel, css: GridCss | CssAnalysis) -> InfoReport:
     """I^N of the whole CSS plus the per-hole loop decomposition."""
-    topo = UnionTopology(css)
-    c_n, i_n = _information_value(model, topo)
+    analysis = CssAnalysis.of(css)
+    c_n, i_n = _information_value(model, analysis)
 
     try:
-        chi: int | None = euler_characteristic(css)
+        chi: int | None = analysis.chi
     except DisconnectedCss:
         chi = None
 
     hole_reports: list[HoleReport] = []
-    for hole in find_holes(css).holes:
-        try:
-            loop = loop_around_hole(css, hole)
-        except NotACycle as exc:
-            hole_reports.append(HoleReport(None, None, str(exc)))
+    for loop in analysis.hole_loops:
+        if isinstance(loop, str):
+            hole_reports.append(HoleReport(None, None, loop))
             continue
-        sub = restrict_css(css, loop)
-        _, sub_i = _information_value(model, UnionTopology(sub))
+        _, sub_i = _information_value(model, analysis.loop_analyses[loop])
         hole_reports.append(HoleReport(loop, sub_i))
 
     if hole_reports and all(h.error is None for h in hole_reports):
@@ -183,8 +229,8 @@ def multipartite_information(model: EntropyModel, css: GridCss) -> InfoReport:
         constraint_sum = None
 
     return InfoReport(
-        name=css.name,
-        n_subsystems=css.n_subsystems,
+        name=analysis.css.name,
+        n_subsystems=analysis.css.n_subsystems,
         c_n=c_n,
         i_n=i_n,
         s_topo=model.s_topo,
@@ -194,8 +240,7 @@ def multipartite_information(model: EntropyModel, css: GridCss) -> InfoReport:
         chi=chi,
         holes=tuple(hole_reports),
         constraint_sum=constraint_sum,
-        paths_agree=True,
-        per_subset_j=topo.j_table,
+        per_subset_j=analysis.topology.j_table,
     )
 
 
@@ -213,7 +258,7 @@ def write_subset_table_csv(report: InfoReport, fileobj) -> None:
 # annular structure
 # ----------------------------------------------------------------------
 
-def annular_order(css: GridCss) -> tuple[int, ...]:
+def annular_order(css: GridCss | CssAnalysis) -> tuple[int, ...]:
     """Cyclic subsystem order of an annular CSS.
 
     A CSS counts as annular when exactly one of its holes is ringed by a
@@ -221,21 +266,15 @@ def annular_order(css: GridCss) -> tuple[int, ...]:
     subsystems or under nearest-neighbour handles do not yield such a
     cycle and are ignored here.
     """
-    holes = find_holes(css)
-    if holes.n_h == 0:
+    analysis = CssAnalysis.of(css)
+    if analysis.holes.n_h == 0:
         raise NotAnnular("CSS has no hole")
-    full_loops = []
-    for hole in holes.holes:
-        try:
-            loop = loop_around_hole(css, hole)
-        except NotACycle:
-            continue
-        if len(loop) == css.n_subsystems:
-            full_loops.append(loop)
+    n = analysis.css.n_subsystems
+    full_loops = [
+        loop for loop in analysis.hole_loops if not isinstance(loop, str) and len(loop) == n
+    ]
     if len(full_loops) != 1:
-        raise NotAnnular(
-            f"{len(full_loops)} holes are ringed by all {css.n_subsystems} subsystems"
-        )
+        raise NotAnnular(f"{len(full_loops)} holes are ringed by all {n} subsystems")
     return full_loops[0]
 
 
@@ -247,16 +286,16 @@ class AnnularCheck:
     c_n: int
 
 
-def annular_invariant_check(model: EntropyModel, css: GridCss) -> AnnularCheck:
+def annular_invariant_check(model: EntropyModel, css: GridCss | CssAnalysis) -> AnnularCheck:
     """Check I^N = (-1)^N * 2 log(D) on an annular CSS (chi = 2)."""
-    annular_order(css)
-    topo = UnionTopology(css)
-    c_n, i_n = _information_value(model, topo)
-    expected = (-1) ** css.n_subsystems * 2 * model.s_topo
+    analysis = CssAnalysis.of(css)
+    annular_order(analysis)
+    c_n, i_n = _information_value(model, analysis)
+    expected = (-1) ** analysis.css.n_subsystems * 2 * model.s_topo
     return AnnularCheck(i_n, expected, abs(i_n - expected) < 1e-9, c_n)
 
 
-def irreducible_correlation_bound(model: EntropyModel, css: GridCss) -> float:
+def irreducible_correlation_bound(model: EntropyModel, css: GridCss | CssAnalysis) -> float:
     """Upper bound chi * S_topo = 2 log(D) on the N-party irreducible correlation.
 
     Only the bound is reported; the maximum-entropy state optimisation
@@ -282,29 +321,26 @@ class SubloopResult:
     expected_q: float
 
 
-def subloop_revival(model: EntropyModel, css: GridCss) -> SubloopResult:
+def subloop_revival(model: EntropyModel, css: GridCss | CssAnalysis) -> SubloopResult:
     """I^p and I^q of the two loops created by a further-neighbour handle.
 
     Requires exactly two holes whose loops are proper cycles sharing the
     two handle endpoints, so that p + q - 2 = N.
     """
-    holes = find_holes(css)
-    if holes.n_h != 2:
+    analysis = CssAnalysis.of(css)
+    n_h = analysis.holes.n_h
+    if n_h != 2:
         raise ValidationError(
-            f"expected exactly 2 holes from a further-neighbour handle, found {holes.n_h}"
+            f"expected exactly 2 holes from a further-neighbour handle, found {n_h}"
         )
-    loops = [loop_around_hole(css, hole) for hole in holes.holes]
-    loops.sort(key=len)
+    loops = sorted(analysis.cycle_loops(), key=len)
     p, q = len(loops[0]), len(loops[1])
-    if p + q - 2 != css.n_subsystems:
+    n = analysis.css.n_subsystems
+    if p + q - 2 != n:
         raise ValidationError(
-            f"loop sizes {p} + {q} - 2 != N = {css.n_subsystems}; "
-            "not a single-handle deformation"
+            f"loop sizes {p} + {q} - 2 != N = {n}; not a single-handle deformation"
         )
-    infos = []
-    for loop in loops:
-        sub = restrict_css(css, loop)
-        infos.append(_information_value(model, UnionTopology(sub))[1])
+    infos = [_information_value(model, analysis.loop_analyses[loop])[1] for loop in loops]
     return SubloopResult(
         p=p,
         q=q,
@@ -321,19 +357,16 @@ def subloop_revival(model: EntropyModel, css: GridCss) -> SubloopResult:
 # recursion over lower-order informations
 # ----------------------------------------------------------------------
 
-def subset_information_table(model: EntropyModel, css: GridCss) -> np.ndarray:
+def subset_information_table(model: EntropyModel, css: GridCss | CssAnalysis) -> np.ndarray:
     """I of every subset R (indexed by bitmask) via a signed zeta transform.
 
     I_R = sum over non-empty Q subset of R of (-1)^(|Q|-1) S(union Q).
     """
-    n = css.n_subsystems
+    analysis = CssAnalysis.of(css)
+    n = analysis.css.n_subsystems
     if n > RECURSION_CAP:
         raise TooManySubsystems(f"subset information table capped at N = {RECURSION_CAP}")
-    s = subset_entropy_table(model, css)
-    popcounts = np.bitwise_count(np.arange(1 << n, dtype=np.int64))
-    f = np.where(popcounts % 2 == 1, s, -s)
-    f[0] = 0.0
-    table = f.copy()
+    table = analysis.topology.signs * subset_entropy_table(model, analysis)
     for i in range(n):
         step = 1 << i
         view = table.reshape(-1, 2, step)
@@ -351,20 +384,21 @@ class RecursionResult:
         return abs(self.lhs - self.rhs)
 
 
-def recursion_check(model: EntropyModel, css: GridCss) -> RecursionResult:
+def recursion_check(model: EntropyModel, css: GridCss | CssAnalysis) -> RecursionResult:
     """Expand I^N over all lower-order informations and compare.
 
     I^N = sum_{mu=1..N-2} (-1)^(mu-1) sum_{|R|=N-mu} I_R
           + (-1)^N (sum_i S_i - S_union).
     """
-    n = css.n_subsystems
+    analysis = CssAnalysis.of(css)
+    n = analysis.css.n_subsystems
     if n < 2:
         raise ValidationError("recursion needs at least 2 subsystems")
     if n > RECURSION_CAP:
         raise TooManySubsystems(f"recursion check capped at N = {RECURSION_CAP}")
-    info = subset_information_table(model, css)
-    s = subset_entropy_table(model, css)
-    popcounts = np.bitwise_count(np.arange(1 << n, dtype=np.int64))
+    info = subset_information_table(model, analysis)
+    s = subset_entropy_table(model, analysis)
+    popcounts = analysis.topology.popcounts
 
     lhs = float(info[-1])
     middle = 0.0
@@ -394,7 +428,7 @@ class HoleConstraintResult:
     n_h: int
 
 
-def hole_constraint(model: EntropyModel, css: GridCss) -> HoleConstraintResult:
+def hole_constraint(model: EntropyModel, css: GridCss | CssAnalysis) -> HoleConstraintResult:
     """Sum of |I| around every hole against n_h * chi * S_topo.
 
     Every hole must be ringed by a proper cycle.  The full-CSS I^N is also
@@ -403,22 +437,21 @@ def hole_constraint(model: EntropyModel, css: GridCss) -> HoleConstraintResult:
     covering all subsystems (the plain annulus) reduces the whole check to
     the single-ring invariant.
     """
-    holeset = find_holes(css)
-    if holeset.n_h == 0:
+    analysis = CssAnalysis.of(css)
+    n_h = analysis.holes.n_h
+    if n_h == 0:
         raise ValidationError("CSS has no holes to measure around")
-    reports: list[HoleReport] = []
-    for hole in holeset.holes:
-        loop = loop_around_hole(css, hole)
-        sub = restrict_css(css, loop)
-        _, info = _information_value(model, UnionTopology(sub))
-        reports.append(HoleReport(loop, info))
+    reports = [
+        HoleReport(loop, _information_value(model, analysis.loop_analyses[loop])[1])
+        for loop in analysis.cycle_loops()
+    ]
 
-    chi = euler_characteristic(css)
+    chi = analysis.chi
     total = sum(abs(r.info) for r in reports)
-    expected_total = holeset.n_h * chi * model.s_topo
+    expected_total = n_h * chi * model.s_topo
 
-    n = css.n_subsystems
-    _, full_info = _information_value(model, UnionTopology(css))
+    n = analysis.css.n_subsystems
+    _, full_info = _information_value(model, analysis)
     if all(len(r.loop) < n for r in reports):
         full_expected = (-1) ** (n - 1) * (chi - 2) * model.s_topo
     else:
@@ -433,7 +466,7 @@ def hole_constraint(model: EntropyModel, css: GridCss) -> HoleConstraintResult:
         full_expected=full_expected,
         full_matches=abs(full_info - full_expected) < 1e-9,
         chi=chi,
-        n_h=holeset.n_h,
+        n_h=n_h,
     )
 
 
@@ -444,9 +477,9 @@ def hole_constraint(model: EntropyModel, css: GridCss) -> HoleConstraintResult:
 EntropySource = Callable[[frozenset], float]
 
 
-def model_entropy_source(model: EntropyModel, css: GridCss) -> EntropySource:
+def model_entropy_source(model: EntropyModel, css: GridCss | CssAnalysis) -> EntropySource:
     """Entropy of a set of subsystem ids under the topology model."""
-    topo = UnionTopology(css)
+    topo = CssAnalysis.of(css).topology
     links = topo.boundary_links_table
     j = topo.j_table
 
@@ -462,7 +495,7 @@ def model_entropy_source(model: EntropyModel, css: GridCss) -> EntropySource:
 
 
 def strong_subadditivity_combination(
-    css: GridCss,
+    css: GridCss | CssAnalysis,
     entropy: EntropySource,
     order: Sequence[int] | None = None,
 ) -> float:
@@ -471,10 +504,11 @@ def strong_subadditivity_combination(
     Equals -2 log(D) under the topology model; with a physical entropy
     source it is bounded above by 0, with equality only in a trivial phase.
     """
+    analysis = CssAnalysis.of(css)
     if order is None:
-        order = annular_order(css)
+        order = annular_order(analysis)
     n = len(order)
-    value = entropy(frozenset(range(css.n_subsystems)))
+    value = entropy(frozenset(range(analysis.css.n_subsystems)))
     for k, i in enumerate(order):
         j = order[(k + 1) % n]
         value += entropy(frozenset([i])) - entropy(frozenset([i, j]))
@@ -521,7 +555,7 @@ def entanglement_vector(model: EntropyModel, family: CssFamily) -> EntanglementV
     unnormalised with the zero flag set.
     """
     mags = tuple(
-        abs(_information_value(model, UnionTopology(css))[1]) for css in family.members
+        abs(_information_value(model, CssAnalysis(css))[1]) for css in family.members
     )
     total = sum(m * m for m in mags)
     if total == 0.0:

@@ -8,7 +8,7 @@ class TopomiError(Exception):
 
 
 class ParseError(TopomiError):
-    """Input text/JSON could not be parsed into a grid, graph or lattice."""
+    """Input could not be read, or parsed into a grid, graph, lattice or scenario."""
 
 
 class ValidationError(TopomiError):
@@ -45,10 +45,6 @@ class NotAnnular(TopomiError):
 
 class NotACycle(TopomiError):
     """Subsystems touching a hole do not induce a single cycle."""
-
-
-class MismatchBetweenPaths(TopomiError):
-    """The counting path and the entropy-sum path disagree; geometry bug."""
 
 
 class SingularK(TopomiError):

@@ -12,45 +12,15 @@ and rings survive in the subsystem-counting identities.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from typing import Mapping
 
+from .engine import CssAnalysis
 from .errors import ParseError, PreconditionViolated, TooManyVertices, ValidationError
-from .grid import GridCss, adjacency_graph
-from .masks import UnionTopology, _ComponentCounter
+from .grid import GridCss, SimpleGraph, read_input
+from .masks import _ComponentCounter
 
 #: 2**v induced subgraphs are enumerated
 MAX_VERTICES = 20
-
-
-@dataclass(frozen=True)
-class SimpleGraph:
-    vertex_count: int
-    edges: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if self.vertex_count < 1:
-            raise ValidationError("graph needs at least one vertex")
-        seen = set()
-        for edge in self.edges:
-            i, j = edge
-            if i == j:
-                raise ValidationError(f"self-loop at vertex {i}")
-            if not (0 <= i < self.vertex_count and 0 <= j < self.vertex_count):
-                raise ValidationError(f"edge {edge} out of range")
-            key = (min(i, j), max(i, j))
-            if key in seen:
-                raise ValidationError(f"duplicate edge {key}")
-            seen.add(key)
-        object.__setattr__(self, "edges", tuple(sorted(seen)))
-
-    def neighbor_masks(self) -> list[int]:
-        masks = [0] * self.vertex_count
-        for i, j in self.edges:
-            masks[i] |= 1 << j
-            masks[j] |= 1 << i
-        return masks
 
 
 def path_graph(n: int) -> SimpleGraph:
@@ -81,7 +51,7 @@ def rho(graph: SimpleGraph) -> int:
     return total
 
 
-def sigma_of_css(css: GridCss) -> int:
+def sigma_of_css(css: GridCss | CssAnalysis) -> int:
     """Partial alternating J sum over proper subsets, tied to -rho.
 
     Valid only when every proper union's boundary count equals the
@@ -89,12 +59,13 @@ def sigma_of_css(css: GridCss) -> int:
     subsystem is a hole-free disk and no proper union encloses a hole);
     the first violating subset mask is reported otherwise.
     """
-    n = css.n_subsystems
+    analysis = CssAnalysis.of(css)
+    n = analysis.css.n_subsystems
     if n > MAX_VERTICES:
         raise TooManyVertices(f"{n} subsystems exceed the cap of {MAX_VERTICES}")
-    graph = SimpleGraph(n, adjacency_graph(css).edges)
+    graph = analysis.graph
     counter = _ComponentCounter(graph.neighbor_masks())
-    j_table = UnionTopology(css).j_table
+    j_table = analysis.topology.j_table
     sigma = 0
     for mask in range(1, (1 << n) - 1):
         j = int(j_table[mask])
@@ -106,7 +77,6 @@ def sigma_of_css(css: GridCss) -> int:
                 mask=mask,
             )
         sigma += j if mask.bit_count() % 2 == 1 else -j
-    assert sigma == -rho(graph), "alternating J sum must equal -rho"
     return sigma
 
 
@@ -145,13 +115,8 @@ def parse_graph_text(text: str) -> SimpleGraph:
 
 
 def load_graph(path) -> SimpleGraph:
-    text = open(path, "r", encoding="utf-8").read()
-    if str(path).endswith(".json"):
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: {exc}") from exc
-        if "graph" in obj:
-            obj = obj["graph"]
-        return parse_graph_json(obj)
-    return parse_graph_text(text)
+    """Load a graph from an edge-list text file or a JSON graph or scenario file."""
+    data = read_input(path)
+    if isinstance(data, str):
+        return parse_graph_text(data)
+    return parse_graph_json(data.get("graph", data))

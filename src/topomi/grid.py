@@ -177,7 +177,13 @@ def parse_ascii(text: str, name: str = "") -> GridCss:
 
 
 def parse_grid_json(obj: Mapping, name: str = "") -> GridCss:
-    """Parse ``{"width", "height", "labels", "name"}`` with -1 = OUTSIDE."""
+    """Parse a JSON grid payload: ``{"ascii": [row, ...]}``, or
+    ``{"width", "height", "labels", "name"}`` with -1 = OUTSIDE."""
+    if isinstance(obj, Mapping) and "ascii" in obj:
+        rows = obj["ascii"]
+        if not isinstance(rows, list) or not all(isinstance(r, str) for r in rows):
+            raise ParseError("'ascii' must be a list of strings")
+        return parse_ascii("\n".join(rows), name=name)
     try:
         width = int(obj["width"])
         height = int(obj["height"])
@@ -187,19 +193,29 @@ def parse_grid_json(obj: Mapping, name: str = "") -> GridCss:
     return GridCss(width, height, labels, name=str(obj.get("name", name)))
 
 
+def read_input(path) -> str | dict:
+    """A file's JSON object if its name ends in ``.json``, else its text.
+
+    ParseError when it cannot be read, is not UTF-8 or is not a JSON object."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        if not str(path).endswith(".json"):
+            return text
+        obj = json.loads(text)
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ParseError(f"{path}: expected a JSON object")
+    return obj
+
+
 def load_grid(path) -> GridCss:
-    """Load a grid from an ASCII (.txt) or JSON file."""
-    text = open(path, "r", encoding="utf-8").read()
-    if str(path).endswith(".json"):
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: {exc}") from exc
-        css = obj.get("css", obj)
-        if isinstance(css, Mapping) and "ascii" in css:
-            return parse_ascii("\n".join(css["ascii"]), name=str(obj.get("name", "")))
-        return parse_grid_json(css, name=str(obj.get("name", "")))
-    return parse_ascii(text, name=str(path))
+    """Load a grid from an ASCII file or a JSON grid or scenario file."""
+    data = read_input(path)
+    if isinstance(data, str):
+        return parse_ascii(data, name=str(path))
+    return parse_grid_json(data.get("css", data), name=str(data.get("name", "")))
 
 
 # ----------------------------------------------------------------------
@@ -329,18 +345,34 @@ def union_region(css: GridCss, subset: Iterable[int] | int) -> Region:
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class CssGraph:
-    """Simple adjacency graph of a CSS: one vertex per subsystem."""
+class SimpleGraph:
+    """Simple graph, edges sorted as (i, j) with i < j; also a CSS's adjacency graph."""
 
-    n_vertices: int
-    edges: tuple[tuple[int, int], ...]  # lexicographically sorted (i, j), i < j
+    vertex_count: int
+    edges: tuple[tuple[int, int], ...]
+
+    def __post_init__(self):
+        if self.vertex_count < 1:
+            raise ValidationError("graph needs at least one vertex")
+        seen = set()
+        for edge in self.edges:
+            i, j = edge
+            if i == j:
+                raise ValidationError(f"self-loop at vertex {i}")
+            if not (0 <= i < self.vertex_count and 0 <= j < self.vertex_count):
+                raise ValidationError(f"edge {edge} out of range")
+            key = (min(i, j), max(i, j))
+            if key in seen:
+                raise ValidationError(f"duplicate edge {key}")
+            seen.add(key)
+        object.__setattr__(self, "edges", tuple(sorted(seen)))
 
     @property
     def d_nn(self) -> int:
         return len(self.edges)
 
     def neighbor_masks(self) -> list[int]:
-        masks = [0] * self.n_vertices
+        masks = [0] * self.vertex_count
         for i, j in self.edges:
             masks[i] |= 1 << j
             masks[j] |= 1 << i
@@ -362,7 +394,7 @@ def restrict_css(css: GridCss, keep: Iterable[int], name: str = "") -> GridCss:
     return GridCss(css.width, css.height, labels, name=name or css.name)
 
 
-def adjacency_graph(css: GridCss) -> CssGraph:
+def adjacency_graph(css: GridCss) -> SimpleGraph:
     """Edge (i, j) iff a cell of i shares a grid edge with a cell of j."""
     edges: set[tuple[int, int]] = set()
     for y in range(css.height):
@@ -373,7 +405,7 @@ def adjacency_graph(css: GridCss) -> CssGraph:
             for b in (css.label_at(x + 1, y), css.label_at(x, y + 1)):
                 if b != OUTSIDE and b != a:
                     edges.add((min(a, b), max(a, b)))
-    return CssGraph(css.n_subsystems, tuple(sorted(edges)))
+    return SimpleGraph(css.n_subsystems, tuple(edges))
 
 
 @dataclass(frozen=True)
@@ -419,10 +451,13 @@ def loop_around_hole(css: GridCss, hole: Iterable[Cell]) -> tuple[int, ...]:
     raises NotACycle.
     """
     hole = frozenset(hole)
-    holeset = find_holes(css)
-    if hole not in holeset.holes:
+    if hole not in find_holes(css).holes:
         raise ValidationError("region is not a hole of this CSS")
+    return loop_around_known_hole(css, hole, adjacency_graph(css))
 
+
+def loop_around_known_hole(css: GridCss, hole: frozenset, graph: SimpleGraph) -> tuple[int, ...]:
+    """``loop_around_hole`` for a hole of ``find_holes(css)``, given the adjacency graph."""
     walk = _boundary_walk_labels(css, hole)
     touching = {
         css.label_at(*nb)
@@ -451,7 +486,6 @@ def loop_around_hole(css: GridCss, hole: Iterable[Cell]) -> tuple[int, ...]:
         raise NotACycle(f"only {len(loop)} subsystems around the hole")
 
     # the touching set must induce exactly one cycle, and the walk must be it
-    graph = adjacency_graph(css)
     sub_edges = {
         (i, j) for i, j in graph.edges if i in touching and j in touching
     }

@@ -9,7 +9,6 @@ and reports per-check pass/fail.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass, field
@@ -17,15 +16,9 @@ from pathlib import Path
 from typing import Mapping
 
 from . import engine, graphs, stabilizer
+from .engine import CssAnalysis, InfoReport
 from .errors import NotAnnular, ParseError, TopomiError
-from .grid import (
-    GridCss,
-    adjacency_graph,
-    euler_characteristic,
-    find_holes,
-    parse_ascii,
-    parse_grid_json,
-)
+from .grid import GridCss, parse_grid_json, read_input
 from .model import EntropyModel
 
 RECURSION_TOL = 1e-9
@@ -87,27 +80,16 @@ class Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    text = Path(path).read_text(encoding="utf-8")
-    if not str(path).endswith(".json"):
+    data = read_input(path)
+    if isinstance(data, str):
         # bare ASCII grid: analytic scenario with no expectations
-        obj = {"name": Path(path).stem, "kind": "analytic",
-               "css": {"ascii": text.splitlines()}}
-        return Scenario.from_dict(obj, source_path=str(path))
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    return Scenario.from_dict(obj, source_path=str(path))
+        data = {"name": Path(path).stem, "kind": "analytic",
+                "css": {"ascii": data.splitlines()}}
+    return Scenario.from_dict(data, source_path=str(path))
 
 
 def scenario_css(scn: Scenario) -> GridCss:
-    payload = scn.payload
-    css_obj = payload.get("css", payload)
-    if isinstance(css_obj, Mapping) and "ascii" in css_obj:
-        return parse_ascii("\n".join(css_obj["ascii"]), name=scn.name)
-    if isinstance(css_obj, Mapping) and "labels" in css_obj:
-        return parse_grid_json(css_obj, name=scn.name)
-    raise ParseError(f"scenario {scn.name}: no grid payload")
+    return parse_grid_json(scn.payload.get("css", scn.payload), name=scn.name)
 
 
 # ----------------------------------------------------------------------
@@ -115,11 +97,20 @@ def scenario_css(scn: Scenario) -> GridCss:
 # ----------------------------------------------------------------------
 
 def run_scenario(scn: Scenario, model: EntropyModel | None = None) -> ScenarioResult:
+    return evaluate_scenario(scn, model)[0]
+
+
+def evaluate_scenario(
+    scn: Scenario, model: EntropyModel | None = None
+) -> tuple[ScenarioResult, InfoReport | None]:
+    """``run_scenario`` plus the InfoReport of an analytic scenario, else None."""
     model = model or EntropyModel()
     start = time.perf_counter()
+    info = None
     try:
         if scn.kind == "analytic":
-            checks, report = _run_analytic(scn, model)
+            checks, info = _run_analytic(scn, model)
+            report = info.to_json_dict()
         elif scn.kind == "graph":
             checks, report = _run_graph(scn)
         else:
@@ -129,7 +120,8 @@ def run_scenario(scn: Scenario, model: EntropyModel | None = None) -> ScenarioRe
         report = {}
     elapsed = time.perf_counter() - start
     passed = all(c.passed for c in checks)
-    return ScenarioResult(scn.name, scn.kind, passed, tuple(checks), elapsed, report)
+    result = ScenarioResult(scn.name, scn.kind, passed, tuple(checks), elapsed, report)
+    return result, info
 
 
 def _match_int(checks: list, label: str, got: int, want) -> None:
@@ -147,27 +139,42 @@ def _match_unit(checks: list, label: str, value: float, unit: float, want) -> No
     checks.append(Check(label, ok, f"got {ratio:.12g} units, expected {int(want)}"))
 
 
-def _run_analytic(scn: Scenario, model: EntropyModel):
-    css = scenario_css(scn)
+def _match_loops(checks: list, label: str, loops, entries, size_key: str, s_topo: float) -> None:
+    """Compare (loop size, I) pairs with expected ``{size_key, "i_over_log_d"}`` entries."""
+    try:
+        want = sorted((int(e[size_key]), int(e["i_over_log_d"])) for e in entries)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"bad expected {label} entry: {exc!r}") from exc
+    if s_topo > 0:
+        got = sorted((size, round(info / s_topo, 9)) for size, info in loops)
+        ok = got == [(s, float(u)) for s, u in want]
+    else:
+        got = sorted((size, 0.0) for size, _ in loops)
+        ok = [g[0] for g in got] == [w[0] for w in want]
+    checks.append(Check(label, ok, f"got {got}, expected {want}"))
+
+
+def _run_analytic(scn: Scenario, model: EntropyModel) -> tuple[list[Check], InfoReport]:
+    analysis = CssAnalysis(scenario_css(scn))
     expected = scn.expected
-    report = engine.multipartite_information(model, css)
+    report = engine.multipartite_information(model, analysis)
     checks: list[Check] = []
 
     if "n" in expected:
-        _match_int(checks, "n_subsystems", css.n_subsystems, expected["n"])
+        _match_int(checks, "n_subsystems", report.n_subsystems, expected["n"])
     if "c_n" in expected:
         _match_int(checks, "c_n", report.c_n, expected["c_n"])
     if "i_over_log_d" in expected:
         _match_unit(checks, "i_over_log_d", report.i_n, model.s_topo, expected["i_over_log_d"])
     if "d_nn" in expected:
-        _match_int(checks, "d_nn", adjacency_graph(css).d_nn, expected["d_nn"])
+        _match_int(checks, "d_nn", analysis.graph.d_nn, expected["d_nn"])
     if "n_h" in expected:
-        _match_int(checks, "n_h", find_holes(css).n_h, expected["n_h"])
+        _match_int(checks, "n_h", analysis.holes.n_h, expected["n_h"])
     if "chi" in expected:
-        _match_int(checks, "chi", euler_characteristic(css), expected["chi"])
+        _match_int(checks, "chi", analysis.chi, expected["chi"])
     if "annular" in expected:
         try:
-            engine.annular_order(css)
+            engine.annular_order(analysis)
             is_annular = True
         except NotAnnular:
             is_annular = False
@@ -175,18 +182,8 @@ def _run_analytic(scn: Scenario, model: EntropyModel):
             Check("annular", is_annular == bool(expected["annular"]), f"annular={is_annular}")
         )
     if "per_hole" in expected:
-        want = sorted((int(e["loop_size"]), int(e["i_over_log_d"])) for e in expected["per_hole"])
-        if model.s_topo > 0:
-            got = sorted(
-                (len(h.loop), round(h.info / model.s_topo, 9))
-                for h in report.holes
-                if h.loop
-            )
-            ok = got == [(s, float(u)) for s, u in want]
-        else:
-            got = sorted((len(h.loop), 0.0) for h in report.holes if h.loop)
-            ok = [g[0] for g in got] == [w[0] for w in want]
-        checks.append(Check("per_hole", ok, f"got {got}, expected {want}"))
+        loops = [(len(h.loop), h.info) for h in report.holes if h.loop]
+        _match_loops(checks, "per_hole", loops, expected["per_hole"], "loop_size", model.s_topo)
     if "constraint_over_log_d" in expected:
         value = report.constraint_sum
         if value is None:
@@ -197,29 +194,20 @@ def _run_analytic(scn: Scenario, model: EntropyModel):
                 expected["constraint_over_log_d"],
             )
     if "subloops" in expected:
-        sub = engine.subloop_revival(model, css)
-        want = sorted((int(e["size"]), int(e["i_over_log_d"])) for e in expected["subloops"])
-        if model.s_topo > 0:
-            got = [
-                (sub.p, round(sub.info_p / model.s_topo, 9)),
-                (sub.q, round(sub.info_q / model.s_topo, 9)),
-            ]
-            ok = got == [(s, float(u)) for s, u in want]
-        else:
-            got = [(sub.p, 0.0), (sub.q, 0.0)]
-            ok = [g[0] for g in got] == [w[0] for w in want]
-        checks.append(Check("subloops", ok, f"got {got}, expected {want}"))
+        sub = engine.subloop_revival(model, analysis)
+        loops = [(sub.p, sub.info_p), (sub.q, sub.info_q)]
+        _match_loops(checks, "subloops", loops, expected["subloops"], "size", model.s_topo)
     if "sigma" in expected:
-        _match_int(checks, "sigma", graphs.sigma_of_css(css), expected["sigma"])
+        _match_int(checks, "sigma", graphs.sigma_of_css(analysis), expected["sigma"])
     if expected.get("recursion_residual_below") is not None:
         tol = float(expected["recursion_residual_below"])
-        res = engine.recursion_check(model, css)
+        res = engine.recursion_check(model, analysis)
         checks.append(
             Check("recursion", res.residual < tol, f"residual {res.residual:.3e}")
         )
     if not checks:
         checks.append(Check("evaluate", True, "no expectations; evaluated cleanly"))
-    return checks, report.to_json_dict()
+    return checks, report
 
 
 def _run_graph(scn: Scenario):
@@ -247,8 +235,7 @@ def _run_stabilizer(scn: Scenario):
         if "css" not in payload:
             checks.append(Check("matches_counting", False, "no grid payload to count on"))
         else:
-            css = scenario_css(Scenario(scn.name, "analytic", dict(payload), {}))
-            c_n = engine.connectivity_count(css).c_n
+            c_n = engine.connectivity_count(parse_grid_json(payload["css"], scn.name)).c_n
             checks.append(
                 Check("matches_counting", value == -c_n, f"oracle {value}, counting {-c_n}")
             )
@@ -302,31 +289,23 @@ def suite_paths(directory) -> list[Path]:
     return sorted(Path(directory).glob("*.json"), key=lambda p: p.name)
 
 
-def run_suite(directory, model: EntropyModel | None = None, threads: int = 1) -> SuiteResult:
+def run_suite(directory, model: EntropyModel | None = None) -> SuiteResult:
     """Run every scenario file in a directory, in name order.
 
-    Scenario evaluation is pure, so files may be processed in parallel;
-    results are reported in deterministic lexicographic order either way.
+    A file that cannot be loaded becomes a failed scenario and the suite
+    goes on.
     """
-    paths = suite_paths(directory)
-
-    def run_one(path: Path) -> ScenarioResult:
+    results = []
+    for path in suite_paths(directory):
         try:
             scn = load_scenario(path)
         except TopomiError as exc:
-            return ScenarioResult(
+            results.append(ScenarioResult(
                 path.stem, "unknown", False,
                 (Check("parse", False, f"{type(exc).__name__}: {exc}"),), 0.0,
-            )
-        return run_scenario(scn, model)
-
-    if threads > 1 and len(paths) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_one, paths))
-    else:
-        results = [run_one(p) for p in paths]
+            ))
+            continue
+        results.append(run_scenario(scn, model))
     return SuiteResult(tuple(results))
 
 

@@ -23,12 +23,13 @@ import numpy as np
 from .errors import (
     EmptyRegion,
     LatticeTooSmall,
+    ParseError,
     TooManyQubits,
     TooManySubsystems,
     ValidationError,
     WindingRegion,
 )
-from .grid import OUTSIDE, GridCss
+from .grid import OUTSIDE, GridCss, parse_grid_json
 
 #: dense 2**n state vectors
 BRUTE_CAP = 12
@@ -441,17 +442,11 @@ def parse_lattice_scenario(obj: Mapping) -> tuple[CodeLattice, QubitRegionMap]:
         raise ValidationError(f"bad lattice object: {exc}") from exc
     if "regions" in obj:
         named = obj["regions"]
-        regions = tuple(
-            frozenset(int(q) for q in named[key]) for key in sorted(named)
-        )
+        try:
+            regions = tuple(frozenset(int(q) for q in named[key]) for key in sorted(named))
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"bad lattice regions: {exc}") from exc
         return lattice, QubitRegionMap(lattice.n_qubits, regions)
     if "css" in obj:
-        from .grid import parse_ascii, parse_grid_json
-
-        css_obj = obj["css"]
-        if isinstance(css_obj, Mapping) and "ascii" in css_obj:
-            css = parse_ascii("\n".join(css_obj["ascii"]))
-        else:
-            css = parse_grid_json(css_obj)
-        return lattice, rasterize_css(lattice, css)
+        return lattice, rasterize_css(lattice, parse_grid_json(obj["css"]))
     raise ValidationError("lattice scenario needs 'regions' or 'css'")

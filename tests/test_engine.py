@@ -1,6 +1,7 @@
 """Connectivity counts, information values and the derived identities."""
 
 import math
+import random
 
 import pytest
 
@@ -25,7 +26,8 @@ from topomi.errors import (
     TooManySubsystems,
     ValidationError,
 )
-from topomi.grid import GridCss
+from topomi.grid import GridCss, parse_ascii
+from topomi.masks import UnionTopology
 from topomi.model import EntropyModel
 
 LN2 = math.log(2)
@@ -93,19 +95,50 @@ def test_alternating_binomial_identity():
         assert total == 0, n
 
 
-def test_mismatched_paths_raise():
-    import numpy as np
+def _gallery_and_random_css():
+    from topomi.scenarios import gallery_dir, load_scenario, scenario_css, suite_paths
 
-    from topomi.engine import _information_value
-    from topomi.errors import MismatchBetweenPaths
+    for path in suite_paths(gallery_dir()):
+        scn = load_scenario(path)
+        if scn.kind == "analytic":
+            yield scenario_css(scn)
+    for n in range(3, 13):
+        for seed in (1, 2):
+            yield builders.random_css(random.Random(seed), n, 12, 12, growth=60)
 
-    class Broken:
-        signs = np.array([0, 1, 1, -1])
-        j_table = np.array([0, 1, 1, 2])
-        boundary_links_table = np.array([0, 4, 4, 2])  # alternating sum != 0
 
-    with pytest.raises(MismatchBetweenPaths):
-        _information_value(EntropyModel(2.0, alpha=1.0), Broken())
+def test_alternating_link_and_euler_sums():
+    """Why I^N needs no alpha-weighted link term, and no second route.
+
+    Every grid segment borders at most two subsystems, so for N >= 3 the
+    alternating sum of perimeter links vanishes.  The alternating Euler
+    sum counts the lattice corners touching all N subsystems; a corner
+    touches at most four, so it vanishes for N >= 5.
+    """
+    n_cases = 0
+    for css in _gallery_and_random_css():
+        n = css.n_subsystems
+        topo = UnionTopology(css)
+        assert int(topo.signs @ topo.boundary_links_table) == 0, css.name
+        corners = sum(
+            1
+            for y in range(css.height + 1)
+            for x in range(css.width + 1)
+            if {css.label_at(x - dx, y - dy) for dx in (0, 1) for dy in (0, 1)}
+            >= set(range(n))
+        )
+        assert int(topo.signs @ topo.euler_table) == corners, css.name
+        if n >= 5:
+            assert corners == 0, css.name
+        n_cases += 1
+    assert n_cases == 60
+
+
+@pytest.mark.parametrize("alpha", [None, 0.0])
+@pytest.mark.parametrize("grid", ["A", "AB", "AB\nAB"])
+def test_information_needs_three_subsystems(grid, alpha):
+    with pytest.raises(ValidationError, match="N >= 3"):
+        multipartite_information(EntropyModel(2.0, alpha=alpha), parse_ascii(grid))
 
 
 def test_subsystem_guard():
@@ -144,7 +177,6 @@ def test_report_fields_and_json():
     payload = report.to_json_dict()
     assert payload["schema"] == "topo-mpi/1"
     assert payload["s_intersection"] == 0.0
-    assert payload["paths_agree"] is True
     assert payload["chi"] == 2
     assert len(payload["holes"]) == 1
     assert payload["holes"][0]["loop"] == sorted(payload["holes"][0]["loop"]) or True

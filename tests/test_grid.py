@@ -188,7 +188,7 @@ def test_adjacency_graph_cycle_and_path():
 
 def test_adjacency_graph_two_hole_five():
     graph = adjacency_graph(builders.two_hole_five())
-    assert graph.n_vertices == 5
+    assert graph.vertex_count == 5
     assert graph.d_nn == 6
     assert graph.edges == ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (3, 4))
 

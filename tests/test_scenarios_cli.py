@@ -1,12 +1,14 @@
 """Scenario files, suite running and the command-line front-end."""
 
+import argparse
 import json
 import subprocess
 import sys
 
 import pytest
 
-from topomi.cli import main
+from topomi import engine, grid, masks, scenarios
+from topomi.cli import build_parser, main
 from topomi.model import EntropyModel
 from topomi.scenarios import (
     Scenario,
@@ -62,12 +64,6 @@ def test_gallery_passes_for_other_dimensions():
     assert suite.n_failed == 0
 
 
-def test_suite_thread_determinism():
-    sequential = run_suite(GALLERY, threads=1).to_json_dict()
-    threaded = run_suite(GALLERY, threads=4).to_json_dict()
-    assert json.dumps(sequential, sort_keys=True) == json.dumps(threaded, sort_keys=True)
-
-
 def test_empty_suite(tmp_path):
     suite = run_suite(tmp_path)
     assert suite.results == ()
@@ -90,6 +86,117 @@ def test_scenario_detects_wrong_expectation(tmp_path):
     assert not result.passed
     labels = [c.label for c in result.failures()]
     assert labels == ["c_n"]
+
+
+def _write_bad_input(kind: str, path) -> None:
+    if kind == "per-hole-without-loop-size":
+        obj = json.loads((GALLERY / "annulus-n4.json").read_text())
+        del obj["expected"]["per_hole"][0]["loop_size"]
+        path.write_text(json.dumps(obj))
+    elif kind == "lattice-region-xy":
+        obj = json.loads((GALLERY / "stab-torus4-n3.json").read_text())
+        obj["lattice"]["regions"]["A"] = ["xy"]
+        path.write_text(json.dumps(obj))
+    elif kind == "not-utf8":
+        path.write_bytes(b'{"name": "\xff\xfe"}')
+    else:
+        path.mkdir()
+
+
+@pytest.mark.parametrize(
+    "kind", ["per-hole-without-loop-size", "lattice-region-xy", "not-utf8", "directory"]
+)
+def test_bad_input_ends_as_topomi_error(kind, tmp_path, capsys):
+    (tmp_path / "a-good.json").write_text((GALLERY / "annulus-n4.json").read_text())
+    bad = tmp_path / "b-bad.json"
+    _write_bad_input(kind, bad)
+
+    assert main(["analyze", str(bad)]) == 1
+    out = capsys.readouterr()
+    assert "ParseError" in out.out + out.err
+
+    suite = run_suite(tmp_path)
+    assert [r.passed for r in suite.results] == [True, False]
+    assert "ParseError" in suite.results[1].checks[0].detail
+
+
+def test_analyze_rejects_fewer_than_three_subsystems(tmp_path, capsys):
+    path = tmp_path / "pair.txt"
+    path.write_text("AB\nAB\n")
+    assert main(["analyze", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "ValidationError: N-partite information needs N >= 3" in out
+
+
+def _count_analysis_work(monkeypatch) -> tuple[list, list]:
+    """Record the CSS of every UnionTopology build and footprint flood (find_holes)."""
+    builds: list = []
+    floods: list = []
+    post_init = masks.UnionTopology.__post_init__
+    find_holes = grid.find_holes
+
+    def counting_post_init(self):
+        builds.append(self.css)
+        post_init(self)
+
+    def counting_find_holes(css):
+        floods.append(css)
+        return find_holes(css)
+
+    monkeypatch.setattr(masks.UnionTopology, "__post_init__", counting_post_init)
+    for module in (grid, engine):
+        monkeypatch.setattr(module, "find_holes", counting_find_holes)
+    return builds, floods
+
+
+@pytest.mark.parametrize("name, n_builds", [("annulus-n3", 2), ("far-handle-n6-span3", 3)])
+def test_run_scenario_analyses_each_css_once(name, n_builds, monkeypatch):
+    builds, floods = _count_analysis_work(monkeypatch)
+    scn = load_scenario(GALLERY / f"{name}.json")
+    assert run_scenario(scn).passed
+    # the full CSS's tables, then one set per hole loop, each built once
+    assert len({id(css) for css in builds}) == len(builds) == n_builds
+    assert builds[0] == scenarios.scenario_css(scn)
+    assert floods == [builds[0]]
+
+
+def test_cli_csv_reads_and_analyses_once(tmp_path, monkeypatch, capsys):
+    builds, floods = _count_analysis_work(monkeypatch)
+    reads = []
+    read_input = scenarios.read_input
+
+    def counting_read_input(path):
+        reads.append(path)
+        return read_input(path)
+
+    monkeypatch.setattr(scenarios, "read_input", counting_read_input)
+    out = tmp_path / "table.csv"
+    assert main(["analyze", str(GALLERY / "annulus-n3.json"), "--csv", str(out)]) == 0
+    assert len(reads) == 1
+    # the full CSS and its one hole loop
+    assert len({id(css) for css in builds}) == len(builds) == 2
+    assert len(floods) == 1
+    assert out.read_bytes() == (
+        b"mask,m,J,sign\r\n1,1,1,1\r\n2,1,1,1\r\n3,2,1,-1\r\n4,1,1,1\r\n"
+        b"5,2,1,-1\r\n6,2,1,-1\r\n7,3,2,1\r\n"
+    )
+
+
+def test_cli_options_belong_to_their_command():
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        name: {opt for action in sub._actions for opt in action.option_strings} - {"-h", "--help"}
+        for name, sub in commands.choices.items()
+    }
+    model = {"--log-base", "--alpha", "--dimension"}
+    assert options == {
+        "analyze": model | {"--json", "--csv"},
+        "suite": model | {"--json"},
+        "rho": {"--json"},
+        "stabilizer": {"--json"},
+        "vector": model | {"--json"},
+    }
 
 
 def test_scenario_kind_inference():
@@ -132,7 +239,7 @@ def test_cli_analyze_failure_exit(tmp_path, capsys):
 
 
 def test_cli_suite_default_gallery(capsys):
-    code = main(["suite", "--threads", "2"])
+    code = main(["suite"])
     out = capsys.readouterr().out
     assert code == 0
     assert "scenarios passed" in out
@@ -141,7 +248,7 @@ def test_cli_suite_default_gallery(capsys):
 def test_cli_suite_json_byte_identical(capsys):
     main(["suite", "--json"])
     first = capsys.readouterr().out
-    main(["suite", "--json", "--threads", "3"])
+    main(["suite", "--json"])
     second = capsys.readouterr().out
     assert first == second
 

@@ -12,7 +12,7 @@ import random
 from typing import Sequence
 
 from .errors import ValidationError
-from .grid import OUTSIDE, GridCss
+from .grid import OUTSIDE, GridCss, window_pinch
 
 
 def _grid_from_cells(width: int, height: int, cells: dict, name: str) -> GridCss:
@@ -358,13 +358,8 @@ def _local_pinch_free(cells: dict, spot: tuple) -> bool:
     def lab(x, y):
         return cells.get((x, y), OUTSIDE)
 
-    for bx in (x0 - 1, x0):
-        for by in (y0 - 1, y0):
-            a, b = lab(bx, by), lab(bx + 1, by)
-            c, d = lab(bx, by + 1), lab(bx + 1, by + 1)
-            for (p, q), (r, s) in (((a, d), (b, c)), ((b, c), (a, d))):
-                if p == q and r != p and s != p:
-                    return False
-                if p != q and p != OUTSIDE and q != OUTSIDE and r not in (p, q) and s not in (p, q):
-                    return False
-    return True
+    return all(
+        window_pinch(lab(bx, by), lab(bx + 1, by), lab(bx, by + 1), lab(bx + 1, by + 1)) is None
+        for bx in (x0 - 1, x0)
+        for by in (y0 - 1, y0)
+    )

@@ -8,6 +8,7 @@ only appear in the human-readable summary.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -18,12 +19,12 @@ from .errors import TopomiError
 from .grid import load_grid
 from .model import EntropyModel
 from .scenarios import (
-    Scenario,
     evaluate_scenario,
     gallery_dir,
     load_scenario,
     run_scenario,
     run_suite,
+    suite_paths,
 )
 
 USAGE_EXIT = 64
@@ -90,17 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _print_result(result, as_json: bool) -> None:
     if as_json:
-        payload = {
-            "schema": "topo-mpi/1",
-            "name": result.name,
-            "kind": result.kind,
-            "passed": result.passed,
-            "checks": [
-                {"label": c.label, "passed": c.passed, "detail": c.detail}
-                for c in result.checks
-            ],
-            "report": result.report,
-        }
+        payload = {"schema": "topo-mpi/1", **result.to_json_dict(), "report": result.report}
         sys.stdout.write(_dump_json(payload))
         return
     status = "PASS" if result.passed else "FAIL"
@@ -159,15 +150,14 @@ def _cmd_rho(args) -> int:
 
 def _cmd_stabilizer(args) -> int:
     scn = load_scenario(args.file)
-    scn = Scenario(scn.name, "stabilizer", scn.payload, scn.expected, scn.case, scn.source_path)
-    result = run_scenario(scn)
+    result = run_scenario(dataclasses.replace(scn, kind="stabilizer"))
     _print_result(result, args.json)
     return 0 if result.passed else 1
 
 
 def _cmd_vector(args) -> int:
     model = _model_from_args(args)
-    paths = sorted(Path(args.dir).glob("*.json"), key=lambda p: p.name)
+    paths = suite_paths(args.dir)
     if not paths:
         print(f"error: no grid files found in {args.dir}", file=sys.stderr)
         return 1

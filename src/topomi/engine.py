@@ -46,7 +46,7 @@ from .grid import (
     perimeter_links,
     restrict_css,
 )
-from .masks import UnionTopology
+from .masks import UnionTopology, subset_signs
 from .model import EntropyModel
 
 #: recursion expansion enumerates subset sums of subsets, cost ~3^N
@@ -120,6 +120,11 @@ class CssAnalysis:
             raise DisconnectedCss(f"footprint has {n_comp} components")
         return self.css.n_subsystems - self.graph.d_nn + self.holes.n_h + 1
 
+    @cached_property
+    def c_n(self) -> int:
+        """C^N, the alternating sum of J over every non-empty subset."""
+        return int(self.topology.signs @ self.topology.j_table)
+
 
 @dataclass(frozen=True)
 class ConnectivityResult:
@@ -130,27 +135,21 @@ class ConnectivityResult:
 
 def connectivity_count(css: GridCss | CssAnalysis) -> ConnectivityResult:
     """C^N and the full J table over all 2^N - 1 non-empty subsets."""
-    topo = CssAnalysis.of(css).topology
-    c_n = int(topo.signs @ topo.j_table)
-    return ConnectivityResult(topo.n, c_n, topo.j_table)
+    analysis = CssAnalysis.of(css)
+    return ConnectivityResult(analysis.css.n_subsystems, analysis.c_n, analysis.topology.j_table)
 
 
 def _information_value(model: EntropyModel, analysis: CssAnalysis) -> tuple[int, float]:
     """(C^N, I^N = -C^N S_topo); the N-partite information needs N >= 3."""
     if analysis.css.n_subsystems < 3:
         raise ValidationError("N-partite information needs N >= 3")
-    topo = analysis.topology
-    c_n = int(topo.signs @ topo.j_table)
-    return c_n, -c_n * model.s_topo
+    return analysis.c_n, -analysis.c_n * model.s_topo
 
 
 def subset_entropy_table(model: EntropyModel, css: GridCss | CssAnalysis) -> np.ndarray:
     """Model entropy of every subset union, indexed by bitmask (entry 0 = 0)."""
     topo = CssAnalysis.of(css).topology
-    s = model.alpha_value * topo.boundary_links_table.astype(float)
-    s -= model.s_topo * topo.j_table.astype(float)
-    s[0] = 0.0
-    return s
+    return model.entropy(topo.boundary_links_table, topo.j_table)
 
 
 # ----------------------------------------------------------------------
@@ -249,9 +248,9 @@ def write_subset_table_csv(report: InfoReport, fileobj) -> None:
     writer = csv.writer(fileobj)
     writer.writerow(["mask", "m", "J", "sign"])
     j = report.per_subset_j
+    signs = subset_signs(report.n_subsystems)
     for mask in range(1, len(j)):
-        m = mask.bit_count()
-        writer.writerow([mask, m, int(j[mask]), 1 if m % 2 else -1])
+        writer.writerow([mask, mask.bit_count(), int(j[mask]), int(signs[mask])])
 
 
 # ----------------------------------------------------------------------
@@ -479,9 +478,7 @@ EntropySource = Callable[[frozenset], float]
 
 def model_entropy_source(model: EntropyModel, css: GridCss | CssAnalysis) -> EntropySource:
     """Entropy of a set of subsystem ids under the topology model."""
-    topo = CssAnalysis.of(css).topology
-    links = topo.boundary_links_table
-    j = topo.j_table
+    table = subset_entropy_table(model, css)
 
     def source(ids: Iterable[int]) -> float:
         mask = 0
@@ -489,7 +486,7 @@ def model_entropy_source(model: EntropyModel, css: GridCss | CssAnalysis) -> Ent
             mask |= 1 << i
         if mask == 0:
             raise ValidationError("entropy of an empty id set")
-        return model.alpha_value * int(links[mask]) - int(j[mask]) * model.s_topo
+        return float(table[mask])
 
     return source
 

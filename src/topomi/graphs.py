@@ -7,17 +7,20 @@ For a finite simple graph the invariant is
 where H0 counts connected components and "nontrivial" excludes the empty
 vertex set and the full vertex set.  Path graphs give rho(P_n) = (-1)^(n-1)
 and cycle graphs give rho(C_n) = 0, which is what makes open chains vanish
-and rings survive in the subsystem-counting identities.
+and rings survive in the subsystem-counting identities.  Component counts
+and signs come from :mod:`topomi.masks`, as for a CSS's per-subset tables.
 """
 
 from __future__ import annotations
 
 from typing import Mapping
 
+import numpy as np
+
 from .engine import CssAnalysis
 from .errors import ParseError, PreconditionViolated, TooManyVertices, ValidationError
 from .grid import GridCss, SimpleGraph, read_input
-from .masks import _ComponentCounter
+from .masks import component_counts, subset_signs
 
 #: 2**v induced subgraphs are enumerated
 MAX_VERTICES = 20
@@ -33,9 +36,9 @@ def cycle_graph(n: int) -> SimpleGraph:
     return SimpleGraph(n, tuple((i, (i + 1) % n) for i in range(n)))
 
 
-def induced_component_count(graph: SimpleGraph, vertices: int) -> int:
-    """Components of the induced subgraph on a vertex bitmask."""
-    return _ComponentCounter(graph.neighbor_masks()).count(vertices)
+def induced_component_table(graph: SimpleGraph) -> np.ndarray:
+    """Components of the induced subgraph on every vertex bitmask (entry 0 is 0)."""
+    return component_counts(graph.neighbor_masks(), [1 << i for i in range(graph.vertex_count)])
 
 
 def rho(graph: SimpleGraph) -> int:
@@ -43,12 +46,7 @@ def rho(graph: SimpleGraph) -> int:
     v = graph.vertex_count
     if v > MAX_VERTICES:
         raise TooManyVertices(f"{v} vertices exceed the cap of {MAX_VERTICES}")
-    counter = _ComponentCounter(graph.neighbor_masks())
-    total = 0
-    for mask in range(1, (1 << v) - 1):
-        h0 = counter.count(mask)
-        total += h0 if mask.bit_count() % 2 == 0 else -h0
-    return total
+    return -int(subset_signs(v)[1:-1] @ induced_component_table(graph)[1:-1])
 
 
 def sigma_of_css(css: GridCss | CssAnalysis) -> int:
@@ -63,21 +61,17 @@ def sigma_of_css(css: GridCss | CssAnalysis) -> int:
     n = analysis.css.n_subsystems
     if n > MAX_VERTICES:
         raise TooManyVertices(f"{n} subsystems exceed the cap of {MAX_VERTICES}")
-    graph = analysis.graph
-    counter = _ComponentCounter(graph.neighbor_masks())
-    j_table = analysis.topology.j_table
-    sigma = 0
-    for mask in range(1, (1 << n) - 1):
-        j = int(j_table[mask])
-        h0 = counter.count(mask)
-        if j != h0:
-            raise PreconditionViolated(
-                f"subset mask {mask:#x} has J = {j} but induced component count {h0} "
-                "(a subsystem or proper union is not a disk arrangement)",
-                mask=mask,
-            )
-        sigma += j if mask.bit_count() % 2 == 1 else -j
-    return sigma
+    j = analysis.topology.j_table[1:-1]
+    h0 = induced_component_table(analysis.graph)[1:-1]
+    bad = np.flatnonzero(j != h0)
+    if bad.size:
+        k = int(bad[0])  # index of mask k + 1
+        raise PreconditionViolated(
+            f"subset mask {k + 1:#x} has J = {j[k]} but induced component count {h0[k]} "
+            "(a subsystem or proper union is not a disk arrangement)",
+            mask=k + 1,
+        )
+    return int(analysis.topology.signs[1:-1] @ j)
 
 
 # ----------------------------------------------------------------------

@@ -108,38 +108,34 @@ class GridCss:
         return "\n".join(rows)
 
 
-def _reject_diagonal_pinches(css: GridCss) -> None:
-    """Reject corner-only contacts.
+def window_pinch(a: int, b: int, c: int, d: int) -> str | None:
+    """The corner-only contact in the 2x2 window ``a b / c d``, or None.
 
-    Scanning every 2x2 window (including a virtual OUTSIDE border), a
-    diagonal pair of cells must not share a label interrupted by both
+    A diagonal pair of cells must not share a label interrupted by both
     anti-diagonal cells, and two distinct subsystems must not meet only
-    diagonally.  Under this rule every union of subsystems, and every
-    complement of such a union, has identical 4-adjacency and homotopy
-    component structure.
+    diagonally.
+    """
+    for (p, q), (r, s) in (((a, d), (b, c)), ((b, c), (a, d))):
+        if p == q and r != p and s != p:
+            return f"diagonal pinch of label {p}"
+        if p != q and p != OUTSIDE and q != OUTSIDE and r not in (p, q) and s not in (p, q):
+            return f"subsystems {p} and {q} meet only diagonally"
+    return None
+
+
+def _reject_diagonal_pinches(css: GridCss) -> None:
+    """Reject corner-only contacts (:func:`window_pinch`).
+
+    Every 2x2 window is scanned, including a virtual OUTSIDE border.  Under
+    this rule every union of subsystems, and every complement of such a
+    union, has identical 4-adjacency and homotopy component structure.
     """
     lab = css.label_at
     for y in range(-1, css.height):
         for x in range(-1, css.width):
-            a, b = lab(x, y), lab(x + 1, y)
-            c, d = lab(x, y + 1), lab(x + 1, y + 1)
-            for (p, q), (r, s) in (((a, d), (b, c)), ((b, c), (a, d))):
-                if p == q and r != p and s != p:
-                    raise ValidationError(
-                        f"diagonal pinch of label {p} at cells "
-                        f"({x},{y})..({x + 1},{y + 1})"
-                    )
-                if (
-                    p != q
-                    and p != OUTSIDE
-                    and q != OUTSIDE
-                    and r not in (p, q)
-                    and s not in (p, q)
-                ):
-                    raise ValidationError(
-                        f"subsystems {p} and {q} meet only diagonally at cells "
-                        f"({x},{y})..({x + 1},{y + 1})"
-                    )
+            pinch = window_pinch(lab(x, y), lab(x + 1, y), lab(x, y + 1), lab(x + 1, y + 1))
+            if pinch is not None:
+                raise ValidationError(f"{pinch} at cells ({x},{y})..({x + 1},{y + 1})")
 
 
 # ----------------------------------------------------------------------
@@ -247,45 +243,23 @@ def connected_components(region: Iterable[Cell]) -> tuple[int, dict[Cell, int]]:
     return count, labeling
 
 
-def _complement_components(region: set) -> tuple[list[set], set]:
-    """Components of the complement within a 1-cell-padded bounding box.
+def _complement_components(region: set) -> tuple[int, dict[Cell, int]]:
+    """``connected_components`` of the complement within a 1-cell-padded bounding box.
 
-    Returns (bounded components, the unique unbounded component).  The
-    padding guarantees that everything outside the bounding box belongs to
-    one outer component.
+    The padding puts everything outside the bounding box in one outer
+    component; it holds the box's first corner, so it gets id 0 and the
+    bounded components (the holes) get ids 1, 2, ...
     """
     xs = [c[0] for c in region]
     ys = [c[1] for c in region]
     x0, x1 = min(xs) - 1, max(xs) + 1
     y0, y1 = min(ys) - 1, max(ys) + 1
-    todo = {
+    return connected_components(
         (x, y)
         for x in range(x0, x1 + 1)
         for y in range(y0, y1 + 1)
         if (x, y) not in region
-    }
-    comps: list[set] = []
-    outer: set | None = None
-    corner = (x0, y0)
-    while todo:
-        seed = min(todo, key=lambda c: (c[1], c[0]))
-        comp = {seed}
-        stack = [seed]
-        todo.discard(seed)
-        while stack:
-            cur = stack.pop()
-            for nb in _neighbors4(cur):
-                if nb in todo:
-                    todo.discard(nb)
-                    comp.add(nb)
-                    stack.append(nb)
-        if corner in comp:
-            assert outer is None, "padding must yield a unique outer component"
-            outer = comp
-        else:
-            comps.append(comp)
-    assert outer is not None
-    return comps, outer
+    )
 
 
 def boundary_component_count(region: Iterable[Cell]) -> int:
@@ -298,19 +272,20 @@ def boundary_component_count(region: Iterable[Cell]) -> int:
     if not cells:
         raise EmptyRegion("boundary count of an empty region is undefined")
     n_comp, _ = connected_components(cells)
-    holes, _ = _complement_components(cells)
-    return n_comp + len(holes)
+    n_complement, _ = _complement_components(cells)
+    return n_comp + n_complement - 1
 
 
 def region_holes(region: Iterable[Cell]) -> list[Region]:
-    """Bounded complement components of a region, deterministically ordered."""
+    """Bounded complement components of a region, ordered by their first cell."""
     cells = set(region)
     if not cells:
         raise EmptyRegion("holes of an empty region are undefined")
-    holes, _ = _complement_components(cells)
-    return [
-        frozenset(h) for h in sorted(holes, key=lambda h: min((c[1], c[0]) for c in h))
-    ]
+    count, labeling = _complement_components(cells)
+    holes: list[set] = [set() for _ in range(count)]
+    for cell, k in labeling.items():
+        holes[k].add(cell)
+    return [frozenset(h) for h in holes[1:]]
 
 
 def perimeter_links(region: Iterable[Cell]) -> int:

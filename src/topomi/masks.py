@@ -10,13 +10,14 @@ counts combinatorially:
   "present" for a mask iff the mask hits the feature's user set -- a form
   that vectorizes over all masks at once;
 * the component count of a union equals the component count of the induced
-  subgraph on per-subsystem cell-components, computed by a memoized
-  bitmask walk;
+  subgraph on per-subsystem cell-components (:func:`component_counts`): a
+  lowest-bit dynamic program over masks, or a walk memoized on vertex sets
+  when some subsystem is split into several cell-components;
 * pinch-freeness (enforced by grid validation) makes the complex
   homotopy-faithful, so holes = components - chi and J = 2*components - chi.
 
-The flood-fill definition stays available in :mod:`topomi.grid` and the two
-routes are compared in the test suite.
+The flood-fill definition stays available in :mod:`topomi.grid`; the test
+suite compares every table with it, on both branches of the component walk.
 """
 
 from __future__ import annotations
@@ -33,46 +34,59 @@ from .grid import OUTSIDE, GridCss, connected_components
 MAX_SUBSYSTEMS = 24
 
 
-def _mask_iter_lowbits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def subset_signs(n: int) -> np.ndarray:
+    """(-1)**(m-1) for the size m of every subset mask of n bits; entry 0 is 0."""
+    signs = np.where(np.bitwise_count(np.arange(1 << n, dtype=np.int64)) & 1, 1, -1)
+    signs[0] = 0
+    return signs
 
 
 def _closure(seed: int, allowed: int, adj: list[int]) -> int:
     """Connected closure of ``seed`` within ``allowed`` (bitmask vertices)."""
-    comp = seed
-    frontier = seed
+    comp = frontier = seed
     while frontier:
         grow = 0
-        for v in _mask_iter_lowbits(frontier):
-            grow |= adj[v]
+        while frontier:
+            low = frontier & -frontier
+            grow |= adj[low.bit_length() - 1]
+            frontier ^= low
         grow &= allowed & ~comp
         comp |= grow
         frontier = grow
     return comp
 
 
-class _ComponentCounter:
-    """Memoized component counts of induced subgraphs of a bitmask graph."""
+def component_counts(adj: list[int], groups: list[int]) -> np.ndarray:
+    """Components of the subgraph induced by every subset of vertex groups.
 
-    def __init__(self, adj: list[int]):
-        self.adj = adj
-        self.memo: dict[int, int] = {0: 0}
-
-    def count(self, vertices: int) -> int:
-        memo = self.memo
-        pending: list[int] = []
-        cur = vertices
+    ``adj[v]`` is the neighbour bitmask of vertex v and ``groups[i]`` the
+    vertex bitmask of group i; entry ``mask`` counts the components induced
+    by the union of the groups in ``mask`` (entry 0 is 0).
+    """
+    total = 1 << len(groups)
+    if all(g == 1 << i for i, g in enumerate(groups)):
+        # subset mask == vertex mask: remove the lowest bit's component
+        comp = [0] * total
+        for mask in range(1, total):
+            comp[mask] = 1 + comp[mask ^ _closure(mask & -mask, mask, adj)]
+        return np.array(comp, dtype=np.int64)
+    # split groups: memoize on the induced vertex set
+    memo = {0: 0}
+    out = np.zeros(total, dtype=np.int64)
+    active = [0] * total
+    for mask in range(1, total):
+        low = mask & -mask
+        cur = active[mask] = active[mask ^ low] | groups[low.bit_length() - 1]
+        pending = []
         while cur not in memo:
             pending.append(cur)
-            cur ^= _closure(cur & -cur, cur, self.adj)
-        base = memo[cur]
+            cur ^= _closure(cur & -cur, cur, adj)
+        count = memo[cur]
         for m in reversed(pending):
-            base += 1
-            memo[m] = base
-        return base
+            count += 1
+            memo[m] = count
+        out[mask] = count
+    return out
 
 
 @dataclass(frozen=True)
@@ -102,9 +116,7 @@ class UnionTopology:
     @cached_property
     def signs(self) -> np.ndarray:
         """(-1)**(m-1) for subset size m; entry 0 is 0."""
-        s = np.where(self.popcounts % 2 == 1, 1, -1).astype(np.int64)
-        s[0] = 0
-        return s
+        return subset_signs(self.n)
 
     # ------------------------------------------------------------------
     # feature decomposition of the cell complex
@@ -205,25 +217,8 @@ class UnionTopology:
 
     @cached_property
     def component_table(self) -> np.ndarray:
-        adj, cv_mask, n_cv = self._cell_component_graph
-        total = 1 << self.n
-        out = np.zeros(total, dtype=np.int64)
-        if n_cv == self.n:
-            # every subsystem connected: subsystem mask == vertex mask
-            comp = [0] * total
-            for mask in range(1, total):
-                low = mask & -mask
-                closure = _closure(low, mask, adj)
-                comp[mask] = 1 + comp[mask ^ closure]
-            out[1:] = comp[1:]
-            return out
-        counter = _ComponentCounter(adj)
-        active = [0] * total
-        for mask in range(1, total):
-            low = mask & -mask
-            active[mask] = active[mask ^ low] | cv_mask[low.bit_length() - 1]
-            out[mask] = counter.count(active[mask])
-        return out
+        adj, cv_mask, _ = self._cell_component_graph
+        return component_counts(adj, cv_mask)
 
     @cached_property
     def j_table(self) -> np.ndarray:

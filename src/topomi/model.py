@@ -78,7 +78,8 @@ class EntropyModel:
             return self.alpha
         return self.s_topo
 
-    def entropy(self, perimeter: int, boundaries: int) -> float:
+    def entropy(self, perimeter, boundaries):
+        """alpha * n - J * log(D); elementwise on per-subset integer tables."""
         return self.alpha_value * perimeter - boundaries * self.s_topo
 
     def with_alpha(self, alpha: float) -> "EntropyModel":

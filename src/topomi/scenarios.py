@@ -43,6 +43,17 @@ class ScenarioResult:
     def failures(self) -> list[Check]:
         return [c for c in self.checks if not c.passed]
 
+    def to_json_dict(self) -> dict:
+        return {
+            "name": self.name,
+            "kind": self.kind,
+            "passed": self.passed,
+            "checks": [
+                {"label": c.label, "passed": c.passed, "detail": c.detail}
+                for c in self.checks
+            ],
+        }
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -68,15 +79,48 @@ class Scenario:
             kind = "analytic"
         if kind not in ("analytic", "graph", "stabilizer"):
             raise ParseError(f"unknown scenario kind {kind!r}")
-        expected = dict(obj.get("expected") or {})
+        expected = obj.get("expected") or {}
+        if not isinstance(expected, Mapping):
+            raise ParseError(f"'expected' must be an object, got {expected!r}")
+        for key, value in expected.items():
+            _check_expected(key, value)
         return Scenario(
             name=name,
             kind=kind,
             payload=dict(obj),
-            expected=expected,
+            expected=dict(expected),
             case=str(obj.get("case", "")),
             source_path=source_path,
         )
+
+
+#: expected keys holding a count or an integer multiple of a unit
+_INT_KEYS = frozenset({
+    "n", "c_n", "i_over_log_d", "d_nn", "n_h", "chi", "constraint_over_log_d",
+    "sigma", "rho", "i_exact_over_log2",
+})
+#: expected loop lists -> the size field of their entries
+_LOOP_KEYS = {"per_hole": "loop_size", "subloops": "size"}
+
+
+def _check_expected(key: str, value) -> None:
+    """ParseError naming ``key`` unless ``value`` has the JSON type the key needs."""
+    if key in _INT_KEYS:
+        ok, what = type(value) is int, "an integer"  # a bool is not
+    elif key in ("annular", "matches_counting"):
+        ok, what = isinstance(value, bool), "true or false"
+    elif key == "recursion_residual_below":
+        ok, what = value is None or type(value) in (int, float), "a number or null"
+    elif key in _LOOP_KEYS:
+        fields = (_LOOP_KEYS[key], "i_over_log_d")
+        ok = isinstance(value, list) and all(
+            isinstance(e, Mapping) and all(type(e.get(f)) is int for f in fields) for e in value
+        )
+        what = f"a list of objects with integer {fields[0]!r} and 'i_over_log_d'"
+    else:
+        return
+    if not ok:
+        raise ParseError(f"expected {key!r} must be {what}, got {value!r}")
 
 
 def load_scenario(path) -> Scenario:
@@ -118,33 +162,30 @@ def evaluate_scenario(
     except TopomiError as exc:
         checks = [Check("evaluate", False, f"{type(exc).__name__}: {exc}")]
         report = {}
+    checks = checks or [Check("evaluate", True, "no expectations; evaluated cleanly")]
     elapsed = time.perf_counter() - start
     passed = all(c.passed for c in checks)
     result = ScenarioResult(scn.name, scn.kind, passed, tuple(checks), elapsed, report)
     return result, info
 
 
-def _match_int(checks: list, label: str, got: int, want) -> None:
-    ok = got == int(want)
-    checks.append(Check(label, ok, f"got {got}, expected {int(want)}"))
+def _match_int(checks: list, label: str, got: int, want: int) -> None:
+    checks.append(Check(label, got == want, f"got {got}, expected {want}"))
 
 
-def _match_unit(checks: list, label: str, value: float, unit: float, want) -> None:
+def _match_unit(checks: list, label: str, value: float, unit: float, want: int) -> None:
     """Compare a value expected to be an integer multiple of a unit."""
     if unit == 0.0:
         checks.append(Check(label, abs(value) < 1e-9, f"got {value} with zero unit"))
         return
     ratio = value / unit
-    ok = abs(ratio - int(want)) < 1e-9
-    checks.append(Check(label, ok, f"got {ratio:.12g} units, expected {int(want)}"))
+    ok = abs(ratio - want) < 1e-9
+    checks.append(Check(label, ok, f"got {ratio:.12g} units, expected {want}"))
 
 
 def _match_loops(checks: list, label: str, loops, entries, size_key: str, s_topo: float) -> None:
     """Compare (loop size, I) pairs with expected ``{size_key, "i_over_log_d"}`` entries."""
-    try:
-        want = sorted((int(e[size_key]), int(e["i_over_log_d"])) for e in entries)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad expected {label} entry: {exc!r}") from exc
+    want = sorted((e[size_key], e["i_over_log_d"]) for e in entries)
     if s_topo > 0:
         got = sorted((size, round(info / s_topo, 9)) for size, info in loops)
         ok = got == [(s, float(u)) for s, u in want]
@@ -179,7 +220,7 @@ def _run_analytic(scn: Scenario, model: EntropyModel) -> tuple[list[Check], Info
         except NotAnnular:
             is_annular = False
         checks.append(
-            Check("annular", is_annular == bool(expected["annular"]), f"annular={is_annular}")
+            Check("annular", is_annular == expected["annular"], f"annular={is_annular}")
         )
     if "per_hole" in expected:
         loops = [(len(h.loop), h.info) for h in report.holes if h.loop]
@@ -200,13 +241,9 @@ def _run_analytic(scn: Scenario, model: EntropyModel) -> tuple[list[Check], Info
     if "sigma" in expected:
         _match_int(checks, "sigma", graphs.sigma_of_css(analysis), expected["sigma"])
     if expected.get("recursion_residual_below") is not None:
-        tol = float(expected["recursion_residual_below"])
         res = engine.recursion_check(model, analysis)
-        checks.append(
-            Check("recursion", res.residual < tol, f"residual {res.residual:.3e}")
-        )
-    if not checks:
-        checks.append(Check("evaluate", True, "no expectations; evaluated cleanly"))
+        ok = res.residual < expected["recursion_residual_below"]
+        checks.append(Check("recursion", ok, f"residual {res.residual:.3e}"))
     return checks, report
 
 
@@ -217,8 +254,6 @@ def _run_graph(scn: Scenario):
     value = graphs.rho(graph)
     if "rho" in scn.expected:
         _match_int(checks, "rho", value, scn.expected["rho"])
-    if not checks:
-        checks.append(Check("evaluate", True, "no expectations; evaluated cleanly"))
     return checks, {"schema": "topo-mpi/1", "name": scn.name, "v": graph.vertex_count,
                     "edges": [list(e) for e in graph.edges], "rho": value}
 
@@ -239,8 +274,6 @@ def _run_stabilizer(scn: Scenario):
             checks.append(
                 Check("matches_counting", value == -c_n, f"oracle {value}, counting {-c_n}")
             )
-    if not checks:
-        checks.append(Check("evaluate", True, "no expectations; evaluated cleanly"))
     report = {
         "schema": "topo-mpi/1",
         "name": scn.name,
@@ -268,18 +301,7 @@ class SuiteResult:
     def to_json_dict(self) -> dict:
         return {
             "schema": "topo-mpi/1",
-            "scenarios": [
-                {
-                    "name": r.name,
-                    "kind": r.kind,
-                    "passed": r.passed,
-                    "checks": [
-                        {"label": c.label, "passed": c.passed, "detail": c.detail}
-                        for c in r.checks
-                    ],
-                }
-                for r in self.results
-            ],
+            "scenarios": [r.to_json_dict() for r in self.results],
             "failed": self.n_failed,
             "total": len(self.results),
         }

@@ -1,6 +1,7 @@
 """The induced-subgraph invariant and its bridge to subsystem counting."""
 
 import itertools
+import random
 
 import pytest
 
@@ -9,12 +10,15 @@ from topomi.errors import ParseError, PreconditionViolated, TooManyVertices, Val
 from topomi.graphs import (
     SimpleGraph,
     cycle_graph,
+    induced_component_table,
     parse_graph_json,
     parse_graph_text,
     path_graph,
     rho,
     sigma_of_css,
 )
+from topomi.grid import adjacency_graph
+from topomi.masks import UnionTopology
 
 
 def brute_rho(graph):
@@ -141,18 +145,13 @@ def test_disjoint_union_components_split():
     g2 = path_graph(3)
     edges = list(g1.edges) + [(i + 4, j + 4) for i, j in g2.edges]
     both = SimpleGraph(7, tuple(edges))
-    adjacency = {v: set() for v in range(7)}
-    for i, j in both.edges:
-        adjacency[i].add(j)
-        adjacency[j].add(i)
+    tables = {id(g): induced_component_table(g) for g in (g1, g2, both)}
 
     def components(graph, subset):
-        from topomi.graphs import induced_component_count
-
         mask = 0
         for v in subset:
             mask |= 1 << v
-        return induced_component_count(graph, mask)
+        return int(tables[id(graph)][mask])
 
     for size in range(1, 7):
         for subset in itertools.combinations(range(7), size):
@@ -163,6 +162,18 @@ def test_disjoint_union_components_split():
                 components(g2, right) if right else 0
             )
             assert total == split
+
+
+def test_graph_table_matches_css_component_table():
+    """On CSS whose subsystems are each one cell-component, the union of a
+    subset has as many components as its induced adjacency subgraph."""
+    rng = random.Random(31)
+    for _ in range(20):
+        css = builders.random_css(rng, rng.randint(2, 8), width=9, height=9)
+        topo = UnionTopology(css)
+        assert topo._cell_component_graph[2] == css.n_subsystems
+        graph_table = induced_component_table(adjacency_graph(css))
+        assert graph_table.tolist() == topo.component_table.tolist()
 
 
 def test_sigma_of_css_families():

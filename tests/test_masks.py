@@ -8,6 +8,7 @@ from topomi import builders
 from topomi.errors import TooManySubsystems
 from topomi.grid import (
     GridCss,
+    adjacency_graph,
     boundary_component_count,
     connected_components,
     perimeter_links,
@@ -54,15 +55,31 @@ def test_tables_match_flood_fill(css):
     assert topo.component_table[1:].tolist() == comp_ref[1:]
 
 
+def merge_two_subsystems(css, rng):
+    """``css`` with two non-adjacent subsystems relabelled as one, split, subsystem."""
+    edges = set(adjacency_graph(css).edges)
+    n = css.n_subsystems
+    a, b = rng.choice([(a, b) for a in range(n) for b in range(a + 1, n) if (a, b) not in edges])
+    labels = tuple(a if v == b else v - (v > b) for v in css.labels)
+    return GridCss(css.width, css.height, labels, name=f"{css.name}-merged")
+
+
 def test_tables_match_on_fuzzed_grids():
     rng = random.Random(987)
-    for _ in range(25):
-        css = builders.random_css(rng, rng.randint(2, 6), width=9, height=9)
+    cases = [builders.random_css(rng, rng.randint(2, 6), width=9, height=9) for _ in range(25)]
+    # split subsystems take the memoized branch of the component walk
+    merge_rng = random.Random(988)
+    for _ in range(20):
+        css = builders.random_css(merge_rng, merge_rng.randint(4, 7), width=9, height=9)
+        cases.append(merge_two_subsystems(css, merge_rng))
+    for css in cases:
         topo = UnionTopology(css)
         j_ref, links_ref, comp_ref = reference_tables(css)
         assert topo.j_table[1:].tolist() == j_ref[1:]
         assert topo.boundary_links_table[1:].tolist() == links_ref[1:]
         assert topo.component_table[1:].tolist() == comp_ref[1:]
+    split = [css for css in cases if UnionTopology(css)._cell_component_graph[2] > css.n_subsystems]
+    assert split == cases[25:]
 
 
 def test_disconnected_subsystem_supported():

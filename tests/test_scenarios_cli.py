@@ -1,9 +1,11 @@
 """Scenario files, suite running and the command-line front-end."""
 
 import argparse
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -49,6 +51,22 @@ def test_gallery_covers_catalog():
     assert REQUIRED_CASES <= cases
 
 
+def test_gallery_generator_reproduces_gallery(tmp_path, monkeypatch, capsys):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "generate_gallery.py"
+    spec = importlib.util.spec_from_file_location("generate_gallery", script)
+    generator = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generator)
+    monkeypatch.setattr(generator, "gallery_dir", lambda: tmp_path)
+    generator.main()
+
+    def files(root):
+        return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+    generated, shipped = files(tmp_path), files(GALLERY)
+    assert sorted(generated) == sorted(shipped)
+    assert [p for p in shipped if generated[p] != shipped[p]] == []
+
+
 def test_gallery_all_pass():
     suite = run_suite(GALLERY, EntropyModel(2.0))
     failed = [r.name for r in suite.results if not r.passed]
@@ -88,8 +106,33 @@ def test_scenario_detects_wrong_expectation(tmp_path):
     assert labels == ["c_n"]
 
 
+#: a gallery file and an edit of its ``expected`` block that leaves a value of the wrong JSON type
+BAD_EXPECTED = {
+    "c-n-string": ("annulus-n4.json", lambda e: e.update(c_n="x")),
+    "c-n-float": ("annulus-n4.json", lambda e: e.update(c_n=2.5)),
+    "c-n-bool": ("annulus-n4.json", lambda e: e.update(c_n=True)),
+    "annular-int": ("annulus-n4.json", lambda e: e.update(annular=1)),
+    "recursion-residual-string": (
+        "annulus-n4.json", lambda e: e.update(recursion_residual_below="x")
+    ),
+    "per-hole-size-string": (
+        "annulus-n4.json", lambda e: e["per_hole"][0].update(loop_size="4")
+    ),
+    "rho-null": ("graph-cycle-n5.json", lambda e: e.update(rho=None)),
+}
+
+
 def _write_bad_input(kind: str, path) -> None:
-    if kind == "per-hole-without-loop-size":
+    if kind in BAD_EXPECTED:
+        name, edit = BAD_EXPECTED[kind]
+        obj = json.loads((GALLERY / name).read_text())
+        edit(obj["expected"])
+        path.write_text(json.dumps(obj))
+    elif kind == "expected-list":
+        obj = json.loads((GALLERY / "annulus-n4.json").read_text())
+        obj["expected"] = [1, 2]
+        path.write_text(json.dumps(obj))
+    elif kind == "per-hole-without-loop-size":
         obj = json.loads((GALLERY / "annulus-n4.json").read_text())
         del obj["expected"]["per_hole"][0]["loop_size"]
         path.write_text(json.dumps(obj))
@@ -104,7 +147,9 @@ def _write_bad_input(kind: str, path) -> None:
 
 
 @pytest.mark.parametrize(
-    "kind", ["per-hole-without-loop-size", "lattice-region-xy", "not-utf8", "directory"]
+    "kind",
+    ["per-hole-without-loop-size", "lattice-region-xy", "not-utf8", "directory",
+     "expected-list", *BAD_EXPECTED],
 )
 def test_bad_input_ends_as_topomi_error(kind, tmp_path, capsys):
     (tmp_path / "a-good.json").write_text((GALLERY / "annulus-n4.json").read_text())

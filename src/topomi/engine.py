@@ -46,10 +46,10 @@ from .grid import (
     perimeter_links,
     restrict_css,
 )
-from .masks import UnionTopology, subset_signs
+from .masks import UnionTopology, subset_signs, subset_sums
 from .model import EntropyModel
 
-#: recursion expansion enumerates subset sums of subsets, cost ~3^N
+#: cap on N for the recursion check and the subset information table
 RECURSION_CAP = 12
 
 
@@ -365,12 +365,7 @@ def subset_information_table(model: EntropyModel, css: GridCss | CssAnalysis) ->
     n = analysis.css.n_subsystems
     if n > RECURSION_CAP:
         raise TooManySubsystems(f"subset information table capped at N = {RECURSION_CAP}")
-    table = analysis.topology.signs * subset_entropy_table(model, analysis)
-    for i in range(n):
-        step = 1 << i
-        view = table.reshape(-1, 2, step)
-        view[:, 1, :] += view[:, 0, :]
-    return table
+    return subset_sums(analysis.topology.signs * subset_entropy_table(model, analysis))
 
 
 @dataclass(frozen=True)
@@ -395,8 +390,8 @@ def recursion_check(model: EntropyModel, css: GridCss | CssAnalysis) -> Recursio
         raise ValidationError("recursion needs at least 2 subsystems")
     if n > RECURSION_CAP:
         raise TooManySubsystems(f"recursion check capped at N = {RECURSION_CAP}")
-    info = subset_information_table(model, analysis)
     s = subset_entropy_table(model, analysis)
+    info = subset_sums(analysis.topology.signs * s)  # I_R, as subset_information_table
     popcounts = analysis.topology.popcounts
 
     lhs = float(info[-1])

@@ -19,7 +19,7 @@ import numpy as np
 
 from .engine import CssAnalysis
 from .errors import ParseError, PreconditionViolated, TooManyVertices, ValidationError
-from .grid import GridCss, SimpleGraph, read_input
+from .grid import GridCss, SimpleGraph, json_int, read_input
 from .masks import component_counts, subset_signs
 
 #: 2**v induced subgraphs are enumerated
@@ -81,8 +81,9 @@ def sigma_of_css(css: GridCss | CssAnalysis) -> int:
 def parse_graph_json(obj: Mapping) -> SimpleGraph:
     """Parse ``{"v": int, "edges": [[i, j], ...]}``."""
     try:
-        v = int(obj["v"])
-        edges = tuple((int(i), int(j)) for i, j in obj["edges"])
+        v = json_int(obj["v"], "graph 'v'")
+        end = "a graph edge end"
+        edges = tuple((json_int(i, end), json_int(j, end)) for i, j in obj["edges"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad graph object: {exc}") from exc
     return SimpleGraph(v, edges)

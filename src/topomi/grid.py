@@ -142,6 +142,18 @@ def _reject_diagonal_pinches(css: GridCss) -> None:
 # Parsing
 # ----------------------------------------------------------------------
 
+def is_json_int(value) -> bool:
+    """True for a JSON integer; a bool, a float or a numeric string is not one."""
+    return type(value) is int
+
+
+def json_int(value, what: str) -> int:
+    """``value`` if it is a JSON integer, else ParseError naming ``what``."""
+    if not is_json_int(value):
+        raise ParseError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def parse_ascii(text: str, name: str = "") -> GridCss:
     """Parse the one-character-per-cell format.
 
@@ -181,12 +193,15 @@ def parse_grid_json(obj: Mapping, name: str = "") -> GridCss:
             raise ParseError("'ascii' must be a list of strings")
         return parse_ascii("\n".join(rows), name=name)
     try:
-        width = int(obj["width"])
-        height = int(obj["height"])
-        labels = tuple(int(v) for v in obj["labels"])
-    except (KeyError, TypeError, ValueError) as exc:
+        width, height, labels = obj["width"], obj["height"], list(obj["labels"])
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"bad grid object: {exc}") from exc
-    return GridCss(width, height, labels, name=str(obj.get("name", name)))
+    return GridCss(
+        json_int(width, "grid 'width'"),
+        json_int(height, "grid 'height'"),
+        tuple(json_int(v, "a grid label") for v in labels),
+        name=str(obj.get("name", name)),
+    )
 
 
 def read_input(path) -> str | dict:

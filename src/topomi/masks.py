@@ -6,9 +6,10 @@ a flood fill per mask is exact but O(2^N * cells); instead we decompose the
 counts combinatorially:
 
 * the union of closed cells is a cubical complex whose Euler characteristic
-  V - E + F splits over corner/segment/cell features, each feature being
-  "present" for a mask iff the mask hits the feature's user set -- a form
-  that vectorizes over all masks at once;
+  V - E + F, like the perimeter-link count, is a weighted sum over
+  corner/segment/cell features present for a mask iff it meets the
+  feature's user set: one weight histogram over user sets, summed over
+  subsets once (:func:`subset_sums`) and read at every mask's complement;
 * the component count of a union equals the component count of the induced
   subgraph on per-subsystem cell-components (:func:`component_counts`): a
   lowest-bit dynamic program over masks, or a walk memoized on vertex sets
@@ -39,6 +40,23 @@ def subset_signs(n: int) -> np.ndarray:
     signs = np.where(np.bitwise_count(np.arange(1 << n, dtype=np.int64)) & 1, 1, -1)
     signs[0] = 0
     return signs
+
+
+def subset_sums(table: np.ndarray) -> np.ndarray:
+    """In place over a 2^n table: entry S becomes the sum of the entries of S's subsets."""
+    for i in range(len(table).bit_length() - 1):
+        view = table.reshape(-1, 2, 1 << i)
+        view[:, 1, :] += view[:, 0, :]
+    return table
+
+
+def _meet_counts(n: int, weighted_users) -> np.ndarray:
+    """Per mask S, the total weight of the (user-set array, weight) features meeting S:
+    all weight minus that of user sets inside full ^ S, the reversed subset sums."""
+    hist = np.zeros(1 << n, dtype=np.int64)
+    for users, weight in weighted_users:
+        np.add.at(hist, users, weight)
+    return hist.sum() - subset_sums(hist)[::-1]
 
 
 def _closure(seed: int, allowed: int, adj: list[int]) -> int:
@@ -123,66 +141,33 @@ class UnionTopology:
     # ------------------------------------------------------------------
 
     @cached_property
-    def _features(self):
+    def _user_sets(self):
+        """(corners, a, b, cells): subset masks of each corner's four cells, of the
+        cells on either side of each horizontal then vertical segment, and of
+        each cell; OUTSIDE contributes no bit."""
         css = self.css
-        corner_groups: dict[int, int] = {}
-        seg_groups: dict[tuple[int, int], int] = {}
-
-        def bit(label: int) -> int:
-            return 0 if label == OUTSIDE else 1 << label
-
-        for y in range(css.height + 1):
-            for x in range(css.width + 1):
-                mu = (
-                    bit(css.label_at(x - 1, y - 1))
-                    | bit(css.label_at(x, y - 1))
-                    | bit(css.label_at(x - 1, y))
-                    | bit(css.label_at(x, y))
-                )
-                if mu:
-                    corner_groups[mu] = corner_groups.get(mu, 0) + 1
-        # horizontal segments (x,y)-(x+1,y): cells above and below
-        for y in range(css.height + 1):
-            for x in range(css.width):
-                pair = (bit(css.label_at(x, y - 1)), bit(css.label_at(x, y)))
-                if pair != (0, 0):
-                    seg_groups[pair] = seg_groups.get(pair, 0) + 1
-        # vertical segments (x,y)-(x,y+1): cells left and right
-        for y in range(css.height):
-            for x in range(css.width + 1):
-                pair = (bit(css.label_at(x - 1, y)), bit(css.label_at(x, y)))
-                if pair != (0, 0):
-                    seg_groups[pair] = seg_groups.get(pair, 0) + 1
-
-        areas = [0] * self.n
-        for v in css.labels:
-            if v != OUTSIDE:
-                areas[v] += 1
-        return corner_groups, seg_groups, areas
+        labels = np.array(css.labels, dtype=np.int64).reshape(css.height, css.width)
+        bits = np.zeros((css.height + 2, css.width + 2), dtype=np.int64)
+        cells = bits[1:-1, 1:-1]
+        inside = labels != OUTSIDE
+        cells[inside] = 1 << labels[inside]
+        corners = bits[:-1, :-1] | bits[:-1, 1:] | bits[1:, :-1] | bits[1:, 1:]
+        a = np.concatenate([bits[:-1, 1:-1].ravel(), bits[1:-1, :-1].ravel()])
+        b = np.concatenate([bits[1:, 1:-1].ravel(), bits[1:-1, 1:].ravel()])
+        return corners.ravel(), a, b, cells.ravel()
 
     @cached_property
     def euler_table(self) -> np.ndarray:
         """V - E + F of the closed-cell union, per mask."""
-        corner_groups, seg_groups, areas = self._features
-        masks = self.masks
-        chi = np.zeros(masks.shape, dtype=np.int64)
-        for mu, cnt in sorted(corner_groups.items()):
-            chi += cnt * ((masks & mu) != 0)
-        for (ma, mb), cnt in sorted(seg_groups.items()):
-            chi -= cnt * ((masks & (ma | mb)) != 0)
-        for i, area in enumerate(areas):
-            chi += area * ((masks >> i) & 1)
-        return chi
+        corners, a, b, cells = self._user_sets
+        return _meet_counts(self.n, ((corners, 1), (a | b, -1), (cells, 1)))
 
     @cached_property
     def boundary_links_table(self) -> np.ndarray:
-        """Perimeter links of the union, per mask."""
-        _, seg_groups, _ = self._features
-        masks = self.masks
-        links = np.zeros(masks.shape, dtype=np.int64)
-        for (ma, mb), cnt in sorted(seg_groups.items()):
-            links += cnt * (((masks & ma) != 0) ^ ((masks & mb) != 0))
-        return links
+        """Perimeter links of the union, per mask: segments with exactly one side in it."""
+        _, a, b, _ = self._user_sets
+        # [a xor b meets S] = 2 [a|b meets S] - [a meets S] - [b meets S]
+        return _meet_counts(self.n, ((a | b, 2), (a, -1), (b, -1)))
 
     # ------------------------------------------------------------------
     # component counts

@@ -82,9 +82,6 @@ class EntropyModel:
         """alpha * n - J * log(D); elementwise on per-subset integer tables."""
         return self.alpha_value * perimeter - boundaries * self.s_topo
 
-    def with_alpha(self, alpha: float) -> "EntropyModel":
-        return EntropyModel(self.quantum_dimension, alpha, self.log_base)
-
 
 def quantum_dimension_from_K(K: Sequence[Iterable[int]]) -> float:
     """Total quantum dimension sqrt(|det K|) of an abelian Chern-Simons phase."""

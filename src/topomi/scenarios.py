@@ -18,7 +18,7 @@ from typing import Mapping
 from . import engine, graphs, stabilizer
 from .engine import CssAnalysis, InfoReport
 from .errors import NotAnnular, ParseError, TopomiError
-from .grid import GridCss, parse_grid_json, read_input
+from .grid import GridCss, is_json_int, parse_grid_json, read_input
 from .model import EntropyModel
 
 RECURSION_TOL = 1e-9
@@ -106,7 +106,7 @@ _LOOP_KEYS = {"per_hole": "loop_size", "subloops": "size"}
 def _check_expected(key: str, value) -> None:
     """ParseError naming ``key`` unless ``value`` has the JSON type the key needs."""
     if key in _INT_KEYS:
-        ok, what = type(value) is int, "an integer"  # a bool is not
+        ok, what = is_json_int(value), "an integer"
     elif key in ("annular", "matches_counting"):
         ok, what = isinstance(value, bool), "true or false"
     elif key == "recursion_residual_below":
@@ -114,7 +114,7 @@ def _check_expected(key: str, value) -> None:
     elif key in _LOOP_KEYS:
         fields = (_LOOP_KEYS[key], "i_over_log_d")
         ok = isinstance(value, list) and all(
-            isinstance(e, Mapping) and all(type(e.get(f)) is int for f in fields) for e in value
+            isinstance(e, Mapping) and all(is_json_int(e.get(f)) for f in fields) for e in value
         )
         what = f"a list of objects with integer {fields[0]!r} and 'i_over_log_d'"
     else:

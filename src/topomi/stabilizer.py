@@ -29,7 +29,7 @@ from .errors import (
     ValidationError,
     WindingRegion,
 )
-from .grid import OUTSIDE, GridCss, parse_grid_json
+from .grid import OUTSIDE, GridCss, json_int, parse_grid_json
 
 #: dense 2**n state vectors
 BRUTE_CAP = 12
@@ -436,15 +436,21 @@ def parse_lattice_scenario(obj: Mapping) -> tuple[CodeLattice, QubitRegionMap]:
     Region names are sorted for deterministic subsystem order.  A "css"
     grid payload may replace "regions", in which case it is rasterized.
     """
-    try:
-        lattice = CodeLattice(int(obj["Lx"]), int(obj["Ly"]), str(obj.get("boundary", "torus")))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"bad lattice object: {exc}") from exc
+    if not isinstance(obj, Mapping) or not {"Lx", "Ly"} <= obj.keys():
+        raise ParseError("a lattice must be an object with integer 'Lx' and 'Ly'")
+    lattice = CodeLattice(
+        json_int(obj["Lx"], "lattice 'Lx'"),
+        json_int(obj["Ly"], "lattice 'Ly'"),
+        str(obj.get("boundary", "torus")),
+    )
     if "regions" in obj:
         named = obj["regions"]
         try:
-            regions = tuple(frozenset(int(q) for q in named[key]) for key in sorted(named))
-        except (TypeError, ValueError) as exc:
+            regions = tuple(
+                frozenset(json_int(q, f"a qubit of region {key!r}") for q in named[key])
+                for key in sorted(named)
+            )
+        except TypeError as exc:
             raise ParseError(f"bad lattice regions: {exc}") from exc
         return lattice, QubitRegionMap(lattice.n_qubits, regions)
     if "css" in obj:

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from topomi import builders
@@ -14,7 +15,7 @@ from topomi.grid import (
     perimeter_links,
     union_region,
 )
-from topomi.masks import UnionTopology
+from topomi.masks import UnionTopology, subset_signs, subset_sums
 
 
 def reference_tables(css):
@@ -64,7 +65,8 @@ def merge_two_subsystems(css, rng):
     return GridCss(css.width, css.height, labels, name=f"{css.name}-merged")
 
 
-def test_tables_match_on_fuzzed_grids():
+def fuzzed_cases():
+    """25 seeded random CSS, then 20 with one split subsystem."""
     rng = random.Random(987)
     cases = [builders.random_css(rng, rng.randint(2, 6), width=9, height=9) for _ in range(25)]
     # split subsystems take the memoized branch of the component walk
@@ -72,6 +74,11 @@ def test_tables_match_on_fuzzed_grids():
     for _ in range(20):
         css = builders.random_css(merge_rng, merge_rng.randint(4, 7), width=9, height=9)
         cases.append(merge_two_subsystems(css, merge_rng))
+    return cases
+
+
+def test_tables_match_on_fuzzed_grids():
+    cases = fuzzed_cases()
     for css in cases:
         topo = UnionTopology(css)
         j_ref, links_ref, comp_ref = reference_tables(css)
@@ -109,3 +116,36 @@ def test_subsystem_cap():
     css = GridCss(25, 1, labels)
     with pytest.raises(TooManySubsystems):
         UnionTopology(css).j_table
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_subset_sums_match_brute_force(n):
+    rng = np.random.default_rng(n)
+    table = rng.integers(-50, 50, size=1 << n)
+    expected = [sum(int(table[q]) for q in range(1 << n) if q & s == q) for s in range(1 << n)]
+    out = subset_sums(table.copy())
+    assert out.dtype == table.dtype
+    assert out.tolist() == expected
+
+
+def full_set_weight(css):
+    """Corners minus segments plus cells whose surrounding cells carry every subsystem."""
+    everyone = set(range(css.n_subsystems))
+
+    def count(cells_of, xs, ys):
+        return sum({css.label_at(*c) for c in cells_of(x, y)} >= everyone for x in xs for y in ys)
+
+    w, h = range(css.width), range(css.height)
+    wide, tall = range(css.width + 1), range(css.height + 1)
+    corners = count(lambda x, y: ((x - 1, y - 1), (x, y - 1), (x - 1, y), (x, y)), wide, tall)
+    horizontal = count(lambda x, y: ((x, y - 1), (x, y)), w, tall)
+    vertical = count(lambda x, y: ((x - 1, y), (x, y)), wide, h)
+    cells = count(lambda x, y: ((x, y),), w, h)
+    return corners - horizontal - vertical + cells
+
+
+def test_alternating_euler_sum_is_full_set_weight():
+    # sum_S (-1)^(|S|-1) [S meets U] is 1 for U = everything and 0 otherwise
+    for css in fuzzed_cases():
+        topo = UnionTopology(css)
+        assert int(subset_signs(css.n_subsystems) @ topo.euler_table) == full_set_weight(css)

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from topomi import builders
+from topomi import builders, engine
 from topomi.engine import recursion_check, subset_information_table
 from topomi.errors import TooManySubsystems
 from topomi.grid import GridCss
@@ -69,6 +69,22 @@ def test_two_hole_five_intermediate_terms():
             assert table[mask] == pytest.approx(0.0, abs=1e-12), bin(mask)
         if mask.bit_count() == 4:
             assert table[mask] == pytest.approx(0.0, abs=1e-12), bin(mask)
+
+
+def test_recursion_builds_entropy_table_once(monkeypatch):
+    calls = []
+    build = engine.subset_entropy_table
+
+    def counting_build(model, css):
+        calls.append(css)
+        return build(model, css)
+
+    monkeypatch.setattr(engine, "subset_entropy_table", counting_build)
+    css = builders.annulus(8)
+    result = recursion_check(D2, css)
+    assert result.residual < 1e-9
+    assert len(calls) == 1
+    assert result.lhs == subset_information_table(D2, css)[-1]
 
 
 def test_recursion_guard():

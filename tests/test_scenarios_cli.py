@@ -11,6 +11,7 @@ import pytest
 
 from topomi import engine, grid, masks, scenarios
 from topomi.cli import build_parser, main
+from topomi.grid import parse_grid_json
 from topomi.model import EntropyModel
 from topomi.scenarios import (
     Scenario,
@@ -122,11 +123,40 @@ BAD_EXPECTED = {
 }
 
 
+#: a payload number that is not a JSON integer: gallery file, key path to the number, value
+#: (a "css" path edits the grid in its width/height/labels form)
+BAD_NUMBER = {
+    "grid-width-float": ("annulus-n4.json", ("css", "width"), 3.9),
+    "grid-width-string": ("annulus-n4.json", ("css", "width"), "3"),
+    "grid-height-bool": ("annulus-n4.json", ("css", "height"), True),
+    "grid-label-float": ("annulus-n4.json", ("css", "labels", 2), 1.7),
+    "graph-v-float": ("graph-cycle-n5.json", ("graph", "v"), 5.5),
+    "graph-edge-float": ("graph-cycle-n5.json", ("graph", "edges", 0, 1), 1.9),
+    "lattice-lx-float": ("stab-torus4-n3.json", ("lattice", "Lx"), 4.7),
+    "lattice-qubit-float": ("stab-torus4-n3.json", ("lattice", "regions", "A", 0), 4.5),
+}
+
+
 def _write_bad_input(kind: str, path) -> None:
     if kind in BAD_EXPECTED:
         name, edit = BAD_EXPECTED[kind]
         obj = json.loads((GALLERY / name).read_text())
         edit(obj["expected"])
+        path.write_text(json.dumps(obj))
+    elif kind in BAD_NUMBER:
+        name, keys, value = BAD_NUMBER[kind]
+        obj = json.loads((GALLERY / name).read_text())
+        if keys[0] == "css":
+            css = parse_grid_json(obj["css"])
+            obj["css"] = {"width": css.width, "height": css.height, "labels": list(css.labels)}
+        parent = obj
+        for key in keys[:-1]:
+            parent = parent[key]
+        parent[keys[-1]] = value
+        path.write_text(json.dumps(obj))
+    elif kind == "lattice-without-lx":
+        obj = json.loads((GALLERY / "stab-torus4-n3.json").read_text())
+        del obj["lattice"]["Lx"]
         path.write_text(json.dumps(obj))
     elif kind == "expected-list":
         obj = json.loads((GALLERY / "annulus-n4.json").read_text())
@@ -149,7 +179,7 @@ def _write_bad_input(kind: str, path) -> None:
 @pytest.mark.parametrize(
     "kind",
     ["per-hole-without-loop-size", "lattice-region-xy", "not-utf8", "directory",
-     "expected-list", *BAD_EXPECTED],
+     "expected-list", *BAD_EXPECTED, *BAD_NUMBER, "lattice-without-lx"],
 )
 def test_bad_input_ends_as_topomi_error(kind, tmp_path, capsys):
     (tmp_path / "a-good.json").write_text((GALLERY / "annulus-n4.json").read_text())

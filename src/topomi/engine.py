@@ -15,7 +15,8 @@ C^N is an exact integer and is the primary quantity of record; reported
 information values are C^N scaled by the topological entropy.  The link
 terms need no evaluation: a grid segment borders at most two subsystems,
 so their alternating sum vanishes for N >= 3.  Entry points take a
-GridCss or a CssAnalysis, which computes each hole, loop and table once.
+GridCss or a CssAnalysis, which computes each hole, loop and table once
+and reads the C around a hole from the same J table.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .grid import (
     find_holes,
     loop_around_known_hole,
     perimeter_links,
-    restrict_css,
 )
 from .masks import UnionTopology, subset_signs, subset_sums
 from .model import EntropyModel
@@ -100,15 +100,6 @@ class CssAnalysis:
         return list(self.hole_loops)
 
     @cached_property
-    def loop_analyses(self) -> dict[tuple[int, ...], CssAnalysis]:
-        """Analysis of the CSS restricted to each hole loop."""
-        return {
-            loop: CssAnalysis(restrict_css(self.css, loop))
-            for loop in self.hole_loops
-            if not isinstance(loop, str)
-        }
-
-    @cached_property
     def topology(self) -> UnionTopology:
         return UnionTopology(self.css)
 
@@ -123,7 +114,19 @@ class CssAnalysis:
     @cached_property
     def c_n(self) -> int:
         """C^N, the alternating sum of J over every non-empty subset."""
-        return int(self.topology.signs @ self.topology.j_table)
+        return self.c_within(range(self.css.n_subsystems))
+
+    def c_within(self, ids: Iterable[int]) -> int:
+        """C of the sub-collection ``ids`` (the C^N of ``restrict_css(css, ids)``):
+        the alternating sum of J over the non-empty subsets of ``ids``."""
+        n, keep = self.css.n_subsystems, set(ids)
+        if not keep or not keep <= set(range(n)):
+            raise ValidationError(f"no sub-collection {sorted(keep)} of {n} subsystems")
+        # views, not copies: the axes of the (2,)*n reshape run from the top bit down
+        axes = tuple(slice(None) if bit in keep else 0 for bit in reversed(range(n)))
+        signs = self.topology.signs.reshape((2,) * n)[axes]
+        j = self.topology.j_table.reshape((2,) * n)[axes]
+        return int(np.tensordot(signs, j, axes=len(keep)))
 
 
 @dataclass(frozen=True)
@@ -214,13 +217,11 @@ def multipartite_information(model: EntropyModel, css: GridCss | CssAnalysis) ->
     except DisconnectedCss:
         chi = None
 
-    hole_reports: list[HoleReport] = []
-    for loop in analysis.hole_loops:
-        if isinstance(loop, str):
-            hole_reports.append(HoleReport(None, None, loop))
-            continue
-        _, sub_i = _information_value(model, analysis.loop_analyses[loop])
-        hole_reports.append(HoleReport(loop, sub_i))
+    hole_reports = [  # I = -C S_topo around each hole; a loop has >= 3 subsystems
+        HoleReport(None, None, loop) if isinstance(loop, str)
+        else HoleReport(loop, -analysis.c_within(loop) * model.s_topo)
+        for loop in analysis.hole_loops
+    ]
 
     if hole_reports and all(h.error is None for h in hole_reports):
         constraint_sum: float | None = sum(abs(h.info) for h in hole_reports)
@@ -339,7 +340,7 @@ def subloop_revival(model: EntropyModel, css: GridCss | CssAnalysis) -> SubloopR
         raise ValidationError(
             f"loop sizes {p} + {q} - 2 != N = {n}; not a single-handle deformation"
         )
-    infos = [_information_value(model, analysis.loop_analyses[loop])[1] for loop in loops]
+    infos = [-analysis.c_within(loop) * model.s_topo for loop in loops]
     return SubloopResult(
         p=p,
         q=q,
@@ -435,30 +436,27 @@ def hole_constraint(model: EntropyModel, css: GridCss | CssAnalysis) -> HoleCons
     n_h = analysis.holes.n_h
     if n_h == 0:
         raise ValidationError("CSS has no holes to measure around")
-    reports = [
-        HoleReport(loop, _information_value(model, analysis.loop_analyses[loop])[1])
-        for loop in analysis.cycle_loops()
-    ]
+    analysis.cycle_loops()  # NotACycle unless every hole is ringed by a cycle
+    report = multipartite_information(model, analysis)
 
     chi = analysis.chi
-    total = sum(abs(r.info) for r in reports)
+    total = sum(abs(r.info) for r in report.holes)
     expected_total = n_h * chi * model.s_topo
 
     n = analysis.css.n_subsystems
-    _, full_info = _information_value(model, analysis)
-    if all(len(r.loop) < n for r in reports):
+    if all(len(r.loop) < n for r in report.holes):
         full_expected = (-1) ** (n - 1) * (chi - 2) * model.s_topo
     else:
         full_expected = (-1) ** n * 2 * model.s_topo
     tol = 1e-9 * max(1.0, abs(expected_total))
     return HoleConstraintResult(
-        holes=tuple(reports),
+        holes=report.holes,
         total=total,
         expected_total=expected_total,
         satisfied=abs(total - expected_total) < tol,
-        full_info=full_info,
+        full_info=report.i_n,
         full_expected=full_expected,
-        full_matches=abs(full_info - full_expected) < 1e-9,
+        full_matches=abs(report.i_n - full_expected) < 1e-9,
         chi=chi,
         n_h=n_h,
     )

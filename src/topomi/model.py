@@ -39,16 +39,16 @@ class EntropyModel:
     def __post_init__(self):
         if self.log_base not in _BASE_SCALE:
             raise ValidationError(f"log_base must be 'e' or '2', got {self.log_base!r}")
-        if not self.quantum_dimension >= 1.0:
+        if not 1.0 <= self.quantum_dimension < math.inf:
             raise ValidationError(
-                f"quantum dimension must be >= 1, got {self.quantum_dimension}"
+                f"quantum dimension must be finite and >= 1, got {self.quantum_dimension}"
             )
         if self.anyon_dims is not None:
             if self.alpha is not None:
                 raise ValidationError("give either alpha or anyon_dims, not both")
             dims = tuple(float(d) for d in self.anyon_dims)
-            if not dims or any(d <= 0 for d in dims):
-                raise ValidationError("anyon dimensions must be positive")
+            if not dims or not all(0 < d < math.inf for d in dims):
+                raise ValidationError(f"anyon dimensions must be finite and positive, got {dims}")
             total = sum(d * d for d in dims)
             dsq = self.quantum_dimension**2
             if abs(total - dsq) > 1e-9 * max(1.0, dsq):
@@ -56,8 +56,8 @@ class EntropyModel:
                     f"sum of d_k^2 = {total} must equal D^2 = {dsq}"
                 )
             object.__setattr__(self, "anyon_dims", dims)
-        if self.alpha is not None and self.alpha < 0:
-            raise ValidationError(f"alpha must be >= 0, got {self.alpha}")
+        if self.alpha is not None and not 0 <= self.alpha < math.inf:
+            raise ValidationError(f"alpha must be finite and >= 0, got {self.alpha}")
 
     def log(self, x: float) -> float:
         """log of x in the selected base."""

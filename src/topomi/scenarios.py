@@ -267,10 +267,10 @@ def _run_stabilizer(scn: Scenario):
     if "i_exact_over_log2" in scn.expected:
         _match_int(checks, "i_exact_over_log2", value, scn.expected["i_exact_over_log2"])
     if scn.expected.get("matches_counting"):
-        if "css" not in payload:
+        if region_map.css is None:
             checks.append(Check("matches_counting", False, "no grid payload to count on"))
         else:
-            c_n = engine.connectivity_count(parse_grid_json(payload["css"], scn.name)).c_n
+            c_n = engine.connectivity_count(region_map.css).c_n
             checks.append(
                 Check("matches_counting", value == -c_n, f"oracle {value}, counting {-c_n}")
             )

@@ -37,6 +37,9 @@ BRUTE_CAP = 12
 #: 2**N rank computations
 EXACT_SUBSET_CAP = 12
 
+#: qubits of a code lattice (a 48 x 48 torus); the generator set is O(n^2) to build
+MAX_QUBITS = 4608
+
 LN2 = math.log(2.0)
 
 
@@ -53,6 +56,10 @@ class CodeLattice:
             raise ValidationError(f"boundary must be 'torus' or 'planar', got {self.boundary!r}")
         if self.lx < 2 or self.ly < 2:
             raise LatticeTooSmall(f"{self.lx}x{self.ly} lattice; need at least 2x2")
+        if self.n_qubits > MAX_QUBITS:
+            raise TooManyQubits(
+                f"{self.lx}x{self.ly} lattice has {self.n_qubits} qubits; the cap is {MAX_QUBITS}"
+            )
 
     @property
     def periodic(self) -> bool:
@@ -240,6 +247,7 @@ class QubitRegionMap:
 
     n_qubits: int
     regions: tuple[frozenset, ...]
+    css: GridCss | None = None  # the grid the regions realize, if one was given
 
     def __post_init__(self):
         seen: set[int] = set()
@@ -389,7 +397,7 @@ def rasterize_css(lattice: CodeLattice, css: GridCss) -> QubitRegionMap:
     empty = [k for k, r in enumerate(regions) if not r]
     if empty:
         raise ValidationError(f"subsystems {empty} own no qubits after rasterization")
-    return QubitRegionMap(lattice.n_qubits, tuple(frozenset(r) for r in regions))
+    return QubitRegionMap(lattice.n_qubits, tuple(frozenset(r) for r in regions), css)
 
 
 def _check_contractible(css: GridCss) -> None:
@@ -434,7 +442,8 @@ def parse_lattice_scenario(obj: Mapping) -> tuple[CodeLattice, QubitRegionMap]:
     """Parse ``{"Lx", "Ly", "boundary", "regions": {name: [qubit, ...]}}``.
 
     Region names are sorted for deterministic subsystem order.  A "css"
-    grid payload may replace "regions", in which case it is rasterized.
+    grid payload may replace "regions", in which case it is rasterized; the
+    region map keeps the grid either way.
     """
     if not isinstance(obj, Mapping) or not {"Lx", "Ly"} <= obj.keys():
         raise ParseError("a lattice must be an object with integer 'Lx' and 'Ly'")
@@ -443,6 +452,7 @@ def parse_lattice_scenario(obj: Mapping) -> tuple[CodeLattice, QubitRegionMap]:
         json_int(obj["Ly"], "lattice 'Ly'"),
         str(obj.get("boundary", "torus")),
     )
+    css = parse_grid_json(obj["css"]) if "css" in obj else None
     if "regions" in obj:
         named = obj["regions"]
         try:
@@ -452,7 +462,7 @@ def parse_lattice_scenario(obj: Mapping) -> tuple[CodeLattice, QubitRegionMap]:
             )
         except TypeError as exc:
             raise ParseError(f"bad lattice regions: {exc}") from exc
-        return lattice, QubitRegionMap(lattice.n_qubits, regions)
-    if "css" in obj:
-        return lattice, rasterize_css(lattice, parse_grid_json(obj["css"]))
+        return lattice, QubitRegionMap(lattice.n_qubits, regions, css)
+    if css is not None:
+        return lattice, rasterize_css(lattice, css)
     raise ValidationError("lattice scenario needs 'regions' or 'css'")

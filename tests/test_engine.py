@@ -1,5 +1,6 @@
 """Connectivity counts, information values and the derived identities."""
 
+import itertools
 import math
 import random
 
@@ -7,6 +8,7 @@ import pytest
 
 from topomi import builders
 from topomi.engine import (
+    CssAnalysis,
     CssFamily,
     annular_invariant_check,
     annular_order,
@@ -26,7 +28,13 @@ from topomi.errors import (
     TooManySubsystems,
     ValidationError,
 )
-from topomi.grid import GridCss, parse_ascii
+from topomi.grid import (
+    GridCss,
+    boundary_component_count,
+    parse_ascii,
+    restrict_css,
+    union_region,
+)
 from topomi.masks import UnionTopology
 from topomi.model import EntropyModel
 
@@ -132,6 +140,55 @@ def test_alternating_link_and_euler_sums():
             assert corners == 0, css.name
         n_cases += 1
     assert n_cases == 60
+
+
+# ----------------------------------------------------------------------
+# C of a sub-collection, read from the full CSS's J table
+# ----------------------------------------------------------------------
+
+def _sub_collections(rng: random.Random):
+    """(analysis, hole loops, three seeded random sub-collections) of each CSS."""
+    for css in _gallery_and_random_css():
+        analysis = CssAnalysis(css)
+        loops = [loop for loop in analysis.hole_loops if not isinstance(loop, str)]
+        n = css.n_subsystems
+        picks = [tuple(rng.sample(range(n), rng.randint(1, n))) for _ in range(3)]
+        yield analysis, loops, picks
+
+
+def test_c_within_matches_restricted_css():
+    """The reference: C^N of a CSS of its own, built by restrict_css."""
+    n_loops = 0
+    for analysis, loops, picks in _sub_collections(random.Random(7)):
+        css = analysis.css
+        for ids in [*loops, *picks, tuple(range(css.n_subsystems))]:
+            want = connectivity_count(restrict_css(css, ids)).c_n
+            assert analysis.c_within(ids) == want, (css.name, ids)
+        n_loops += len(loops)
+    assert n_loops == 47  # every one from the gallery
+
+
+def test_c_within_matches_flood_fill():
+    n_checked = 0
+    for analysis, loops, picks in _sub_collections(random.Random(11)):
+        for ids in [*loops, *picks]:
+            if len(ids) > 8:
+                continue
+            want = sum(
+                (-1) ** (m - 1) * boundary_component_count(union_region(analysis.css, q))
+                for m in range(1, len(ids) + 1)
+                for q in itertools.combinations(ids, m)
+            )
+            assert analysis.c_within(ids) == want, (analysis.css.name, ids)
+            n_checked += 1
+    assert n_checked == 220
+
+
+def test_c_within_rejects_ids_outside_the_css():
+    analysis = CssAnalysis(builders.annulus(4))
+    for ids in ([], [4], [-1, 0]):
+        with pytest.raises(ValidationError):
+            analysis.c_within(ids)
 
 
 @pytest.mark.parametrize("alpha", [None, 0.0])

@@ -42,6 +42,20 @@ def test_validation():
         EntropyModel(2.0, alpha=1.0, anyon_dims=(1.0, 1.0, 1.0, 1.0))
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"quantum_dimension": math.inf},
+    {"quantum_dimension": math.nan},
+    {"alpha": math.inf},
+    {"alpha": math.nan},
+    {"anyon_dims": (math.nan, 1.0, 1.0, 1.0)},
+    {"anyon_dims": (math.nan,)},
+    {"anyon_dims": (math.inf, 1.0)},
+])
+def test_rejects_non_finite_parameters(kwargs):
+    with pytest.raises(ValidationError, match="finite"):
+        EntropyModel(**kwargs)
+
+
 def test_anyon_dims_must_square_to_d_squared():
     with pytest.raises(ValidationError):
         EntropyModel(2.0, anyon_dims=(1.0, 1.0, 1.0))

@@ -136,6 +136,9 @@ BAD_NUMBER = {
     "lattice-qubit-float": ("stab-torus4-n3.json", ("lattice", "regions", "A", 0), 4.5),
 }
 
+#: the error a bad input ends in, where it is not a ParseError
+ERROR_OF = {"lattice-too-large": "TooManyQubits"}
+
 
 def _write_bad_input(kind: str, path) -> None:
     if kind in BAD_EXPECTED:
@@ -158,6 +161,10 @@ def _write_bad_input(kind: str, path) -> None:
         obj = json.loads((GALLERY / "stab-torus4-n3.json").read_text())
         del obj["lattice"]["Lx"]
         path.write_text(json.dumps(obj))
+    elif kind == "lattice-too-large":
+        obj = json.loads((GALLERY / "stab-torus4-n3.json").read_text())
+        obj["lattice"].update(Lx=3000, Ly=3000)
+        path.write_text(json.dumps(obj))
     elif kind == "expected-list":
         obj = json.loads((GALLERY / "annulus-n4.json").read_text())
         obj["expected"] = [1, 2]
@@ -179,20 +186,23 @@ def _write_bad_input(kind: str, path) -> None:
 @pytest.mark.parametrize(
     "kind",
     ["per-hole-without-loop-size", "lattice-region-xy", "not-utf8", "directory",
-     "expected-list", *BAD_EXPECTED, *BAD_NUMBER, "lattice-without-lx"],
+     "expected-list", *BAD_EXPECTED, *BAD_NUMBER, "lattice-without-lx", "lattice-too-large"],
 )
 def test_bad_input_ends_as_topomi_error(kind, tmp_path, capsys):
     (tmp_path / "a-good.json").write_text((GALLERY / "annulus-n4.json").read_text())
     bad = tmp_path / "b-bad.json"
     _write_bad_input(kind, bad)
+    error = ERROR_OF.get(kind, "ParseError")
 
-    assert main(["analyze", str(bad)]) == 1
-    out = capsys.readouterr()
-    assert "ParseError" in out.out + out.err
+    commands = ["analyze", "stabilizer"] if kind.startswith("lattice") else ["analyze"]
+    for command in commands:
+        assert main([command, str(bad)]) == 1
+        out = capsys.readouterr()
+        assert error in out.out + out.err
 
     suite = run_suite(tmp_path)
     assert [r.passed for r in suite.results] == [True, False]
-    assert "ParseError" in suite.results[1].checks[0].detail
+    assert error in suite.results[1].checks[0].detail
 
 
 def test_analyze_rejects_fewer_than_three_subsystems(tmp_path, capsys):
@@ -224,15 +234,31 @@ def _count_analysis_work(monkeypatch) -> tuple[list, list]:
     return builds, floods
 
 
-@pytest.mark.parametrize("name, n_builds", [("annulus-n3", 2), ("far-handle-n6-span3", 3)])
-def test_run_scenario_analyses_each_css_once(name, n_builds, monkeypatch):
+@pytest.mark.parametrize("name", ["annulus-n3", "far-handle-n6-span3", "six-hole-eighteen"])
+def test_run_scenario_analyses_each_css_once(name, monkeypatch):
     builds, floods = _count_analysis_work(monkeypatch)
     scn = load_scenario(GALLERY / f"{name}.json")
     assert run_scenario(scn).passed
-    # the full CSS's tables, then one set per hole loop, each built once
-    assert len({id(css) for css in builds}) == len(builds) == n_builds
-    assert builds[0] == scenarios.scenario_css(scn)
-    assert floods == [builds[0]]
+    # one set of tables for the full CSS; every hole loop is read from them
+    assert builds == [scenarios.scenario_css(scn)]
+    assert floods == builds
+
+
+@pytest.mark.parametrize("name", ["stab-torus8-n3-raster", "stab-planar9-n4-raster"])
+def test_rasterized_stabilizer_scenario_validates_its_grid_once(name, monkeypatch):
+    validated = []
+    post_init = grid.GridCss.__post_init__
+
+    def counting_post_init(self):
+        validated.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(grid.GridCss, "__post_init__", counting_post_init)
+    result = run_scenario(load_scenario(GALLERY / f"{name}.json"))
+    assert result.passed
+    assert [c.label for c in result.checks] == ["i_exact_over_log2", "matches_counting"]
+    # one grid rasterized onto the lattice and counted on
+    assert len(validated) == 1
 
 
 def test_cli_csv_reads_and_analyses_once(tmp_path, monkeypatch, capsys):
@@ -248,9 +274,8 @@ def test_cli_csv_reads_and_analyses_once(tmp_path, monkeypatch, capsys):
     out = tmp_path / "table.csv"
     assert main(["analyze", str(GALLERY / "annulus-n3.json"), "--csv", str(out)]) == 0
     assert len(reads) == 1
-    # the full CSS and its one hole loop
-    assert len({id(css) for css in builds}) == len(builds) == 2
-    assert len(floods) == 1
+    # the full CSS only: its hole loop is read from the same tables
+    assert len(builds) == len(floods) == 1
     assert out.read_bytes() == (
         b"mask,m,J,sign\r\n1,1,1,1\r\n2,1,1,1\r\n3,2,1,-1\r\n4,1,1,1\r\n"
         b"5,2,1,-1\r\n6,2,1,-1\r\n7,3,2,1\r\n"
@@ -383,6 +408,16 @@ def test_cli_analyze_bare_ascii_grid(tmp_path, capsys):
     assert main(["analyze", str(path), "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["report"]["c_n"] == -2
+
+
+@pytest.mark.parametrize(
+    "option", [("--dimension", "inf"), ("--dimension", "nan"), ("--alpha", "nan"), ("--alpha", "inf")]
+)
+def test_cli_rejects_non_finite_model_parameters(option, capsys):
+    assert main(["analyze", str(GALLERY / "annulus-n3.json"), "--json", *option]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "ValidationError" in out.err
 
 
 def test_cli_usage_error_is_64():

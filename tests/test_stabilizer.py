@@ -14,8 +14,10 @@ from topomi.errors import (
     ValidationError,
     WindingRegion,
 )
-from topomi.grid import GridCss, OUTSIDE, parse_ascii
+from topomi.grid import GridCss, OUTSIDE, parse_ascii, parse_grid_json
+from topomi.scenarios import gallery_dir, load_scenario
 from topomi.stabilizer import (
+    MAX_QUBITS,
     CodeLattice,
     QubitRegionMap,
     StabilizerState,
@@ -48,6 +50,14 @@ def test_lattice_too_small():
         CodeLattice(1, 4, "torus")
     with pytest.raises(ValidationError):
         CodeLattice(3, 3, "weird")
+
+
+def test_lattice_qubit_cap():
+    assert CodeLattice(48, 48, "torus").n_qubits == MAX_QUBITS
+    with pytest.raises(TooManyQubits, match=f"9408 qubits; the cap is {MAX_QUBITS}"):
+        CodeLattice(49, 96, "torus")
+    with pytest.raises(TooManyQubits):
+        CodeLattice(3000, 3000, "planar")
 
 
 def test_build_code_rank_and_commutation():
@@ -216,5 +226,10 @@ def test_parse_lattice_scenario_regions_and_css():
     })
     assert lattice.n_qubits == 8
     assert region_map.n_subsystems == 2
+    assert region_map.css is None
     with pytest.raises(ValidationError):
         parse_lattice_scenario({"Lx": 2, "Ly": 2})
+    payload = load_scenario(gallery_dir() / "stab-torus8-n3-raster.json").payload["lattice"]
+    _, region_map = parse_lattice_scenario(payload)
+    assert region_map.css == parse_grid_json(payload["css"])
+    assert region_map.n_subsystems == 3

@@ -248,10 +248,13 @@ def write_subset_table_csv(report: InfoReport, fileobj) -> None:
     """Debug CSV of the per-subset J table: mask, m, J, sign."""
     writer = csv.writer(fileobj)
     writer.writerow(["mask", "m", "J", "sign"])
-    j = report.per_subset_j
-    signs = subset_signs(report.n_subsystems)
-    for mask in range(1, len(j)):
-        writer.writerow([mask, mask.bit_count(), int(j[mask]), int(signs[mask])])
+    masks = np.arange(1, len(report.per_subset_j), dtype=np.uint32)
+    writer.writerows(zip(
+        masks.tolist(),
+        np.bitwise_count(masks).tolist(),
+        report.per_subset_j[1:].tolist(),
+        subset_signs(report.n_subsystems)[1:].tolist(),
+    ))
 
 
 # ----------------------------------------------------------------------

@@ -11,14 +11,15 @@ counts combinatorially:
   feature's user set: one weight histogram over user sets, summed over
   subsets once (:func:`subset_sums`) and read at every mask's complement;
 * the component count of a union equals the component count of the induced
-  subgraph on per-subsystem cell-components (:func:`component_counts`): a
-  lowest-bit dynamic program over masks, or a walk memoized on vertex sets
-  when some subsystem is split into several cell-components;
+  subgraph on per-subsystem cell-components (:func:`component_counts`): one
+  numpy walk, in blocks of 2^16 subsets, strips one component per pass from
+  each subset's vertex mask (uint32, uint64 or Python int by vertex count),
+  grown through per-byte neighbour tables; split subsystems take no branch;
 * pinch-freeness (enforced by grid validation) makes the complex
   homotopy-faithful, so holes = components - chi and J = 2*components - chi.
 
 The flood-fill definition stays available in :mod:`topomi.grid`; the test
-suite compares every table with it, on both branches of the component walk.
+suite compares every table with it, for every width of vertex mask.
 """
 
 from __future__ import annotations
@@ -33,11 +34,14 @@ from .grid import OUTSIDE, GridCss, connected_components
 
 #: hard cap on subset enumeration (2**24 masks)
 MAX_SUBSYSTEMS = 24
+#: the component walk takes its subsets in blocks of 2**BLOCK_BITS
+BLOCK_BITS = 16
 
 
 def subset_signs(n: int) -> np.ndarray:
-    """(-1)**(m-1) for the size m of every subset mask of n bits; entry 0 is 0."""
-    signs = np.where(np.bitwise_count(np.arange(1 << n, dtype=np.int64)) & 1, 1, -1)
+    """(-1)**(m-1) for the size m of every subset mask of n bits, as int8; entry 0 is 0."""
+    odd = np.bitwise_count(np.arange(1 << n, dtype=np.uint32)) & 1
+    signs = np.where(odd, np.int8(1), np.int8(-1))
     signs[0] = 0
     return signs
 
@@ -59,51 +63,46 @@ def _meet_counts(n: int, weighted_users) -> np.ndarray:
     return hist.sum() - subset_sums(hist)[::-1]
 
 
-def _closure(seed: int, allowed: int, adj: list[int]) -> int:
-    """Connected closure of ``seed`` within ``allowed`` (bitmask vertices)."""
-    comp = frontier = seed
-    while frontier:
-        grow = 0
-        while frontier:
-            low = frontier & -frontier
-            grow |= adj[low.bit_length() - 1]
-            frontier ^= low
-        grow &= allowed & ~comp
-        comp |= grow
-        frontier = grow
-    return comp
+def _or_table(items: list[int], dtype) -> np.ndarray:
+    """Entry S is the OR of ``items[i]`` over the bits i of S (2^len(items) entries)."""
+    table = np.zeros(1, dtype=dtype)
+    for item in items:
+        table = np.concatenate([table, table | np.array(item, dtype=dtype)])
+    return table
 
 
 def component_counts(adj: list[int], groups: list[int]) -> np.ndarray:
     """Components of the subgraph induced by every subset of vertex groups.
 
     ``adj[v]`` is the neighbour bitmask of vertex v and ``groups[i]`` the
-    vertex bitmask of group i; entry ``mask`` counts the components induced
-    by the union of the groups in ``mask`` (entry 0 is 0).
+    vertex bitmask of group i; entry ``mask`` (int32) counts the components
+    induced by the union of the groups in ``mask`` (entry 0 is 0).  Vertex
+    masks are uint32 up to 32 vertices, uint64 up to 64 and Python ints
+    beyond; the subsets run in blocks of the low ``BLOCK_BITS`` groups.
     """
-    total = 1 << len(groups)
-    if all(g == 1 << i for i, g in enumerate(groups)):
-        # subset mask == vertex mask: remove the lowest bit's component
-        comp = [0] * total
-        for mask in range(1, total):
-            comp[mask] = 1 + comp[mask ^ _closure(mask & -mask, mask, adj)]
-        return np.array(comp, dtype=np.int64)
-    # split groups: memoize on the induced vertex set
-    memo = {0: 0}
-    out = np.zeros(total, dtype=np.int64)
-    active = [0] * total
-    for mask in range(1, total):
-        low = mask & -mask
-        cur = active[mask] = active[mask ^ low] | groups[low.bit_length() - 1]
-        pending = []
-        while cur not in memo:
-            pending.append(cur)
-            cur ^= _closure(cur & -cur, cur, adj)
-        count = memo[cur]
-        for m in reversed(pending):
-            count += 1
-            memo[m] = count
-        out[mask] = count
+    dtype = np.uint32 if len(adj) <= 32 else np.uint64 if len(adj) <= 64 else object
+    low = _or_table(groups[:BLOCK_BITS], dtype)
+    # neighbours of the vertices set in byte k of a mask, per value of that byte
+    byte_tables = [_or_table(adj[k:k + 8], dtype) for k in range(0, len(adj), 8)]
+    out = np.zeros(len(low) << max(len(groups) - BLOCK_BITS, 0), dtype=np.int32)
+    for count, high in zip(out.reshape(-1, len(low)), _or_table(groups[BLOCK_BITS:], dtype)):
+        left = low | high
+        live = np.flatnonzero(left)
+        left = left[live]
+        while live.size:
+            count[live] += 1
+            comp = left & -left  # the lowest vertex, grown into its component
+            while True:
+                near = comp.copy()
+                for k, table in enumerate(byte_tables):
+                    near |= table[((comp >> 8 * k) & 255).astype(np.intp)]
+                near &= left
+                if np.array_equal(near, comp):
+                    break
+                comp = near
+            left ^= comp
+            keep = left != 0
+            live, left = live[keep], left[keep]
     return out
 
 

@@ -308,7 +308,11 @@ class SuiteResult:
 
 
 def suite_paths(directory) -> list[Path]:
-    return sorted(Path(directory).glob("*.json"), key=lambda p: p.name)
+    """The ``*.json`` files of an existing directory, in name order."""
+    path = Path(directory)
+    if not path.is_dir():
+        raise ParseError(f"{directory} is not a directory")
+    return sorted(path.glob("*.json"), key=lambda p: p.name)
 
 
 def run_suite(directory, model: EntropyModel | None = None) -> SuiteResult:

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -168,6 +169,24 @@ def test_c_within_matches_restricted_css():
     assert n_loops == 47  # every one from the gallery
 
 
+def test_hole_loops_on_fuzzed_css():
+    """Each hole loop of p subsystems has C = 2(-1)^(p-1), in the parent J table
+    and in the loop's restricted CSS."""
+    n_loops = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        css = builders.random_css(rng, rng.randint(4, 10), 8, 8, growth=rng.choice([150, 300, 600]))
+        analysis = CssAnalysis(css)
+        for loop in analysis.hole_loops:
+            if isinstance(loop, str):
+                continue
+            want = 2 * (-1) ** (len(loop) - 1)
+            assert analysis.c_within(loop) == want, (seed, loop)
+            assert connectivity_count(restrict_css(css, loop)).c_n == want, (seed, loop)
+            n_loops += 1
+    assert n_loops >= 100
+
+
 def test_c_within_matches_flood_fill():
     n_checked = 0
     for analysis, loops, picks in _sub_collections(random.Random(11)):
@@ -189,6 +208,18 @@ def test_c_within_rejects_ids_outside_the_css():
     for ids in ([], [4], [-1, 0]):
         with pytest.raises(ValidationError):
             analysis.c_within(ids)
+
+
+def test_information_allocation_peak_is_bounded():
+    """The 2^18-subset analysis of six-hole-eighteen allocates at most 32 bytes per subset."""
+    css = builders.six_hole_eighteen()
+    tracemalloc.start()
+    try:
+        multipartite_information(EntropyModel(), css)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 << css.n_subsystems, peak / (1 << css.n_subsystems)
 
 
 @pytest.mark.parametrize("alpha", [None, 0.0])

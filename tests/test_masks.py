@@ -15,7 +15,7 @@ from topomi.grid import (
     perimeter_links,
     union_region,
 )
-from topomi.masks import UnionTopology, subset_signs, subset_sums
+from topomi.masks import BLOCK_BITS, UnionTopology, subset_signs, subset_sums
 
 
 def reference_tables(css):
@@ -32,6 +32,12 @@ def reference_tables(css):
     return j, links, comps
 
 
+def comb(width):
+    """A top row alternating subsystems 0 and 1 over a bar of subsystem 2:
+    width + 1 cell-components."""
+    return GridCss(width, 2, tuple(x % 2 for x in range(width)) + (2,) * width, name=f"comb-{width}")
+
+
 CASES = [
     builders.annulus(3),
     builders.annulus(6),
@@ -44,6 +50,8 @@ CASES = [
     builders.far_handle_annulus(6, 3),
     builders.two_hole_five(),
     builders.theta_pair(),
+    comb(150),  # more than 64 cell-components: Python-int vertex masks
+    comb(50),  # 33 to 64: uint64 vertex masks
 ]
 
 
@@ -69,7 +77,7 @@ def fuzzed_cases():
     """25 seeded random CSS, then 20 with one split subsystem."""
     rng = random.Random(987)
     cases = [builders.random_css(rng, rng.randint(2, 6), width=9, height=9) for _ in range(25)]
-    # split subsystems take the memoized branch of the component walk
+    # a split subsystem puts several cell-components in one group of the component walk
     merge_rng = random.Random(988)
     for _ in range(20):
         css = builders.random_css(merge_rng, merge_rng.randint(4, 7), width=9, height=9)
@@ -90,13 +98,33 @@ def test_tables_match_on_fuzzed_grids():
 
 
 def test_disconnected_subsystem_supported():
-    # one subsystem made of two islands (no pinch): component counting must
-    # fall back to the cell-component graph
+    # one subsystem made of two islands (no pinch): its group in the component
+    # walk holds two cell-components
     css = GridCss(5, 1, (0, -1, 1, -1, 0), name="split")
     topo = UnionTopology(css)
     assert topo.component_table[0b01].item() == 2
     assert topo.j_table[0b01].item() == 2
     assert topo.j_table[0b11].item() == 3
+
+
+@pytest.mark.parametrize("width", [150, 50])
+def test_comb_has_width_plus_one_pieces(width):
+    topo = UnionTopology(comb(width))
+    assert topo._cell_component_graph[2] == width + 1
+    assert topo.component_table.tolist() == [0, width // 2, width // 2, 1, 1, 1, 1, 1]
+
+
+def test_twenty_subsystems_sampled_in_every_block():
+    css = builders.random_css(random.Random(4), 20, 16, 16, growth=200)
+    topo = UnionTopology(css)
+    rng = random.Random(6)
+    block = 1 << BLOCK_BITS
+    for start in range(0, 1 << 20, block):
+        masks = [start + rng.randrange(block) for _ in range(3)] + [start + block - 1]
+        for mask in masks:
+            region = union_region(css, mask)
+            assert topo.component_table[mask].item() == connected_components(region)[0], mask
+            assert topo.j_table[mask].item() == boundary_component_count(region), mask
 
 
 def test_six_hole_sampled_masks():

@@ -362,6 +362,18 @@ def test_cli_suite_exit_counts_failures(tmp_path, capsys):
     assert main(["suite", str(tmp_path)]) == 3
 
 
+@pytest.mark.parametrize("command", ["suite", "vector"])
+@pytest.mark.parametrize("kind", ["missing", "file"])
+def test_cli_directory_argument_must_be_a_directory(command, kind, tmp_path, capsys):
+    path = tmp_path / "no-such-dir"
+    if kind == "file":
+        path = tmp_path / "scenario.json"
+        path.write_text((GALLERY / "annulus-n4.json").read_text())
+    assert main([command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"ParseError: {path} is not a directory" in err
+
+
 def test_cli_rho(tmp_path, capsys):
     path = tmp_path / "cycle.json"
     path.write_text(json.dumps({"v": 6, "edges": [[i, (i + 1) % 6] for i in range(6)]}))

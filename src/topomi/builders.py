@@ -12,7 +12,7 @@ import random
 from typing import Sequence
 
 from .errors import ValidationError
-from .grid import OUTSIDE, GridCss, window_pinch
+from .grid import OUTSIDE, GridCss, parse_ascii, window_pinch
 
 
 def _grid_from_cells(width: int, height: int, cells: dict, name: str) -> GridCss:
@@ -215,8 +215,6 @@ def theta_pair(name: str = "theta-pair") -> GridCss:
         "A.B.A",
         "AAAAA",
     ]
-    from .grid import parse_ascii
-
     return parse_ascii("\n".join(ascii_rows), name=name)
 
 
@@ -228,75 +226,30 @@ def two_hole_five(name: str = "two-hole-five") -> GridCss:
         "B..A..D",
         "CCCAEEE",
     ]
-    from .grid import parse_ascii
-
     return parse_ascii("\n".join(ascii_rows), name=name)
 
 
 def six_hole_eighteen(name: str = "six-hole-eighteen") -> GridCss:
     """Window-frame CSS: 18 subsystems, 23 walls, 6 holes.
 
-    Wall lines one cell thick cross at 12 junctions; each junction blob
-    keeps the four adjacent wall cells, six wall middles stand alone as
-    their own subsystems and the remaining middles merge into a neighbour
-    junction, so the adjacency graph is the 4x3 grid graph with six
-    subdivided edges.
+    Wall lines one cell thick cross at 12 junctions (A-L, row by row); each
+    junction blob keeps the four adjacent wall cells, six wall middles stand
+    alone as their own subsystems (M-R) and the remaining middles merge into
+    a neighbour junction, so the adjacency graph is the 4x3 grid graph with
+    six subdivided edges.
     """
-    xs = (0, 4, 8, 12)
-    ys = (0, 4, 8)
-    width, height = 13, 9
-
-    solo_h = {(1, 0), (1, 2), (0, 1), (2, 1)}  # h-segment (jx, jy) middles
-    solo_v = {(0, 0), (3, 1)}  # v-segment (jx, jy) middles
-
-    def junction_id(jx: int, jy: int) -> int:
-        return jy * 4 + jx
-
-    solo_ids = {}
-    next_id = 12
-    for jx, jy in sorted(solo_h):
-        solo_ids[("h", jx, jy)] = next_id
-        next_id += 1
-    for jx, jy in sorted(solo_v):
-        solo_ids[("v", jx, jy)] = next_id
-        next_id += 1
-
-    cells = {}
-    for y in range(height):
-        for x in range(width):
-            on_h = y in ys
-            on_v = x in xs
-            if not on_h and not on_v:
-                continue
-            if on_h and on_v:
-                cells[(x, y)] = junction_id(x // 4, y // 4)
-            elif on_h:
-                jy = y // 4
-                r = x % 4
-                if r == 1:
-                    cells[(x, y)] = junction_id(x // 4, jy)
-                elif r == 3:
-                    cells[(x, y)] = junction_id(x // 4 + 1, jy)
-                else:  # middle of h-segment (x//4, jy)
-                    seg = (x // 4, jy)
-                    if seg in solo_h:
-                        cells[(x, y)] = solo_ids[("h", *seg)]
-                    else:
-                        cells[(x, y)] = junction_id(seg[0], jy)  # merge west
-            else:
-                jx = x // 4
-                r = y % 4
-                if r == 1:
-                    cells[(x, y)] = junction_id(jx, y // 4)
-                elif r == 3:
-                    cells[(x, y)] = junction_id(jx, y // 4 + 1)
-                else:  # middle of v-segment (jx, y//4)
-                    seg = (jx, y // 4)
-                    if seg in solo_v:
-                        cells[(x, y)] = solo_ids[("v", *seg)]
-                    else:
-                        cells[(x, y)] = junction_id(jx, seg[1])  # merge north
-    return _grid_from_cells(width, height, cells, name)
+    ascii_rows = [
+        "AAABBBNCCCCDD",
+        "A...B...C...D",
+        "Q...B...C...D",
+        "E...F...G...H",
+        "EEMFFFFGGGPHH",
+        "E...F...G...H",
+        "E...F...G...R",
+        "I...J...K...L",
+        "IIIJJJOKKKKLL",
+    ]
+    return parse_ascii("\n".join(ascii_rows), name=name)
 
 
 def annulus_family(max_n: int) -> list[GridCss]:

@@ -21,8 +21,6 @@ from .errors import NotAnnular, ParseError, TopomiError
 from .grid import GridCss, is_json_int, parse_grid_json, read_input
 from .model import EntropyModel
 
-RECURSION_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class Check:
@@ -77,12 +75,14 @@ class Scenario:
             kind = "stabilizer"
         else:
             kind = "analytic"
-        if kind not in ("analytic", "graph", "stabilizer"):
+        if kind not in _EXPECTED_KEYS:
             raise ParseError(f"unknown scenario kind {kind!r}")
         expected = obj.get("expected") or {}
         if not isinstance(expected, Mapping):
             raise ParseError(f"'expected' must be an object, got {expected!r}")
         for key, value in expected.items():
+            if key not in _EXPECTED_KEYS[kind]:
+                raise ParseError(f"{kind} scenarios have no expected key {key!r}")
             _check_expected(key, value)
         return Scenario(
             name=name,
@@ -94,6 +94,15 @@ class Scenario:
         )
 
 
+#: the expected keys each scenario kind checks
+_EXPECTED_KEYS = {
+    "analytic": frozenset({
+        "n", "c_n", "i_over_log_d", "d_nn", "n_h", "chi", "annular", "per_hole",
+        "constraint_over_log_d", "subloops", "sigma", "recursion_residual_below",
+    }),
+    "graph": frozenset({"rho"}),
+    "stabilizer": frozenset({"i_exact_over_log2", "matches_counting"}),
+}
 #: expected keys holding a count or an integer multiple of a unit
 _INT_KEYS = frozenset({
     "n", "c_n", "i_over_log_d", "d_nn", "n_h", "chi", "constraint_over_log_d",
@@ -109,16 +118,14 @@ def _check_expected(key: str, value) -> None:
         ok, what = is_json_int(value), "an integer"
     elif key in ("annular", "matches_counting"):
         ok, what = isinstance(value, bool), "true or false"
-    elif key == "recursion_residual_below":
-        ok, what = value is None or type(value) in (int, float), "a number or null"
     elif key in _LOOP_KEYS:
         fields = (_LOOP_KEYS[key], "i_over_log_d")
         ok = isinstance(value, list) and all(
             isinstance(e, Mapping) and all(is_json_int(e.get(f)) for f in fields) for e in value
         )
         what = f"a list of objects with integer {fields[0]!r} and 'i_over_log_d'"
-    else:
-        return
+    else:  # recursion_residual_below
+        ok, what = value is None or type(value) in (int, float), "a number or null"
     if not ok:
         raise ParseError(f"expected {key!r} must be {what}, got {value!r}")
 

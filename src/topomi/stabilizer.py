@@ -5,10 +5,10 @@ every vertex and a Z-type plaquette on every face.  On the torus the two
 global product relations are removed and the generator set is completed by
 the two non-contractible Z loops along row 0 and column 0, fixing a single
 ground state; the open-boundary (planar) patch already has a unique ground
-state.  Region entropies are integer multiples of log 2 obtained from the
-GF(2) rank of the generator matrix restricted to the complement of the
-region -- the kernel of that restriction is exactly the subgroup supported
-inside the region.  A dense state-vector construction provides an
+state.  Region entropies are integer multiples of log 2 read from the
+region itself: S(A) = rank(G|_A) - |A| in units of log 2, where G|_A is the
+generator matrix restricted to the columns of A (Fattal, Cafaro, Haas and
+Chuang, quant-ph/0406168).  A dense state-vector construction provides an
 independent oracle for small systems.
 """
 
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -61,70 +62,58 @@ class CodeLattice:
                 f"{self.lx}x{self.ly} lattice has {self.n_qubits} qubits; the cap is {MAX_QUBITS}"
             )
 
-    @property
+    @cached_property
     def periodic(self) -> bool:
         return self.boundary == "torus"
 
-    @property
-    def n_horizontal(self) -> int:
-        return self.lx * self.ly if self.periodic else (self.lx - 1) * self.ly
-
-    @property
-    def n_vertical(self) -> int:
-        return self.lx * self.ly if self.periodic else self.lx * (self.ly - 1)
-
-    @property
-    def n_qubits(self) -> int:
-        return self.n_horizontal + self.n_vertical
-
-    @property
+    @cached_property
     def face_shape(self) -> tuple[int, int]:
         """Cell grid the lattice faces form: (columns, rows)."""
         if self.periodic:
             return self.lx, self.ly
         return self.lx - 1, self.ly - 1
 
+    @cached_property
+    def n_horizontal(self) -> int:
+        return self.face_shape[0] * self.ly
+
+    @property
+    def n_qubits(self) -> int:
+        return self.n_horizontal + self.lx * self.face_shape[1]
+
+    def _wrap(self, i: int, j: int, width: int, height: int) -> tuple[int, int]:
+        """(i, j) in a width x height grid of the lattice, wrapped on the torus."""
+        return (i % width, j % height) if self.periodic else (i, j)
+
+    def _index(self, i: int, j: int, width: int, height: int, what: str) -> int:
+        """Row-major index of (i, j); nothing lies beyond the edge of the patch."""
+        i, j = self._wrap(i, j, width, height)
+        if not (0 <= i < width and 0 <= j < height):
+            raise ValidationError(f"no {what} at ({i},{j})")
+        return j * width + i
+
     def h_edge(self, i: int, j: int) -> int:
-        """Qubit on the edge (i, j)-(i+1, j)."""
-        if self.periodic:
-            return (j % self.ly) * self.lx + (i % self.lx)
-        if not (0 <= i < self.lx - 1 and 0 <= j < self.ly):
-            raise ValidationError(f"no horizontal edge at ({i},{j})")
-        return j * (self.lx - 1) + i
+        """Qubit on the edge (i, j)-(i+1, j); horizontal qubits come first."""
+        return self._index(i, j, self.face_shape[0], self.ly, "horizontal edge")
 
     def v_edge(self, i: int, j: int) -> int:
         """Qubit on the edge (i, j)-(i, j+1)."""
-        if self.periodic:
-            return self.n_horizontal + (j % self.ly) * self.lx + (i % self.lx)
-        if not (0 <= i < self.lx and 0 <= j < self.ly - 1):
-            raise ValidationError(f"no vertical edge at ({i},{j})")
-        return self.n_horizontal + j * self.lx + i
+        return self.n_horizontal + self._index(i, j, self.lx, self.face_shape[1], "vertical edge")
 
     def star_qubits(self, i: int, j: int) -> list[int]:
-        """Edges incident to vertex (i, j)."""
-        out = []
-        if self.periodic:
-            out = [
-                self.h_edge(i, j),
-                self.h_edge(i - 1, j),
-                self.v_edge(i, j),
-                self.v_edge(i, j - 1),
-            ]
-        else:
-            if i < self.lx - 1:
-                out.append(self.h_edge(i, j))
-            if i > 0:
-                out.append(self.h_edge(i - 1, j))
-            if j < self.ly - 1:
-                out.append(self.v_edge(i, j))
-            if j > 0:
-                out.append(self.v_edge(i, j - 1))
-        return out
+        """Edges incident to vertex (i, j); on the patch, those inside it."""
+        cols, rows = self.face_shape
+        edges = (
+            (i < cols, self.h_edge, i, j),
+            (i > 0, self.h_edge, i - 1, j),
+            (j < rows, self.v_edge, i, j),
+            (j > 0, self.v_edge, i, j - 1),
+        )
+        return [edge(a, b) for inside, edge, a, b in edges if inside or self.periodic]
 
     def plaquette_qubits(self, i: int, j: int) -> list[int]:
         """Edges bounding the face whose north-west vertex is (i, j)."""
-        if not self.periodic and not (0 <= i < self.lx - 1 and 0 <= j < self.ly - 1):
-            raise ValidationError(f"no face at ({i},{j})")
+        self._index(i, j, *self.face_shape, "face")  # off the patch: ValidationError
         return [
             self.h_edge(i, j),
             self.h_edge(i, j + 1),
@@ -225,20 +214,17 @@ def _as_qubit_mask(state: StabilizerState, qubits: Iterable[int]) -> int:
 
 
 def entropy_bits(state: StabilizerState, qubits: Iterable[int]) -> int:
-    """Entanglement entropy of a qubit set, in units of log 2 (exact).
+    """Entanglement entropy of a qubit set A, in units of log 2 (exact).
 
-    S/log2 = |A| - (n - rank of the generators restricted to the
-    complement); the full set returns 0 by purity.
+    S(A)/log 2 = rank(G|_A) - |A|, the GF(2) rank of the generators
+    restricted to the columns of A (Fattal, Cafaro, Haas and Chuang,
+    quant-ph/0406168); the full set returns 0 by purity.
     """
     mask = _as_qubit_mask(state, qubits)
     if mask == 0:
         raise EmptyRegion("entropy of an empty qubit set is undefined")
-    size = mask.bit_count()
-    n = state.n
-    comp = ((1 << n) - 1) ^ mask
-    comp_cols = comp | (comp << n)
-    rank = _gf2_rank(r & comp_cols for r in state.rows)
-    return size - (n - rank)
+    cols = mask | (mask << state.n)
+    return _gf2_rank(r & cols for r in state.rows) - mask.bit_count()
 
 
 @dataclass(frozen=True)
@@ -354,8 +340,9 @@ def rasterize_css(lattice: CodeLattice, css: GridCss) -> QubitRegionMap:
     A cell of the CSS is a lattice face.  Every edge bordering at least one
     subsystem cell is owned: a wall between two subsystem cells goes to the
     north (horizontal walls) or west (vertical walls) cell's subsystem, any
-    other bordering edge to its unique subsystem side.  On the torus the
-    footprint must be contractible.
+    other bordering edge to its unique subsystem side, so every subsystem
+    cell owns at least its south edge.  On the torus the footprint must be
+    contractible.
     """
     cols, rows = lattice.face_shape
     if (css.width, css.height) != (cols, rows):
@@ -364,9 +351,7 @@ def rasterize_css(lattice: CodeLattice, css: GridCss) -> QubitRegionMap:
         )
 
     def face_label(i: int, j: int) -> int:
-        if lattice.periodic:
-            return css.label_at(i % cols, j % rows)
-        return css.label_at(i, j)
+        return css.label_at(*lattice._wrap(i, j, cols, rows))
 
     if lattice.periodic:
         _check_contractible(css)
@@ -380,23 +365,13 @@ def rasterize_css(lattice: CodeLattice, css: GridCss) -> QubitRegionMap:
             regions[secondary].add(qubit)
 
     # horizontal edge (i,j)-(i+1,j): faces (i, j-1) north / (i, j) south
-    if lattice.periodic:
-        h_range = ((i, j) for j in range(lattice.ly) for i in range(lattice.lx))
-    else:
-        h_range = ((i, j) for j in range(lattice.ly) for i in range(lattice.lx - 1))
-    for i, j in h_range:
-        assign(lattice.h_edge(i, j), face_label(i, j - 1), face_label(i, j))
+    for j in range(lattice.ly):
+        for i in range(cols):
+            assign(lattice.h_edge(i, j), face_label(i, j - 1), face_label(i, j))
     # vertical edge (i,j)-(i,j+1): faces (i-1, j) west / (i, j) east
-    if lattice.periodic:
-        v_range = ((i, j) for j in range(lattice.ly) for i in range(lattice.lx))
-    else:
-        v_range = ((i, j) for j in range(lattice.ly - 1) for i in range(lattice.lx))
-    for i, j in v_range:
-        assign(lattice.v_edge(i, j), face_label(i - 1, j), face_label(i, j))
-
-    empty = [k for k, r in enumerate(regions) if not r]
-    if empty:
-        raise ValidationError(f"subsystems {empty} own no qubits after rasterization")
+    for j in range(rows):
+        for i in range(lattice.lx):
+            assign(lattice.v_edge(i, j), face_label(i - 1, j), face_label(i, j))
     return QubitRegionMap(lattice.n_qubits, tuple(frozenset(r) for r in regions), css)
 
 

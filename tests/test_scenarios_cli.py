@@ -11,6 +11,7 @@ import pytest
 
 from topomi import engine, grid, masks, scenarios
 from topomi.cli import build_parser, main
+from topomi.errors import ParseError
 from topomi.grid import parse_grid_json
 from topomi.model import EntropyModel
 from topomi.scenarios import (
@@ -108,6 +109,7 @@ def test_scenario_detects_wrong_expectation(tmp_path):
 
 
 #: a gallery file and an edit of its ``expected`` block that leaves a value of the wrong JSON type
+#: or a key its scenario kind does not check
 BAD_EXPECTED = {
     "c-n-string": ("annulus-n4.json", lambda e: e.update(c_n="x")),
     "c-n-float": ("annulus-n4.json", lambda e: e.update(c_n=2.5)),
@@ -120,6 +122,11 @@ BAD_EXPECTED = {
         "annulus-n4.json", lambda e: e["per_hole"][0].update(loop_size="4")
     ),
     "rho-null": ("graph-cycle-n5.json", lambda e: e.update(rho=None)),
+    "unknown-key": ("annulus-n4.json", lambda e: e.update(c_N=99)),
+    "graph-key-on-grid": (
+        "annulus-n4.json", lambda e: e.update(rho=99, i_exact_over_log2=5)
+    ),
+    "grid-key-on-graph": ("graph-cycle-n5.json", lambda e: e.update(c_n=99)),
 }
 
 
@@ -203,6 +210,13 @@ def test_bad_input_ends_as_topomi_error(kind, tmp_path, capsys):
     suite = run_suite(tmp_path)
     assert [r.passed for r in suite.results] == [True, False]
     assert error in suite.results[1].checks[0].detail
+
+
+def test_unknown_expected_key_names_key_and_kind():
+    obj = json.loads((GALLERY / "graph-cycle-n5.json").read_text())
+    obj["expected"]["c_n"] = 99
+    with pytest.raises(ParseError, match="graph scenarios have no expected key 'c_n'"):
+        Scenario.from_dict(obj)
 
 
 def test_analyze_rejects_fewer_than_three_subsystems(tmp_path, capsys):

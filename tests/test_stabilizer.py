@@ -3,9 +3,11 @@
 import itertools
 import math
 import random
+import re
 
 import pytest
 
+from topomi.builders import random_css
 from topomi.errors import (
     EmptyRegion,
     LatticeTooSmall,
@@ -58,6 +60,85 @@ def test_lattice_qubit_cap():
         CodeLattice(49, 96, "torus")
     with pytest.raises(TooManyQubits):
         CodeLattice(3000, 3000, "planar")
+
+
+LATTICES = [
+    CodeLattice(lx, ly, boundary)
+    for boundary in ("torus", "planar") for lx in range(2, 6) for ly in range(2, 6)
+]
+
+
+def _lattice_id(lattice: CodeLattice) -> str:
+    return f"{lattice.boundary}-{lattice.lx}x{lattice.ly}"
+
+
+def _edge_ends(lattice: CodeLattice) -> tuple[list, list]:
+    """End vertices of the horizontal and the vertical edges, each in row-major order."""
+    lx, ly = lattice.lx, lattice.ly
+    torus = lattice.boundary == "torus"
+    horizontal = [
+        ((i, j), ((i + 1) % lx, j)) for j in range(ly) for i in range(lx if torus else lx - 1)
+    ]
+    vertical = [
+        ((i, j), (i, (j + 1) % ly)) for j in range(ly if torus else ly - 1) for i in range(lx)
+    ]
+    return horizontal, vertical
+
+
+@pytest.mark.parametrize("lattice", LATTICES, ids=_lattice_id)
+def test_lattice_numbering_from_first_principles(lattice):
+    lx, ly = lattice.lx, lattice.ly
+    horizontal, vertical = _edge_ends(lattice)
+    # every qubit once: horizontal edges first, each orientation row-major
+    numbering = [lattice.h_edge(*a) for a, _ in horizontal]
+    numbering += [lattice.v_edge(*a) for a, _ in vertical]
+    assert numbering == list(range(lattice.n_qubits))
+    ends = horizontal + vertical
+    for vertex in lattice.vertices():
+        star = lattice.star_qubits(*vertex)
+        assert sorted(star) == [q for q, pair in enumerate(ends) if vertex in pair]
+    qubit = {("h", a): q for q, (a, _) in enumerate(horizontal)}
+    qubit.update({("v", a): len(horizontal) + q for q, (a, _) in enumerate(vertical)})
+    faces = list(lattice.faces())
+    assert len(faces) == (lx * ly if lattice.boundary == "torus" else (lx - 1) * (ly - 1))
+    for i, j in faces:
+        around = {
+            qubit[("h", (i, j))],
+            qubit[("h", (i, (j + 1) % ly))],
+            qubit[("v", (i, j))],
+            qubit[("v", ((i + 1) % lx, j))],
+        }
+        plaquette = lattice.plaquette_qubits(i, j)
+        assert len(plaquette) == 4 and set(plaquette) == around
+
+
+@pytest.mark.parametrize("lattice", LATTICES, ids=_lattice_id)
+def test_lattice_edges_off_the_patch(lattice):
+    """The torus wraps every coordinate; the patch rejects what lies beyond its edge."""
+    lx, ly = lattice.lx, lattice.ly
+    torus = lattice.boundary == "torus"
+    for method, what, sites in (
+        (lattice.h_edge, "horizontal edge", [(-1, 0), (lx - 1, 0), (0, ly)]),
+        (lattice.v_edge, "vertical edge", [(-1, 0), (lx, 0), (0, ly - 1)]),
+        (lattice.plaquette_qubits, "face", [(-1, 0), (lx - 1, 0), (0, ly - 1)]),
+    ):
+        for i, j in sites:
+            if torus:
+                assert method(i, j) == method(i % lx, j % ly)
+            else:
+                with pytest.raises(ValidationError, match=re.escape(f"no {what} at ({i},{j})")):
+                    method(i, j)
+    # a vertex beyond the patch fails on the first missing edge it asks for
+    if torus:
+        for j in range(ly):
+            assert lattice.star_qubits(lx, j) == lattice.star_qubits(0, j)
+            assert lattice.star_qubits(-1, j) == lattice.star_qubits(lx - 1, j)
+    else:
+        with pytest.raises(ValidationError, match=re.escape("no horizontal edge at (-1,0)")):
+            lattice.star_qubits(-1, 0)
+        beyond = re.escape(f"no horizontal edge at ({lx - 1},0)")
+        with pytest.raises(ValidationError, match=beyond):
+            lattice.star_qubits(lx, 0)
 
 
 def test_build_code_rank_and_commutation():
@@ -128,6 +209,22 @@ def test_random_subsets_10_qubit_planar_patch():
         bits = entropy_bits(state, combo)
         dense = brute_force_entropy(state, combo)
         assert abs(dense - bits * LN2) < 1e-9, combo
+
+
+@pytest.mark.parametrize(
+    "lattice", [CodeLattice(2, 3, "torus"), CodeLattice(3, 3, "planar")], ids=_lattice_id
+)
+def test_entropy_bits_matches_dense_oracle(lattice):
+    state = build_code(lattice)
+    assert state.n == 12
+    rng = random.Random(f"dense-{_lattice_id(lattice)}")
+    sizes = []
+    for _ in range(200):
+        combo = rng.sample(range(12), rng.randint(1, 12))
+        sizes.append(len(combo))
+        bits = entropy_bits(state, combo)
+        assert abs(brute_force_entropy(state, combo) - bits * LN2) < 1e-9, combo
+    assert sum(size > 6 for size in sizes) >= 50
 
 
 def test_strong_subadditivity_sampled():
@@ -217,6 +314,37 @@ def test_rasterize_ownership_is_a_partition():
     for region in region_map.regions:
         assert not (region & seen)
         seen |= region
+
+
+def _rasterized_cases():
+    """The gallery's rasterized maps, fuzzed planar CSS and CSS placed across the torus seam."""
+    for name in ("stab-torus8-n3-raster", "stab-planar9-n4-raster"):
+        payload = load_scenario(gallery_dir() / f"{name}.json").payload["lattice"]
+        yield parse_lattice_scenario(payload)
+    for seed in range(30):
+        rng = random.Random(seed)
+        css = random_css(rng, rng.randint(3, 8), 7, 6, growth=rng.choice([20, 60, 150]))
+        lattice = CodeLattice(8, 7, "planar")
+        yield lattice, rasterize_css(lattice, css)
+        labels = [OUTSIDE] * 81
+        dx, dy = rng.randrange(9), rng.randrange(9)
+        for k, label in enumerate(css.labels):
+            labels[(k // 7 + dy) % 9 * 9 + (k % 7 + dx) % 9] = label
+        lattice = CodeLattice(9, 9, "torus")
+        yield lattice, rasterize_css(lattice, GridCss(9, 9, tuple(labels)))
+
+
+def test_rasterized_subsystem_owns_south_edge_of_each_cell():
+    """The north/west rule hands every cell its south edge, so no subsystem goes empty."""
+    n_cases = 0
+    for lattice, region_map in _rasterized_cases():
+        css = region_map.css
+        for k, label in enumerate(css.labels):
+            if label != OUTSIDE:
+                x, y = k % css.width, k // css.width
+                assert lattice.h_edge(x, y + 1) in region_map.regions[label]
+        n_cases += 1
+    assert n_cases == 62
 
 
 def test_parse_lattice_scenario_regions_and_css():

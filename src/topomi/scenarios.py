@@ -77,7 +77,7 @@ class Scenario:
             kind = "analytic"
         if kind not in _EXPECTED_KEYS:
             raise ParseError(f"unknown scenario kind {kind!r}")
-        expected = obj.get("expected") or {}
+        expected = obj.get("expected", {})
         if not isinstance(expected, Mapping):
             raise ParseError(f"'expected' must be an object, got {expected!r}")
         for key, value in expected.items():

@@ -8,8 +8,12 @@ ground state; the open-boundary (planar) patch already has a unique ground
 state.  Region entropies are integer multiples of log 2 read from the
 region itself: S(A) = rank(G|_A) - |A| in units of log 2, where G|_A is the
 generator matrix restricted to the columns of A (Fattal, Cafaro, Haas and
-Chuang, quant-ph/0406168).  A dense state-vector construction provides an
-independent oracle for small systems.
+Chuang, quant-ph/0406168).  Each state keeps one column table (column c as
+an integer over the generators); the exact I^N reads its ranks from it in
+one depth-first walk over the subsets of regions, adding one region's
+columns at a time to an echelon basis, for up to 18 regions.  The same
+table checks that the generators commute.  A dense state-vector
+construction provides an independent oracle for small systems.
 """
 
 from __future__ import annotations
@@ -35,8 +39,8 @@ from .grid import OUTSIDE, GridCss, json_int, parse_grid_json
 #: dense 2**n state vectors
 BRUTE_CAP = 12
 
-#: 2**N rank computations
-EXACT_SUBSET_CAP = 12
+#: regions of an exact I^N, whose walk visits 2**N - 1 subsets
+EXACT_SUBSET_CAP = 18
 
 #: qubits of a code lattice (a 48 x 48 torus); the generator set is O(n^2) to build
 MAX_QUBITS = 4608
@@ -145,19 +149,42 @@ class StabilizerState:
             raise ValidationError(f"{len(self.rows)} generators for {self.n} qubits")
         if _gf2_rank(self.rows) != self.n:
             raise ValidationError("generators are not independent over GF(2)")
-        n = self.n
-        mask = (1 << n) - 1
-        xs = [r & mask for r in self.rows]
-        zs = [r >> n for r in self.rows]
-        for a in range(n):
-            for b in range(a + 1, n):
-                if ((xs[a] & zs[b]).bit_count() + (zs[a] & xs[b]).bit_count()) % 2:
-                    raise ValidationError(f"generators {a} and {b} anticommute")
+        # bit b of the XOR of row a's opposite-type columns is the symplectic
+        # product of generators a and b; report the first anticommuting pair
+        n, cols = self.n, self.columns
+        for a, row in enumerate(self.rows):
+            products = 0
+            for c in _bits(row):
+                products ^= cols[c + n if c < n else c - n]
+            later = products >> (a + 1)
+            if later:
+                b = a + (later & -later).bit_length()
+                raise ValidationError(f"generators {a} and {b} anticommute")
+
+    @cached_property
+    def columns(self) -> tuple[int, ...]:
+        """Column c of the generator matrix: bit g is bit c of generator g.
+
+        Columns 0..n-1 are the X parts of the qubits, n..2n-1 their Z parts.
+        """
+        cols = [0] * (2 * self.n)
+        for g, row in enumerate(self.rows):
+            for c in _bits(row):
+                cols[c] |= 1 << g
+        return tuple(cols)
 
 
-def _gf2_rank(rows: Iterable[int]) -> int:
+def _bits(value: int) -> Iterable[int]:
+    """Positions of the set bits of ``value``, lowest first."""
+    while value:
+        low = value & -value
+        yield low.bit_length() - 1
+        value ^= low
+
+
+def _echelon(rows: Iterable[int]) -> dict[int, int]:
+    """An echelon basis of the rows' GF(2) span: highest bit -> vector."""
     pivots: dict[int, int] = {}
-    rank = 0
     for row in rows:
         while row:
             bit = row.bit_length() - 1
@@ -165,9 +192,12 @@ def _gf2_rank(rows: Iterable[int]) -> int:
                 row ^= pivots[bit]
             else:
                 pivots[bit] = row
-                rank += 1
                 break
-    return rank
+    return pivots
+
+
+def _gf2_rank(rows: Iterable[int]) -> int:
+    return len(_echelon(rows))
 
 
 def build_code(lattice: CodeLattice) -> StabilizerState:
@@ -259,18 +289,51 @@ class QubitRegionMap:
 
 
 def multipartite_information_exact(state: StabilizerState, region_map: QubitRegionMap) -> int:
-    """Alternating entropy sum over all unions, in units of log 2 (exact)."""
+    """Alternating entropy sum over all unions, in units of log 2 (exact).
+
+    The sum of (-1)^(|S|+1) S(A_S) over the 2^N - 1 nonempty subsets S of
+    regions, with S(A) = rank(G|_A) - |A| and rank(G|_A) the dimension of
+    the span of A's X and Z columns in ``state.columns``.  The subsets are
+    walked depth first, the children of S being S + {j} for j > max(S),
+    with one echelon basis (highest bit -> vector): a node reduces only
+    region j's columns against its parent's basis, and on the way back
+    removes the pivots it added.
+    """
     n = region_map.n_subsystems
     if n > EXACT_SUBSET_CAP:
         raise TooManySubsystems(f"{n} regions exceed the cap of {EXACT_SUBSET_CAP}")
     if region_map.n_qubits != state.n:
         raise ValidationError("region map and state disagree on qubit count")
-    total = 0
-    for mask in range(1, 1 << n):
-        ids = [i for i in range(n) if mask >> i & 1]
-        s = entropy_bits(state, region_map.union(ids))
-        total += s if mask.bit_count() % 2 == 1 else -s
-    return total
+    cols, m = state.columns, state.n
+    # each region's X and Z columns, reduced once to a basis of their own span
+    bases = [
+        list(_echelon(c for q in region for c in (cols[q], cols[q + m])).values())
+        for region in region_map.regions
+    ]
+    sizes = [len(region) for region in region_map.regions]
+    pivots: dict[int, int] = {}
+
+    def walk(first: int, rank: int, size: int, sign: int) -> int:
+        """Signed entropy sum below a node whose basis has rank ``rank`` on ``size`` qubits."""
+        total = 0
+        for j in range(first, n):
+            added = []
+            for v in bases[j]:
+                while v:
+                    top = v.bit_length() - 1
+                    pivot = pivots.get(top)
+                    if pivot is None:
+                        pivots[top] = v
+                        added.append(top)
+                        break
+                    v ^= pivot
+            total += sign * (rank + len(added) - size - sizes[j])
+            total += walk(j + 1, rank + len(added), size + sizes[j], -sign)
+            for top in added:
+                del pivots[top]
+        return total
+
+    return walk(0, 0, 0, 1)
 
 
 def region_entropy_source(state: StabilizerState, region_map: QubitRegionMap, scale: float = LN2):

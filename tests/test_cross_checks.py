@@ -10,6 +10,7 @@ from topomi.engine import (
 )
 from topomi.grid import GridCss, OUTSIDE
 from topomi.model import EntropyModel
+from topomi.scenarios import gallery_dir, load_scenario, scenario_css
 from topomi.stabilizer import (
     CodeLattice,
     QubitRegionMap,
@@ -151,3 +152,33 @@ def test_oracle_agrees_with_model_for_d2():
     state = build_code(lattice)
     exact = multipartite_information_exact(state, rasterize_css(lattice, css))
     assert report.i_n == pytest.approx(exact * LN2)
+
+
+def scaled_on_torus(css: GridCss, scale: int = 2, pad: int = 1) -> tuple[CodeLattice, GridCss]:
+    """``css`` with each cell scaled to a scale x scale block, ``pad`` empty
+    cells around it, on a torus with one face per cell."""
+    w, h = css.width * scale + 2 * pad, css.height * scale + 2 * pad
+    labels = [OUTSIDE] * (w * h)
+    for y in range(css.height * scale):
+        for x in range(css.width * scale):
+            labels[(y + pad) * w + x + pad] = css.label_at(x // scale, y // scale)
+    return CodeLattice(w, h, "torus"), GridCss(w, h, tuple(labels), name=css.name)
+
+
+ANALYTIC_GALLERY = [
+    path.stem for path in sorted(gallery_dir().glob("*.json"))
+    if load_scenario(path).kind == "analytic"
+]
+
+
+def test_analytic_gallery_is_all_there():
+    assert len(ANALYTIC_GALLERY) == 40 and "six-hole-eighteen" in ANALYTIC_GALLERY
+
+
+@pytest.mark.parametrize("name", ANALYTIC_GALLERY)
+def test_oracle_matches_counting_on_gallery(name):
+    """Every analytic gallery CSS, scaled x2 and padded on a torus: oracle == -C^N."""
+    css = scenario_css(load_scenario(gallery_dir() / f"{name}.json"))
+    lattice, big = scaled_on_torus(css)
+    exact = multipartite_information_exact(build_code(lattice), rasterize_css(lattice, big))
+    assert exact == -connectivity_count(css).c_n

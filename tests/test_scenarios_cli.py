@@ -143,8 +143,18 @@ BAD_NUMBER = {
     "lattice-qubit-float": ("stab-torus4-n3.json", ("lattice", "regions", "A", 0), 4.5),
 }
 
-#: the error a bad input ends in, where it is not a ParseError
+#: an "expected" value that is not an object, falsy ones included
+EXPECTED_NOT_OBJECT = {
+    "expected-list": [1, 2],
+    "expected-null": None,
+    "expected-false": False,
+    "expected-zero": 0,
+    "expected-empty-string": "",
+}
+
+#: the error a bad input ends in, where it is not a bare ParseError
 ERROR_OF = {"lattice-too-large": "TooManyQubits"}
+ERROR_OF.update(dict.fromkeys(EXPECTED_NOT_OBJECT, "ParseError: 'expected' must be an object"))
 
 
 def _write_bad_input(kind: str, path) -> None:
@@ -172,9 +182,9 @@ def _write_bad_input(kind: str, path) -> None:
         obj = json.loads((GALLERY / "stab-torus4-n3.json").read_text())
         obj["lattice"].update(Lx=3000, Ly=3000)
         path.write_text(json.dumps(obj))
-    elif kind == "expected-list":
+    elif kind in EXPECTED_NOT_OBJECT:
         obj = json.loads((GALLERY / "annulus-n4.json").read_text())
-        obj["expected"] = [1, 2]
+        obj["expected"] = EXPECTED_NOT_OBJECT[kind]
         path.write_text(json.dumps(obj))
     elif kind == "per-hole-without-loop-size":
         obj = json.loads((GALLERY / "annulus-n4.json").read_text())
@@ -193,7 +203,8 @@ def _write_bad_input(kind: str, path) -> None:
 @pytest.mark.parametrize(
     "kind",
     ["per-hole-without-loop-size", "lattice-region-xy", "not-utf8", "directory",
-     "expected-list", *BAD_EXPECTED, *BAD_NUMBER, "lattice-without-lx", "lattice-too-large"],
+     *EXPECTED_NOT_OBJECT, *BAD_EXPECTED, *BAD_NUMBER,
+     "lattice-without-lx", "lattice-too-large"],
 )
 def test_bad_input_ends_as_topomi_error(kind, tmp_path, capsys):
     (tmp_path / "a-good.json").write_text((GALLERY / "annulus-n4.json").read_text())

@@ -160,6 +160,80 @@ def test_torus_row_budget():
     assert (x_rows, z_rows) == (8, 10)
 
 
+def _first_anticommuting_pair(n: int, rows) -> tuple[int, int] | None:
+    """The first pair a < b of generators whose symplectic product is 1, by definition."""
+    xs = [r & ((1 << n) - 1) for r in rows]
+    zs = [r >> n for r in rows]
+    for a in range(n):
+        for b in range(a + 1, n):
+            if ((xs[a] & zs[b]).bit_count() + (zs[a] & xs[b]).bit_count()) % 2:
+                return a, b
+    return None
+
+
+def _is_independent(rows) -> bool:
+    basis: list[int] = []
+    for row in rows:
+        for v in sorted(basis, reverse=True):  # distinct top bits, highest first
+            row = min(row, row ^ v)
+        if row == 0:
+            return False
+        basis.append(row)
+    return True
+
+
+def _random_pauli_rows(rng: random.Random) -> tuple[int, list[int]]:
+    """n and n rows: a code state under random local Cliffords and row
+    products (commuting), possibly with one bit flipped, or random rows."""
+    if rng.random() < 0.3:
+        n = rng.randint(1, 6)
+        return n, [rng.randrange(1 << 2 * n) for _ in range(n)]
+    lattice = rng.choice([CodeLattice(2, 2, "torus"), CodeLattice(2, 2, "planar"),
+                          CodeLattice(2, 3, "planar"), CodeLattice(3, 2, "torus")])
+    state = build_code(lattice)
+    n, rows = state.n, list(state.rows)
+    for _ in range(3 * n):
+        q = rng.randrange(n)
+        move = rng.randrange(3)
+        for g, row in enumerate(rows):
+            x, z = row >> q & 1, row >> (q + n) & 1
+            if move == 0:  # Hadamard on q: swap its X and Z bits
+                rows[g] ^= (x ^ z) * ((1 << q) | (1 << (q + n)))
+            elif move == 1:  # phase on q: Z part picks up the X part
+                rows[g] ^= x << (q + n)
+        if move == 2:
+            a, b = rng.sample(range(n), 2)
+            rows[a] ^= rows[b]
+    rng.shuffle(rows)
+    if rng.random() < 0.5:
+        rows[rng.randrange(n)] ^= 1 << rng.randrange(2 * n)
+    return n, rows
+
+
+def test_column_commutation_check_names_the_first_pair():
+    """The column-table check raises on the same first pair as the pairwise definition."""
+    rng = random.Random(2024)
+    outcomes = {"commute": 0, "anticommute": 0}
+    for _ in range(400):
+        n, rows = _random_pauli_rows(rng)
+        if not _is_independent(rows):
+            continue
+        pair = _first_anticommuting_pair(n, rows)
+        if pair is None:
+            state = StabilizerState(n, tuple(rows))
+            assert all(
+                (state.columns[c] >> g & 1) == (row >> c & 1)
+                for g, row in enumerate(rows) for c in range(2 * n)
+            )
+            outcomes["commute"] += 1
+        else:
+            message = re.escape(f"generators {pair[0]} and {pair[1]} anticommute") + "$"
+            with pytest.raises(ValidationError, match=message):
+                StabilizerState(n, tuple(rows))
+            outcomes["anticommute"] += 1
+    assert min(outcomes.values()) >= 80, outcomes
+
+
 def test_state_validation_rejects_anticommuting():
     # X on qubit 0 and Z on qubit 0 anticommute
     with pytest.raises(ValidationError):
@@ -279,9 +353,58 @@ def test_region_map_validation():
 
 def test_multipartite_exact_guard():
     state = build_code(CodeLattice(4, 4, "torus"))
-    regions = tuple(frozenset({q}) for q in range(13))
+    regions = tuple(frozenset({q}) for q in range(19))
     with pytest.raises(TooManySubsystems):
         multipartite_information_exact(state, QubitRegionMap(32, regions))
+
+
+def _alternating_entropy_sum(entropy, region_map: QubitRegionMap) -> int:
+    """I^N by its definition: one entropy per nonempty union of regions."""
+    n = region_map.n_subsystems
+    total = 0
+    for mask in range(1, 1 << n):
+        s = entropy(region_map.union(i for i in range(n) if mask >> i & 1))
+        total += s if mask.bit_count() % 2 else -s
+    return total
+
+
+def _random_region_map(rng: random.Random, n_qubits: int, n: int) -> QubitRegionMap:
+    """n disjoint scattered regions; on some draws they cover every qubit."""
+    qubits = list(range(n_qubits))
+    rng.shuffle(qubits)
+    used = n_qubits if rng.random() < 0.3 else rng.randint(n, n_qubits)
+    cuts = sorted(rng.sample(range(1, used), n - 1))
+    bounds = [0, *cuts, used]
+    return QubitRegionMap(n_qubits, tuple(
+        frozenset(qubits[lo:hi]) for lo, hi in zip(bounds, bounds[1:])
+    ))
+
+
+@pytest.mark.parametrize("lattice", [
+    CodeLattice(2, 3, "torus"), CodeLattice(3, 3, "planar"),
+    CodeLattice(4, 4, "torus"), CodeLattice(5, 4, "planar"),
+], ids=_lattice_id)
+def test_exact_walk_matches_per_subset_entropies(lattice):
+    """The depth-first walk equals the alternating sum of entropy_bits, and of
+    the dense entropies where the state vector fits."""
+    state = build_code(lattice)
+    dense = state.n <= 12
+    rng = random.Random(f"walk-{_lattice_id(lattice)}")
+    values = set()
+    for n in range(1, 9):
+        for _ in range(2 if dense else 4):
+            region_map = _random_region_map(rng, state.n, n)
+            exact = multipartite_information_exact(state, region_map)
+            assert exact == _alternating_entropy_sum(
+                lambda qubits: entropy_bits(state, qubits), region_map
+            ), (n, region_map.regions)
+            if dense:
+                nats = _alternating_entropy_sum(
+                    lambda qubits: brute_force_entropy(state, qubits), region_map
+                )
+                assert abs(nats - exact * LN2) < 1e-8, (n, region_map.regions)
+            values.add(exact)
+    assert len(values) > 3  # the maps are not all alike
 
 
 def test_rasterize_dimension_check():

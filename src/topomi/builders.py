@@ -24,14 +24,14 @@ def _grid_from_cells(width: int, height: int, cells: dict, name: str) -> GridCss
     return GridCss(width, height, tuple(labels), name=name)
 
 
-def ring_cells(k: int, x0: int = 0, y0: int = 0) -> list[tuple[int, int]]:
-    """Perimeter cells of a k x k box, clockwise from (x0, y0)."""
+def ring_cells(k: int) -> list[tuple[int, int]]:
+    """Perimeter cells of a k x k box, clockwise from (0, 0)."""
     if k < 3:
         raise ValidationError("ring needs k >= 3")
-    cells = [(x0 + i, y0) for i in range(k)]
-    cells += [(x0 + k - 1, y0 + j) for j in range(1, k)]
-    cells += [(x0 + i, y0 + k - 1) for i in range(k - 2, -1, -1)]
-    cells += [(x0, y0 + j) for j in range(k - 2, 0, -1)]
+    cells = [(i, 0) for i in range(k)]
+    cells += [(k - 1, j) for j in range(1, k)]
+    cells += [(i, k - 1) for i in range(k - 2, -1, -1)]
+    cells += [(0, j) for j in range(k - 2, 0, -1)]
     return cells
 
 
@@ -63,18 +63,18 @@ def _arcs_on_ring(ring: list, sizes: Sequence[int]) -> dict:
     return cells
 
 
-def _ring_side(n: int, minimum: int = 3) -> int:
-    k = minimum
+def _ring_side(n: int) -> int:
+    k = 3
     while 4 * (k - 1) < 2 * n:
         k += 1
     return k
 
 
-def annulus(n: int, k: int | None = None, name: str = "") -> GridCss:
+def annulus(n: int, name: str = "") -> GridCss:
     """Plain ring of n arcs around a single hole."""
     if n < 3:
         raise ValidationError("an annulus needs at least 3 subsystems")
-    k = k or _ring_side(n)
+    k = _ring_side(n)
     ring = ring_cells(k)
     cells = _arcs_on_ring(ring, _split_sizes(len(ring), n))
     return _grid_from_cells(k, k, cells, name or f"annulus-n{n}")
@@ -113,9 +113,9 @@ def annulus_with_appendage(n: int, name: str = "") -> GridCss:
     return _grid_from_cells(k, k + 1, cells, name or f"appendage-n{n}")
 
 
-def _ring_with_top_row_arc(n: int, min_k: int = 3) -> tuple[int, dict]:
+def _ring_with_top_row_arc(n: int) -> tuple[int, dict]:
     """Ring whose arc 0 is exactly the whole top row."""
-    k = min_k
+    k = 3
     while 3 * k - 4 < 2 * (n - 1):  # ring minus top row vs remaining arcs
         k += 1
     ring = ring_cells(k)

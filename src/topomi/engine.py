@@ -43,7 +43,7 @@ from .grid import (
     adjacency_graph,
     boundary_component_count,
     find_holes,
-    loop_around_known_hole,
+    loop_around_hole,
     perimeter_links,
 )
 from .masks import UnionTopology, subset_signs, subset_sums
@@ -87,7 +87,7 @@ class CssAnalysis:
         loops: list[tuple[int, ...] | str] = []
         for hole in self.holes.holes:
             try:
-                loops.append(loop_around_known_hole(self.css, hole, self.graph))
+                loops.append(loop_around_hole(self.css, hole, self.graph))
             except NotACycle as exc:
                 loops.append(str(exc))
         return tuple(loops)
@@ -172,10 +172,7 @@ class InfoReport:
     n_subsystems: int
     c_n: int
     i_n: float  # selected units
-    s_topo: float
     dimension: float
-    alpha: float
-    log_base: str
     chi: int | None
     holes: tuple[HoleReport, ...]
     constraint_sum: float | None
@@ -233,10 +230,7 @@ def multipartite_information(model: EntropyModel, css: GridCss | CssAnalysis) ->
         n_subsystems=analysis.css.n_subsystems,
         c_n=c_n,
         i_n=i_n,
-        s_topo=model.s_topo,
         dimension=model.quantum_dimension,
-        alpha=model.alpha_value,
-        log_base=model.log_base,
         chi=chi,
         holes=tuple(hole_reports),
         constraint_sum=constraint_sum,

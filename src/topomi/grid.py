@@ -314,9 +314,9 @@ def perimeter_links(region: Iterable[Cell]) -> int:
 def union_region(css: GridCss, subset: Iterable[int] | int) -> Region:
     """Cells labeled by any id in ``subset`` (ids or a bitmask)."""
     if isinstance(subset, int):
+        if not 0 <= subset < 1 << css.n_subsystems:
+            raise ValidationError(f"mask {subset:#x} has bits outside 0..{css.n_subsystems - 1}")
         ids = {i for i in range(css.n_subsystems) if subset >> i & 1}
-        if subset and subset >= 1 << css.n_subsystems:
-            raise ValidationError(f"mask {subset:#x} has bits beyond subsystem range")
     else:
         ids = set(subset)
     if not ids:
@@ -431,33 +431,27 @@ def euler_characteristic(css: GridCss) -> int:
     return v - e + f
 
 
-def loop_around_hole(css: GridCss, hole: Iterable[Cell]) -> tuple[int, ...]:
+def loop_around_hole(css: GridCss, hole: Iterable[Cell], graph: SimpleGraph) -> tuple[int, ...]:
     """Subsystems around a hole, in clockwise first-touch order.
 
-    Walks the hole's boundary clockwise recording the adjacent subsystem of
-    each boundary edge, collapsing consecutive repeats.  The touching set
-    must induce a single cycle in the adjacency graph; a subsystem touching
-    the hole on two separated arcs, or a second structure inside the hole,
-    raises NotACycle.
+    ``hole`` must be one of ``find_holes(css).holes`` (else ValidationError)
+    and ``graph`` is ``adjacency_graph(css)``.  Walks the hole's boundary
+    clockwise recording the adjacent subsystem of each boundary edge,
+    collapsing consecutive repeats.  The touching set must induce a single
+    cycle in the adjacency graph; a subsystem touching the hole on two
+    separated arcs, or a second structure inside the hole, raises NotACycle.
     """
     hole = frozenset(hole)
-    if hole not in find_holes(css).holes:
+    touching = {css.label_at(*nb) for c in hole for nb in _neighbors4(c) if nb not in hole}
+    # a hole is an enclosed complement component of the footprint: OUTSIDE
+    # cells in exactly one 4-connected component, ringed by subsystem cells
+    # only (label_at is OUTSIDE off the grid, so no hole reaches off it)
+    if (OUTSIDE in touching or any(css.label_at(*c) != OUTSIDE for c in hole)
+            or connected_components(hole)[0] != 1):
         raise ValidationError("region is not a hole of this CSS")
-    return loop_around_known_hole(css, hole, adjacency_graph(css))
-
-
-def loop_around_known_hole(css: GridCss, hole: frozenset, graph: SimpleGraph) -> tuple[int, ...]:
-    """``loop_around_hole`` for a hole of ``find_holes(css)``, given the adjacency graph."""
-    walk = _boundary_walk_labels(css, hole)
-    touching = {
-        css.label_at(*nb)
-        for c in hole
-        for nb in _neighbors4(c)
-        if css.label_at(*nb) != OUTSIDE
-    }
 
     loop: list[int] = []
-    for lbl in walk:
+    for lbl in _boundary_walk_labels(css, hole):
         if not loop or loop[-1] != lbl:
             loop.append(lbl)
     if len(loop) > 1 and loop[0] == loop[-1]:
@@ -475,18 +469,14 @@ def loop_around_known_hole(css: GridCss, hole: frozenset, graph: SimpleGraph) ->
     if len(loop) < 3:
         raise NotACycle(f"only {len(loop)} subsystems around the hole")
 
-    # the touching set must induce exactly one cycle, and the walk must be it
-    sub_edges = {
-        (i, j) for i, j in graph.edges if i in touching and j in touching
-    }
-    if len(sub_edges) != len(loop):
+    # the touching set must induce exactly one cycle, and the walk is it: under
+    # the pinch rule, consecutive walk labels always share a wall
+    sub_edges = sum(1 for i, j in graph.edges if i in touching and j in touching)
+    if sub_edges != len(loop):
         raise NotACycle(
-            f"induced subgraph on {sorted(touching)} has {len(sub_edges)} edges, "
+            f"induced subgraph on {sorted(touching)} has {sub_edges} edges, "
             f"a single cycle needs {len(loop)}"
         )
-    for a, b in zip(loop, loop[1:] + loop[:1]):
-        if (min(a, b), max(a, b)) not in sub_edges:
-            raise NotACycle(f"walk neighbors {a},{b} are not adjacent")
     return tuple(loop)
 
 
@@ -517,5 +507,4 @@ def _boundary_walk_labels(css: GridCss, hole: frozenset) -> list[int]:
         cur = nxt
         if cur == start:
             break
-    assert all(lbl != OUTSIDE for lbl in labels), "hole touches the background"
     return labels

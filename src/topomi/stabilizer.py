@@ -336,14 +336,11 @@ def multipartite_information_exact(state: StabilizerState, region_map: QubitRegi
     return walk(0, 0, 0, 1)
 
 
-def region_entropy_source(state: StabilizerState, region_map: QubitRegionMap, scale: float = LN2):
-    """Entropy of a set of region ids, for the subadditivity combination.
-
-    Returns nats by default so values line up with a log-base-e model.
-    """
+def region_entropy_source(state: StabilizerState, region_map: QubitRegionMap):
+    """Entropy in nats of a set of region ids, for the subadditivity combination."""
 
     def source(ids: Iterable[int]) -> float:
-        return entropy_bits(state, region_map.union(ids)) * scale
+        return entropy_bits(state, region_map.union(ids)) * LN2
 
     return source
 

@@ -40,7 +40,7 @@ def test_six_hole_eighteen_structure():
         cells = css.subsystem_cells(i)
         assert connected_components(cells)[0] == 1
         assert boundary_component_count(cells) == 1
-    sizes = sorted(len(loop_around_hole(css, hole)) for hole in holes.holes)
+    sizes = sorted(len(loop_around_hole(css, hole, adjacency_graph(css))) for hole in holes.holes)
     assert sizes == [5, 5, 5, 5, 6, 6]
 
 
@@ -50,7 +50,7 @@ def test_two_hole_five_structure():
     assert adjacency_graph(css).edges == (
         (0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (3, 4),
     )
-    loops = sorted(sorted(loop_around_hole(css, h)) for h in find_holes(css).holes)
+    loops = sorted(sorted(loop_around_hole(css, h, adjacency_graph(css))) for h in find_holes(css).holes)
     assert loops == [[0, 1, 2], [0, 3, 4]]
 
 

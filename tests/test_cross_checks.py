@@ -5,6 +5,7 @@ import math
 import pytest
 
 from topomi.engine import (
+    CssAnalysis,
     connectivity_count,
     strong_subadditivity_combination,
 )
@@ -182,3 +183,22 @@ def test_oracle_matches_counting_on_gallery(name):
     lattice, big = scaled_on_torus(css)
     exact = multipartite_information_exact(build_code(lattice), rasterize_css(lattice, big))
     assert exact == -connectivity_count(css).c_n
+
+
+def test_oracle_matches_counting_at_junction_corners(junction_css):
+    """The fuzzed CSS whose every hole is ringed by a cycle, where three or
+    four subsystems meet at interior corners: oracle == -C^N on each, scaled
+    x2 and padded on the same 18x18 torus (648 qubits)."""
+    ringed = [
+        analysis for analysis in map(CssAnalysis, junction_css)
+        if analysis.holes.n_h and not any(isinstance(loop, str) for loop in analysis.hole_loops)
+    ]
+    lattice = scaled_on_torus(ringed[0].css)[0]
+    state = build_code(lattice)
+    nonzero = 0
+    for analysis in ringed:
+        big_lattice, big = scaled_on_torus(analysis.css)
+        assert big_lattice == lattice
+        assert multipartite_information_exact(state, rasterize_css(lattice, big)) == -analysis.c_n, analysis.css
+        nonzero += analysis.c_n != 0
+    assert (len(ringed), nonzero) == (115, 11)

@@ -24,6 +24,7 @@ from topomi.engine import (
     subloop_revival,
 )
 from topomi.errors import (
+    DisconnectedCss,
     NotACycle,
     NotAnnular,
     TooManySubsystems,
@@ -32,6 +33,7 @@ from topomi.errors import (
 from topomi.grid import (
     GridCss,
     boundary_component_count,
+    euler_characteristic,
     parse_ascii,
     restrict_css,
     union_region,
@@ -104,13 +106,17 @@ def test_alternating_binomial_identity():
         assert total == 0, n
 
 
-def _gallery_and_random_css():
+def _analytic_gallery_css():
     from topomi.scenarios import gallery_dir, load_scenario, scenario_css, suite_paths
 
     for path in suite_paths(gallery_dir()):
         scn = load_scenario(path)
         if scn.kind == "analytic":
             yield scenario_css(scn)
+
+
+def _gallery_and_random_css():
+    yield from _analytic_gallery_css()
     for n in range(3, 13):
         for seed in (1, 2):
             yield builders.random_css(random.Random(seed), n, 12, 12, growth=60)
@@ -185,6 +191,42 @@ def test_hole_loops_on_fuzzed_css():
             assert connectivity_count(restrict_css(css, loop)).c_n == want, (seed, loop)
             n_loops += 1
     assert n_loops >= 100
+
+
+def test_hole_loop_neighbours_are_adjacent(junction_css):
+    """Consecutive members of every hole loop, the last and first included,
+    share a wall: under the pinch rule the boundary walk never steps
+    between two subsystems that do not touch."""
+    n_holes = n_loops = 0
+    for css in junction_css:
+        analysis = CssAnalysis(css)
+        n_holes += analysis.holes.n_h
+        for loop in analysis.hole_loops:
+            if isinstance(loop, str):
+                continue
+            for a, b in zip(loop, loop[1:] + loop[:1]):
+                assert (min(a, b), max(a, b)) in analysis.graph.edges, (css, loop)
+            n_loops += 1
+    assert (n_holes, n_loops) == (189, 161)
+
+
+def _chi_or_disconnected(chi):
+    try:
+        return chi()
+    except DisconnectedCss:
+        return DisconnectedCss
+
+
+def test_chi_matches_euler_characteristic(junction_css):
+    """``CssAnalysis.chi`` against ``grid.euler_characteristic``, its
+    flood-fill reference: the same value, or DisconnectedCss from both."""
+    outcomes = []
+    for css in [*_analytic_gallery_css(), *junction_css]:
+        analysis = CssAnalysis(css)
+        got = _chi_or_disconnected(lambda: analysis.chi)
+        assert got == _chi_or_disconnected(lambda: euler_characteristic(css)), css
+        outcomes.append(got is DisconnectedCss)
+    assert (len(outcomes), sum(outcomes)) == (340, 38)
 
 
 def test_c_within_matches_flood_fill():

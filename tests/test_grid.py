@@ -172,8 +172,13 @@ def test_union_region():
     assert connected_components(opposite)[0] == 2
     with pytest.raises(EmptySubset):
         union_region(css, [])
+    with pytest.raises(EmptySubset):
+        union_region(css, 0)
     with pytest.raises(ValidationError):
         union_region(css, [9])
+    for mask in (-1, -16, 1 << 4):
+        with pytest.raises(ValidationError, match=r"has bits outside 0\.\.3"):
+            union_region(css, mask)
 
 
 def test_adjacency_graph_cycle_and_path():
@@ -211,7 +216,7 @@ def test_euler_characteristic():
 def test_loop_around_hole_annulus():
     css = builders.annulus(6)
     hole = find_holes(css).holes[0]
-    loop = loop_around_hole(css, hole)
+    loop = loop_around_hole(css, hole, adjacency_graph(css))
     assert sorted(loop) == list(range(6))
     # ids appear in ring order up to rotation
     start = loop.index(0)
@@ -221,7 +226,7 @@ def test_loop_around_hole_annulus():
 
 def test_loop_around_hole_two_hole_five():
     css = builders.two_hole_five()
-    loops = sorted(sorted(loop_around_hole(css, h)) for h in find_holes(css).holes)
+    loops = sorted(sorted(loop_around_hole(css, h, adjacency_graph(css))) for h in find_holes(css).holes)
     assert loops == [[0, 1, 2], [0, 3, 4]]
 
 
@@ -229,7 +234,7 @@ def test_loop_around_hole_rejects_two_arc_contact():
     css = builders.theta_pair()
     for hole in find_holes(css).holes:
         with pytest.raises(NotACycle):
-            loop_around_hole(css, hole)
+            loop_around_hole(css, hole, adjacency_graph(css))
 
 
 def test_loop_around_hole_rejects_self_handle_hole():
@@ -238,16 +243,50 @@ def test_loop_around_hole_rejects_self_handle_hole():
     errors = 0
     for hole in holes:
         try:
-            loop_around_hole(css, hole)
+            loop_around_hole(css, hole, adjacency_graph(css))
         except NotACycle:
             errors += 1
     assert errors == 1  # the handle hole touches one subsystem only
 
 
-def test_loop_around_hole_validates_argument():
+def test_loop_around_hole_validates_argument(junction_css):
+    """The check read from a region's own cells is membership in find_holes.
+
+    Each hole is accepted (a loop or NotACycle); a hole minus any one cell,
+    a hole plus an outer cell, the union of two holes, a subsystem cell and
+    an off-grid cell are each a ValidationError.
+    """
     css = builders.annulus(4)
     with pytest.raises(ValidationError):
-        loop_around_hole(css, frozenset({(0, 0)}))
+        loop_around_hole(css, frozenset({(0, 0)}), adjacency_graph(css))
+
+    counts = dict.fromkeys(("holes", "minus", "plus", "union", "subsystem", "off-grid"), 0)
+    for css in junction_css:
+        graph = adjacency_graph(css)
+        holes = find_holes(css).holes
+        in_holes = set().union(*holes)
+        cells = [(x, y) for y in range(css.height) for x in range(css.width)]
+        outer = [c for c in cells if css.label_at(*c) == OUTSIDE and c not in in_holes]
+        # a subsystem cell is the hardest case when its four neighbours are subsystem cells
+        inner = [(x, y) for x, y in cells if OUTSIDE not in {
+            css.label_at(x + dx, y + dy) for dx, dy in ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))}]
+        not_holes = [("subsystem", frozenset({c})) for c in inner]
+        not_holes += [("off-grid", frozenset({(-1, 0)})), ("off-grid", frozenset({(css.width, css.height - 1)}))]
+        for hole in holes:
+            try:
+                loop_around_hole(css, hole, graph)
+            except NotACycle:
+                pass
+            counts["holes"] += 1
+            not_holes += [("minus", hole - {c}) for c in hole]
+            not_holes += [("plus", hole | {c}) for c in outer[:1]]
+        not_holes += [("union", a | b) for a, b in zip(holes, holes[1:])]
+        for kind, region in not_holes:
+            with pytest.raises(ValidationError, match="not a hole"):
+                loop_around_hole(css, region, graph)
+            counts[kind] += 1
+    assert counts == {"holes": 189, "minus": 468, "plus": 146, "union": 47,
+                      "subsystem": 6096, "off-grid": 600}, counts
 
 
 def test_restrict_css():

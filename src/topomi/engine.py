@@ -314,8 +314,6 @@ class SubloopResult:
     loop_q: tuple[int, ...]
     info_p: float
     info_q: float
-    expected_p: float
-    expected_q: float
 
 
 def subloop_revival(model: EntropyModel, css: GridCss | CssAnalysis) -> SubloopResult:
@@ -345,8 +343,6 @@ def subloop_revival(model: EntropyModel, css: GridCss | CssAnalysis) -> SubloopR
         loop_q=loops[1],
         info_p=infos[0],
         info_q=infos[1],
-        expected_p=(-1) ** p * 2 * model.s_topo,
-        expected_q=(-1) ** q * 2 * model.s_topo,
     )
 
 
@@ -411,7 +407,6 @@ def recursion_check(model: EntropyModel, css: GridCss | CssAnalysis) -> Recursio
 class HoleConstraintResult:
     holes: tuple[HoleReport, ...]
     total: float
-    expected_total: float
     satisfied: bool
     full_info: float
     full_expected: float
@@ -449,7 +444,6 @@ def hole_constraint(model: EntropyModel, css: GridCss | CssAnalysis) -> HoleCons
     return HoleConstraintResult(
         holes=report.holes,
         total=total,
-        expected_total=expected_total,
         satisfied=abs(total - expected_total) < tol,
         full_info=report.i_n,
         full_expected=full_expected,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import (
     DisconnectedCss,
@@ -333,6 +333,14 @@ def union_region(css: GridCss, subset: Iterable[int] | int) -> Region:
 # ----------------------------------------------------------------------
 # CSS-level structures
 # ----------------------------------------------------------------------
+
+def set_bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of a non-negative int, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
 
 @dataclass(frozen=True)
 class SimpleGraph:

@@ -11,10 +11,20 @@ counts combinatorially:
   feature's user set: one weight histogram over user sets, summed over
   subsets once (:func:`subset_sums`) and read at every mask's complement;
 * the component count of a union equals the component count of the induced
-  subgraph on per-subsystem cell-components (:func:`component_counts`): one
-  numpy walk, in blocks of 2^16 subsets, strips one component per pass from
-  each subset's vertex mask (uint32, uint64 or Python int by vertex count),
-  grown through per-byte neighbour tables; split subsystems take no branch;
+  subgraph on per-subsystem cell-components (:func:`component_counts`).
+  For every induced subgraph, components = |V| - |E| + cycle rank, and
+  every cycle lies in the 2-core (what is left after repeatedly deleting
+  vertices of degree <= 1).  So a subset S counts +1 per vertex outside the
+  core whose subsystem is in S and -1 per edge with an endpoint outside the
+  core whose subsystems are in S (one weight histogram, summed over subsets
+  once), plus the components of the core's own induced subgraph.  Only the
+  core is walked: in blocks of 2^16 subsets, one numpy pass strips one
+  component from each subset's vertex mask (uint32, uint64 or Python int by
+  vertex count), grown through per-byte neighbour tables; split subsystems
+  take no branch.  Each histogram term depends on at most two subsystems,
+  so its alternating sum over the subsets of three or more subsystems is
+  0: the component part of C^N (N >= 3) comes from the core alone, and the
+  open chains and appendages outside it contribute nothing;
 * pinch-freeness (enforced by grid validation) makes the complex
   homotopy-faithful, so holes = components - chi and J = 2*components - chi.
 
@@ -30,7 +40,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import TooManySubsystems
-from .grid import OUTSIDE, GridCss, connected_components
+from .grid import OUTSIDE, GridCss, connected_components, set_bits
 
 #: hard cap on subset enumeration (2**24 masks)
 MAX_SUBSYSTEMS = 24
@@ -71,14 +81,71 @@ def _or_table(items: list[int], dtype) -> np.ndarray:
     return table
 
 
+def _two_core(adj: list[int]) -> int:
+    """Vertex mask of the 2-core: what is left after repeatedly deleting the
+    vertices of degree <= 1.  Every cycle of every induced subgraph lies in it."""
+    core = (1 << len(adj)) - 1
+    while True:
+        peel = sum(1 << v for v in set_bits(core) if (adj[v] & core).bit_count() <= 1)
+        if not peel:
+            return core
+        core ^= peel
+
+
 def component_counts(adj: list[int], groups: list[int]) -> np.ndarray:
     """Components of the subgraph induced by every subset of vertex groups.
 
     ``adj[v]`` is the neighbour bitmask of vertex v and ``groups[i]`` the
-    vertex bitmask of group i; entry ``mask`` (int32) counts the components
-    induced by the union of the groups in ``mask`` (entry 0 is 0).  Vertex
-    masks are uint32 up to 32 vertices, uint64 up to 64 and Python ints
-    beyond; the subsets run in blocks of the low ``BLOCK_BITS`` groups.
+    vertex bitmask of group i; the groups are disjoint and cover the
+    vertices.  Entry ``mask`` (int32) counts the components induced by the
+    union of the groups in ``mask`` (entry 0 is 0).
+
+    Components = |V| - |E| + cycle rank for every induced subgraph, and each
+    of its cycles lies in the 2-core.  The part outside the core is one
+    weight histogram over owner masks (+1 per vertex outside the core, -1 per
+    edge with an endpoint outside it), summed over subsets in the output
+    table itself; the cycle rank plus the core's own |V| - |E| is the
+    component count of the core, walked (:func:`_walk_components`) on the
+    groups that own core vertices and broadcast over the other axes.
+    """
+    n = len(groups)
+    core = _two_core(adj)
+    owner = [0] * len(adj)
+    for g, mask in enumerate(groups):
+        for v in set_bits(mask):
+            owner[v] = 1 << g
+    outside = [v for v in range(len(adj)) if not core >> v & 1]
+    out = np.zeros(1 << n, dtype=np.int32)
+    if outside:  # else every sum is 0
+        np.add.at(out, [owner[v] for v in outside], 1)
+        # each edge once: from its endpoint outside the core, or the higher one if both are
+        edges = [
+            owner[v] | owner[u] for v in outside for u in set_bits(adj[v]) if u < v or core >> u & 1
+        ]
+        np.add.at(out, edges, -1)
+        subset_sums(out)
+
+    core_vertices = list(set_bits(core))
+    position = {v: i for i, v in enumerate(core_vertices)}
+
+    def on_core(mask: int) -> int:
+        return sum(1 << position[v] for v in set_bits(mask & core))
+
+    core_groups = [g for g in range(n) if groups[g] & core]
+    table = _walk_components(
+        [on_core(adj[v]) for v in core_vertices], [on_core(groups[g]) for g in core_groups]
+    )
+    # the axes of the (2,)*n view run from the top bit down
+    shape = [2 if groups[g] & core else 1 for g in reversed(range(n))]
+    out.reshape((2,) * n)[...] += table.reshape(shape)
+    return out
+
+
+def _walk_components(adj: list[int], groups: list[int]) -> np.ndarray:
+    """:func:`component_counts` by walking every subset's vertex mask.
+
+    Vertex masks are uint32 up to 32 vertices, uint64 up to 64 and Python
+    ints beyond; the subsets run in blocks of the low ``BLOCK_BITS`` groups.
     """
     dtype = np.uint32 if len(adj) <= 32 else np.uint64 if len(adj) <= 64 else object
     low = _or_table(groups[:BLOCK_BITS], dtype)

@@ -34,7 +34,7 @@ from .errors import (
     ValidationError,
     WindingRegion,
 )
-from .grid import OUTSIDE, GridCss, json_int, parse_grid_json
+from .grid import OUTSIDE, GridCss, json_int, parse_grid_json, set_bits
 
 #: dense 2**n state vectors
 BRUTE_CAP = 12
@@ -154,7 +154,7 @@ class StabilizerState:
         n, cols = self.n, self.columns
         for a, row in enumerate(self.rows):
             products = 0
-            for c in _bits(row):
+            for c in set_bits(row):
                 products ^= cols[c + n if c < n else c - n]
             later = products >> (a + 1)
             if later:
@@ -169,17 +169,9 @@ class StabilizerState:
         """
         cols = [0] * (2 * self.n)
         for g, row in enumerate(self.rows):
-            for c in _bits(row):
+            for c in set_bits(row):
                 cols[c] |= 1 << g
         return tuple(cols)
-
-
-def _bits(value: int) -> Iterable[int]:
-    """Positions of the set bits of ``value``, lowest first."""
-    while value:
-        low = value & -value
-        yield low.bit_length() - 1
-        value ^= low
 
 
 def _echelon(rows: Iterable[int]) -> dict[int, int]:

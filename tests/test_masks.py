@@ -1,21 +1,32 @@
 """Per-mask topology tables against the flood-fill definitions."""
 
 import random
+import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from topomi import builders
 from topomi.errors import TooManySubsystems
 from topomi.grid import (
     GridCss,
+    SimpleGraph,
     adjacency_graph,
     boundary_component_count,
     connected_components,
     perimeter_links,
     union_region,
 )
-from topomi.masks import BLOCK_BITS, UnionTopology, subset_signs, subset_sums
+from topomi.masks import (
+    BLOCK_BITS,
+    UnionTopology,
+    _two_core,
+    component_counts,
+    subset_signs,
+    subset_sums,
+)
 
 
 def reference_tables(css):
@@ -110,21 +121,136 @@ def test_disconnected_subsystem_supported():
 @pytest.mark.parametrize("width", [150, 50])
 def test_comb_has_width_plus_one_pieces(width):
     topo = UnionTopology(comb(width))
-    assert topo._cell_component_graph[2] == width + 1
+    adj, _, n_cv = topo._cell_component_graph
+    assert n_cv == width + 1
+    # every piece lies in the 2-core, so the walk sees Python-int (150) and uint64 (50) vertex masks
+    assert _two_core(adj) == (1 << n_cv) - 1
     assert topo.component_table.tolist() == [0, width // 2, width // 2, 1, 1, 1, 1, 1]
 
 
-def test_twenty_subsystems_sampled_in_every_block():
-    css = builders.random_css(random.Random(4), 20, 16, 16, growth=200)
+def check_sampled_blocks(css, rng):
+    """Flood-fill components and J on three random masks and the last mask of every block."""
     topo = UnionTopology(css)
-    rng = random.Random(6)
     block = 1 << BLOCK_BITS
-    for start in range(0, 1 << 20, block):
+    for start in range(0, 1 << css.n_subsystems, block):
         masks = [start + rng.randrange(block) for _ in range(3)] + [start + block - 1]
         for mask in masks:
             region = union_region(css, mask)
             assert topo.component_table[mask].item() == connected_components(region)[0], mask
             assert topo.j_table[mask].item() == boundary_component_count(region), mask
+
+
+def test_twenty_subsystems_sampled_in_every_block():
+    check_sampled_blocks(builders.random_css(random.Random(4), 20, 16, 16, growth=200), random.Random(6))
+
+
+def test_six_hole_components_sampled_in_every_block():
+    css = builders.six_hole_eighteen()
+    adj, groups, _ = UnionTopology(css)._cell_component_graph
+    core = _two_core(adj)
+    # the subsystems owning core pieces span more than one block of the core walk
+    assert sum(1 for cvs in groups if cvs & core) > BLOCK_BITS
+    check_sampled_blocks(css, random.Random(7))
+
+
+@pytest.mark.parametrize("n", [20, 22])
+def test_component_counts_peak_memory(n):
+    css = builders.random_css(random.Random(4), n, 16, 16, growth=200)
+    adj, groups, _ = UnionTopology(css)._cell_component_graph
+    tracemalloc.start()
+    try:
+        component_counts(adj, groups)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the int32 table is 4 bytes per subset
+    assert peak <= 4.5 * (1 << n)
+
+
+def neighbor_masks(n, edges):
+    return SimpleGraph(n, tuple(edges)).neighbor_masks()
+
+
+def bfs_counts(adj, groups):
+    """Components of every subset of groups, by breadth-first search."""
+    counts = []
+    for mask in range(1 << len(groups)):
+        vertices = sum(vs for g, vs in enumerate(groups) if mask >> g & 1)
+        present = {v for v in range(len(adj)) if vertices >> v & 1}
+        seen, count = set(), 0
+        for start in present:
+            if start in seen:
+                continue
+            count += 1
+            seen.add(start)
+            queue = deque([start])
+            while queue:
+                v = queue.popleft()
+                for u in present - seen:
+                    if adj[v] >> u & 1:
+                        seen.add(u)
+                        queue.append(u)
+        counts.append(count)
+    return counts
+
+
+def singletons(n):
+    return [1 << v for v in range(n)]
+
+
+def _comb_graph(width):
+    adj, groups, _ = UnionTopology(comb(width))._cell_component_graph
+    return adj, groups
+
+
+CYCLE4 = [(0, 1), (1, 2), (2, 3), (3, 0)]
+TWO_TRIANGLES_AND_A_PATH = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 6), (6, 4)]
+
+# (adjacency, groups, the 2-core: "empty", "full" or "partial")
+SHAPES = {
+    "path": (neighbor_masks(6, [(i, i + 1) for i in range(5)]), singletons(6), "empty"),
+    "star": (neighbor_masks(6, [(0, i) for i in range(1, 6)]), singletons(6), "empty"),
+    "forest": (neighbor_masks(8, [(0, 1), (1, 2), (3, 4), (3, 5), (3, 6)]), singletons(8), "empty"),
+    "cycle": (neighbor_masks(6, [(i, (i + 1) % 6) for i in range(6)]), singletons(6), "full"),
+    "comb-50": (*_comb_graph(50), "full"),
+    # the joining path stays in the 2-core: its vertices have degree 2
+    "two-cycles-joined-by-a-path": (neighbor_masks(7, TWO_TRIANGLES_AND_A_PATH), singletons(7), "full"),
+    "two-cycles-joined-by-a-path-with-a-tail": (
+        neighbor_masks(9, TWO_TRIANGLES_AND_A_PATH + [(3, 7), (7, 8)]), singletons(9), "partial"),
+    "cycle-with-pendant-trees": (
+        neighbor_masks(8, CYCLE4 + [(0, 4), (2, 5), (5, 6), (5, 7)]), singletons(8), "partial"),
+    # group 1 holds vertex 1 on the cycle and vertex 4 hanging off vertex 0
+    "split-group-across-the-core": (
+        neighbor_masks(5, CYCLE4 + [(0, 4)]), [0b00001, 0b10010, 0b00100, 0b01000], "partial"),
+}
+
+
+@pytest.mark.parametrize("name", SHAPES)
+def test_component_counts_on_shapes(name):
+    adj, groups, kind = SHAPES[name]
+    core = _two_core(adj)
+    assert kind == ("empty" if core == 0 else "full" if core == (1 << len(adj)) - 1 else "partial")
+    assert component_counts(adj, groups).tolist() == bfs_counts(adj, groups)
+
+
+@st.composite
+def grouped_graphs(draw):
+    """A graph on at most 10 vertices, its vertices dealt into groups in random order."""
+    n = draw(st.integers(1, 10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    size = draw(st.integers(0, len(pairs)))  # from forests to dense cores
+    edges = draw(st.permutations(pairs))[:size]
+    owner = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    ids = draw(st.permutations(sorted(set(owner))))
+    groups = [sum(1 << v for v in range(n) if owner[v] == i) for i in ids]
+    return neighbor_masks(n, edges), groups
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(grouped_graphs())
+def test_component_counts_match_bfs(graph):
+    adj, groups = graph
+    assert component_counts(adj, groups).tolist() == bfs_counts(adj, groups)
 
 
 def test_six_hole_sampled_masks():

@@ -1,22 +1,17 @@
 """Topological multipartite information of planar subsystem collections."""
 
 from .engine import (
-    AnnularCheck,
     ConnectivityResult,
     CssAnalysis,
     CssFamily,
     EntanglementVector,
-    HoleConstraintResult,
     InfoReport,
     RecursionResult,
     SubloopResult,
-    annular_invariant_check,
     annular_order,
     connectivity_count,
     entanglement_vector,
     entropy_of_region,
-    hole_constraint,
-    irreducible_correlation_bound,
     model_entropy_source,
     multipartite_information,
     recursion_check,

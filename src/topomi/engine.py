@@ -92,13 +92,6 @@ class CssAnalysis:
                 loops.append(str(exc))
         return tuple(loops)
 
-    def cycle_loops(self) -> list[tuple[int, ...]]:
-        """The loop around every hole; NotACycle if some hole has none."""
-        for loop in self.hole_loops:
-            if isinstance(loop, str):
-                raise NotACycle(loop)
-        return list(self.hole_loops)
-
     @cached_property
     def topology(self) -> UnionTopology:
         return UnionTopology(self.css)
@@ -275,33 +268,6 @@ def annular_order(css: GridCss | CssAnalysis) -> tuple[int, ...]:
     return full_loops[0]
 
 
-@dataclass(frozen=True)
-class AnnularCheck:
-    value: float
-    expected: float
-    passed: bool
-    c_n: int
-
-
-def annular_invariant_check(model: EntropyModel, css: GridCss | CssAnalysis) -> AnnularCheck:
-    """Check I^N = (-1)^N * 2 log(D) on an annular CSS (chi = 2)."""
-    analysis = CssAnalysis.of(css)
-    annular_order(analysis)
-    c_n, i_n = _information_value(model, analysis)
-    expected = (-1) ** analysis.css.n_subsystems * 2 * model.s_topo
-    return AnnularCheck(i_n, expected, abs(i_n - expected) < 1e-9, c_n)
-
-
-def irreducible_correlation_bound(model: EntropyModel, css: GridCss | CssAnalysis) -> float:
-    """Upper bound chi * S_topo = 2 log(D) on the N-party irreducible correlation.
-
-    Only the bound is reported; the maximum-entropy state optimisation
-    behind the bounded quantity is out of scope.
-    """
-    annular_order(css)
-    return 2.0 * model.s_topo
-
-
 # ----------------------------------------------------------------------
 # sub-loop revival under a further-neighbour handle
 # ----------------------------------------------------------------------
@@ -328,7 +294,10 @@ def subloop_revival(model: EntropyModel, css: GridCss | CssAnalysis) -> SubloopR
         raise ValidationError(
             f"expected exactly 2 holes from a further-neighbour handle, found {n_h}"
         )
-    loops = sorted(analysis.cycle_loops(), key=len)
+    for loop in analysis.hole_loops:
+        if isinstance(loop, str):
+            raise NotACycle(loop)
+    loops = sorted(analysis.hole_loops, key=len)
     p, q = len(loops[0]), len(loops[1])
     n = analysis.css.n_subsystems
     if p + q - 2 != n:
@@ -397,60 +366,6 @@ def recursion_check(model: EntropyModel, css: GridCss | CssAnalysis) -> Recursio
     singles = sum(float(s[1 << i]) for i in range(n))
     tail = (-1) ** n * (singles - float(s[-1]))
     return RecursionResult(lhs, middle + tail)
-
-
-# ----------------------------------------------------------------------
-# multi-hole measurement constraint
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class HoleConstraintResult:
-    holes: tuple[HoleReport, ...]
-    total: float
-    satisfied: bool
-    full_info: float
-    full_expected: float
-    full_matches: bool
-    chi: int
-    n_h: int
-
-
-def hole_constraint(model: EntropyModel, css: GridCss | CssAnalysis) -> HoleConstraintResult:
-    """Sum of |I| around every hole against n_h * chi * S_topo.
-
-    Every hole must be ringed by a proper cycle.  The full-CSS I^N is also
-    computed; when every hole loop is a proper subset it must equal
-    (-1)^(N-1) (chi - 2) log(D), i.e. vanish on the plane, while a loop
-    covering all subsystems (the plain annulus) reduces the whole check to
-    the single-ring invariant.
-    """
-    analysis = CssAnalysis.of(css)
-    n_h = analysis.holes.n_h
-    if n_h == 0:
-        raise ValidationError("CSS has no holes to measure around")
-    analysis.cycle_loops()  # NotACycle unless every hole is ringed by a cycle
-    report = multipartite_information(model, analysis)
-
-    chi = analysis.chi
-    total = sum(abs(r.info) for r in report.holes)
-    expected_total = n_h * chi * model.s_topo
-
-    n = analysis.css.n_subsystems
-    if all(len(r.loop) < n for r in report.holes):
-        full_expected = (-1) ** (n - 1) * (chi - 2) * model.s_topo
-    else:
-        full_expected = (-1) ** n * 2 * model.s_topo
-    tol = 1e-9 * max(1.0, abs(expected_total))
-    return HoleConstraintResult(
-        holes=report.holes,
-        total=total,
-        satisfied=abs(total - expected_total) < tol,
-        full_info=report.i_n,
-        full_expected=full_expected,
-        full_matches=abs(report.i_n - full_expected) < 1e-9,
-        chi=chi,
-        n_h=n_h,
-    )
 
 
 # ----------------------------------------------------------------------

@@ -482,6 +482,8 @@ def parse_lattice_scenario(obj: Mapping) -> tuple[CodeLattice, QubitRegionMap]:
     css = parse_grid_json(obj["css"]) if "css" in obj else None
     if "regions" in obj:
         named = obj["regions"]
+        if not isinstance(named, Mapping):
+            raise ParseError(f"lattice 'regions' must be an object, got {named!r}")
         try:
             regions = tuple(
                 frozenset(json_int(q, f"a qubit of region {key!r}") for q in named[key])

@@ -17,7 +17,6 @@ from topomi.engine import (
     CssFamily,
     connectivity_count,
     entanglement_vector,
-    hole_constraint,
     model_entropy_source,
     multipartite_information,
     recursion_check,
@@ -107,11 +106,11 @@ def test_criterion_04_subloop_revival():
 
 
 @criterion(5, "hole constraint: sums 4 log D (two holes) and 12 log D (six holes)")
-def test_criterion_05_hole_constraint():
-    result = hole_constraint(D2, builders.two_hole_five())
-    assert [round(abs(h.info) / D2.s_topo) for h in result.holes] == [2, 2]
-    assert round(result.total / D2.s_topo) == 4
-    assert abs(result.full_info) < 1e-12
+def test_criterion_05_hole_sum():
+    report = multipartite_information(D2, builders.two_hole_five())
+    assert [round(abs(h.info) / D2.s_topo) for h in report.holes] == [2, 2]
+    assert round(report.constraint_sum / D2.s_topo) == 4
+    assert abs(report.i_n) < 1e-12
 
     css = builders.six_hole_eighteen()
     from topomi.grid import adjacency_graph, find_holes
@@ -119,9 +118,9 @@ def test_criterion_05_hole_constraint():
     assert css.n_subsystems == 18
     assert adjacency_graph(css).d_nn == 23
     assert find_holes(css).n_h == 6
-    result = hole_constraint(D2, css)
-    assert round(result.total / D2.s_topo) == 12
-    assert abs(result.full_info) < 1e-12
+    report = multipartite_information(D2, css)
+    assert round(report.constraint_sum / D2.s_topo) == 12
+    assert abs(report.i_n) < 1e-12
 
 
 @criterion(6, "graph invariants: rho(P_n) = (-1)^(n-1), rho(C_n) = 0, sigma = -rho")

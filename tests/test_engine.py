@@ -11,13 +11,10 @@ from topomi import builders
 from topomi.engine import (
     CssAnalysis,
     CssFamily,
-    annular_invariant_check,
     annular_order,
     connectivity_count,
     entanglement_vector,
     entropy_of_region,
-    hole_constraint,
-    irreducible_correlation_bound,
     model_entropy_source,
     multipartite_information,
     strong_subadditivity_combination,
@@ -31,6 +28,7 @@ from topomi.errors import (
     ValidationError,
 )
 from topomi.grid import (
+    OUTSIDE,
     GridCss,
     boundary_component_count,
     euler_characteristic,
@@ -309,7 +307,7 @@ def test_report_fields_and_json():
     assert payload["s_intersection"] == 0.0
     assert payload["chi"] == 2
     assert len(payload["holes"]) == 1
-    assert payload["holes"][0]["loop"] == sorted(payload["holes"][0]["loop"]) or True
+    assert payload["holes"][0]["loop"] == [0, 1, 2, 3]
     assert payload["constraint_sum"] == pytest.approx(2 * LN2)
 
 
@@ -319,18 +317,20 @@ def test_island_report_has_no_chi():
     assert report.c_n == 0
 
 
-def test_annular_invariant_check_base_and_deformed():
-    assert annular_invariant_check(D2, builders.annulus(8)).passed
-    assert annular_invariant_check(D2, builders.annulus_with_self_handle(5)).passed
-    assert annular_invariant_check(D2, builders.annulus_with_punched_hole(6)).passed
-    assert annular_invariant_check(D2, builders.annulus_with_nn_handle(4)).passed
+def test_annular_information_base_and_deformed():
+    for css in (builders.annulus(8), builders.annulus_with_self_handle(5),
+                builders.annulus_with_punched_hole(6), builders.annulus_with_nn_handle(4)):
+        n = css.n_subsystems
+        assert len(annular_order(css)) == n
+        report = multipartite_information(D2, css)
+        assert report.i_n == pytest.approx((-1) ** n * 2 * D2.s_topo, abs=1e-9)
 
 
 def test_annular_check_rejects_non_annular():
     for css in (builders.open_chain(4), builders.annulus_with_island(5),
                 builders.far_handle_annulus(5, 2)):
         with pytest.raises(NotAnnular):
-            annular_invariant_check(D2, css)
+            annular_order(css)
 
 
 def test_annular_order_is_ring_order():
@@ -370,50 +370,125 @@ def test_subloop_needs_two_holes():
 
 
 # ----------------------------------------------------------------------
-# hole constraint
+# the multi-hole constraint: sum of |I| around the holes = 2 n_h S_topo
 # ----------------------------------------------------------------------
 
-def test_hole_constraint_two_hole_five():
-    result = hole_constraint(D2, builders.two_hole_five())
-    assert result.n_h == 2
-    assert result.chi == 2
-    assert result.total == pytest.approx(4 * LN2)
-    assert result.satisfied
-    assert result.full_info == pytest.approx(0.0, abs=1e-12)
-    assert result.full_matches
+def test_hole_sum_two_hole_five():
+    report = multipartite_information(D2, builders.two_hole_five())
+    assert len(report.holes) == 2
+    assert report.chi == 2
+    assert report.constraint_sum == pytest.approx(4 * LN2)
+    assert report.i_n == pytest.approx(0.0, abs=1e-12)
 
 
-def test_hole_constraint_six_hole_eighteen():
-    result = hole_constraint(D2, builders.six_hole_eighteen())
-    assert result.n_h == 6
-    assert result.total == pytest.approx(12 * LN2)
-    assert result.satisfied
-    assert result.full_info == pytest.approx(0.0, abs=1e-12)
-    assert result.full_matches
-    assert sorted(abs(round(h.info / LN2)) for h in result.holes) == [2] * 6
+def test_hole_sum_six_hole_eighteen():
+    report = multipartite_information(D2, builders.six_hole_eighteen())
+    assert len(report.holes) == 6
+    assert report.chi == 2
+    assert report.constraint_sum == pytest.approx(12 * LN2)
+    assert report.i_n == pytest.approx(0.0, abs=1e-12)
+    assert sorted(abs(round(h.info / LN2)) for h in report.holes) == [2] * 6
 
 
-def test_hole_constraint_integer_form():
+def test_hole_sum_integer_form():
     # sum over holes of |C| equals 2 n_h
     for css in (builders.two_hole_five(), builders.six_hole_eighteen()):
-        result = hole_constraint(D2, css)
-        assert sum(abs(round(h.info / LN2)) for h in result.holes) == 2 * result.n_h
+        report = multipartite_information(D2, css)
+        assert sum(abs(round(h.info / LN2)) for h in report.holes) == 2 * len(report.holes)
 
 
-def test_hole_constraint_annulus_reduces_to_ring_invariant():
-    result = hole_constraint(D2, builders.annulus(5))
-    assert result.n_h == 1
-    assert result.total == pytest.approx(2 * LN2)
-    assert result.satisfied
-    assert result.full_expected == pytest.approx(-2 * LN2)
-    assert result.full_matches
+def test_hole_sum_annulus_is_the_ring_invariant():
+    report = multipartite_information(D2, builders.annulus(5))
+    assert len(report.holes) == 1
+    assert report.chi == 2
+    assert report.constraint_sum == pytest.approx(2 * LN2)
+    assert report.i_n == pytest.approx(-2 * LN2)
 
 
-def test_hole_constraint_requires_cycles():
-    with pytest.raises(NotACycle):
-        hole_constraint(D2, builders.annulus_with_self_handle(5))
-    with pytest.raises(ValidationError):
-        hole_constraint(D2, builders.open_chain(4))
+def test_hole_sum_requires_cycles():
+    report = multipartite_information(D2, builders.annulus_with_self_handle(5))
+    assert report.constraint_sum is None
+    assert [h.error is None for h in report.holes] == [False, True]
+    assert report.holes[0].loop is None and report.holes[0].info is None
+    report = multipartite_information(D2, builders.open_chain(4))
+    assert report.holes == ()
+    assert report.constraint_sum is None
+
+
+def test_ringed_holes_sum_to_two_per_hole(junction_css):
+    """On every CSS whose holes are all ringed by cycles, each loop has
+    |C| = 2, so the hole sum is 2 n_h S_topo: the plane's chi = 2 times n_h.
+    Disconnected footprints, where ``chi`` raises, are included."""
+    n_css = n_loops = n_disconnected = 0
+    for css in [*_analytic_gallery_css(), *junction_css]:
+        analysis = CssAnalysis(css)
+        n_h = analysis.holes.n_h
+        if not n_h or any(isinstance(loop, str) for loop in analysis.hole_loops):
+            continue
+        # |C| = 2 on every loop, hence sum |C| = 2 n_h
+        assert [abs(analysis.c_within(loop)) for loop in analysis.hole_loops] == [2] * n_h, css
+        report = multipartite_information(D2, analysis)
+        assert abs(report.constraint_sum - 2 * n_h * D2.s_topo) < 1e-9, css
+        n_css += 1
+        n_loops += n_h
+        n_disconnected += report.chi is None
+    assert (n_css, n_loops, n_disconnected) == (141, 192, 11)
+
+
+# ----------------------------------------------------------------------
+# invariance under grid transforms
+# ----------------------------------------------------------------------
+
+def _remap(css, width, height, source):
+    """The width x height CSS whose cell (x, y) carries ``source(x, y)``."""
+    labels = tuple(source(x, y) for y in range(height) for x in range(width))
+    return GridCss(width, height, labels)
+
+
+def _rotate(css, rng):
+    return _remap(css, css.height, css.width, lambda x, y: css.label_at(y, css.height - 1 - x))
+
+
+def _reflect(css, rng):
+    return _remap(css, css.width, css.height, lambda x, y: css.label_at(css.width - 1 - x, y))
+
+
+def _refine(css, rng):
+    return _remap(css, 2 * css.width, 2 * css.height, lambda x, y: css.label_at(x // 2, y // 2))
+
+
+def _pad(css, rng):
+    return _remap(css, css.width + 2, css.height + 2, lambda x, y: css.label_at(x - 1, y - 1))
+
+
+def _relabel(css, rng):
+    ids = list(range(css.n_subsystems))
+    rng.shuffle(ids)
+    return GridCss(css.width, css.height, tuple(v if v == OUTSIDE else ids[v] for v in css.labels))
+
+
+def _signature(css):
+    """C^N, n_h and the sorted (|C|, size) of each hole loop; (0, 0) for a
+    hole without one, since a loop has at least three subsystems."""
+    analysis = CssAnalysis(css)
+    loops = sorted(
+        (0, 0) if isinstance(loop, str) else (abs(analysis.c_within(loop)), len(loop))
+        for loop in analysis.hole_loops
+    )
+    return analysis.c_n, analysis.holes.n_h, loops
+
+
+@pytest.mark.parametrize(
+    "transform", [_rotate, _reflect, _refine, _pad, _relabel], ids=lambda f: f.__name__[1:]
+)
+def test_counts_invariant_under_grid_transforms(transform, junction_css):
+    rng = random.Random(5)
+    n_changed = 0
+    for css in junction_css:
+        moved = transform(css, rng)
+        n_changed += moved.labels != css.labels
+        assert _signature(moved) == _signature(css), css
+    assert n_changed > 0
 
 
 # ----------------------------------------------------------------------
@@ -443,7 +518,7 @@ def test_ssa_requires_annular():
 
 
 # ----------------------------------------------------------------------
-# entanglement vector and correlation bound
+# entanglement vector
 # ----------------------------------------------------------------------
 
 def test_entanglement_vector_topological():
@@ -467,12 +542,3 @@ def test_family_rejects_non_annular_member():
         CssFamily(tuple(members))
     with pytest.raises(ValidationError):
         CssFamily((builders.annulus(4),))
-
-
-def test_irreducible_correlation_bound():
-    assert irreducible_correlation_bound(D2, builders.annulus(5)) == pytest.approx(2 * LN2)
-    assert irreducible_correlation_bound(EntropyModel(1.0), builders.annulus(5)) == 0.0
-    root2 = EntropyModel(math.sqrt(2))
-    assert irreducible_correlation_bound(root2, builders.annulus(5)) == pytest.approx(LN2)
-    with pytest.raises(NotAnnular):
-        irreducible_correlation_bound(D2, builders.open_chain(4))

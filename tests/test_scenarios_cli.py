@@ -8,16 +8,18 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from topomi import engine, grid, masks, scenarios
 from topomi.cli import build_parser, main
-from topomi.errors import ParseError
+from topomi.errors import ParseError, TopomiError
 from topomi.grid import parse_grid_json
 from topomi.model import EntropyModel
 from topomi.scenarios import (
     Scenario,
     gallery_dir,
     load_scenario,
+    ScenarioResult,
     run_scenario,
     run_suite,
     suite_paths,
@@ -190,6 +192,10 @@ def _write_bad_input(kind: str, path) -> None:
         obj = json.loads((GALLERY / "annulus-n4.json").read_text())
         del obj["expected"]["per_hole"][0]["loop_size"]
         path.write_text(json.dumps(obj))
+    elif kind == "lattice-regions-list":
+        obj = json.loads((GALLERY / "stab-torus4-n3.json").read_text())
+        obj["lattice"]["regions"] = [5]
+        path.write_text(json.dumps(obj))
     elif kind == "lattice-region-xy":
         obj = json.loads((GALLERY / "stab-torus4-n3.json").read_text())
         obj["lattice"]["regions"]["A"] = ["xy"]
@@ -202,7 +208,7 @@ def _write_bad_input(kind: str, path) -> None:
 
 @pytest.mark.parametrize(
     "kind",
-    ["per-hole-without-loop-size", "lattice-region-xy", "not-utf8", "directory",
+    ["per-hole-without-loop-size", "lattice-region-xy", "lattice-regions-list", "not-utf8", "directory",
      *EXPECTED_NOT_OBJECT, *BAD_EXPECTED, *BAD_NUMBER,
      "lattice-without-lx", "lattice-too-large"],
 )
@@ -221,6 +227,122 @@ def test_bad_input_ends_as_topomi_error(kind, tmp_path, capsys):
     suite = run_suite(tmp_path)
     assert [r.passed for r in suite.results] == [True, False]
     assert error in suite.results[1].checks[0].detail
+
+
+_INTS = st.integers(-2, 12)
+#: JSON leaves and containers, small enough that any grid, graph or lattice they form runs fast
+_JSON = st.recursive(
+    st.none() | st.booleans() | _INTS | st.text("AB.#", max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text("AB", max_size=2), inner, max_size=3),
+    max_leaves=8,
+) | st.lists(_INTS, max_size=4)
+
+
+def _or_junk(valid):
+    """A well-typed value five times in six, else any JSON value."""
+    return st.sampled_from([valid] * 5 + [_JSON]).flatmap(lambda strategy: strategy)
+
+
+def _object(keys, optional=False):
+    """A JSON object with ``keys`` (or some of them), each holding a well-typed value or junk."""
+    values = {k: _or_junk(v) for k, v in keys.items()}
+    return st.fixed_dictionaries({}, optional=values) if optional else st.fixed_dictionaries(values)
+
+
+_ROWS = st.integers(1, 4).flatmap(
+    lambda w: st.lists(st.text("ABCD.", min_size=w, max_size=w), min_size=1, max_size=4)
+)
+_SIZES = st.tuples(st.integers(1, 4), st.integers(1, 4))
+_CSS = _object({"ascii": _ROWS}) | _SIZES.flatmap(lambda wh: _object({
+    "width": st.just(wh[0]), "height": st.just(wh[1]),
+    "labels": st.lists(st.integers(-1, 3), min_size=wh[0] * wh[1], max_size=wh[0] * wh[1]),
+}))
+_EDGE = st.lists(_INTS, min_size=2, max_size=2) | st.lists(_INTS, max_size=3)
+_GRAPH = _object({"v": _INTS, "edges": st.lists(_EDGE, max_size=6)})
+_LATTICE = st.sampled_from([
+    {"regions": st.dictionaries(st.text("ABC", max_size=1), st.lists(_INTS, max_size=6), max_size=4)
+     | st.lists(_INTS, max_size=3)},
+    {"css": _CSS},
+]).flatmap(lambda region_key: _object({
+    "Lx": _INTS, "Ly": _INTS, "boundary": st.sampled_from(["torus", "planar"]), **region_key,
+}))
+_LOOPS = st.lists(_object({k: _INTS for k in ("loop_size", "size", "i_over_log_d")}), max_size=3)
+#: the well-typed value of every expected key
+_EXPECTED_VALUES = {
+    **dict.fromkeys(scenarios._INT_KEYS, _INTS),
+    **dict.fromkeys(scenarios._LOOP_KEYS, _LOOPS),
+    "annular": st.booleans(), "matches_counting": st.booleans(),
+    "recursion_residual_below": st.none() | st.floats(-1, 1, allow_nan=False),
+}
+_PAYLOADS = {"analytic": ("css", _CSS), "graph": ("graph", _GRAPH), "stabilizer": ("lattice", _LATTICE)}
+
+
+@st.composite
+def _scenario_objects(draw):
+    """A scenario of one kind, with the payload key and expected keys of
+    that kind, each of which may be junk, missing or of another kind."""
+    kind = draw(st.sampled_from(sorted(_PAYLOADS)))
+    payload_key, payload = _PAYLOADS[kind]
+    own_keys = sorted(scenarios._EXPECTED_KEYS[kind])
+    pool = draw(st.sampled_from([own_keys] * 3 + [sorted(_EXPECTED_VALUES)]))
+    expected_keys = draw(st.lists(st.sampled_from(pool), max_size=3))
+    return draw(_object({
+        "kind": st.just(kind),
+        payload_key: payload,
+        "expected": st.fixed_dictionaries({k: _EXPECTED_VALUES[k] for k in expected_keys}),
+    }))
+
+
+#: the gallery scenarios small enough to run many times over
+_GALLERY_OBJECTS = [
+    json.loads(path.read_text()) for path in sorted(GALLERY.glob("*.json"))
+    if path.stem != "six-hole-eighteen"
+]
+
+
+@st.composite
+def _mutated_gallery(draw):
+    """A gallery scenario with some of its values, at any depth, dropped or
+    replaced by junk, at a rate drawn per example."""
+    rng = draw(st.randoms(use_true_random=False))
+    rate = rng.choice([0.0, 0.02, 0.1, 0.3])
+
+    def mutate(value):
+        if rng.random() < rate:
+            return draw(_JSON)
+        if isinstance(value, dict):
+            return {k: mutate(v) for k, v in value.items() if rng.random() >= rate}
+        if isinstance(value, list):
+            return [mutate(v) for v in value]
+        return value
+
+    return mutate(rng.choice(_GALLERY_OBJECTS))
+
+
+_SCENARIOS = _mutated_gallery() | _scenario_objects() | _object({
+    "kind": st.sampled_from(sorted(_PAYLOADS)), "css": _CSS, "graph": _GRAPH, "lattice": _LATTICE,
+    "v": _INTS, "edges": _JSON, "Lx": _INTS, "Ly": _INTS,
+    "expected": st.dictionaries(st.sampled_from(sorted(_EXPECTED_VALUES)), _JSON, max_size=3),
+}, optional=True)
+
+_ERROR_NAMES = tuple(f"{cls.__name__}: " for cls in TopomiError.__subclasses__())
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_SCENARIOS)
+def test_json_shaped_scenarios_end_in_a_result_or_a_topomi_error(obj):
+    """A scenario built from the real key vocabulary with junk values parses
+    or is a ParseError, and runs to a result whose failed evaluation names
+    the TopomiError that stopped it."""
+    try:
+        scn = Scenario.from_dict(obj)
+    except ParseError:
+        return
+    result = run_scenario(scn)
+    assert isinstance(result, ScenarioResult)
+    for check in result.checks:
+        if check.label == "evaluate" and not check.passed:
+            assert check.detail.startswith(_ERROR_NAMES), check.detail
 
 
 def test_unknown_expected_key_names_key_and_kind():

@@ -42,18 +42,12 @@ def _dump_json(obj) -> str:
 
 
 def _model_from_args(args) -> EntropyModel:
-    return EntropyModel(
-        quantum_dimension=args.dimension,
-        alpha=args.alpha,
-        log_base=args.log_base,
-    )
+    return EntropyModel(quantum_dimension=args.dimension, log_base=args.log_base)
 
 
 def _add_model_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--log-base", choices=("e", "2"), default="e",
                         help="units for reported entropies (default: e)")
-    parser.add_argument("--alpha", type=float, default=None,
-                        help="per-link coefficient (default: log D; cancels from invariants)")
     parser.add_argument("--dimension", type=float, default=2.0,
                         help="total quantum dimension D (default: 2)")
 
@@ -72,7 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("suite", help="run every scenario in a directory")
     p.add_argument("dir", type=Path, nargs="?", default=None,
                    help="scenario directory (default: the built-in gallery)")
-    _add_model_options(p)
 
     p = sub.add_parser("rho", help="induced-subgraph invariant of a graph file")
     p.add_argument("file", type=Path)
@@ -116,7 +109,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_suite(args) -> int:
     directory = args.dir if args.dir is not None else gallery_dir()
-    suite = run_suite(directory, _model_from_args(args))
+    suite = run_suite(directory)
     if args.json:
         sys.stdout.write(_dump_json(suite.to_json_dict()))
     else:

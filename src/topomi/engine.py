@@ -157,6 +157,7 @@ class HoleReport:
     loop: tuple[int, ...] | None
     info: float | None  # I around the hole, selected units
     error: str | None = None
+    c: int | None = None  # C around the hole: info = -c S_topo
 
 
 @dataclass(frozen=True)
@@ -207,11 +208,13 @@ def multipartite_information(model: EntropyModel, css: GridCss | CssAnalysis) ->
     except DisconnectedCss:
         chi = None
 
-    hole_reports = [  # I = -C S_topo around each hole; a loop has >= 3 subsystems
-        HoleReport(None, None, loop) if isinstance(loop, str)
-        else HoleReport(loop, -analysis.c_within(loop) * model.s_topo)
-        for loop in analysis.hole_loops
-    ]
+    hole_reports = []  # I = -C S_topo around each hole; a loop has >= 3 subsystems
+    for loop in analysis.hole_loops:
+        if isinstance(loop, str):
+            hole_reports.append(HoleReport(None, None, loop))
+        else:
+            c = analysis.c_within(loop)
+            hole_reports.append(HoleReport(loop, -c * model.s_topo, c=c))
 
     if hole_reports and all(h.error is None for h in hole_reports):
         constraint_sum: float | None = sum(abs(h.info) for h in hole_reports)
@@ -424,12 +427,16 @@ class CssFamily:
     def __post_init__(self):
         if not self.members:
             raise ValidationError("family is empty")
-        for k, css in enumerate(self.members):
-            if css.n_subsystems != k + 3:
-                raise ValidationError(
-                    f"family member {k} has {css.n_subsystems} subsystems, expected {k + 3}"
-                )
-            annular_order(css)  # raises NotAnnular on bad members
+        for k, analysis in enumerate(self.analyses):
+            n = analysis.css.n_subsystems
+            if n != k + 3:
+                raise ValidationError(f"family member {k} has {n} subsystems, expected {k + 3}")
+            annular_order(analysis)  # raises NotAnnular on bad members
+
+    @cached_property
+    def analyses(self) -> tuple[CssAnalysis, ...]:
+        """One analysis per member, shared by the annular check and the vector."""
+        return tuple(CssAnalysis(css) for css in self.members)
 
     @property
     def max_n(self) -> int:
@@ -451,7 +458,7 @@ def entanglement_vector(model: EntropyModel, family: CssFamily) -> EntanglementV
     unnormalised with the zero flag set.
     """
     mags = tuple(
-        abs(_information_value(model, CssAnalysis(css))[1]) for css in family.members
+        abs(_information_value(model, analysis)[1]) for analysis in family.analyses
     )
     total = sum(m * m for m in mags)
     if total == 0.0:

@@ -7,11 +7,10 @@ A region with n perimeter links and J disconnected boundaries is assigned
 where D is the total quantum dimension of the phase.  The per-link
 coefficient alpha is non-universal and cancels identically from every
 multipartite combination reported by the engine; it defaults to log(D),
-which reproduces the zero-correlation-length string-net value.  When
-per-sector dimensions d_k are supplied, alpha is instead derived as
--sum_k (d_k^2 / D) * log(d_k^2 / D).  (The weight d_k^2 / D is kept as
-given; the more common probability weight d_k^2 / D^2 changes alpha only,
-and alpha drops out of every reported invariant.)
+which reproduces the zero-correlation-length string-net value.  It is a
+library parameter, not a command-line option: it reaches the subset
+entropy table and what is built on it (the recursion check and the
+subadditivity combination), never C^N or a reported information value.
 
 Entropies are reported in the units of the selected log base (nats for
 ``e``, bits for ``2``).
@@ -34,7 +33,6 @@ class EntropyModel:
     quantum_dimension: float = 2.0
     alpha: float | None = None
     log_base: str = "e"
-    anyon_dims: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.log_base not in _BASE_SCALE:
@@ -43,19 +41,6 @@ class EntropyModel:
             raise ValidationError(
                 f"quantum dimension must be finite and >= 1, got {self.quantum_dimension}"
             )
-        if self.anyon_dims is not None:
-            if self.alpha is not None:
-                raise ValidationError("give either alpha or anyon_dims, not both")
-            dims = tuple(float(d) for d in self.anyon_dims)
-            if not dims or not all(0 < d < math.inf for d in dims):
-                raise ValidationError(f"anyon dimensions must be finite and positive, got {dims}")
-            total = sum(d * d for d in dims)
-            dsq = self.quantum_dimension**2
-            if abs(total - dsq) > 1e-9 * max(1.0, dsq):
-                raise ValidationError(
-                    f"sum of d_k^2 = {total} must equal D^2 = {dsq}"
-                )
-            object.__setattr__(self, "anyon_dims", dims)
         if self.alpha is not None and not 0 <= self.alpha < math.inf:
             raise ValidationError(f"alpha must be finite and >= 0, got {self.alpha}")
 
@@ -71,12 +56,7 @@ class EntropyModel:
     @property
     def alpha_value(self) -> float:
         """Effective per-link coefficient, in selected units."""
-        if self.anyon_dims is not None:
-            d = self.quantum_dimension
-            return -sum((dk * dk / d) * self.log(dk * dk / d) for dk in self.anyon_dims)
-        if self.alpha is not None:
-            return self.alpha
-        return self.s_topo
+        return self.s_topo if self.alpha is None else self.alpha
 
     def entropy(self, perimeter, boundaries):
         """alpha * n - J * log(D); elementwise on per-subset integer tables."""

@@ -2,7 +2,9 @@
 
 A scenario is a JSON object with a payload (grid CSS, simple graph, or code
 lattice plus regions) and an optional ``expected`` block in integer units
-(counts, multiples of log D or log 2), so comparisons are exact.  The
+(counts, multiples of log D or log 2).  Every check compares integers: a
+multiple of log D is checked as -C, the integer the engine holds (C^N, or
+the C around a loop), so a check means the same at every D >= 1.  The
 runner dispatches on payload kind, evaluates every expected key it finds
 and reports per-check pass/fail.
 """
@@ -176,30 +178,16 @@ def evaluate_scenario(
     return result, info
 
 
-def _match_int(checks: list, label: str, got: int, want: int) -> None:
-    checks.append(Check(label, got == want, f"got {got}, expected {want}"))
+def _match_int(checks: list, label: str, got: int, want: int, unit: str = "") -> None:
+    checks.append(Check(label, got == want, f"got {got}{unit}, expected {want}"))
 
 
-def _match_unit(checks: list, label: str, value: float, unit: float, want: int) -> None:
-    """Compare a value expected to be an integer multiple of a unit."""
-    if unit == 0.0:
-        checks.append(Check(label, abs(value) < 1e-9, f"got {value} with zero unit"))
-        return
-    ratio = value / unit
-    ok = abs(ratio - want) < 1e-9
-    checks.append(Check(label, ok, f"got {ratio:.12g} units, expected {want}"))
-
-
-def _match_loops(checks: list, label: str, loops, entries, size_key: str, s_topo: float) -> None:
-    """Compare (loop size, I) pairs with expected ``{size_key, "i_over_log_d"}`` entries."""
+def _match_loops(checks: list, label: str, loops, entries, size_key: str) -> None:
+    """Compare (loop size, -C) pairs with expected ``{size_key, "i_over_log_d"}`` entries."""
     want = sorted((e[size_key], e["i_over_log_d"]) for e in entries)
-    if s_topo > 0:
-        got = sorted((size, round(info / s_topo, 9)) for size, info in loops)
-        ok = got == [(s, float(u)) for s, u in want]
-    else:
-        got = sorted((size, 0.0) for size, _ in loops)
-        ok = [g[0] for g in got] == [w[0] for w in want]
-    checks.append(Check(label, ok, f"got {got}, expected {want}"))
+    got = sorted(loops)
+    shown = [(size, float(units)) for size, units in got]
+    checks.append(Check(label, got == want, f"got {shown}, expected {want}"))
 
 
 def _run_analytic(scn: Scenario, model: EntropyModel) -> tuple[list[Check], InfoReport]:
@@ -213,7 +201,7 @@ def _run_analytic(scn: Scenario, model: EntropyModel) -> tuple[list[Check], Info
     if "c_n" in expected:
         _match_int(checks, "c_n", report.c_n, expected["c_n"])
     if "i_over_log_d" in expected:
-        _match_unit(checks, "i_over_log_d", report.i_n, model.s_topo, expected["i_over_log_d"])
+        _match_int(checks, "i_over_log_d", -report.c_n, expected["i_over_log_d"], " units")
     if "d_nn" in expected:
         _match_int(checks, "d_nn", analysis.graph.d_nn, expected["d_nn"])
     if "n_h" in expected:
@@ -230,21 +218,18 @@ def _run_analytic(scn: Scenario, model: EntropyModel) -> tuple[list[Check], Info
             Check("annular", is_annular == expected["annular"], f"annular={is_annular}")
         )
     if "per_hole" in expected:
-        loops = [(len(h.loop), h.info) for h in report.holes if h.loop]
-        _match_loops(checks, "per_hole", loops, expected["per_hole"], "loop_size", model.s_topo)
+        loops = [(len(h.loop), -h.c) for h in report.holes if h.loop]
+        _match_loops(checks, "per_hole", loops, expected["per_hole"], "loop_size")
     if "constraint_over_log_d" in expected:
-        value = report.constraint_sum
-        if value is None:
+        if report.constraint_sum is None:
             checks.append(Check("constraint_over_log_d", False, "no valid hole loops"))
         else:
-            _match_unit(
-                checks, "constraint_over_log_d", value, model.s_topo,
-                expected["constraint_over_log_d"],
-            )
+            total, want = sum(abs(h.c) for h in report.holes), expected["constraint_over_log_d"]
+            _match_int(checks, "constraint_over_log_d", total, want, " units")
     if "subloops" in expected:
         sub = engine.subloop_revival(model, analysis)
-        loops = [(sub.p, sub.info_p), (sub.q, sub.info_q)]
-        _match_loops(checks, "subloops", loops, expected["subloops"], "size", model.s_topo)
+        loops = [(len(loop), -analysis.c_within(loop)) for loop in (sub.loop_p, sub.loop_q)]
+        _match_loops(checks, "subloops", loops, expected["subloops"], "size")
     if "sigma" in expected:
         _match_int(checks, "sigma", graphs.sigma_of_css(analysis), expected["sigma"])
     if expected.get("recursion_residual_below") is not None:

@@ -14,6 +14,7 @@ import time
 
 from topomi import builders
 from topomi.engine import (
+    CssAnalysis,
     CssFamily,
     connectivity_count,
     entanglement_vector,
@@ -22,6 +23,7 @@ from topomi.engine import (
     recursion_check,
     strong_subadditivity_combination,
     subloop_revival,
+    subset_information_table,
 )
 from topomi.graphs import cycle_graph, path_graph, rho, sigma_of_css
 from topomi.model import EntropyModel
@@ -162,13 +164,14 @@ def test_criterion_08_alpha_sweep():
         builders.far_handle_annulus(6, 3),
         builders.two_hole_five(),
     ]
+    # I^N summed from the alpha-weighted subset entropies, against -C^N log D
     for css in shapes:
-        values = []
+        analysis = CssAnalysis(css)
         for alpha in (0.0, 0.5, LN2, 3.7):
-            report = multipartite_information(EntropyModel(2.0, alpha=alpha), css)
-            values.append(report.i_n)
-        scale = max(1.0, max(abs(v) for v in values))
-        assert max(values) - min(values) <= 1e-9 * scale, css.name
+            model = EntropyModel(2.0, alpha=alpha)
+            value = float(subset_information_table(model, analysis)[-1])
+            want = -analysis.c_n * model.s_topo
+            assert abs(value - want) <= 1e-9 * max(1.0, abs(want)), (css.name, alpha)
 
 
 @criterion(9, "stabilizer cross-check: -2 log 2 on 4x4 torus, +2 log 2 on 5x5 planar")

@@ -19,6 +19,7 @@ from topomi.engine import (
     multipartite_information,
     strong_subadditivity_combination,
     subloop_revival,
+    subset_information_table,
 )
 from topomi.errors import (
     DisconnectedCss,
@@ -288,13 +289,12 @@ def test_information_values_match_counting():
 
 
 def test_alpha_sweep_leaves_information_unchanged():
-    css = builders.far_handle_annulus(6, 3)
-    reference = None
+    # the full-set entry sums alpha-weighted entropies; multipartite_information never reads alpha
+    analysis = CssAnalysis(builders.far_handle_annulus(6, 3))
     for alpha in (0.0, 0.5, LN2, 3.7):
-        report = multipartite_information(EntropyModel(2.0, alpha=alpha), css)
-        if reference is None:
-            reference = report.i_n
-        assert report.i_n == pytest.approx(reference, rel=1e-9, abs=1e-12)
+        model = EntropyModel(2.0, alpha=alpha)
+        value = subset_information_table(model, analysis)[-1]
+        assert value == pytest.approx(-analysis.c_n * model.s_topo, rel=1e-9, abs=1e-12)
 
 
 def test_report_fields_and_json():

@@ -1,10 +1,10 @@
 """Golden command-line outputs: a refactor must leave every report byte-identical.
 
 The files under ``tests/golden/`` are fixtures, like the gallery itself:
-the ``suite --json`` reports (default model and D = 3 in bits), every
-gallery file's ``analyze --json`` report, ``rho --json`` on the graph
-files and the SHA-256 of every analytic file's ``analyze --csv`` table
-(the 18-subsystem table alone is 3.8 MB).  Regenerate them only for an
+the gallery's ``suite --json`` report, every gallery file's ``analyze
+--json`` report, ``rho --json`` on the graph files and the SHA-256 of
+every analytic file's ``analyze --csv`` table (the 18-subsystem table
+alone is 3.8 MB).  Regenerate them only for an
 intended output change, and say so in the change log:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -52,9 +52,6 @@ def _cases() -> dict[str, Callable[[], str]]:
     """Fixture name under GOLDEN -> the call that produces its current output."""
     cases: dict[str, Callable[[], str]] = {
         "suite.json": lambda: _stdout("suite", "--json"),
-        "suite-d3-log2.json": lambda: _stdout(
-            "suite", "--json", "--dimension", "3", "--log-base", "2"
-        ),
         CSV_DIGESTS: _csv_digests,
     }
     for path in GALLERY_PATHS:
@@ -75,6 +72,12 @@ def test_cli_output_matches_golden(name):
 def test_golden_covers_every_gallery_file():
     fixtures = {p.name for p in (GOLDEN / "analyze").iterdir()}
     assert fixtures == {p.name for p in GALLERY_PATHS}
+
+
+def test_golden_holds_exactly_the_cases():
+    # a fixture whose case is gone would otherwise sit there unchecked
+    fixtures = {p.relative_to(GOLDEN).as_posix() for p in GOLDEN.rglob("*") if p.is_file()}
+    assert fixtures == set(CASES)
 
 
 if __name__ == "__main__":

@@ -38,8 +38,6 @@ def test_validation():
         EntropyModel(2.0, alpha=-1.0)
     with pytest.raises(ValidationError):
         EntropyModel(2.0, log_base="10")
-    with pytest.raises(ValidationError):
-        EntropyModel(2.0, alpha=1.0, anyon_dims=(1.0, 1.0, 1.0, 1.0))
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -47,21 +45,10 @@ def test_validation():
     {"quantum_dimension": math.nan},
     {"alpha": math.inf},
     {"alpha": math.nan},
-    {"anyon_dims": (math.nan, 1.0, 1.0, 1.0)},
-    {"anyon_dims": (math.nan,)},
-    {"anyon_dims": (math.inf, 1.0)},
 ])
 def test_rejects_non_finite_parameters(kwargs):
     with pytest.raises(ValidationError, match="finite"):
         EntropyModel(**kwargs)
-
-
-def test_anyon_dims_must_square_to_d_squared():
-    with pytest.raises(ValidationError):
-        EntropyModel(2.0, anyon_dims=(1.0, 1.0, 1.0))
-    m = EntropyModel(2.0, anyon_dims=(1.0, 1.0, 1.0, 1.0))
-    # -sum (d^2/D) log(d^2/D) = -4 * (1/2) log(1/2) = 2 log 2
-    assert m.alpha_value == pytest.approx(2 * math.log(2))
 
 
 def test_quantum_dimension_from_K():

@@ -3,6 +3,7 @@
 import argparse
 import importlib.util
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -79,11 +80,28 @@ def test_gallery_all_pass():
 
 
 def test_gallery_passes_for_other_dimensions():
-    # integer-unit expectations hold for any D > 1
-    import math
+    # integer-unit expectations hold for any D >= 1, in either unit
+    for model in [EntropyModel(1.0), EntropyModel(math.sqrt(2)), EntropyModel(3.0),
+                  EntropyModel(3.0, log_base="2")]:
+        assert run_suite(GALLERY, model).n_failed == 0, model
 
-    suite = run_suite(GALLERY, EntropyModel(math.sqrt(2)))
-    assert suite.n_failed == 0
+
+def test_wrong_multiples_of_log_d_fail_in_a_trivial_phase(tmp_path, capsys):
+    # at D = 1 every I is 0, so only the integer -C tells these expectations wrong
+    ring = json.loads((GALLERY / "annulus-n4.json").read_text())
+    ring["expected"].update(i_over_log_d=7, constraint_over_log_d=5)
+    ring["expected"]["per_hole"][0]["i_over_log_d"] = 99
+    handle = json.loads((GALLERY / "far-handle-n6-span3.json").read_text())
+    for entry in handle["expected"]["subloops"]:
+        entry["i_over_log_d"] = 42
+    for obj, labels in [(ring, ["i_over_log_d", "per_hole", "constraint_over_log_d"]),
+                        (handle, ["subloops"])]:
+        path = tmp_path / f"{obj['name']}.json"
+        path.write_text(json.dumps(obj))
+        result = run_scenario(load_scenario(path), EntropyModel(1.0))
+        assert [c.label for c in result.failures()] == labels
+        assert main(["analyze", str(path), "--dimension", "1"]) == 1
+    capsys.readouterr()
 
 
 def test_empty_suite(tmp_path):
@@ -436,10 +454,10 @@ def test_cli_options_belong_to_their_command():
         name: {opt for action in sub._actions for opt in action.option_strings} - {"-h", "--help"}
         for name, sub in commands.choices.items()
     }
-    model = {"--log-base", "--alpha", "--dimension"}
+    model = {"--log-base", "--dimension"}
     assert options == {
         "analyze": model | {"--json", "--csv"},
-        "suite": model | {"--json"},
+        "suite": {"--json"},
         "rho": {"--json"},
         "stabilizer": {"--json"},
         "vector": model | {"--json"},
@@ -546,6 +564,14 @@ def test_cli_vector(capsys):
     assert payload["is_zero"] is False
 
 
+def test_cli_vector_analyses_each_member_once(monkeypatch, capsys):
+    builds, floods = _count_analysis_work(monkeypatch)
+    assert main(["vector", str(GALLERY / "family"), "--json"]) == 0
+    # one flood (the annular check) and one set of tables (|I^p|) per member
+    assert [css.n_subsystems for css in floods] == [3, 4, 5, 6]
+    assert builds == floods
+
+
 def test_cli_vector_trivial_phase(capsys):
     assert main(["vector", str(GALLERY / "family"), "--dimension", "1", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -573,10 +599,28 @@ def test_cli_analyze_bare_ascii_grid(tmp_path, capsys):
     "option", [("--dimension", "inf"), ("--dimension", "nan"), ("--alpha", "nan"), ("--alpha", "inf")]
 )
 def test_cli_rejects_non_finite_model_parameters(option, capsys):
-    assert main(["analyze", str(GALLERY / "annulus-n3.json"), "--json", *option]) == 1
+    argv = ["analyze", str(GALLERY / "annulus-n3.json"), "--json", *option]
+    if option[0] == "--alpha":  # alpha is a library parameter: any value is a usage error
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 64
+        return
+    assert main(argv) == 1
     out = capsys.readouterr()
     assert out.out == ""
     assert "ValidationError" in out.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["suite", "--dimension", "3"],
+    ["analyze", str(GALLERY / "annulus-n3.json"), "--alpha", "1"],
+    ["vector", str(GALLERY / "family"), "--alpha", "1"],
+], ids=["suite-dimension", "analyze-alpha", "vector-alpha"])
+def test_cli_model_option_outside_its_command_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 64
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_usage_error_is_64():

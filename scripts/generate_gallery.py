@@ -51,7 +51,6 @@ def main() -> None:
                 "annular": True,
                 "per_hole": [{"loop_size": n, "i_over_log_d": (-1) ** n * 2}],
                 "constraint_over_log_d": 2,
-                "recursion_residual_below": 1e-9,
                 "sigma": 0,
             },
         })
@@ -71,7 +70,6 @@ def main() -> None:
                 "n_h": 0,
                 "d_nn": n - 1,
                 "annular": False,
-                "recursion_residual_below": 1e-9,
                 "sigma": (-1) ** n,  # -rho(P_n)
             },
         })
@@ -90,7 +88,6 @@ def main() -> None:
                 "d_nn": n - 1,
                 "annular": False,
                 "per_hole": [{"loop_size": n - 1, "i_over_log_d": (-1) ** (n - 1) * 2}],
-                "recursion_residual_below": 1e-9,
             },
         })
 
@@ -109,7 +106,6 @@ def main() -> None:
                 "chi": 2,
                 "annular": False,
                 "per_hole": [{"loop_size": n - 1, "i_over_log_d": (-1) ** (n - 1) * 2}],
-                "recursion_residual_below": 1e-9,
             },
         })
 
@@ -133,7 +129,6 @@ def main() -> None:
                     "i_over_log_d": (-1) ** n * 2,
                     "n_h": 2,
                     "annular": True,
-                    "recursion_residual_below": 1e-9,
                 },
             })
 
@@ -164,7 +159,6 @@ def main() -> None:
                     {"loop_size": q, "i_over_log_d": (-1) ** q * 2},
                 ],
                 "constraint_over_log_d": 4,
-                "recursion_residual_below": 1e-9,
             },
         })
 
@@ -191,7 +185,6 @@ def main() -> None:
                 "i_over_log_d": (-1) ** m * 2,
                 "n_h": 1,
                 "annular": True,
-                "recursion_residual_below": 1e-9,
             },
         })
 
@@ -215,7 +208,6 @@ def main() -> None:
                 {"loop_size": 3, "i_over_log_d": -2},
             ],
             "constraint_over_log_d": 4,
-            "recursion_residual_below": 1e-9,
         },
     })
 

@@ -37,7 +37,7 @@ from .grid import (
     restrict_css,
     union_region,
 )
-from .model import EntropyModel, quantum_dimension_from_K
+from .model import EntropyModel
 from .stabilizer import (
     CodeLattice,
     QubitRegionMap,

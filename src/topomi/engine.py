@@ -283,6 +283,8 @@ class SubloopResult:
     loop_q: tuple[int, ...]
     info_p: float
     info_q: float
+    c_p: int  # C around each loop: info_p = -c_p S_topo
+    c_q: int
 
 
 def subloop_revival(model: EntropyModel, css: GridCss | CssAnalysis) -> SubloopResult:
@@ -307,14 +309,16 @@ def subloop_revival(model: EntropyModel, css: GridCss | CssAnalysis) -> SubloopR
         raise ValidationError(
             f"loop sizes {p} + {q} - 2 != N = {n}; not a single-handle deformation"
         )
-    infos = [-analysis.c_within(loop) * model.s_topo for loop in loops]
+    c_p, c_q = (analysis.c_within(loop) for loop in loops)
     return SubloopResult(
         p=p,
         q=q,
         loop_p=loops[0],
         loop_q=loops[1],
-        info_p=infos[0],
-        info_q=infos[1],
+        info_p=-c_p * model.s_topo,
+        info_q=-c_q * model.s_topo,
+        c_p=c_p,
+        c_q=c_q,
     )
 
 
@@ -349,6 +353,10 @@ def recursion_check(model: EntropyModel, css: GridCss | CssAnalysis) -> Recursio
 
     I^N = sum_{mu=1..N-2} (-1)^(mu-1) sum_{|R|=N-mu} I_R
           + (-1)^N (sum_i S_i - S_union).
+
+    By inclusion-exclusion the expansion holds for any set function S, so
+    the residual measures only float rounding in ``subset_sums``.  No
+    scenario runs it; it stays a library check of the subset transform.
     """
     analysis = CssAnalysis.of(css)
     n = analysis.css.n_subsystems

@@ -47,10 +47,6 @@ class NotACycle(TopomiError):
     """Subsystems touching a hole do not induce a single cycle."""
 
 
-class SingularK(TopomiError):
-    """K matrix has zero determinant."""
-
-
 class LatticeTooSmall(TopomiError):
     """Code lattice dimensions below the supported minimum."""
 

@@ -20,10 +20,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Sequence
 
-from .errors import SingularK, ValidationError
+from .errors import ValidationError
 
 _BASE_SCALE = {"e": 1.0, "2": math.log(2.0)}
 
@@ -62,35 +60,3 @@ class EntropyModel:
         """alpha * n - J * log(D); elementwise on per-subset integer tables."""
         return self.alpha_value * perimeter - boundaries * self.s_topo
 
-
-def quantum_dimension_from_K(K: Sequence[Iterable[int]]) -> float:
-    """Total quantum dimension sqrt(|det K|) of an abelian Chern-Simons phase."""
-    rows = [list(r) for r in K]
-    size = len(rows)
-    if size == 0 or any(len(r) != size for r in rows):
-        raise ValidationError("K must be a non-empty square matrix")
-    det = _integer_determinant(rows)
-    if det == 0:
-        raise SingularK("det K = 0")
-    return math.sqrt(abs(det))
-
-
-def _integer_determinant(rows: list[list[int]]) -> Fraction:
-    """Exact determinant by fraction-free elimination."""
-    mat = [[Fraction(v) for v in r] for r in rows]
-    size = len(mat)
-    det = Fraction(1)
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if mat[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            mat[col], mat[pivot] = mat[pivot], mat[col]
-            det = -det
-        det *= mat[col][col]
-        inv = 1 / mat[col][col]
-        for r in range(col + 1, size):
-            factor = mat[r][col] * inv
-            if factor:
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[col])]
-    return det

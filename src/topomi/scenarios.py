@@ -19,7 +19,7 @@ from typing import Mapping
 
 from . import engine, graphs, stabilizer
 from .engine import CssAnalysis, InfoReport
-from .errors import NotAnnular, ParseError, TopomiError
+from .errors import NotAnnular, ParseError, TopomiError, ValidationError
 from .grid import GridCss, is_json_int, parse_grid_json, read_input
 from .model import EntropyModel
 
@@ -100,7 +100,7 @@ class Scenario:
 _EXPECTED_KEYS = {
     "analytic": frozenset({
         "n", "c_n", "i_over_log_d", "d_nn", "n_h", "chi", "annular", "per_hole",
-        "constraint_over_log_d", "subloops", "sigma", "recursion_residual_below",
+        "constraint_over_log_d", "subloops", "sigma",
     }),
     "graph": frozenset({"rho"}),
     "stabilizer": frozenset({"i_exact_over_log2", "matches_counting"}),
@@ -120,14 +120,12 @@ def _check_expected(key: str, value) -> None:
         ok, what = is_json_int(value), "an integer"
     elif key in ("annular", "matches_counting"):
         ok, what = isinstance(value, bool), "true or false"
-    elif key in _LOOP_KEYS:
+    else:  # a loop list
         fields = (_LOOP_KEYS[key], "i_over_log_d")
         ok = isinstance(value, list) and all(
             isinstance(e, Mapping) and all(is_json_int(e.get(f)) for f in fields) for e in value
         )
         what = f"a list of objects with integer {fields[0]!r} and 'i_over_log_d'"
-    else:  # recursion_residual_below
-        ok, what = value is None or type(value) in (int, float), "a number or null"
     if not ok:
         raise ParseError(f"expected {key!r} must be {what}, got {value!r}")
 
@@ -228,14 +226,10 @@ def _run_analytic(scn: Scenario, model: EntropyModel) -> tuple[list[Check], Info
             _match_int(checks, "constraint_over_log_d", total, want, " units")
     if "subloops" in expected:
         sub = engine.subloop_revival(model, analysis)
-        loops = [(len(loop), -analysis.c_within(loop)) for loop in (sub.loop_p, sub.loop_q)]
+        loops = [(sub.p, -sub.c_p), (sub.q, -sub.c_q)]
         _match_loops(checks, "subloops", loops, expected["subloops"], "size")
     if "sigma" in expected:
         _match_int(checks, "sigma", graphs.sigma_of_css(analysis), expected["sigma"])
-    if expected.get("recursion_residual_below") is not None:
-        res = engine.recursion_check(model, analysis)
-        ok = res.residual < expected["recursion_residual_below"]
-        checks.append(Check("recursion", ok, f"residual {res.residual:.3e}"))
     return checks, report
 
 
@@ -253,6 +247,8 @@ def _run_graph(scn: Scenario):
 def _run_stabilizer(scn: Scenario):
     payload = scn.payload.get("lattice", scn.payload)
     lattice, region_map = stabilizer.parse_lattice_scenario(payload)
+    if region_map.n_subsystems < 3:
+        raise ValidationError("N-partite information needs N >= 3")
     state = stabilizer.build_code(lattice)
     value = stabilizer.multipartite_information_exact(state, region_map)
     checks: list[Check] = []

@@ -1,11 +1,11 @@
-"""Entropy model and quantum dimension helpers."""
+"""Entropy model."""
 
 import math
 
 import pytest
 
-from topomi.errors import SingularK, ValidationError
-from topomi.model import EntropyModel, quantum_dimension_from_K
+from topomi.errors import ValidationError
+from topomi.model import EntropyModel
 
 
 def test_defaults_reproduce_string_net_form():
@@ -50,16 +50,3 @@ def test_rejects_non_finite_parameters(kwargs):
     with pytest.raises(ValidationError, match="finite"):
         EntropyModel(**kwargs)
 
-
-def test_quantum_dimension_from_K():
-    assert quantum_dimension_from_K([[2]]) == pytest.approx(math.sqrt(2))
-    assert quantum_dimension_from_K([[1]]) == pytest.approx(1.0)
-    assert quantum_dimension_from_K([[0, 1], [1, 0]]) == pytest.approx(1.0)
-    assert quantum_dimension_from_K([[3, 1], [1, 3]]) == pytest.approx(math.sqrt(8))
-
-
-def test_singular_K():
-    with pytest.raises(SingularK):
-        quantum_dimension_from_K([[1, 1], [1, 1]])
-    with pytest.raises(ValidationError):
-        quantum_dimension_from_K([[1, 2]])

@@ -135,8 +135,8 @@ BAD_EXPECTED = {
     "c-n-float": ("annulus-n4.json", lambda e: e.update(c_n=2.5)),
     "c-n-bool": ("annulus-n4.json", lambda e: e.update(c_n=True)),
     "annular-int": ("annulus-n4.json", lambda e: e.update(annular=1)),
-    "recursion-residual-string": (
-        "annulus-n4.json", lambda e: e.update(recursion_residual_below="x")
+    "recursion-residual-key": (
+        "annulus-n4.json", lambda e: e.update(recursion_residual_below=1e-9)
     ),
     "per-hole-size-string": (
         "annulus-n4.json", lambda e: e["per_hole"][0].update(loop_size="4")
@@ -172,8 +172,20 @@ EXPECTED_NOT_OBJECT = {
     "expected-empty-string": "",
 }
 
+#: stab-torus4-n3 with fewer than three of its regions, and the value the exact walk gives them
+FEW_REGIONS = {
+    "lattice-no-regions": ("", 0),
+    "lattice-one-region": ("A", 1),
+    "lattice-two-regions": ("AB", 1),
+}
+
 #: the error a bad input ends in, where it is not a bare ParseError
-ERROR_OF = {"lattice-too-large": "TooManyQubits"}
+ERROR_OF = {
+    "lattice-too-large": "TooManyQubits",
+    "recursion-residual-key":
+        "ParseError: analytic scenarios have no expected key 'recursion_residual_below'",
+}
+ERROR_OF.update(dict.fromkeys(FEW_REGIONS, "ValidationError: N-partite information needs N >= 3"))
 ERROR_OF.update(dict.fromkeys(EXPECTED_NOT_OBJECT, "ParseError: 'expected' must be an object"))
 
 
@@ -197,6 +209,13 @@ def _write_bad_input(kind: str, path) -> None:
     elif kind == "lattice-without-lx":
         obj = json.loads((GALLERY / "stab-torus4-n3.json").read_text())
         del obj["lattice"]["Lx"]
+        path.write_text(json.dumps(obj))
+    elif kind in FEW_REGIONS:
+        obj = json.loads((GALLERY / "stab-torus4-n3.json").read_text())
+        names, value = FEW_REGIONS[kind]
+        regions = obj["lattice"]["regions"]
+        obj["lattice"]["regions"] = {name: regions[name] for name in names}
+        obj["expected"]["i_exact_over_log2"] = value
         path.write_text(json.dumps(obj))
     elif kind == "lattice-too-large":
         obj = json.loads((GALLERY / "stab-torus4-n3.json").read_text())
@@ -228,7 +247,7 @@ def _write_bad_input(kind: str, path) -> None:
     "kind",
     ["per-hole-without-loop-size", "lattice-region-xy", "lattice-regions-list", "not-utf8", "directory",
      *EXPECTED_NOT_OBJECT, *BAD_EXPECTED, *BAD_NUMBER,
-     "lattice-without-lx", "lattice-too-large"],
+     "lattice-without-lx", "lattice-too-large", *FEW_REGIONS],
 )
 def test_bad_input_ends_as_topomi_error(kind, tmp_path, capsys):
     (tmp_path / "a-good.json").write_text((GALLERY / "annulus-n4.json").read_text())
@@ -378,6 +397,19 @@ def test_analyze_rejects_fewer_than_three_subsystems(tmp_path, capsys):
     assert "ValidationError: N-partite information needs N >= 3" in out
 
 
+def _count_calls(monkeypatch, owner, name: str) -> list:
+    """Record the arguments of every call of ``owner.name``."""
+    calls: list = []
+    function = getattr(owner, name)
+
+    def counting(*args):
+        calls.append(args)
+        return function(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
 def _count_analysis_work(monkeypatch) -> tuple[list, list]:
     """Record the CSS of every UnionTopology build and footprint flood (find_holes)."""
     builds: list = []
@@ -399,14 +431,30 @@ def _count_analysis_work(monkeypatch) -> tuple[list, list]:
     return builds, floods
 
 
-@pytest.mark.parametrize("name", ["annulus-n3", "far-handle-n6-span3", "six-hole-eighteen"])
+#: CssAnalysis.c_within calls of a scenario run: one for C^N, one per hole loop
+#: and one per loop of the sub-loop revival
+C_WITHIN_CALLS = {"annulus-n3": 2, "far-handle-n6-span3": 5, "six-hole-eighteen": 7}
+
+
+@pytest.mark.parametrize("name", sorted(C_WITHIN_CALLS))
 def test_run_scenario_analyses_each_css_once(name, monkeypatch):
     builds, floods = _count_analysis_work(monkeypatch)
+    c_within = _count_calls(monkeypatch, engine.CssAnalysis, "c_within")
     scn = load_scenario(GALLERY / f"{name}.json")
     assert run_scenario(scn).passed
     # one set of tables for the full CSS; every hole loop is read from them
     assert builds == [scenarios.scenario_css(scn)]
     assert floods == builds
+    assert len(c_within) == C_WITHIN_CALLS[name]
+
+
+def test_gallery_suite_builds_no_entropy_table(monkeypatch):
+    # every check compares integers: no float 2^N table is built
+    tables = _count_calls(monkeypatch, engine, "subset_entropy_table")
+    c_within = _count_calls(monkeypatch, engine.CssAnalysis, "c_within")
+    assert run_suite(GALLERY).n_failed == 0
+    assert tables == []
+    assert len(c_within) == 101
 
 
 @pytest.mark.parametrize("name", ["stab-torus8-n3-raster", "stab-planar9-n4-raster"])

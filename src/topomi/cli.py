@@ -8,7 +8,6 @@ only appear in the human-readable summary.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -16,7 +15,7 @@ from pathlib import Path
 from . import engine
 from .engine import CssFamily, entanglement_vector
 from .errors import TopomiError
-from .grid import load_grid
+from .graphs import parse_graph_json, rho
 from .model import EntropyModel
 from .scenarios import (
     evaluate_scenario,
@@ -24,6 +23,7 @@ from .scenarios import (
     load_scenario,
     run_scenario,
     run_suite,
+    scenario_css,
     suite_paths,
 )
 
@@ -125,9 +125,7 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_rho(args) -> int:
-    from .graphs import load_graph, rho
-
-    graph = load_graph(args.file)
+    graph = parse_graph_json(load_scenario(args.file, "graph").kind_payload)
     value = rho(graph)
     if args.json:
         sys.stdout.write(_dump_json({
@@ -142,8 +140,7 @@ def _cmd_rho(args) -> int:
 
 
 def _cmd_stabilizer(args) -> int:
-    scn = load_scenario(args.file)
-    result = run_scenario(dataclasses.replace(scn, kind="stabilizer"))
+    result = run_scenario(load_scenario(args.file, "stabilizer"))
     _print_result(result, args.json)
     return 0 if result.passed else 1
 
@@ -154,7 +151,7 @@ def _cmd_vector(args) -> int:
     if not paths:
         print(f"error: no grid files found in {args.dir}", file=sys.stderr)
         return 1
-    members = tuple(load_grid(p) for p in paths)
+    members = tuple(scenario_css(load_scenario(p, "analytic")) for p in paths)
     members = tuple(sorted(members, key=lambda css: css.n_subsystems))
     family = CssFamily(members)
     vec = entanglement_vector(model, family)

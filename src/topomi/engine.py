@@ -98,11 +98,12 @@ class CssAnalysis:
 
     @cached_property
     def chi(self) -> int:
-        """V - E + F, as ``grid.euler_characteristic`` computes it."""
+        """The plane's Euler characteristic, 2, as ``grid.euler_characteristic``
+        returns it; DisconnectedCss unless the footprint is connected."""
         n_comp = int(self.topology.component_table[-1])  # components of the footprint
         if n_comp != 1:
             raise DisconnectedCss(f"footprint has {n_comp} components")
-        return self.css.n_subsystems - self.graph.d_nn + self.holes.n_h + 1
+        return 2
 
     @cached_property
     def c_n(self) -> int:

@@ -52,7 +52,8 @@ class LatticeTooSmall(TopomiError):
 
 
 class WindingRegion(TopomiError):
-    """A region wraps around a periodic direction of the torus."""
+    """A torus grid meets every row or every column, so no planar cut holds
+    its footprint; every footprint that winds around the torus does."""
 
 
 class PreconditionViolated(TopomiError):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .engine import CssAnalysis
 from .errors import ParseError, PreconditionViolated, TooManyVertices, ValidationError
-from .grid import GridCss, SimpleGraph, json_int, read_input
+from .grid import GridCss, SimpleGraph, json_int
 from .masks import component_counts, subset_signs
 
 #: 2**v induced subgraphs are enumerated
@@ -108,10 +108,3 @@ def parse_graph_text(text: str) -> SimpleGraph:
     v = 1 + max(max(i, j) for i, j in edges)
     return SimpleGraph(v, tuple(edges))
 
-
-def load_graph(path) -> SimpleGraph:
-    """Load a graph from an edge-list text file or a JSON graph or scenario file."""
-    data = read_input(path)
-    if isinstance(data, str):
-        return parse_graph_text(data)
-    return parse_graph_json(data.get("graph", data))

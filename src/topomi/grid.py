@@ -221,14 +221,6 @@ def read_input(path) -> str | dict:
     return obj
 
 
-def load_grid(path) -> GridCss:
-    """Load a grid from an ASCII file or a JSON grid or scenario file."""
-    data = read_input(path)
-    if isinstance(data, str):
-        return parse_ascii(data, name=str(path))
-    return parse_grid_json(data.get("css", data), name=str(data.get("name", "")))
-
-
 # ----------------------------------------------------------------------
 # Region topology
 # ----------------------------------------------------------------------
@@ -423,20 +415,14 @@ def find_holes(css: GridCss) -> HoleSet:
 
 
 def euler_characteristic(css: GridCss) -> int:
-    """V - E + F of the embedded CSS.
-
-    V counts subsystems, E the adjacency-graph edges, F the holes plus the
-    outer face.  Requires an edge-connected footprint.  The value is
-    returned as computed; it equals 2 exactly when N - d_nn + n_h = 1.
-    """
+    """2, the plane's Euler characteristic: V - E + F of the adjacency map with
+    a face for every hole, junction corner and the outside, by Euler's formula,
+    and the chi of |I^N| = chi S_topo.  Requires an edge-connected footprint."""
     footprint = union_region(css, (1 << css.n_subsystems) - 1)
     n_comp, _ = connected_components(footprint)
     if n_comp != 1:
         raise DisconnectedCss(f"footprint has {n_comp} components")
-    v = css.n_subsystems
-    e = adjacency_graph(css).d_nn
-    f = find_holes(css).n_h + 1
-    return v - e + f
+    return 2
 
 
 def loop_around_hole(css: GridCss, hole: Iterable[Cell], graph: SimpleGraph) -> tuple[int, ...]:

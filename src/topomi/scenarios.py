@@ -15,7 +15,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from . import engine, graphs, stabilizer
 from .engine import CssAnalysis, InfoReport
@@ -55,6 +55,30 @@ class ScenarioResult:
         }
 
 
+class _Kind(NamedTuple):
+    wrap: str  # the key a wrapped payload sits under
+    marks: tuple[str, ...]  # top-level keys that mark the kind
+    bare: tuple[str, ...]  # the keys of a bare payload
+    expected: dict  # expected key -> int, bool, or the size field of a loop list
+
+
+#: every scenario kind, in the order inference tries their marks: analytic is the default
+_KINDS = {
+    "graph": _Kind("graph", ("graph", "v"), ("v", "edges"), {"rho": int}),
+    "stabilizer": _Kind(
+        "lattice", ("lattice", "Lx"), ("Lx", "Ly", "boundary", "regions", "css"),
+        {"i_exact_over_log2": int, "matches_counting": bool},
+    ),
+    "analytic": _Kind("css", (), ("ascii", "width", "height", "labels"), {
+        "n": int, "c_n": int, "i_over_log_d": int, "d_nn": int, "n_h": int, "chi": int,
+        "annular": bool, "per_hole": "loop_size", "constraint_over_log_d": int,
+        "subloops": "size", "sigma": int,
+    }),
+}
+#: the top-level keys of every kind
+_COMMON_KEYS = ("name", "kind", "case", "expected")
+
+
 @dataclass(frozen=True)
 class Scenario:
     name: str
@@ -62,7 +86,6 @@ class Scenario:
     payload: dict
     expected: dict
     case: str = ""
-    source_path: str = ""
 
     @staticmethod
     def from_dict(obj: Mapping, source_path: str = "") -> "Scenario":
@@ -71,76 +94,72 @@ class Scenario:
         name = str(obj.get("name") or Path(source_path).stem or "scenario")
         if "kind" in obj:
             kind = str(obj["kind"])
-        elif "graph" in obj or "v" in obj:
-            kind = "graph"
-        elif "lattice" in obj or "Lx" in obj:
-            kind = "stabilizer"
         else:
-            kind = "analytic"
-        if kind not in _EXPECTED_KEYS:
+            kind = next(k for k, spec in _KINDS.items()
+                        if not spec.marks or not obj.keys().isdisjoint(spec.marks))
+        if kind not in _KINDS:
             raise ParseError(f"unknown scenario kind {kind!r}")
+        spec = _KINDS[kind]
+        for key in obj:
+            if key not in (*_COMMON_KEYS, spec.wrap, *spec.bare):
+                raise ParseError(f"{kind} scenarios have no top-level key {key!r}")
         expected = obj.get("expected", {})
         if not isinstance(expected, Mapping):
             raise ParseError(f"'expected' must be an object, got {expected!r}")
         for key, value in expected.items():
-            if key not in _EXPECTED_KEYS[kind]:
+            if key not in spec.expected:
                 raise ParseError(f"{kind} scenarios have no expected key {key!r}")
-            _check_expected(key, value)
+            _check_expected(key, value, spec.expected[key])
         return Scenario(
             name=name,
             kind=kind,
             payload=dict(obj),
             expected=dict(expected),
             case=str(obj.get("case", "")),
-            source_path=source_path,
         )
 
-
-#: the expected keys each scenario kind checks
-_EXPECTED_KEYS = {
-    "analytic": frozenset({
-        "n", "c_n", "i_over_log_d", "d_nn", "n_h", "chi", "annular", "per_hole",
-        "constraint_over_log_d", "subloops", "sigma",
-    }),
-    "graph": frozenset({"rho"}),
-    "stabilizer": frozenset({"i_exact_over_log2", "matches_counting"}),
-}
-#: expected keys holding a count or an integer multiple of a unit
-_INT_KEYS = frozenset({
-    "n", "c_n", "i_over_log_d", "d_nn", "n_h", "chi", "constraint_over_log_d",
-    "sigma", "rho", "i_exact_over_log2",
-})
-#: expected loop lists -> the size field of their entries
-_LOOP_KEYS = {"per_hole": "loop_size", "subloops": "size"}
+    @property
+    def kind_payload(self):
+        """The kind's payload: the value under its key, else the scenario object itself."""
+        return self.payload.get(_KINDS[self.kind].wrap, self.payload)
 
 
-def _check_expected(key: str, value) -> None:
-    """ParseError naming ``key`` unless ``value`` has the JSON type the key needs."""
-    if key in _INT_KEYS:
+def _check_expected(key: str, value, want) -> None:
+    """ParseError naming ``key`` unless ``value`` has the JSON type ``want``:
+    int, bool, or the size field of a loop list."""
+    if want is int:
         ok, what = is_json_int(value), "an integer"
-    elif key in ("annular", "matches_counting"):
+    elif want is bool:
         ok, what = isinstance(value, bool), "true or false"
-    else:  # a loop list
-        fields = (_LOOP_KEYS[key], "i_over_log_d")
+    else:
+        fields = (want, "i_over_log_d")
         ok = isinstance(value, list) and all(
             isinstance(e, Mapping) and all(is_json_int(e.get(f)) for f in fields) for e in value
         )
-        what = f"a list of objects with integer {fields[0]!r} and 'i_over_log_d'"
+        what = f"a list of objects with integer {want!r} and 'i_over_log_d'"
     if not ok:
         raise ParseError(f"expected {key!r} must be {what}, got {value!r}")
 
 
-def load_scenario(path) -> Scenario:
+def load_scenario(path, kind: str | None = None) -> Scenario:
+    """The scenario in a ``.json`` file, or the payload in a text file: an edge
+    list when ``kind`` is "graph", else an ASCII grid.  ParseError unless the
+    scenario is of ``kind``, when one is given."""
     data = read_input(path)
     if isinstance(data, str):
-        # bare ASCII grid: analytic scenario with no expectations
-        data = {"name": Path(path).stem, "kind": "analytic",
-                "css": {"ascii": data.splitlines()}}
-    return Scenario.from_dict(data, source_path=str(path))
+        if kind == "graph":
+            graph = graphs.parse_graph_text(data)
+            data = {"kind": kind, "graph": {"v": graph.vertex_count, "edges": graph.edges}}
+        else:
+            data = {"kind": "analytic", "css": {"ascii": data.splitlines()}}
+    scn = Scenario.from_dict(data, source_path=str(path))
+    if kind is not None and scn.kind != kind:
+        raise ParseError(f"{path} is a {scn.kind!r} scenario where a {kind!r} one is needed")
+    return scn
 
 
 def scenario_css(scn: Scenario) -> GridCss:
-    return parse_grid_json(scn.payload.get("css", scn.payload), name=scn.name)
+    return parse_grid_json(scn.kind_payload, name=scn.name)
 
 
 # ----------------------------------------------------------------------
@@ -234,8 +253,7 @@ def _run_analytic(scn: Scenario, model: EntropyModel) -> tuple[list[Check], Info
 
 
 def _run_graph(scn: Scenario):
-    payload = scn.payload.get("graph", scn.payload)
-    graph = graphs.parse_graph_json(payload)
+    graph = graphs.parse_graph_json(scn.kind_payload)
     checks: list[Check] = []
     value = graphs.rho(graph)
     if "rho" in scn.expected:
@@ -245,8 +263,7 @@ def _run_graph(scn: Scenario):
 
 
 def _run_stabilizer(scn: Scenario):
-    payload = scn.payload.get("lattice", scn.payload)
-    lattice, region_map = stabilizer.parse_lattice_scenario(payload)
+    lattice, region_map = stabilizer.parse_lattice_scenario(scn.kind_payload)
     if region_map.n_subsystems < 3:
         raise ValidationError("N-partite information needs N >= 3")
     state = stabilizer.build_code(lattice)
@@ -254,14 +271,17 @@ def _run_stabilizer(scn: Scenario):
     checks: list[Check] = []
     if "i_exact_over_log2" in scn.expected:
         _match_int(checks, "i_exact_over_log2", value, scn.expected["i_exact_over_log2"])
-    if scn.expected.get("matches_counting"):
+    if "matches_counting" in scn.expected:
         if region_map.css is None:
             checks.append(Check("matches_counting", False, "no grid payload to count on"))
         else:
-            c_n = engine.connectivity_count(region_map.css).c_n
-            checks.append(
-                Check("matches_counting", value == -c_n, f"oracle {value}, counting {-c_n}")
-            )
+            # a torus grid is rasterized in its planar cut, which is what is counted here
+            counting = -engine.connectivity_count(region_map.css).c_n
+            checks.append(Check(
+                "matches_counting",
+                (value == counting) == scn.expected["matches_counting"],
+                f"oracle {value}, counting {counting}",
+            ))
     report = {
         "schema": "topo-mpi/1",
         "name": scn.name,

@@ -85,13 +85,11 @@ class CodeLattice:
     def n_qubits(self) -> int:
         return self.n_horizontal + self.lx * self.face_shape[1]
 
-    def _wrap(self, i: int, j: int, width: int, height: int) -> tuple[int, int]:
-        """(i, j) in a width x height grid of the lattice, wrapped on the torus."""
-        return (i % width, j % height) if self.periodic else (i, j)
-
     def _index(self, i: int, j: int, width: int, height: int, what: str) -> int:
-        """Row-major index of (i, j); nothing lies beyond the edge of the patch."""
-        i, j = self._wrap(i, j, width, height)
+        """Row-major index of (i, j) in a width x height grid of the lattice,
+        wrapped on the torus; nothing lies beyond the edge of the patch."""
+        if self.periodic:
+            i, j = i % width, j % height
         if not (0 <= i < width and 0 <= j < height):
             raise ValidationError(f"no {what} at ({i},{j})")
         return j * width + i
@@ -255,7 +253,7 @@ class QubitRegionMap:
 
     n_qubits: int
     regions: tuple[frozenset, ...]
-    css: GridCss | None = None  # the grid the regions realize, if one was given
+    css: GridCss | None = None  # the grid the regions were rasterized from, if any
 
     def __post_init__(self):
         seen: set[int] = set()
@@ -386,6 +384,29 @@ def brute_force_entropy(state: StabilizerState, qubits: Iterable[int]) -> float:
 # grid CSS -> qubit regions
 # ----------------------------------------------------------------------
 
+def torus_cut(css: GridCss) -> GridCss:
+    """A torus grid rolled so that its last row and last column are empty.
+
+    Cut along that row and column, the torus is a rectangle that holds the
+    whole footprint with the same walls between the same cells, so the
+    rolled grid is the torus grid's planar form: the grid to rasterize and
+    to count on.  ``css`` itself when its last row and column are empty
+    already.  WindingRegion when the footprint meets every row or every
+    column, as every footprint that winds around the torus does.
+    """
+    labels = np.array(css.labels).reshape(css.height, css.width)
+    empty_rows = np.flatnonzero((labels == OUTSIDE).all(axis=1))
+    empty_cols = np.flatnonzero((labels == OUTSIDE).all(axis=0))
+    if not (empty_rows.size and empty_cols.size):
+        what = "column" if empty_rows.size else "row"
+        raise WindingRegion(f"footprint meets every {what} of the {css.width}x{css.height} torus")
+    shift = (css.height - 1 - int(empty_rows[-1]), css.width - 1 - int(empty_cols[-1]))
+    if shift == (0, 0):
+        return css
+    rolled = np.roll(labels, shift, axis=(0, 1))
+    return GridCss(css.width, css.height, tuple(rolled.ravel().tolist()), name=css.name)
+
+
 def rasterize_css(lattice: CodeLattice, css: GridCss) -> QubitRegionMap:
     """Overlay a grid CSS onto the lattice faces and assign edge qubits.
 
@@ -393,21 +414,17 @@ def rasterize_css(lattice: CodeLattice, css: GridCss) -> QubitRegionMap:
     subsystem cell is owned: a wall between two subsystem cells goes to the
     north (horizontal walls) or west (vertical walls) cell's subsystem, any
     other bordering edge to its unique subsystem side, so every subsystem
-    cell owns at least its south edge.  On the torus the footprint must be
-    contractible.
+    cell owns at least its south edge.  On the torus the grid is replaced by
+    its planar cut (:func:`torus_cut`); the region map keeps the grid it
+    rasterized.
     """
     cols, rows = lattice.face_shape
     if (css.width, css.height) != (cols, rows):
         raise ValidationError(
             f"CSS is {css.width}x{css.height} but the lattice has {cols}x{rows} faces"
         )
-
-    def face_label(i: int, j: int) -> int:
-        return css.label_at(*lattice._wrap(i, j, cols, rows))
-
     if lattice.periodic:
-        _check_contractible(css)
-
+        css = torus_cut(css)  # so every face across the seam is OUTSIDE, as off the grid
     regions: list[set] = [set() for _ in range(css.n_subsystems)]
 
     def assign(qubit: int, primary: int, secondary: int) -> None:
@@ -419,46 +436,12 @@ def rasterize_css(lattice: CodeLattice, css: GridCss) -> QubitRegionMap:
     # horizontal edge (i,j)-(i+1,j): faces (i, j-1) north / (i, j) south
     for j in range(lattice.ly):
         for i in range(cols):
-            assign(lattice.h_edge(i, j), face_label(i, j - 1), face_label(i, j))
+            assign(lattice.h_edge(i, j), css.label_at(i, j - 1), css.label_at(i, j))
     # vertical edge (i,j)-(i,j+1): faces (i-1, j) west / (i, j) east
     for j in range(rows):
         for i in range(lattice.lx):
-            assign(lattice.v_edge(i, j), face_label(i - 1, j), face_label(i, j))
+            assign(lattice.v_edge(i, j), css.label_at(i - 1, j), css.label_at(i, j))
     return QubitRegionMap(lattice.n_qubits, tuple(frozenset(r) for r in regions), css)
-
-
-def _check_contractible(css: GridCss) -> None:
-    """Reject footprints that wind around the torus.
-
-    BFS with plane lifts: revisiting a cell at a different lift offset
-    means the component wraps a periodic direction.
-    """
-    w, h = css.width, css.height
-    cells = {
-        (k % w, k // w) for k, v in enumerate(css.labels) if v != OUTSIDE
-    }
-    lift: dict[tuple[int, int], tuple[int, int]] = {}
-    for seed in sorted(cells, key=lambda c: (c[1], c[0])):
-        if seed in lift:
-            continue
-        lift[seed] = seed
-        stack = [seed]
-        while stack:
-            cx, cy = stack.pop()
-            lx, ly = lift[(cx, cy)]
-            for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                nb = ((cx + dx) % w, (cy + dy) % h)
-                if nb not in cells:
-                    continue
-                want = (lx + dx, ly + dy)
-                have = lift.get(nb)
-                if have is None:
-                    lift[nb] = want
-                    stack.append(nb)
-                elif have != want:
-                    raise WindingRegion(
-                        f"footprint component through {seed} winds around the torus"
-                    )
 
 
 # ----------------------------------------------------------------------
@@ -469,8 +452,8 @@ def parse_lattice_scenario(obj: Mapping) -> tuple[CodeLattice, QubitRegionMap]:
     """Parse ``{"Lx", "Ly", "boundary", "regions": {name: [qubit, ...]}}``.
 
     Region names are sorted for deterministic subsystem order.  A "css"
-    grid payload may replace "regions", in which case it is rasterized; the
-    region map keeps the grid either way.
+    grid payload may replace "regions", in which case it is rasterized and
+    the region map keeps the grid; a lattice takes one of the two.
     """
     if not isinstance(obj, Mapping) or not {"Lx", "Ly"} <= obj.keys():
         raise ParseError("a lattice must be an object with integer 'Lx' and 'Ly'")
@@ -479,19 +462,20 @@ def parse_lattice_scenario(obj: Mapping) -> tuple[CodeLattice, QubitRegionMap]:
         json_int(obj["Ly"], "lattice 'Ly'"),
         str(obj.get("boundary", "torus")),
     )
-    css = parse_grid_json(obj["css"]) if "css" in obj else None
-    if "regions" in obj:
-        named = obj["regions"]
-        if not isinstance(named, Mapping):
-            raise ParseError(f"lattice 'regions' must be an object, got {named!r}")
-        try:
-            regions = tuple(
-                frozenset(json_int(q, f"a qubit of region {key!r}") for q in named[key])
-                for key in sorted(named)
-            )
-        except TypeError as exc:
-            raise ParseError(f"bad lattice regions: {exc}") from exc
-        return lattice, QubitRegionMap(lattice.n_qubits, regions, css)
-    if css is not None:
-        return lattice, rasterize_css(lattice, css)
-    raise ValidationError("lattice scenario needs 'regions' or 'css'")
+    if "regions" in obj and "css" in obj:
+        raise ParseError("a lattice takes 'regions' or 'css', not both")
+    if "css" in obj:
+        return lattice, rasterize_css(lattice, parse_grid_json(obj["css"]))
+    if "regions" not in obj:
+        raise ValidationError("lattice scenario needs 'regions' or 'css'")
+    named = obj["regions"]
+    if not isinstance(named, Mapping):
+        raise ParseError(f"lattice 'regions' must be an object, got {named!r}")
+    try:
+        regions = tuple(
+            frozenset(json_int(q, f"a qubit of region {key!r}") for q in named[key])
+            for key in sorted(named)
+        )
+    except TypeError as exc:
+        raise ParseError(f"bad lattice regions: {exc}") from exc
+    return lattice, QubitRegionMap(lattice.n_qubits, regions)

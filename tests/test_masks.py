@@ -1,14 +1,17 @@
 """Per-mask topology tables against the flood-fill definitions."""
 
+import functools
+import operator
 import random
 import tracemalloc
-from collections import deque
+from collections import Counter, deque
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from topomi import builders
+from topomi.engine import CssAnalysis
 from topomi.errors import TooManySubsystems
 from topomi.grid import (
     GridCss,
@@ -303,3 +306,107 @@ def test_alternating_euler_sum_is_full_set_weight():
     for css in fuzzed_cases():
         topo = UnionTopology(css)
         assert int(subset_signs(css.n_subsystems) @ topo.euler_table) == full_set_weight(css)
+
+
+# ----------------------------------------------------------------------
+# the connected-set identity: an independent oracle for the component table
+# ----------------------------------------------------------------------
+
+def connected_sets(adj):
+    """Every connected vertex set of the graph, as a bitmask, once each.
+
+    Each set is grown from its lowest vertex; a branch either takes the
+    lowest candidate next to the set or bans it for the rest of the branch.
+    """
+    out = []
+
+    def grow(s, candidates, banned):
+        out.append(s)
+        while candidates:
+            v = candidates & -candidates
+            candidates ^= v
+            grow(s | v, (candidates | adj[v.bit_length() - 1]) & ~(s | v | banned), banned)
+            banned |= v
+
+    for root in range(len(adj)):
+        below = (1 << root) - 1
+        grow(1 << root, adj[root] & ~below, below)
+    return out
+
+
+def _or_over(mask, values):
+    """The OR of ``values[v]`` over the set bits v of ``mask``."""
+    return functools.reduce(operator.or_, (x for v, x in enumerate(values) if mask >> v & 1), 0)
+
+
+def connected_set_terms(adj, groups):
+    """(g(T), g(N(T))) -> how many connected sets T have them, over the T
+    with g(T) and g(N(T)) disjoint; g maps vertices to their groups' bits."""
+    group_bit = [sum(1 << g for g, mask in enumerate(groups) if mask >> v & 1) for v in range(len(adj))]
+    terms = Counter()
+    for t in connected_sets(adj):
+        inside, near = _or_over(t, group_bit), _or_over(_or_over(t, adj) & ~t, group_bit)
+        if not inside & near:
+            terms[inside, near] += 1
+    return terms
+
+
+def connected_set_counts(n, terms):
+    """c(S) = sum over connected T of [g(T) in S][g(N(T)) disjoint from S], per
+    subset S of n groups: a component of S's subgraph is a connected set
+    inside S whose neighbours all lie outside it."""
+    masks = np.arange(1 << n)
+    out = np.zeros(1 << n, dtype=np.int64)
+    for (inside, near), count in terms.items():
+        out += count * (((masks & inside) == inside) & ((masks & near) == 0))
+    return out
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(grouped_graphs())
+def test_connected_set_sum_matches_component_counts_on_grouped_graphs(graph):
+    adj, groups = graph
+    counts = connected_set_counts(len(groups), connected_set_terms(adj, groups))
+    assert counts.tolist() == component_counts(adj, groups).tolist()
+
+
+def test_connected_set_sum_matches_tables_at_junctions(junction_css):
+    """On the junction CSS and the fuzzed ones with a split subsystem, the
+    connected-set c(S) is the component table, and with M the alternating
+    sum of C^N, C^N = 2 M(c) - M(chi_S) is ``CssAnalysis.c_n``."""
+    n_split = 0
+    for css in [*junction_css, *fuzzed_cases()[25:]]:
+        analysis = CssAnalysis(css)
+        topo = analysis.topology
+        adj, groups, _ = topo._cell_component_graph
+        counts = connected_set_counts(css.n_subsystems, connected_set_terms(adj, groups))
+        assert np.array_equal(counts, topo.component_table), css
+        signs = subset_signs(css.n_subsystems)
+        assert 2 * int(signs @ counts) - int(signs @ topo.euler_table) == analysis.c_n, css
+        n_split += len(adj) > css.n_subsystems
+    assert n_split == 20
+
+
+#: seed of the ``junction_css`` fixture -> C^N: every hole is ringed by a
+#: cycle, no hole loop holds all N subsystems, yet C^N != 0
+JUNCTION_SEEDS = {30: -2, 79: -2, 92: -2, 118: 2, 139: 2, 148: -2, 280: 2, 299: 2}
+
+
+@pytest.mark.parametrize("seed", sorted(JUNCTION_SEEDS))
+def test_junction_c_n_is_one_signed_connected_set_term(seed, junction_css):
+    """C^N = 2 (-1)^(N-1) sum_T (-1)^|g(N(T))| - M(chi_S) over the connected
+    sets with g(T) and g(N(T)) splitting the N subsystems between them: on
+    these CSS the sum is +-1, though no ring of all N subsystems exists."""
+    analysis = CssAnalysis(junction_css[seed])
+    n = analysis.css.n_subsystems
+    loops = analysis.hole_loops
+    assert loops and all(isinstance(loop, tuple) and len(loop) < n for loop in loops)
+    adj, groups, _ = analysis.topology._cell_component_graph
+    signed = sum(
+        count * (-1) ** near.bit_count()
+        for (inside, near), count in connected_set_terms(adj, groups).items()
+        if inside | near == (1 << n) - 1
+    )
+    m_chi = int(subset_signs(n) @ analysis.topology.euler_table)
+    assert abs(signed) == 1 and m_chi == 0
+    assert 2 * (-1) ** (n - 1) * signed - m_chi == analysis.c_n == JUNCTION_SEEDS[seed]

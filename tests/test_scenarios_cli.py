@@ -2,6 +2,7 @@
 
 import argparse
 import importlib.util
+import itertools
 import json
 import math
 import subprocess
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from topomi import engine, grid, masks, scenarios
+from topomi import builders, engine, grid, masks, scenarios
 from topomi.cli import build_parser, main
 from topomi.errors import ParseError, TopomiError
 from topomi.grid import parse_grid_json
@@ -184,6 +185,8 @@ ERROR_OF = {
     "lattice-too-large": "TooManyQubits",
     "recursion-residual-key":
         "ParseError: analytic scenarios have no expected key 'recursion_residual_below'",
+    "misspelt-expected": "ParseError: analytic scenarios have no top-level key 'expect'",
+    "lattice-regions-and-css": "ParseError: a lattice takes 'regions' or 'css', not both",
 }
 ERROR_OF.update(dict.fromkeys(FEW_REGIONS, "ValidationError: N-partite information needs N >= 3"))
 ERROR_OF.update(dict.fromkeys(EXPECTED_NOT_OBJECT, "ParseError: 'expected' must be an object"))
@@ -233,6 +236,15 @@ def _write_bad_input(kind: str, path) -> None:
         obj = json.loads((GALLERY / "stab-torus4-n3.json").read_text())
         obj["lattice"]["regions"] = [5]
         path.write_text(json.dumps(obj))
+    elif kind == "misspelt-expected":
+        obj = json.loads((GALLERY / "annulus-n4.json").read_text())
+        obj["expect"] = obj.pop("expected")
+        path.write_text(json.dumps(obj))
+    elif kind == "lattice-regions-and-css":
+        obj = json.loads((GALLERY / "stab-torus4-n3.json").read_text())
+        raster = json.loads((GALLERY / "stab-torus8-n3-raster.json").read_text())
+        obj["lattice"]["css"] = raster["lattice"]["css"]
+        path.write_text(json.dumps(obj))
     elif kind == "lattice-region-xy":
         obj = json.loads((GALLERY / "stab-torus4-n3.json").read_text())
         obj["lattice"]["regions"]["A"] = ["xy"]
@@ -245,7 +257,8 @@ def _write_bad_input(kind: str, path) -> None:
 
 @pytest.mark.parametrize(
     "kind",
-    ["per-hole-without-loop-size", "lattice-region-xy", "lattice-regions-list", "not-utf8", "directory",
+    ["per-hole-without-loop-size", "misspelt-expected", "lattice-regions-and-css",
+     "lattice-region-xy", "lattice-regions-list", "not-utf8", "directory",
      *EXPECTED_NOT_OBJECT, *BAD_EXPECTED, *BAD_NUMBER,
      "lattice-without-lx", "lattice-too-large", *FEW_REGIONS],
 )
@@ -306,9 +319,8 @@ _LATTICE = st.sampled_from([
 _LOOPS = st.lists(_object({k: _INTS for k in ("loop_size", "size", "i_over_log_d")}), max_size=3)
 #: the well-typed value of every expected key
 _EXPECTED_VALUES = {
-    **dict.fromkeys(scenarios._INT_KEYS, _INTS),
-    **dict.fromkeys(scenarios._LOOP_KEYS, _LOOPS),
-    "annular": st.booleans(), "matches_counting": st.booleans(),
+    **{key: {int: _INTS, bool: st.booleans()}.get(want, _LOOPS)
+       for spec in scenarios._KINDS.values() for key, want in spec.expected.items()},
     "recursion_residual_below": st.none() | st.floats(-1, 1, allow_nan=False),
 }
 _PAYLOADS = {"analytic": ("css", _CSS), "graph": ("graph", _GRAPH), "stabilizer": ("lattice", _LATTICE)}
@@ -320,7 +332,7 @@ def _scenario_objects(draw):
     that kind, each of which may be junk, missing or of another kind."""
     kind = draw(st.sampled_from(sorted(_PAYLOADS)))
     payload_key, payload = _PAYLOADS[kind]
-    own_keys = sorted(scenarios._EXPECTED_KEYS[kind])
+    own_keys = sorted(scenarios._KINDS[kind].expected)
     pool = draw(st.sampled_from([own_keys] * 3 + [sorted(_EXPECTED_VALUES)]))
     expected_keys = draw(st.lists(st.sampled_from(pool), max_size=3))
     return draw(_object({
@@ -510,6 +522,78 @@ def test_cli_options_belong_to_their_command():
         "stabilizer": {"--json"},
         "vector": model | {"--json"},
     }
+
+
+def _seam_ring() -> dict:
+    """annulus(4), each cell a 2x2 block, at row offset 2 and column offset 7
+    on a 10x10 torus: the ring crosses the torus seam between columns 9 and 0."""
+    base = builders.annulus(4)
+    rows = [["."] * 10 for _ in range(10)]
+    for k, label in enumerate(base.labels):
+        if label == grid.OUTSIDE:
+            continue
+        x, y = k % base.width, k // base.width
+        for dx, dy in itertools.product(range(2), repeat=2):
+            rows[(2 + 2 * y + dy) % 10][(7 + 2 * x + dx) % 10] = "ABCD"[label]
+    return {
+        "name": "seam-ring", "kind": "stabilizer",
+        "lattice": {"Lx": 10, "Ly": 10, "boundary": "torus",
+                    "css": {"ascii": ["".join(row) for row in rows]}},
+        "expected": {"i_exact_over_log2": 2, "matches_counting": True},
+    }
+
+
+def test_torus_ring_across_the_seam_matches_counting(tmp_path, capsys):
+    # A and C are cut in two by the seam; the planar cut of the torus counts the ring
+    obj = _seam_ring()
+    assert [row[-1] + row[0] for row in obj["lattice"]["css"]["ascii"][2:8]] == [
+        "AA", "AA", "..", "..", "CC", "CC"
+    ]
+    path = tmp_path / "seam-ring.json"
+    path.write_text(json.dumps(obj))
+    assert main(["stabilizer", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "ok  matches_counting: oracle 2, counting 2" in out
+
+
+def test_matches_counting_false_asserts_a_mismatch(tmp_path, capsys):
+    obj = json.loads((GALLERY / "stab-torus8-n3-raster.json").read_text())
+    obj["expected"]["matches_counting"] = False
+    result = run_scenario(Scenario.from_dict(obj))
+    assert [(c.label, c.detail) for c in result.failures()] == [
+        ("matches_counting", "oracle -2, counting -2")
+    ]
+    path = tmp_path / "raster.json"
+    path.write_text(json.dumps(obj))
+    assert main(["stabilizer", str(path)]) == 1
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command, name, own, wanted", [
+    ("rho", "annulus-n4.json", "analytic", "graph"),
+    ("stabilizer", "graph-cycle-n5.json", "graph", "stabilizer"),
+    ("vector", "graph-cycle-n5.json", "graph", "analytic"),
+])
+def test_cli_reads_only_the_kind_of_its_command(command, name, own, wanted, tmp_path, capsys):
+    path = GALLERY / name
+    if command == "vector":  # a family directory holding one graph file
+        (tmp_path / name).write_text(path.read_text())
+        path = tmp_path / name
+    assert main([command, str(path.parent if command == "vector" else path)]) == 1
+    err = capsys.readouterr().err
+    assert f"ParseError: {path} is a '{own}' scenario where a '{wanted}' one is needed" in err
+
+
+def test_load_scenario_reads_an_edge_list_as_a_graph(tmp_path):
+    path = tmp_path / "path.txt"
+    path.write_text("# a path\n0 1\n1 2\n")
+    scn = load_scenario(path, "graph")
+    assert (scn.name, scn.kind, scn.kind_payload) == (
+        "path", "graph", {"v": 3, "edges": ((0, 1), (1, 2))}
+    )
+    assert load_scenario(path).kind == "analytic"  # without a kind, a text file is a grid
+    with pytest.raises(ParseError, match="is a 'analytic' scenario where a 'stabilizer' one"):
+        load_scenario(path, "stabilizer")
 
 
 def test_scenario_kind_inference():

@@ -8,6 +8,7 @@ import re
 import pytest
 
 from topomi.builders import random_css
+from topomi.engine import connectivity_count
 from topomi.errors import (
     EmptyRegion,
     LatticeTooSmall,
@@ -29,6 +30,7 @@ from topomi.stabilizer import (
     multipartite_information_exact,
     parse_lattice_scenario,
     rasterize_css,
+    torus_cut,
 )
 
 LN2 = math.log(2)
@@ -422,6 +424,45 @@ def test_rasterize_rejects_winding():
     css = GridCss(4, 4, tuple(labels))
     with pytest.raises(WindingRegion):
         rasterize_css(lattice, css)
+
+
+def test_torus_cut_rejects_a_footprint_meeting_every_row():
+    # no cell meets another across the seam, but no row is left to cut along
+    lattice = CodeLattice(4, 4, "torus")
+    css = parse_ascii("A...\nAA..\n.A..\n.A..")
+    with pytest.raises(WindingRegion, match="footprint meets every row of the 4x4 torus"):
+        rasterize_css(lattice, css)
+    # rolled so that the empty row 0 and column 1 come last: A is whole again
+    assert torus_cut(parse_ascii("....\n..AA\n...A\nA..A")) == parse_ascii("AA..\n.A..\n.AA.\n....")
+
+
+def _on_torus(css: GridCss, dx: int, dy: int, side: int = 9) -> GridCss:
+    """``css`` placed at offset (dx, dy) on a side x side torus grid, wrapping."""
+    labels = [OUTSIDE] * side * side
+    for k, label in enumerate(css.labels):
+        labels[(k // css.width + dy) % side * side + (k % css.width + dx) % side] = label
+    return GridCss(side, side, tuple(labels))
+
+
+def test_torus_cut_counts_every_placement_alike():
+    """A CSS placed anywhere on the torus, across the seam or not, has a planar
+    cut with empty last row and column and the CSS's own C^N; the region map
+    keeps the cut it rasterized."""
+    lattice = CodeLattice(9, 9, "torus")
+    n_rolled = 0
+    for seed in range(30):
+        rng = random.Random(seed)
+        css = random_css(rng, rng.randint(3, 8), 7, 6, growth=rng.choice([20, 60, 150]))
+        placed = _on_torus(css, rng.randrange(9), rng.randrange(9))
+        cut = torus_cut(placed)
+        last_row_and_column = {cut.label_at(8, k) for k in range(9)} | {cut.label_at(k, 8) for k in range(9)}
+        assert last_row_and_column == {OUTSIDE}
+        assert connectivity_count(cut).c_n == connectivity_count(css).c_n
+        assert rasterize_css(lattice, placed).css == cut
+        n_rolled += cut is not placed
+    corner = _on_torus(css, 0, 0)
+    assert torus_cut(corner) is corner
+    assert n_rolled == 25
 
 
 def test_rasterize_ownership_is_a_partition():

@@ -15,7 +15,6 @@ from pathlib import Path
 from . import engine
 from .engine import CssFamily, entanglement_vector
 from .errors import TopomiError
-from .graphs import parse_graph_json, rho
 from .model import EntropyModel
 from .scenarios import (
     evaluate_scenario,
@@ -125,17 +124,15 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_rho(args) -> int:
-    graph = parse_graph_json(load_scenario(args.file, "graph").kind_payload)
-    value = rho(graph)
+    result = run_scenario(load_scenario(args.file, "graph"))
+    if not result.passed:
+        _print_result(result, args.json)
+        return 1
+    report = result.report
     if args.json:
-        sys.stdout.write(_dump_json({
-            "schema": "topo-mpi/1",
-            "v": graph.vertex_count,
-            "edges": [list(e) for e in graph.edges],
-            "rho": value,
-        }))
+        sys.stdout.write(_dump_json({key: report[key] for key in ("schema", "v", "edges", "rho")}))
     else:
-        print(f"rho = {value} (v = {graph.vertex_count}, edges = {len(graph.edges)})")
+        print(f"rho = {report['rho']} (v = {report['v']}, edges = {len(report['edges'])})")
     return 0
 
 

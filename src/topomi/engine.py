@@ -46,7 +46,7 @@ from .grid import (
     loop_around_hole,
     perimeter_links,
 )
-from .masks import UnionTopology, subset_signs, subset_sums
+from .masks import UnionTopology, alternating_sum, count_components, subset_signs, subset_sums
 from .model import EntropyModel
 
 #: cap on N for the recursion check and the subset information table
@@ -100,7 +100,8 @@ class CssAnalysis:
     def chi(self) -> int:
         """The plane's Euler characteristic, 2, as ``grid.euler_characteristic``
         returns it; DisconnectedCss unless the footprint is connected."""
-        n_comp = int(self.topology.component_table[-1])  # components of the footprint
+        adj, _, _ = self.topology._cell_component_graph
+        n_comp = count_components(adj)  # components of the footprint
         if n_comp != 1:
             raise DisconnectedCss(f"footprint has {n_comp} components")
         return 2
@@ -116,11 +117,9 @@ class CssAnalysis:
         n, keep = self.css.n_subsystems, set(ids)
         if not keep or not keep <= set(range(n)):
             raise ValidationError(f"no sub-collection {sorted(keep)} of {n} subsystems")
-        # views, not copies: the axes of the (2,)*n reshape run from the top bit down
+        # a view, not a copy: the axes of the (2,)*n reshape run from the top bit down
         axes = tuple(slice(None) if bit in keep else 0 for bit in reversed(range(n)))
-        signs = self.topology.signs.reshape((2,) * n)[axes]
-        j = self.topology.j_table.reshape((2,) * n)[axes]
-        return int(np.tensordot(signs, j, axes=len(keep)))
+        return alternating_sum(self.topology.j_table.reshape((2,) * n)[axes])
 
 
 @dataclass(frozen=True)

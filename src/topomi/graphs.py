@@ -8,7 +8,8 @@ where H0 counts connected components and "nontrivial" excludes the empty
 vertex set and the full vertex set.  Path graphs give rho(P_n) = (-1)^(n-1)
 and cycle graphs give rho(C_n) = 0, which is what makes open chains vanish
 and rings survive in the subsystem-counting identities.  Component counts
-and signs come from :mod:`topomi.masks`, as for a CSS's per-subset tables.
+and alternating sums come from :mod:`topomi.masks`, as for a CSS's
+per-subset tables.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from .engine import CssAnalysis
 from .errors import ParseError, PreconditionViolated, TooManyVertices, ValidationError
 from .grid import GridCss, SimpleGraph, json_int
-from .masks import component_counts, subset_signs
+from .masks import alternating_sum, component_counts
 
 #: 2**v induced subgraphs are enumerated
 MAX_VERTICES = 20
@@ -46,7 +47,9 @@ def rho(graph: SimpleGraph) -> int:
     v = graph.vertex_count
     if v > MAX_VERTICES:
         raise TooManyVertices(f"{v} vertices exceed the cap of {MAX_VERTICES}")
-    return -int(subset_signs(v)[1:-1] @ induced_component_table(graph)[1:-1])
+    table = induced_component_table(graph)
+    # minus the alternating sum over every non-empty subset, less the full set's term
+    return (-1) ** (v - 1) * int(table[-1]) - alternating_sum(table.reshape((2,) * v))
 
 
 def sigma_of_css(css: GridCss | CssAnalysis) -> int:
@@ -71,7 +74,8 @@ def sigma_of_css(css: GridCss | CssAnalysis) -> int:
             "(a subsystem or proper union is not a disk arrangement)",
             mask=k + 1,
         )
-    return int(analysis.topology.signs[1:-1] @ j)
+    # C^N less the full set's term
+    return analysis.c_n - (-1) ** (n - 1) * int(analysis.topology.j_table[-1])
 
 
 # ----------------------------------------------------------------------

@@ -8,25 +8,35 @@ counts combinatorially:
 * the union of closed cells is a cubical complex whose Euler characteristic
   V - E + F, like the perimeter-link count, is a weighted sum over
   corner/segment/cell features present for a mask iff it meets the
-  feature's user set: one weight histogram over user sets, summed over
-  subsets once (:func:`subset_sums`) and read at every mask's complement;
+  feature's user set U.  The Moebius expansion
+  [U meets S] = sum over non-empty V in U of (-1)^(|V|-1) [V in S]
+  turns each feature into at most 15 signed histogram entries (a user set
+  has at most 4 bits), so one subset sum (:func:`subset_sums`) of the
+  histogram gives the table;
 * the component count of a union equals the component count of the induced
   subgraph on per-subsystem cell-components (:func:`component_counts`).
   For every induced subgraph, components = |V| - |E| + cycle rank, and
   every cycle lies in the 2-core (what is left after repeatedly deleting
   vertices of degree <= 1).  So a subset S counts +1 per vertex outside the
   core whose subsystem is in S and -1 per edge with an endpoint outside the
-  core whose subsystems are in S (one weight histogram, summed over subsets
-  once), plus the components of the core's own induced subgraph.  Only the
-  core is walked: in blocks of 2^16 subsets, one numpy pass strips one
-  component from each subset's vertex mask (uint32, uint64 or Python int by
-  vertex count), grown through per-byte neighbour tables; split subsystems
-  take no branch.  Each histogram term depends on at most two subsystems,
-  so its alternating sum over the subsets of three or more subsystems is
-  0: the component part of C^N (N >= 3) comes from the core alone, and the
-  open chains and appendages outside it contribute nothing;
+  core whose subsystems are in S (more histogram entries), plus the
+  components of the core's own induced subgraph.  Only the core is walked:
+  in blocks of 2^16 subsets, one numpy pass strips one component from each
+  subset's vertex mask (uint32, uint64 or Python int by vertex count),
+  grown through per-byte neighbour tables; split subsystems take no
+  branch.  Each histogram term depends on at most two subsystems, so its
+  alternating sum over the subsets of three or more subsystems is 0: the
+  component part of C^N (N >= 3) comes from the core alone, and the open
+  chains and appendages outside it contribute nothing;
 * pinch-freeness (enforced by grid validation) makes the complex
   homotopy-faithful, so holes = components - chi and J = 2*components - chi.
+  J is built in one int32 pass: the -chi feature entries and twice the
+  outside-core entries share one histogram, summed over subsets once, and
+  twice the core's walked table is added on top.
+
+C^N and the C of a sub-collection are alternating sums of J, read as the top
+Moebius coefficient of a (2,)*k view (:func:`alternating_sum`), in int64 and
+without a table of signs.
 
 The flood-fill definition stays available in :mod:`topomi.grid`; the test
 suite compares every table with it, for every width of vertex mask.
@@ -64,13 +74,46 @@ def subset_sums(table: np.ndarray) -> np.ndarray:
     return table
 
 
-def _meet_counts(n: int, weighted_users) -> np.ndarray:
-    """Per mask S, the total weight of the (user-set array, weight) features meeting S:
-    all weight minus that of user sets inside full ^ S, the reversed subset sums."""
-    hist = np.zeros(1 << n, dtype=np.int64)
+def add_meets(hist: np.ndarray, users: np.ndarray, weight: int) -> np.ndarray:
+    """Add features with user sets ``users`` and ``weight`` to a 2^n histogram, in place,
+    so that its subset sums count, per mask S, the weight of the features meeting S.
+
+    [U meets S] = sum over the non-empty submasks V of U of (-1)^(|V|-1) [V
+    subset of S]: each user set is spread over its submasks, walked as
+    V -> (V - 1) & U.  A grid's user sets have at most 4 bits, so every
+    partial subset sum is bounded by 15 times the feature count.
+    """
+    users = users[users != 0]
+    sub = users
+    while sub.size:
+        np.add.at(hist, sub, np.where(np.bitwise_count(sub) & 1, weight, -weight))
+        sub = (sub - 1) & users
+        keep = sub != 0
+        sub, users = sub[keep], users[keep]
+    return hist
+
+
+def _meet_table(n: int, weighted_users) -> np.ndarray:
+    """Per mask S (int32), the total weight of the (user-set array, weight) features meeting S."""
+    hist = np.zeros(1 << n, dtype=np.int32)
     for users, weight in weighted_users:
-        np.add.at(hist, users, weight)
-    return hist.sum() - subset_sums(hist)[::-1]
+        add_meets(hist, users, weight)
+    return subset_sums(hist)
+
+
+def alternating_sum(view: np.ndarray) -> int:
+    """Sum of (-1)**(|S|-1) * view[S] over the non-empty subsets S of the axes of
+    a (2,)*k view.
+
+    That is the empty-set entry plus (-1)**(k-1) times the top Moebius
+    coefficient, read by halving each axis as ``view[1] - view[0]``, the
+    first time into int64, so an int32 table sums exactly and no table of
+    signs is built.
+    """
+    top = view
+    for _ in range(view.ndim):
+        top = np.subtract(top[1], top[0], dtype=np.int64)
+    return int(view[(0,) * view.ndim]) - (-1) ** view.ndim * int(top)
 
 
 def _or_table(items: list[int], dtype) -> np.ndarray:
@@ -99,14 +142,21 @@ def component_counts(adj: list[int], groups: list[int]) -> np.ndarray:
     vertex bitmask of group i; the groups are disjoint and cover the
     vertices.  Entry ``mask`` (int32) counts the components induced by the
     union of the groups in ``mask`` (entry 0 is 0).
+    """
+    return add_components(np.zeros(1 << len(groups), dtype=np.int32), adj, groups)
+
+
+def add_components(hist: np.ndarray, adj: list[int], groups: list[int], scale: int = 1) -> np.ndarray:
+    """Sum the 2^n int32 histogram ``hist`` over subsets, in place, plus ``scale``
+    times :func:`component_counts` of ``adj`` and ``groups``.
 
     Components = |V| - |E| + cycle rank for every induced subgraph, and each
-    of its cycles lies in the 2-core.  The part outside the core is one
-    weight histogram over owner masks (+1 per vertex outside the core, -1 per
-    edge with an endpoint outside it), summed over subsets in the output
-    table itself; the cycle rank plus the core's own |V| - |E| is the
-    component count of the core, walked (:func:`_walk_components`) on the
-    groups that own core vertices and broadcast over the other axes.
+    of its cycles lies in the 2-core.  The part outside the core is weights
+    on owner masks (+1 per vertex outside the core, -1 per edge with an
+    endpoint outside it), added to ``hist`` before its subset sums; the
+    cycle rank plus the core's own |V| - |E| is the component count of the
+    core, walked (:func:`_walk_components`) on the groups that own core
+    vertices and broadcast over the other axes.
     """
     n = len(groups)
     core = _two_core(adj)
@@ -115,15 +165,11 @@ def component_counts(adj: list[int], groups: list[int]) -> np.ndarray:
         for v in set_bits(mask):
             owner[v] = 1 << g
     outside = [v for v in range(len(adj)) if not core >> v & 1]
-    out = np.zeros(1 << n, dtype=np.int32)
-    if outside:  # else every sum is 0
-        np.add.at(out, [owner[v] for v in outside], 1)
-        # each edge once: from its endpoint outside the core, or the higher one if both are
-        edges = [
-            owner[v] | owner[u] for v in outside for u in set_bits(adj[v]) if u < v or core >> u & 1
-        ]
-        np.add.at(out, edges, -1)
-        subset_sums(out)
+    np.add.at(hist, [owner[v] for v in outside], scale)
+    # each edge once: from its endpoint outside the core, or the higher one if both are
+    edges = [owner[v] | owner[u] for v in outside for u in set_bits(adj[v]) if u < v or core >> u & 1]
+    np.add.at(hist, edges, -scale)
+    subset_sums(hist)
 
     core_vertices = list(set_bits(core))
     position = {v: i for i, v in enumerate(core_vertices)}
@@ -135,10 +181,27 @@ def component_counts(adj: list[int], groups: list[int]) -> np.ndarray:
     table = _walk_components(
         [on_core(adj[v]) for v in core_vertices], [on_core(groups[g]) for g in core_groups]
     )
+    table *= scale
     # the axes of the (2,)*n view run from the top bit down
     shape = [2 if groups[g] & core else 1 for g in reversed(range(n))]
-    out.reshape((2,) * n)[...] += table.reshape(shape)
-    return out
+    hist.reshape((2,) * n)[...] += table.reshape(shape)
+    return hist
+
+
+def count_components(adj: list[int]) -> int:
+    """Components of the whole graph with neighbour bitmasks ``adj``."""
+    count, left = 0, (1 << len(adj)) - 1
+    while left:
+        count += 1
+        comp = frontier = left & -left
+        while frontier:
+            near = 0
+            for v in set_bits(frontier):
+                near |= adj[v]
+            frontier = near & ~comp
+            comp |= frontier
+        left &= ~comp
+    return count
 
 
 def _walk_components(adj: list[int], groups: list[int]) -> np.ndarray:
@@ -222,18 +285,24 @@ class UnionTopology:
         b = np.concatenate([bits[1:, 1:-1].ravel(), bits[1:-1, 1:].ravel()])
         return corners.ravel(), a, b, cells.ravel()
 
+    @property
+    def _euler_features(self):
+        """(user sets, weight) of the corners, segments and cells: the closed-cell
+        union of mask S has V - E + F = the weight of the features meeting S."""
+        corners, a, b, cells = self._user_sets
+        return (corners, 1), (a | b, -1), (cells, 1)
+
     @cached_property
     def euler_table(self) -> np.ndarray:
         """V - E + F of the closed-cell union, per mask."""
-        corners, a, b, cells = self._user_sets
-        return _meet_counts(self.n, ((corners, 1), (a | b, -1), (cells, 1)))
+        return _meet_table(self.n, self._euler_features)
 
     @cached_property
     def boundary_links_table(self) -> np.ndarray:
         """Perimeter links of the union, per mask: segments with exactly one side in it."""
         _, a, b, _ = self._user_sets
         # [a xor b meets S] = 2 [a|b meets S] - [a meets S] - [b meets S]
-        return _meet_counts(self.n, ((a | b, 2), (a, -1), (b, -1)))
+        return _meet_table(self.n, ((a | b, 2), (a, -1), (b, -1)))
 
     # ------------------------------------------------------------------
     # component counts
@@ -273,9 +342,15 @@ class UnionTopology:
 
     @cached_property
     def j_table(self) -> np.ndarray:
-        """Disconnected-boundary count J of the union, per mask.
+        """Disconnected-boundary count J of the union, per mask (int32).
 
-        components + holes, with holes = components - chi for a
-        pinch-free complex.
+        components + holes, with holes = components - chi for a pinch-free
+        complex: one histogram of the -chi feature entries and twice the
+        components' outside-core entries, summed over subsets once, plus
+        twice the core's walked table.
         """
-        return 2 * self.component_table - self.euler_table
+        hist = np.zeros(1 << self.n, dtype=np.int32)
+        for users, weight in self._euler_features:
+            add_meets(hist, users, -weight)
+        adj, cv_mask, _ = self._cell_component_graph
+        return add_components(hist, adj, cv_mask, scale=2)

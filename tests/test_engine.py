@@ -1,13 +1,17 @@
 """Connectivity counts, information values and the derived identities."""
 
+import csv
+import io
 import itertools
 import math
 import random
 import tracemalloc
+from collections import Counter
 
+import numpy as np
 import pytest
 
-from topomi import builders
+from topomi import builders, engine, masks
 from topomi.engine import (
     CssAnalysis,
     CssFamily,
@@ -20,6 +24,7 @@ from topomi.engine import (
     strong_subadditivity_combination,
     subloop_revival,
     subset_information_table,
+    write_subset_table_csv,
 )
 from topomi.errors import (
     DisconnectedCss,
@@ -37,7 +42,7 @@ from topomi.grid import (
     restrict_css,
     union_region,
 )
-from topomi.masks import UnionTopology
+from topomi.masks import UnionTopology, subset_signs
 from topomi.model import EntropyModel
 
 LN2 = math.log(2)
@@ -244,6 +249,76 @@ def test_c_within_matches_flood_fill():
     assert n_checked == 220
 
 
+def random_n(n):
+    """The random CSS of the ``random-n20`` benchmark's shape, seeded."""
+    return builders.random_css(random.Random(4), n, 16, 16, growth=200)
+
+
+def signed_reference(j, ids) -> int:
+    """The signed-tensordot C of the sub-collection ``ids``: ``subset_signs(n) @ J``
+    in int64, over the masks inside ``ids``."""
+    n = len(j).bit_length() - 1
+    masks = np.arange(1 << n)
+    inside = (masks & ~sum(1 << i for i in ids)) == 0
+    return int(subset_signs(n)[inside].astype(np.int64) @ j[inside].astype(np.int64))
+
+
+def test_c_within_matches_signed_reference(junction_css):
+    """``c_within`` against the signed reference on the hole loops, seeded
+    sub-collections of 3, 4 and 5 subsystems and all N, for the gallery, the
+    junction CSS and an N = 20 random CSS.  A sign error on odd sizes would
+    show: C is non-zero on sub-collections of both parities."""
+    rng = random.Random(17)
+    nonzero = Counter()
+    for css in [*_analytic_gallery_css(), *junction_css, random_n(20)]:
+        analysis = CssAnalysis(css)
+        n, j = css.n_subsystems, analysis.topology.j_table
+        loops = [loop for loop in analysis.hole_loops if not isinstance(loop, str)]
+        picks = [tuple(rng.sample(range(n), k)) for k in (3, 4, 5) if k <= n]
+        for ids in [*loops, *picks, tuple(range(n))]:
+            want = signed_reference(j, ids)
+            assert analysis.c_within(ids) == want, (css.name, ids)
+            nonzero["odd" if len(ids) % 2 else "even"] += want != 0
+    assert nonzero == {"odd": 180, "even": 109}
+
+
+def test_c_within_is_exact_beyond_int32():
+    """A synthetic int32 J whose partial differences leave int32: C stays exact."""
+    n = 10
+    analysis = CssAnalysis(builders.annulus(n))
+    sizes = np.bitwise_count(np.arange(1 << n))
+    # every term of C is -(2^31 - 1): the first halving already leaves int32
+    extreme = np.where(sizes % 2, -(2**31 - 1), 2**31 - 1).astype(np.int32)
+    noise = np.random.default_rng(3).integers(-2**31, 2**31, size=1 << n).astype(np.int32)
+    for j in (extreme, noise):
+        j[0] = 0
+        analysis.topology.__dict__["j_table"] = j
+        for ids in [(0, 1, 2), (1, 3, 5, 7), (0, 2, 4, 6, 8), tuple(range(n))]:
+            want = sum(
+                (-1) ** (m - 1) * int(j[sum(1 << i for i in q)])
+                for m in range(1, len(ids) + 1)
+                for q in itertools.combinations(ids, m)
+            )
+            assert analysis.c_within(ids) == want == signed_reference(j, ids), ids
+    analysis.topology.__dict__["j_table"] = extreme
+    assert analysis.c_within(range(n)) == -(2**31 - 1) * ((1 << n) - 1)
+
+
+def test_csv_sign_column_is_the_signed_reference():
+    """Each CSV row's sign is (-1)^(m-1), and its int64 contraction with J is C^N."""
+    report = multipartite_information(D2, builders.annulus(5))
+    buf = io.StringIO()
+    write_subset_table_csv(report, buf)
+    rows = list(csv.reader(io.StringIO(buf.getvalue())))
+    assert rows[0] == ["mask", "m", "J", "sign"]
+    mask, m, j, sign = (np.array(col, dtype=np.int64) for col in zip(*rows[1:]))
+    assert mask.tolist() == list(range(1, 1 << report.n_subsystems))
+    assert m.tolist() == [q.bit_count() for q in mask.tolist()]
+    assert sign.tolist() == [(-1) ** (k - 1) for k in m.tolist()]
+    assert j.tolist() == report.per_subset_j[1:].tolist()
+    assert int(sign @ j) == report.c_n == 2
+
+
 def test_c_within_rejects_ids_outside_the_css():
     analysis = CssAnalysis(builders.annulus(4))
     for ids in ([], [4], [-1, 0]):
@@ -251,16 +326,54 @@ def test_c_within_rejects_ids_outside_the_css():
             analysis.c_within(ids)
 
 
-def test_information_allocation_peak_is_bounded():
-    """The 2^18-subset analysis of six-hole-eighteen allocates at most 32 bytes per subset."""
-    css = builders.six_hole_eighteen()
+def _information_peak_per_subset(css) -> float:
     tracemalloc.start()
     try:
         multipartite_information(EntropyModel(), css)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 32 << css.n_subsystems, peak / (1 << css.n_subsystems)
+    return peak / (1 << css.n_subsystems)
+
+
+def test_information_allocation_peak_is_bounded():
+    """The 2^18-subset analysis of six-hole-eighteen allocates at most 20 bytes per subset."""
+    peak = _information_peak_per_subset(builders.six_hole_eighteen())
+    assert peak <= 20, peak
+
+
+@pytest.mark.parametrize("n", [20, 22])
+def test_random_information_allocation_peak_is_bounded(n):
+    """The analysis of an N = 20 or 22 random CSS allocates at most 20 bytes per subset."""
+    peak = _information_peak_per_subset(random_n(n))
+    assert peak <= 20, peak
+
+
+@pytest.mark.parametrize("name", ["random-n20", "six-hole-eighteen"])
+def test_information_builds_j_alone(name, monkeypatch):
+    """``multipartite_information`` (C^N, chi and the hole loops) builds J with
+    one 2-core and one core walk, and no Euler, component or sign table."""
+    css = random_n(20) if name == "random-n20" else builders.six_hole_eighteen()
+    calls = Counter()
+
+    def counted(owner, attr):
+        function = getattr(owner, attr)
+
+        def counting(*args):
+            calls[attr] += 1
+            return function(*args)
+
+        monkeypatch.setattr(owner, attr, counting)
+
+    for owner, attr in [(masks, "_two_core"), (masks, "_walk_components"),
+                        (masks, "subset_signs"), (engine, "subset_signs")]:
+        counted(owner, attr)
+    analysis = CssAnalysis(css)
+    multipartite_information(D2, analysis)
+    built = set(vars(analysis.topology))
+    assert "j_table" in built
+    assert built.isdisjoint({"euler_table", "component_table", "signs", "popcounts", "masks"}), built
+    assert calls == {"_two_core": 1, "_walk_components": 1}
 
 
 @pytest.mark.parametrize("alpha", [None, 0.0])

@@ -3,9 +3,11 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
-from topomi import builders
+from topomi import builders, graphs
+from topomi.engine import CssAnalysis
 from topomi.errors import ParseError, PreconditionViolated, TooManyVertices, ValidationError
 from topomi.graphs import (
     SimpleGraph,
@@ -18,7 +20,7 @@ from topomi.graphs import (
     sigma_of_css,
 )
 from topomi.grid import adjacency_graph
-from topomi.masks import UnionTopology
+from topomi.masks import UnionTopology, subset_signs
 
 
 def brute_rho(graph):
@@ -229,3 +231,42 @@ def test_graph_validation_and_parsing():
         parse_graph_text("0 1 2\n")
     with pytest.raises(ParseError):
         parse_graph_json({"edges": []})
+
+
+def _signed_proper_sum(table) -> int:
+    """The signed-tensordot reference over the proper non-empty masks, in int64."""
+    n = len(table).bit_length() - 1
+    return int(subset_signs(n)[1:-1].astype(np.int64) @ table[1:-1].astype(np.int64))
+
+
+def test_rho_and_sigma_match_the_signed_reference():
+    rng = random.Random(43)
+    for _ in range(40):
+        v = rng.randint(1, 12)
+        pairs = list(itertools.combinations(range(v), 2))
+        graph = SimpleGraph(v, tuple(rng.sample(pairs, rng.randint(0, len(pairs)))))
+        assert rho(graph) == -_signed_proper_sum(induced_component_table(graph)), graph
+    checked = 0
+    for css in [*map(builders.annulus, range(3, 9)), *map(builders.open_chain, range(3, 9)),
+                builders.random_css(random.Random(5), 16, 16, 16, growth=40)]:
+        analysis = CssAnalysis(css)
+        try:
+            sigma = sigma_of_css(analysis)
+        except PreconditionViolated:
+            continue
+        assert sigma == _signed_proper_sum(analysis.topology.j_table), css.name
+        checked += 1
+    assert checked == 13
+
+
+def test_rho_and_sigma_are_exact_beyond_int32(monkeypatch):
+    """Synthetic int32 tables whose alternating sums leave int32."""
+    n = 10
+    table = np.random.default_rng(5).integers(-2**31, 2**31, size=1 << n).astype(np.int32)
+    table[0] = 0
+    monkeypatch.setattr(graphs, "induced_component_table", lambda graph: table)
+    want = sum((-1) ** (mask.bit_count() - 1) * int(table[mask]) for mask in range(1, (1 << n) - 1))
+    assert rho(path_graph(n)) == -want == -_signed_proper_sum(table)
+    analysis = CssAnalysis(builders.annulus(n))
+    analysis.topology.__dict__["j_table"] = table
+    assert sigma_of_css(analysis) == want

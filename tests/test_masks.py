@@ -26,6 +26,7 @@ from topomi.masks import (
     BLOCK_BITS,
     UnionTopology,
     _two_core,
+    add_meets,
     component_counts,
     subset_signs,
     subset_sums,
@@ -109,6 +110,33 @@ def test_tables_match_on_fuzzed_grids():
         assert topo.component_table[1:].tolist() == comp_ref[1:]
     split = [css for css in cases if UnionTopology(css)._cell_component_graph[2] > css.n_subsystems]
     assert split == cases[25:]
+
+
+def test_j_table_is_twice_components_minus_euler(junction_css):
+    """The one-pass int32 J against 2 components - chi formed in int64."""
+    cases = [*fuzzed_cases(), *junction_css, builders.six_hole_eighteen(),
+             builders.random_css(random.Random(4), 20, 16, 16, growth=200)]
+    for css in cases:
+        topo = UnionTopology(css)
+        want = 2 * topo.component_table.astype(np.int64) - topo.euler_table.astype(np.int64)
+        assert topo.j_table.dtype == np.int32
+        assert np.array_equal(topo.j_table, want), css.name
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_meet_expansion_matches_indicator(n):
+    """Subset sums of ``add_meets`` give weight * [U & S != 0] for every user set U
+    of at most 4 bits, alone and all at once."""
+    masks = np.arange(1 << n)
+    users = [u for u in range(1 << n) if u.bit_count() <= 4]
+    for u in users:
+        hist = add_meets(np.zeros(1 << n, dtype=np.int32), np.array([u]), 3)
+        assert subset_sums(hist).tolist() == (3 * (masks & u != 0)).tolist(), u
+    hist = np.zeros(1 << n, dtype=np.int32)
+    for u in users:
+        add_meets(hist, np.array([u, u]), u - 5)
+    want = sum(2 * (u - 5) * (masks & u != 0) for u in users)
+    assert subset_sums(hist).tolist() == want.tolist()
 
 
 def test_disconnected_subsystem_supported():

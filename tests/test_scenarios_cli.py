@@ -368,11 +368,22 @@ def _mutated_gallery(draw):
     return mutate(rng.choice(_GALLERY_OBJECTS))
 
 
-_SCENARIOS = _mutated_gallery() | _scenario_objects() | _object({
-    "kind": st.sampled_from(sorted(_PAYLOADS)), "css": _CSS, "graph": _GRAPH, "lattice": _LATTICE,
-    "v": _INTS, "edges": _JSON, "Lx": _INTS, "Ly": _INTS,
-    "expected": st.dictionaries(st.sampled_from(sorted(_EXPECTED_VALUES)), _JSON, max_size=3),
-}, optional=True)
+#: per kind, the payload keys a free-form scenario draws from: wrapped and bare
+_FREE_KEYS = {
+    "analytic": {"css": _CSS},
+    "graph": {"graph": _GRAPH, "v": _INTS, "edges": _JSON},
+    "stabilizer": {"lattice": _LATTICE, "Lx": _INTS, "Ly": _INTS},
+}
+#: a free-form scenario: its kind, then some of that kind's payload and expected keys
+_FREE_FORM = st.sampled_from(sorted(_FREE_KEYS)).flatmap(lambda kind: st.builds(
+    lambda head, rest: {**head, **rest},
+    _object({"kind": st.just(kind)}),
+    _object({
+        **_FREE_KEYS[kind],
+        "expected": _object({k: _EXPECTED_VALUES[k] for k in scenarios._KINDS[kind].expected}, True),
+    }, optional=True),
+))
+_SCENARIOS = _mutated_gallery() | _scenario_objects() | _FREE_FORM
 
 _ERROR_NAMES = tuple(f"{cls.__name__}: " for cls in TopomiError.__subclasses__())
 
@@ -681,6 +692,26 @@ def test_cli_rho(tmp_path, capsys):
     text.write_text("0 1\n1 2\n2 3\n")
     assert main(["rho", str(text)]) == 0
     assert "rho = -1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_cli_rho_runs_the_expected_checks(as_json, tmp_path, capsys):
+    """``rho`` on a graph file exits 1 and shows the failed check when its
+    expected rho is wrong, as ``analyze`` does."""
+    obj = json.loads((GALLERY / "graph-cycle-n5.json").read_text())
+    obj["expected"]["rho"] = 99
+    path = tmp_path / "wrong-rho.json"
+    path.write_text(json.dumps(obj))
+    assert main(["rho", str(path), *(["--json"] if as_json else [])]) == 1
+    out = capsys.readouterr().out
+    if as_json:
+        payload = json.loads(out)
+        assert payload["passed"] is False
+        assert payload["checks"] == [{"label": "rho", "passed": False, "detail": "got 0, expected 99"}]
+    else:
+        assert "FAIL rho: got 0, expected 99" in out
+    assert main(["analyze", str(path)]) == 1
+    capsys.readouterr()
 
 
 def test_cli_stabilizer(capsys):

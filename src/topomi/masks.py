@@ -74,31 +74,26 @@ def subset_sums(table: np.ndarray) -> np.ndarray:
     return table
 
 
-def add_meets(hist: np.ndarray, users: np.ndarray, weight: int) -> np.ndarray:
-    """Add features with user sets ``users`` and ``weight`` to a 2^n histogram, in place,
-    so that its subset sums count, per mask S, the weight of the features meeting S.
+def meet_histogram(n: int, weighted_users) -> np.ndarray:
+    """The int32 2^n histogram whose subset sums give, per mask S, the total
+    weight of the (user-set array, weight) features meeting S.
 
     [U meets S] = sum over the non-empty submasks V of U of (-1)^(|V|-1) [V
     subset of S]: each user set is spread over its submasks, walked as
     V -> (V - 1) & U.  A grid's user sets have at most 4 bits, so every
-    partial subset sum is bounded by 15 times the feature count.
+    partial subset sum is bounded by 15 times the summed |weight|.
     """
-    users = users[users != 0]
-    sub = users
-    while sub.size:
-        np.add.at(hist, sub, np.where(np.bitwise_count(sub) & 1, weight, -weight))
-        sub = (sub - 1) & users
-        keep = sub != 0
-        sub, users = sub[keep], users[keep]
-    return hist
-
-
-def _meet_table(n: int, weighted_users) -> np.ndarray:
-    """Per mask S (int32), the total weight of the (user-set array, weight) features meeting S."""
+    users = np.concatenate([u for u, _ in weighted_users])
+    weights = np.concatenate([np.full(len(u), w) for u, w in weighted_users])
     hist = np.zeros(1 << n, dtype=np.int32)
-    for users, weight in weighted_users:
-        add_meets(hist, users, weight)
-    return subset_sums(hist)
+    sub = users
+    while True:
+        keep = sub != 0
+        sub, users, weights = sub[keep], users[keep], weights[keep]
+        if not sub.size:
+            return hist
+        np.add.at(hist, sub, np.where(np.bitwise_count(sub) & 1, weights, -weights))
+        sub = (sub - 1) & users
 
 
 def alternating_sum(view: np.ndarray) -> int:
@@ -295,14 +290,14 @@ class UnionTopology:
     @cached_property
     def euler_table(self) -> np.ndarray:
         """V - E + F of the closed-cell union, per mask."""
-        return _meet_table(self.n, self._euler_features)
+        return subset_sums(meet_histogram(self.n, self._euler_features))
 
     @cached_property
     def boundary_links_table(self) -> np.ndarray:
         """Perimeter links of the union, per mask: segments with exactly one side in it."""
         _, a, b, _ = self._user_sets
         # [a xor b meets S] = 2 [a|b meets S] - [a meets S] - [b meets S]
-        return _meet_table(self.n, ((a | b, 2), (a, -1), (b, -1)))
+        return subset_sums(meet_histogram(self.n, ((a | b, 2), (a, -1), (b, -1))))
 
     # ------------------------------------------------------------------
     # component counts
@@ -349,8 +344,6 @@ class UnionTopology:
         components' outside-core entries, summed over subsets once, plus
         twice the core's walked table.
         """
-        hist = np.zeros(1 << self.n, dtype=np.int32)
-        for users, weight in self._euler_features:
-            add_meets(hist, users, -weight)
+        hist = meet_histogram(self.n, [(users, -weight) for users, weight in self._euler_features])
         adj, cv_mask, _ = self._cell_component_graph
         return add_components(hist, adj, cv_mask, scale=2)

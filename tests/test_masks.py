@@ -26,8 +26,8 @@ from topomi.masks import (
     BLOCK_BITS,
     UnionTopology,
     _two_core,
-    add_meets,
     component_counts,
+    meet_histogram,
     subset_signs,
     subset_sums,
 )
@@ -125,16 +125,14 @@ def test_j_table_is_twice_components_minus_euler(junction_css):
 
 @pytest.mark.parametrize("n", range(7))
 def test_meet_expansion_matches_indicator(n):
-    """Subset sums of ``add_meets`` give weight * [U & S != 0] for every user set U
-    of at most 4 bits, alone and all at once."""
+    """Subset sums of ``meet_histogram`` give weight * [U & S != 0] for every user
+    set U of at most 4 bits, alone and all at once."""
     masks = np.arange(1 << n)
     users = [u for u in range(1 << n) if u.bit_count() <= 4]
     for u in users:
-        hist = add_meets(np.zeros(1 << n, dtype=np.int32), np.array([u]), 3)
+        hist = meet_histogram(n, [(np.array([u]), 3)])
         assert subset_sums(hist).tolist() == (3 * (masks & u != 0)).tolist(), u
-    hist = np.zeros(1 << n, dtype=np.int32)
-    for u in users:
-        add_meets(hist, np.array([u, u]), u - 5)
+    hist = meet_histogram(n, [(np.array([u, u]), u - 5) for u in users])
     want = sum(2 * (u - 5) * (masks & u != 0) for u in users)
     assert subset_sums(hist).tolist() == want.tolist()
 

@@ -9,11 +9,15 @@ state.  Region entropies are integer multiples of log 2 read from the
 region itself: S(A) = rank(G|_A) - |A| in units of log 2, where G|_A is the
 generator matrix restricted to the columns of A (Fattal, Cafaro, Haas and
 Chuang, quant-ph/0406168).  Each state keeps one column table (column c as
-an integer over the generators); the exact I^N reads its ranks from it in
-one depth-first walk over the subsets of regions, adding one region's
-columns at a time to an echelon basis, for up to 18 regions.  The same
-table checks that the generators commute.  A dense state-vector
-construction provides an independent oracle for small systems.
+an integer over the generators), which also checks that the generators
+commute.  The exact I^N, for up to 18 regions, reduces each region's
+columns to a basis and keeps only the GF(2) relations among the stacked
+bases: the relations within the regions of S number sum_{j in S} S(A_j) -
+S(A_S), so the additive part of every entropy cancels in the alternating
+sum, and one depth-first walk over the subsets of regions reads the rest
+from the regions' projections of the relation space, a few vectors of a
+few dozen bits each.  A dense state-vector construction provides an
+independent oracle for small systems.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -39,7 +43,8 @@ from .grid import OUTSIDE, GridCss, json_int, parse_grid_json, set_bits
 #: dense 2**n state vectors
 BRUTE_CAP = 12
 
-#: regions of an exact I^N, whose walk visits 2**N - 1 subsets
+#: regions of an exact I^N, whose walk over the relations between regions
+#: visits 2**N - 1 subsets
 EXACT_SUBSET_CAP = 18
 
 #: qubits of a code lattice (a 48 x 48 torus); the generator set is O(n^2) to build
@@ -145,6 +150,9 @@ class StabilizerState:
     def __post_init__(self):
         if len(self.rows) != self.n:
             raise ValidationError(f"{len(self.rows)} generators for {self.n} qubits")
+        for g, row in enumerate(self.rows):
+            if not 0 <= row < 1 << 2 * self.n:
+                raise ValidationError(f"generator {g} is {row}; rows lie in 0..2**{2 * self.n} - 1")
         if _gf2_rank(self.rows) != self.n:
             raise ValidationError("generators are not independent over GF(2)")
         # bit b of the XOR of row a's opposite-type columns is the symplectic
@@ -188,6 +196,31 @@ def _echelon(rows: Iterable[int]) -> dict[int, int]:
 
 def _gf2_rank(rows: Iterable[int]) -> int:
     return len(_echelon(rows))
+
+
+def _dependencies(vectors: Sequence[int]) -> list[int]:
+    """A basis of the GF(2) relations among ``vectors``, as tags.
+
+    Bit i of a tag stands for ``vectors[i]``, and the vectors a tag names
+    XOR to zero.  Each vector is eliminated with its tag in the low bits,
+    so one that reduces to zero leaves a tag whose top bit is its own: the
+    tags are independent, and there are len(vectors) - rank of them.
+    """
+    m = len(vectors)
+    pivots: dict[int, int] = {}
+    tags = []
+    for i, v in enumerate(vectors):
+        row = v << m | 1 << i
+        while row >> m:
+            top = row.bit_length() - 1
+            pivot = pivots.get(top)
+            if pivot is None:
+                pivots[top] = row
+                break
+            row ^= pivot
+        else:
+            tags.append(row)
+    return tags
 
 
 def build_code(lattice: CodeLattice) -> StabilizerState:
@@ -278,52 +311,84 @@ class QubitRegionMap:
         return frozenset(out)
 
 
+def _region_bases(state: StabilizerState, region_map: QubitRegionMap) -> list[list[int]]:
+    """Each region's X and Z columns in ``state.columns``, reduced to a basis of their span."""
+    cols, m = state.columns, state.n
+    return [
+        list(_echelon(c for q in region for c in (cols[q], cols[q + m])).values())
+        for region in region_map.regions
+    ]
+
+
 def multipartite_information_exact(state: StabilizerState, region_map: QubitRegionMap) -> int:
     """Alternating entropy sum over all unions, in units of log 2 (exact).
 
     The sum of (-1)^(|S|+1) S(A_S) over the 2^N - 1 nonempty subsets S of
-    regions, with S(A) = rank(G|_A) - |A| and rank(G|_A) the dimension of
-    the span of A's X and Z columns in ``state.columns``.  The subsets are
-    walked depth first, the children of S being S + {j} for j > max(S),
-    with one echelon basis (highest bit -> vector): a node reduces only
-    region j's columns against its parent's basis, and on the way back
-    removes the pivots it added.
+    regions, with S(A) = rank(G|_A) - |A|, walked over the dependencies
+    between regions rather than over the generator columns.  Each region's
+    columns are reduced to a basis B_j of their span (:func:`_region_bases`);
+    K is the space of GF(2) relations among the stacked bases
+    (:func:`_dependencies`) and K_S the relations among the regions of S
+    alone.  The regions are disjoint, so dim K_S = sum_{j in S} S(A_j) -
+    S(A_S): rank is additive but for the relations, and for N >= 2 the
+    alternating sum cancels the additive part, leaving
+
+        I^N = -sum_{T nonempty} (-1)^(N-|T|) rank(pi_T K),
+
+    with pi_T K the relations read on the coordinates of the regions in T,
+    whose rank is that of the span of those regions' columns of the k x m
+    relation matrix (k = dim K, m = sum_j |B_j|).  Each region's k-bit
+    columns are reduced once to an echelon basis, and the subsets T are
+    walked depth first, the children of T being T + {j} for j > max(T),
+    with one pivot table (highest bit -> vector, or 0): a node reduces only
+    region j's basis against its parent's, and on the way back removes the
+    pivots it added.  N = 1 is S(A_1) itself.
     """
     n = region_map.n_subsystems
     if n > EXACT_SUBSET_CAP:
         raise TooManySubsystems(f"{n} regions exceed the cap of {EXACT_SUBSET_CAP}")
     if region_map.n_qubits != state.n:
         raise ValidationError("region map and state disagree on qubit count")
-    cols, m = state.columns, state.n
-    # each region's X and Z columns, reduced once to a basis of their own span
-    bases = [
-        list(_echelon(c for q in region for c in (cols[q], cols[q + m])).values())
-        for region in region_map.regions
-    ]
-    sizes = [len(region) for region in region_map.regions]
-    pivots: dict[int, int] = {}
+    bases = _region_bases(state, region_map)
+    if n == 1:
+        return len(bases[0]) - len(region_map.regions[0])
+    relations = _dependencies([v for basis in bases for v in basis])
+    # column i of the relation matrix: bit t is bit i of relation t
+    columns = [0] * sum(map(len, bases))
+    for t, tag in enumerate(relations):
+        for i in set_bits(tag):
+            columns[i] |= 1 << t
+    projections, start = [], 0
+    for basis in bases:
+        projections.append(list(_echelon(columns[start:start + len(basis)]).values()))
+        start += len(basis)
+    if not all(projections):
+        # a region j in no relation: each T and T + {j} have the same rank and cancel
+        return 0
+    pivots = [0] * len(relations)
 
-    def walk(first: int, rank: int, size: int, sign: int) -> int:
-        """Signed entropy sum below a node whose basis has rank ``rank`` on ``size`` qubits."""
+    def walk(first: int, rank: int, sign: int) -> int:
+        """Signed rank sum below a node whose basis has rank ``rank``."""
         total = 0
         for j in range(first, n):
             added = []
-            for v in bases[j]:
+            for v in projections[j]:
                 while v:
                     top = v.bit_length() - 1
-                    pivot = pivots.get(top)
-                    if pivot is None:
+                    pivot = pivots[top]
+                    if not pivot:
                         pivots[top] = v
                         added.append(top)
                         break
                     v ^= pivot
-            total += sign * (rank + len(added) - size - sizes[j])
-            total += walk(j + 1, rank + len(added), size + sizes[j], -sign)
+            total += sign * (rank + len(added))
+            if j + 1 < n:
+                total += walk(j + 1, rank + len(added), -sign)
             for top in added:
-                del pivots[top]
+                pivots[top] = 0
         return total
 
-    return walk(0, 0, 0, 1)
+    return walk(0, 0, (-1) ** n)
 
 
 def region_entropy_source(state: StabilizerState, region_map: QubitRegionMap):

@@ -1,9 +1,11 @@
 """Oracle-vs-engine contracts: exact code entropies against the counting."""
 
 import math
+import random
 
 import pytest
 
+from topomi import builders
 from topomi.engine import (
     CssAnalysis,
     connectivity_count,
@@ -15,7 +17,10 @@ from topomi.scenarios import gallery_dir, load_scenario, scenario_css
 from topomi.stabilizer import (
     CodeLattice,
     QubitRegionMap,
+    _dependencies,
+    _region_bases,
     build_code,
+    entropy_bits,
     multipartite_information_exact,
     rasterize_css,
     region_entropy_source,
@@ -164,6 +169,64 @@ def scaled_on_torus(css: GridCss, scale: int = 2, pad: int = 1) -> tuple[CodeLat
         for x in range(css.width * scale):
             labels[(y + pad) * w + x + pad] = css.label_at(x // scale, y // scale)
     return CodeLattice(w, h, "torus"), GridCss(w, h, tuple(labels), name=css.name)
+
+
+def twelve_arc_ring(side: int, scale: int, seed: int) -> GridCss:
+    """The 12-arc annulus with each cell scaled to a scale x scale block, its
+    ids shuffled and a seeded offset on a side x side grid, as the benchmark's
+    oracle workload places it."""
+    base = builders.annulus(12)
+    rng = random.Random(seed)
+    relabel = list(range(12))
+    rng.shuffle(relabel)
+    ox = rng.randint(0, side - base.width * scale)
+    oy = rng.randint(0, side - base.height * scale)
+    labels = [OUTSIDE] * (side * side)
+    for y in range(base.height * scale):
+        for x in range(base.width * scale):
+            label = base.label_at(x // scale, y // scale)
+            if label != OUTSIDE:
+                labels[(oy + y) * side + ox + x] = relabel[label]
+    return GridCss(side, side, tuple(labels), name=f"ring-n12-torus{side}")
+
+
+#: (torus side, cell scale) of the benchmark's two rings
+TWELVE_ARC_LATTICES = [(16, 2), (24, 3)]
+
+
+@pytest.mark.parametrize("side, scale", TWELVE_ARC_LATTICES)
+def test_oracle_on_twelve_arc_rings(side, scale):
+    """The N = 12 ring, x2 on a 16x16 and x3 on a 24x24 torus, at seeded
+    labels and offsets: oracle == -C^N == 2."""
+    lattice = CodeLattice(side, side, "torus")
+    state = build_code(lattice)
+    for seed in range(3):
+        css = twelve_arc_ring(side, scale, seed)
+        exact = multipartite_information_exact(state, rasterize_css(lattice, css))
+        assert exact == -connectivity_count(css).c_n == 2, (seed, css)
+
+
+@pytest.mark.parametrize("side, scale", TWELVE_ARC_LATTICES)
+def test_twelve_arc_ring_relations_are_the_non_additive_entropy(side, scale):
+    """Each region basis has rank(G|_A) vectors, and the relations among the
+    stacked bases number sum_j S(A_j) - S(union), each a set of basis
+    vectors that XOR to zero."""
+    lattice = CodeLattice(side, side, "torus")
+    state = build_code(lattice)
+    region_map = rasterize_css(lattice, twelve_arc_ring(side, scale, 0))
+    bases = _region_bases(state, region_map)
+    entropies = [entropy_bits(state, region) for region in region_map.regions]
+    assert [len(b) for b in bases] == [s + len(r) for s, r in zip(entropies, region_map.regions)]
+    stacked = [v for basis in bases for v in basis]
+    relations = _dependencies(stacked)
+    for tag in relations:
+        total = 0
+        for i, v in enumerate(stacked):
+            if tag >> i & 1:
+                total ^= v
+        assert total == 0
+    union = entropy_bits(state, region_map.union(range(12)))
+    assert len(relations) == sum(entropies) - union > 0
 
 
 ANALYTIC_GALLERY = [

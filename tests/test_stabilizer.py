@@ -24,6 +24,8 @@ from topomi.stabilizer import (
     CodeLattice,
     QubitRegionMap,
     StabilizerState,
+    _dependencies,
+    _region_bases,
     brute_force_entropy,
     build_code,
     entropy_bits,
@@ -245,6 +247,47 @@ def test_state_validation_rejects_anticommuting():
         StabilizerState(2, (0b01, 0b01))
 
 
+def test_state_validation_rejects_rows_outside_their_bits():
+    """A row holds 2n bits: one with a higher bit, or a negative one, is
+    rejected by the generator's index."""
+    with pytest.raises(ValidationError, match="^generator 0 is 4;"):
+        StabilizerState(1, (0b100,))
+    with pytest.raises(ValidationError, match="^generator 1 is -1;"):
+        StabilizerState(2, (0b0001, -1))
+    with pytest.raises(ValidationError, match="^generator 1 is 16;"):
+        StabilizerState(2, (0b0001, 1 << 4))
+
+
+def _span_dimension(vectors) -> int:
+    """log2 of the size of the span, by enumerating it."""
+    span = {0}
+    for v in vectors:
+        span |= {s ^ v for s in span}
+    return len(span).bit_length() - 1
+
+
+def test_dependencies_are_a_basis_of_the_relations():
+    """Each tag names vectors that XOR to zero, the tags are independent,
+    and there are len(vectors) - rank of them."""
+    rng = random.Random(16)
+    counts = set()
+    for _ in range(300):
+        width = rng.randint(1, 8)
+        vectors = [rng.randrange(1 << width) for _ in range(rng.randint(0, 14))]
+        tags = _dependencies(vectors)
+        for tag in tags:
+            assert 0 < tag < 1 << len(vectors)
+            total = 0
+            for i, v in enumerate(vectors):
+                if tag >> i & 1:
+                    total ^= v
+            assert total == 0, (vectors, tag)
+        assert _is_independent(tags)
+        assert len(tags) == len(vectors) - _span_dimension(vectors)
+        counts.add(len(tags))
+    assert {0, 1} < counts and max(counts) > 5
+
+
 # ----------------------------------------------------------------------
 # entropies
 # ----------------------------------------------------------------------
@@ -370,11 +413,13 @@ def _alternating_entropy_sum(entropy, region_map: QubitRegionMap) -> int:
     return total
 
 
-def _random_region_map(rng: random.Random, n_qubits: int, n: int) -> QubitRegionMap:
-    """n disjoint scattered regions; on some draws they cover every qubit."""
+def _random_region_map(rng: random.Random, n_qubits: int, n: int,
+                       cover: bool = False) -> QubitRegionMap:
+    """n disjoint scattered regions; they cover every qubit on some draws,
+    and on every draw with ``cover``."""
     qubits = list(range(n_qubits))
     rng.shuffle(qubits)
-    used = n_qubits if rng.random() < 0.3 else rng.randint(n, n_qubits)
+    used = n_qubits if cover or rng.random() < 0.3 else rng.randint(n, n_qubits)
     cuts = sorted(rng.sample(range(1, used), n - 1))
     bounds = [0, *cuts, used]
     return QubitRegionMap(n_qubits, tuple(
@@ -407,6 +452,73 @@ def test_exact_walk_matches_per_subset_entropies(lattice):
                 assert abs(nats - exact * LN2) < 1e-8, (n, region_map.regions)
             values.add(exact)
     assert len(values) > 3  # the maps are not all alike
+
+
+@pytest.mark.parametrize("lattice", [
+    CodeLattice(2, 3, "torus"), CodeLattice(3, 3, "torus"), CodeLattice(4, 3, "planar"),
+], ids=_lattice_id)
+def test_exact_walk_one_two_and_covering_regions(lattice):
+    """N = 1 (S(A_1) itself), N = 2, and regions that cover every qubit
+    match the alternating sum of entropy_bits."""
+    state = build_code(lattice)
+    rng = random.Random(f"branches-{_lattice_id(lattice)}")
+    for n in (1, 2, 3, 5):
+        for cover in (False, True):
+            for _ in range(3):
+                region_map = _random_region_map(rng, state.n, n, cover)
+                exact = multipartite_information_exact(state, region_map)
+                assert exact == _alternating_entropy_sum(
+                    lambda qubits: entropy_bits(state, qubits), region_map
+                ), (n, region_map.regions)
+                if cover and n <= 2:  # pure: S(all) = 0 and S(A) = S(complement)
+                    assert exact == n * entropy_bits(state, region_map.regions[0])
+
+
+FAR_APART = """
+AA....BB....
+AA....BB....
+............
+............
+............
+............
+CC....DD....
+CC....DD....
+............
+............
+............
+............
+"""
+
+NEIGHBOURS_AND_A_FAR_ONE = """
+AABB........
+AABB........
+............
+............
+............
+............
+......CC....
+......CC....
+............
+............
+............
+............
+"""
+
+
+def test_exact_walk_far_apart_regions_vanish():
+    """On a 12x12 torus, regions far apart have no relations between them
+    (K = 0), and a pair that shares a wall has some but a far region has
+    none: I^N = 0 on both, as the alternating sum of entropy_bits gives."""
+    lattice = CodeLattice(12, 12, "torus")
+    state = build_code(lattice)
+    relations = {}
+    for name, art in (("far", FAR_APART), ("neighbours", NEIGHBOURS_AND_A_FAR_ONE)):
+        region_map = rasterize_css(lattice, parse_ascii(art))
+        bases = _region_bases(state, region_map)
+        relations[name] = len(_dependencies([v for basis in bases for v in basis]))
+        assert multipartite_information_exact(state, region_map) == 0
+        assert _alternating_entropy_sum(lambda qubits: entropy_bits(state, qubits), region_map) == 0
+    assert relations["far"] == 0 and relations["neighbours"] > 0, relations
 
 
 def test_rasterize_dimension_check():

@@ -20,14 +20,14 @@ counts combinatorially:
   vertices of degree <= 1).  So a subset S counts +1 per vertex outside the
   core whose subsystem is in S and -1 per edge with an endpoint outside the
   core whose subsystems are in S (more histogram entries), plus the
-  components of the core's own induced subgraph.  Only the core is walked:
-  in blocks of 2^16 subsets, one numpy pass strips one component from each
-  subset's vertex mask (uint32, uint64 or Python int by vertex count),
-  grown through per-byte neighbour tables; split subsystems take no
-  branch.  Each histogram term depends on at most two subsystems, so its
-  alternating sum over the subsets of three or more subsystems is 0: the
-  component part of C^N (N >= 3) comes from the core alone, and the open
-  chains and appendages outside it contribute nothing;
+  components of the core's own induced subgraph.  Only the core is walked,
+  in blocks of 2^16 subsets: each numpy pass grows every subset's component
+  through per-byte neighbour tables, and one that stopped growing counts it
+  and restarts from its lowest remaining vertex (uint32, uint64 or Python
+  int vertex masks; split subsystems take no branch).  Each histogram term
+  depends on at most two subsystems, so its alternating sum over the
+  subsets of three or more is 0: the component part of C^N (N >= 3) comes
+  from the core alone, and the chains and appendages outside add nothing;
 * pinch-freeness (enforced by grid validation) makes the complex
   homotopy-faithful, so holes = components - chi and J = 2*components - chi.
   J is built in one int32 pass: the -chi feature entries and twice the
@@ -200,10 +200,11 @@ def count_components(adj: list[int]) -> int:
 
 
 def _walk_components(adj: list[int], groups: list[int]) -> np.ndarray:
-    """:func:`component_counts` by walking every subset's vertex mask.
-
-    Vertex masks are uint32 up to 32 vertices, uint64 up to 64 and Python
-    ints beyond; the subsets run in blocks of the low ``BLOCK_BITS`` groups.
+    """:func:`component_counts` by walking every subset's vertex mask, in
+    blocks of the low ``BLOCK_BITS`` groups: each pass grows every live
+    subset's component, and one that stopped growing is counted, XORed out
+    and replaced by the lowest vertex left; emptied subsets drop out.
+    Vertex masks are uint32 up to 32 vertices, uint64 up to 64, else ints.
     """
     dtype = np.uint32 if len(adj) <= 32 else np.uint64 if len(adj) <= 64 else object
     low = _or_table(groups[:BLOCK_BITS], dtype)
@@ -214,20 +215,18 @@ def _walk_components(adj: list[int], groups: list[int]) -> np.ndarray:
         left = low | high
         live = np.flatnonzero(left)
         left = left[live]
+        comp = left & -left  # the lowest vertex, grown into its component
         while live.size:
-            count[live] += 1
-            comp = left & -left  # the lowest vertex, grown into its component
-            while True:
-                near = comp.copy()
-                for k, table in enumerate(byte_tables):
-                    near |= table[((comp >> 8 * k) & 255).astype(np.intp)]
-                near &= left
-                if np.array_equal(near, comp):
-                    break
-                comp = near
-            left ^= comp
+            near = comp.copy()
+            for k, table in enumerate(byte_tables):
+                near |= table[((comp >> 8 * k) & 255).astype(np.intp)]
+            near &= left
+            done = near == comp  # stopped growing: count it, start the next
+            count[live[done]] += 1
+            left = np.where(done, left ^ comp, left)
+            comp = np.where(done, left & -left, near)
             keep = left != 0
-            live, left = live[keep], left[keep]
+            live, left, comp = live[keep], left[keep], comp[keep]
     return out
 
 

@@ -9,15 +9,16 @@ state.  Region entropies are integer multiples of log 2 read from the
 region itself: S(A) = rank(G|_A) - |A| in units of log 2, where G|_A is the
 generator matrix restricted to the columns of A (Fattal, Cafaro, Haas and
 Chuang, quant-ph/0406168).  Each state keeps one column table (column c as
-an integer over the generators), which also checks that the generators
-commute.  The exact I^N, for up to 18 regions, reduces each region's
-columns to a basis and keeps only the GF(2) relations among the stacked
-bases: the relations within the regions of S number sum_{j in S} S(A_j) -
-S(A_S), so the additive part of every entropy cancels in the alternating
-sum, and one depth-first walk over the subsets of regions reads the rest
-from the regions' projections of the relation space, a few vectors of a
-few dozen bits each.  A dense state-vector construction provides an
-independent oracle for small systems.
+an integer over the generators): rank(G|_A) is the rank of A's X and Z
+columns in it, and it also checks that the generators commute.  The exact
+I^N, for up to 18 regions, reduces each region's columns to a basis and
+keeps only the GF(2) relations among the stacked bases: the relations
+within the regions of S number sum_{j in S} S(A_j) - S(A_S), so the
+additive part of every entropy cancels in the alternating sum, and one
+depth-first walk over the subsets of regions reads the rest from the
+regions' projections of the relation space, a few vectors of a few dozen
+bits each.  A dense state-vector construction provides an independent
+oracle for small systems.
 """
 
 from __future__ import annotations
@@ -153,7 +154,7 @@ class StabilizerState:
         for g, row in enumerate(self.rows):
             if not 0 <= row < 1 << 2 * self.n:
                 raise ValidationError(f"generator {g} is {row}; rows lie in 0..2**{2 * self.n} - 1")
-        if _gf2_rank(self.rows) != self.n:
+        if len(_echelon(self.rows)) != self.n:
             raise ValidationError("generators are not independent over GF(2)")
         # bit b of the XOR of row a's opposite-type columns is the symplectic
         # product of generators a and b; report the first anticommuting pair
@@ -194,33 +195,18 @@ def _echelon(rows: Iterable[int]) -> dict[int, int]:
     return pivots
 
 
-def _gf2_rank(rows: Iterable[int]) -> int:
-    return len(_echelon(rows))
-
-
 def _dependencies(vectors: Sequence[int]) -> list[int]:
     """A basis of the GF(2) relations among ``vectors``, as tags.
 
     Bit i of a tag stands for ``vectors[i]``, and the vectors a tag names
-    XOR to zero.  Each vector is eliminated with its tag in the low bits,
-    so one that reduces to zero leaves a tag whose top bit is its own: the
-    tags are independent, and there are len(vectors) - rank of them.
+    XOR to zero.  Each vector is eliminated (:func:`_echelon`) with its tag
+    in the low bits, so one that reduces to zero leaves a tag whose top bit
+    is its own, a new pivot below bit len(vectors): the tags are
+    independent, and there are len(vectors) - rank of them.
     """
     m = len(vectors)
-    pivots: dict[int, int] = {}
-    tags = []
-    for i, v in enumerate(vectors):
-        row = v << m | 1 << i
-        while row >> m:
-            top = row.bit_length() - 1
-            pivot = pivots.get(top)
-            if pivot is None:
-                pivots[top] = row
-                break
-            row ^= pivot
-        else:
-            tags.append(row)
-    return tags
+    pivots = _echelon(v << m | 1 << i for i, v in enumerate(vectors))
+    return [row for top, row in pivots.items() if top < m]
 
 
 def build_code(lattice: CodeLattice) -> StabilizerState:
@@ -266,18 +252,24 @@ def _as_qubit_mask(state: StabilizerState, qubits: Iterable[int]) -> int:
     return mask
 
 
+def _column_echelon(state: StabilizerState, qubits: Iterable[int]) -> dict[int, int]:
+    """An echelon basis of the qubits' X and Z columns in ``state.columns``."""
+    cols, n = state.columns, state.n
+    return _echelon(c for q in qubits for c in (cols[q], cols[q + n]))
+
+
 def entropy_bits(state: StabilizerState, qubits: Iterable[int]) -> int:
     """Entanglement entropy of a qubit set A, in units of log 2 (exact).
 
     S(A)/log 2 = rank(G|_A) - |A|, the GF(2) rank of the generators
     restricted to the columns of A (Fattal, Cafaro, Haas and Chuang,
-    quant-ph/0406168); the full set returns 0 by purity.
+    quant-ph/0406168), which is the rank of A's X and Z columns; the full
+    set returns 0 by purity.
     """
     mask = _as_qubit_mask(state, qubits)
     if mask == 0:
         raise EmptyRegion("entropy of an empty qubit set is undefined")
-    cols = mask | (mask << state.n)
-    return _gf2_rank(r & cols for r in state.rows) - mask.bit_count()
+    return len(_column_echelon(state, set_bits(mask))) - mask.bit_count()
 
 
 @dataclass(frozen=True)
@@ -313,11 +305,7 @@ class QubitRegionMap:
 
 def _region_bases(state: StabilizerState, region_map: QubitRegionMap) -> list[list[int]]:
     """Each region's X and Z columns in ``state.columns``, reduced to a basis of their span."""
-    cols, m = state.columns, state.n
-    return [
-        list(_echelon(c for q in region for c in (cols[q], cols[q + m])).values())
-        for region in region_map.regions
-    ]
+    return [list(_column_echelon(state, region).values()) for region in region_map.regions]
 
 
 def multipartite_information_exact(state: StabilizerState, region_map: QubitRegionMap) -> int:

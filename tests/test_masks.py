@@ -182,6 +182,26 @@ def test_six_hole_components_sampled_in_every_block():
     check_sampled_blocks(css, random.Random(7))
 
 
+@pytest.mark.parametrize("k, width, blocks", [(17, 1, 2), (18, 2, 4)], ids=["C17-uint32", "C36-uint64"])
+def test_ring_component_counts_match_closed_form(k, width, blocks):
+    """A cycle of k * width vertices in k groups of ``width`` adjacent ones,
+    every table entry: the whole cycle is its 2-core, so all 2^k subsets are
+    walked, over several blocks.  S has one component per i in S with
+    i + 1 (mod k) outside it; the full set has 1."""
+    n_vertices = k * width
+    adj = [1 << (v - 1) % n_vertices | 1 << (v + 1) % n_vertices for v in range(n_vertices)]
+    groups = [((1 << width) - 1) << width * g for g in range(k)]
+    assert _two_core(adj) == (1 << n_vertices) - 1
+    assert 1 << k >> BLOCK_BITS == blocks
+    masks = np.arange(1 << k)
+    successors = masks >> 1 | (masks & 1) << (k - 1)  # bit i is bit i + 1 (mod k) of S
+    expected = np.bitwise_count(masks & ~successors)
+    expected[-1] = 1
+    table = component_counts(adj, groups)
+    assert table.dtype == np.int32
+    assert np.array_equal(table, expected)
+
+
 @pytest.mark.parametrize("n", [20, 22])
 def test_component_counts_peak_memory(n):
     css = builders.random_css(random.Random(4), n, 16, 16, growth=200)

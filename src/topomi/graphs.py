@@ -20,7 +20,7 @@ import numpy as np
 
 from .engine import CssAnalysis
 from .errors import ParseError, PreconditionViolated, TooManyVertices, ValidationError
-from .grid import GridCss, SimpleGraph, json_int
+from .grid import GridCss, SimpleGraph, json_int, subset_letters
 from .masks import alternating_sum, component_counts
 
 #: 2**v induced subgraphs are enumerated
@@ -70,7 +70,8 @@ def sigma_of_css(css: GridCss | CssAnalysis) -> int:
     if bad.size:
         k = int(bad[0])  # index of mask k + 1
         raise PreconditionViolated(
-            f"subset mask {k + 1:#x} has J = {j[k]} but induced component count {h0[k]} "
+            f"subset mask {k + 1:#x} {subset_letters(k + 1)} has J = {j[k]} "
+            f"but induced component count {h0[k]} "
             "(a subsystem or proper union is not a disk arrangement)",
             mask=k + 1,
         )

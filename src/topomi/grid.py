@@ -334,6 +334,11 @@ def set_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def subset_letters(mask: int) -> str:
+    """The grid letters of the subsystems in a subset mask, as ``{A, B, C}``."""
+    return "{" + ", ".join(_ID_CHARS[i] for i in set_bits(mask)) + "}"
+
+
 @dataclass(frozen=True)
 class SimpleGraph:
     """Simple graph, edges sorted as (i, j) with i < j; also a CSS's adjacency graph."""

@@ -12,7 +12,9 @@ counts combinatorially:
   [U meets S] = sum over non-empty V in U of (-1)^(|V|-1) [V in S]
   turns each feature into at most 15 signed histogram entries (a user set
   has at most 4 bits), so one subset sum (:func:`subset_sums`) of the
-  histogram gives the table;
+  histogram gives the table.  Its one pass per bit runs in place; the
+  passes for bits 1 and 2, whose contiguous runs are 2 and 4 entries, walk
+  transposed views so that numpy's inner loop is the long axis;
 * the component count of a union equals the component count of the induced
   subgraph on per-subsystem cell-components (:func:`component_counts`).
   For every induced subgraph, components = |V| - |E| + cycle rank, and
@@ -67,10 +69,23 @@ def subset_signs(n: int) -> np.ndarray:
 
 
 def subset_sums(table: np.ndarray) -> np.ndarray:
-    """In place over a 2^n table: entry S becomes the sum of the entries of S's subsets."""
+    """In place over a 2^n table: entry S becomes the sum of the entries of S's subsets.
+
+    One pass per bit i adds each entry without bit i to its partner with it,
+    viewing the table as (2^(n-i-1), 2, 2^i).  Bits 1 and 2 leave contiguous
+    runs of only 2 and 4 entries, so numpy's inner loop would be that short;
+    their pass iterates the transposed views in C order instead, so the inner
+    loop runs along the long axis of 2^(n-i-1) entries.  Every pass writes
+    into the table itself, with no 2^n temporary, and each entry still gets
+    the same single addition, so the result is bit-identical either way.
+    """
     for i in range(len(table).bit_length() - 1):
         view = table.reshape(-1, 2, 1 << i)
-        view[:, 1, :] += view[:, 0, :]
+        if i in (1, 2):
+            upper = view[:, 1, :].T
+            np.add(upper, view[:, 0, :].T, out=upper, order="C")
+        else:
+            view[:, 1, :] += view[:, 0, :]
     return table
 
 

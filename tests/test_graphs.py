@@ -214,6 +214,7 @@ def test_sigma_reports_offending_mask():
     with pytest.raises(PreconditionViolated) as err:
         sigma_of_css(builders.two_hole_five())
     assert err.value.mask == 0b00111  # the first proper union enclosing a hole
+    assert "0x7 {A, B, C} has J" in str(err.value)
 
 
 def test_graph_validation_and_parsing():

@@ -321,14 +321,49 @@ def test_subsystem_cap():
         UnionTopology(css).j_table
 
 
-@pytest.mark.parametrize("n", range(7))
+def plain_subset_sums(table):
+    """One ``view[:, 1, :] += view[:, 0, :]`` per bit, on a copy: the reference pass."""
+    table = table.copy()
+    for i in range(len(table).bit_length() - 1):
+        view = table.reshape(-1, 2, 1 << i)
+        view[:, 1, :] += view[:, 0, :]
+    return table
+
+
+@pytest.mark.parametrize("n", range(11))
 def test_subset_sums_match_brute_force(n):
+    """In place, in int32, int64 and float64, for the long-axis passes of
+    bits 1 and 2 and every other bit."""
     rng = np.random.default_rng(n)
-    table = rng.integers(-50, 50, size=1 << n)
-    expected = [sum(int(table[q]) for q in range(1 << n) if q & s == q) for s in range(1 << n)]
-    out = subset_sums(table.copy())
-    assert out.dtype == table.dtype
-    assert out.tolist() == expected
+    for dtype in (np.int32, np.int64, np.float64):
+        if dtype is np.float64:
+            table = rng.normal(size=1 << n)
+        else:
+            table = rng.integers(-50, 50, size=1 << n).astype(dtype)
+        given = table.tolist()
+        expected = [sum(given[q] for q in range(1 << n) if q & s == q) for s in range(1 << n)]
+        out = subset_sums(table)
+        assert out is table
+        assert out.dtype == dtype
+        if dtype is np.float64:
+            # the brute-force sum adds in another order; the plain pass adds in the same one
+            np.testing.assert_allclose(out, expected, rtol=0, atol=1e-9)
+            assert out.tobytes() == plain_subset_sums(np.array(given)).tobytes()
+        else:
+            assert out.tolist() == expected, dtype
+
+
+def test_subset_sums_allocate_no_table():
+    """The passes on a 2^20 int32 table (4 MB) stay in place: no transposed copy."""
+    table = np.ones(1 << 20, dtype=np.int32)
+    tracemalloc.start()
+    try:
+        subset_sums(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    assert table[-1] == 1 << 20
 
 
 def full_set_weight(css):

@@ -1,7 +1,6 @@
 """Topological multipartite information of planar subsystem collections."""
 
 from .engine import (
-    ConnectivityResult,
     CssAnalysis,
     CssFamily,
     EntanglementVector,

@@ -79,15 +79,15 @@ def annulus(n: int, name: str = "") -> GridCss:
     return _grid_from_cells(k, k, cells, name or f"annulus-n{n}")
 
 
-def open_chain(n: int, name: str = "") -> GridCss:
+def open_chain(n: int) -> GridCss:
     """Row of n blocks touching in a line."""
     if n < 2:
         raise ValidationError("a chain needs at least 2 subsystems")
     cells = {(i, 0): i for i in range(n)}
-    return _grid_from_cells(n, 1, cells, name or f"open-chain-n{n}")
+    return _grid_from_cells(n, 1, cells, f"open-chain-n{n}")
 
 
-def annulus_with_island(n: int, name: str = "") -> GridCss:
+def annulus_with_island(n: int) -> GridCss:
     """Ring of n-1 arcs plus one disjoint island subsystem."""
     if n < 4:
         raise ValidationError("needs at least 4 subsystems (ring of 3 + island)")
@@ -95,10 +95,10 @@ def annulus_with_island(n: int, name: str = "") -> GridCss:
     ring = ring_cells(k)
     cells = _arcs_on_ring(ring, _split_sizes(len(ring), n - 1))
     cells[(0, k + 1)] = n - 1
-    return _grid_from_cells(k, k + 2, cells, name or f"island-n{n}")
+    return _grid_from_cells(k, k + 2, cells, f"island-n{n}")
 
 
-def annulus_with_appendage(n: int, name: str = "") -> GridCss:
+def annulus_with_appendage(n: int) -> GridCss:
     """Ring of n-1 arcs with a dangling extra subsystem attached to one arc.
 
     The appendage hangs off the interior of the top-row arc so that its
@@ -109,7 +109,7 @@ def annulus_with_appendage(n: int, name: str = "") -> GridCss:
     k, arc_cells = _ring_with_top_row_arc(n - 1)
     cells = {(x, y + 1): label for (x, y), label in arc_cells.items()}
     cells[(1, 0)] = n - 1  # shares a wall with ring cell (1, 1) of arc 0
-    return _grid_from_cells(k, k + 1, cells, name or f"appendage-n{n}")
+    return _grid_from_cells(k, k + 1, cells, f"appendage-n{n}")
 
 
 def _ring_with_top_row_arc(n: int) -> tuple[int, dict]:
@@ -122,7 +122,7 @@ def _ring_with_top_row_arc(n: int) -> tuple[int, dict]:
     return k, _arcs_on_ring(ring, sizes)
 
 
-def annulus_with_punched_hole(n: int, name: str = "") -> GridCss:
+def annulus_with_punched_hole(n: int) -> GridCss:
     """Ring deformed by punching a hole through subsystem 0.
 
     Arc 0 grows a 3x3 blob above the ring with an empty center, so its own
@@ -134,20 +134,20 @@ def annulus_with_punched_hole(n: int, name: str = "") -> GridCss:
         for y in range(3):
             if (x, y) != (1, 1):
                 cells[(x, y)] = 0
-    return _grid_from_cells(k, k + 3, cells, name or f"punched-n{n}")
+    return _grid_from_cells(k, k + 3, cells, f"punched-n{n}")
 
 
-def annulus_with_self_handle(n: int, name: str = "") -> GridCss:
+def annulus_with_self_handle(n: int) -> GridCss:
     """Ring deformed by a thin handle from subsystem 0 back to itself."""
     k, arc_cells = _ring_with_top_row_arc(n)
     cells = {(x, y + 3): label for (x, y), label in arc_cells.items()}
     handle = [(0, 0), (1, 0), (2, 0), (0, 1), (2, 1), (0, 2), (2, 2)]
     for cell in handle:
         cells[cell] = 0
-    return _grid_from_cells(k, k + 3, cells, name or f"self-handle-n{n}")
+    return _grid_from_cells(k, k + 3, cells, f"self-handle-n{n}")
 
 
-def annulus_with_nn_handle(n: int, name: str = "") -> GridCss:
+def annulus_with_nn_handle(n: int) -> GridCss:
     """Ring deformed by an extra handle between neighbours 0 and 1.
 
     The handle arches around one empty cell to the right of the box, so
@@ -168,10 +168,10 @@ def annulus_with_nn_handle(n: int, name: str = "") -> GridCss:
     cells[(k + 1, 1)] = 1
     cells[(k + 1, 2)] = 1
     cells[(k, 2)] = 1
-    return _grid_from_cells(k + 2, k, cells, name or f"nn-handle-n{n}")
+    return _grid_from_cells(k + 2, k, cells, f"nn-handle-n{n}")
 
 
-def far_handle_annulus(n: int, span: int = 2, name: str = "") -> GridCss:
+def far_handle_annulus(n: int, span: int = 2) -> GridCss:
     """Ring with a handle between subsystems 0 and ``span`` across the hole.
 
     The bridge belongs to subsystem 0 and splits the hole in two; the loop
@@ -203,10 +203,10 @@ def far_handle_annulus(n: int, span: int = 2, name: str = "") -> GridCss:
     cells = _arcs_on_ring(ring, sizes)
     for y in range(1, k - 1):
         cells[(x_m, y)] = 0
-    return _grid_from_cells(k, k, cells, name or f"far-handle-n{n}-span{span}")
+    return _grid_from_cells(k, k, cells, f"far-handle-n{n}-span{span}")
 
 
-def theta_pair(name: str = "theta-pair") -> GridCss:
+def theta_pair() -> GridCss:
     """Two-subsystem theta shape: both holes ringed by only two subsystems."""
     ascii_rows = [
         "AAAAA",
@@ -214,10 +214,10 @@ def theta_pair(name: str = "theta-pair") -> GridCss:
         "A.B.A",
         "AAAAA",
     ]
-    return parse_ascii("\n".join(ascii_rows), name=name)
+    return parse_ascii("\n".join(ascii_rows), name="theta-pair")
 
 
-def two_hole_five(name: str = "two-hole-five") -> GridCss:
+def two_hole_five() -> GridCss:
     """Five subsystems sharing one spine, two holes: loops (A,B,C) and (A,D,E)."""
     ascii_rows = [
         "AAAAAAA",
@@ -225,10 +225,10 @@ def two_hole_five(name: str = "two-hole-five") -> GridCss:
         "B..A..D",
         "CCCAEEE",
     ]
-    return parse_ascii("\n".join(ascii_rows), name=name)
+    return parse_ascii("\n".join(ascii_rows), name="two-hole-five")
 
 
-def six_hole_eighteen(name: str = "six-hole-eighteen") -> GridCss:
+def six_hole_eighteen() -> GridCss:
     """Window-frame CSS: 18 subsystems, 23 walls, 6 holes.
 
     Wall lines one cell thick cross at 12 junctions (A-L, row by row); each
@@ -248,7 +248,7 @@ def six_hole_eighteen(name: str = "six-hole-eighteen") -> GridCss:
         "I...J...K...L",
         "IIIJJJOKKKKLL",
     ]
-    return parse_ascii("\n".join(ascii_rows), name=name)
+    return parse_ascii("\n".join(ascii_rows), name="six-hole-eighteen")
 
 
 def annulus_family(max_n: int) -> list[GridCss]:

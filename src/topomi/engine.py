@@ -15,8 +15,9 @@ C^N is an exact integer and is the primary quantity of record; reported
 information values are C^N scaled by the topological entropy.  The link
 terms need no evaluation: a grid segment borders at most two subsystems,
 so their alternating sum vanishes for N >= 3.  Entry points take a
-GridCss or a CssAnalysis, which computes each hole, loop and table once
-and reads the C around a hole from the same J table.
+GridCss or a CssAnalysis, the one object of a CSS: its holes, hole loops,
+graph and chi and, as a UnionTopology, its 2^N tables (the only capped
+part), each computed once; the C around a hole is read from the same J.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -62,12 +63,10 @@ def entropy_of_region(model: EntropyModel, region) -> float:
 # one analysis per CSS, the connectivity count and the information value
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CssAnalysis:
-    """Holes, hole loops, adjacency graph, chi and 2^N tables of one CSS,
-    each computed on first use and kept as long as the analysis."""
-
-    css: GridCss
+class CssAnalysis(UnionTopology):
+    """Holes, hole loops, adjacency graph and chi of one CSS on top of its 2^N
+    tables, each computed on first use and kept as long as the analysis.
+    Only the tables are capped: the rest answers at any N."""
 
     @staticmethod
     def of(css: GridCss | CssAnalysis) -> CssAnalysis:
@@ -93,14 +92,10 @@ class CssAnalysis:
         return tuple(loops)
 
     @cached_property
-    def topology(self) -> UnionTopology:
-        return UnionTopology(self.css)
-
-    @cached_property
     def chi(self) -> int:
         """The plane's Euler characteristic, 2, as ``grid.euler_characteristic``
         returns it; DisconnectedCss unless the footprint is connected."""
-        adj, _, _ = self.topology._cell_component_graph
+        adj, _, _ = self._cell_component_graph
         n_comp = count_components(adj)  # components of the footprint
         if n_comp != 1:
             raise DisconnectedCss(f"footprint has {n_comp} components")
@@ -119,20 +114,14 @@ class CssAnalysis:
             raise ValidationError(f"no sub-collection {sorted(keep)} of {n} subsystems")
         # a view, not a copy: the axes of the (2,)*n reshape run from the top bit down
         axes = tuple(slice(None) if bit in keep else 0 for bit in reversed(range(n)))
-        return alternating_sum(self.topology.j_table.reshape((2,) * n)[axes])
+        return alternating_sum(self.j_table.reshape((2,) * n)[axes])
 
 
-@dataclass(frozen=True)
-class ConnectivityResult:
-    n_subsystems: int
-    c_n: int
-    per_subset_j: np.ndarray  # index = subset bitmask; entry 0 unused
-
-
-def connectivity_count(css: GridCss | CssAnalysis) -> ConnectivityResult:
-    """C^N and the full J table over all 2^N - 1 non-empty subsets."""
+def connectivity_count(css: GridCss | CssAnalysis) -> CssAnalysis:
+    """The analysis of ``css`` with its C^N (``c_n``) and J table (``j_table``) built."""
     analysis = CssAnalysis.of(css)
-    return ConnectivityResult(analysis.css.n_subsystems, analysis.c_n, analysis.topology.j_table)
+    analysis.c_n  # computed in this call, not at the caller's first read
+    return analysis
 
 
 def _information_value(model: EntropyModel, analysis: CssAnalysis) -> tuple[int, float]:
@@ -144,8 +133,8 @@ def _information_value(model: EntropyModel, analysis: CssAnalysis) -> tuple[int,
 
 def subset_entropy_table(model: EntropyModel, css: GridCss | CssAnalysis) -> np.ndarray:
     """Model entropy of every subset union, indexed by bitmask (entry 0 = 0)."""
-    topo = CssAnalysis.of(css).topology
-    return model.entropy(topo.boundary_links_table, topo.j_table)
+    analysis = CssAnalysis.of(css)
+    return model.entropy(analysis.boundary_links_table, analysis.j_table)
 
 
 # ----------------------------------------------------------------------
@@ -230,7 +219,7 @@ def multipartite_information(model: EntropyModel, css: GridCss | CssAnalysis) ->
         chi=chi,
         holes=tuple(hole_reports),
         constraint_sum=constraint_sum,
-        per_subset_j=analysis.topology.j_table,
+        per_subset_j=analysis.j_table,
     )
 
 
@@ -335,7 +324,7 @@ def subset_information_table(model: EntropyModel, css: GridCss | CssAnalysis) ->
     n = analysis.css.n_subsystems
     if n > RECURSION_CAP:
         raise TooManySubsystems(f"subset information table capped at N = {RECURSION_CAP}")
-    return subset_sums(analysis.topology.signs * subset_entropy_table(model, analysis))
+    return subset_sums(analysis.signs * subset_entropy_table(model, analysis))
 
 
 @dataclass(frozen=True)
@@ -365,8 +354,8 @@ def recursion_check(model: EntropyModel, css: GridCss | CssAnalysis) -> Recursio
     if n > RECURSION_CAP:
         raise TooManySubsystems(f"recursion check capped at N = {RECURSION_CAP}")
     s = subset_entropy_table(model, analysis)
-    info = subset_sums(analysis.topology.signs * s)  # I_R, as subset_information_table
-    popcounts = analysis.topology.popcounts
+    info = subset_sums(analysis.signs * s)  # I_R, as subset_information_table
+    popcounts = analysis.popcounts
 
     lhs = float(info[-1])
     middle = 0.0
@@ -401,23 +390,15 @@ def model_entropy_source(model: EntropyModel, css: GridCss | CssAnalysis) -> Ent
     return source
 
 
-def strong_subadditivity_combination(
-    css: GridCss | CssAnalysis,
-    entropy: EntropySource,
-    order: Sequence[int] | None = None,
-) -> float:
+def strong_subadditivity_combination(css: GridCss | CssAnalysis, entropy: EntropySource) -> float:
     """S_union + sum_i (S_i - S_{i, i+1 mod N}) over the annular cyclic order.
 
     Equals -2 log(D) under the topology model; with a physical entropy
     source it is bounded above by 0, with equality only in a trivial phase.
     """
-    analysis = CssAnalysis.of(css)
-    if order is None:
-        order = annular_order(analysis)
-    n = len(order)
-    value = entropy(frozenset(range(analysis.css.n_subsystems)))
-    for k, i in enumerate(order):
-        j = order[(k + 1) % n]
+    order = annular_order(css)  # every subsystem, in ring order
+    value = entropy(frozenset(order))
+    for i, j in zip(order, order[1:] + order[:1]):
         value += entropy(frozenset([i])) - entropy(frozenset([i, j]))
     return value
 

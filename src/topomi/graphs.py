@@ -64,7 +64,7 @@ def sigma_of_css(css: GridCss | CssAnalysis) -> int:
     n = analysis.css.n_subsystems
     if n > MAX_VERTICES:
         raise TooManyVertices(f"{n} subsystems exceed the cap of {MAX_VERTICES}")
-    j = analysis.topology.j_table[1:-1]
+    j = analysis.j_table[1:-1]
     h0 = induced_component_table(analysis.graph)[1:-1]
     bad = np.flatnonzero(j != h0)
     if bad.size:
@@ -76,7 +76,7 @@ def sigma_of_css(css: GridCss | CssAnalysis) -> int:
             mask=k + 1,
         )
     # C^N less the full set's term
-    return analysis.c_n - (-1) ** (n - 1) * int(analysis.topology.j_table[-1])
+    return analysis.c_n - (-1) ** (n - 1) * int(analysis.j_table[-1])
 
 
 # ----------------------------------------------------------------------

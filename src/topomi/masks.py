@@ -247,19 +247,17 @@ def _walk_components(adj: list[int], groups: list[int]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class UnionTopology:
-    """Per-mask J, perimeter-link and component tables for one CSS."""
+    """Per-mask J, perimeter-link and component tables for one CSS, capped by :attr:`n`."""
 
     css: GridCss
 
-    def __post_init__(self):
-        if self.css.n_subsystems > MAX_SUBSYSTEMS:
-            raise TooManySubsystems(
-                f"{self.css.n_subsystems} subsystems exceed the cap of {MAX_SUBSYSTEMS}"
-            )
-
     @property
     def n(self) -> int:
-        return self.css.n_subsystems
+        """N, which sizes every 2^N table: TooManySubsystems above ``MAX_SUBSYSTEMS``."""
+        n = self.css.n_subsystems
+        if n > MAX_SUBSYSTEMS:
+            raise TooManySubsystems(f"{n} subsystems exceed the cap of {MAX_SUBSYSTEMS}")
+        return n
 
     @cached_property
     def masks(self) -> np.ndarray:
@@ -322,14 +320,14 @@ class UnionTopology:
         """Cell-components of each subsystem and their wall adjacency."""
         css = self.css
         owner: dict[tuple[int, int], int] = {}
-        comp_of_subsystem: list[list[int]] = [[] for _ in range(self.n)]
+        cv_mask: list[int] = []  # the cell-components of each subsystem, as a vertex mask
         n_cv = 0
-        for i in range(self.n):
+        for i in range(css.n_subsystems):
             cells = css.subsystem_cells(i)
             count, labeling = connected_components(cells)
             for cell, k in labeling.items():
                 owner[cell] = n_cv + k
-            comp_of_subsystem[i] = list(range(n_cv, n_cv + count))
+            cv_mask.append(((1 << count) - 1) << n_cv)
             n_cv += count
         adj = [0] * n_cv
         for (x, y), cv in owner.items():
@@ -338,16 +336,12 @@ class UnionTopology:
                 if other is not None and other != cv:
                     adj[cv] |= 1 << other
                     adj[other] |= 1 << cv
-        cv_mask = [0] * self.n
-        for i, cvs in enumerate(comp_of_subsystem):
-            for cv in cvs:
-                cv_mask[i] |= 1 << cv
         return adj, cv_mask, n_cv
 
     @cached_property
     def component_table(self) -> np.ndarray:
         adj, cv_mask, _ = self._cell_component_graph
-        return component_counts(adj, cv_mask)
+        return add_components(np.zeros(1 << self.n, dtype=np.int32), adj, cv_mask)
 
     @cached_property
     def j_table(self) -> np.ndarray:

@@ -13,14 +13,18 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Mapping, NamedTuple
+
+import numpy as np
 
 from . import engine, graphs, stabilizer
 from .engine import CssAnalysis, InfoReport
 from .errors import NotAnnular, ParseError, TopomiError, ValidationError
-from .grid import GridCss, is_json_int, parse_grid_json, read_input
+from .grid import GridCss, is_json_int, parse_grid_json, read_input, subset_letters
 from .model import EntropyModel
 
 
@@ -195,16 +199,36 @@ def evaluate_scenario(
     return result, info
 
 
-def _match_int(checks: list, label: str, got: int, want: int, unit: str = "") -> None:
-    checks.append(Check(label, got == want, f"got {got}{unit}, expected {want}"))
+def _match_int(checks: list, label: str, got: int, want: int, unit: str = "", context=None) -> None:
+    """One integer check; a failing one appends ``context()`` to its detail."""
+    detail = f"got {got}{unit}, expected {want}"
+    if got != want and context:
+        detail += f"; {context()}"
+    checks.append(Check(label, got == want, detail))
+
+
+def _j_by_size(analysis: CssAnalysis) -> str:
+    """The sums of J over the subsets of each size m = 1..N, whose alternating sum is C^N."""
+    j, n = analysis.j_table, analysis.n
+    sizes = np.bitwise_count(np.arange(len(j), dtype=np.uint32))
+    sums = [int(j[sizes == m].sum(dtype=np.int64)) for m in range(1, n + 1)]
+    return f"sums of J over the subsets of size m = 1..{n}: {sums}"
 
 
 def _match_loops(checks: list, label: str, loops, entries, size_key: str) -> None:
-    """Compare (loop size, -C) pairs with expected ``{size_key, "i_over_log_d"}`` entries."""
+    """Compare the (size, -C) pairs of (loop, -C) ``loops`` with expected
+    ``{size_key, "i_over_log_d"}`` entries; a failure names a loop in excess."""
     want = sorted((e[size_key], e["i_over_log_d"]) for e in entries)
-    got = sorted(loops)
+    got = sorted((len(loop), units) for loop, units in loops)
     shown = [(size, float(units)) for size, units in got]
-    checks.append(Check(label, got == want, f"got {shown}, expected {want}"))
+    detail = f"got {shown}, expected {want}"
+    excess = Counter(got) - Counter(want)
+    for loop, units in loops:
+        if (len(loop), units) in excess:  # the first loop whose pair is not expected
+            letters = subset_letters(sum(1 << i for i in loop))
+            detail += f"; loop {letters} gives ({len(loop)}, {units}), not expected"
+            break
+    checks.append(Check(label, got == want, detail))
 
 
 def _run_analytic(scn: Scenario, model: EntropyModel) -> tuple[list[Check], InfoReport]:
@@ -212,13 +236,14 @@ def _run_analytic(scn: Scenario, model: EntropyModel) -> tuple[list[Check], Info
     expected = scn.expected
     report = engine.multipartite_information(model, analysis)
     checks: list[Check] = []
+    by_size = partial(_j_by_size, analysis)  # the context of a failing order check
 
     if "n" in expected:
         _match_int(checks, "n_subsystems", report.n_subsystems, expected["n"])
     if "c_n" in expected:
-        _match_int(checks, "c_n", report.c_n, expected["c_n"])
+        _match_int(checks, "c_n", report.c_n, expected["c_n"], context=by_size)
     if "i_over_log_d" in expected:
-        _match_int(checks, "i_over_log_d", -report.c_n, expected["i_over_log_d"], " units")
+        _match_int(checks, "i_over_log_d", -report.c_n, expected["i_over_log_d"], " units", by_size)
     if "d_nn" in expected:
         _match_int(checks, "d_nn", analysis.graph.d_nn, expected["d_nn"])
     if "n_h" in expected:
@@ -235,7 +260,7 @@ def _run_analytic(scn: Scenario, model: EntropyModel) -> tuple[list[Check], Info
             Check("annular", is_annular == expected["annular"], f"annular={is_annular}")
         )
     if "per_hole" in expected:
-        loops = [(len(h.loop), -h.c) for h in report.holes if h.loop]
+        loops = [(h.loop, -h.c) for h in report.holes if h.loop]
         _match_loops(checks, "per_hole", loops, expected["per_hole"], "loop_size")
     if "constraint_over_log_d" in expected:
         if report.constraint_sum is None:
@@ -245,7 +270,7 @@ def _run_analytic(scn: Scenario, model: EntropyModel) -> tuple[list[Check], Info
             _match_int(checks, "constraint_over_log_d", total, want, " units")
     if "subloops" in expected:
         sub = engine.subloop_revival(model, analysis)
-        loops = [(sub.p, -sub.c_p), (sub.q, -sub.c_q)]
+        loops = [(sub.loop_p, -sub.c_p), (sub.loop_q, -sub.c_q)]
         _match_loops(checks, "subloops", loops, expected["subloops"], "size")
     if "sigma" in expected:
         _match_int(checks, "sigma", graphs.sigma_of_css(analysis), expected["sigma"])

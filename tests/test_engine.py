@@ -100,8 +100,8 @@ def test_deformation_invariance():
 def test_per_subset_table_covers_everything():
     css = builders.annulus(4)
     result = connectivity_count(css)
-    assert len(result.per_subset_j) == 16
-    assert all(result.per_subset_j[1:] >= 1)
+    assert len(result.j_table) == 16
+    assert all(result.j_table[1:] >= 1)
 
 
 def test_alternating_binomial_identity():
@@ -272,7 +272,7 @@ def test_c_within_matches_signed_reference(junction_css):
     nonzero = Counter()
     for css in [*_analytic_gallery_css(), *junction_css, random_n(20)]:
         analysis = CssAnalysis(css)
-        n, j = css.n_subsystems, analysis.topology.j_table
+        n, j = css.n_subsystems, analysis.j_table
         loops = [loop for loop in analysis.hole_loops if not isinstance(loop, str)]
         picks = [tuple(rng.sample(range(n), k)) for k in (3, 4, 5) if k <= n]
         for ids in [*loops, *picks, tuple(range(n))]:
@@ -292,7 +292,7 @@ def test_c_within_is_exact_beyond_int32():
     noise = np.random.default_rng(3).integers(-2**31, 2**31, size=1 << n).astype(np.int32)
     for j in (extreme, noise):
         j[0] = 0
-        analysis.topology.__dict__["j_table"] = j
+        analysis.__dict__["j_table"] = j
         for ids in [(0, 1, 2), (1, 3, 5, 7), (0, 2, 4, 6, 8), tuple(range(n))]:
             want = sum(
                 (-1) ** (m - 1) * int(j[sum(1 << i for i in q)])
@@ -300,7 +300,7 @@ def test_c_within_is_exact_beyond_int32():
                 for q in itertools.combinations(ids, m)
             )
             assert analysis.c_within(ids) == want == signed_reference(j, ids), ids
-    analysis.topology.__dict__["j_table"] = extreme
+    analysis.__dict__["j_table"] = extreme
     assert analysis.c_within(range(n)) == -(2**31 - 1) * ((1 << n) - 1)
 
 
@@ -370,7 +370,7 @@ def test_information_builds_j_alone(name, monkeypatch):
         counted(owner, attr)
     analysis = CssAnalysis(css)
     multipartite_information(D2, analysis)
-    built = set(vars(analysis.topology))
+    built = set(vars(analysis))
     assert "j_table" in built
     assert built.isdisjoint({"euler_table", "component_table", "signs", "popcounts", "masks"}), built
     assert calls == {"_two_core": 1, "_walk_components": 1}
@@ -387,6 +387,25 @@ def test_subsystem_guard():
     labels = tuple(range(25))
     with pytest.raises(TooManySubsystems):
         connectivity_count(GridCss(25, 1, labels))
+
+
+def test_cap_leaves_holes_loops_graph_and_chi(monkeypatch):
+    monkeypatch.setattr("topomi.masks.MAX_SUBSYSTEMS", 4)
+    analysis = CssAnalysis(builders.annulus(5))
+    assert len(analysis._cell_component_graph[1]) == 5
+    assert analysis.holes.n_h == 1
+    assert [len(loop) for loop in analysis.hole_loops] == [5]
+    assert analysis.graph.d_nn == 5
+    assert analysis.chi == 2
+    with pytest.raises(TooManySubsystems):
+        analysis.c_n
+
+
+def test_annulus_beyond_the_cap_has_chi_and_annular_order():
+    analysis = CssAnalysis(builders.annulus(30))
+    assert analysis.css.n_subsystems > masks.MAX_SUBSYSTEMS
+    assert analysis.chi == 2
+    assert sorted(annular_order(analysis)) == list(range(30))
 
 
 # ----------------------------------------------------------------------

@@ -321,6 +321,23 @@ def test_subsystem_cap():
         UnionTopology(css).j_table
 
 
+#: every UnionTopology table indexed by subset mask (2^N entries)
+SUBSET_TABLES = ("masks", "popcounts", "signs", "euler_table",
+                 "boundary_links_table", "component_table", "j_table")
+
+
+def test_cap_guards_every_subset_table(monkeypatch):
+    """Each 2^N table raises above the cap; the cell-component graph does not.
+    A table without the guard builds 32 entries here and fails, not 2^30."""
+    monkeypatch.setattr("topomi.masks.MAX_SUBSYSTEMS", 4)
+    topo = UnionTopology(builders.annulus(5))
+    for table in SUBSET_TABLES:
+        with pytest.raises(TooManySubsystems, match="5 subsystems exceed the cap of 4"):
+            getattr(topo, table)
+    adj, groups, n_vertices = topo._cell_component_graph
+    assert len(groups) == n_vertices == len(adj) == 5
+
+
 def plain_subset_sums(table):
     """One ``view[:, 1, :] += view[:, 0, :]`` per bit, on a copy: the reference pass."""
     table = table.copy()
@@ -458,12 +475,11 @@ def test_connected_set_sum_matches_tables_at_junctions(junction_css):
     n_split = 0
     for css in [*junction_css, *fuzzed_cases()[25:]]:
         analysis = CssAnalysis(css)
-        topo = analysis.topology
-        adj, groups, _ = topo._cell_component_graph
+        adj, groups, _ = analysis._cell_component_graph
         counts = connected_set_counts(css.n_subsystems, connected_set_terms(adj, groups))
-        assert np.array_equal(counts, topo.component_table), css
+        assert np.array_equal(counts, analysis.component_table), css
         signs = subset_signs(css.n_subsystems)
-        assert 2 * int(signs @ counts) - int(signs @ topo.euler_table) == analysis.c_n, css
+        assert 2 * int(signs @ counts) - int(signs @ analysis.euler_table) == analysis.c_n, css
         n_split += len(adj) > css.n_subsystems
     assert n_split == 20
 
@@ -482,12 +498,12 @@ def test_junction_c_n_is_one_signed_connected_set_term(seed, junction_css):
     n = analysis.css.n_subsystems
     loops = analysis.hole_loops
     assert loops and all(isinstance(loop, tuple) and len(loop) < n for loop in loops)
-    adj, groups, _ = analysis.topology._cell_component_graph
+    adj, groups, _ = analysis._cell_component_graph
     signed = sum(
         count * (-1) ** near.bit_count()
         for (inside, near), count in connected_set_terms(adj, groups).items()
         if inside | near == (1 << n) - 1
     )
-    m_chi = int(subset_signs(n) @ analysis.topology.euler_table)
+    m_chi = int(subset_signs(n) @ analysis.euler_table)
     assert abs(signed) == 1 and m_chi == 0
     assert 2 * (-1) ** (n - 1) * signed - m_chi == analysis.c_n == JUNCTION_SEEDS[seed]

@@ -129,6 +129,45 @@ def test_scenario_detects_wrong_expectation(tmp_path):
     assert labels == ["c_n"]
 
 
+def _with_expected(name: str, **expected) -> Scenario:
+    obj = json.loads((GALLERY / f"{name}.json").read_text())
+    obj["expected"] = expected
+    return Scenario.from_dict(obj)
+
+
+@pytest.mark.parametrize("key, got", [("c_n", 2), ("i_over_log_d", -2)])
+def test_failing_order_check_lists_j_summed_by_subset_size(key, got):
+    """C^N is the alternating sum of the listed sums of J by subset size m."""
+    (check,) = run_scenario(_with_expected("annulus-n5", **{key: 3})).checks
+    assert not check.passed
+    head, sums = check.detail.split("; ")
+    assert head.startswith(f"got {got}")
+    assert sums.startswith("sums of J over the subsets of size m = 1..5: ")
+    partial = json.loads(sums.split(": ")[1])
+    assert len(partial) == 5
+    assert sum((-1) ** m * total for m, total in enumerate(partial)) == 2 == abs(got)
+
+
+def test_passing_checks_keep_their_detail():
+    result = run_scenario(_with_expected("annulus-n5", c_n=2, i_over_log_d=-2))
+    assert [c.detail for c in result.checks] == ["got 2, expected 2", "got -2 units, expected -2"]
+
+
+def test_failing_loop_check_names_the_first_unexpected_loop():
+    # two-hole-five's loops (A, B, C) and (A, D, E) both give (3, -2)
+    wrong = [{"loop_size": 3, "i_over_log_d": -2}, {"loop_size": 3, "i_over_log_d": 2}]
+    (check,) = run_scenario(_with_expected("two-hole-five", per_hole=wrong)).checks
+    assert not check.passed
+    assert check.detail == (
+        "got [(3, -2.0), (3, -2.0)], expected [(3, -2), (3, 2)]; "
+        "loop {A, B, C} gives (3, -2), not expected"
+    )
+    wrong = [{"size": 4, "i_over_log_d": -2}, {"size": 4, "i_over_log_d": -2}]
+    (check,) = run_scenario(_with_expected("far-handle-n6-span3", subloops=wrong)).checks
+    assert not check.passed
+    assert check.detail.endswith("; loop {A, D, E, F} gives (4, 2), not expected")
+
+
 #: a gallery file and an edit of its ``expected`` block that leaves a value of the wrong JSON type
 #: or a key its scenario kind does not check
 BAD_EXPECTED = {
@@ -437,18 +476,18 @@ def _count_analysis_work(monkeypatch) -> tuple[list, list]:
     """Record the CSS of every UnionTopology build and footprint flood (find_holes)."""
     builds: list = []
     floods: list = []
-    post_init = masks.UnionTopology.__post_init__
+    init = masks.UnionTopology.__init__
     find_holes = grid.find_holes
 
-    def counting_post_init(self):
-        builds.append(self.css)
-        post_init(self)
+    def counting_init(self, css):
+        builds.append(css)
+        init(self, css)
 
     def counting_find_holes(css):
         floods.append(css)
         return find_holes(css)
 
-    monkeypatch.setattr(masks.UnionTopology, "__post_init__", counting_post_init)
+    monkeypatch.setattr(masks.UnionTopology, "__init__", counting_init)
     for module in (grid, engine):
         monkeypatch.setattr(module, "find_holes", counting_find_holes)
     return builds, floods

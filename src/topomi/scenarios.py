@@ -220,8 +220,7 @@ def _match_loops(checks: list, label: str, loops, entries, size_key: str) -> Non
     ``{size_key, "i_over_log_d"}`` entries; a failure names a loop in excess."""
     want = sorted((e[size_key], e["i_over_log_d"]) for e in entries)
     got = sorted((len(loop), units) for loop, units in loops)
-    shown = [(size, float(units)) for size, units in got]
-    detail = f"got {shown}, expected {want}"
+    detail = f"got {got}, expected {want}"
     excess = Counter(got) - Counter(want)
     for loop, units in loops:
         if (len(loop), units) in excess:  # the first loop whose pair is not expected

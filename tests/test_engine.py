@@ -81,6 +81,12 @@ def test_annular_universality():
         assert result.c_n == 2 * (-1) ** (n - 1), n
 
 
+def test_annular_universality_at_22():
+    """The 22-ring's core is the whole ring: its 2^22 component table is walked
+    over 64 blocks, nearly all in top-group order."""
+    assert connectivity_count(builders.annulus(22)).c_n == -2
+
+
 def test_vanishing_set():
     for n in range(4, 9):
         assert connectivity_count(builders.open_chain(n)).c_n == 0

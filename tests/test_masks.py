@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from topomi import builders
+from topomi import builders, masks
 from topomi.engine import CssAnalysis
 from topomi.errors import TooManySubsystems
 from topomi.grid import (
@@ -24,8 +24,10 @@ from topomi.grid import (
 )
 from topomi.masks import (
     BLOCK_BITS,
+    WHOLE_WALK_BITS,
     UnionTopology,
     _two_core,
+    _walk_components,
     component_counts,
     meet_histogram,
     subset_signs,
@@ -182,16 +184,22 @@ def test_six_hole_components_sampled_in_every_block():
     check_sampled_blocks(css, random.Random(7))
 
 
-@pytest.mark.parametrize("k, width, blocks", [(17, 1, 2), (18, 2, 4)], ids=["C17-uint32", "C36-uint64"])
-def test_ring_component_counts_match_closed_form(k, width, blocks):
-    """A cycle of k * width vertices in k groups of ``width`` adjacent ones,
-    every table entry: the whole cycle is its 2-core, so all 2^k subsets are
-    walked, over several blocks.  S has one component per i in S with
-    i + 1 (mod k) outside it; the full set has 1."""
+def ring(k, width):
+    """A cycle of k * width vertices in k groups of ``width`` adjacent ones."""
     n_vertices = k * width
     adj = [1 << (v - 1) % n_vertices | 1 << (v + 1) % n_vertices for v in range(n_vertices)]
-    groups = [((1 << width) - 1) << width * g for g in range(k)]
-    assert _two_core(adj) == (1 << n_vertices) - 1
+    return adj, [((1 << width) - 1) << width * g for g in range(k)]
+
+
+@pytest.mark.parametrize(
+    "k, width, blocks", [(17, 1, 2), (18, 2, 4), (20, 1, 16)], ids=["C17-uint32", "C36-uint64", "C20-uint32"]
+)
+def test_ring_component_counts_match_closed_form(k, width, blocks):
+    """:func:`ring`, every table entry: the whole cycle is its 2-core, so all
+    2^k subsets are walked, over several blocks.  S has one component per
+    i in S with i + 1 (mod k) outside it; the full set has 1."""
+    adj, groups = ring(k, width)
+    assert _two_core(adj) == (1 << k * width) - 1
     assert 1 << k >> BLOCK_BITS == blocks
     masks = np.arange(1 << k)
     successors = masks >> 1 | (masks & 1) << (k - 1)  # bit i is bit i + 1 (mod k) of S
@@ -200,6 +208,42 @@ def test_ring_component_counts_match_closed_form(k, width, blocks):
     table = component_counts(adj, groups)
     assert table.dtype == np.int32
     assert np.array_equal(table, expected)
+
+
+def test_split_ring_component_counts_match_closed_form():
+    """A cycle of 2k vertices in k groups of two opposite ones, {g, g + k},
+    every table entry: S's vertices are its pattern twice round the cycle,
+    so S has two components per i in S with i + 1 (mod k) outside it; the
+    full set has 1.  In every other S a group's two vertices lie in
+    different components, so the walk restarts after the top group's first."""
+    k = 17
+    adj, _ = ring(2 * k, 1)
+    groups = [1 << g | 1 << g + k for g in range(k)]
+    subsets = np.arange(1 << k)
+    successors = subsets >> 1 | (subsets & 1) << (k - 1)
+    expected = 2 * np.bitwise_count(subsets & ~successors)
+    expected[-1] = 1
+    assert np.array_equal(component_counts(adj, groups), expected)
+
+
+@pytest.mark.parametrize("k, width", [(20, 1), (18, 2)], ids=["C20-uint32", "C36-uint64"])
+def test_ring_walk_reads_the_rest_from_the_table(k, width, monkeypatch):
+    """No group of :func:`ring` is split, so a subset above the block walked
+    whole walks one component and reads the rest from the table.  The
+    vertex masks taken through the per-byte tables then number about 3.3
+    (C20) and 5.4 (C36) per subset; walking every component takes 14.8 and
+    21.7, and reading no entry of a set with group 16 or above 7.4 on C20."""
+    adj, groups = ring(k, width)
+    taken = []
+    or_bytes = masks._or_bytes
+
+    def counted(tables, vertex_masks, out):
+        taken.append(len(vertex_masks))
+        return or_bytes(tables, vertex_masks, out)
+
+    monkeypatch.setattr(masks, "_or_bytes", counted)
+    _walk_components(adj, groups)
+    assert sum(taken) < 6 << k
 
 
 @pytest.mark.parametrize("n", [20, 22])
@@ -300,6 +344,67 @@ def grouped_graphs(draw):
 def test_component_counts_match_bfs(graph):
     adj, groups = graph
     assert component_counts(adj, groups).tolist() == bfs_counts(adj, groups)
+
+
+def small_blocks(monkeypatch, whole_bits=2, block_bits=3):
+    """Walk whole only the subsets below 2^whole_bits, in blocks of 2^block_bits,
+    so that a graph of a few groups takes the top-group path over several blocks."""
+    monkeypatch.setattr(masks, "WHOLE_WALK_BITS", whole_bits)
+    monkeypatch.setattr(masks, "BLOCK_BITS", block_bits)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(grouped_graphs())
+def test_top_group_walk_matches_bfs(graph):
+    adj, groups = graph
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        small_blocks(monkeypatch)
+        assert _walk_components(adj, groups).tolist() == bfs_counts(adj, groups)
+
+
+def ring_with_chords(n):
+    """A cycle on vertices 0..n-1 with chords from vertex 0 to every third vertex."""
+    return neighbor_masks(n, [(v, (v + 1) % n) for v in range(n)] + [(0, v) for v in range(3, n - 1, 3)])
+
+
+@pytest.mark.parametrize("at", ["top", "middle"])
+def test_walk_copies_the_block_below_an_empty_group(at):
+    """Groups WHOLE_WALK_BITS and WHOLE_WALK_BITS + 1 are walked in top-group
+    order; one of them is empty, so its block is the block below it."""
+    adj = ring_with_chords(WHOLE_WALK_BITS + 1)
+    groups = singletons(WHOLE_WALK_BITS + 1)
+    groups.insert(WHOLE_WALK_BITS + (at == "top"), 0)
+    assert _walk_components(adj, groups).tolist() == bfs_counts(adj, groups)
+
+
+@pytest.mark.parametrize("n", [WHOLE_WALK_BITS, WHOLE_WALK_BITS + 1], ids=["n=m", "n=m+1"])
+def test_walk_with_split_groups_matches_bfs(n):
+    """Group n - 1, the top one, holds vertex n - 1 of a chorded cycle and a
+    vertex n hanging off vertex 0 alone: without group 0 they are two
+    components, and the walk restarts after the top group's first one.
+    Group 1 holds vertex 1 and a vertex n + 1 joined to vertices 5 and 9."""
+    adj = ring_with_chords(n) + [0, 0]
+    for u, v in [(n, 0), (n + 1, 5), (n + 1, 9)]:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    groups = singletons(n)
+    groups[n - 1] |= 1 << n
+    groups[1] |= 1 << n + 1
+    assert _walk_components(adj, groups).tolist() == bfs_counts(adj, groups)
+
+
+@pytest.mark.parametrize("n_vertices", [48, 80], ids=["uint64", "python-int"])
+def test_top_group_walk_on_wide_masks_matches_bfs(n_vertices, monkeypatch):
+    """Seeded graphs of 48 and 80 vertices dealt into 7 groups, split ones
+    included, on the top-group path over several blocks."""
+    small_blocks(monkeypatch)
+    rng = random.Random(n_vertices)
+    edges = [(u, v) for u in range(n_vertices) for v in range(u + 1, n_vertices) if rng.random() < 2.5 / n_vertices]
+    owner = [v % 7 for v in range(n_vertices)]
+    rng.shuffle(owner)
+    groups = [sum(1 << v for v in range(n_vertices) if owner[v] == g) for g in range(7)]
+    adj = neighbor_masks(n_vertices, edges)
+    assert _walk_components(adj, groups).tolist() == bfs_counts(adj, groups)
 
 
 def test_six_hole_sampled_masks():

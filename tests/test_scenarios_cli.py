@@ -159,7 +159,7 @@ def test_failing_loop_check_names_the_first_unexpected_loop():
     (check,) = run_scenario(_with_expected("two-hole-five", per_hole=wrong)).checks
     assert not check.passed
     assert check.detail == (
-        "got [(3, -2.0), (3, -2.0)], expected [(3, -2), (3, 2)]; "
+        "got [(3, -2), (3, -2)], expected [(3, -2), (3, 2)]; "
         "loop {A, B, C} gives (3, -2), not expected"
     )
     wrong = [{"size": 4, "i_over_log_d": -2}, {"size": 4, "i_over_log_d": -2}]

@@ -5,12 +5,14 @@ from .engine import (
     CssFamily,
     EntanglementVector,
     InfoReport,
+    InfoSummary,
     RecursionResult,
     SubloopResult,
     annular_order,
     connectivity_count,
     entanglement_vector,
     entropy_of_region,
+    information_summary,
     model_entropy_source,
     multipartite_information,
     recursion_check,

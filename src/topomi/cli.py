@@ -95,13 +95,14 @@ def _print_result(result, as_json: bool) -> None:
 
 def _cmd_analyze(args) -> int:
     scn = load_scenario(args.file)
-    result, info = evaluate_scenario(scn, _model_from_args(args))
+    result, analysis = evaluate_scenario(scn, _model_from_args(args))
     if args.csv is not None:
         if scn.kind != "analytic":
             print("--csv applies to analytic scenarios only", file=sys.stderr)
-        elif info is not None:
+        elif analysis is not None:
+            j_table = analysis.j_table  # TooManySubsystems before any file is opened
             with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-                engine.write_subset_table_csv(info, fh)
+                engine.write_subset_table_csv(j_table, fh)
     _print_result(result, args.json)
     return 0 if result.passed else 1
 

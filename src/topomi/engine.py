@@ -17,7 +17,11 @@ terms need no evaluation: a grid segment borders at most two subsystems,
 so their alternating sum vanishes for N >= 3.  Entry points take a
 GridCss or a CssAnalysis, the one object of a CSS: its holes, hole loops,
 graph and chi and, as a UnionTopology, its 2^N tables (the only capped
-part), each computed once; the C around a hole is read from the same J.
+part), each computed once.  C^N and the C around each hole come from the
+frontier walk over the cell-component graph (``masks.signed_component_sum``)
+with no 2^N table, and so answer beyond the cap; the J table is read only
+when the walk passes its state cap, or when a caller asks for it
+(``multipartite_information``, ``analyze --csv``, sigma).
 """
 
 from __future__ import annotations
@@ -47,7 +51,14 @@ from .grid import (
     loop_around_hole,
     perimeter_links,
 )
-from .masks import UnionTopology, alternating_sum, count_components, subset_signs, subset_sums
+from .masks import (
+    UnionTopology,
+    alternating_sum,
+    count_components,
+    signed_component_sum,
+    subset_signs,
+    subset_sums,
+)
 from .model import EntropyModel
 
 #: cap on N for the recursion check and the subset information table
@@ -64,9 +75,10 @@ def entropy_of_region(model: EntropyModel, region) -> float:
 # ----------------------------------------------------------------------
 
 class CssAnalysis(UnionTopology):
-    """Holes, hole loops, adjacency graph and chi of one CSS on top of its 2^N
-    tables, each computed on first use and kept as long as the analysis.
-    Only the tables are capped: the rest answers at any N."""
+    """Holes, hole loops, adjacency graph, chi and C of one CSS on top of its
+    2^N tables, each computed on first use and kept as long as the analysis.
+    Only the tables are capped: the rest answers at any N, C unless the
+    frontier walk passes its state cap."""
 
     @staticmethod
     def of(css: GridCss | CssAnalysis) -> CssAnalysis:
@@ -108,17 +120,40 @@ class CssAnalysis(UnionTopology):
 
     def c_within(self, ids: Iterable[int]) -> int:
         """C of the sub-collection ``ids`` (the C^N of ``restrict_css(css, ids)``):
-        the alternating sum of J over the non-empty subsets of ``ids``."""
-        n, keep = self.css.n_subsystems, set(ids)
-        if not keep or not keep <= set(range(n)):
-            raise ValidationError(f"no sub-collection {sorted(keep)} of {n} subsystems")
-        # a view, not a copy: the axes of the (2,)*n reshape run from the top bit down
-        axes = tuple(slice(None) if bit in keep else 0 for bit in reversed(range(n)))
-        return alternating_sum(self.j_table.reshape((2,) * n)[axes])
+        the alternating sum of J over the non-empty subsets of ``ids``.
+
+        With J = 2 components - chi, this is -2 s - (the weight of the
+        corners, segments and cells whose cells hold every subsystem of
+        ``ids``; 0 beyond 4 ids), s being the signed component sum of the
+        subsystems' cell-components (``masks.signed_component_sum``), so no
+        2^N table is built.  When the walk passes its state cap, C is read
+        from the J table, which raises TooManySubsystems above its own cap.
+        """
+        n, keep = self.css.n_subsystems, sorted(set(ids))
+        if not keep or keep[0] < 0 or keep[-1] >= n:
+            raise ValidationError(f"no sub-collection {keep} of {n} subsystems")
+        adj, cv_mask, _ = self._cell_component_graph
+        try:
+            s = signed_component_sum(adj, [cv_mask[i] for i in keep])
+        except TooManySubsystems as walk:
+            try:
+                j = self.j_table
+            except TooManySubsystems as table:
+                raise TooManySubsystems(f"{walk}, and {table} of the J table") from None
+            # a view, not a copy: the axes of the (2,)*n reshape run from the top bit down
+            axes = tuple(slice(None) if bit in keep else 0 for bit in reversed(range(n)))
+            return alternating_sum(j.reshape((2,) * n)[axes])
+        held = 0  # sum over S in ids of (-1)^|S| chi(S) is minus the weight held by all of ids
+        for labels, weight in self._feature_labels:
+            if len(keep) <= labels.shape[1]:
+                rows = np.all([(labels == i).any(axis=1) for i in keep], axis=0)
+                held += weight * int(np.count_nonzero(rows))
+        return -2 * s - held
 
 
 def connectivity_count(css: GridCss | CssAnalysis) -> CssAnalysis:
-    """The analysis of ``css`` with its C^N (``c_n``) and J table (``j_table``) built."""
+    """The analysis of ``css`` with its C^N (``c_n``) computed; the J table is
+    built only if the frontier walk passes its state cap."""
     analysis = CssAnalysis.of(css)
     analysis.c_n  # computed in this call, not at the caller's first read
     return analysis
@@ -150,7 +185,9 @@ class HoleReport:
 
 
 @dataclass(frozen=True)
-class InfoReport:
+class InfoSummary:
+    """I^N of a CSS and the I around each hole, with no 2^N table."""
+
     name: str
     n_subsystems: int
     c_n: int
@@ -159,7 +196,6 @@ class InfoReport:
     chi: int | None
     holes: tuple[HoleReport, ...]
     constraint_sum: float | None
-    per_subset_j: np.ndarray
 
     @property
     def i_n_nats(self) -> float:
@@ -187,7 +223,20 @@ class InfoReport:
         }
 
 
+@dataclass(frozen=True)
+class InfoReport(InfoSummary):
+    """The summary plus the J of every subset mask."""
+
+    per_subset_j: np.ndarray
+
+
 def multipartite_information(model: EntropyModel, css: GridCss | CssAnalysis) -> InfoReport:
+    """:func:`information_summary` plus the 2^N J table, built in this call."""
+    analysis = CssAnalysis.of(css)
+    return InfoReport(**vars(information_summary(model, analysis)), per_subset_j=analysis.j_table)
+
+
+def information_summary(model: EntropyModel, css: GridCss | CssAnalysis) -> InfoSummary:
     """I^N of the whole CSS plus the per-hole loop decomposition."""
     analysis = CssAnalysis.of(css)
     c_n, i_n = _information_value(model, analysis)
@@ -210,7 +259,7 @@ def multipartite_information(model: EntropyModel, css: GridCss | CssAnalysis) ->
     else:
         constraint_sum = None
 
-    return InfoReport(
+    return InfoSummary(
         name=analysis.css.name,
         n_subsystems=analysis.css.n_subsystems,
         c_n=c_n,
@@ -219,20 +268,19 @@ def multipartite_information(model: EntropyModel, css: GridCss | CssAnalysis) ->
         chi=chi,
         holes=tuple(hole_reports),
         constraint_sum=constraint_sum,
-        per_subset_j=analysis.j_table,
     )
 
 
-def write_subset_table_csv(report: InfoReport, fileobj) -> None:
-    """Debug CSV of the per-subset J table: mask, m, J, sign."""
+def write_subset_table_csv(j_table: np.ndarray, fileobj) -> None:
+    """Debug CSV of a 2^N J table: mask, m, J, sign."""
     writer = csv.writer(fileobj)
     writer.writerow(["mask", "m", "J", "sign"])
-    masks = np.arange(1, len(report.per_subset_j), dtype=np.uint32)
+    masks = np.arange(1, len(j_table), dtype=np.uint32)
     writer.writerows(zip(
         masks.tolist(),
         np.bitwise_count(masks).tolist(),
-        report.per_subset_j[1:].tolist(),
-        subset_signs(report.n_subsystems)[1:].tolist(),
+        j_table[1:].tolist(),
+        subset_signs(len(j_table).bit_length() - 1)[1:].tolist(),
     ))
 
 

@@ -9,7 +9,9 @@ vertex set and the full vertex set.  Path graphs give rho(P_n) = (-1)^(n-1)
 and cycle graphs give rho(C_n) = 0, which is what makes open chains vanish
 and rings survive in the subsystem-counting identities.  Component counts
 and alternating sums come from :mod:`topomi.masks`, as for a CSS's
-per-subset tables.
+per-subset tables.  rho is read from the signed component sum of the
+frontier walk, so it needs no 2^v table unless the walk passes its state
+cap; sigma compares whole tables and keeps the vertex cap.
 """
 
 from __future__ import annotations
@@ -19,11 +21,11 @@ from typing import Mapping
 import numpy as np
 
 from .engine import CssAnalysis
-from .errors import ParseError, PreconditionViolated, TooManyVertices, ValidationError
+from .errors import ParseError, PreconditionViolated, TooManySubsystems, TooManyVertices, ValidationError
 from .grid import GridCss, SimpleGraph, json_int, subset_letters
-from .masks import alternating_sum, component_counts
+from .masks import alternating_sum, component_counts, count_components, signed_component_sum
 
-#: 2**v induced subgraphs are enumerated
+#: cap on v for a table of all 2**v induced subgraphs
 MAX_VERTICES = 20
 
 
@@ -43,13 +45,19 @@ def induced_component_table(graph: SimpleGraph) -> np.ndarray:
 
 
 def rho(graph: SimpleGraph) -> int:
-    """Alternating sum of component counts over nontrivial induced subgraphs."""
-    v = graph.vertex_count
-    if v > MAX_VERTICES:
-        raise TooManyVertices(f"{v} vertices exceed the cap of {MAX_VERTICES}")
-    table = induced_component_table(graph)
-    # minus the alternating sum over every non-empty subset, less the full set's term
-    return (-1) ** (v - 1) * int(table[-1]) - alternating_sum(table.reshape((2,) * v))
+    """Alternating sum of component counts over nontrivial induced subgraphs:
+    the signed sum over every vertex set, less the full set's term.  When the
+    frontier walk passes its state cap, the signed sum is read from the
+    induced component table, capped at ``MAX_VERTICES``."""
+    v, adj = graph.vertex_count, graph.neighbor_masks()
+    try:
+        signed, whole = signed_component_sum(adj, [1 << i for i in range(v)]), count_components(adj)
+    except TooManySubsystems as walk:
+        if v > MAX_VERTICES:
+            raise TooManyVertices(f"{walk}, and {v} vertices exceed the table's cap of {MAX_VERTICES}") from None
+        table = induced_component_table(graph)
+        signed, whole = -alternating_sum(table.reshape((2,) * v)), int(table[-1])
+    return signed - (-1) ** v * whole
 
 
 def sigma_of_css(css: GridCss | CssAnalysis) -> int:

@@ -40,9 +40,18 @@ counts combinatorially:
   outside-core entries share one histogram, summed over subsets once, and
   twice the core's walked table is added on top.
 
-C^N and the C of a sub-collection are alternating sums of J, read as the top
-Moebius coefficient of a (2,)*k view (:func:`alternating_sum`), in int64 and
-without a table of signs.
+C^N and the C of a sub-collection X need no table.  With J = 2c - chi,
+C(X) = -2 s(X) - (the weight of the features whose user set holds X),
+where s(X) = sum over S in X of (-1)^|S| c(S) is the signed component sum
+(:func:`signed_component_sum`): the terms outside the 2-core of X's graph
+count only for |X| <= 2, and the core part is one dynamic-programming pass
+over the core vertices whose states are the in/out choices of the open
+groups and the component partition of the frontier.  The states grow with
+the width of the frontier, not with N, and the walk gives up above
+``MAX_WALK_STATES`` of them; the reader then falls back to the J table,
+read as the top Moebius coefficient of a (2,)*k view
+(:func:`alternating_sum`), in int64 and without a table of signs.  Only the
+2^N tables are capped, at ``MAX_SUBSYSTEMS``.
 
 The flood-fill definition stays available in :mod:`topomi.grid`; the test
 suite compares every table with it, for every width of vertex mask.
@@ -58,8 +67,11 @@ import numpy as np
 from .errors import TooManySubsystems
 from .grid import OUTSIDE, GridCss, connected_components, set_bits
 
-#: hard cap on subset enumeration (2**24 masks)
+#: cap on N for the 2^N tables (2**24 masks)
 MAX_SUBSYSTEMS = 24
+#: the frontier walk (:func:`signed_component_sum`) gives up when one vertex
+#: leaves more states than this
+MAX_WALK_STATES = 1 << 12
 #: the component walk takes its subsets in blocks of 2**BLOCK_BITS
 BLOCK_BITS = 16
 #: the component walk takes the subsets below 2**WHOLE_WALK_BITS whole, in one
@@ -152,6 +164,12 @@ def _or_bytes(tables: list[np.ndarray], masks: np.ndarray, out: np.ndarray) -> n
     return out
 
 
+def _user_masks(labels: np.ndarray) -> np.ndarray:
+    """Per row of subsystem labels, the int64 mask of its subsystems; OUTSIDE adds no bit."""
+    bits = np.where(labels == OUTSIDE, 0, np.left_shift(1, labels.clip(0)))
+    return np.bitwise_or.reduce(bits, axis=1)
+
+
 def _owner_bits(n_vertices: int, groups: list[int]) -> list[int]:
     """The bit of the group holding each vertex."""
     owner = [0] * n_vertices
@@ -236,6 +254,122 @@ def count_components(adj: list[int]) -> int:
             comp |= frontier
         left &= ~comp
     return count
+
+
+def signed_component_sum(adj: list[int], groups: list[int]) -> int:
+    """The sum over every subset S of the groups of (-1)^|S| times the
+    components of the subgraph induced by the union of S, with no 2^n table.
+
+    ``adj[v]`` is the neighbour bitmask of vertex v and ``groups[i]`` the
+    vertex bitmask of group i; the groups are disjoint, and the graph is the
+    subgraph induced by their union.  As in :func:`add_components`, the
+    vertices and edges outside the 2-core count only when n <= 2, and a
+    group with no core vertex cancels the core part.  The core part is one
+    pass over the core vertices in :func:`_frontier_order`.  A state holds
+    the in/out choice of each open group (one with visited and unvisited
+    vertices) and the component partition of the chosen frontier vertices
+    (visited ones with an unvisited neighbour); its value is the pair
+    (sum of signs, sum of sign times closed components) over the choices
+    that lead to it, and a state whose value is (0, 0) is dropped, since
+    every later value is linear in it.  TooManySubsystems when one vertex
+    leaves more than ``MAX_WALK_STATES`` states.
+    """
+    union = 0
+    for mask in groups:
+        union |= mask
+    adj = [a & union if union >> v & 1 else 0 for v, a in enumerate(adj)]
+    core = _two_core(adj)
+    owner = {v: i for i, mask in enumerate(groups) for v in set_bits(mask)}
+    total = 0
+    if len(groups) <= 2:  # each term outside the core depends on at most two groups
+        for v in set_bits(union & ~core):
+            ends = [u for u in set_bits(adj[v]) if u < v or core >> u & 1]  # each edge once
+            if len(groups) == 1:
+                total += len(ends) - 1
+            else:
+                total -= sum(owner[u] != owner[v] for u in ends)
+    if not all(mask & core for mask in groups):
+        return total
+
+    order = _frontier_order(adj, core, [mask & core for mask in groups], owner)
+    states = {(0, ()): (1, 0)}  # (chosen open groups, frontier labels) -> (signs, closed)
+    frontier: list[int] = []
+    seen, unvisited = 0, core
+    for v in order:
+        g = 1 << owner[v]
+        first = not seen & g
+        seen |= g
+        unvisited ^= 1 << v
+        last = not groups[owner[v]] & unvisited
+        touching = [p for p, u in enumerate(frontier) if adj[u] >> v & 1]
+        fresh = len(frontier) + 1  # a label no state uses
+        frontier.append(v)
+        keep = [p for p, u in enumerate(frontier) if adj[u] & unvisited]
+        frontier = [frontier[p] for p in keep]
+        drop = ~g if last else -1
+        moves: dict = {}  # (labels, v chosen) -> (next labels, components closed)
+        after: dict = {}
+        for (chosen, labels), (signs, closed) in states.items():
+            options = ((chosen, signs, closed), (chosen | g, -signs, -closed)) if first else ((chosen, signs, closed),)
+            for bits, signs, closed in options:
+                move = (labels, bits & g)
+                if move not in moves:
+                    moves[move] = _next_labels(labels, bits & g, touching, keep, fresh)
+                labels_after, ended = moves[move]
+                key = (bits & drop, labels_after)
+                had = after.get(key, (0, 0))
+                after[key] = (had[0] + signs, had[1] + closed + signs * ended)
+        states = {key: value for key, value in after.items() if value != (0, 0)}  # they stay 0
+        if len(states) > MAX_WALK_STATES:
+            raise TooManySubsystems(
+                f"the frontier walk over {len(groups)} groups exceeds its cap of "
+                f"{MAX_WALK_STATES} states"
+            )
+    return total + sum(closed for _, closed in states.values())
+
+
+def _next_labels(labels: tuple, chosen: int, touching: list[int], keep: list[int], fresh: int):
+    """The frontier labels after a vertex, chosen or not, joins ``labels`` at the
+    end, merging the components at positions ``touching``; only positions
+    ``keep`` stay.  Returns them renumbered in order of first appearance,
+    and the number of components left with no frontier vertex."""
+    if chosen:
+        joined = {labels[p] for p in touching}
+        row = [fresh if x and x in joined else x for x in labels] + [fresh]
+    else:
+        row = [*labels, 0]
+    kept = [row[p] for p in keep]
+    canon = {0: 0}
+    return tuple([canon.setdefault(x, len(canon)) for x in kept]), len(set(row).difference(kept, (0,)))
+
+
+def _frontier_order(adj: list[int], core: int, groups: list[int], owner: dict[int, int]) -> list[int]:
+    """The vertices of ``core`` in a greedy order that keeps the frontier walk
+    narrow: each step takes, among the unvisited neighbours of the visited
+    vertices (the lowest unvisited vertex when there are none), the one that
+    adds the fewest frontier vertices plus open groups, the lowest on a tie.
+    ``groups`` are the groups' core vertex masks."""
+    order: list[int] = []
+    frontier, left = 0, core
+    while left:
+        near = 0
+        for u in set_bits(frontier):
+            near |= adj[u]
+        best = None
+        for v in set_bits(near & left or left & -left):
+            rest = left ^ 1 << v
+            # v joins the frontier unless all its neighbours are visited; a
+            # frontier vertex whose last unvisited neighbour is v leaves it
+            width = bool(adj[v] & rest) - sum(1 for u in set_bits(frontier & adj[v]) if not adj[u] & rest)
+            group = groups[owner[v]]  # does v open or close its group?
+            width += bool(group & rest) - bool(group & ~left and group & left)
+            if best is None or width < best[0]:
+                best = (width, v)
+        v = best[1]
+        order.append(v)
+        left ^= 1 << v
+        frontier = sum(1 << u for u in set_bits(frontier | 1 << v) if adj[u] & left)
+    return order
 
 
 def _walk_components(adj: list[int], groups: list[int]) -> np.ndarray:
@@ -329,27 +463,27 @@ class UnionTopology:
     # ------------------------------------------------------------------
 
     @cached_property
-    def _user_sets(self):
-        """(corners, a, b, cells): subset masks of each corner's four cells, of the
-        cells on either side of each horizontal then vertical segment, and of
-        each cell; OUTSIDE contributes no bit."""
+    def _feature_labels(self):
+        """(labels, weight) of the corners, segments and cells: one row per
+        feature, holding the labels of the cells around it (its four cells,
+        the cells on either side of each horizontal then vertical segment, or
+        the cell itself; OUTSIDE off the grid).  The closed-cell union of
+        subsystems S has V - E + F = the weight of the features with a label in S."""
         css = self.css
         labels = np.array(css.labels, dtype=np.int64).reshape(css.height, css.width)
-        bits = np.zeros((css.height + 2, css.width + 2), dtype=np.int64)
-        cells = bits[1:-1, 1:-1]
-        inside = labels != OUTSIDE
-        cells[inside] = 1 << labels[inside]
-        corners = bits[:-1, :-1] | bits[:-1, 1:] | bits[1:, :-1] | bits[1:, 1:]
-        a = np.concatenate([bits[:-1, 1:-1].ravel(), bits[1:-1, :-1].ravel()])
-        b = np.concatenate([bits[1:, 1:-1].ravel(), bits[1:-1, 1:].ravel()])
-        return corners.ravel(), a, b, cells.ravel()
+        grid = np.pad(labels, 1, constant_values=OUTSIDE)
+        corners = np.stack([grid[:-1, :-1], grid[:-1, 1:], grid[1:, :-1], grid[1:, 1:]], axis=-1)
+        segments = np.concatenate([
+            np.stack([grid[:-1, 1:-1], grid[1:, 1:-1]], axis=-1).reshape(-1, 2),
+            np.stack([grid[1:-1, :-1], grid[1:-1, 1:]], axis=-1).reshape(-1, 2),
+        ])
+        return (corners.reshape(-1, 4), 1), (segments, -1), (labels.reshape(-1, 1), 1)
 
     @property
     def _euler_features(self):
         """(user sets, weight) of the corners, segments and cells: the closed-cell
         union of mask S has V - E + F = the weight of the features meeting S."""
-        corners, a, b, cells = self._user_sets
-        return (corners, 1), (a | b, -1), (cells, 1)
+        return tuple((_user_masks(labels), weight) for labels, weight in self._feature_labels)
 
     @cached_property
     def euler_table(self) -> np.ndarray:
@@ -359,7 +493,8 @@ class UnionTopology:
     @cached_property
     def boundary_links_table(self) -> np.ndarray:
         """Perimeter links of the union, per mask: segments with exactly one side in it."""
-        _, a, b, _ = self._user_sets
+        _, (segments, _), _ = self._feature_labels
+        a, b = _user_masks(segments[:, :1]), _user_masks(segments[:, 1:])
         # [a xor b meets S] = 2 [a|b meets S] - [a meets S] - [b meets S]
         return subset_sums(meet_histogram(self.n, ((a | b, 2), (a, -1), (b, -1))))
 

@@ -22,8 +22,8 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from . import engine, graphs, stabilizer
-from .engine import CssAnalysis, InfoReport
-from .errors import NotAnnular, ParseError, TopomiError, ValidationError
+from .engine import CssAnalysis
+from .errors import NotAnnular, ParseError, TooManySubsystems, TopomiError, ValidationError
 from .grid import GridCss, is_json_int, parse_grid_json, read_input, subset_letters
 from .model import EntropyModel
 
@@ -176,15 +176,17 @@ def run_scenario(scn: Scenario, model: EntropyModel | None = None) -> ScenarioRe
 
 def evaluate_scenario(
     scn: Scenario, model: EntropyModel | None = None
-) -> tuple[ScenarioResult, InfoReport | None]:
-    """``run_scenario`` plus the InfoReport of an analytic scenario, else None."""
+) -> tuple[ScenarioResult, CssAnalysis | None]:
+    """``run_scenario`` plus the analysis of an analytic scenario that
+    evaluated, else None."""
     model = model or EntropyModel()
     start = time.perf_counter()
-    info = None
+    analysis = None
     try:
         if scn.kind == "analytic":
-            checks, info = _run_analytic(scn, model)
-            report = info.to_json_dict()
+            css = CssAnalysis(scenario_css(scn))
+            checks, report = _run_analytic(scn, model, css)
+            analysis = css
         elif scn.kind == "graph":
             checks, report = _run_graph(scn)
         else:
@@ -196,7 +198,7 @@ def evaluate_scenario(
     elapsed = time.perf_counter() - start
     passed = all(c.passed for c in checks)
     result = ScenarioResult(scn.name, scn.kind, passed, tuple(checks), elapsed, report)
-    return result, info
+    return result, analysis
 
 
 def _match_int(checks: list, label: str, got: int, want: int, unit: str = "", context=None) -> None:
@@ -208,8 +210,12 @@ def _match_int(checks: list, label: str, got: int, want: int, unit: str = "", co
 
 
 def _j_by_size(analysis: CssAnalysis) -> str:
-    """The sums of J over the subsets of each size m = 1..N, whose alternating sum is C^N."""
-    j, n = analysis.j_table, analysis.n
+    """The sums of J over the subsets of each size m = 1..N, whose alternating sum is
+    C^N, or why there are none: they come from the J table, which is capped."""
+    try:
+        j, n = analysis.j_table, analysis.n
+    except TooManySubsystems as exc:
+        return f"sums of J by subset size exist only up to the J table's cap: {exc}"
     sizes = np.bitwise_count(np.arange(len(j), dtype=np.uint32))
     sums = [int(j[sizes == m].sum(dtype=np.int64)) for m in range(1, n + 1)]
     return f"sums of J over the subsets of size m = 1..{n}: {sums}"
@@ -230,10 +236,9 @@ def _match_loops(checks: list, label: str, loops, entries, size_key: str) -> Non
     checks.append(Check(label, got == want, detail))
 
 
-def _run_analytic(scn: Scenario, model: EntropyModel) -> tuple[list[Check], InfoReport]:
-    analysis = CssAnalysis(scenario_css(scn))
+def _run_analytic(scn: Scenario, model: EntropyModel, analysis: CssAnalysis) -> tuple[list[Check], dict]:
     expected = scn.expected
-    report = engine.multipartite_information(model, analysis)
+    report = engine.information_summary(model, analysis)
     checks: list[Check] = []
     by_size = partial(_j_by_size, analysis)  # the context of a failing order check
 
@@ -273,7 +278,7 @@ def _run_analytic(scn: Scenario, model: EntropyModel) -> tuple[list[Check], Info
         _match_loops(checks, "subloops", loops, expected["subloops"], "size")
     if "sigma" in expected:
         _match_int(checks, "sigma", graphs.sigma_of_css(analysis), expected["sigma"])
-    return checks, report
+    return checks, report.to_json_dict()
 
 
 def _run_graph(scn: Scenario):

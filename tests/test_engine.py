@@ -5,6 +5,7 @@ import io
 import itertools
 import math
 import random
+import time
 import tracemalloc
 from collections import Counter
 
@@ -19,6 +20,7 @@ from topomi.engine import (
     connectivity_count,
     entanglement_vector,
     entropy_of_region,
+    information_summary,
     model_entropy_source,
     multipartite_information,
     strong_subadditivity_combination,
@@ -42,7 +44,7 @@ from topomi.grid import (
     restrict_css,
     union_region,
 )
-from topomi.masks import UnionTopology, subset_signs
+from topomi.masks import UnionTopology, alternating_sum, subset_signs
 from topomi.model import EntropyModel
 
 LN2 = math.log(2)
@@ -270,51 +272,51 @@ def signed_reference(j, ids) -> int:
 
 
 def test_c_within_matches_signed_reference(junction_css):
-    """``c_within`` against the signed reference on the hole loops, seeded
-    sub-collections of 3, 4 and 5 subsystems and all N, for the gallery, the
-    junction CSS and an N = 20 random CSS.  A sign error on odd sizes would
-    show: C is non-zero on sub-collections of both parities."""
+    """``c_within`` (the frontier walk) against the signed reference on the J
+    table, on the hole loops, seeded sub-collections of every size 1..N and
+    all N, for the gallery, the junction CSS and an N = 20 random CSS.  A
+    sign error on odd sizes would show: C is non-zero on sub-collections of
+    both parities."""
     rng = random.Random(17)
     nonzero = Counter()
     for css in [*_analytic_gallery_css(), *junction_css, random_n(20)]:
         analysis = CssAnalysis(css)
         n, j = css.n_subsystems, analysis.j_table
         loops = [loop for loop in analysis.hole_loops if not isinstance(loop, str)]
-        picks = [tuple(rng.sample(range(n), k)) for k in (3, 4, 5) if k <= n]
+        picks = [tuple(rng.sample(range(n), k)) for k in range(1, n + 1)]
         for ids in [*loops, *picks, tuple(range(n))]:
             want = signed_reference(j, ids)
             assert analysis.c_within(ids) == want, (css.name, ids)
             nonzero["odd" if len(ids) % 2 else "even"] += want != 0
-    assert nonzero == {"odd": 180, "even": 109}
+    assert nonzero == {"odd": 528, "even": 278}
 
 
-def test_c_within_is_exact_beyond_int32():
-    """A synthetic int32 J whose partial differences leave int32: C stays exact."""
+def test_alternating_sum_is_exact_beyond_int32():
+    """A synthetic int32 J whose partial differences leave int32: the C read
+    from its sub-collection views stays exact."""
     n = 10
-    analysis = CssAnalysis(builders.annulus(n))
     sizes = np.bitwise_count(np.arange(1 << n))
     # every term of C is -(2^31 - 1): the first halving already leaves int32
     extreme = np.where(sizes % 2, -(2**31 - 1), 2**31 - 1).astype(np.int32)
     noise = np.random.default_rng(3).integers(-2**31, 2**31, size=1 << n).astype(np.int32)
     for j in (extreme, noise):
         j[0] = 0
-        analysis.__dict__["j_table"] = j
         for ids in [(0, 1, 2), (1, 3, 5, 7), (0, 2, 4, 6, 8), tuple(range(n))]:
             want = sum(
                 (-1) ** (m - 1) * int(j[sum(1 << i for i in q)])
                 for m in range(1, len(ids) + 1)
                 for q in itertools.combinations(ids, m)
             )
-            assert analysis.c_within(ids) == want == signed_reference(j, ids), ids
-    analysis.__dict__["j_table"] = extreme
-    assert analysis.c_within(range(n)) == -(2**31 - 1) * ((1 << n) - 1)
+            axes = tuple(slice(None) if bit in ids else 0 for bit in reversed(range(n)))
+            assert alternating_sum(j.reshape((2,) * n)[axes]) == want == signed_reference(j, ids), ids
+    assert alternating_sum(extreme.reshape((2,) * n)) == -(2**31 - 1) * ((1 << n) - 1)
 
 
 def test_csv_sign_column_is_the_signed_reference():
     """Each CSV row's sign is (-1)^(m-1), and its int64 contraction with J is C^N."""
     report = multipartite_information(D2, builders.annulus(5))
     buf = io.StringIO()
-    write_subset_table_csv(report, buf)
+    write_subset_table_csv(report.per_subset_j, buf)
     rows = list(csv.reader(io.StringIO(buf.getvalue())))
     assert rows[0] == ["mask", "m", "J", "sign"]
     mask, m, j, sign = (np.array(col, dtype=np.int64) for col in zip(*rows[1:]))
@@ -323,6 +325,77 @@ def test_csv_sign_column_is_the_signed_reference():
     assert sign.tolist() == [(-1) ** (k - 1) for k in m.tolist()]
     assert j.tolist() == report.per_subset_j[1:].tolist()
     assert int(sign @ j) == report.c_n == 2
+
+
+def test_capped_walk_falls_back_to_the_table(monkeypatch):
+    """With the walk capped at 2 states, C comes from the J table up to 24
+    subsystems and is a TooManySubsystems naming both caps above it; no
+    long walk starts."""
+    monkeypatch.setattr("topomi.masks.MAX_WALK_STATES", 2)
+    for css in (builders.six_hole_eighteen(), builders.annulus(12), builders.far_handle_annulus(8, 3)):
+        analysis = CssAnalysis(css)
+        j = analysis.j_table
+        for ids in [*analysis.hole_loops, tuple(range(css.n_subsystems))]:
+            assert analysis.c_within(ids) == signed_reference(j, ids), (css.name, ids)
+    start = time.perf_counter()
+    with pytest.raises(TooManySubsystems, match="cap of 2 states, and 30 subsystems exceed the cap of 24"):
+        CssAnalysis(builders.annulus(30)).c_n
+    assert time.perf_counter() - start < 1
+
+
+RING_BUILDERS = (builders.annulus, builders.annulus_with_punched_hole,
+                 builders.annulus_with_self_handle, builders.annulus_with_nn_handle)
+
+
+@pytest.mark.parametrize("n", [32, 48, 64])
+@pytest.mark.parametrize("build", RING_BUILDERS, ids=lambda b: b.__name__)
+def test_ring_c_n_beyond_the_table_cap(build, n):
+    """|C^N| = chi = 2 for every annular builder well above 24 subsystems."""
+    start = time.perf_counter()
+    assert connectivity_count(build(n)).c_n == 2 * (-1) ** (n - 1)
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("n", [32, 48])
+def test_far_handle_beyond_the_table_cap(n):
+    """The far handle kills C^N and revives a ring around each of its holes."""
+    analysis = CssAnalysis(builders.far_handle_annulus(n, 3))
+    assert analysis.c_n == 0
+    result = subloop_revival(D2, analysis)
+    assert result.p + result.q - 2 == n
+    assert abs(result.c_p) == abs(result.c_q) == 2
+
+
+def brick_css(cols: int, rows: int) -> GridCss:
+    """Bricks two cells wide, every other row shifted by one cell: each corner
+    inside is a junction of three bricks."""
+    width = 2 * cols + 1
+    labels = [OUTSIDE] * (width * rows)
+    for y in range(rows):
+        for c in range(cols):
+            x = y * width + y % 2 + 2 * c
+            labels[x] = labels[x + 1] = y * cols + c
+    return GridCss(width, rows, tuple(labels), name=f"brick-{cols}x{rows}")
+
+
+def test_c_within_at_seventy_subsystems_is_the_restricted_c_n():
+    """Above 62 subsystems an int64 mask per feature would overflow; the chi
+    term of a 3- or 4-subsystem C reads only their own features.  Each C
+    inside the 70-brick CSS equals the J-table C^N of its restricted CSS."""
+    css = brick_css(7, 10)
+    analysis = CssAnalysis(css)
+    corners = analysis._feature_labels[0][0]
+    junctions = {tuple(sorted(set(row))) for row in corners.tolist() if min(row) >= 56 and len(set(row)) == 3}
+    assert len(junctions) >= 10
+    rng = random.Random(70)
+    picks = sorted(junctions)[:6]
+    picks += [tuple(sorted({*junction, junction[0] - 1})) for junction in picks]  # size 4
+    picks += [tuple(rng.sample(range(55, 70), 5)) for _ in range(4)]
+    for ids in picks:
+        restricted = CssAnalysis(restrict_css(css, ids))
+        want = signed_reference(restricted.j_table, range(len(ids)))
+        assert analysis.c_within(ids) == want, ids
+    assert sorted({len(ids) for ids in picks}) == [3, 4, 5]
 
 
 def test_c_within_rejects_ids_outside_the_css():
@@ -355,31 +428,47 @@ def test_random_information_allocation_peak_is_bounded(n):
     assert peak <= 20, peak
 
 
-@pytest.mark.parametrize("name", ["random-n20", "six-hole-eighteen"])
-def test_information_builds_j_alone(name, monkeypatch):
-    """``multipartite_information`` (C^N, chi and the hole loops) builds J with
-    one 2-core and one core walk, and no Euler, component or sign table."""
-    css = random_n(20) if name == "random-n20" else builders.six_hole_eighteen()
+def _count_calls(monkeypatch, targets) -> Counter:
     calls = Counter()
-
-    def counted(owner, attr):
+    for owner, attr in targets:
         function = getattr(owner, attr)
 
-        def counting(*args):
+        def counting(*args, function=function, attr=attr):
             calls[attr] += 1
             return function(*args)
 
         monkeypatch.setattr(owner, attr, counting)
+    return calls
 
-    for owner, attr in [(masks, "_two_core"), (masks, "_walk_components"),
-                        (masks, "subset_signs"), (engine, "subset_signs")]:
-        counted(owner, attr)
+
+@pytest.mark.parametrize("name", ["random-n20", "six-hole-eighteen"])
+def test_information_builds_j_alone(name, monkeypatch):
+    """``multipartite_information`` builds J with one core walk, and no Euler,
+    component or sign table; C^N and each hole loop's C take one frontier walk."""
+    css = random_n(20) if name == "random-n20" else builders.six_hole_eighteen()
+    calls = _count_calls(monkeypatch, [
+        (masks, "_walk_components"), (engine, "signed_component_sum"),
+        (masks, "subset_signs"), (engine, "subset_signs"),
+    ])
     analysis = CssAnalysis(css)
-    multipartite_information(D2, analysis)
+    report = multipartite_information(D2, analysis)
     built = set(vars(analysis))
-    assert "j_table" in built
+    assert "j_table" in built and report.per_subset_j is analysis.j_table
     assert built.isdisjoint({"euler_table", "component_table", "signs", "popcounts", "masks"}), built
-    assert calls == {"_two_core": 1, "_walk_components": 1}
+    loops = sum(isinstance(loop, tuple) for loop in analysis.hole_loops)
+    assert calls == {"_walk_components": 1, "signed_component_sum": 1 + loops}
+
+
+@pytest.mark.parametrize("name", ["random-n20", "six-hole-eighteen"])
+def test_information_summary_builds_no_table(name, monkeypatch):
+    """The summary (C^N, chi and the hole loops) walks no subset table, and its
+    JSON is the full report's."""
+    css = random_n(20) if name == "random-n20" else builders.six_hole_eighteen()
+    calls = _count_calls(monkeypatch, [(masks, "_walk_components"), (masks, "meet_histogram")])
+    analysis = CssAnalysis(css)
+    summary = information_summary(D2, analysis)
+    assert not calls and "j_table" not in vars(analysis)
+    assert summary.to_json_dict() == multipartite_information(D2, css).to_json_dict()
 
 
 @pytest.mark.parametrize("alpha", [None, 0.0])
@@ -389,10 +478,16 @@ def test_information_needs_three_subsystems(grid, alpha):
         multipartite_information(EntropyModel(2.0, alpha=alpha), parse_ascii(grid))
 
 
-def test_subsystem_guard():
-    labels = tuple(range(25))
-    with pytest.raises(TooManySubsystems):
-        connectivity_count(GridCss(25, 1, labels))
+def test_subsystem_guard(monkeypatch):
+    """Above 24 subsystems C^N comes from the frontier walk while the J table
+    raises; when the walk passes its state cap too, so does C^N."""
+    chain = CssAnalysis(GridCss(25, 1, tuple(range(25))))
+    assert connectivity_count(chain).c_n == 0
+    with pytest.raises(TooManySubsystems, match="25 subsystems exceed the cap of 24"):
+        chain.j_table
+    monkeypatch.setattr("topomi.masks.MAX_WALK_STATES", 1)
+    with pytest.raises(TooManySubsystems, match="cap of 1 states, and 25 subsystems exceed the cap of 24"):
+        connectivity_count(builders.annulus(25))
 
 
 def test_cap_leaves_holes_loops_graph_and_chi(monkeypatch):
@@ -403,8 +498,10 @@ def test_cap_leaves_holes_loops_graph_and_chi(monkeypatch):
     assert [len(loop) for loop in analysis.hole_loops] == [5]
     assert analysis.graph.d_nn == 5
     assert analysis.chi == 2
-    with pytest.raises(TooManySubsystems):
-        analysis.c_n
+    assert analysis.c_n == 2  # from the frontier walk
+    monkeypatch.setattr("topomi.masks.MAX_WALK_STATES", 1)
+    with pytest.raises(TooManySubsystems, match="5 subsystems exceed the cap of 4"):
+        analysis.c_within(range(4, -1, -1))
 
 
 def test_annulus_beyond_the_cap_has_chi_and_annular_order():

@@ -82,9 +82,16 @@ def test_rho_matches_brute_force_on_small_graphs():
         assert rho(graph) == brute_rho(graph)
 
 
-def test_rho_guard():
-    with pytest.raises(TooManyVertices):
-        rho(SimpleGraph(21, ()))
+def test_rho_guard(monkeypatch):
+    """rho needs no table on a long cycle or path; the vertex cap guards only
+    the table, read when the frontier walk passes its state cap."""
+    assert rho(cycle_graph(40)) == 0
+    assert rho(path_graph(40)) == -1
+    assert rho(SimpleGraph(21, ())) == 21  # (-1)^(v-1) v on v isolated vertices
+    monkeypatch.setattr("topomi.masks.MAX_WALK_STATES", 1)
+    assert rho(cycle_graph(20)) == 0  # from the table
+    with pytest.raises(TooManyVertices, match="cap of 1 states.*cap of 20"):
+        rho(cycle_graph(21))
 
 
 def test_induction_contributions_by_subgraph_type():
@@ -266,8 +273,9 @@ def test_rho_and_sigma_are_exact_beyond_int32(monkeypatch):
     table = np.random.default_rng(5).integers(-2**31, 2**31, size=1 << n).astype(np.int32)
     table[0] = 0
     monkeypatch.setattr(graphs, "induced_component_table", lambda graph: table)
+    monkeypatch.setattr("topomi.masks.MAX_WALK_STATES", 0)  # a cycle's rho reads the table
     want = sum((-1) ** (mask.bit_count() - 1) * int(table[mask]) for mask in range(1, (1 << n) - 1))
-    assert rho(path_graph(n)) == -want == -_signed_proper_sum(table)
+    assert rho(cycle_graph(n)) == -want == -_signed_proper_sum(table)
     analysis = CssAnalysis(builders.annulus(n))
     analysis.__dict__["j_table"] = table
     assert sigma_of_css(analysis) == want

@@ -29,7 +29,9 @@ from topomi.masks import (
     _two_core,
     _walk_components,
     component_counts,
+    alternating_sum,
     meet_histogram,
+    signed_component_sum,
     subset_signs,
     subset_sums,
 )
@@ -337,6 +339,53 @@ def grouped_graphs(draw):
     ids = draw(st.permutations(sorted(set(owner))))
     groups = [sum(1 << v for v in range(n) if owner[v] == i) for i in ids]
     return neighbor_masks(n, edges), groups
+
+
+def table_signed_sum(adj, groups, ids):
+    """The sum over the subsets S of the groups ``ids`` of (-1)^|S| times the
+    components of S's induced subgraph, read from the component table."""
+    n = len(groups)
+    axes = tuple(slice(None) if g in ids else 0 for g in reversed(range(n)))
+    return -alternating_sum(component_counts(adj, groups).reshape((2,) * n)[axes])
+
+
+@pytest.mark.parametrize("name", SHAPES)
+def test_signed_component_sum_on_shapes(name):
+    adj, groups, _ = SHAPES[name]
+    everything = range(len(groups))
+    assert signed_component_sum(adj, groups) == table_signed_sum(adj, groups, everything)
+
+
+@st.composite
+def grouped_graphs_and_ids(draw):
+    """A grouped graph and a non-empty set of its groups."""
+    adj, groups = draw(grouped_graphs())
+    ids = draw(st.sets(st.integers(0, len(groups) - 1), min_size=1))
+    return adj, groups, ids
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(grouped_graphs_and_ids())
+def test_signed_component_sum_matches_component_counts(graph):
+    """Split groups, groups with no core vertex and groups left out of the
+    sum (their vertices leave the graph) all agree with the table."""
+    adj, groups, ids = graph
+    chosen = [groups[g] for g in sorted(ids)]
+    assert signed_component_sum(adj, chosen) == table_signed_sum(adj, groups, ids)
+
+
+def test_signed_component_sum_stops_at_its_state_cap(monkeypatch):
+    """The 8x8 grid graph needs hundreds of states: with the cap at 5 the walk
+    gives up within a few vertices.  A ring needs five states at most."""
+    adj = SimpleGraph(64, tuple(
+        (v, u) for v in range(64) for u in (v + 1, v + 8) if u < 64 and (u == v + 8 or u % 8)
+    )).neighbor_masks()
+    monkeypatch.setattr(masks, "MAX_WALK_STATES", 5)
+    with pytest.raises(TooManySubsystems, match="64 groups exceeds its cap of 5 states"):
+        signed_component_sum(adj, singletons(64))
+    ring = neighbor_masks(64, [(i, (i + 1) % 64) for i in range(64)])
+    # one component on the whole ring, and sum_S (-1)^|S| = 0 otherwise
+    assert signed_component_sum(ring, singletons(64)) == 1
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

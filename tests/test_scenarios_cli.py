@@ -148,6 +148,21 @@ def test_failing_order_check_lists_j_summed_by_subset_size(key, got):
     assert sum((-1) ** m * total for m, total in enumerate(partial)) == 2 == abs(got)
 
 
+@pytest.mark.parametrize("key, got", [("c_n", -2), ("i_over_log_d", 2)])
+def test_failing_order_check_beyond_the_table_cap_keeps_its_label(key, got):
+    """Above 24 subsystems C^N still answers, so a wrong expectation fails its
+    own check, whose detail says why no sums of J by size are listed."""
+    css = builders.annulus(30)
+    payload = {"width": css.width, "height": css.height, "labels": list(css.labels)}
+    scn = Scenario.from_dict({"name": "annulus-n30", "css": payload, "expected": {key: 3}})
+    (check,) = run_scenario(scn).checks
+    assert check.label == key and not check.passed
+    assert check.detail == (
+        f"got {got}{' units' if key == 'i_over_log_d' else ''}, expected 3; sums of J by subset "
+        "size exist only up to the J table's cap: 30 subsystems exceed the cap of 24"
+    )
+
+
 def test_passing_checks_keep_their_detail():
     result = run_scenario(_with_expected("annulus-n5", c_n=2, i_over_log_d=-2))
     assert [c.detail for c in result.checks] == ["got 2, expected 2", "got -2 units, expected -2"]
@@ -510,6 +525,21 @@ def test_run_scenario_analyses_each_css_once(name, monkeypatch):
     assert len(c_within) == C_WITHIN_CALLS[name]
 
 
+def test_analytic_scenarios_build_no_subset_table():
+    """Every analytic gallery scenario but the sigma checks, which compare
+    whole tables, runs with no 2^N table on its analysis."""
+    tabled = []
+    for path in suite_paths(GALLERY):
+        scn = load_scenario(path)
+        if scn.kind == "analytic":
+            result, analysis = scenarios.evaluate_scenario(scn)
+            assert result.passed
+            if set(vars(analysis)) & {"j_table", "euler_table", "component_table"}:
+                tabled.append(scn.name)
+    with_sigma = sorted(p.stem for p in GALLERY.glob("*.json") if '"sigma"' in p.read_text())
+    assert tabled == with_sigma and len(with_sigma) == 11
+
+
 def test_gallery_suite_builds_no_entropy_table(monkeypatch):
     # every check compares integers: no float 2^N table is built
     tables = _count_calls(monkeypatch, engine, "subset_entropy_table")
@@ -787,6 +817,20 @@ def test_cli_csv_emission(tmp_path, capsys):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "mask,m,J,sign"
     assert len(lines) == 8  # header + 7 non-empty subsets
+
+
+def test_cli_analyze_beyond_the_table_cap(tmp_path, capsys):
+    """``analyze`` answers C^N for 30 subsystems; its ``--csv`` asks for the
+    2^30 J table and ends in the cap's TopomiError, writing no file."""
+    css = builders.annulus(30)
+    path = tmp_path / "annulus-n30.json"
+    path.write_text(json.dumps({"css": {"width": css.width, "height": css.height, "labels": list(css.labels)}}))
+    assert main(["analyze", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["report"]["c_n"] == -2
+    out = tmp_path / "table.csv"
+    assert main(["analyze", str(path), "--csv", str(out)]) == 1
+    assert "TooManySubsystems: 30 subsystems exceed the cap of 24" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_analyze_bare_ascii_grid(tmp_path, capsys):

@@ -47,6 +47,7 @@ from .grid import (
     SimpleGraph,
     adjacency_graph,
     boundary_component_count,
+    euler_characteristic,
     find_holes,
     loop_around_hole,
     perimeter_links,
@@ -54,7 +55,6 @@ from .grid import (
 from .masks import (
     UnionTopology,
     alternating_sum,
-    count_components,
     signed_component_sum,
     subset_signs,
     subset_sums,
@@ -77,8 +77,10 @@ def entropy_of_region(model: EntropyModel, region) -> float:
 class CssAnalysis(UnionTopology):
     """Holes, hole loops, adjacency graph, chi and C of one CSS on top of its
     2^N tables, each computed on first use and kept as long as the analysis.
-    Only the tables are capped: the rest answers at any N, C unless the
-    frontier walk passes its state cap."""
+    The holes, graph and chi are read from the grid's one labelling
+    (``GridCss.labelling``), and the C of each sub-collection is walked once
+    and kept by its sorted ids.  Only the tables are capped: the rest answers
+    at any N, C unless the frontier walk passes its state cap."""
 
     @staticmethod
     def of(css: GridCss | CssAnalysis) -> CssAnalysis:
@@ -105,18 +107,19 @@ class CssAnalysis(UnionTopology):
 
     @cached_property
     def chi(self) -> int:
-        """The plane's Euler characteristic, 2, as ``grid.euler_characteristic``
-        returns it; DisconnectedCss unless the footprint is connected."""
-        adj, _, _ = self._cell_component_graph
-        n_comp = count_components(adj)  # components of the footprint
-        if n_comp != 1:
-            raise DisconnectedCss(f"footprint has {n_comp} components")
-        return 2
+        """The plane's Euler characteristic, 2 (``grid.euler_characteristic``);
+        DisconnectedCss unless the footprint is connected."""
+        return euler_characteristic(self.css)
 
     @cached_property
     def c_n(self) -> int:
         """C^N, the alternating sum of J over every non-empty subset."""
         return self.c_within(range(self.css.n_subsystems))
+
+    @cached_property
+    def _c_memo(self) -> dict[tuple[int, ...], int]:
+        """C of each sub-collection computed so far, keyed by its sorted ids."""
+        return {}
 
     def c_within(self, ids: Iterable[int]) -> int:
         """C of the sub-collection ``ids`` (the C^N of ``restrict_css(css, ids)``):
@@ -128,10 +131,18 @@ class CssAnalysis(UnionTopology):
         subsystems' cell-components (``masks.signed_component_sum``), so no
         2^N table is built.  When the walk passes its state cap, C is read
         from the J table, which raises TooManySubsystems above its own cap.
+        Valid ids are computed once per analysis, kept by their sorted ids.
         """
-        n, keep = self.css.n_subsystems, sorted(set(ids))
+        n, keep = self.css.n_subsystems, tuple(sorted(set(ids)))
         if not keep or keep[0] < 0 or keep[-1] >= n:
-            raise ValidationError(f"no sub-collection {keep} of {n} subsystems")
+            raise ValidationError(f"no sub-collection {list(keep)} of {n} subsystems")
+        if keep not in self._c_memo:
+            self._c_memo[keep] = self._c_of(keep)
+        return self._c_memo[keep]
+
+    def _c_of(self, keep: tuple[int, ...]) -> int:
+        """:meth:`c_within` of valid sorted ids, computed."""
+        n = self.css.n_subsystems
         adj, cv_mask, _ = self._cell_component_graph
         try:
             s = signed_component_sum(adj, [cv_mask[i] for i in keep])

@@ -7,13 +7,16 @@ Euler characteristic) is computed with 4-adjacency for both regions and
 their complements.  Grids containing a diagonal pinch -- a 2x2 block in
 which two regions, or a region and its complement, meet only at a corner --
 are rejected at construction time so that every boundary-curve count is
-unambiguous.
+unambiguous.  Each grid is labelled once (``GridCss.labelling``), and every
+CSS-level structure is read from that; the flood fills below stay the
+definition for an arbitrary region.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 from .errors import (
@@ -55,6 +58,7 @@ class GridCss:
     height: int
     labels: tuple[int, ...]
     name: str = ""
+    n_subsystems: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0:
@@ -74,11 +78,41 @@ class GridCss:
             raise ValidationError(
                 f"subsystem ids must be exactly 0..{len(present) - 1}, got {present}"
             )
+        object.__setattr__(self, "n_subsystems", len(present))
         _reject_diagonal_pinches(self)
 
-    @property
-    def n_subsystems(self) -> int:
-        return max(self.labels) + 1
+    @cached_property
+    def labelling(self) -> tuple[tuple[int, ...], tuple[set[int], ...], dict[Region, int]]:
+        """The grid's one labelling, from which every CSS-level structure is read:
+        the 4-connected same-label components of the grid padded by one OUTSIDE
+        cell on every side, by one flood each from its first cell, so numbered
+        in row-major order of their first cells.  Component 0 is the outside;
+        every other OUTSIDE component is a hole.  Returns the label of each
+        component, the components sharing a grid edge with each, and the
+        cells of each hole, in component order, -> its component."""
+        row, cells = self.width + 2, _padded(self)
+        n = len(cells)
+        cells += [None] * row  # read, also at negative indices, off the padding
+        comp, labels, near, holes = [-1] * (n + row), [], [], {}
+        for seed in range(n):
+            if comp[seed] >= 0:
+                continue
+            c, label = len(labels), cells[seed]
+            labels.append(label)
+            near.append(set())
+            comp[seed], stack = c, [seed]
+            for k in stack:  # the stack grows while it is read, and ends as the component
+                for nb in (k - row, k - 1, k + 1, k + row):
+                    other = comp[nb]
+                    if other < 0 and cells[nb] == label:
+                        comp[nb] = c
+                        stack.append(nb)
+                    elif 0 <= other != c:  # a wall with a component flooded before
+                        near[c].add(other)
+                        near[other].add(c)
+            if label == OUTSIDE and c:
+                holes[frozenset((k % row - 1, k // row - 1) for k in stack)] = c
+        return tuple(labels), tuple(near), holes
 
     def label_at(self, x: int, y: int) -> int:
         """Label of cell (x, y); OUTSIDE for coordinates off the grid."""
@@ -123,19 +157,30 @@ def window_pinch(a: int, b: int, c: int, d: int) -> str | None:
     return None
 
 
-def _reject_diagonal_pinches(css: GridCss) -> None:
-    """Reject corner-only contacts (:func:`window_pinch`).
+def _padded(css: GridCss) -> list[int]:
+    """The labels, row-major, of the grid padded by one OUTSIDE cell on every side."""
+    w = css.width
+    cells = [OUTSIDE] * (w + 3)  # the top border and the first left border
+    for y in range(css.height):
+        cells += css.labels[y * w:(y + 1) * w]
+        cells += (OUTSIDE, OUTSIDE)  # this right border, the next left border
+    return cells + [OUTSIDE] * (w + 1)
 
-    Every 2x2 window is scanned, including a virtual OUTSIDE border.  Under
-    this rule every union of subsystems, and every complement of such a
-    union, has identical 4-adjacency and homotopy component structure.
+
+def _reject_diagonal_pinches(css: GridCss) -> None:
+    """Reject corner-only contacts (:func:`window_pinch`): the 2x2 windows
+    whose four edges all separate different labels.
+
+    Every window is scanned, including a virtual OUTSIDE border.  Under this
+    rule every union of subsystems, and every complement of such a union,
+    has identical 4-adjacency and homotopy component structure.
     """
-    lab = css.label_at
-    for y in range(-1, css.height):
-        for x in range(-1, css.width):
-            pinch = window_pinch(lab(x, y), lab(x + 1, y), lab(x, y + 1), lab(x + 1, y + 1))
-            if pinch is not None:
-                raise ValidationError(f"{pinch} at cells ({x},{y})..({x + 1},{y + 1})")
+    row, cells = css.width + 2, _padded(css)
+    # a window across the wrap of two padded rows has two border cells side by side
+    for k, (a, b, c, d) in enumerate(zip(cells, cells[1:], cells[row:], cells[row + 1:])):
+        if a != b and a != c and b != d and c != d:
+            x, y = k % row - 1, k // row - 1
+            raise ValidationError(f"{window_pinch(a, b, c, d)} at cells ({x},{y})..({x + 1},{y + 1})")
 
 
 # ----------------------------------------------------------------------
@@ -391,15 +436,8 @@ def restrict_css(css: GridCss, keep: Iterable[int], name: str = "") -> GridCss:
 
 def adjacency_graph(css: GridCss) -> SimpleGraph:
     """Edge (i, j) iff a cell of i shares a grid edge with a cell of j."""
-    edges: set[tuple[int, int]] = set()
-    for y in range(css.height):
-        for x in range(css.width):
-            a = css.label_at(x, y)
-            if a == OUTSIDE:
-                continue
-            for b in (css.label_at(x + 1, y), css.label_at(x, y + 1)):
-                if b != OUTSIDE and b != a:
-                    edges.add((min(a, b), max(a, b)))
+    labels, near, _ = css.labelling
+    edges = {(labels[a], labels[b]) for a in range(len(labels)) for b in near[a] if OUTSIDE < labels[a] < labels[b]}
     return SimpleGraph(css.n_subsystems, tuple(edges))
 
 
@@ -415,16 +453,21 @@ class HoleSet:
 
 
 def find_holes(css: GridCss) -> HoleSet:
-    footprint = union_region(css, (1 << css.n_subsystems) - 1)
-    return HoleSet(tuple(region_holes(footprint)))
+    """The holes of the labelling: ``region_holes`` of the footprint, in its order."""
+    return HoleSet(tuple(css.labelling[2]))
 
 
 def euler_characteristic(css: GridCss) -> int:
     """2, the plane's Euler characteristic: V - E + F of the adjacency map with
     a face for every hole, junction corner and the outside, by Euler's formula,
     and the chi of |I^N| = chi S_topo.  Requires an edge-connected footprint."""
-    footprint = union_region(css, (1 << css.n_subsystems) - 1)
-    n_comp, _ = connected_components(footprint)
+    labels, near, _ = css.labelling
+    left, n_comp = {c for c, label in enumerate(labels) if label != OUTSIDE}, 0
+    while left:
+        n_comp, stack = n_comp + 1, [left.pop()]
+        for c in stack:  # grows while it is read
+            stack += [b for b in near[c] if b in left]
+            left -= near[c]
     if n_comp != 1:
         raise DisconnectedCss(f"footprint has {n_comp} components")
     return 2
@@ -440,14 +483,10 @@ def loop_around_hole(css: GridCss, hole: Iterable[Cell], graph: SimpleGraph) -> 
     cycle in the adjacency graph; a subsystem touching the hole on two
     separated arcs, or a second structure inside the hole, raises NotACycle.
     """
-    hole = frozenset(hole)
-    touching = {css.label_at(*nb) for c in hole for nb in _neighbors4(c) if nb not in hole}
-    # a hole is an enclosed complement component of the footprint: OUTSIDE
-    # cells in exactly one 4-connected component, ringed by subsystem cells
-    # only (label_at is OUTSIDE off the grid, so no hole reaches off it)
-    if (OUTSIDE in touching or any(css.label_at(*c) != OUTSIDE for c in hole)
-            or connected_components(hole)[0] != 1):
+    hole, (labels, near, holes) = frozenset(hole), css.labelling
+    if hole not in holes:
         raise ValidationError("region is not a hole of this CSS")
+    touching = {labels[c] for c in near[holes[hole]]}
 
     loop: list[int] = []
     for lbl in _boundary_walk_labels(css, hole):

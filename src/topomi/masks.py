@@ -65,7 +65,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import TooManySubsystems
-from .grid import OUTSIDE, GridCss, connected_components, set_bits
+from .grid import OUTSIDE, GridCss, set_bits
 
 #: cap on N for the 2^N tables (2**24 masks)
 MAX_SUBSYSTEMS = 24
@@ -504,26 +504,16 @@ class UnionTopology:
 
     @cached_property
     def _cell_component_graph(self):
-        """Cell-components of each subsystem and their wall adjacency."""
-        css = self.css
-        owner: dict[tuple[int, int], int] = {}
-        cv_mask: list[int] = []  # the cell-components of each subsystem, as a vertex mask
-        n_cv = 0
-        for i in range(css.n_subsystems):
-            cells = css.subsystem_cells(i)
-            count, labeling = connected_components(cells)
-            for cell, k in labeling.items():
-                owner[cell] = n_cv + k
-            cv_mask.append(((1 << count) - 1) << n_cv)
-            n_cv += count
-        adj = [0] * n_cv
-        for (x, y), cv in owner.items():
-            for nb in ((x + 1, y), (x, y + 1)):
-                other = owner.get(nb)
-                if other is not None and other != cv:
-                    adj[cv] |= 1 << other
-                    adj[other] |= 1 << cv
-        return adj, cv_mask, n_cv
+        """Cell-components of each subsystem and their wall adjacency: the grid's
+        labelling, numbered by subsystem and, within one, in first-cell order."""
+        labels, near, _ = self.css.labelling
+        order = sorted((label, c) for c, label in enumerate(labels) if label != OUTSIDE)
+        vertex = {c: v for v, (_, c) in enumerate(order)}
+        cv_mask = [0] * self.css.n_subsystems  # the cell-components of each subsystem, as a vertex mask
+        for v, (label, _) in enumerate(order):
+            cv_mask[label] |= 1 << v
+        adj = [sum(1 << vertex[b] for b in near[c] if b in vertex) for _, c in order]
+        return adj, cv_mask, len(order)
 
     @cached_property
     def component_table(self) -> np.ndarray:

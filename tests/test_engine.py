@@ -401,8 +401,26 @@ def test_c_within_at_seventy_subsystems_is_the_restricted_c_n():
 def test_c_within_rejects_ids_outside_the_css():
     analysis = CssAnalysis(builders.annulus(4))
     for ids in ([], [4], [-1, 0]):
-        with pytest.raises(ValidationError):
-            analysis.c_within(ids)
+        for _ in range(2):  # on every call: an invalid sub-collection is never kept
+            with pytest.raises(ValidationError):
+                analysis.c_within(ids)
+    assert analysis._c_memo == {}
+
+
+def test_c_within_keeps_each_sub_collection_once():
+    """Permuted and repeated ids read the C kept under their sorted ids, which
+    is the C a fresh analysis walks."""
+    rng = random.Random(11)
+    for analysis, loops, picks in _sub_collections(rng):
+        kept = set()
+        for ids in [*loops, *picks]:
+            want = CssAnalysis(analysis.css).c_within(ids)
+            shuffled = [*ids, *ids]
+            rng.shuffle(shuffled)
+            assert analysis.c_within(ids) == want, (analysis.css.name, ids)
+            assert analysis.c_within(shuffled) == analysis.c_within(reversed(ids)) == want
+            kept.add(tuple(sorted(ids)))
+        assert set(analysis._c_memo) == kept
 
 
 def _information_peak_per_subset(css) -> float:
@@ -500,8 +518,9 @@ def test_cap_leaves_holes_loops_graph_and_chi(monkeypatch):
     assert analysis.chi == 2
     assert analysis.c_n == 2  # from the frontier walk
     monkeypatch.setattr("topomi.masks.MAX_WALK_STATES", 1)
+    assert analysis.c_within(range(4, -1, -1)) == 2  # kept from c_n, not walked again
     with pytest.raises(TooManySubsystems, match="5 subsystems exceed the cap of 4"):
-        analysis.c_within(range(4, -1, -1))
+        CssAnalysis(analysis.css).c_within(range(4, -1, -1))
 
 
 def test_annulus_beyond_the_cap_has_chi_and_annular_order():

@@ -1,6 +1,8 @@
 """Grid parsing, validation and region topology."""
 
+import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -28,6 +30,7 @@ from topomi.grid import (
     region_holes,
     restrict_css,
     union_region,
+    window_pinch,
 )
 
 
@@ -103,6 +106,90 @@ def test_outside_pinch_rejected():
     # complement meets itself only at a corner between two subsystems
     with pytest.raises(ValidationError):
         parse_ascii(".A\nB.")
+
+
+def reference_pinches(width, height, labels):
+    """Every corner-only contact, as its ValidationError text and window, by
+    the window scan over ``label_at`` with a virtual OUTSIDE border, in
+    row-major window order."""
+    def lab(x, y):
+        return labels[y * width + x] if 0 <= x < width and 0 <= y < height else OUTSIDE
+
+    found = []
+    for y in range(-1, height):
+        for x in range(-1, width):
+            pinch = window_pinch(lab(x, y), lab(x + 1, y), lab(x, y + 1), lab(x + 1, y + 1))
+            if pinch is not None:
+                found.append((f"{pinch} at cells ({x},{y})..({x + 1},{y + 1})", x, y))
+    return found
+
+
+def test_a_pinch_is_a_window_of_four_walls():
+    for a, b, c, d in itertools.product(range(-1, 4), repeat=4):
+        four_walls = a != b and a != c and b != d and c != d
+        assert (window_pinch(a, b, c, d) is not None) == four_walls, (a, b, c, d)
+
+
+def _inject_pinch(css, rng):
+    """``css`` labels with a pinch pattern of a random kind written into the
+    on-grid cells of one window, which may cross the virtual border."""
+    labels = list(css.labels)
+    x, y = rng.randint(-1, css.width - 1), rng.randint(-1, css.height - 1)
+    ids = range(-1, css.n_subsystems)
+    kind = rng.choice(["same", "two", "background"])
+    if kind == "same":
+        p = rng.choice(ids[1:])
+        diagonal = (p, p)
+        others = [v for v in ids if v != p]
+    elif kind == "two":
+        diagonal = tuple(rng.sample(ids[1:], 2))
+        others = [v for v in ids if v not in diagonal]
+    else:
+        diagonal = (OUTSIDE, OUTSIDE)
+        others = list(ids[1:])
+    anti = (rng.choice(others), rng.choice(others))
+    window = ((diagonal[0], anti[0]), (anti[1], diagonal[1])) if rng.random() < 0.5 else (
+        (anti[0], diagonal[0]), (diagonal[1], anti[1]))
+    for dy in (0, 1):
+        for dx in (0, 1):
+            if 0 <= x + dx < css.width and 0 <= y + dy < css.height:
+                labels[(y + dy) * css.width + x + dx] = window[dy][dx]
+    return labels
+
+
+def test_pinch_rejection_matches_the_window_scan(junction_css):
+    """The ValidationError text, which suite JSON details carry, is the window
+    scan's on dense random grids and on fixture grids with an injected pinch,
+    whose window may cross the virtual border: pinches of all three kinds, at
+    the grid's edge and several in one grid."""
+    rng = random.Random(5)
+    grids = []
+    for _ in range(600):
+        width, height, k = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 4)
+        grids.append((width, height, [rng.randint(-1, k - 1) for _ in range(width * height)]))
+    for css in junction_css[:150]:
+        grids.append((css.width, css.height, _inject_pinch(css, rng)))
+    seen = Counter()
+    for width, height, labels in grids:
+        present = sorted(set(labels) - {OUTSIDE})
+        if not present:
+            continue
+        labels = tuple(present.index(v) if v != OUTSIDE else OUTSIDE for v in labels)
+        found = reference_pinches(width, height, labels)
+        if not found:
+            GridCss(width, height, labels)
+            seen["valid"] += 1
+            continue
+        with pytest.raises(ValidationError) as exc:
+            GridCss(width, height, labels)
+        message, x, y = found[0]
+        assert str(exc.value) == message
+        seen["background" if "label -1" in message else "same" if "label" in message else "two"] += 1
+        # a window over the virtual border holds two off-grid cells that share
+        # an edge, so it never pinches: the first and last rows and columns do
+        seen["edge"] += x in (0, width - 2) or y in (0, height - 2)
+        seen["several"] += len(found) > 1
+    assert min(seen.values()) >= 50, seen
 
 
 # ----------------------------------------------------------------------

@@ -10,16 +10,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from topomi import builders, masks
+from topomi import builders, masks, scenarios
 from topomi.engine import CssAnalysis
-from topomi.errors import TooManySubsystems
+from topomi.errors import DisconnectedCss, TooManySubsystems
 from topomi.grid import (
+    OUTSIDE,
     GridCss,
     SimpleGraph,
     adjacency_graph,
     boundary_component_count,
     connected_components,
+    euler_characteristic,
+    find_holes,
     perimeter_links,
+    region_holes,
     union_region,
 )
 from topomi.masks import (
@@ -114,6 +118,74 @@ def test_tables_match_on_fuzzed_grids():
         assert topo.component_table[1:].tolist() == comp_ref[1:]
     split = [css for css in cases if UnionTopology(css)._cell_component_graph[2] > css.n_subsystems]
     assert split == cases[25:]
+
+
+def reference_cell_component_graph(css):
+    """The cell-component graph by one flood fill per subsystem: vertices
+    numbered subsystem by subsystem, each in first-cell order."""
+    owner = {}
+    cv_mask = []
+    n_cv = 0
+    for i in range(css.n_subsystems):
+        count, labeling = connected_components(css.subsystem_cells(i))
+        for cell, k in labeling.items():
+            owner[cell] = n_cv + k
+        cv_mask.append(((1 << count) - 1) << n_cv)
+        n_cv += count
+    adj = [0] * n_cv
+    for (x, y), cv in owner.items():
+        for nb in ((x + 1, y), (x, y + 1)):
+            other = owner.get(nb)
+            if other is not None and other != cv:
+                adj[cv] |= 1 << other
+                adj[other] |= 1 << cv
+    return adj, cv_mask, n_cv
+
+
+def reference_adjacency_graph(css):
+    """The adjacency graph from the label pairs of every grid edge."""
+    edges = set()
+    for y in range(css.height):
+        for x in range(css.width):
+            a = css.label_at(x, y)
+            for b in (css.label_at(x + 1, y), css.label_at(x, y + 1)):
+                if OUTSIDE not in (a, b) and a != b:
+                    edges.add((min(a, b), max(a, b)))
+    return SimpleGraph(css.n_subsystems, tuple(edges))
+
+
+def test_labelling_matches_flood_fill_reference(junction_css):
+    """Every structure read from the grid's one labelling against its flood-fill
+    definition, on the analytic gallery, the junction fixture and the fuzzed
+    grids, split subsystems and islands included."""
+    gallery = [scenarios.scenario_css(scenarios.load_scenario(path))
+               for path in scenarios.suite_paths(scenarios.gallery_dir())
+               if scenarios.load_scenario(path).kind == "analytic"]
+    cases = [*gallery, *junction_css, *fuzzed_cases()]
+    disconnected = split = holes = 0
+    for css in cases:
+        analysis = CssAnalysis(css)
+        assert analysis._cell_component_graph == reference_cell_component_graph(css), css.name
+        split += analysis._cell_component_graph[2] > css.n_subsystems
+        footprint = union_region(css, range(css.n_subsystems))
+        assert find_holes(css).holes == tuple(region_holes(footprint)), css.name
+        labels, near, hole_components = css.labelling
+        for hole, c in hole_components.items():
+            assert {labels[b] for b in near[c]} == {
+                css.label_at(*nb) for x, y in hole for nb in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1))
+            } - {OUTSIDE}
+            holes += 1
+        assert adjacency_graph(css) == reference_adjacency_graph(css), css.name
+        n_comp = connected_components(footprint)[0]
+        if n_comp == 1:
+            assert euler_characteristic(css) == analysis.chi == 2
+        else:
+            disconnected += 1
+            for read in (euler_characteristic, lambda _: analysis.chi):
+                with pytest.raises(DisconnectedCss, match=f"^footprint has {n_comp} components$"):
+                    read(css)
+    assert len(cases) == 385
+    assert (disconnected, split, holes) == (74, 20, 247)
 
 
 def test_j_table_is_twice_components_minus_euler(junction_css):

@@ -511,18 +511,25 @@ def _count_analysis_work(monkeypatch) -> tuple[list, list]:
 #: CssAnalysis.c_within calls of a scenario run: one for C^N, one per hole loop
 #: and one per loop of the sub-loop revival
 C_WITHIN_CALLS = {"annulus-n3": 2, "far-handle-n6-span3": 5, "six-hole-eighteen": 7}
+#: frontier walks (masks.signed_component_sum) of the same runs: one per distinct
+#: sub-collection, as the annulus's hole loop is the whole CSS and the sub-loop
+#: revival reads the two loops the hole pass walked
+WALKS = {"annulus-n3": 1, "far-handle-n6-span3": 3, "six-hole-eighteen": 7}
 
 
 @pytest.mark.parametrize("name", sorted(C_WITHIN_CALLS))
 def test_run_scenario_analyses_each_css_once(name, monkeypatch):
     builds, floods = _count_analysis_work(monkeypatch)
     c_within = _count_calls(monkeypatch, engine.CssAnalysis, "c_within")
+    walks = _count_calls(monkeypatch, engine, "signed_component_sum")
     scn = load_scenario(GALLERY / f"{name}.json")
     assert run_scenario(scn).passed
-    # one set of tables for the full CSS; every hole loop is read from them
+    # one analysis of the full CSS: its holes are read once, and C^N and the C
+    # of every hole loop come from it, each distinct sub-collection walked once
     assert builds == [scenarios.scenario_css(scn)]
     assert floods == builds
     assert len(c_within) == C_WITHIN_CALLS[name]
+    assert len(walks) == WALKS[name]
 
 
 def test_analytic_scenarios_build_no_subset_table():
@@ -544,9 +551,11 @@ def test_gallery_suite_builds_no_entropy_table(monkeypatch):
     # every check compares integers: no float 2^N table is built
     tables = _count_calls(monkeypatch, engine, "subset_entropy_table")
     c_within = _count_calls(monkeypatch, engine.CssAnalysis, "c_within")
+    walks = _count_calls(monkeypatch, engine, "signed_component_sum")
     assert run_suite(GALLERY).n_failed == 0
     assert tables == []
     assert len(c_within) == 101
+    assert len(walks) == 72  # one per distinct sub-collection of each analysis
 
 
 @pytest.mark.parametrize("name", ["stab-torus8-n3-raster", "stab-planar9-n4-raster"])

@@ -155,10 +155,11 @@ class CssAnalysis(UnionTopology):
             axes = tuple(slice(None) if bit in keep else 0 for bit in reversed(range(n)))
             return alternating_sum(j.reshape((2,) * n)[axes])
         held = 0  # sum over S in ids of (-1)^|S| chi(S) is minus the weight held by all of ids
-        for labels, weight in self._feature_labels:
-            if len(keep) <= labels.shape[1]:
-                rows = np.all([(labels == i).any(axis=1) for i in keep], axis=0)
-                held += weight * int(np.count_nonzero(rows))
+        if len(keep) <= 4:  # a corner, the widest feature, has four cells
+            for labels, weight in self._feature_labels:
+                if len(keep) <= labels.shape[1]:
+                    rows = np.all([(labels == i).any(axis=1) for i in keep], axis=0)
+                    held += weight * int(np.count_nonzero(rows))
         return -2 * s - held
 
 

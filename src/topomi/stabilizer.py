@@ -10,22 +10,25 @@ region itself: S(A) = rank(G|_A) - |A| in units of log 2, where G|_A is the
 generator matrix restricted to the columns of A (Fattal, Cafaro, Haas and
 Chuang, quant-ph/0406168).  Each state keeps one column table (column c as
 an integer over the generators): rank(G|_A) is the rank of A's X and Z
-columns in it, and it also checks that the generators commute.  The exact
+columns in it, and a state built from given rows also checks with it that
+the generators commute (the code's own are built commuting).  The exact
 I^N, for up to 18 regions, reduces each region's columns to a basis and
 keeps only the GF(2) relations among the stacked bases: the relations
 within the regions of S number sum_{j in S} S(A_j) - S(A_S), so the
-additive part of every entropy cancels in the alternating sum, and one
-depth-first walk over the subsets of regions reads the rest from the
-regions' projections of the relation space, a few vectors of a few dozen
-bits each.  A dense state-vector construction provides an independent
-oracle for small systems.
+additive part of every entropy cancels in the alternating sum, and the rest
+is read from the regions' projections of the relation space, a few vectors
+of a few dozen bits each, in one pass over the regions whose states are the
+subspaces shared by the regions behind and ahead: a handful on a ring of
+regions, where a walk over the subsets would visit 2^N - 1.  A dense
+state-vector construction provides an independent oracle for small systems.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -44,8 +47,9 @@ from .grid import OUTSIDE, GridCss, json_int, parse_grid_json, set_bits
 #: dense 2**n state vectors
 BRUTE_CAP = 12
 
-#: regions of an exact I^N, whose walk over the relations between regions
-#: visits 2**N - 1 subsets
+#: regions of an exact I^N; its pass over the regions keeps one state per
+#: subspace shared by the regions behind and ahead, and a scattered map can
+#: have thousands
 EXACT_SUBSET_CAP = 18
 
 #: qubits of a code lattice (a 48 x 48 torus); the generator set is O(n^2) to build
@@ -168,6 +172,15 @@ class StabilizerState:
                 b = a + (later & -later).bit_length()
                 raise ValidationError(f"generators {a} and {b} anticommute")
 
+    @classmethod
+    def _unchecked(cls, n: int, rows: tuple[int, ...]) -> StabilizerState:
+        """The state of generators that are independent and commute by
+        construction, without proving it again in ``__post_init__``."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "n", n)
+        object.__setattr__(state, "rows", rows)
+        return state
+
     @cached_property
     def columns(self) -> tuple[int, ...]:
         """Column c of the generator matrix: bit g is bit c of generator g.
@@ -210,7 +223,14 @@ def _dependencies(vectors: Sequence[int]) -> list[int]:
 
 
 def build_code(lattice: CodeLattice) -> StabilizerState:
-    """Ground state of the star/plaquette code on the lattice."""
+    """Ground state of the star/plaquette code on the lattice.
+
+    Stars are X-type and plaquettes Z-type, and a star meets a plaquette in
+    zero or two edges, so the generators commute; without the last star (and
+    on the torus the last plaquette, with the two non-contractible Z loops)
+    they are independent.  So the state skips the checks of
+    ``StabilizerState``.
+    """
     n = lattice.n_qubits
     rows: list[int] = []
     stars = list(lattice.vertices())[:-1]  # product of all stars is identity
@@ -236,7 +256,7 @@ def build_code(lattice: CodeLattice) -> StabilizerState:
             col_loop |= 1 << lattice.v_edge(0, j)
         rows.append(row_loop << n)
         rows.append(col_loop << n)
-    return StabilizerState(n, tuple(rows))
+    return StabilizerState._unchecked(n, tuple(rows))
 
 
 # ----------------------------------------------------------------------
@@ -308,12 +328,177 @@ def _region_bases(state: StabilizerState, region_map: QubitRegionMap) -> list[li
     return [list(_column_echelon(state, region).values()) for region in region_map.regions]
 
 
+def _join(rows: tuple[int, ...], vectors: Iterable[int]) -> tuple[int, ...]:
+    """The reduced row echelon basis of span(rows) + span(vectors), highest
+    pivot first (each row's pivot, its top bit, is clear in every other),
+    for ``rows`` in that form already; ``()`` reduces the vectors alone.
+
+    Only the vectors are reduced, each against the pivots kept so far; a
+    vector that stays nonzero clears its pivot from the rows before it.
+    """
+    pivots, mask = {}, 0
+    for r in rows:
+        top = r.bit_length() - 1
+        pivots[top] = r
+        mask |= 1 << top
+    for v in vectors:
+        held = v & mask  # the pivots v holds; a reduced row holds no other pivot
+        while held:
+            top = held.bit_length() - 1
+            v ^= pivots[top]
+            held ^= 1 << top
+        if v:
+            top = v.bit_length() - 1
+            for p, r in pivots.items():
+                if r >> top & 1:
+                    pivots[p] = r ^ v
+            pivots[top] = v
+            mask |= 1 << top
+    if len(pivots) == len(rows):
+        return rows
+    return tuple(sorted(pivots.values(), reverse=True))
+
+
+def _split(rows: tuple[int, ...], dim: int) -> int:
+    """The index of the first row whose pivot lies below bit ``dim``: for a
+    reduced echelon basis, the rows from it on span span(rows) & span(bits
+    0..dim-1)."""
+    for i, r in enumerate(rows):
+        if r >> dim == 0:
+            return i
+    return len(rows)
+
+
+def _flag_basis(spaces: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]], list[int]]:
+    """A basis b_0, b_1, ... adapted to the flag Z_{N-1} <= ... <= Z_0,
+    Z_j = the span of ``spaces[j:]``, each space's vectors in it, and dim Z_j
+    for j = 0..N (dim Z_N = 0).
+
+    b_0..b_{dim Z_j - 1} span Z_j, so a subspace of Z_j meets Z_{j+1} in the
+    rows of its reduced echelon basis (in these coordinates) whose pivot lies
+    below bit dim Z_{j+1} (:func:`_split`).  The spaces are eliminated last
+    first, and each vector of ``spaces[j]`` independent of those before it
+    is the next basis vector itself, so V_j holds b_t for every bit t of Z_j
+    above Z_{j+1}.
+    """
+    basis: list[int] = []
+    pivots: dict[int, tuple[int, int]] = {}  # highest bit -> (vector, its coordinates)
+    coordinates: list[list[int]] = [[] for _ in spaces]
+    dims = [0] * (len(spaces) + 1)
+    for j in reversed(range(len(spaces))):
+        for v in spaces[j]:
+            r, c = v, 0  # v = r + the vectors whose coordinates XOR to c
+            while r:
+                top = r.bit_length() - 1
+                if top not in pivots:
+                    new = 1 << len(basis)
+                    pivots[top] = (r, new ^ c)
+                    basis.append(v)
+                    c = new
+                    break
+                p, pc = pivots[top]
+                r ^= p
+                c ^= pc
+            coordinates[j].append(c)
+        dims[j] = len(basis)
+    return basis, coordinates, dims
+
+
+def _signed_rank_sum(spaces: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """sum over every subset T of the spaces of (-1)^(N-|T|) dim W_T, with
+    W_T = sum_{j in T} V_j, and the peak number of states on the way.
+
+    One pass over the spaces, V_j taken in or left out at step j.  With
+    Z_j = sum_{i >= j} V_i, the dimension V_j adds to W_T is
+    dim V_j - dim(W_T & V_j), which depends only on W = W_T & Z_j, and
+    (W_T + V_j) & Z_{j+1} = (W + V_j) & Z_{j+1}.  So the subsets that reach
+    step j with the same W share one state, keyed by its reduced echelon
+    basis in the flag coordinates (:func:`_flag_basis`), whose value is
+    (sum of signs, sum of sign * dim W_T): leaving V_j out negates it and
+    keeps W & Z_{j+1}, taking V_j in adds sign * (dimension gained) to the
+    second term, and a state whose value is (0, 0) is dropped.  The states
+    number with the relations between the spaces behind and ahead of the
+    step, not with 2^N.
+
+    V_j holds the basis vector of each bit of Z_j above Z_{j+1}, so W + V_j
+    is those bits plus (W + V_j) & Z_{j+1}, which W's rows with their high
+    bits dropped span together with V_j & Z_{j+1}.
+    """
+    _, coordinates, dims = _flag_basis(spaces)
+    states: dict[tuple[int, ...], tuple[int, int]] = {(): (1, 0)}
+    peak = 1
+    for j, space in enumerate(coordinates):
+        ahead = dims[j + 1]
+        low = (1 << ahead) - 1
+        within = _join((), [c & low for c in space])  # V_j & Z_{j+1}
+        step: dict[tuple[int, ...], tuple[int, int]] = {}
+        for key, (sign, total) in states.items():
+            below = key[_split(key, ahead):]
+            joined = _join(within, [r & low for r in key])
+            gained = dims[j] - ahead + len(joined) - len(key)
+            for rows, ds, dt in ((below, -sign, -total), (joined, sign, total + sign * gained)):
+                s, t = step.get(rows, (0, 0))
+                step[rows] = (s + ds, t + dt)
+        states = {key: value for key, value in step.items() if value != (0, 0)}
+        peak = max(peak, len(states))
+    return sum(total for _, total in states.values()), peak
+
+
+def _ordered_projections(bases: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Each region's projection V_j of the relations among the stacked bases
+    (:func:`_dependencies`), a basis of k-bit vectors for k relations, in the
+    order :func:`_signed_rank_sum` takes them.
+
+    Column i of the k x m relation matrix holds bit i of every relation, and
+    V_j is the span of region j's columns.  The order is greedy: a relation
+    whose support spans r regions ties each pair of them by 1/(r - 1), and
+    each next region is the one most tied to those already placed (the
+    lowest index on a tie), so that regions tied together are near in it.
+    It starts from the region a first sweep from region 0 places last, one
+    at an end of the map rather than in its middle.
+    """
+    relations = _dependencies([v for basis in bases for v in basis])
+    columns = [0] * sum(map(len, bases))
+    for t, tag in enumerate(relations):
+        for i in set_bits(tag):
+            columns[i] |= 1 << t
+    projections, touched, start = [], [], 0
+    for basis in bases:
+        region = columns[start:start + len(basis)]
+        projections.append(list(_echelon(region).values()))
+        touched.append(reduce(operator.or_, region, 0))  # bit t: relation t meets the region
+        start += len(basis)
+    regions_of: list[list[int]] = [[] for _ in relations]
+    for j, mask in enumerate(touched):
+        for t in set_bits(mask):
+            regions_of[t].append(j)
+    # each region's basis is independent: a relation meets two regions or more
+    weights = [1 / (len(regions) - 1) for regions in regions_of]
+
+    def sweep(first: int) -> list[int]:
+        tie = [0.0] * len(bases)
+        tie[first] = math.inf
+        order: list[int] = []
+        left = list(range(len(bases)))
+        while left:
+            j = max(left, key=tie.__getitem__)  # the first, lowest, of equals
+            left.remove(j)
+            order.append(j)
+            for t in set_bits(touched[j]):
+                for i in regions_of[t]:
+                    tie[i] += weights[t]
+        return order
+
+    order = sweep(sweep(0)[-1])
+    return [projections[j] for j in order]
+
+
 def multipartite_information_exact(state: StabilizerState, region_map: QubitRegionMap) -> int:
     """Alternating entropy sum over all unions, in units of log 2 (exact).
 
     The sum of (-1)^(|S|+1) S(A_S) over the 2^N - 1 nonempty subsets S of
-    regions, with S(A) = rank(G|_A) - |A|, walked over the dependencies
-    between regions rather than over the generator columns.  Each region's
+    regions, with S(A) = rank(G|_A) - |A|, computed from the dependencies
+    between regions rather than from the generator columns.  Each region's
     columns are reduced to a basis B_j of their span (:func:`_region_bases`);
     K is the space of GF(2) relations among the stacked bases
     (:func:`_dependencies`) and K_S the relations among the regions of S
@@ -321,16 +506,14 @@ def multipartite_information_exact(state: StabilizerState, region_map: QubitRegi
     S(A_S): rank is additive but for the relations, and for N >= 2 the
     alternating sum cancels the additive part, leaving
 
-        I^N = -sum_{T nonempty} (-1)^(N-|T|) rank(pi_T K),
+        I^N = -sum_{T} (-1)^(N-|T|) dim W_T,   W_T = sum_{j in T} V_j,
 
-    with pi_T K the relations read on the coordinates of the regions in T,
-    whose rank is that of the span of those regions' columns of the k x m
-    relation matrix (k = dim K, m = sum_j |B_j|).  Each region's k-bit
-    columns are reduced once to an echelon basis, and the subsets T are
-    walked depth first, the children of T being T + {j} for j > max(T),
-    with one pivot table (highest bit -> vector, or 0): a node reduces only
-    region j's basis against its parent's, and on the way back removes the
-    pivots it added.  N = 1 is S(A_1) itself.
+    with V_j the projection of K on region j's coordinates, a few vectors
+    of a few dozen bits (:func:`_ordered_projections`).  The sum is one
+    pass over the regions whose states are subspaces of the relations
+    between the regions placed and those still ahead
+    (:func:`_signed_rank_sum`), a handful on a ring of any length.  N = 1
+    is S(A_1) itself.
     """
     n = region_map.n_subsystems
     if n > EXACT_SUBSET_CAP:
@@ -340,43 +523,7 @@ def multipartite_information_exact(state: StabilizerState, region_map: QubitRegi
     bases = _region_bases(state, region_map)
     if n == 1:
         return len(bases[0]) - len(region_map.regions[0])
-    relations = _dependencies([v for basis in bases for v in basis])
-    # column i of the relation matrix: bit t is bit i of relation t
-    columns = [0] * sum(map(len, bases))
-    for t, tag in enumerate(relations):
-        for i in set_bits(tag):
-            columns[i] |= 1 << t
-    projections, start = [], 0
-    for basis in bases:
-        projections.append(list(_echelon(columns[start:start + len(basis)]).values()))
-        start += len(basis)
-    if not all(projections):
-        # a region j in no relation: each T and T + {j} have the same rank and cancel
-        return 0
-    pivots = [0] * len(relations)
-
-    def walk(first: int, rank: int, sign: int) -> int:
-        """Signed rank sum below a node whose basis has rank ``rank``."""
-        total = 0
-        for j in range(first, n):
-            added = []
-            for v in projections[j]:
-                while v:
-                    top = v.bit_length() - 1
-                    pivot = pivots[top]
-                    if not pivot:
-                        pivots[top] = v
-                        added.append(top)
-                        break
-                    v ^= pivot
-            total += sign * (rank + len(added))
-            if j + 1 < n:
-                total += walk(j + 1, rank + len(added), -sign)
-            for top in added:
-                pivots[top] = 0
-        return total
-
-    return walk(0, 0, (-1) ** n)
+    return -_signed_rank_sum(_ordered_projections(bases))[0]
 
 
 def region_entropy_source(state: StabilizerState, region_map: QubitRegionMap):

@@ -18,7 +18,9 @@ from topomi.stabilizer import (
     CodeLattice,
     QubitRegionMap,
     _dependencies,
+    _ordered_projections,
     _region_bases,
+    _signed_rank_sum,
     build_code,
     entropy_bits,
     multipartite_information_exact,
@@ -246,6 +248,31 @@ def test_oracle_matches_counting_on_gallery(name):
     lattice, big = scaled_on_torus(css)
     exact = multipartite_information_exact(build_code(lattice), rasterize_css(lattice, big))
     assert exact == -connectivity_count(css).c_n
+
+
+def _peak_states(lattice: CodeLattice, css: GridCss) -> int:
+    """The most states the exact pass over the regions holds at once."""
+    bases = _region_bases(build_code(lattice), rasterize_css(lattice, css))
+    return _signed_rank_sum(_ordered_projections(bases))[1]
+
+
+@pytest.mark.parametrize("side, scale", TWELVE_ARC_LATTICES)
+def test_exact_pass_holds_few_states_on_twelve_arc_rings(side, scale):
+    """The pass goes round a ring of regions however they are labelled and
+    placed: a handful of states, where the subsets of 12 regions are 4095."""
+    lattice = CodeLattice(side, side, "torus")
+    peaks = [_peak_states(lattice, twelve_arc_ring(side, scale, seed)) for seed in range(3)]
+    assert max(peaks) <= 8, peaks
+
+
+@pytest.mark.parametrize("name, most", [
+    *((f"annulus-n{n}", 8) for n in range(3, 9)), ("six-hole-eighteen", 40),
+])
+def test_exact_pass_state_counts_on_the_gallery(name, most):
+    """The gallery annuli scaled on a torus hold a handful of states; the
+    18 regions around six holes, 2^18 - 1 subsets, hold a few dozen."""
+    lattice, big = scaled_on_torus(scenario_css(load_scenario(gallery_dir() / f"{name}.json")))
+    assert _peak_states(lattice, big) <= most
 
 
 def test_oracle_matches_counting_at_junction_corners(junction_css):

@@ -398,6 +398,18 @@ def test_c_within_at_seventy_subsystems_is_the_restricted_c_n():
     assert sorted({len(ids) for ids in picks}) == [3, 4, 5]
 
 
+def test_c_beyond_four_ids_builds_no_features():
+    """No corner, segment or cell holds five subsystems, so the C of five ids
+    or more has no held term and builds no feature rows; four ids do."""
+    for css in (builders.annulus(12), brick_css(3, 3)):
+        analysis = CssAnalysis(css)
+        assert analysis.c_n == signed_reference(CssAnalysis(css).j_table, range(css.n_subsystems))
+        assert analysis.c_within(range(5)) == signed_reference(CssAnalysis(css).j_table, range(5))
+        assert "_feature_labels" not in analysis.__dict__
+        analysis.c_within(range(4))
+        assert "_feature_labels" in analysis.__dict__
+
+
 def test_c_within_rejects_ids_outside_the_css():
     analysis = CssAnalysis(builders.annulus(4))
     for ids in ([], [4], [-1, 0]):

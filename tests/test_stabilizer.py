@@ -25,7 +25,12 @@ from topomi.stabilizer import (
     QubitRegionMap,
     StabilizerState,
     _dependencies,
+    _flag_basis,
+    _join,
+    _ordered_projections,
     _region_bases,
+    _signed_rank_sum,
+    _split,
     brute_force_entropy,
     build_code,
     entropy_bits,
@@ -146,12 +151,45 @@ def test_lattice_edges_off_the_patch(lattice):
 
 
 def test_build_code_rank_and_commutation():
-    # StabilizerState verifies independence and pairwise commutation
+    # independence and commutation: test_build_code_generators_pass_every_check
     for lattice in (CodeLattice(2, 2, "torus"), CodeLattice(3, 3, "torus"),
                     CodeLattice(2, 2, "planar"), CodeLattice(3, 4, "planar")):
         state = build_code(lattice)
         assert state.n == lattice.n_qubits
         assert len(state.rows) == state.n
+
+
+def _gallery_lattices() -> list[CodeLattice]:
+    lattices = []
+    for path in sorted(gallery_dir().glob("*.json")):
+        scenario = load_scenario(path)
+        if scenario.kind == "stabilizer":
+            payload = scenario.payload
+            lattices.append(parse_lattice_scenario(payload.get("lattice", payload))[0])
+    return lattices
+
+
+#: build_code skips the checks of StabilizerState: every square side from 2
+#: to 24 (the benchmark's 16x16 and 24x24 tori among them), rectangles of
+#: both shapes, on both boundaries, and the gallery's lattices
+BUILT_LATTICES = [
+    *(CodeLattice(lx, ly, boundary) for boundary in ("torus", "planar")
+      for lx, ly in [*((side, side) for side in range(2, 25)),
+                     (2, 3), (3, 2), (3, 4), (4, 9), (11, 5), (16, 7), (18, 22), (24, 13)]),
+    *_gallery_lattices(),
+]
+
+
+@pytest.mark.parametrize("lattice", BUILT_LATTICES, ids=_lattice_id)
+def test_build_code_generators_pass_every_check(lattice):
+    """The star and plaquette generators build_code makes unchecked are
+    independent and commute: StabilizerState's own checks accept them."""
+    state = build_code(lattice)
+    assert StabilizerState(state.n, state.rows) == state
+
+
+def test_gallery_lattices_are_all_there():
+    assert len(_gallery_lattices()) == 4
 
 
 def test_torus_row_budget():
@@ -258,12 +296,16 @@ def test_state_validation_rejects_rows_outside_their_bits():
         StabilizerState(2, (0b0001, 1 << 4))
 
 
-def _span_dimension(vectors) -> int:
-    """log2 of the size of the span, by enumerating it."""
+def _span(vectors) -> set[int]:
+    """Every vector of the span, by enumeration."""
     span = {0}
     for v in vectors:
         span |= {s ^ v for s in span}
-    return len(span).bit_length() - 1
+    return span
+
+
+def _span_dimension(vectors) -> int:
+    return len(_span(vectors)).bit_length() - 1
 
 
 def test_dependencies_are_a_basis_of_the_relations():
@@ -432,8 +474,8 @@ def _random_region_map(rng: random.Random, n_qubits: int, n: int,
     CodeLattice(4, 4, "torus"), CodeLattice(5, 4, "planar"),
 ], ids=_lattice_id)
 def test_exact_walk_matches_per_subset_entropies(lattice):
-    """The depth-first walk equals the alternating sum of entropy_bits, and of
-    the dense entropies where the state vector fits."""
+    """The exact pass equals the alternating sum of entropy_bits, and of the
+    dense entropies where the state vector fits."""
     state = build_code(lattice)
     dense = state.n <= 12
     rng = random.Random(f"walk-{_lattice_id(lattice)}")
@@ -508,7 +550,8 @@ AABB........
 def test_exact_walk_far_apart_regions_vanish():
     """On a 12x12 torus, regions far apart have no relations between them
     (K = 0), and a pair that shares a wall has some but a far region has
-    none: I^N = 0 on both, as the alternating sum of entropy_bits gives."""
+    none, so its projection is empty and every state cancels: I^N = 0 on
+    both, as the alternating sum of entropy_bits gives."""
     lattice = CodeLattice(12, 12, "torus")
     state = build_code(lattice)
     relations = {}
@@ -516,9 +559,119 @@ def test_exact_walk_far_apart_regions_vanish():
         region_map = rasterize_css(lattice, parse_ascii(art))
         bases = _region_bases(state, region_map)
         relations[name] = len(_dependencies([v for basis in bases for v in basis]))
+        assert not all(_ordered_projections(bases))
         assert multipartite_information_exact(state, region_map) == 0
         assert _alternating_entropy_sum(lambda qubits: entropy_bits(state, qubits), region_map) == 0
     assert relations["far"] == 0 and relations["neighbours"] > 0, relations
+
+
+def _random_spaces(rng: random.Random, width: int, n: int) -> list[list[int]]:
+    """n spanning sets in GF(2)^width, some empty, some sharing vectors."""
+    spaces = []
+    for _ in range(n):
+        vectors = [rng.randrange(1 << width) for _ in range(rng.randint(0, 3))]
+        if spaces and rng.random() < 0.3:
+            vectors.append(rng.choice([v for space in spaces for v in space] or [0]))
+        spaces.append(vectors)
+    return spaces
+
+
+def test_join_is_the_reduced_basis_of_the_sum():
+    """_join against span enumeration: the rows span the sum, each pivot is
+    clear in every other row, and the highest pivot comes first."""
+    rng = random.Random(23)
+    for _ in range(300):
+        width = rng.randint(1, 7)
+        rows = _join((), [rng.randrange(1 << width) for _ in range(rng.randint(0, 4))])
+        vectors = [rng.randrange(1 << width) for _ in range(rng.randint(0, 4))]
+        joined = _join(rows, vectors)
+        assert _span(joined) == _span([*rows, *vectors])
+        assert len(_span(joined)) == 1 << len(joined)
+        tops = [r.bit_length() - 1 for r in joined]
+        assert tops == sorted(tops, reverse=True) and 0 not in joined
+        assert all(r >> top & 1 == (r == p) for r in joined for p, top in zip(joined, tops))
+
+
+def test_flag_basis_intersection_matches_span_enumeration():
+    """In the flag coordinates, a subspace W of Z_j meets Z_{j+1} in the rows
+    of its reduced basis below bit dim Z_{j+1}, as span enumeration finds,
+    and V_j holds the basis vector of each bit of Z_j above Z_{j+1}."""
+    rng = random.Random(1723)
+    cut_somewhere = 0
+    for _ in range(200):
+        width, n = rng.randint(1, 6), rng.randint(1, 5)
+        spaces = _random_spaces(rng, width, n)
+        basis, coordinates, dims = _flag_basis(spaces)
+
+        def vector(c):  # coordinates back to a vector
+            out = 0
+            for t, b in enumerate(basis):
+                if c >> t & 1:
+                    out ^= b
+            return out
+
+        assert len(_span(basis)) == 1 << len(basis) and dims[n] == 0
+        for j in range(n):
+            z_j, z_next = _span(v for space in spaces[j:] for v in space), _span(
+                v for space in spaces[j + 1:] for v in space)
+            assert len(z_j) == 1 << dims[j] and _span(basis[:dims[j]]) == z_j
+            assert [vector(c) for c in coordinates[j]] == list(spaces[j])
+            assert all(basis[t] in _span(spaces[j]) for t in range(dims[j + 1], dims[j]))
+            w = [rng.randrange(1 << dims[j]) for _ in range(rng.randint(0, 3))] if dims[j] else []
+            rows = _join((), w)
+            cut = _split(rows, dims[j + 1])
+            want = {vector(c) for c in _span(w)} & z_next
+            assert {vector(c) for c in _span(rows[cut:])} == want
+            cut_somewhere += 0 < cut < len(rows)
+    assert cut_somewhere > 20
+
+
+def _signed_rank_reference(spaces) -> int:
+    """sum over subsets T of (-1)^(N-|T|) dim(sum of spaces in T), by enumeration."""
+    n, total = len(spaces), 0
+    for mask in range(1 << n):
+        dim = _span_dimension(v for j, space in enumerate(spaces) if mask >> j & 1 for v in space)
+        total += (-1) ** (n - mask.bit_count()) * dim
+    return total
+
+
+def test_signed_rank_sum_matches_subset_enumeration():
+    """The pass over the spaces equals the signed sum over all 2^N subsets,
+    and an empty space anywhere cancels every state: the sum is 0."""
+    rng = random.Random(1724)
+    values = set()
+    for _ in range(300):
+        spaces = _random_spaces(rng, rng.randint(1, 6), rng.randint(1, 7))
+        total, peak = _signed_rank_sum(spaces)
+        assert total == _signed_rank_reference(spaces), spaces
+        assert 1 <= peak <= 1 << len(spaces)
+        values.add(total)
+        if all(spaces):
+            empty = rng.randrange(len(spaces) + 1)
+            assert _signed_rank_sum([*spaces[:empty], [], *spaces[empty:]])[0] == 0
+            assert _signed_rank_sum([*spaces[:empty], [0, 0], *spaces[empty:]])[0] == 0
+    assert len(values) > 5
+
+
+@pytest.mark.parametrize("lattice", [
+    CodeLattice(3, 3, "torus"), CodeLattice(4, 3, "planar"), CodeLattice(6, 6, "torus"),
+], ids=_lattice_id)
+def test_exact_is_invariant_under_region_permutation(lattice):
+    """Relabelling the regions (a seeded permutation) leaves I^N as it was,
+    however the pass orders them."""
+    state = build_code(lattice)
+    rng = random.Random(f"permute-{_lattice_id(lattice)}")
+    nonzero = 0
+    for n in range(2, 11):
+        region_map = _random_region_map(rng, state.n, n)
+        exact = multipartite_information_exact(state, region_map)
+        nonzero += exact != 0
+        for _ in range(3):
+            regions = list(region_map.regions)
+            rng.shuffle(regions)
+            permuted = QubitRegionMap(state.n, tuple(regions))
+            assert multipartite_information_exact(state, permuted) == exact, (n, regions)
+    assert nonzero >= 3
 
 
 def test_rasterize_dimension_check():

@@ -14,7 +14,11 @@ counts combinatorially:
   has at most 4 bits), so one subset sum (:func:`subset_sums`) of the
   histogram gives the table.  Its one pass per bit runs in place; the
   passes for bits 1 and 2, whose contiguous runs are 2 and 4 entries, walk
-  transposed views so that numpy's inner loop is the long axis;
+  transposed views so that numpy's inner loop is the long axis.  Such a
+  histogram is sparse: seen as rows of 2^``ROW_BITS`` entries, an N = 20
+  table has about 10 live rows (rows with a non-zero entry) of 256.  The
+  passes for the bits below ``ROW_BITS`` keep a zero row zero, so for an
+  integer table they run on the live rows alone, in place;
 * the component count of a union equals the component count of the induced
   subgraph on per-subsystem cell-components (:func:`component_counts`).
   For every induced subgraph, components = |V| - |E| + cycle rank, and
@@ -81,6 +85,15 @@ BLOCK_BITS = 16
 #: 21.9 and 25.4 ms, the 14-ring's 3.4, 2.2, 2.0 and 2.0 ms, the 20-ring's
 #: 89, 83, 80 and 86 ms
 WHOLE_WALK_BITS = 12
+#: :func:`subset_sums` of an integer table runs its passes for the bits
+#: below ROW_BITS only on the live rows of 2**ROW_BITS entries.  Subset sums
+#: of the J histogram of 20 ``random-n20`` inputs (9-15 live rows of 256 at
+#: 12), mean of the best of 7 on a 2-core x86-64 VM, at 8, 10, 12 and 14:
+#: 3.9, 2.8, 2.1-2.4 and 2.8 ms, against 9.3 ms with every pass on the whole
+#: table.  The callers' histograms measured have at most 7 of 64 rows live
+#: (six-hole-eighteen); a 2^20 table with every other row live takes 12.1 ms
+#: against 9.0
+ROW_BITS = 12
 
 
 def subset_signs(n: int) -> np.ndarray:
@@ -98,11 +111,35 @@ def subset_sums(table: np.ndarray) -> np.ndarray:
     viewing the table as (2^(n-i-1), 2, 2^i).  Bits 1 and 2 leave contiguous
     runs of only 2 and 4 entries, so numpy's inner loop would be that short;
     their pass iterates the transposed views in C order instead, so the inner
-    loop runs along the long axis of 2^(n-i-1) entries.  Every pass writes
-    into the table itself, with no 2^n temporary, and each entry still gets
-    the same single addition, so the result is bit-identical either way.
+    loop runs along the long axis of 2^(n-i-1) entries.
+
+    An integer table with n > ``ROW_BITS`` is seen as rows of
+    2^``ROW_BITS`` entries.  The passes for the bits below ``ROW_BITS``
+    stay inside a row and keep a zero row zero, so those passes run on the
+    live rows (rows with a non-zero entry) alone, one in-place slice per run
+    of consecutive live rows, and the passes for the higher bits run on the
+    whole table.  Float tables and small tables take every pass on the
+    whole table.  Every pass writes into the table itself, with no 2^n
+    temporary, and each entry still gets the same single additions, so the
+    result is bit-identical either way.
     """
-    for i in range(len(table).bit_length() - 1):
+    n = len(table).bit_length() - 1
+    bits = range(n)
+    if n > ROW_BITS and np.issubdtype(table.dtype, np.integer):
+        rows = table.reshape(-1, 1 << ROW_BITS)
+        live = rows.any(axis=1)
+        # the start and stop of each run of consecutive live rows, in turn
+        edges = np.flatnonzero(np.diff(live, prepend=False, append=False))
+        for start, stop in edges.reshape(-1, 2).tolist():
+            _bit_passes(rows[start:stop], range(ROW_BITS))
+        bits = range(ROW_BITS, n)
+    return _bit_passes(table, bits)
+
+
+def _bit_passes(table: np.ndarray, bits: range) -> np.ndarray:
+    """The :func:`subset_sums` passes for ``bits``, in place over the C-ordered
+    ``table``, whose size is a multiple of 2^(top bit + 1)."""
+    for i in bits:
         view = table.reshape(-1, 2, 1 << i)
         if i in (1, 2):
             upper = view[:, 1, :].T

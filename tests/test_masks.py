@@ -28,6 +28,7 @@ from topomi.grid import (
 )
 from topomi.masks import (
     BLOCK_BITS,
+    ROW_BITS,
     WHOLE_WALK_BITS,
     UnionTopology,
     _two_core,
@@ -197,6 +198,26 @@ def test_j_table_is_twice_components_minus_euler(junction_css):
         want = 2 * topo.component_table.astype(np.int64) - topo.euler_table.astype(np.int64)
         assert topo.j_table.dtype == np.int32
         assert np.array_equal(topo.j_table, want), css.name
+
+
+@pytest.mark.parametrize("n", [20, 22])
+def test_j_table_past_the_row_cut_off_matches_flood_fill(n, monkeypatch):
+    """A random CSS whose J histogram takes the row path of ``subset_sums``:
+    J at 64 seeded masks equals the flood fill, and the alternating sum of J
+    equals the C^N of the frontier walk, read before any table exists."""
+    css = builders.random_css(random.Random(5), n, 16, 16, growth=200)
+    analysis = CssAnalysis(css)
+    c_n = analysis.c_n
+    assert "j_table" not in analysis.__dict__  # from the walk, not the table
+    calls = spy_row_passes(monkeypatch)
+    j = analysis.j_table
+    *runs, whole = calls
+    assert runs and {bits for _, bits in runs} == {range(ROW_BITS)}
+    assert whole == ((1 << n,), range(ROW_BITS, n))
+    rng = random.Random(n)
+    for mask in [rng.randrange(1, 1 << n) for _ in range(63)] + [(1 << n) - 1]:
+        assert j[mask] == boundary_component_count(union_region(css, mask)), mask
+    assert alternating_sum(j.reshape((2,) * n)) == c_n
 
 
 @pytest.mark.parametrize("n", range(7))
@@ -596,8 +617,56 @@ def test_subset_sums_match_brute_force(n):
             assert out.tolist() == expected, dtype
 
 
+def spy_row_passes(monkeypatch) -> list:
+    """Record the (shape, bits) of every ``masks._bit_passes`` call; a 2-D
+    shape is the passes below ROW_BITS on one run of live rows."""
+    calls = []
+    bit_passes = masks._bit_passes
+
+    def spy(table, bits):
+        calls.append((table.shape, bits))
+        return bit_passes(table, bits)
+
+    monkeypatch.setattr(masks, "_bit_passes", spy)
+    return calls
+
+
+@pytest.mark.parametrize("n", range(ROW_BITS + 1, ROW_BITS + 5))
+def test_subset_sums_row_path_matches_plain_pass(n, monkeypatch):
+    """Tables with no, one, a few scattered, 1/8, one more than 1/8 and all
+    of their rows of 2^ROW_BITS entries live: int32 and int64 take the row
+    path, float64 never does, and each equals the plain pass byte for
+    byte."""
+    calls = spy_row_passes(monkeypatch)
+    n_rows = 1 << n - ROW_BITS
+    rng = np.random.default_rng(n)
+    for count in sorted({0, 1, min(3, n_rows), n_rows // 8, n_rows // 8 + 1, n_rows}):
+        live = rng.choice(n_rows, count, replace=False)
+        for dtype in (np.int32, np.int64, np.float64):
+            rows = np.zeros((n_rows, 1 << ROW_BITS), dtype=dtype)
+            if dtype is np.float64:
+                rows[live] = rng.normal(size=(count, 1 << ROW_BITS))
+            else:
+                rows[live] = rng.integers(-50, 50, size=(count, 1 << ROW_BITS))
+            rows[live, rng.integers(1 << ROW_BITS, size=count)] = 7  # no live row is all zero
+            table = rows.reshape(-1)
+            want = plain_subset_sums(table)
+            calls.clear()
+            out = subset_sums(table)
+            assert out is table
+            assert out.tobytes() == want.tobytes(), (count, dtype)
+            if dtype is not np.float64:  # the row path
+                *runs, whole = calls
+                assert {bits for _, bits in runs} <= {range(ROW_BITS)}
+                assert sum(shape[0] for shape, _ in runs) == count
+                assert whole == ((1 << n,), range(ROW_BITS, n))
+            else:
+                assert calls == [((1 << n,), range(n))], (count, dtype)
+
+
 def test_subset_sums_allocate_no_table():
-    """The passes on a 2^20 int32 table (4 MB) stay in place: no transposed copy."""
+    """The passes on a 2^20 int32 table (4 MB) stay in place: no transposed
+    copy.  With every other row live, the row path copies no row."""
     table = np.ones(1 << 20, dtype=np.int32)
     tracemalloc.start()
     try:
@@ -607,6 +676,19 @@ def test_subset_sums_allocate_no_table():
         tracemalloc.stop()
     assert peak < 1 << 20, peak
     assert table[-1] == 1 << 20
+
+    rows = np.zeros((1 << 20 - ROW_BITS, 1 << ROW_BITS), dtype=np.int32)
+    rows[::2] = 1
+    table = rows.reshape(-1)
+    want = plain_subset_sums(table)
+    tracemalloc.start()
+    try:
+        subset_sums(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 18, peak  # a copy of the live rows would be 2 MB
+    assert np.array_equal(table, want)
 
 
 def full_set_weight(css):

@@ -19,7 +19,6 @@ from .engine import (
     strong_subadditivity_combination,
     subloop_revival,
     subset_entropy_table,
-    subset_information_table,
 )
 from .errors import TopomiError
 from .graphs import SimpleGraph, cycle_graph, path_graph, rho, sigma_of_css

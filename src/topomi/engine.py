@@ -51,6 +51,7 @@ from .grid import (
     find_holes,
     loop_around_hole,
     perimeter_links,
+    union_region,
 )
 from .masks import (
     UnionTopology,
@@ -61,7 +62,7 @@ from .masks import (
 )
 from .model import EntropyModel
 
-#: cap on N for the recursion check and the subset information table
+#: cap on N for the recursion check, which builds 2^N float tables
 RECURSION_CAP = 12
 
 
@@ -375,18 +376,6 @@ def subloop_revival(model: EntropyModel, css: GridCss | CssAnalysis) -> SubloopR
 # recursion over lower-order informations
 # ----------------------------------------------------------------------
 
-def subset_information_table(model: EntropyModel, css: GridCss | CssAnalysis) -> np.ndarray:
-    """I of every subset R (indexed by bitmask) via a signed zeta transform.
-
-    I_R = sum over non-empty Q subset of R of (-1)^(|Q|-1) S(union Q).
-    """
-    analysis = CssAnalysis.of(css)
-    n = analysis.css.n_subsystems
-    if n > RECURSION_CAP:
-        raise TooManySubsystems(f"subset information table capped at N = {RECURSION_CAP}")
-    return subset_sums(analysis.signs * subset_entropy_table(model, analysis))
-
-
 @dataclass(frozen=True)
 class RecursionResult:
     lhs: float
@@ -414,7 +403,7 @@ def recursion_check(model: EntropyModel, css: GridCss | CssAnalysis) -> Recursio
     if n > RECURSION_CAP:
         raise TooManySubsystems(f"recursion check capped at N = {RECURSION_CAP}")
     s = subset_entropy_table(model, analysis)
-    info = subset_sums(analysis.signs * s)  # I_R, as subset_information_table
+    info = subset_sums(analysis.signs * s)  # I_R for every subset R
     popcounts = analysis.popcounts
 
     lhs = float(info[-1])
@@ -436,18 +425,12 @@ EntropySource = Callable[[frozenset], float]
 
 
 def model_entropy_source(model: EntropyModel, css: GridCss | CssAnalysis) -> EntropySource:
-    """Entropy of a set of subsystem ids under the topology model."""
-    table = subset_entropy_table(model, css)
-
-    def source(ids: Iterable[int]) -> float:
-        mask = 0
-        for i in ids:
-            mask |= 1 << i
-        if mask == 0:
-            raise ValidationError("entropy of an empty id set")
-        return float(table[mask])
-
-    return source
+    """Entropy of a set of subsystem ids under the topology model, from the
+    union's own cells (:func:`entropy_of_region`), so no 2^N table is built
+    and any N is answered.  ValidationError for an id outside 0..N-1,
+    EmptySubset for no ids."""
+    grid_css = CssAnalysis.of(css).css
+    return lambda ids: entropy_of_region(model, union_region(grid_css, ids))
 
 
 def strong_subadditivity_combination(css: GridCss | CssAnalysis, entropy: EntropySource) -> float:

@@ -26,18 +26,16 @@ counts combinatorially:
   vertices of degree <= 1).  So a subset S counts +1 per vertex outside the
   core whose subsystem is in S and -1 per edge with an endpoint outside the
   core whose subsystems are in S (more histogram entries), plus the
-  components of the core's own induced subgraph.  Only the core is walked:
-  each numpy pass grows every subset's component through per-byte
-  neighbour tables, and one that stopped growing counts it and restarts
-  from its lowest remaining vertex (uint32, uint64 or Python int vertex
-  masks; split subsystems take no branch).  The subsets below 2^12 are
-  walked whole; the rest go in order of their top group h, in blocks of
-  2^16, each growing the component of group h's lowest vertex and, once
-  what is left is whole groups below h, reading the rest from the table
-  (:func:`_walk_components`).  Each histogram term
-  depends on at most two subsystems, so its alternating sum over the
-  subsets of three or more is 0: the component part of C^N (N >= 3) comes
-  from the core alone, and the chains and appendages outside add nothing;
+  components of the core's own induced subgraph.  Only the core is walked,
+  every subset whole, in blocks of 2^``BLOCK_BITS`` subsets
+  (:func:`_walk_components`): each numpy pass grows every subset's
+  component through per-byte neighbour tables, and one that stopped
+  growing counts it and restarts from its lowest remaining vertex (uint32,
+  uint64 or Python int vertex masks; split subsystems take no branch).
+  Each histogram term depends on at most two subsystems, so its
+  alternating sum over the subsets of three or more is 0: the component
+  part of C^N (N >= 3) comes from the core alone, and the chains and
+  appendages outside add nothing;
 * pinch-freeness (enforced by grid validation) makes the complex
   homotopy-faithful, so holes = components - chi and J = 2*components - chi.
   J is built in one int32 pass: the -chi feature entries and twice the
@@ -78,13 +76,6 @@ MAX_SUBSYSTEMS = 24
 MAX_WALK_STATES = 1 << 12
 #: the component walk takes its subsets in blocks of 2**BLOCK_BITS
 BLOCK_BITS = 16
-#: the component walk takes the subsets below 2**WHOLE_WALK_BITS whole, in one
-#: block (so WHOLE_WALK_BITS <= BLOCK_BITS), and the rest in top-group
-#: order, whose small blocks are mostly per-pass overhead.  Best of 35 walks
-#: on a 2-core VM, at 8, 12, 14 and 16: six-hole-eighteen's core 28.5, 21.3,
-#: 21.9 and 25.4 ms, the 14-ring's 3.4, 2.2, 2.0 and 2.0 ms, the 20-ring's
-#: 89, 83, 80 and 86 ms
-WHOLE_WALK_BITS = 12
 #: :func:`subset_sums` of an integer table runs its passes for the bits
 #: below ROW_BITS only on the live rows of 2**ROW_BITS entries.  Subset sums
 #: of the J histogram of 20 ``random-n20`` inputs (9-15 live rows of 256 at
@@ -192,13 +183,6 @@ def _or_table(items: list[int], dtype) -> np.ndarray:
     for item in items:
         table = np.concatenate([table, table | np.array(item, dtype=dtype)])
     return table
-
-
-def _or_bytes(tables: list[np.ndarray], masks: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """OR into ``out``, per vertex mask, the entry of ``tables[k]`` for byte k of the mask."""
-    for k, table in enumerate(tables):
-        out |= table[((masks >> 8 * k) & 255).astype(np.intp)]
-    return out
 
 
 def _user_masks(labels: np.ndarray) -> np.ndarray:
@@ -410,61 +394,33 @@ def _frontier_order(adj: list[int], core: int, groups: list[int], owner: dict[in
 
 
 def _walk_components(adj: list[int], groups: list[int]) -> np.ndarray:
-    """:func:`component_counts` by walking the subsets' vertex masks in
-    numpy passes.  Each pass grows every live subset's component, and one
-    that stopped growing is counted, XORed out and replaced by the lowest
-    vertex left; emptied subsets drop out.
-
-    The subsets below 2^``WHOLE_WALK_BITS`` are walked whole, in one block.
-    The rest go in order of their top group h, in blocks of at most
-    2^``BLOCK_BITS``: the first component grows from the lowest vertex of
-    group h, the same for the whole block, and once the vertices left are
-    the union of whole groups R (all below h, so the entry of R is final)
-    the count is the components walked so far plus the entry of R.  With
-    no group split over components that happens after the first one.  A
-    block with an empty top group copies the one below it.  Vertex masks
-    are uint32 up to 32 vertices, uint64 up to 64, else ints.
+    """:func:`component_counts` by walking every subset's vertex mask, in
+    blocks of the low ``BLOCK_BITS`` groups: each pass grows every live
+    subset's component, and one that stopped growing is counted, XORed out
+    and replaced by the lowest vertex left; emptied subsets drop out.
+    Vertex masks are uint32 up to 32 vertices, uint64 up to 64, else ints.
     """
     dtype = np.uint32 if len(adj) <= 32 else np.uint64 if len(adj) <= 64 else object
     low = _or_table(groups[:BLOCK_BITS], dtype)
-    high = _or_table(groups[BLOCK_BITS:], dtype)
-    # per byte k of a vertex mask and value of that byte: the neighbours of
-    # the vertices set in it, and their groups
-    neighbours = [_or_table(adj[k:k + 8], dtype) for k in range(0, len(adj), 8)]
-    owner = _owner_bits(len(adj), groups)
-    owners = [_or_table(owner[k:k + 8], np.int64) for k in range(0, len(adj), 8)]
-    out = np.zeros(1 << len(groups), dtype=np.int32)
-
-    def walk(start: int, stop: int, seed: int | None) -> None:
-        count = out[start:stop]
-        # a block never straddles a multiple of 2^BLOCK_BITS
-        left = low[start % len(low):][:stop - start] | high[start >> BLOCK_BITS]
+    # neighbours of the vertices set in byte k of a mask, per value of that byte
+    byte_tables = [_or_table(adj[k:k + 8], dtype) for k in range(0, len(adj), 8)]
+    out = np.zeros(len(low) << max(len(groups) - BLOCK_BITS, 0), dtype=np.int32)
+    for count, high in zip(out.reshape(-1, len(low)), _or_table(groups[BLOCK_BITS:], dtype)):
+        left = low | high
         live = np.flatnonzero(left)
         left = left[live]
-        comp = left & -left if seed is None else np.full(live.size, seed, dtype)
+        comp = left & -left  # the lowest vertex, grown into its component
         while live.size:
-            near = _or_bytes(neighbours, comp, comp.copy()) & left
+            near = comp.copy()
+            for k, table in enumerate(byte_tables):
+                near |= table[((comp >> 8 * k) & 255).astype(np.intp)]
+            near &= left
             done = near == comp  # stopped growing: count it, start the next
             count[live[done]] += 1
             left = np.where(done, left ^ comp, left)
-            if seed is not None:  # read the rest of a subset left with whole groups
-                ended = np.flatnonzero(done)
-                rest = left[ended]
-                union = _or_bytes(owners, rest, np.zeros(rest.size, dtype=np.int64))
-                whole = (low[union & len(low) - 1] | high[union >> BLOCK_BITS]) == rest
-                count[live[ended[whole]]] += out[union[whole]]
-                left[ended[whole]] = 0
             comp = np.where(done, left & -left, near)
             keep = left != 0
             live, left, comp = live[keep], left[keep], comp[keep]
-
-    walk(0, 1 << min(len(groups), WHOLE_WALK_BITS), None)
-    for h in range(WHOLE_WALK_BITS, len(groups)):
-        if not groups[h]:
-            out[1 << h:2 << h] = out[:1 << h]
-            continue
-        for start in range(1 << h, 2 << h, 1 << BLOCK_BITS):
-            walk(start, min(start + (1 << BLOCK_BITS), 2 << h), groups[h] & -groups[h])
     return out
 
 

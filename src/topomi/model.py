@@ -8,9 +8,10 @@ where D is the total quantum dimension of the phase.  The per-link
 coefficient alpha is non-universal and cancels identically from every
 multipartite combination reported by the engine; it defaults to log(D),
 which reproduces the zero-correlation-length string-net value.  It is a
-library parameter, not a command-line option: it reaches the subset
-entropy table and what is built on it (the recursion check and the
-subadditivity combination), never C^N or a reported information value.
+library parameter, not a command-line option: it reaches the recursion
+check through the subset entropy table and the subadditivity combination
+through the entropy of each union's own region, never C^N or a reported
+information value.
 
 Entropies are reported in the units of the selected log base (nats for
 ``e``, bits for ``2``).

@@ -317,8 +317,11 @@ class QubitRegionMap:
         return len(self.regions)
 
     def union(self, ids: Iterable[int]) -> frozenset:
+        """The qubits of the regions ``ids``; ValidationError for an id outside 0..N-1."""
         out: set[int] = set()
         for i in ids:
+            if not 0 <= i < len(self.regions):
+                raise ValidationError(f"no region {i} of {len(self.regions)}")
             out |= self.regions[i]
         return frozenset(out)
 

@@ -23,7 +23,6 @@ from topomi.engine import (
     recursion_check,
     strong_subadditivity_combination,
     subloop_revival,
-    subset_information_table,
 )
 from topomi.graphs import cycle_graph, path_graph, rho, sigma_of_css
 from topomi.model import EntropyModel
@@ -169,7 +168,7 @@ def test_criterion_08_alpha_sweep():
         analysis = CssAnalysis(css)
         for alpha in (0.0, 0.5, LN2, 3.7):
             model = EntropyModel(2.0, alpha=alpha)
-            value = float(subset_information_table(model, analysis)[-1])
+            value = recursion_check(model, analysis).lhs
             want = -analysis.c_n * model.s_topo
             assert abs(value - want) <= 1e-9 * max(1.0, abs(want)), (css.name, alpha)
 

@@ -24,12 +24,14 @@ from topomi.engine import (
     model_entropy_source,
     multipartite_information,
     strong_subadditivity_combination,
+    recursion_check,
     subloop_revival,
-    subset_information_table,
+    subset_entropy_table,
     write_subset_table_csv,
 )
 from topomi.errors import (
     DisconnectedCss,
+    EmptySubset,
     NotACycle,
     NotAnnular,
     TooManySubsystems,
@@ -84,9 +86,11 @@ def test_annular_universality():
 
 
 def test_annular_universality_at_22():
-    """The 22-ring's core is the whole ring: its 2^22 component table is walked
-    over 64 blocks, nearly all in top-group order."""
-    assert connectivity_count(builders.annulus(22)).c_n == -2
+    """C^N of the 22-ring comes from the frontier walk over its cell-component
+    ring, with no 2^22 table."""
+    analysis = connectivity_count(builders.annulus(22))
+    assert analysis.c_n == -2
+    assert "j_table" not in vars(analysis)
 
 
 def test_vanishing_set():
@@ -555,11 +559,11 @@ def test_information_values_match_counting():
 
 
 def test_alpha_sweep_leaves_information_unchanged():
-    # the full-set entry sums alpha-weighted entropies; multipartite_information never reads alpha
+    # I^N summed from alpha-weighted entropies; multipartite_information never reads alpha
     analysis = CssAnalysis(builders.far_handle_annulus(6, 3))
     for alpha in (0.0, 0.5, LN2, 3.7):
         model = EntropyModel(2.0, alpha=alpha)
-        value = subset_information_table(model, analysis)[-1]
+        value = recursion_check(model, analysis).lhs
         assert value == pytest.approx(-analysis.c_n * model.s_topo, rel=1e-9, abs=1e-12)
 
 
@@ -781,6 +785,42 @@ def test_ssa_requires_annular():
     css = builders.open_chain(4)
     with pytest.raises(NotAnnular):
         strong_subadditivity_combination(css, model_entropy_source(D2, css))
+
+
+@pytest.mark.parametrize("n", [30, 64])
+def test_ssa_combination_beyond_the_table_cap(n):
+    """The combination reads 2N + 1 entropies, each from its own region, so
+    it answers above the cap on the 2^N tables and builds none of them."""
+    analysis = CssAnalysis(builders.annulus(n))
+    assert n > masks.MAX_SUBSYSTEMS
+    value = strong_subadditivity_combination(analysis, model_entropy_source(D2, analysis))
+    assert value == pytest.approx(-2 * LN2, abs=1e-9)
+    tables = {"masks", "popcounts", "signs", "euler_table", "boundary_links_table", "component_table", "j_table"}
+    assert not tables & set(vars(analysis))
+
+
+def test_model_entropy_source_rejects_unknown_ids():
+    css = builders.annulus(4)
+    source = model_entropy_source(D2, css)
+    for ids in ([-1], [4], [0, 4]):
+        with pytest.raises(ValidationError, match="unknown subsystem ids"):
+            source(frozenset(ids))
+    with pytest.raises(EmptySubset):
+        source(frozenset())
+
+
+def test_model_entropies_match_the_subset_entropy_table():
+    """Each entropy from its own region is the subset entropy table's entry,
+    bit for bit, on seeded random CSS with N = 2..9 (each N twice)."""
+    rng = random.Random(20261018)
+    for k in range(16):
+        n = 2 + k % 8
+        css = builders.random_css(rng, n)
+        for alpha in (None, 0.0, 1.7):
+            model = EntropyModel(2.0, alpha=alpha)
+            source = model_entropy_source(model, css)
+            entropies = [source([i for i in range(n) if mask >> i & 1]) for mask in range(1, 1 << n)]
+            assert np.array(entropies).tobytes() == subset_entropy_table(model, css)[1:].tobytes(), (css.name, alpha)
 
 
 # ----------------------------------------------------------------------

@@ -29,7 +29,6 @@ from topomi.grid import (
 from topomi.masks import (
     BLOCK_BITS,
     ROW_BITS,
-    WHOLE_WALK_BITS,
     UnionTopology,
     _two_core,
     _walk_components,
@@ -310,7 +309,7 @@ def test_split_ring_component_counts_match_closed_form():
     every table entry: S's vertices are its pattern twice round the cycle,
     so S has two components per i in S with i + 1 (mod k) outside it; the
     full set has 1.  In every other S a group's two vertices lie in
-    different components, so the walk restarts after the top group's first."""
+    different components."""
     k = 17
     adj, _ = ring(2 * k, 1)
     groups = [1 << g | 1 << g + k for g in range(k)]
@@ -319,26 +318,6 @@ def test_split_ring_component_counts_match_closed_form():
     expected = 2 * np.bitwise_count(subsets & ~successors)
     expected[-1] = 1
     assert np.array_equal(component_counts(adj, groups), expected)
-
-
-@pytest.mark.parametrize("k, width", [(20, 1), (18, 2)], ids=["C20-uint32", "C36-uint64"])
-def test_ring_walk_reads_the_rest_from_the_table(k, width, monkeypatch):
-    """No group of :func:`ring` is split, so a subset above the block walked
-    whole walks one component and reads the rest from the table.  The
-    vertex masks taken through the per-byte tables then number about 3.3
-    (C20) and 5.4 (C36) per subset; walking every component takes 14.8 and
-    21.7, and reading no entry of a set with group 16 or above 7.4 on C20."""
-    adj, groups = ring(k, width)
-    taken = []
-    or_bytes = masks._or_bytes
-
-    def counted(tables, vertex_masks, out):
-        taken.append(len(vertex_masks))
-        return or_bytes(tables, vertex_masks, out)
-
-    monkeypatch.setattr(masks, "_or_bytes", counted)
-    _walk_components(adj, groups)
-    assert sum(taken) < 6 << k
 
 
 @pytest.mark.parametrize("n", [20, 22])
@@ -488,16 +467,15 @@ def test_component_counts_match_bfs(graph):
     assert component_counts(adj, groups).tolist() == bfs_counts(adj, groups)
 
 
-def small_blocks(monkeypatch, whole_bits=2, block_bits=3):
-    """Walk whole only the subsets below 2^whole_bits, in blocks of 2^block_bits,
-    so that a graph of a few groups takes the top-group path over several blocks."""
-    monkeypatch.setattr(masks, "WHOLE_WALK_BITS", whole_bits)
+def small_blocks(monkeypatch, block_bits=3):
+    """Walk the subsets in blocks of 2^block_bits, so that a graph of a few
+    groups is walked over several blocks."""
     monkeypatch.setattr(masks, "BLOCK_BITS", block_bits)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(grouped_graphs())
-def test_top_group_walk_matches_bfs(graph):
+def test_small_block_walk_matches_bfs(graph):
     adj, groups = graph
     with pytest.MonkeyPatch.context() as monkeypatch:
         small_blocks(monkeypatch)
@@ -509,22 +487,33 @@ def ring_with_chords(n):
     return neighbor_masks(n, [(v, (v + 1) % n) for v in range(n)] + [(0, v) for v in range(3, n - 1, 3)])
 
 
+#: the block size in bits for the walks below: n = M groups fill one block
+M = 12
+
+
 @pytest.mark.parametrize("at", ["top", "middle"])
-def test_walk_copies_the_block_below_an_empty_group(at):
-    """Groups WHOLE_WALK_BITS and WHOLE_WALK_BITS + 1 are walked in top-group
-    order; one of them is empty, so its block is the block below it."""
-    adj = ring_with_chords(WHOLE_WALK_BITS + 1)
-    groups = singletons(WHOLE_WALK_BITS + 1)
-    groups.insert(WHOLE_WALK_BITS + (at == "top"), 0)
-    assert _walk_components(adj, groups).tolist() == bfs_counts(adj, groups)
+def test_walk_copies_the_block_below_an_empty_group(at, monkeypatch):
+    """In blocks of 2^M subsets, groups M and M + 1 pick the block.  One of
+    them is empty, so each block with it has the counts of the block
+    without it."""
+    small_blocks(monkeypatch, M)
+    adj = ring_with_chords(M + 1)
+    groups = singletons(M + 1)
+    empty = M + (at == "top")
+    groups.insert(empty, 0)
+    table = _walk_components(adj, groups)
+    assert table.tolist() == bfs_counts(adj, groups)
+    halves = table.reshape(-1, 2, 1 << empty)
+    assert np.array_equal(halves[:, 1], halves[:, 0])
 
 
-@pytest.mark.parametrize("n", [WHOLE_WALK_BITS, WHOLE_WALK_BITS + 1], ids=["n=m", "n=m+1"])
-def test_walk_with_split_groups_matches_bfs(n):
-    """Group n - 1, the top one, holds vertex n - 1 of a chorded cycle and a
-    vertex n hanging off vertex 0 alone: without group 0 they are two
-    components, and the walk restarts after the top group's first one.
+@pytest.mark.parametrize("n", [M, M + 1], ids=["n=m", "n=m+1"])
+def test_walk_with_split_groups_matches_bfs(n, monkeypatch):
+    """In blocks of 2^m subsets, m = M: n = m groups fill one block, m + 1
+    two.  Group n - 1 holds vertex n - 1 of a chorded cycle and a vertex n
+    hanging off vertex 0 alone: without group 0 they are two components.
     Group 1 holds vertex 1 and a vertex n + 1 joined to vertices 5 and 9."""
+    small_blocks(monkeypatch, M)
     adj = ring_with_chords(n) + [0, 0]
     for u, v in [(n, 0), (n + 1, 5), (n + 1, 9)]:
         adj[u] |= 1 << v
@@ -536,9 +525,9 @@ def test_walk_with_split_groups_matches_bfs(n):
 
 
 @pytest.mark.parametrize("n_vertices", [48, 80], ids=["uint64", "python-int"])
-def test_top_group_walk_on_wide_masks_matches_bfs(n_vertices, monkeypatch):
+def test_walk_on_wide_masks_matches_bfs(n_vertices, monkeypatch):
     """Seeded graphs of 48 and 80 vertices dealt into 7 groups, split ones
-    included, on the top-group path over several blocks."""
+    included, walked over several blocks."""
     small_blocks(monkeypatch)
     rng = random.Random(n_vertices)
     edges = [(u, v) for u in range(n_vertices) for v in range(u + 1, n_vertices) if rng.random() < 2.5 / n_vertices]

@@ -1,12 +1,13 @@
 """Expansion of I^N over lower-order informations."""
 
+import itertools
 import math
 import random
 
 import pytest
 
 from topomi import builders, engine
-from topomi.engine import recursion_check, subset_information_table
+from topomi.engine import CssAnalysis, recursion_check, subset_entropy_table
 from topomi.errors import TooManySubsystems
 from topomi.grid import GridCss
 from topomi.model import EntropyModel
@@ -56,19 +57,20 @@ def test_two_hole_five_intermediate_terms():
     """The expansion terms of the two-hole CSS: I^5 = 0, the two ring
     triples each contribute -2 log D, all other triples vanish."""
     css = builders.two_hole_five()
-    table = subset_information_table(D2, css)
-    full = (1 << 5) - 1
-    assert table[full] == pytest.approx(0.0, abs=1e-12)
-    mask_abc = 0b00111  # A, B, C
-    mask_ade = 0b11001  # A, D, E
-    assert table[mask_abc] == pytest.approx(-2 * LN2)
-    assert table[mask_ade] == pytest.approx(-2 * LN2)
-    assert table[mask_abc] + table[mask_ade] == pytest.approx(-2 * 2 * LN2)
-    for mask in range(1, full + 1):
-        if mask.bit_count() == 3 and mask not in (mask_abc, mask_ade):
-            assert table[mask] == pytest.approx(0.0, abs=1e-12), bin(mask)
-        if mask.bit_count() == 4:
-            assert table[mask] == pytest.approx(0.0, abs=1e-12), bin(mask)
+    analysis = CssAnalysis(css)
+    assert recursion_check(D2, analysis).lhs == pytest.approx(0.0, abs=1e-12)
+
+    def info(ids):  # I_R = -C(R) log D for |R| >= 3
+        return -analysis.c_within(ids) * D2.s_topo
+
+    abc, ade = (0, 1, 2), (0, 3, 4)  # A, B, C and A, D, E
+    assert info(abc) == pytest.approx(-2 * LN2)
+    assert info(ade) == pytest.approx(-2 * LN2)
+    assert info(abc) + info(ade) == pytest.approx(-2 * 2 * LN2)
+    for size in (3, 4):
+        for ids in itertools.combinations(range(5), size):
+            if ids not in (abc, ade):
+                assert info(ids) == pytest.approx(0.0, abs=1e-12), ids
 
 
 def test_recursion_builds_entropy_table_once(monkeypatch):
@@ -84,7 +86,11 @@ def test_recursion_builds_entropy_table_once(monkeypatch):
     result = recursion_check(D2, css)
     assert result.residual < 1e-9
     assert len(calls) == 1
-    assert result.lhs == subset_information_table(D2, css)[-1]
+    # the signed sum of the subset entropies, which is I^N, summed in another order
+    analysis = CssAnalysis(css)
+    signed = float((analysis.signs * subset_entropy_table(D2, analysis)).sum())
+    assert result.lhs == pytest.approx(signed, abs=1e-12)
+    assert result.lhs == pytest.approx(-analysis.c_n * D2.s_topo, abs=1e-12)
 
 
 def test_recursion_guard():

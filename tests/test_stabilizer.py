@@ -37,6 +37,7 @@ from topomi.stabilizer import (
     multipartite_information_exact,
     parse_lattice_scenario,
     rasterize_css,
+    region_entropy_source,
     torus_cut,
 )
 
@@ -436,6 +437,25 @@ def test_region_map_validation():
         QubitRegionMap(4, (frozenset(),))
     with pytest.raises(ValidationError):
         QubitRegionMap(4, (frozenset({7}),))
+
+
+def test_region_entropy_source_rejects_unknown_ids():
+    """On a 4x4 torus with 3 regions, ids -1 and 3 name no region and no id
+    names no qubit."""
+    lattice = CodeLattice(4, 4, "torus")
+    h, v = lattice.h_edge, lattice.v_edge
+    region_map = QubitRegionMap(lattice.n_qubits, (
+        frozenset({h(0, 1), v(1, 1), v(1, 0), h(2, 2)}),
+        frozenset({h(1, 1), h(2, 1), v(2, 0), v(2, 2)}),
+        frozenset({v(2, 1), h(1, 2), h(0, 2), v(1, 2)}),
+    ))
+    source = region_entropy_source(build_code(lattice), region_map)
+    for ids in ([-1], [3], [0, 3]):
+        with pytest.raises(ValidationError, match=f"no region {ids[-1]} of 3"):
+            source(frozenset(ids))
+    with pytest.raises(EmptyRegion):
+        source(frozenset())
+    assert source(frozenset([2])) == entropy_bits(build_code(lattice), region_map.regions[2]) * LN2
 
 
 def test_multipartite_exact_guard():

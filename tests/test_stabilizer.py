@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from topomi.builders import random_css
+from topomi.builders import annulus, random_css
 from topomi.engine import connectivity_count
 from topomi.errors import (
     EmptyRegion,
@@ -187,6 +187,43 @@ def test_build_code_generators_pass_every_check(lattice):
     independent and commute: StabilizerState's own checks accept them."""
     state = build_code(lattice)
     assert StabilizerState(state.n, state.rows) == state
+
+
+def _per_vertex_rows(lattice: CodeLattice) -> tuple[int, ...]:
+    """The generators assembled star by star and plaquette by plaquette from
+    the lattice's own incidence, without the last star (and on the torus the
+    last plaquette, then the Z loops along row 0 and column 0)."""
+    n = lattice.n_qubits
+    rows = [sum(1 << q for q in set(lattice.star_qubits(i, j))) for i, j in lattice.vertices()][:-1]
+    plaquettes = [sum(1 << q for q in lattice.plaquette_qubits(i, j)) << n for i, j in lattice.faces()]
+    if lattice.boundary == "planar":
+        return tuple(rows + plaquettes)
+    row_loop = sum(1 << lattice.h_edge(i, 0) for i in range(lattice.lx)) << n
+    column_loop = sum(1 << lattice.v_edge(0, j) for j in range(lattice.ly)) << n
+    return tuple(rows + plaquettes[:-1] + [row_loop, column_loop])
+
+
+def _bit_transpose(n: int, rows) -> tuple[int, ...]:
+    """Column c of the generator matrix: bit g set where row g has bit c."""
+    columns = [0] * (2 * n)
+    for g, row in enumerate(rows):
+        while row:
+            low = row & -row
+            columns[low.bit_length() - 1] |= 1 << g
+            row ^= low
+    return tuple(columns)
+
+
+@pytest.mark.parametrize("lattice", BUILT_LATTICES, ids=_lattice_id)
+def test_build_code_matches_the_per_vertex_construction(lattice):
+    """build_code's rows are the stars, plaquettes and loops of the lattice,
+    and the column table it builds alongside is their bit transpose, as the
+    checked path builds it."""
+    state = build_code(lattice)
+    rows = _per_vertex_rows(lattice)
+    assert state.rows == rows
+    assert state.columns == _bit_transpose(state.n, rows)
+    assert state.columns == StabilizerState(state.n, state.rows).columns
 
 
 def test_gallery_lattices_are_all_there():
@@ -697,7 +734,7 @@ def test_exact_is_invariant_under_region_permutation(lattice):
 def test_rasterize_dimension_check():
     lattice = CodeLattice(4, 4, "torus")
     css = parse_ascii("AB\nAB")
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^CSS is 2x2 but the lattice has 4x4 faces$"):
         rasterize_css(lattice, css)
 
 
@@ -766,27 +803,23 @@ def test_rasterize_ownership_is_a_partition():
 
 
 def _rasterized_cases():
-    """The gallery's rasterized maps, fuzzed planar CSS and CSS placed across the torus seam."""
+    """The gallery's rasterized grids, fuzzed planar CSS and CSS placed across
+    the torus seam, each with its lattice."""
     for name in ("stab-torus8-n3-raster", "stab-planar9-n4-raster"):
         payload = load_scenario(gallery_dir() / f"{name}.json").payload["lattice"]
-        yield parse_lattice_scenario(payload)
+        yield parse_lattice_scenario(payload)[0], parse_grid_json(payload["css"])
     for seed in range(30):
         rng = random.Random(seed)
         css = random_css(rng, rng.randint(3, 8), 7, 6, growth=rng.choice([20, 60, 150]))
-        lattice = CodeLattice(8, 7, "planar")
-        yield lattice, rasterize_css(lattice, css)
-        labels = [OUTSIDE] * 81
-        dx, dy = rng.randrange(9), rng.randrange(9)
-        for k, label in enumerate(css.labels):
-            labels[(k // 7 + dy) % 9 * 9 + (k % 7 + dx) % 9] = label
-        lattice = CodeLattice(9, 9, "torus")
-        yield lattice, rasterize_css(lattice, GridCss(9, 9, tuple(labels)))
+        yield CodeLattice(8, 7, "planar"), css
+        yield CodeLattice(9, 9, "torus"), _on_torus(css, rng.randrange(9), rng.randrange(9))
 
 
 def test_rasterized_subsystem_owns_south_edge_of_each_cell():
     """The north/west rule hands every cell its south edge, so no subsystem goes empty."""
     n_cases = 0
-    for lattice, region_map in _rasterized_cases():
+    for lattice, css in _rasterized_cases():
+        region_map = rasterize_css(lattice, css)
         css = region_map.css
         for k, label in enumerate(css.labels):
             if label != OUTSIDE:
@@ -794,6 +827,73 @@ def test_rasterized_subsystem_owns_south_edge_of_each_cell():
                 assert lattice.h_edge(x, y + 1) in region_map.regions[label]
         n_cases += 1
     assert n_cases == 62
+
+
+def _rasterize_by_edge(lattice: CodeLattice, css: GridCss) -> QubitRegionMap:
+    """Each edge assigned on its own: the north (west) cell's subsystem, else
+    the south (east) cell's, with cells off the grid OUTSIDE."""
+    if lattice.boundary == "torus":
+        css = torus_cut(css)
+    regions: list[set] = [set() for _ in range(css.n_subsystems)]
+
+    def assign(qubit: int, primary: int, secondary: int) -> None:
+        if primary != OUTSIDE:
+            regions[primary].add(qubit)
+        elif secondary != OUTSIDE:
+            regions[secondary].add(qubit)
+
+    cols, rows = lattice.face_shape
+    for j in range(lattice.ly):
+        for i in range(cols):
+            assign(lattice.h_edge(i, j), css.label_at(i, j - 1), css.label_at(i, j))
+    for j in range(rows):
+        for i in range(lattice.lx):
+            assign(lattice.v_edge(i, j), css.label_at(i - 1, j), css.label_at(i, j))
+    return QubitRegionMap(lattice.n_qubits, tuple(frozenset(r) for r in regions), css)
+
+
+def _scaled(css: GridCss, scale: int) -> GridCss:
+    """``css`` with every cell a scale x scale block."""
+    width = css.width * scale
+    labels = [css.label_at(x // scale, y // scale) for y in range(css.height * scale) for x in range(width)]
+    return GridCss(width, css.height * scale, tuple(labels))
+
+
+def _benchmark_rings():
+    """annulus(12) with 2-cell arcs on the 16x16 torus and 3-cell arcs on the
+    24x24 torus, at seeded offsets, all of these across the seam."""
+    ring = annulus(12)
+    rng = random.Random(26)
+    for side, scale in ((16, 2), (24, 3)):
+        lattice, css = CodeLattice(side, side, "torus"), _scaled(ring, scale)
+        for _ in range(12):
+            yield lattice, _on_torus(css, rng.randrange(side), rng.randrange(side), side)
+
+
+def _planar_fuzz():
+    """Seeded random CSS filling the faces of planar lattices of many shapes."""
+    rng = random.Random(260)
+    for _ in range(40):
+        width, height = rng.randint(4, 14), rng.randint(4, 14)
+        n = rng.randint(1, 8)
+        css = random_css(rng, n, width, height, growth=rng.choice([5, 40, 200]))
+        yield CodeLattice(width + 1, height + 1, "planar"), css
+
+
+def test_rasterize_matches_the_per_edge_assignment():
+    """The one-pass owners give every region, and the grid kept, of the
+    per-edge assignment, on the planar patch and on the torus's cut (every
+    benchmark ring needs one)."""
+    n_rolled = 0
+    cases = [*_rasterized_cases(), *_benchmark_rings(), *_planar_fuzz()]
+    for lattice, css in cases:
+        region_map = rasterize_css(lattice, css)
+        reference = _rasterize_by_edge(lattice, css)
+        assert region_map.regions == reference.regions
+        assert region_map.css == reference.css
+        n_rolled += region_map.css is not css
+    assert len(cases) == 62 + 24 + 40
+    assert n_rolled == 25 + 24
 
 
 def test_parse_lattice_scenario_regions_and_css():

@@ -24,7 +24,10 @@ class EmptySubset(TopomiError):
 
 
 class TooManySubsystems(TopomiError):
-    """Subset enumeration guard tripped (the 2**N walk would be too large)."""
+    """A guard on the work that grows with N tripped: the 2**N tables' cap
+    (``masks.MAX_SUBSYSTEMS``), the frontier walk's state cap
+    (``masks.MAX_WALK_STATES``), the exact pass's region cap
+    (``stabilizer.EXACT_SUBSET_CAP``) or the recursion cap (``engine.RECURSION_CAP``)."""
 
 
 class TooManyVertices(TopomiError):

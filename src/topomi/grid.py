@@ -379,6 +379,15 @@ def set_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def pack_bits(pairs: Iterable[tuple[int, int]], size: int) -> list[int]:
+    """Per key 0..size-1, the int with every bit paired with that key set;
+    a repeated pair sets its bit once."""
+    out = [0] * size
+    for key, bit in pairs:
+        out[key] |= 1 << bit
+    return out
+
+
 def subset_letters(mask: int) -> str:
     """The grid letters of the subsystems in a subset mask, as ``{A, B, C}``."""
     return "{" + ", ".join(_ID_CHARS[i] for i in set_bits(mask)) + "}"
@@ -412,11 +421,7 @@ class SimpleGraph:
         return len(self.edges)
 
     def neighbor_masks(self) -> list[int]:
-        masks = [0] * self.vertex_count
-        for i, j in self.edges:
-            masks[i] |= 1 << j
-            masks[j] |= 1 << i
-        return masks
+        return pack_bits([*self.edges, *((j, i) for i, j in self.edges)], self.vertex_count)
 
 
 def restrict_css(css: GridCss, keep: Iterable[int], name: str = "") -> GridCss:

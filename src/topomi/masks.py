@@ -67,7 +67,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import TooManySubsystems
-from .grid import OUTSIDE, GridCss, set_bits
+from .grid import OUTSIDE, GridCss, pack_bits, set_bits
 
 #: cap on N for the 2^N tables (2**24 masks)
 MAX_SUBSYSTEMS = 24
@@ -191,15 +191,6 @@ def _user_masks(labels: np.ndarray) -> np.ndarray:
     return np.bitwise_or.reduce(bits, axis=1)
 
 
-def _owner_bits(n_vertices: int, groups: list[int]) -> list[int]:
-    """The bit of the group holding each vertex."""
-    owner = [0] * n_vertices
-    for g, mask in enumerate(groups):
-        for v in set_bits(mask):
-            owner[v] = 1 << g
-    return owner
-
-
 def _two_core(adj: list[int]) -> int:
     """Vertex mask of the 2-core: what is left after repeatedly deleting the
     vertices of degree <= 1.  Every cycle of every induced subgraph lies in it."""
@@ -236,7 +227,7 @@ def add_components(hist: np.ndarray, adj: list[int], groups: list[int], scale: i
     """
     n = len(groups)
     core = _two_core(adj)
-    owner = _owner_bits(len(adj), groups)
+    owner = pack_bits(((v, g) for g, mask in enumerate(groups) for v in set_bits(mask)), len(adj))  # v's group's bit
     outside = [v for v in range(len(adj)) if not core >> v & 1]
     np.add.at(hist, [owner[v] for v in outside], scale)
     # each edge once: from its endpoint outside the core, or the higher one if both are
@@ -502,9 +493,8 @@ class UnionTopology:
         labels, near, _ = self.css.labelling
         order = sorted((label, c) for c, label in enumerate(labels) if label != OUTSIDE)
         vertex = {c: v for v, (_, c) in enumerate(order)}
-        cv_mask = [0] * self.css.n_subsystems  # the cell-components of each subsystem, as a vertex mask
-        for v, (label, _) in enumerate(order):
-            cv_mask[label] |= 1 << v
+        # the cell-components of each subsystem, as a vertex mask
+        cv_mask = pack_bits(((label, v) for v, (label, _) in enumerate(order)), self.css.n_subsystems)
         adj = [sum(1 << vertex[b] for b in near[c] if b in vertex) for _, c in order]
         return adj, cv_mask, len(order)
 

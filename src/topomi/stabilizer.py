@@ -10,19 +10,19 @@ region itself: S(A) = rank(G|_A) - |A| in units of log 2, where G|_A is the
 generator matrix restricted to the columns of A (Fattal, Cafaro, Haas and
 Chuang, quant-ph/0406168).  Each state keeps one column table (column c as
 an integer over the generators): rank(G|_A) is the rank of A's X and Z
-columns in it.  The code's own state reads its table straight from the
-lattice, each edge's stars and plaquettes, with its rows; a state built
-from given rows transposes them and checks with the table that the
-generators commute.  The exact
-I^N, for up to 18 regions, reduces each region's columns to a basis and
-keeps only the GF(2) relations among the stacked bases: the relations
-within the regions of S number sum_{j in S} S(A_j) - S(A_S), so the
-additive part of every entropy cancels in the alternating sum, and the rest
-is read from the regions' projections of the relation space, a few vectors
-of a few dozen bits each, in one pass over the regions whose states are the
-subspaces shared by the regions behind and ahead: a handful on a ring of
-regions, where a walk over the subsets would visit 2^N - 1.  A dense
-state-vector construction provides an independent oracle for small systems.
+columns in it.  The code's own state packs its rows and its table from one
+list of the lattice's (generator, column) incidences, read both ways; a
+state built from given rows transposes them and checks with the table that
+the generators commute.  The exact I^N, for up to 18 regions, reduces each
+region's columns to a basis and keeps only the GF(2) relations among the
+stacked bases: the relations within the regions of S number
+sum_{j in S} S(A_j) - S(A_S), so the additive part of every entropy
+cancels in the alternating sum, and the rest is read from the regions'
+projections of the relation space, a few vectors of a few dozen bits each,
+in one pass over the regions whose states are the subspaces shared by the
+regions behind and ahead: a handful on a ring of regions, where a walk over
+the subsets would visit 2^N - 1.  A dense state-vector construction
+provides an independent oracle for small systems.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .errors import (
     ValidationError,
     WindingRegion,
 )
-from .grid import OUTSIDE, GridCss, json_int, parse_grid_json, set_bits
+from .grid import OUTSIDE, GridCss, json_int, pack_bits, parse_grid_json, set_bits
 
 #: dense 2**n state vectors
 BRUTE_CAP = 12
@@ -192,11 +192,7 @@ class StabilizerState:
 
         Columns 0..n-1 are the X parts of the qubits, n..2n-1 their Z parts.
         """
-        cols = [0] * (2 * self.n)
-        for g, row in enumerate(self.rows):
-            for c in set_bits(row):
-                cols[c] |= 1 << g
-        return tuple(cols)
+        return tuple(pack_bits(((c, g) for g, row in enumerate(self.rows) for c in set_bits(row)), 2 * self.n))
 
 
 def _echelon(rows: Iterable[int]) -> dict[int, int]:
@@ -227,15 +223,6 @@ def _dependencies(vectors: Sequence[int]) -> list[int]:
     return [row for top, row in pivots.items() if top < m]
 
 
-def _bits(*places: np.ndarray) -> list[int]:
-    """Per place, the integer with a bit set at each array's entry there;
-    an entry repeated sets its bit once."""
-    out = [1 << p for p in places[0].ravel().tolist()]
-    for more in places[1:]:
-        out = [m | 1 << p for m, p in zip(out, more.ravel().tolist())]
-    return out
-
-
 def _sides(grid: np.ndarray, axis: int, size: int, mode: str) -> list[np.ndarray]:
     """The entries of ``grid`` before and after each of ``size`` places
     between its entries along ``axis``.  ``mode`` "wrap" wraps around the
@@ -249,13 +236,6 @@ def _pairs(grid: np.ndarray, axis: int, size: int) -> list[np.ndarray]:
     return [grid.take(range(size), axis), np.roll(grid, -1, axis).take(range(size), axis)]
 
 
-def _beside_edges(horizontal: list[np.ndarray], vertical: list[np.ndarray], dropped: int) -> list[np.ndarray]:
-    """The generators beside each edge, horizontal edges first, as two
-    arrays; where one of the two is ``dropped``, the other stands twice."""
-    a, b = (np.concatenate(pair, axis=None) for pair in zip(horizontal, vertical))
-    return [np.where(a == dropped, b, a), np.where(b == dropped, a, b)]
-
-
 def build_code(lattice: CodeLattice) -> StabilizerState:
     """Ground state of the star/plaquette code on the lattice.
 
@@ -263,11 +243,11 @@ def build_code(lattice: CodeLattice) -> StabilizerState:
     zero or two edges, so the generators commute; without the last star (and
     on the torus the last plaquette, with the two non-contractible Z loops)
     they are independent.  So the state skips the checks of
-    ``StabilizerState``.  Every star's and plaquette's edges come at once
-    from the index arithmetic of :meth:`CodeLattice.h_edge` and
-    :meth:`CodeLattice.v_edge` on arrays, and so does the column table: an
-    X column holds the stars at its edge's two ends, a Z column the
-    plaquettes on its two sides and the loop through it, if any.
+    ``StabilizerState``.  The lattice's incidence is one list of (generator,
+    column) pairs, from the index arithmetic of :meth:`CodeLattice.h_edge`
+    and :meth:`CodeLattice.v_edge` on arrays: each star's edges as X
+    columns, each plaquette's and loop's edges as Z columns.  Read one way
+    it packs the rows, read the other way the column table.
     """
     n, nh, lx, ly = lattice.n_qubits, lattice.n_horizontal, lattice.lx, lattice.ly
     cols, rows = lattice.face_shape
@@ -276,19 +256,19 @@ def build_code(lattice: CodeLattice) -> StabilizerState:
     v = np.arange(nh, n).reshape(rows, lx)  # qubit v_edge(i, j) at [j, i]
     star = np.arange(lx * ly).reshape(ly, lx)  # generator of the star at vertex (i, j)
     face = star.size - 1 + np.arange(rows * cols).reshape(rows, cols)  # of the plaquette at face (i, j)
-    kept = face.size - lattice.periodic  # all stars, and on the torus all plaquettes, multiply to 1
+    # all stars, and on the torus all plaquettes, multiply to 1: the last is no generator
+    star.flat[-1] = -1
+    if lattice.periodic:
+        face.flat[-1] = -1
     # a star's west, east, north and south edges (one off the patch repeats
     # the one opposite), a plaquette's north, south, west and east edges
-    generators = _bits(*(e.ravel()[:-1] for e in _sides(h, 1, lx, mode) + _sides(v, 0, ly, mode)))
-    generators += _bits(*(n + e.ravel()[:kept] for e in _pairs(h, 0, rows) + _pairs(v, 1, cols)))
-    loops = (h[0], v[:, 0]) if lattice.periodic else ()  # along row 0 and column 0
-    generators += [sum(1 << (n + q) for q in loop.tolist()) for loop in loops]
-    ends = _beside_edges(_pairs(star, 1, cols), _pairs(star, 0, rows), star.size - 1)
-    sides = _beside_edges(_sides(face, 0, ly, mode), _sides(face, 1, lx, mode), star.size - 1 + kept)
-    through = sides[0].copy()
-    for g, loop in enumerate(loops):
-        through[loop] = n - 2 + g
-    columns = _bits(*ends) + _bits(*sides, through)
+    incidence = [(star, e) for e in _sides(h, 1, lx, mode) + _sides(v, 0, ly, mode)]
+    incidence += [(face, n + e) for e in _pairs(h, 0, rows) + _pairs(v, 1, cols)]
+    if lattice.periodic:  # the Z loops along row 0 and column 0
+        incidence += [(np.full(lx, n - 2), n + h[0]), (np.full(ly, n - 1), n + v[:, 0])]
+    g, c = (np.concatenate(side, axis=None) for side in zip(*incidence))
+    g, c = g[g >= 0].tolist(), c[g >= 0].tolist()
+    generators, columns = pack_bits(zip(g, c), n), pack_bits(zip(c, g), 2 * n)
     return StabilizerState._unchecked(n, tuple(generators), tuple(columns))
 
 
@@ -494,22 +474,16 @@ def _ordered_projections(bases: Sequence[Sequence[int]]) -> list[list[int]]:
     at an end of the map rather than in its middle.
     """
     relations = _dependencies([v for basis in bases for v in basis])
-    columns = [0] * sum(map(len, bases))
-    for t, tag in enumerate(relations):
-        for i in set_bits(tag):
-            columns[i] |= 1 << t
+    columns = pack_bits(((i, t) for t, tag in enumerate(relations) for i in set_bits(tag)), sum(map(len, bases)))
     projections, touched, start = [], [], 0
     for basis in bases:
         region = columns[start:start + len(basis)]
         projections.append(list(_echelon(region).values()))
         touched.append(reduce(operator.or_, region, 0))  # bit t: relation t meets the region
         start += len(basis)
-    regions_of: list[list[int]] = [[] for _ in relations]
-    for j, mask in enumerate(touched):
-        for t in set_bits(mask):
-            regions_of[t].append(j)
+    regions_of = pack_bits(((t, j) for j, mask in enumerate(touched) for t in set_bits(mask)), len(relations))
     # each region's basis is independent: a relation meets two regions or more
-    weights = [1 / (len(regions) - 1) for regions in regions_of]
+    weights = [1 / (regions.bit_count() - 1) for regions in regions_of]
 
     def sweep(first: int) -> list[int]:
         tie = [0.0] * len(bases)
@@ -521,7 +495,7 @@ def _ordered_projections(bases: Sequence[Sequence[int]]) -> list[list[int]]:
             left.remove(j)
             order.append(j)
             for t in set_bits(touched[j]):
-                for i in regions_of[t]:
+                for i in set_bits(regions_of[t]):
                     tie[i] += weights[t]
         return order
 
@@ -628,7 +602,9 @@ def torus_cut(css: GridCss) -> GridCss:
     rolled grid is the torus grid's planar form: the grid to rasterize and
     to count on.  ``css`` itself when its last row and column are empty
     already.  WindingRegion when the footprint meets every row or every
-    column, as every footprint that winds around the torus does.
+    column, as every footprint that winds around the torus does; a
+    ValidationError that names the roll for a pinch across the seam, which
+    only the rolled grid shows.
     """
     labels = np.array(css.labels).reshape(css.height, css.width)
     empty_rows = np.flatnonzero((labels == OUTSIDE).all(axis=1))
@@ -640,7 +616,10 @@ def torus_cut(css: GridCss) -> GridCss:
     if shift == (0, 0):
         return css
     rolled = np.roll(labels, shift, axis=(0, 1))
-    return GridCss(css.width, css.height, tuple(rolled.ravel().tolist()), name=css.name)
+    try:
+        return GridCss(css.width, css.height, tuple(rolled.ravel().tolist()), name=css.name)
+    except ValidationError as exc:
+        raise ValidationError(f"{exc} of the grid rolled by {shift[1]} columns and {shift[0]} rows") from exc
 
 
 def rasterize_css(lattice: CodeLattice, css: GridCss) -> QubitRegionMap:

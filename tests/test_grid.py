@@ -24,6 +24,7 @@ from topomi.grid import (
     euler_characteristic,
     find_holes,
     loop_around_hole,
+    pack_bits,
     parse_ascii,
     parse_grid_json,
     perimeter_links,
@@ -32,6 +33,27 @@ from topomi.grid import (
     union_region,
     window_pinch,
 )
+
+
+def test_pack_bits_matches_a_set_per_key():
+    """Each key's int has exactly the bits paired with it, for seeded pairs
+    with repeats and keys in any order, keys with no bit and no pairs at all."""
+    assert pack_bits(iter([]), 0) == []
+    assert pack_bits([], 3) == [0, 0, 0]
+    repeats = unpaired = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        size, width = rng.randint(1, 12), rng.randint(1, 70)
+        pairs = [(rng.randrange(size), rng.randrange(width)) for _ in range(rng.randint(0, 30))]
+        pairs += rng.choices(pairs, k=len(pairs) // 2)  # repeated, some an even number of times
+        rng.shuffle(pairs)
+        bits: list[set] = [set() for _ in range(size)]
+        for key, bit in pairs:
+            bits[key].add(bit)
+        assert pack_bits(iter(pairs), size) == [sum(1 << b for b in s) for s in bits]
+        repeats += len(set(pairs)) < len(pairs)
+        unpaired += not all(bits)
+    assert repeats > 100 and unpaired > 100
 
 
 def rect(x0, x1, y0, y1):

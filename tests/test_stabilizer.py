@@ -1,6 +1,7 @@
 """Code construction, GF(2) entropies and the dense oracle."""
 
 import itertools
+import json
 import math
 import random
 import re
@@ -8,6 +9,7 @@ import re
 import pytest
 
 from topomi.builders import annulus, random_css
+from topomi.cli import main
 from topomi.engine import connectivity_count
 from topomi.errors import (
     EmptyRegion,
@@ -756,6 +758,27 @@ def test_torus_cut_rejects_a_footprint_meeting_every_row():
         rasterize_css(lattice, css)
     # rolled so that the empty row 0 and column 1 come last: A is whole again
     assert torus_cut(parse_ascii("....\n..AA\n...A\nA..A")) == parse_ascii("AA..\n.A..\n.AA.\n....")
+
+
+#: A at (4,1) and (0,2), B at (0,1), C at (4,2): A's two cells meet only at a
+#: corner across the seam between columns 4 and 0, which the grid rolled by one
+#: column shows at (0,1)..(1,2); in the grid as given those cells hold B and OUTSIDE
+SEAM_PINCH = ".....\nB...A\nA...C\n.....\n....."
+SEAM_PINCH_TEXT = "diagonal pinch of label 0 at cells (0,1)..(1,2) of the grid rolled by 1 columns and 0 rows"
+
+
+def test_a_pinch_across_the_seam_names_the_roll(tmp_path, capsys):
+    css = parse_ascii(SEAM_PINCH)
+    assert (css.label_at(0, 1), css.label_at(1, 2)) == (1, OUTSIDE)
+    with pytest.raises(ValidationError) as caught:
+        rasterize_css(CodeLattice(5, 5, "torus"), css)
+    assert type(caught.value) is ValidationError
+    assert str(caught.value) == SEAM_PINCH_TEXT
+    lattice = {"Lx": 5, "Ly": 5, "boundary": "torus", "css": {"ascii": SEAM_PINCH.splitlines()}}
+    path = tmp_path / "seam-pinch.json"
+    path.write_text(json.dumps({"name": "seam-pinch", "kind": "stabilizer", "lattice": lattice}))
+    assert main(["stabilizer", str(path)]) == 1
+    assert f"FAIL evaluate: ValidationError: {SEAM_PINCH_TEXT}\n" in capsys.readouterr().out
 
 
 def _on_torus(css: GridCss, dx: int, dy: int, side: int = 9) -> GridCss:

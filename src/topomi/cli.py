@@ -99,7 +99,9 @@ def _cmd_analyze(args) -> int:
     if args.csv is not None:
         if scn.kind != "analytic":
             print("--csv applies to analytic scenarios only", file=sys.stderr)
-        elif analysis is not None:
+        elif analysis is None:
+            print("no CSV written: the grid did not parse", file=sys.stderr)
+        else:
             j_table = analysis.j_table  # TooManySubsystems before any file is opened
             with open(args.csv, "w", encoding="utf-8", newline="") as fh:
                 engine.write_subset_table_csv(j_table, fh)

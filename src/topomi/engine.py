@@ -19,9 +19,10 @@ GridCss or a CssAnalysis, the one object of a CSS: its holes, hole loops,
 graph and chi and, as a UnionTopology, its 2^N tables (the only capped
 part), each computed once.  C^N and the C around each hole come from the
 frontier walk over the cell-component graph (``masks.signed_component_sum``)
-with no 2^N table, and so answer beyond the cap; the J table is read only
-when the walk passes its state cap, or when a caller asks for it
-(``multipartite_information``, ``analyze --csv``, sigma).
+with no 2^N table, and so answer beyond the cap; a walk past its state cap
+reads a table of its own sub-collection's groups, and the J table is read
+only when a caller asks for it (``multipartite_information``,
+``analyze --csv``, sigma).
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ from .grid import (
 )
 from .masks import (
     UnionTopology,
-    alternating_sum,
     signed_component_sum,
     subset_signs,
     subset_sums,
@@ -81,7 +81,8 @@ class CssAnalysis(UnionTopology):
     The holes, graph and chi are read from the grid's one labelling
     (``GridCss.labelling``), and the C of each sub-collection is walked once
     and kept by its sorted ids.  Only the tables are capped: the rest answers
-    at any N, C unless the frontier walk passes its state cap."""
+    at any N, and C of any ids unless the frontier walk over them passes its
+    state cap and they number more than ``masks.MAX_SUBSYSTEMS``."""
 
     @staticmethod
     def of(css: GridCss | CssAnalysis) -> CssAnalysis:
@@ -130,9 +131,10 @@ class CssAnalysis(UnionTopology):
         corners, segments and cells whose cells hold every subsystem of
         ``ids``; 0 beyond 4 ids), s being the signed component sum of the
         subsystems' cell-components (``masks.signed_component_sum``), so no
-        2^N table is built.  When the walk passes its state cap, C is read
-        from the J table, which raises TooManySubsystems above its own cap.
-        Valid ids are computed once per analysis, kept by their sorted ids.
+        2^N table is built; a walk past its state cap reads s from the 2^k
+        component table of the k ids alone, which raises TooManySubsystems
+        above ``masks.MAX_SUBSYSTEMS`` ids.  Valid ids are computed once per
+        analysis, kept by their sorted ids.
         """
         n, keep = self.css.n_subsystems, tuple(sorted(set(ids)))
         if not keep or keep[0] < 0 or keep[-1] >= n:
@@ -143,18 +145,8 @@ class CssAnalysis(UnionTopology):
 
     def _c_of(self, keep: tuple[int, ...]) -> int:
         """:meth:`c_within` of valid sorted ids, computed."""
-        n = self.css.n_subsystems
         adj, cv_mask, _ = self._cell_component_graph
-        try:
-            s = signed_component_sum(adj, [cv_mask[i] for i in keep])
-        except TooManySubsystems as walk:
-            try:
-                j = self.j_table
-            except TooManySubsystems as table:
-                raise TooManySubsystems(f"{walk}, and {table} of the J table") from None
-            # a view, not a copy: the axes of the (2,)*n reshape run from the top bit down
-            axes = tuple(slice(None) if bit in keep else 0 for bit in reversed(range(n)))
-            return alternating_sum(j.reshape((2,) * n)[axes])
+        s = signed_component_sum(adj, [cv_mask[i] for i in keep])
         held = 0  # sum over S in ids of (-1)^|S| chi(S) is minus the weight held by all of ids
         if len(keep) <= 4:  # a corner, the widest feature, has four cells
             for labels, weight in self._feature_labels:
@@ -165,8 +157,7 @@ class CssAnalysis(UnionTopology):
 
 
 def connectivity_count(css: GridCss | CssAnalysis) -> CssAnalysis:
-    """The analysis of ``css`` with its C^N (``c_n``) computed; the J table is
-    built only if the frontier walk passes its state cap."""
+    """The analysis of ``css`` with its C^N (``c_n``) computed, with no J table."""
     analysis = CssAnalysis.of(css)
     analysis.c_n  # computed in this call, not at the caller's first read
     return analysis

@@ -24,14 +24,12 @@ class EmptySubset(TopomiError):
 
 
 class TooManySubsystems(TopomiError):
-    """A guard on the work that grows with N tripped: the 2**N tables' cap
-    (``masks.MAX_SUBSYSTEMS``), the frontier walk's state cap
-    (``masks.MAX_WALK_STATES``), the exact pass's region cap
-    (``stabilizer.EXACT_SUBSET_CAP``) or the recursion cap (``engine.RECURSION_CAP``)."""
-
-
-class TooManyVertices(TopomiError):
-    """Induced-subgraph enumeration guard tripped."""
+    """A guard on the work that grows with N tripped: the cap on every 2**n
+    table (``masks.MAX_SUBSYSTEMS``), over a CSS's subsystems or a graph's
+    vertices, named with the frontier walk's state cap
+    (``masks.MAX_WALK_STATES``) when the walk fell back to the table; the
+    exact pass's region cap (``stabilizer.EXACT_SUBSET_CAP``) or the
+    recursion cap (``engine.RECURSION_CAP``)."""
 
 
 class TooManyQubits(TopomiError):

@@ -10,8 +10,9 @@ and cycle graphs give rho(C_n) = 0, which is what makes open chains vanish
 and rings survive in the subsystem-counting identities.  Component counts
 and alternating sums come from :mod:`topomi.masks`, as for a CSS's
 per-subset tables.  rho is read from the signed component sum of the
-frontier walk, so it needs no 2^v table unless the walk passes its state
-cap; sigma compares whole tables and keeps the vertex cap.
+frontier walk, which needs no 2^v table unless it passes its state cap;
+sigma compares whole tables.  Every table is capped at
+``masks.MAX_SUBSYSTEMS`` vertices or subsystems.
 """
 
 from __future__ import annotations
@@ -21,12 +22,9 @@ from typing import Mapping
 import numpy as np
 
 from .engine import CssAnalysis
-from .errors import ParseError, PreconditionViolated, TooManySubsystems, TooManyVertices, ValidationError
+from .errors import ParseError, PreconditionViolated, ValidationError
 from .grid import GridCss, SimpleGraph, json_int, subset_letters
-from .masks import alternating_sum, component_counts, count_components, signed_component_sum
-
-#: cap on v for a table of all 2**v induced subgraphs
-MAX_VERTICES = 20
+from .masks import component_counts, count_components, signed_component_sum
 
 
 def path_graph(n: int) -> SimpleGraph:
@@ -46,18 +44,11 @@ def induced_component_table(graph: SimpleGraph) -> np.ndarray:
 
 def rho(graph: SimpleGraph) -> int:
     """Alternating sum of component counts over nontrivial induced subgraphs:
-    the signed sum over every vertex set, less the full set's term.  When the
-    frontier walk passes its state cap, the signed sum is read from the
-    induced component table, capped at ``MAX_VERTICES``."""
+    the signed sum over every vertex set (``masks.signed_component_sum``,
+    which reads the induced component table when its walk passes the state
+    cap), less the full set's term."""
     v, adj = graph.vertex_count, graph.neighbor_masks()
-    try:
-        signed, whole = signed_component_sum(adj, [1 << i for i in range(v)]), count_components(adj)
-    except TooManySubsystems as walk:
-        if v > MAX_VERTICES:
-            raise TooManyVertices(f"{walk}, and {v} vertices exceed the table's cap of {MAX_VERTICES}") from None
-        table = induced_component_table(graph)
-        signed, whole = -alternating_sum(table.reshape((2,) * v)), int(table[-1])
-    return signed - (-1) ** v * whole
+    return signed_component_sum(adj, [1 << i for i in range(v)]) - (-1) ** v * count_components(adj)
 
 
 def sigma_of_css(css: GridCss | CssAnalysis) -> int:
@@ -70,8 +61,6 @@ def sigma_of_css(css: GridCss | CssAnalysis) -> int:
     """
     analysis = CssAnalysis.of(css)
     n = analysis.css.n_subsystems
-    if n > MAX_VERTICES:
-        raise TooManyVertices(f"{n} subsystems exceed the cap of {MAX_VERTICES}")
     j = analysis.j_table[1:-1]
     h0 = induced_component_table(analysis.graph)[1:-1]
     bad = np.flatnonzero(j != h0)

@@ -50,10 +50,10 @@ count only for |X| <= 2, and the core part is one dynamic-programming pass
 over the core vertices whose states are the in/out choices of the open
 groups and the component partition of the frontier.  The states grow with
 the width of the frontier, not with N, and the walk gives up above
-``MAX_WALK_STATES`` of them; the reader then falls back to the J table,
-read as the top Moebius coefficient of a (2,)*k view
-(:func:`alternating_sum`), in int64 and without a table of signs.  Only the
-2^N tables are capped, at ``MAX_SUBSYSTEMS``.
+``MAX_WALK_STATES`` of them; s(X) is then read from the 2^|X| component
+table of X's own groups, as the top Moebius coefficient of its (2,)*k view
+(:func:`alternating_sum`), in int64 and without a table of signs.  Every
+2^n table, a CSS's or a graph's, is capped at ``MAX_SUBSYSTEMS`` groups.
 
 The flood-fill definition stays available in :mod:`topomi.grid`; the test
 suite compares every table with it, for every width of vertex mask.
@@ -69,10 +69,10 @@ import numpy as np
 from .errors import TooManySubsystems
 from .grid import OUTSIDE, GridCss, pack_bits, set_bits
 
-#: cap on N for the 2^N tables (2**24 masks)
+#: cap on the groups of any 2^n table, a CSS's subsystems or a graph's vertices (2**24 masks)
 MAX_SUBSYSTEMS = 24
-#: the frontier walk (:func:`signed_component_sum`) gives up when one vertex
-#: leaves more states than this
+#: the frontier walk (:func:`signed_component_sum`) falls back to a table
+#: when one vertex leaves more states than this
 MAX_WALK_STATES = 1 << 12
 #: the component walk takes its subsets in blocks of 2**BLOCK_BITS
 BLOCK_BITS = 16
@@ -208,8 +208,11 @@ def component_counts(adj: list[int], groups: list[int]) -> np.ndarray:
     ``adj[v]`` is the neighbour bitmask of vertex v and ``groups[i]`` the
     vertex bitmask of group i; the groups are disjoint and cover the
     vertices.  Entry ``mask`` (int32) counts the components induced by the
-    union of the groups in ``mask`` (entry 0 is 0).
+    union of the groups in ``mask`` (entry 0 is 0).  TooManySubsystems above
+    ``MAX_SUBSYSTEMS`` groups, the cap of every 2^n table.
     """
+    if len(groups) > MAX_SUBSYSTEMS:
+        raise TooManySubsystems(f"{len(groups)} groups exceed the table's cap of {MAX_SUBSYSTEMS}")
     return add_components(np.zeros(1 << len(groups), dtype=np.int32), adj, groups)
 
 
@@ -235,21 +238,23 @@ def add_components(hist: np.ndarray, adj: list[int], groups: list[int], scale: i
     np.add.at(hist, edges, -scale)
     subset_sums(hist)
 
-    core_vertices = list(set_bits(core))
-    position = {v: i for i, v in enumerate(core_vertices)}
-
-    def on_core(mask: int) -> int:
-        return sum(1 << position[v] for v in set_bits(mask & core))
-
-    core_groups = [g for g in range(n) if groups[g] & core]
-    table = _walk_components(
-        [on_core(adj[v]) for v in core_vertices], [on_core(groups[g]) for g in core_groups]
-    )
+    table = _walk_components(*_induced(adj, [mask for mask in groups if mask & core], core))
     table *= scale
     # the axes of the (2,)*n view run from the top bit down
     shape = [2 if groups[g] & core else 1 for g in reversed(range(n))]
     hist.reshape((2,) * n)[...] += table.reshape(shape)
     return hist
+
+
+def _induced(adj: list[int], groups: list[int], keep: int) -> tuple[list[int], list[int]]:
+    """The subgraph induced on the vertex mask ``keep``, its vertices renumbered
+    in order, and each group's part of it."""
+    position = {v: i for i, v in enumerate(set_bits(keep))}
+
+    def on_keep(mask: int) -> int:
+        return sum(1 << position[v] for v in set_bits(mask & keep))
+
+    return [on_keep(adj[v]) for v in position], [on_keep(mask) for mask in groups]
 
 
 def count_components(adj: list[int]) -> int:
@@ -283,8 +288,10 @@ def signed_component_sum(adj: list[int], groups: list[int]) -> int:
     (visited ones with an unvisited neighbour); its value is the pair
     (sum of signs, sum of sign times closed components) over the choices
     that lead to it, and a state whose value is (0, 0) is dropped, since
-    every later value is linear in it.  TooManySubsystems when one vertex
-    leaves more than ``MAX_WALK_STATES`` states.
+    every later value is linear in it.  When one vertex leaves more than
+    ``MAX_WALK_STATES`` states, the sum is read from the
+    :func:`component_counts` of the groups on their union, a 2^n table:
+    TooManySubsystems naming both caps above ``MAX_SUBSYSTEMS`` groups.
     """
     union = 0
     for mask in groups:
@@ -333,10 +340,11 @@ def signed_component_sum(adj: list[int], groups: list[int]) -> int:
                 after[key] = (had[0] + signs, had[1] + closed + signs * ended)
         states = {key: value for key, value in after.items() if value != (0, 0)}  # they stay 0
         if len(states) > MAX_WALK_STATES:
-            raise TooManySubsystems(
-                f"the frontier walk over {len(groups)} groups exceeds its cap of "
-                f"{MAX_WALK_STATES} states"
-            )
+            if len(groups) > MAX_SUBSYSTEMS:
+                raise TooManySubsystems(f"the frontier walk over {len(groups)} groups exceeds its cap of "
+                                        f"{MAX_WALK_STATES} states, and {len(groups)} groups exceed the table's "
+                                        f"cap of {MAX_SUBSYSTEMS}")
+            return -alternating_sum(component_counts(*_induced(adj, groups, union)).reshape((2,) * len(groups)))
     return total + sum(closed for _, closed in states.values())
 
 

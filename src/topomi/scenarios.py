@@ -177,16 +177,15 @@ def run_scenario(scn: Scenario, model: EntropyModel | None = None) -> ScenarioRe
 def evaluate_scenario(
     scn: Scenario, model: EntropyModel | None = None
 ) -> tuple[ScenarioResult, CssAnalysis | None]:
-    """``run_scenario`` plus the analysis of an analytic scenario that
-    evaluated, else None."""
+    """``run_scenario`` plus the analysis of an analytic scenario whose grid
+    parsed, even when a check then raised, else None."""
     model = model or EntropyModel()
     start = time.perf_counter()
     analysis = None
     try:
         if scn.kind == "analytic":
-            css = CssAnalysis(scenario_css(scn))
-            checks, report = _run_analytic(scn, model, css)
-            analysis = css
+            analysis = CssAnalysis(scenario_css(scn))
+            checks, report = _run_analytic(scn, model, analysis)
         elif scn.kind == "graph":
             checks, report = _run_graph(scn)
         else:

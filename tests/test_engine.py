@@ -332,9 +332,9 @@ def test_csv_sign_column_is_the_signed_reference():
 
 
 def test_capped_walk_falls_back_to_the_table(monkeypatch):
-    """With the walk capped at 2 states, C comes from the J table up to 24
-    subsystems and is a TooManySubsystems naming both caps above it; no
-    long walk starts."""
+    """With the walk capped at 2 states, C comes from the component table of
+    its sub-collection up to 24 subsystems and is a TooManySubsystems naming
+    both caps above it; no long walk starts."""
     monkeypatch.setattr("topomi.masks.MAX_WALK_STATES", 2)
     for css in (builders.six_hole_eighteen(), builders.annulus(12), builders.far_handle_annulus(8, 3)):
         analysis = CssAnalysis(css)
@@ -342,9 +342,25 @@ def test_capped_walk_falls_back_to_the_table(monkeypatch):
         for ids in [*analysis.hole_loops, tuple(range(css.n_subsystems))]:
             assert analysis.c_within(ids) == signed_reference(j, ids), (css.name, ids)
     start = time.perf_counter()
-    with pytest.raises(TooManySubsystems, match="cap of 2 states, and 30 subsystems exceed the cap of 24"):
+    with pytest.raises(TooManySubsystems, match="cap of 2 states, and 30 groups exceed the table's cap of 24"):
         CssAnalysis(builders.annulus(30)).c_n
     assert time.perf_counter() - start < 1
+
+
+def test_capped_walk_reads_a_table_of_its_own_sub_collection(monkeypatch):
+    """A capped walk falls back to the 2^k table of its k groups, not to the
+    2^N J table: a 4-loop of a 30-subsystem CSS answers as the uncapped walk
+    does, while its 28-loop raises naming both caps."""
+    css = builders.far_handle_annulus(30, 3)
+    loops = sorted(CssAnalysis(css).hole_loops, key=len)
+    assert [len(loop) for loop in loops] == [4, 28]
+    uncapped = CssAnalysis(css).c_within(loops[0])
+    monkeypatch.setattr("topomi.masks.MAX_WALK_STATES", 2)
+    analysis = CssAnalysis(css)
+    assert analysis.c_within(loops[0]) == uncapped == -2
+    with pytest.raises(TooManySubsystems, match="cap of 2 states, and 28 groups exceed the table's cap of 24"):
+        analysis.c_within(loops[1])
+    assert "j_table" not in vars(analysis)
 
 
 RING_BUILDERS = (builders.annulus, builders.annulus_with_punched_hole,
@@ -520,7 +536,7 @@ def test_subsystem_guard(monkeypatch):
     with pytest.raises(TooManySubsystems, match="25 subsystems exceed the cap of 24"):
         chain.j_table
     monkeypatch.setattr("topomi.masks.MAX_WALK_STATES", 1)
-    with pytest.raises(TooManySubsystems, match="cap of 1 states, and 25 subsystems exceed the cap of 24"):
+    with pytest.raises(TooManySubsystems, match="cap of 1 states, and 25 groups exceed the table's cap of 24"):
         connectivity_count(builders.annulus(25))
 
 
@@ -535,7 +551,7 @@ def test_cap_leaves_holes_loops_graph_and_chi(monkeypatch):
     assert analysis.c_n == 2  # from the frontier walk
     monkeypatch.setattr("topomi.masks.MAX_WALK_STATES", 1)
     assert analysis.c_within(range(4, -1, -1)) == 2  # kept from c_n, not walked again
-    with pytest.raises(TooManySubsystems, match="5 subsystems exceed the cap of 4"):
+    with pytest.raises(TooManySubsystems, match="5 groups exceed the table's cap of 4"):
         CssAnalysis(analysis.css).c_within(range(4, -1, -1))
 
 

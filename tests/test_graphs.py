@@ -2,13 +2,14 @@
 
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
 
-from topomi import builders, graphs
+from topomi import builders, graphs, masks
 from topomi.engine import CssAnalysis
-from topomi.errors import ParseError, PreconditionViolated, TooManyVertices, ValidationError
+from topomi.errors import ParseError, PreconditionViolated, TooManySubsystems, ValidationError
 from topomi.graphs import (
     SimpleGraph,
     cycle_graph,
@@ -83,15 +84,33 @@ def test_rho_matches_brute_force_on_small_graphs():
 
 
 def test_rho_guard(monkeypatch):
-    """rho needs no table on a long cycle or path; the vertex cap guards only
+    """rho needs no table on a long cycle or path; the table cap guards only
     the table, read when the frontier walk passes its state cap."""
     assert rho(cycle_graph(40)) == 0
     assert rho(path_graph(40)) == -1
     assert rho(SimpleGraph(21, ())) == 21  # (-1)^(v-1) v on v isolated vertices
     monkeypatch.setattr("topomi.masks.MAX_WALK_STATES", 1)
     assert rho(cycle_graph(20)) == 0  # from the table
-    with pytest.raises(TooManyVertices, match="cap of 1 states.*cap of 20"):
-        rho(cycle_graph(21))
+    with pytest.raises(TooManySubsystems, match="cap of 1 states.*cap of 24"):
+        rho(cycle_graph(25))
+
+
+def complete_graph(v):
+    return SimpleGraph(v, tuple(itertools.combinations(range(v), 2)))
+
+
+def test_rho_of_complete_graphs_up_to_the_table_cap():
+    """Every induced subgraph of K_v is connected, so rho = -1 - (-1)^v.  The
+    walk's states double with each vertex, so from K_13 on rho is read from
+    the induced component table, up to its cap of 24 vertices; K_25 raises
+    at once, naming both caps."""
+    for v in range(12, 23):
+        assert rho(complete_graph(v)) == -1 - (-1) ** v, v
+    start = time.perf_counter()
+    with pytest.raises(TooManySubsystems, match="25 groups exceeds its cap of 4096 states, and 25 groups exceed "
+                                                "the table's cap of 24"):
+        rho(complete_graph(25))
+    assert time.perf_counter() - start < 1
 
 
 def test_induction_contributions_by_subgraph_type():
@@ -188,8 +207,8 @@ def test_graph_table_matches_css_component_table():
 def test_sigma_of_css_families():
     for n in range(3, 8):
         assert sigma_of_css(builders.annulus(n)) == -rho(cycle_graph(n))
-    for n in range(3, 8):
-        assert sigma_of_css(builders.open_chain(n)) == -rho(path_graph(n))
+    for n in [*range(3, 8), 21, 22]:  # sigma answers up to the table cap of 24 subsystems
+        assert sigma_of_css(builders.open_chain(n)) == -rho(path_graph(n)) == (-1) ** n
 
 
 def test_sigma_open_chain_combines_to_zero_connectivity():
@@ -268,14 +287,18 @@ def test_rho_and_sigma_match_the_signed_reference():
 
 
 def test_rho_and_sigma_are_exact_beyond_int32(monkeypatch):
-    """Synthetic int32 tables whose alternating sums leave int32."""
+    """Synthetic int32 tables whose alternating sums leave int32.  With the
+    walk capped at 0 states, the signed sums of rho and of sigma's C^N are
+    read from ``masks.component_counts``, here the synthetic table."""
     n = 10
     table = np.random.default_rng(5).integers(-2**31, 2**31, size=1 << n).astype(np.int32)
-    table[0] = 0
+    table[0], table[-1] = 0, 1  # a cycle's one component, which rho counts apart
     monkeypatch.setattr(graphs, "induced_component_table", lambda graph: table)
-    monkeypatch.setattr("topomi.masks.MAX_WALK_STATES", 0)  # a cycle's rho reads the table
+    monkeypatch.setattr(masks, "component_counts", lambda adj, groups: table)
+    monkeypatch.setattr(masks, "MAX_WALK_STATES", 0)  # every walk reads the table
     want = sum((-1) ** (mask.bit_count() - 1) * int(table[mask]) for mask in range(1, (1 << n) - 1))
     assert rho(cycle_graph(n)) == -want == -_signed_proper_sum(table)
     analysis = CssAnalysis(builders.annulus(n))
     analysis.__dict__["j_table"] = table
-    assert sigma_of_css(analysis) == want
+    # C^N = -2 s = 2 (want - table[-1]) on 10 one-cell subsystems, less (-1)^9 J[-1]
+    assert sigma_of_css(analysis) == 2 * want - 1

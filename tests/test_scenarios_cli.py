@@ -842,6 +842,30 @@ def test_cli_analyze_beyond_the_table_cap(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_csv_is_written_when_a_check_raises(tmp_path, monkeypatch, capsys):
+    """Two subsystems have no N-partite information, so the scenario fails,
+    but its grid parsed and its J table is written, from the one analysis."""
+    builds, _ = _count_analysis_work(monkeypatch)
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"css": {"ascii": ["AB"]}}))
+    out = tmp_path / "table.csv"
+    assert main(["analyze", str(path), "--csv", str(out)]) == 1
+    assert "ValidationError: N-partite information needs N >= 3" in capsys.readouterr().out
+    assert len(builds) == 1
+    assert out.read_bytes() == b"mask,m,J,sign\r\n1,1,1,1\r\n2,1,1,1\r\n3,2,1,-1\r\n"
+
+
+def test_cli_csv_says_so_when_the_grid_does_not_parse(tmp_path, capsys):
+    path = tmp_path / "pinch.json"
+    path.write_text(json.dumps({"css": {"ascii": ["AB", "BA"]}}))
+    out = tmp_path / "table.csv"
+    assert main(["analyze", str(path), "--csv", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "diagonal pinch" in captured.out
+    assert "no CSV written: the grid did not parse" in captured.err
+    assert not out.exists()
+
+
 def test_cli_analyze_bare_ascii_grid(tmp_path, capsys):
     path = tmp_path / "ring.txt"
     path.write_text("AAB\nD.B\nDCC\n")

@@ -266,8 +266,13 @@ def _run_analytic(scn: Scenario, model: EntropyModel, analysis: CssAnalysis) -> 
         loops = [(h.loop, -h.c) for h in report.holes if h.loop]
         _match_loops(checks, "per_hole", loops, expected["per_hole"], "loop_size")
     if "constraint_over_log_d" in expected:
-        if report.constraint_sum is None:
-            checks.append(Check("constraint_over_log_d", False, "no valid hole loops"))
+        if report.constraint_sum is None:  # name each hole without a loop by its first cell, and why
+            holes, missing = analysis.holes.holes, []
+            for k, (hole, h) in enumerate(zip(holes, report.holes), 1):
+                if h.error:
+                    x, y = min(hole, key=lambda cell: cell[::-1])
+                    missing.append(f"hole {k} of {len(holes)} (column {x}, row {y}) has no loop: {h.error}")
+            checks.append(Check("constraint_over_log_d", False, "; ".join(missing) or "the CSS has no hole"))
         else:
             total, want = sum(abs(h.c) for h in report.holes), expected["constraint_over_log_d"]
             _match_int(checks, "constraint_over_log_d", total, want, " units")

@@ -14,23 +14,21 @@ columns in it.  The code's own state packs its rows and its table from one
 list of the lattice's (generator, column) incidences, read both ways; a
 state built from given rows transposes them and checks with the table that
 the generators commute.  The exact I^N, for up to 18 regions, reduces each
-region's columns to a basis and keeps only the GF(2) relations among the
-stacked bases: the relations within the regions of S number
-sum_{j in S} S(A_j) - S(A_S), so the additive part of every entropy
-cancels in the alternating sum, and the rest is read from the regions'
-projections of the relation space, a few vectors of a few dozen bits each,
-in one pass over the regions whose states are the subspaces shared by the
-regions behind and ahead: a handful on a ring of regions, where a walk over
-the subsets would visit 2^N - 1.  A dense state-vector construction
+region's columns to a basis of their span: for two regions or more the
+|A| terms cancel in the alternating sum, which leaves the signed sum of
+the dimensions of the regions' joint column spans.  That is one pass over
+the regions in the order of their lowest qubits, a sweep across the
+lattice, whose states are the subspaces the regions behind share with
+those ahead: a handful on a ring of regions, where a walk over the
+subsets would visit 2^N - 1.  A dense state-vector construction
 provides an independent oracle for small systems.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -209,20 +207,6 @@ def _echelon(rows: Iterable[int]) -> dict[int, int]:
     return pivots
 
 
-def _dependencies(vectors: Sequence[int]) -> list[int]:
-    """A basis of the GF(2) relations among ``vectors``, as tags.
-
-    Bit i of a tag stands for ``vectors[i]``, and the vectors a tag names
-    XOR to zero.  Each vector is eliminated (:func:`_echelon`) with its tag
-    in the low bits, so one that reduces to zero leaves a tag whose top bit
-    is its own, a new pivot below bit len(vectors): the tags are
-    independent, and there are len(vectors) - rank of them.
-    """
-    m = len(vectors)
-    pivots = _echelon(v << m | 1 << i for i, v in enumerate(vectors))
-    return [row for top, row in pivots.items() if top < m]
-
-
 def _sides(grid: np.ndarray, axis: int, size: int, mode: str) -> list[np.ndarray]:
     """The entries of ``grid`` before and after each of ``size`` places
     between its entries along ``axis``.  ``mode`` "wrap" wraps around the
@@ -340,8 +324,11 @@ class QubitRegionMap:
 
 
 def _region_bases(state: StabilizerState, region_map: QubitRegionMap) -> list[list[int]]:
-    """Each region's X and Z columns in ``state.columns``, reduced to a basis of their span."""
-    return [list(_column_echelon(state, region).values()) for region in region_map.regions]
+    """Each region's X and Z columns in ``state.columns``, reduced to a basis
+    of their span, the regions in the order of their lowest qubits.  The
+    lattice numbers its qubits row by row, so that order sweeps across the
+    map; the regions are disjoint and none is empty, so it is unique."""
+    return [list(_column_echelon(state, region).values()) for region in sorted(region_map.regions, key=min)]
 
 
 def _join(rows: tuple[int, ...], vectors: Iterable[int]) -> tuple[int, ...]:
@@ -460,70 +447,21 @@ def _signed_rank_sum(spaces: Sequence[Sequence[int]]) -> tuple[int, int]:
     return sum(total for _, total in states.values()), peak
 
 
-def _ordered_projections(bases: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Each region's projection V_j of the relations among the stacked bases
-    (:func:`_dependencies`), a basis of k-bit vectors for k relations, in the
-    order :func:`_signed_rank_sum` takes them.
-
-    Column i of the k x m relation matrix holds bit i of every relation, and
-    V_j is the span of region j's columns.  The order is greedy: a relation
-    whose support spans r regions ties each pair of them by 1/(r - 1), and
-    each next region is the one most tied to those already placed (the
-    lowest index on a tie), so that regions tied together are near in it.
-    It starts from the region a first sweep from region 0 places last, one
-    at an end of the map rather than in its middle.
-    """
-    relations = _dependencies([v for basis in bases for v in basis])
-    columns = pack_bits(((i, t) for t, tag in enumerate(relations) for i in set_bits(tag)), sum(map(len, bases)))
-    projections, touched, start = [], [], 0
-    for basis in bases:
-        region = columns[start:start + len(basis)]
-        projections.append(list(_echelon(region).values()))
-        touched.append(reduce(operator.or_, region, 0))  # bit t: relation t meets the region
-        start += len(basis)
-    regions_of = pack_bits(((t, j) for j, mask in enumerate(touched) for t in set_bits(mask)), len(relations))
-    # each region's basis is independent: a relation meets two regions or more
-    weights = [1 / (regions.bit_count() - 1) for regions in regions_of]
-
-    def sweep(first: int) -> list[int]:
-        tie = [0.0] * len(bases)
-        tie[first] = math.inf
-        order: list[int] = []
-        left = list(range(len(bases)))
-        while left:
-            j = max(left, key=tie.__getitem__)  # the first, lowest, of equals
-            left.remove(j)
-            order.append(j)
-            for t in set_bits(touched[j]):
-                for i in set_bits(regions_of[t]):
-                    tie[i] += weights[t]
-        return order
-
-    order = sweep(sweep(0)[-1])
-    return [projections[j] for j in order]
-
-
 def multipartite_information_exact(state: StabilizerState, region_map: QubitRegionMap) -> int:
     """Alternating entropy sum over all unions, in units of log 2 (exact).
 
     The sum of (-1)^(|S|+1) S(A_S) over the 2^N - 1 nonempty subsets S of
-    regions, with S(A) = rank(G|_A) - |A|, computed from the dependencies
-    between regions rather than from the generator columns.  Each region's
-    columns are reduced to a basis B_j of their span (:func:`_region_bases`);
-    K is the space of GF(2) relations among the stacked bases
-    (:func:`_dependencies`) and K_S the relations among the regions of S
-    alone.  The regions are disjoint, so dim K_S = sum_{j in S} S(A_j) -
-    S(A_S): rank is additive but for the relations, and for N >= 2 the
-    alternating sum cancels the additive part, leaving
+    regions, with S(A) = rank(G|_A) - |A|.  The regions are disjoint, so
+    |A_S| is the sum of the regions' sizes, and for N >= 2 the alternating
+    sum cancels it, leaving
 
-        I^N = -sum_{T} (-1)^(N-|T|) dim W_T,   W_T = sum_{j in T} V_j,
+        I^N = (-1)^(N+1) sum_{T} (-1)^(N-|T|) dim W_T,   W_T = sum_{j in T} V_j,
 
-    with V_j the projection of K on region j's coordinates, a few vectors
-    of a few dozen bits (:func:`_ordered_projections`).  The sum is one
-    pass over the regions whose states are subspaces of the relations
-    between the regions placed and those still ahead
-    (:func:`_signed_rank_sum`), a handful on a ring of any length.  N = 1
-    is S(A_1) itself.
+    with V_j the span of region j's X and Z columns, reduced to a basis
+    (:func:`_region_bases`).  The sum is one pass over the regions in the
+    order of their lowest qubits, whose states are the subspaces the
+    regions placed share with those still ahead (:func:`_signed_rank_sum`),
+    a handful on a ring of any length.  N = 1 is S(A_1) itself.
     """
     n = region_map.n_subsystems
     if n > EXACT_SUBSET_CAP:
@@ -533,7 +471,7 @@ def multipartite_information_exact(state: StabilizerState, region_map: QubitRegi
     bases = _region_bases(state, region_map)
     if n == 1:
         return len(bases[0]) - len(region_map.regions[0])
-    return -_signed_rank_sum(_ordered_projections(bases))[0]
+    return (-1) ** (n + 1) * _signed_rank_sum(bases)[0]
 
 
 def region_entropy_source(state: StabilizerState, region_map: QubitRegionMap):

@@ -655,6 +655,12 @@ def test_subloop_needs_two_holes():
         subloop_revival(D2, builders.annulus(5))
 
 
+def test_subloop_rejects_two_loops_that_are_no_single_handle():
+    """two-hole-five's loops (A, B, C) and (A, D, E) share one subsystem, not a handle's two."""
+    with pytest.raises(ValidationError, match=r"^loop sizes 3 \+ 3 - 2 != N = 5; not a single-handle deformation$"):
+        subloop_revival(D2, builders.two_hole_five())
+
+
 # ----------------------------------------------------------------------
 # the multi-hole constraint: sum of |I| around the holes = 2 n_h S_topo
 # ----------------------------------------------------------------------

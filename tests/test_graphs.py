@@ -113,6 +113,15 @@ def test_rho_of_complete_graphs_up_to_the_table_cap():
     assert time.perf_counter() - start < 1
 
 
+def test_induced_component_table_cap():
+    """25 vertices exceed the table's cap of 24: the table raises before it
+    allocates its 2^25 entries."""
+    start = time.perf_counter()
+    with pytest.raises(TooManySubsystems, match="^25 groups exceed the table's cap of 24$"):
+        induced_component_table(cycle_graph(25))
+    assert time.perf_counter() - start < 1
+
+
 def test_induction_contributions_by_subgraph_type():
     """Tag the nontrivial induced subgraphs of P_{n+1} by how they use the
     last two vertices; the three buckets must satisfy the bookkeeping

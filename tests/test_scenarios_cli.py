@@ -183,6 +183,33 @@ def test_failing_loop_check_names_the_first_unexpected_loop():
     assert check.detail.endswith("; loop {A, D, E, F} gives (4, 2), not expected")
 
 
+LOOPLESS_HOLES = {
+    # the ring's hole has its loop of 4; the hole punched inside A has none
+    "punched": (builders.annulus_with_punched_hole(4),
+                "hole 1 of 2 (column 1, row 1) has no loop: only 1 subsystems around the hole"),
+    "no-hole": (parse_grid_json({"ascii": ["ABC"]}), "the CSS has no hole"),
+}
+
+
+@pytest.mark.parametrize("name", LOOPLESS_HOLES)
+def test_failing_constraint_check_names_each_hole_without_a_loop(name, tmp_path, capsys):
+    """Without a loop around every hole there is no constraint sum: the
+    detail names each hole that has none and why, or says there is no hole,
+    in the scenario's result and in ``topomi analyze``, which exits 1."""
+    css, detail = LOOPLESS_HOLES[name]
+    payload = {"width": css.width, "height": css.height, "labels": list(css.labels)}
+    obj = {"name": name, "css": payload, "expected": {"constraint_over_log_d": 2}}
+    if name == "punched":
+        obj["expected"]["per_hole"] = [{"loop_size": 4, "i_over_log_d": 2}]
+    *passing, check = run_scenario(Scenario.from_dict(obj)).checks
+    assert all(c.passed for c in passing)
+    assert (check.label, check.passed, check.detail) == ("constraint_over_log_d", False, detail)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(obj))
+    assert main(["analyze", str(path)]) == 1
+    assert f"FAIL constraint_over_log_d: {detail}\n" in capsys.readouterr().out
+
+
 #: a gallery file and an edit of its ``expected`` block that leaves a value of the wrong JSON type
 #: or a key its scenario kind does not check
 BAD_EXPECTED = {
@@ -241,6 +268,7 @@ ERROR_OF = {
         "ParseError: analytic scenarios have no expected key 'recursion_residual_below'",
     "misspelt-expected": "ParseError: analytic scenarios have no top-level key 'expect'",
     "lattice-regions-and-css": "ParseError: a lattice takes 'regions' or 'css', not both",
+    "lattice-region-int": "ParseError: bad lattice regions: ",
 }
 ERROR_OF.update(dict.fromkeys(FEW_REGIONS, "ValidationError: N-partite information needs N >= 3"))
 ERROR_OF.update(dict.fromkeys(EXPECTED_NOT_OBJECT, "ParseError: 'expected' must be an object"))
@@ -299,6 +327,10 @@ def _write_bad_input(kind: str, path) -> None:
         raster = json.loads((GALLERY / "stab-torus8-n3-raster.json").read_text())
         obj["lattice"]["css"] = raster["lattice"]["css"]
         path.write_text(json.dumps(obj))
+    elif kind == "lattice-region-int":
+        obj = json.loads((GALLERY / "stab-torus4-n3.json").read_text())
+        obj["lattice"]["regions"]["A"] = 5
+        path.write_text(json.dumps(obj))
     elif kind == "lattice-region-xy":
         obj = json.loads((GALLERY / "stab-torus4-n3.json").read_text())
         obj["lattice"]["regions"]["A"] = ["xy"]
@@ -312,7 +344,7 @@ def _write_bad_input(kind: str, path) -> None:
 @pytest.mark.parametrize(
     "kind",
     ["per-hole-without-loop-size", "misspelt-expected", "lattice-regions-and-css",
-     "lattice-region-xy", "lattice-regions-list", "not-utf8", "directory",
+     "lattice-region-xy", "lattice-region-int", "lattice-regions-list", "not-utf8", "directory",
      *EXPECTED_NOT_OBJECT, *BAD_EXPECTED, *BAD_NUMBER,
      "lattice-without-lx", "lattice-too-large", *FEW_REGIONS],
 )

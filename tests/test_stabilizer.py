@@ -26,10 +26,9 @@ from topomi.stabilizer import (
     CodeLattice,
     QubitRegionMap,
     StabilizerState,
-    _dependencies,
+    _echelon,
     _flag_basis,
     _join,
-    _ordered_projections,
     _region_bases,
     _signed_rank_sum,
     _split,
@@ -348,28 +347,6 @@ def _span_dimension(vectors) -> int:
     return len(_span(vectors)).bit_length() - 1
 
 
-def test_dependencies_are_a_basis_of_the_relations():
-    """Each tag names vectors that XOR to zero, the tags are independent,
-    and there are len(vectors) - rank of them."""
-    rng = random.Random(16)
-    counts = set()
-    for _ in range(300):
-        width = rng.randint(1, 8)
-        vectors = [rng.randrange(1 << width) for _ in range(rng.randint(0, 14))]
-        tags = _dependencies(vectors)
-        for tag in tags:
-            assert 0 < tag < 1 << len(vectors)
-            total = 0
-            for i, v in enumerate(vectors):
-                if tag >> i & 1:
-                    total ^= v
-            assert total == 0, (vectors, tag)
-        assert _is_independent(tags)
-        assert len(tags) == len(vectors) - _span_dimension(vectors)
-        counts.add(len(tags))
-    assert {0, 1} < counts and max(counts) > 5
-
-
 # ----------------------------------------------------------------------
 # entropies
 # ----------------------------------------------------------------------
@@ -502,6 +479,8 @@ def test_multipartite_exact_guard():
     regions = tuple(frozenset({q}) for q in range(19))
     with pytest.raises(TooManySubsystems):
         multipartite_information_exact(state, QubitRegionMap(32, regions))
+    with pytest.raises(ValidationError, match="region map and state disagree on qubit count"):
+        multipartite_information_exact(state, QubitRegionMap(33, regions[:3]))
 
 
 def _alternating_entropy_sum(entropy, region_map: QubitRegionMap) -> int:
@@ -539,14 +518,14 @@ def test_exact_walk_matches_per_subset_entropies(lattice):
     dense = state.n <= 12
     rng = random.Random(f"walk-{_lattice_id(lattice)}")
     values = set()
-    for n in range(1, 9):
-        for _ in range(2 if dense else 4):
+    for n in range(1, 13):
+        for _ in range(2 if dense or n > 8 else 4):
             region_map = _random_region_map(rng, state.n, n)
             exact = multipartite_information_exact(state, region_map)
             assert exact == _alternating_entropy_sum(
                 lambda qubits: entropy_bits(state, qubits), region_map
             ), (n, region_map.regions)
-            if dense:
+            if dense and n <= 8:
                 nats = _alternating_entropy_sum(
                     lambda qubits: brute_force_entropy(state, qubits), region_map
                 )
@@ -607,18 +586,23 @@ AABB........
 
 
 def test_exact_walk_far_apart_regions_vanish():
-    """On a 12x12 torus, regions far apart have no relations between them
-    (K = 0), and a pair that shares a wall has some but a far region has
-    none, so its projection is empty and every state cancels: I^N = 0 on
-    both, as the alternating sum of entropy_bits gives."""
+    """On a 12x12 torus, the bases of regions far apart are independent when
+    stacked (no relations), and a pair that shares a wall has relations but
+    the far region's span meets the others' only in 0, so every state of the
+    pass cancels: I^N = 0 on both, as the alternating sum of entropy_bits
+    gives."""
     lattice = CodeLattice(12, 12, "torus")
     state = build_code(lattice)
     relations = {}
     for name, art in (("far", FAR_APART), ("neighbours", NEIGHBOURS_AND_A_FAR_ONE)):
         region_map = rasterize_css(lattice, parse_ascii(art))
         bases = _region_bases(state, region_map)
-        relations[name] = len(_dependencies([v for basis in bases for v in basis]))
-        assert not all(_ordered_projections(bases))
+        stacked = [v for basis in bases for v in basis]
+        relations[name] = len(stacked) - len(_echelon(stacked))
+        # the far region, C or D, has the highest lowest qubit: its basis comes last
+        assert min(region_map.regions[-1]) == max(map(min, region_map.regions))
+        others = [v for basis in bases[:-1] for v in basis]
+        assert len(_echelon(stacked)) == len(bases[-1]) + len(_echelon(others))
         assert multipartite_information_exact(state, region_map) == 0
         assert _alternating_entropy_sum(lambda qubits: entropy_bits(state, qubits), region_map) == 0
     assert relations["far"] == 0 and relations["neighbours"] > 0, relations

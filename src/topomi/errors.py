@@ -33,7 +33,10 @@ class TooManySubsystems(TopomiError):
 
 
 class TooManyQubits(TopomiError):
-    """Dense state-vector oracle guard tripped."""
+    """A guard on the qubits tripped: the cap on a code lattice
+    (``stabilizer.MAX_QUBITS``), raised by ``CodeLattice`` before anything
+    is built, or the dense state-vector oracle's cap
+    (``stabilizer.BRUTE_CAP``)."""
 
 
 class DisconnectedCss(TopomiError):

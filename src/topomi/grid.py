@@ -199,54 +199,64 @@ def json_int(value, what: str) -> int:
     return value
 
 
-def parse_ascii(text: str, name: str = "") -> GridCss:
-    """Parse the one-character-per-cell format.
+def ascii_rows(text: str) -> list[str]:
+    """The grid rows of an ASCII text: its lines but the empty ones and the
+    comments, the lines starting with ``#``."""
+    return [line for line in text.splitlines() if line and not line.startswith("#")]
 
-    ``.`` is OUTSIDE, ``A``-``Z`` then ``a``-``z`` are subsystem ids 0..51,
-    lines starting with ``#`` are comments.  Ragged lines are rejected.
+
+def parse_ascii(text: str, name: str = "") -> GridCss:
+    """Parse the one-character-per-cell text format: each line is a row of
+    :func:`parse_grid_json`'s ``"ascii"`` list, but for the empty lines and
+    the comments (:func:`ascii_rows`)."""
+    return parse_grid_json({"ascii": ascii_rows(text)}, name)
+
+
+def parse_grid_json(obj: Mapping, name: str = "") -> GridCss:
+    """Parse a JSON grid payload: ``{"ascii": [row, ...]}``, or
+    ``{"width", "height", "labels", "name"}`` with -1 = OUTSIDE.
+
+    An ``"ascii"`` row has one character per cell: ``.`` is OUTSIDE, ``A``-``Z``
+    then ``a``-``z`` are subsystem ids 0..51.  An empty row, a row holding a
+    newline and a ragged row are a ParseError naming the row.
     """
-    rows = [
-        line for line in text.splitlines() if line and not line.startswith("#")
-    ]
+    if not (isinstance(obj, Mapping) and "ascii" in obj):
+        try:
+            width, height, labels = obj["width"], obj["height"], list(obj["labels"])
+        except (KeyError, TypeError) as exc:
+            raise ParseError(f"bad grid object: {exc}") from exc
+        return GridCss(
+            json_int(width, "grid 'width'"),
+            json_int(height, "grid 'height'"),
+            tuple(json_int(v, "a grid label") for v in labels),
+            name=str(obj.get("name", name)),
+        )
+    rows = obj["ascii"]
+    if not isinstance(rows, list) or not all(isinstance(r, str) for r in rows):
+        raise ParseError("'ascii' must be a list of strings")
     if not rows:
         raise ParseError("no grid rows found")
     width = len(rows[0])
     labels: list[int] = []
     for j, row in enumerate(rows):
+        if not row:
+            raise ParseError(f"grid row {j} is empty")
+        if "\n" in row:
+            raise ParseError(f"grid row {j} holds a newline: {row!r}")
         if len(row) != width:
-            raise ParseError(f"ragged line {j}: expected {width} chars, got {len(row)}")
+            raise ParseError(f"grid row {j} is ragged: expected {width} cells, got {len(row)}")
         for i, ch in enumerate(row):
             if ch == ".":
                 labels.append(OUTSIDE)
             else:
                 k = _ID_CHARS.find(ch)
                 if k < 0:
-                    raise ParseError(f"bad cell character {ch!r} at column {i}, line {j}")
+                    raise ParseError(f"bad cell character {ch!r} at column {i} of grid row {j}")
                 labels.append(k)
     try:
         return GridCss(width, len(rows), tuple(labels), name=name)
     except ValidationError as exc:
         raise ValidationError(f"{name or 'ascii grid'}: {exc}") from exc
-
-
-def parse_grid_json(obj: Mapping, name: str = "") -> GridCss:
-    """Parse a JSON grid payload: ``{"ascii": [row, ...]}``, or
-    ``{"width", "height", "labels", "name"}`` with -1 = OUTSIDE."""
-    if isinstance(obj, Mapping) and "ascii" in obj:
-        rows = obj["ascii"]
-        if not isinstance(rows, list) or not all(isinstance(r, str) for r in rows):
-            raise ParseError("'ascii' must be a list of strings")
-        return parse_ascii("\n".join(rows), name=name)
-    try:
-        width, height, labels = obj["width"], obj["height"], list(obj["labels"])
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"bad grid object: {exc}") from exc
-    return GridCss(
-        json_int(width, "grid 'width'"),
-        json_int(height, "grid 'height'"),
-        tuple(json_int(v, "a grid label") for v in labels),
-        name=str(obj.get("name", name)),
-    )
 
 
 def read_input(path) -> str | dict:

@@ -24,7 +24,7 @@ import numpy as np
 from . import engine, graphs, stabilizer
 from .engine import CssAnalysis
 from .errors import NotAnnular, ParseError, TooManySubsystems, TopomiError, ValidationError
-from .grid import GridCss, is_json_int, parse_grid_json, read_input, subset_letters
+from .grid import GridCss, ascii_rows, is_json_int, parse_grid_json, read_input, subset_letters
 from .model import EntropyModel
 
 
@@ -155,7 +155,7 @@ def load_scenario(path, kind: str | None = None) -> Scenario:
             graph = graphs.parse_graph_text(data)
             data = {"kind": kind, "graph": {"v": graph.vertex_count, "edges": graph.edges}}
         else:
-            data = {"kind": "analytic", "css": {"ascii": data.splitlines()}}
+            data = {"kind": "analytic", "css": {"ascii": ascii_rows(data)}}
     scn = Scenario.from_dict(data, source_path=str(path))
     if kind is not None and scn.kind != kind:
         raise ParseError(f"{path} is a {scn.kind!r} scenario where a {kind!r} one is needed")

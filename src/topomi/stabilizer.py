@@ -1,7 +1,10 @@
 """Exact stabilizer-code ground states and their region entropies.
 
 The square-lattice code places one qubit on every edge, an X-type star on
-every vertex and a Z-type plaquette on every face.  On the torus the two
+every vertex and a Z-type plaquette on every face.  One member numbers the
+qubits, :attr:`CodeLattice.edge_qubits`: the horizontal edges first, then
+the vertical ones, each row by row; the code, the rasterizer and the qubit
+ids of a ``"regions"`` payload all read it.  On the torus the two
 global product relations are removed and the generator set is completed by
 the two non-contractible Z loops along row 0 and column 0, fixing a single
 ground state; the open-boundary (planar) patch already has a unique ground
@@ -88,58 +91,39 @@ class CodeLattice:
             return self.lx, self.ly
         return self.lx - 1, self.ly - 1
 
-    @cached_property
-    def n_horizontal(self) -> int:
-        return self.face_shape[0] * self.ly
-
     @property
     def n_qubits(self) -> int:
-        return self.n_horizontal + self.lx * self.face_shape[1]
+        cols, rows = self.face_shape
+        return cols * self.ly + self.lx * rows
 
-    def _index(self, i: int, j: int, width: int, height: int, what: str) -> int:
-        """Row-major index of (i, j) in a width x height grid of the lattice,
-        wrapped on the torus; nothing lies beyond the edge of the patch."""
+    @cached_property
+    def edge_qubits(self) -> tuple[np.ndarray, np.ndarray]:
+        """The qubit numbering, two read-only grids: horizontal edge
+        (i, j)-(i+1, j) has its qubit at ``[j, i]`` of the first, numbered
+        row by row and first; vertical edge (i, j)-(i, j+1) at ``[j, i]`` of
+        the second, row by row after them."""
+        cols, rows = self.face_shape
+        qubits = np.arange(self.n_qubits)
+        qubits.setflags(write=False)
+        return qubits[:cols * self.ly].reshape(self.ly, cols), qubits[cols * self.ly:].reshape(rows, self.lx)
+
+    def _edge_qubit(self, grid: np.ndarray, i: int, j: int, what: str) -> int:
+        """The qubit at ``[j, i]`` of one of :attr:`edge_qubits`, wrapped on
+        the torus; nothing lies beyond the edge of the patch."""
+        height, width = grid.shape
         if self.periodic:
             i, j = i % width, j % height
         if not (0 <= i < width and 0 <= j < height):
             raise ValidationError(f"no {what} at ({i},{j})")
-        return j * width + i
+        return int(grid[j, i])
 
     def h_edge(self, i: int, j: int) -> int:
-        """Qubit on the edge (i, j)-(i+1, j); horizontal qubits come first."""
-        return self._index(i, j, self.face_shape[0], self.ly, "horizontal edge")
+        """Qubit on the edge (i, j)-(i+1, j)."""
+        return self._edge_qubit(self.edge_qubits[0], i, j, "horizontal edge")
 
     def v_edge(self, i: int, j: int) -> int:
         """Qubit on the edge (i, j)-(i, j+1)."""
-        return self.n_horizontal + self._index(i, j, self.lx, self.face_shape[1], "vertical edge")
-
-    def star_qubits(self, i: int, j: int) -> list[int]:
-        """Edges incident to vertex (i, j); on the patch, those inside it."""
-        cols, rows = self.face_shape
-        edges = (
-            (i < cols, self.h_edge, i, j),
-            (i > 0, self.h_edge, i - 1, j),
-            (j < rows, self.v_edge, i, j),
-            (j > 0, self.v_edge, i, j - 1),
-        )
-        return [edge(a, b) for inside, edge, a, b in edges if inside or self.periodic]
-
-    def plaquette_qubits(self, i: int, j: int) -> list[int]:
-        """Edges bounding the face whose north-west vertex is (i, j)."""
-        self._index(i, j, *self.face_shape, "face")  # off the patch: ValidationError
-        return [
-            self.h_edge(i, j),
-            self.h_edge(i, j + 1),
-            self.v_edge(i, j),
-            self.v_edge(i + 1, j),
-        ]
-
-    def vertices(self) -> Iterable[tuple[int, int]]:
-        return ((i, j) for j in range(self.ly) for i in range(self.lx))
-
-    def faces(self) -> Iterable[tuple[int, int]]:
-        cols, rows = self.face_shape
-        return ((i, j) for j in range(rows) for i in range(cols))
+        return self._edge_qubit(self.edge_qubits[1], i, j, "vertical edge")
 
 
 @dataclass(frozen=True)
@@ -228,16 +212,15 @@ def build_code(lattice: CodeLattice) -> StabilizerState:
     on the torus the last plaquette, with the two non-contractible Z loops)
     they are independent.  So the state skips the checks of
     ``StabilizerState``.  The lattice's incidence is one list of (generator,
-    column) pairs, from the index arithmetic of :meth:`CodeLattice.h_edge`
-    and :meth:`CodeLattice.v_edge` on arrays: each star's edges as X
-    columns, each plaquette's and loop's edges as Z columns.  Read one way
-    it packs the rows, read the other way the column table.
+    column) pairs, from array arithmetic on the lattice's qubit numbering
+    (:attr:`CodeLattice.edge_qubits`): each star's edges as X columns, each
+    plaquette's and loop's edges as Z columns.  Read one way it packs the
+    rows, read the other way the column table.
     """
-    n, nh, lx, ly = lattice.n_qubits, lattice.n_horizontal, lattice.lx, lattice.ly
+    n, lx, ly = lattice.n_qubits, lattice.lx, lattice.ly
     cols, rows = lattice.face_shape
     mode = "wrap" if lattice.periodic else "edge"
-    h = np.arange(nh).reshape(ly, cols)  # qubit h_edge(i, j) at [j, i]
-    v = np.arange(nh, n).reshape(rows, lx)  # qubit v_edge(i, j) at [j, i]
+    h, v = lattice.edge_qubits
     star = np.arange(lx * ly).reshape(ly, lx)  # generator of the star at vertex (i, j)
     face = star.size - 1 + np.arange(rows * cols).reshape(rows, cols)  # of the plaquette at face (i, j)
     # all stars, and on the torus all plaquettes, multiply to 1: the last is no generator
@@ -571,8 +554,9 @@ def rasterize_css(lattice: CodeLattice, css: GridCss) -> QubitRegionMap:
     its planar cut (:func:`torus_cut`); the region map keeps the grid it
     rasterized.  The owners are one array pass over the label grid padded
     by an OUTSIDE cell: an edge takes its north (west) cell's label if it
-    has one, else its south (east) cell's, and a region is the edges its
-    label owns.
+    has one, else its south (east) cell's, written at the edge's qubit in
+    :attr:`CodeLattice.edge_qubits`, and a region is the qubits its label
+    owns.
     """
     cols, rows = lattice.face_shape
     if (css.width, css.height) != (cols, rows):
@@ -586,8 +570,10 @@ def rasterize_css(lattice: CodeLattice, css: GridCss) -> QubitRegionMap:
     # vertical edge (i,j)-(i,j+1): faces (i-1, j) west / (i, j) east
     north, south = labels[:lattice.ly, 1:-1], labels[1:lattice.ly + 1, 1:-1]
     west, east = labels[1:-1, :lattice.lx], labels[1:-1, 1:lattice.lx + 1]
-    horizontal = np.where(north != OUTSIDE, north, south)
-    owner = np.concatenate([horizontal, np.where(west != OUTSIDE, west, east)], axis=None)
+    h, v = lattice.edge_qubits
+    owner = np.empty(lattice.n_qubits, labels.dtype)
+    owner[h] = np.where(north != OUTSIDE, north, south)
+    owner[v] = np.where(west != OUTSIDE, west, east)
     regions = (np.flatnonzero(owner == k).tolist() for k in range(css.n_subsystems))
     return QubitRegionMap(lattice.n_qubits, tuple(frozenset(r) for r in regions), css)
 

@@ -1,12 +1,17 @@
 """Scenario files, suite running and the command-line front-end."""
 
 import argparse
+import contextlib
+import copy
 import importlib.util
+import io
 import itertools
 import json
 import math
 import subprocess
 import sys
+import tempfile
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
@@ -491,6 +496,45 @@ def test_json_shaped_scenarios_end_in_a_result_or_a_topomi_error(obj):
             assert check.detail.startswith(_ERROR_NAMES), check.detail
 
 
+def _ascii_css(obj: dict) -> dict | None:
+    """The grid payload of a gallery scenario, if its rows are "ascii"."""
+    css = obj.get("css", obj.get("lattice", {}).get("css"))
+    return css if isinstance(css, dict) and "ascii" in css else None
+
+
+@st.composite
+def _row_edited_gallery(draw):
+    """A gallery grid with one "ascii" row emptied, made a comment or split by a newline."""
+    obj = copy.deepcopy(draw(st.sampled_from([obj for obj in _GALLERY_OBJECTS if _ascii_css(obj)])))
+    rows = _ascii_css(obj)["ascii"]
+    j = draw(st.integers(0, len(rows) - 1))
+    rows[j] = draw(st.sampled_from(["", "#" + rows[j][1:], rows[j][:1] + "\n" + rows[j][1:]]))
+    return obj
+
+
+@settings(max_examples=150, deadline=timedelta(seconds=5), derandomize=True, database=None)
+@given(st.one_of(_mutated_gallery().map(lambda obj: (obj, False)),
+                 _row_edited_gallery().map(lambda obj: (obj, True))))
+def test_mutated_gallery_files_through_the_cli_exit_0_or_1(case):
+    """Every command on a mutated gallery file returns 0 or 1, raises nothing
+    and prints no traceback; a file with a grid row that cannot be read
+    fails, and analyze names the row."""
+    obj, row_edited = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(obj))
+        for command in ("analyze", "stabilizer", "rho"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command, str(path)])
+            printed = out.getvalue() + err.getvalue()
+            assert code in (0, 1), (command, code, printed)
+            assert "Traceback" not in printed
+            if row_edited:
+                assert code == 1 and "ParseError: " in printed, (command, printed)
+                assert command != "analyze" or "grid row" in printed, printed
+
+
 def test_unknown_expected_key_names_key_and_kind():
     obj = json.loads((GALLERY / "graph-cycle-n5.json").read_text())
     obj["expected"]["c_n"] = 99
@@ -899,11 +943,26 @@ def test_cli_csv_says_so_when_the_grid_does_not_parse(tmp_path, capsys):
 
 
 def test_cli_analyze_bare_ascii_grid(tmp_path, capsys):
+    """A text file's empty lines and comments are no rows."""
     path = tmp_path / "ring.txt"
-    path.write_text("AAB\nD.B\nDCC\n")
+    path.write_text("# a ring\nAAB\n\nD.B\nDCC\n")
     assert main(["analyze", str(path), "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["report"]["c_n"] == -2
+
+
+@pytest.mark.parametrize("rows, error", [
+    (["AAAA", "B..C", "", "B..C", "DDDD"], "ParseError: grid row 2 is empty"),
+    (["AAAA", "B..C", "#..C", "DDDD"], "ParseError: bad cell character '#' at column 0 of grid row 2"),
+    (["AAAA", "B..C\nB..C", "DDDD"], "ParseError: grid row 1 holds a newline"),
+])
+def test_cli_analyze_rejects_a_json_grid_row_it_cannot_read(rows, error, tmp_path, capsys):
+    """A JSON "ascii" list is the grid's rows as given, not the lines of a
+    text file: no row is dropped as empty or as a comment, or split."""
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps({"css": {"ascii": rows}}))
+    assert main(["analyze", str(path)]) == 1
+    assert error in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

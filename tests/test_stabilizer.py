@@ -98,29 +98,14 @@ def _edge_ends(lattice: CodeLattice) -> tuple[list, list]:
 
 @pytest.mark.parametrize("lattice", LATTICES, ids=_lattice_id)
 def test_lattice_numbering_from_first_principles(lattice):
-    lx, ly = lattice.lx, lattice.ly
     horizontal, vertical = _edge_ends(lattice)
-    # every qubit once: horizontal edges first, each orientation row-major
+    # every qubit once, as a Python int: horizontal edges first, each orientation row-major
     numbering = [lattice.h_edge(*a) for a, _ in horizontal]
     numbering += [lattice.v_edge(*a) for a, _ in vertical]
     assert numbering == list(range(lattice.n_qubits))
-    ends = horizontal + vertical
-    for vertex in lattice.vertices():
-        star = lattice.star_qubits(*vertex)
-        assert sorted(star) == [q for q, pair in enumerate(ends) if vertex in pair]
-    qubit = {("h", a): q for q, (a, _) in enumerate(horizontal)}
-    qubit.update({("v", a): len(horizontal) + q for q, (a, _) in enumerate(vertical)})
-    faces = list(lattice.faces())
-    assert len(faces) == (lx * ly if lattice.boundary == "torus" else (lx - 1) * (ly - 1))
-    for i, j in faces:
-        around = {
-            qubit[("h", (i, j))],
-            qubit[("h", (i, (j + 1) % ly))],
-            qubit[("v", (i, j))],
-            qubit[("v", ((i + 1) % lx, j))],
-        }
-        plaquette = lattice.plaquette_qubits(i, j)
-        assert len(plaquette) == 4 and set(plaquette) == around
+    assert {type(q) for q in numbering} == {int}
+    # the grids behind them are shared by every reader, so none may write to them
+    assert not any(grid.flags.writeable for grid in lattice.edge_qubits)
 
 
 @pytest.mark.parametrize("lattice", LATTICES, ids=_lattice_id)
@@ -131,7 +116,6 @@ def test_lattice_edges_off_the_patch(lattice):
     for method, what, sites in (
         (lattice.h_edge, "horizontal edge", [(-1, 0), (lx - 1, 0), (0, ly)]),
         (lattice.v_edge, "vertical edge", [(-1, 0), (lx, 0), (0, ly - 1)]),
-        (lattice.plaquette_qubits, "face", [(-1, 0), (lx - 1, 0), (0, ly - 1)]),
     ):
         for i, j in sites:
             if torus:
@@ -139,17 +123,6 @@ def test_lattice_edges_off_the_patch(lattice):
             else:
                 with pytest.raises(ValidationError, match=re.escape(f"no {what} at ({i},{j})")):
                     method(i, j)
-    # a vertex beyond the patch fails on the first missing edge it asks for
-    if torus:
-        for j in range(ly):
-            assert lattice.star_qubits(lx, j) == lattice.star_qubits(0, j)
-            assert lattice.star_qubits(-1, j) == lattice.star_qubits(lx - 1, j)
-    else:
-        with pytest.raises(ValidationError, match=re.escape("no horizontal edge at (-1,0)")):
-            lattice.star_qubits(-1, 0)
-        beyond = re.escape(f"no horizontal edge at ({lx - 1},0)")
-        with pytest.raises(ValidationError, match=beyond):
-            lattice.star_qubits(lx, 0)
 
 
 def test_build_code_rank_and_commutation():
@@ -192,16 +165,29 @@ def test_build_code_generators_pass_every_check(lattice):
 
 def _per_vertex_rows(lattice: CodeLattice) -> tuple[int, ...]:
     """The generators assembled star by star and plaquette by plaquette from
-    the lattice's own incidence, without the last star (and on the torus the
-    last plaquette, then the Z loops along row 0 and column 0)."""
-    n = lattice.n_qubits
-    rows = [sum(1 << q for q in set(lattice.star_qubits(i, j))) for i, j in lattice.vertices()][:-1]
-    plaquettes = [sum(1 << q for q in lattice.plaquette_qubits(i, j)) << n for i, j in lattice.faces()]
+    the edge ends (:func:`_edge_ends`, in qubit order), without the last star
+    (and on the torus the last plaquette, then the Z loops along row 0 and
+    column 0): a star holds the edges that end at its vertex, a plaquette
+    the edges around its face."""
+    n, lx, ly = lattice.n_qubits, lattice.lx, lattice.ly
+    horizontal, vertical = _edge_ends(lattice)
+    stars = dict.fromkeys(((i, j) for j in range(ly) for i in range(lx)), 0)
+    for q, pair in enumerate(horizontal + vertical):
+        for vertex in pair:
+            stars[vertex] |= 1 << q
+    h = {a: q for q, (a, _) in enumerate(horizontal)}
+    v = {a: len(horizontal) + q for q, (a, _) in enumerate(vertical)}
+    cols, rows = (lx, ly) if lattice.boundary == "torus" else (lx - 1, ly - 1)
+    plaquettes = [
+        (1 << h[i, j] | 1 << h[i, (j + 1) % ly] | 1 << v[i, j] | 1 << v[(i + 1) % lx, j]) << n
+        for j in range(rows) for i in range(cols)
+    ]
+    generators = list(stars.values())[:-1]
     if lattice.boundary == "planar":
-        return tuple(rows + plaquettes)
-    row_loop = sum(1 << lattice.h_edge(i, 0) for i in range(lattice.lx)) << n
-    column_loop = sum(1 << lattice.v_edge(0, j) for j in range(lattice.ly)) << n
-    return tuple(rows + plaquettes[:-1] + [row_loop, column_loop])
+        return tuple(generators + plaquettes)
+    row_loop = sum(1 << h[i, 0] for i in range(lx)) << n
+    column_loop = sum(1 << v[0, j] for j in range(ly)) << n
+    return tuple(generators + plaquettes[:-1] + [row_loop, column_loop])
 
 
 def _bit_transpose(n: int, rows) -> tuple[int, ...]:

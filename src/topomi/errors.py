@@ -28,8 +28,8 @@ class TooManySubsystems(TopomiError):
     table (``masks.MAX_SUBSYSTEMS``), over a CSS's subsystems or a graph's
     vertices, named with the frontier walk's state cap
     (``masks.MAX_WALK_STATES``) when the walk fell back to the table; the
-    exact pass's region cap (``stabilizer.EXACT_SUBSET_CAP``) or the
-    recursion cap (``engine.RECURSION_CAP``)."""
+    vertex cap of a graph (``grid.MAX_VERTICES``); the exact pass's region
+    cap (``stabilizer.EXACT_SUBSET_CAP``) or ``engine.RECURSION_CAP``."""
 
 
 class TooManyQubits(TopomiError):

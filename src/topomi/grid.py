@@ -25,6 +25,7 @@ from .errors import (
     EmptySubset,
     NotACycle,
     ParseError,
+    TooManySubsystems,
     ValidationError,
 )
 
@@ -32,6 +33,9 @@ OUTSIDE = -1
 
 #: width * height above this is rejected so flood fills stay desk-scale
 CELL_CAP = 1_048_576
+
+#: vertices of a SimpleGraph or a CSS's cell-component graph; rho of a path at the cap peaks at 85 MB RSS
+MAX_VERTICES = 1 << 14
 
 #: subsystem id -> single character used by the ASCII format
 _ID_CHARS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
@@ -413,6 +417,8 @@ class SimpleGraph:
     def __post_init__(self):
         if self.vertex_count < 1:
             raise ValidationError("graph needs at least one vertex")
+        if self.vertex_count > MAX_VERTICES:
+            raise TooManySubsystems(f"{self.vertex_count} vertices exceed the graph cap of {MAX_VERTICES}")
         seen = set()
         for edge in self.edges:
             i, j = edge

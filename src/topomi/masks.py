@@ -23,10 +23,11 @@ counts combinatorially:
   subgraph on per-subsystem cell-components (:func:`component_counts`).
   For every induced subgraph, components = |V| - |E| + cycle rank, and
   every cycle lies in the 2-core (what is left after repeatedly deleting
-  vertices of degree <= 1).  So a subset S counts +1 per vertex outside the
-  core whose subsystem is in S and -1 per edge with an endpoint outside the
-  core whose subsystems are in S (more histogram entries), plus the
-  components of the core's own induced subgraph.  Only the core is walked,
+  vertices of degree <= 1, peeled from one worklist).  So a subset S counts
+  +1 per vertex outside the core whose subsystem is in S and -1 per edge
+  with an endpoint outside the core whose subsystems are in S (more
+  histogram entries), plus the components of the core's own induced
+  subgraph.  Only the core is walked,
   every subset whole, in blocks of 2^``BLOCK_BITS`` subsets
   (:func:`_walk_components`): each numpy pass grows every subset's
   component through per-byte neighbour tables, and one that stopped
@@ -45,11 +46,11 @@ counts combinatorially:
 C^N and the C of a sub-collection X need no table.  With J = 2c - chi,
 C(X) = -2 s(X) - (the weight of the features whose user set holds X),
 where s(X) = sum over S in X of (-1)^|S| c(S) is the signed component sum
-(:func:`signed_component_sum`): the terms outside the 2-core of X's graph
-count only for |X| <= 2, and the core part is one dynamic-programming pass
-over the core vertices whose states are the in/out choices of the open
-groups and the component partition of the frontier.  The states grow with
-the width of the frontier, not with N, and the walk gives up above
+(:func:`signed_component_sum`): one dynamic-programming pass over the
+2-core of X's graph (for |X| >= 3; the whole graph for |X| <= 2), whose
+states are the in/out choices of the open groups and the component
+partition of the frontier.  The states grow with the width of the
+frontier, not with N, and the walk gives up above
 ``MAX_WALK_STATES`` of them; s(X) is then read from the 2^|X| component
 table of X's own groups, as the top Moebius coefficient of its (2,)*k view
 (:func:`alternating_sum`), in int64 and without a table of signs.  Every
@@ -67,7 +68,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import TooManySubsystems
-from .grid import OUTSIDE, GridCss, pack_bits, set_bits
+from .grid import MAX_VERTICES, OUTSIDE, GridCss, pack_bits, set_bits
 
 #: cap on the groups of any 2^n table, a CSS's subsystems or a graph's vertices (2**24 masks)
 MAX_SUBSYSTEMS = 24
@@ -193,13 +194,19 @@ def _user_masks(labels: np.ndarray) -> np.ndarray:
 
 def _two_core(adj: list[int]) -> int:
     """Vertex mask of the 2-core: what is left after repeatedly deleting the
-    vertices of degree <= 1.  Every cycle of every induced subgraph lies in it."""
+    vertices of degree <= 1, each once from a worklist that a neighbour joins
+    when its degree falls to 1.  Every cycle of every induced subgraph lies in it."""
+    degree = [a.bit_count() for a in adj]
+    peel = [v for v, d in enumerate(degree) if d <= 1]
     core = (1 << len(adj)) - 1
-    while True:
-        peel = sum(1 << v for v in set_bits(core) if (adj[v] & core).bit_count() <= 1)
-        if not peel:
-            return core
-        core ^= peel
+    while peel:
+        v = peel.pop()
+        core ^= 1 << v
+        for u in set_bits(adj[v] & core):
+            degree[u] -= 1
+            if degree[u] == 1:
+                peel.append(u)
+    return core
 
 
 def component_counts(adj: list[int], groups: list[int]) -> np.ndarray:
@@ -279,11 +286,11 @@ def signed_component_sum(adj: list[int], groups: list[int]) -> int:
 
     ``adj[v]`` is the neighbour bitmask of vertex v and ``groups[i]`` the
     vertex bitmask of group i; the groups are disjoint, and the graph is the
-    subgraph induced by their union.  As in :func:`add_components`, the
-    vertices and edges outside the 2-core count only when n <= 2, and a
-    group with no core vertex cancels the core part.  The core part is one
-    pass over the core vertices in :func:`_frontier_order`.  A state holds
-    the in/out choice of each open group (one with visited and unvisited
+    subgraph induced by their union.  The walk is one pass over the core in
+    :func:`_frontier_order`: the 2-core for n >= 3 (as in :func:`add_components`,
+    a term outside it depends on at most two groups, and a group with no core
+    vertex cancels the rest), the whole union for n <= 2.  A state holds the
+    in/out choice of each open group (one with visited and unvisited
     vertices) and the component partition of the chosen frontier vertices
     (visited ones with an unvisited neighbour); its value is the pair
     (sum of signs, sum of sign times closed components) over the choices
@@ -297,18 +304,10 @@ def signed_component_sum(adj: list[int], groups: list[int]) -> int:
     for mask in groups:
         union |= mask
     adj = [a & union if union >> v & 1 else 0 for v, a in enumerate(adj)]
-    core = _two_core(adj)
-    owner = {v: i for i, mask in enumerate(groups) for v in set_bits(mask)}
-    total = 0
-    if len(groups) <= 2:  # each term outside the core depends on at most two groups
-        for v in set_bits(union & ~core):
-            ends = [u for u in set_bits(adj[v]) if u < v or core >> u & 1]  # each edge once
-            if len(groups) == 1:
-                total += len(ends) - 1
-            else:
-                total -= sum(owner[u] != owner[v] for u in ends)
+    core = _two_core(adj) if len(groups) > 2 else union
     if not all(mask & core for mask in groups):
-        return total
+        return 0
+    owner = {v: i for i, mask in enumerate(groups) for v in set_bits(mask)}
 
     order = _frontier_order(adj, core, [mask & core for mask in groups], owner)
     states = {(0, ()): (1, 0)}  # (chosen open groups, frontier labels) -> (signs, closed)
@@ -345,7 +344,7 @@ def signed_component_sum(adj: list[int], groups: list[int]) -> int:
                                         f"{MAX_WALK_STATES} states, and {len(groups)} groups exceed the table's "
                                         f"cap of {MAX_SUBSYSTEMS}")
             return -alternating_sum(component_counts(*_induced(adj, groups, union)).reshape((2,) * len(groups)))
-    return total + sum(closed for _, closed in states.values())
+    return sum(closed for _, closed in states.values())
 
 
 def _next_labels(labels: tuple, chosen: int, touching: list[int], keep: list[int], fresh: int):
@@ -500,6 +499,8 @@ class UnionTopology:
         labelling, numbered by subsystem and, within one, in first-cell order."""
         labels, near, _ = self.css.labelling
         order = sorted((label, c) for c, label in enumerate(labels) if label != OUTSIDE)
+        if len(order) > MAX_VERTICES:
+            raise TooManySubsystems(f"{len(order)} cell-components exceed the graph cap of {MAX_VERTICES}")
         vertex = {c: v for v, (_, c) in enumerate(order)}
         # the cell-components of each subsystem, as a vertex mask
         cv_mask = pack_bits(((label, v) for v, (label, _) in enumerate(order)), self.css.n_subsystems)

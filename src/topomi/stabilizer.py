@@ -11,20 +11,19 @@ ground state; the open-boundary (planar) patch already has a unique ground
 state.  Region entropies are integer multiples of log 2 read from the
 region itself: S(A) = rank(G|_A) - |A| in units of log 2, where G|_A is the
 generator matrix restricted to the columns of A (Fattal, Cafaro, Haas and
-Chuang, quant-ph/0406168).  Each state keeps one column table (column c as
-an integer over the generators): rank(G|_A) is the rank of A's X and Z
-columns in it.  The code's own state packs its rows and its table from one
-list of the lattice's (generator, column) incidences, read both ways; a
-state built from given rows transposes them and checks with the table that
-the generators commute.  The exact I^N, for up to 18 regions, reduces each
-region's columns to a basis of their span: for two regions or more the
-|A| terms cancel in the alternating sum, which leaves the signed sum of
-the dimensions of the regions' joint column spans.  That is one pass over
-the regions in the order of their lowest qubits, a sweep across the
-lattice, whose states are the subspaces the regions behind share with
-those ahead: a handful on a ring of regions, where a walk over the
-subsets would visit 2^N - 1.  A dense state-vector construction
-provides an independent oracle for small systems.
+Chuang, quant-ph/0406168).  A state is its column table (column c as an
+integer over the generators): rank(G|_A) is the rank of A's X and Z
+columns in it.  The code packs its table from one list of the lattice's
+(generator, column) incidences; ``StabilizerState.from_rows`` checks given
+generators and transposes them once.  The exact I^N, for up to 18
+regions, reduces each region's columns to a basis of their span: for two
+regions or more the |A| terms cancel in the alternating sum, which leaves
+the signed sum of the dimensions of the regions' joint column spans.
+That is one pass over the regions in the order of their lowest qubits, a
+sweep across the lattice, whose states are the subspaces the regions
+behind share with those ahead: a handful on a ring of regions, where a
+walk over the subsets would visit 2^N - 1.  A dense state-vector
+construction provides an independent oracle for small systems.
 """
 
 from __future__ import annotations
@@ -128,27 +127,37 @@ class CodeLattice:
 
 @dataclass(frozen=True)
 class StabilizerState:
-    """Pure stabilizer state: n independent commuting generators.
-
-    Each row is an integer whose low ``n`` bits are the X part and high
-    ``n`` bits the Z part.
-    """
+    """Pure stabilizer state of ``n`` qubits as the column table of its
+    generator matrix: bit g of column c is bit c of generator g, columns
+    0..n-1 the qubits' X parts and n..2n-1 their Z parts.  Only the table's
+    shape is checked here; :meth:`from_rows` checks generators."""
 
     n: int
-    rows: tuple[int, ...]
+    columns: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.rows) != self.n:
-            raise ValidationError(f"{len(self.rows)} generators for {self.n} qubits")
-        for g, row in enumerate(self.rows):
-            if not 0 <= row < 1 << 2 * self.n:
-                raise ValidationError(f"generator {g} is {row}; rows lie in 0..2**{2 * self.n} - 1")
-        if len(_echelon(self.rows)) != self.n:
+        if len(self.columns) != 2 * self.n:
+            raise ValidationError(f"{len(self.columns)} columns for {self.n} qubits; need {2 * self.n}")
+        top = 1 << self.n
+        for c, column in enumerate(self.columns):
+            if not 0 <= column < top:
+                raise ValidationError(f"column {c} is {column}; columns lie in 0..2**{self.n} - 1")
+
+    @classmethod
+    def from_rows(cls, n: int, rows: Sequence[int]) -> StabilizerState:
+        """The state of n independent commuting generators (X part in the low
+        ``n`` bits, Z part in the high ``n``), checked and transposed once."""
+        if len(rows) != n:
+            raise ValidationError(f"{len(rows)} generators for {n} qubits")
+        for g, row in enumerate(rows):
+            if not 0 <= row < 1 << 2 * n:
+                raise ValidationError(f"generator {g} is {row}; rows lie in 0..2**{2 * n} - 1")
+        if len(_echelon(rows)) != n:
             raise ValidationError("generators are not independent over GF(2)")
+        cols = pack_bits(((c, g) for g, row in enumerate(rows) for c in set_bits(row)), 2 * n)
         # bit b of the XOR of row a's opposite-type columns is the symplectic
         # product of generators a and b; report the first anticommuting pair
-        n, cols = self.n, self.columns
-        for a, row in enumerate(self.rows):
+        for a, row in enumerate(rows):
             products = 0
             for c in set_bits(row):
                 products ^= cols[c + n if c < n else c - n]
@@ -156,25 +165,12 @@ class StabilizerState:
             if later:
                 b = a + (later & -later).bit_length()
                 raise ValidationError(f"generators {a} and {b} anticommute")
-
-    @classmethod
-    def _unchecked(cls, n: int, rows: tuple[int, ...], columns: tuple[int, ...]) -> StabilizerState:
-        """The state of generators that are independent and commute by
-        construction, without proving it again in ``__post_init__``, with
-        their column table (:attr:`columns`) built alongside."""
-        state = object.__new__(cls)
-        object.__setattr__(state, "n", n)
-        object.__setattr__(state, "rows", rows)
-        object.__setattr__(state, "columns", columns)
-        return state
+        return cls(n, tuple(cols))
 
     @cached_property
-    def columns(self) -> tuple[int, ...]:
-        """Column c of the generator matrix: bit g is bit c of generator g.
-
-        Columns 0..n-1 are the X parts of the qubits, n..2n-1 their Z parts.
-        """
-        return tuple(pack_bits(((c, g) for g, row in enumerate(self.rows) for c in set_bits(row)), 2 * self.n))
+    def rows(self) -> tuple[int, ...]:
+        """The generators, read off the columns; only the dense oracle reads them."""
+        return tuple(pack_bits(((g, c) for c, column in enumerate(self.columns) for g in set_bits(column)), self.n))
 
 
 def _echelon(rows: Iterable[int]) -> dict[int, int]:
@@ -210,12 +206,11 @@ def build_code(lattice: CodeLattice) -> StabilizerState:
     Stars are X-type and plaquettes Z-type, and a star meets a plaquette in
     zero or two edges, so the generators commute; without the last star (and
     on the torus the last plaquette, with the two non-contractible Z loops)
-    they are independent.  So the state skips the checks of
-    ``StabilizerState``.  The lattice's incidence is one list of (generator,
-    column) pairs, from array arithmetic on the lattice's qubit numbering
-    (:attr:`CodeLattice.edge_qubits`): each star's edges as X columns, each
-    plaquette's and loop's edges as Z columns.  Read one way it packs the
-    rows, read the other way the column table.
+    they are independent, so the state takes its column table without the
+    checks of :meth:`StabilizerState.from_rows`.  The lattice's incidence is
+    one list of (generator, column) pairs, from array arithmetic on the
+    lattice's qubit numbering (:attr:`CodeLattice.edge_qubits`): each star's
+    edges as X columns, each plaquette's and loop's edges as Z columns.
     """
     n, lx, ly = lattice.n_qubits, lattice.lx, lattice.ly
     cols, rows = lattice.face_shape
@@ -235,8 +230,7 @@ def build_code(lattice: CodeLattice) -> StabilizerState:
         incidence += [(np.full(lx, n - 2), n + h[0]), (np.full(ly, n - 1), n + v[:, 0])]
     g, c = (np.concatenate(side, axis=None) for side in zip(*incidence))
     g, c = g[g >= 0].tolist(), c[g >= 0].tolist()
-    generators, columns = pack_bits(zip(g, c), n), pack_bits(zip(c, g), 2 * n)
-    return StabilizerState._unchecked(n, tuple(generators), tuple(columns))
+    return StabilizerState(n, tuple(pack_bits(zip(c, g), 2 * n)))
 
 
 # ----------------------------------------------------------------------
@@ -249,6 +243,8 @@ def _as_qubit_mask(state: StabilizerState, qubits: Iterable[int]) -> int:
         if not 0 <= q < state.n:
             raise ValidationError(f"qubit {q} out of range 0..{state.n - 1}")
         mask |= 1 << q
+    if mask == 0:
+        raise EmptyRegion("entropy of an empty qubit set is undefined")
     return mask
 
 
@@ -267,8 +263,6 @@ def entropy_bits(state: StabilizerState, qubits: Iterable[int]) -> int:
     set returns 0 by purity.
     """
     mask = _as_qubit_mask(state, qubits)
-    if mask == 0:
-        raise EmptyRegion("entropy of an empty qubit set is undefined")
     return len(_column_echelon(state, set_bits(mask))) - mask.bit_count()
 
 
@@ -481,8 +475,6 @@ def brute_force_entropy(state: StabilizerState, qubits: Iterable[int]) -> float:
     if n > BRUTE_CAP:
         raise TooManyQubits(f"{n} qubits exceed the dense-oracle cap of {BRUTE_CAP}")
     mask = _as_qubit_mask(state, qubits)
-    if mask == 0:
-        raise EmptyRegion("entropy of an empty qubit set is undefined")
 
     dim = 1 << n
     idx = np.arange(dim, dtype=np.int64)

@@ -20,7 +20,7 @@ from topomi.graphs import (
     rho,
     sigma_of_css,
 )
-from topomi.grid import adjacency_graph
+from topomi.grid import MAX_VERTICES, adjacency_graph
 from topomi.masks import UnionTopology, subset_signs
 
 
@@ -93,6 +93,14 @@ def test_rho_guard(monkeypatch):
     assert rho(cycle_graph(20)) == 0  # from the table
     with pytest.raises(TooManySubsystems, match="cap of 1 states.*cap of 24"):
         rho(cycle_graph(25))
+
+
+def test_rho_of_a_long_path():
+    """The 2-core is peeled in one worklist pass, not in one round per pair
+    of path ends: a 10 000-vertex path answers at once."""
+    start = time.perf_counter()
+    assert rho(path_graph(10_000)) == -1
+    assert time.perf_counter() - start < 1
 
 
 def complete_graph(v):
@@ -259,6 +267,9 @@ def test_graph_validation_and_parsing():
         SimpleGraph(3, ((0, 1), (1, 0)))
     with pytest.raises(ValidationError):
         SimpleGraph(2, ((0, 5),))
+    for v in (MAX_VERTICES + 1, 10**30):  # before any mask is built
+        with pytest.raises(TooManySubsystems, match=f"^{v} vertices exceed the graph cap of {MAX_VERTICES}$"):
+            SimpleGraph(v, ((0, 1),))
     graph = parse_graph_json({"v": 3, "edges": [[2, 0]]})
     assert graph.edges == ((0, 2),)
     graph = parse_graph_text("0 1\n1 2\n")

@@ -1,6 +1,7 @@
 """Per-mask topology tables against the flood-fill definitions."""
 
 import functools
+import itertools
 import operator
 import random
 import tracemalloc
@@ -14,6 +15,7 @@ from topomi import builders, masks, scenarios
 from topomi.engine import CssAnalysis
 from topomi.errors import DisconnectedCss, TooManySubsystems
 from topomi.grid import (
+    MAX_VERTICES,
     OUTSIDE,
     GridCss,
     SimpleGraph,
@@ -24,6 +26,7 @@ from topomi.grid import (
     find_holes,
     perimeter_links,
     region_holes,
+    set_bits,
     union_region,
 )
 from topomi.masks import (
@@ -398,6 +401,33 @@ def test_component_counts_on_shapes(name):
     core = _two_core(adj)
     assert kind == ("empty" if core == 0 else "full" if core == (1 << len(adj)) - 1 else "partial")
     assert component_counts(adj, groups).tolist() == bfs_counts(adj, groups)
+
+
+def test_cell_component_graph_cap():
+    """One row of single cells of one subsystem, one cell-component past
+    grid.MAX_VERTICES: the graph raises before any mask is built."""
+    labels = (0, OUTSIDE) * MAX_VERTICES + (0,)
+    topo = UnionTopology(GridCss(len(labels), 1, labels))
+    with pytest.raises(TooManySubsystems, match=f"^{MAX_VERTICES + 1} cell-components exceed the graph cap of "):
+        topo._cell_component_graph
+
+
+def test_two_core_matches_the_round_by_round_peel():
+    """The worklist peel against its definition, rounds that each delete
+    every vertex of degree <= 1, on seeded sparse graphs (forests, cycles
+    with trees hanging off them, isolated vertices)."""
+    rng = random.Random(2)
+    kinds = set()
+    for _ in range(300):
+        v = rng.randint(1, 30)
+        pairs = list(itertools.combinations(range(v), 2))
+        adj = neighbor_masks(v, rng.sample(pairs, min(len(pairs), rng.randint(0, v + 3))))
+        core = (1 << v) - 1
+        while peel := sum(1 << u for u in set_bits(core) if (adj[u] & core).bit_count() <= 1):
+            core ^= peel
+        assert _two_core(adj) == core
+        kinds.add("empty" if core == 0 else "full" if core == (1 << v) - 1 else "partial")
+    assert kinds == {"empty", "full", "partial"}
 
 
 @st.composite

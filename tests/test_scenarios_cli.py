@@ -11,6 +11,7 @@ import math
 import subprocess
 import sys
 import tempfile
+import time
 from datetime import timedelta
 from pathlib import Path
 
@@ -266,6 +267,17 @@ FEW_REGIONS = {
     "lattice-two-regions": ("AB", 1),
 }
 
+#: graph payloads past the vertex cap of a bitmask graph (the first is the
+#: edge list "0 1000000"), and a brick wall one row past it: bricks two cells
+#: wide, every other row shifted by one cell, one subsystem each.  Each ends
+#: in the cap's TooManySubsystems before any mask is built
+PAST_VERTEX_CAP = {
+    "graph-edge-past-vertex-cap": {"v": 1_000_001, "edges": [[0, 1_000_000]]},
+    "graph-v-1e30": {"v": 10**30, "edges": [[0, 1]]},
+    "graph-v-1e8-no-edges": {"v": 10**8, "edges": []},
+    "brick-wall-past-vertex-cap": None,
+}
+
 #: the error a bad input ends in, where it is not a bare ParseError
 ERROR_OF = {
     "lattice-too-large": "TooManyQubits",
@@ -277,6 +289,7 @@ ERROR_OF = {
 }
 ERROR_OF.update(dict.fromkeys(FEW_REGIONS, "ValidationError: N-partite information needs N >= 3"))
 ERROR_OF.update(dict.fromkeys(EXPECTED_NOT_OBJECT, "ParseError: 'expected' must be an object"))
+ERROR_OF.update(dict.fromkeys(PAST_VERTEX_CAP, f"exceed the graph cap of {grid.MAX_VERTICES}"))
 
 
 def _write_bad_input(kind: str, path) -> None:
@@ -340,6 +353,18 @@ def _write_bad_input(kind: str, path) -> None:
         obj = json.loads((GALLERY / "stab-torus4-n3.json").read_text())
         obj["lattice"]["regions"]["A"] = ["xy"]
         path.write_text(json.dumps(obj))
+    elif kind == "brick-wall-past-vertex-cap":
+        cols = 128
+        rows = grid.MAX_VERTICES // cols + 1
+        width = 2 * cols + 1
+        labels = [grid.OUTSIDE] * (width * rows)
+        for y in range(rows):
+            for c in range(cols):
+                x = y * width + y % 2 + 2 * c
+                labels[x] = labels[x + 1] = y * cols + c
+        path.write_text(json.dumps({"name": kind, "css": {"width": width, "height": rows, "labels": labels}}))
+    elif kind in PAST_VERTEX_CAP:
+        path.write_text(json.dumps({"name": kind, "graph": PAST_VERTEX_CAP[kind]}))
     elif kind == "not-utf8":
         path.write_bytes(b'{"name": "\xff\xfe"}')
     else:
@@ -351,7 +376,7 @@ def _write_bad_input(kind: str, path) -> None:
     ["per-hole-without-loop-size", "misspelt-expected", "lattice-regions-and-css",
      "lattice-region-xy", "lattice-region-int", "lattice-regions-list", "not-utf8", "directory",
      *EXPECTED_NOT_OBJECT, *BAD_EXPECTED, *BAD_NUMBER,
-     "lattice-without-lx", "lattice-too-large", *FEW_REGIONS],
+     "lattice-without-lx", "lattice-too-large", *FEW_REGIONS, *PAST_VERTEX_CAP],
 )
 def test_bad_input_ends_as_topomi_error(kind, tmp_path, capsys):
     (tmp_path / "a-good.json").write_text((GALLERY / "annulus-n4.json").read_text())
@@ -361,9 +386,13 @@ def test_bad_input_ends_as_topomi_error(kind, tmp_path, capsys):
 
     commands = ["analyze", "stabilizer"] if kind.startswith("lattice") else ["analyze"]
     for command in commands:
+        start = time.perf_counter()
         assert main([command, str(bad)]) == 1
+        if kind in PAST_VERTEX_CAP:
+            assert time.perf_counter() - start < 1
         out = capsys.readouterr()
         assert error in out.out + out.err
+        assert "Traceback" not in out.out + out.err
 
     suite = run_suite(tmp_path)
     assert [r.passed for r in suite.results] == [True, False]
@@ -846,6 +875,25 @@ def test_cli_rho(tmp_path, capsys):
     text.write_text("0 1\n1 2\n2 3\n")
     assert main(["rho", str(text)]) == 0
     assert "rho = -1" in capsys.readouterr().out
+
+
+def test_cli_rho_rejects_a_graph_past_the_vertex_cap(tmp_path, capsys):
+    """The edge list "0 1000000" names a graph of 1000001 vertices: rho
+    exits 1 with the vertex cap's TooManySubsystems before any mask is built,
+    and a path at the cap answers."""
+    text = tmp_path / "far-edge.txt"
+    text.write_text("0 1000000\n")
+    start = time.perf_counter()
+    assert main(["rho", str(text)]) == 1
+    assert time.perf_counter() - start < 1
+    out = capsys.readouterr()
+    assert f"TooManySubsystems: 1000001 vertices exceed the graph cap of {grid.MAX_VERTICES}" in out.out + out.err
+    assert "Traceback" not in out.out + out.err
+    path = tmp_path / "path-at-cap.txt"
+    path.write_text("".join(f"{i} {i + 1}\n" for i in range(grid.MAX_VERTICES - 1)))
+    assert main(["rho", str(path), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["v"], payload["rho"]) == (grid.MAX_VERTICES, -1)
 
 
 @pytest.mark.parametrize("as_json", [False, True])

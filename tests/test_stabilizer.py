@@ -144,7 +144,7 @@ def _gallery_lattices() -> list[CodeLattice]:
     return lattices
 
 
-#: build_code skips the checks of StabilizerState: every square side from 2
+#: build_code skips the checks of StabilizerState.from_rows: every square side from 2
 #: to 24 (the benchmark's 16x16 and 24x24 tori among them), rectangles of
 #: both shapes, on both boundaries, and the gallery's lattices
 BUILT_LATTICES = [
@@ -158,9 +158,9 @@ BUILT_LATTICES = [
 @pytest.mark.parametrize("lattice", BUILT_LATTICES, ids=_lattice_id)
 def test_build_code_generators_pass_every_check(lattice):
     """The star and plaquette generators build_code makes unchecked are
-    independent and commute: StabilizerState's own checks accept them."""
+    independent and commute: StabilizerState.from_rows accepts them."""
     state = build_code(lattice)
-    assert StabilizerState(state.n, state.rows) == state
+    assert StabilizerState.from_rows(state.n, state.rows) == state
 
 
 def _per_vertex_rows(lattice: CodeLattice) -> tuple[int, ...]:
@@ -203,14 +203,14 @@ def _bit_transpose(n: int, rows) -> tuple[int, ...]:
 
 @pytest.mark.parametrize("lattice", BUILT_LATTICES, ids=_lattice_id)
 def test_build_code_matches_the_per_vertex_construction(lattice):
-    """build_code's rows are the stars, plaquettes and loops of the lattice,
-    and the column table it builds alongside is their bit transpose, as the
-    checked path builds it."""
+    """build_code's column table is the bit transpose of the stars,
+    plaquettes and loops of the lattice, as the checked path builds it, and
+    the rows read off it are those generators."""
     state = build_code(lattice)
     rows = _per_vertex_rows(lattice)
     assert state.rows == rows
     assert state.columns == _bit_transpose(state.n, rows)
-    assert state.columns == StabilizerState(state.n, state.rows).columns
+    assert state.columns == StabilizerState.from_rows(state.n, state.rows).columns
 
 
 def test_gallery_lattices_are_all_there():
@@ -287,7 +287,7 @@ def test_column_commutation_check_names_the_first_pair():
             continue
         pair = _first_anticommuting_pair(n, rows)
         if pair is None:
-            state = StabilizerState(n, tuple(rows))
+            state = StabilizerState.from_rows(n, tuple(rows))
             assert all(
                 (state.columns[c] >> g & 1) == (row >> c & 1)
                 for g, row in enumerate(rows) for c in range(2 * n)
@@ -296,7 +296,7 @@ def test_column_commutation_check_names_the_first_pair():
         else:
             message = re.escape(f"generators {pair[0]} and {pair[1]} anticommute") + "$"
             with pytest.raises(ValidationError, match=message):
-                StabilizerState(n, tuple(rows))
+                StabilizerState.from_rows(n, tuple(rows))
             outcomes["anticommute"] += 1
     assert min(outcomes.values()) >= 80, outcomes
 
@@ -304,21 +304,46 @@ def test_column_commutation_check_names_the_first_pair():
 def test_state_validation_rejects_anticommuting():
     # X on qubit 0 and Z on qubit 0 anticommute
     with pytest.raises(ValidationError):
-        StabilizerState(2, (0b01, 0b01 << 2))
+        StabilizerState.from_rows(2, (0b01, 0b01 << 2))
     # dependent rows
     with pytest.raises(ValidationError):
-        StabilizerState(2, (0b01, 0b01))
+        StabilizerState.from_rows(2, (0b01, 0b01))
+
+
+def test_state_checks_the_column_table_shape():
+    """The constructor takes a column table: 2n columns of n bits each."""
+    state = StabilizerState(1, (0b0, 0b1))  # |0>, stabilized by Z
+    assert state.rows == (0b10,)
+    assert StabilizerState.from_rows(1, (0b10,)) == state
+    with pytest.raises(ValidationError, match=re.escape("3 columns for 1 qubits; need 2")):
+        StabilizerState(1, (0, 1, 0))
+    with pytest.raises(ValidationError, match=re.escape("column 1 is 2; columns lie in 0..2**1 - 1")):
+        StabilizerState(1, (1, 2))
+    with pytest.raises(ValidationError, match="^column 0 is -1;"):
+        StabilizerState(1, (-1, 0))
+
+
+def test_exact_pass_reads_no_rows():
+    """The state holds one copy of the generator matrix: the entropies and
+    the exact I^N read the column table, and the rows are never built."""
+    payload = json.loads((gallery_dir() / "stab-torus8-n3-raster.json").read_text())
+    lattice, regions = parse_lattice_scenario(payload["lattice"])
+    state = build_code(lattice)
+    assert entropy_bits(state, regions.regions[0]) > 0
+    assert multipartite_information_exact(state, regions) == payload["expected"]["i_exact_over_log2"]
+    assert "rows" not in state.__dict__
+    assert set(state.__dict__) == {"n", "columns"}
 
 
 def test_state_validation_rejects_rows_outside_their_bits():
     """A row holds 2n bits: one with a higher bit, or a negative one, is
     rejected by the generator's index."""
     with pytest.raises(ValidationError, match="^generator 0 is 4;"):
-        StabilizerState(1, (0b100,))
+        StabilizerState.from_rows(1, (0b100,))
     with pytest.raises(ValidationError, match="^generator 1 is -1;"):
-        StabilizerState(2, (0b0001, -1))
+        StabilizerState.from_rows(2, (0b0001, -1))
     with pytest.raises(ValidationError, match="^generator 1 is 16;"):
-        StabilizerState(2, (0b0001, 1 << 4))
+        StabilizerState.from_rows(2, (0b0001, 1 << 4))
 
 
 def _span(vectors) -> set[int]:

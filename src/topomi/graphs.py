@@ -6,13 +6,13 @@ For a finite simple graph the invariant is
 
 where H0 counts connected components and "nontrivial" excludes the empty
 vertex set and the full vertex set.  Path graphs give rho(P_n) = (-1)^(n-1)
-and cycle graphs give rho(C_n) = 0, which is what makes open chains vanish
-and rings survive in the subsystem-counting identities.  Component counts
-and alternating sums come from :mod:`topomi.masks`, as for a CSS's
-per-subset tables.  rho is read from the signed component sum of the
-frontier walk, which needs no 2^v table unless it passes its state cap;
-sigma compares whole tables.  Every table is capped at
-``masks.MAX_SUBSYSTEMS`` vertices or subsystems.
+for n >= 3 (rho(P_1) = 0 and rho(P_2) = -2) and cycle graphs give
+rho(C_n) = 0, which is what makes open chains vanish and rings survive in
+the subsystem-counting identities.  Component counts and alternating sums
+come from :mod:`topomi.masks`, as for a CSS's per-subset tables.  rho is
+read from the signed component sum of the frontier walk, which needs no
+2^v table unless it passes its state cap; sigma compares whole tables.
+Every table is capped at ``masks.MAX_SUBSYSTEMS`` vertices or subsystems.
 """
 
 from __future__ import annotations

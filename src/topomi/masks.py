@@ -46,15 +46,17 @@ counts combinatorially:
 C^N and the C of a sub-collection X need no table.  With J = 2c - chi,
 C(X) = -2 s(X) - (the weight of the features whose user set holds X),
 where s(X) = sum over S in X of (-1)^|S| c(S) is the signed component sum
-(:func:`signed_component_sum`): one dynamic-programming pass over the
-2-core of X's graph (for |X| >= 3; the whole graph for |X| <= 2), whose
-states are the in/out choices of the open groups and the component
-partition of the frontier.  The states grow with the width of the
-frontier, not with N, and the walk gives up above
-``MAX_WALK_STATES`` of them; s(X) is then read from the 2^|X| component
-table of X's own groups, as the top Moebius coefficient of its (2,)*k view
-(:func:`alternating_sum`), in int64 and without a table of signs.  Every
-2^n table, a CSS's or a graph's, is capped at ``MAX_SUBSYSTEMS`` groups.
+(:func:`signed_component_sum`).  It runs on the subgraph induced by X's own
+vertices, renumbered: one dynamic-programming pass over its 2-core (for
+|X| >= 3; the whole graph for |X| <= 2) that picks each vertex as it goes
+(:func:`_next_vertex`), whose states are the in/out choices of the open
+groups and the component partition of the frontier.  The states grow with
+the width of the frontier, not with N, and the walk gives up at the step
+that leaves more than ``MAX_WALK_STATES`` of them; s(X) is then read from
+the 2^|X| component table of X's own groups, as the top Moebius
+coefficient of its (2,)*k view (:func:`alternating_sum`), in int64 and
+without a table of signs.  Every 2^n table, a CSS's or a graph's, is
+capped at ``MAX_SUBSYSTEMS`` groups.
 
 The flood-fill definition stays available in :mod:`topomi.grid`; the test
 suite compares every table with it, for every width of vertex mask.
@@ -285,35 +287,37 @@ def signed_component_sum(adj: list[int], groups: list[int]) -> int:
     components of the subgraph induced by the union of S, with no 2^n table.
 
     ``adj[v]`` is the neighbour bitmask of vertex v and ``groups[i]`` the
-    vertex bitmask of group i; the groups are disjoint, and the graph is the
-    subgraph induced by their union.  The walk is one pass over the core in
-    :func:`_frontier_order`: the 2-core for n >= 3 (as in :func:`add_components`,
-    a term outside it depends on at most two groups, and a group with no core
-    vertex cancels the rest), the whole union for n <= 2.  A state holds the
-    in/out choice of each open group (one with visited and unvisited
-    vertices) and the component partition of the chosen frontier vertices
-    (visited ones with an unvisited neighbour); its value is the pair
-    (sum of signs, sum of sign times closed components) over the choices
-    that lead to it, and a state whose value is (0, 0) is dropped, since
-    every later value is linear in it.  When one vertex leaves more than
-    ``MAX_WALK_STATES`` states, the sum is read from the
-    :func:`component_counts` of the groups on their union, a 2^n table:
-    TooManySubsystems naming both caps above ``MAX_SUBSYSTEMS`` groups.
+    vertex bitmask of group i; the groups are disjoint.  The walk runs on the
+    subgraph induced by their union, renumbered (:func:`_induced`), and
+    visits its core one vertex at a time, each chosen as it goes
+    (:func:`_next_vertex`): the 2-core for n >= 3 (as in
+    :func:`add_components`, a term outside it depends on at most two groups,
+    and a group with no core vertex cancels the rest), the whole union for
+    n <= 2.  A state holds the in/out choice of each open group (one with
+    visited and unvisited vertices) and the component partition of the
+    chosen frontier vertices (visited ones with an unvisited neighbour); its
+    value is the pair (sum of signs, sum of sign times closed components)
+    over the choices that lead to it, and a state whose value is (0, 0) is
+    dropped, since every later value is linear in it.  At the vertex that
+    leaves more than ``MAX_WALK_STATES`` states the walk stops, and the sum
+    is read from the :func:`component_counts` of the groups on their union, a
+    2^n table: TooManySubsystems naming both caps above ``MAX_SUBSYSTEMS``
+    groups.
     """
     union = 0
     for mask in groups:
         union |= mask
-    adj = [a & union if union >> v & 1 else 0 for v, a in enumerate(adj)]
-    core = _two_core(adj) if len(groups) > 2 else union
-    if not all(mask & core for mask in groups):
+    adj, groups = _induced(adj, groups, union)
+    unvisited = _two_core(adj) if len(groups) > 2 else (1 << len(adj)) - 1
+    if not all(mask & unvisited for mask in groups):
         return 0
     owner = {v: i for i, mask in enumerate(groups) for v in set_bits(mask)}
 
-    order = _frontier_order(adj, core, [mask & core for mask in groups], owner)
     states = {(0, ()): (1, 0)}  # (chosen open groups, frontier labels) -> (signs, closed)
     frontier: list[int] = []
-    seen, unvisited = 0, core
-    for v in order:
+    seen = 0
+    while unvisited:
+        v = _next_vertex(adj, groups, owner, frontier, unvisited, seen)
         g = 1 << owner[v]
         first = not seen & g
         seen |= g
@@ -343,7 +347,7 @@ def signed_component_sum(adj: list[int], groups: list[int]) -> int:
                 raise TooManySubsystems(f"the frontier walk over {len(groups)} groups exceeds its cap of "
                                         f"{MAX_WALK_STATES} states, and {len(groups)} groups exceed the table's "
                                         f"cap of {MAX_SUBSYSTEMS}")
-            return -alternating_sum(component_counts(*_induced(adj, groups, union)).reshape((2,) * len(groups)))
+            return -alternating_sum(component_counts(adj, groups).reshape((2,) * len(groups)))
     return sum(closed for _, closed in states.values())
 
 
@@ -362,33 +366,26 @@ def _next_labels(labels: tuple, chosen: int, touching: list[int], keep: list[int
     return tuple([canon.setdefault(x, len(canon)) for x in kept]), len(set(row).difference(kept, (0,)))
 
 
-def _frontier_order(adj: list[int], core: int, groups: list[int], owner: dict[int, int]) -> list[int]:
-    """The vertices of ``core`` in a greedy order that keeps the frontier walk
-    narrow: each step takes, among the unvisited neighbours of the visited
-    vertices (the lowest unvisited vertex when there are none), the one that
-    adds the fewest frontier vertices plus open groups, the lowest on a tie.
-    ``groups`` are the groups' core vertex masks."""
-    order: list[int] = []
-    frontier, left = 0, core
-    while left:
-        near = 0
-        for u in set_bits(frontier):
-            near |= adj[u]
-        best = None
-        for v in set_bits(near & left or left & -left):
-            rest = left ^ 1 << v
-            # v joins the frontier unless all its neighbours are visited; a
-            # frontier vertex whose last unvisited neighbour is v leaves it
-            width = bool(adj[v] & rest) - sum(1 for u in set_bits(frontier & adj[v]) if not adj[u] & rest)
-            group = groups[owner[v]]  # does v open or close its group?
-            width += bool(group & rest) - bool(group & ~left and group & left)
-            if best is None or width < best[0]:
-                best = (width, v)
-        v = best[1]
-        order.append(v)
-        left ^= 1 << v
-        frontier = sum(1 << u for u in set_bits(frontier | 1 << v) if adj[u] & left)
-    return order
+def _next_vertex(adj: list[int], groups: list[int], owner: dict[int, int], frontier: list[int],
+                 unvisited: int, seen: int) -> int:
+    """The vertex the frontier walk visits next, chosen greedily to keep it
+    narrow: among the ``unvisited`` neighbours of the ``frontier`` vertices
+    (the lowest unvisited vertex when there are none), the one that adds the
+    fewest frontier vertices plus open groups, less those it closes, the
+    lowest on a tie.  ``seen`` has the bits of the groups already visited."""
+    near = 0
+    for u in frontier:
+        near |= adj[u]
+
+    def width(v: int) -> int:
+        rest = unvisited ^ 1 << v
+        # v joins the frontier unless all its neighbours are visited; a
+        # frontier vertex whose last unvisited neighbour is v leaves it
+        grown = bool(adj[v] & rest) - sum(1 for u in frontier if adj[u] >> v & 1 and not adj[u] & rest)
+        # v's group is open after v if it has unvisited vertices left, and was before if it was seen
+        return grown + bool(groups[owner[v]] & rest) - (seen >> owner[v] & 1)
+
+    return min(set_bits(near & unvisited or unvisited & -unvisited), key=width)
 
 
 def _walk_components(adj: list[int], groups: list[int]) -> np.ndarray:

@@ -430,6 +430,17 @@ def test_c_beyond_four_ids_builds_no_features():
         assert "_feature_labels" in analysis.__dict__
 
 
+def test_walk_past_its_cap_on_a_brick_wall_gives_up_at_once():
+    """The 16 384-brick wall, at the vertex cap, passes the walk's state cap
+    within its first rows: C^N stops at that step, with no whole-graph
+    vertex order built first, and raises naming both caps."""
+    start = time.perf_counter()
+    with pytest.raises(TooManySubsystems, match="exceeds its cap of 4096 states, and 16384 groups exceed the "
+                                                "table's cap of 24"):
+        CssAnalysis(brick_css(128, 128)).c_n
+    assert time.perf_counter() - start < 3
+
+
 def test_c_within_rejects_ids_outside_the_css():
     analysis = CssAnalysis(builders.annulus(4))
     for ids in ([], [4], [-1, 0]):

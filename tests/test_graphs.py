@@ -53,6 +53,10 @@ def brute_rho(graph):
 
 
 def test_rho_paths_and_cycles():
+    """rho(P_n) = (-1)^(n-1) from n = 3 on; P_1 has no nontrivial induced
+    subgraph and P_2 has two single vertices, as the brute force agrees."""
+    for n, want in ((1, 0), (2, -2)):
+        assert rho(path_graph(n)) == brute_rho(path_graph(n)) == want, n
     for n in range(3, 13):
         assert rho(path_graph(n)) == (-1) ** (n - 1), n
         assert rho(cycle_graph(n)) == 0, n
@@ -101,6 +105,21 @@ def test_rho_of_a_long_path():
     start = time.perf_counter()
     assert rho(path_graph(10_000)) == -1
     assert time.perf_counter() - start < 1
+
+
+def test_rho_of_a_grid_graph_gives_up_at_once():
+    """The 128x128 grid graph passes the walk's state cap within its first
+    rows: rho stops at that step, with no whole-graph vertex order built
+    first, and raises naming both caps."""
+    side = 128
+    graph = SimpleGraph(side * side, tuple(
+        (v, u) for v in range(side * side) for u in (v + 1, v + side) if u < side * side and (u == v + side or u % side)
+    ))
+    start = time.perf_counter()
+    with pytest.raises(TooManySubsystems, match="exceeds its cap of 4096 states, and 16384 groups exceed the "
+                                                "table's cap of 24"):
+        rho(graph)
+    assert time.perf_counter() - start < 3
 
 
 def complete_graph(v):

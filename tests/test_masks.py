@@ -42,6 +42,7 @@ from topomi.masks import (
     subset_signs,
     subset_sums,
 )
+from test_engine import brick_css
 
 
 def reference_tables(css):
@@ -488,6 +489,96 @@ def test_signed_component_sum_stops_at_its_state_cap(monkeypatch):
     ring = neighbor_masks(64, [(i, (i + 1) % 64) for i in range(64)])
     # one component on the whole ring, and sum_S (-1)^|S| = 0 otherwise
     assert signed_component_sum(ring, singletons(64)) == 1
+
+
+def frontier_order(adj, core, groups, owner):
+    """The greedy vertex order of the frontier walk, built whole before its
+    first step: each step takes, among the unvisited neighbours of the
+    visited vertices (the lowest unvisited vertex when there are none), the
+    one that adds the fewest frontier vertices plus open groups, the lowest
+    on a tie.  ``groups`` are the groups' core vertex masks."""
+    order = []
+    frontier, left = 0, core
+    while left:
+        near = 0
+        for u in set_bits(frontier):
+            near |= adj[u]
+        best = None
+        for v in set_bits(near & left or left & -left):
+            rest = left ^ 1 << v
+            # v joins the frontier unless all its neighbours are visited; a
+            # frontier vertex whose last unvisited neighbour is v leaves it
+            width = bool(adj[v] & rest) - sum(1 for u in set_bits(frontier & adj[v]) if not adj[u] & rest)
+            group = groups[owner[v]]  # does v open or close its group?
+            width += bool(group & rest) - bool(group & ~left and group & left)
+            if best is None or width < best[0]:
+                best = (width, v)
+        v = best[1]
+        order.append(v)
+        left ^= 1 << v
+        frontier = sum(1 << u for u in set_bits(frontier | 1 << v) if adj[u] & left)
+    return order
+
+
+def assert_walk_takes_the_greedy_order(monkeypatch, adj, groups):
+    """The vertices the frontier walk of ``groups`` visits, recorded from
+    ``masks._next_vertex``, against :func:`frontier_order` on the same
+    induced graph and core: the whole order, or its prefix up to the step
+    where the walk stopped at its state cap.  Returns whether it stopped."""
+    choices, stopped = [], []
+    choose, table = masks._next_vertex, masks.component_counts
+    monkeypatch.setattr(masks, "_next_vertex", lambda *args: choices.append(choose(*args)) or choices[-1])
+    monkeypatch.setattr(masks, "component_counts", lambda *args: stopped.append(True) or table(*args))
+    try:
+        signed_component_sum(adj, groups)
+    except TooManySubsystems:
+        stopped.append(True)
+    adj, groups = masks._induced(adj, groups, functools.reduce(operator.or_, groups))
+    core = _two_core(adj) if len(groups) > 2 else (1 << len(adj)) - 1
+    if not all(mask & core for mask in groups):
+        assert choices == []  # the sum is 0 before any step
+        return False
+    owner = {v: i for i, mask in enumerate(groups) for v in set_bits(mask)}
+    order = frontier_order(adj, core, [mask & core for mask in groups], owner)
+    assert choices == (order[:len(choices)] if stopped else order)
+    return bool(stopped)
+
+
+def test_walk_takes_the_greedy_order_on_grids(junction_css, monkeypatch):
+    """C^N and every hole loop of the analytic gallery, a 100-brick wall and
+    the junction fixture: the walk picks the greedy order vertex for vertex."""
+    gallery = [scenarios.scenario_css(scenarios.load_scenario(path))
+               for path in scenarios.suite_paths(scenarios.gallery_dir())
+               if scenarios.load_scenario(path).kind == "analytic"]
+    loops = 0
+    for css in [*gallery, brick_css(10, 10), *junction_css]:
+        analysis = CssAnalysis(css)
+        adj, cv_mask, _ = analysis._cell_component_graph
+        ids = [loop for loop in analysis.hole_loops if not isinstance(loop, str)]
+        loops += len(ids)
+        for keep in [range(css.n_subsystems), *ids]:
+            assert not assert_walk_takes_the_greedy_order(monkeypatch, adj, [cv_mask[i] for i in keep]), css.name
+    assert loops > 100
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(grouped_graphs_and_ids())
+def test_walk_takes_the_greedy_order_on_grouped_graphs(graph):
+    adj, groups, ids = graph
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_walk_takes_the_greedy_order(monkeypatch, adj, [groups[g] for g in sorted(ids)])
+
+
+@pytest.mark.parametrize("side", [4, 8])
+def test_walk_past_its_cap_stops_on_the_greedy_order(side, monkeypatch):
+    """With the cap at 5 states, the walk over a grid graph stops after a
+    prefix of the greedy order: on 16 groups it reads the table, on 64 it
+    raises."""
+    adj = SimpleGraph(side * side, tuple(
+        (v, u) for v in range(side * side) for u in (v + 1, v + side) if u < side * side and (u == v + side or u % side)
+    )).neighbor_masks()
+    monkeypatch.setattr(masks, "MAX_WALK_STATES", 5)
+    assert assert_walk_takes_the_greedy_order(monkeypatch, adj, singletons(side * side))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -39,7 +39,7 @@ def cycle_graph(n: int) -> SimpleGraph:
 
 def induced_component_table(graph: SimpleGraph) -> np.ndarray:
     """Components of the induced subgraph on every vertex bitmask (entry 0 is 0)."""
-    return component_counts(graph.neighbor_masks(), [1 << i for i in range(graph.vertex_count)])
+    return component_counts(graph.neighbor_masks, [1 << i for i in range(graph.vertex_count)])
 
 
 def rho(graph: SimpleGraph) -> int:
@@ -47,7 +47,7 @@ def rho(graph: SimpleGraph) -> int:
     the signed sum over every vertex set (``masks.signed_component_sum``,
     which reads the induced component table when its walk passes the state
     cap), less the full set's term."""
-    v, adj = graph.vertex_count, graph.neighbor_masks()
+    v, adj = graph.vertex_count, graph.neighbor_masks
     return signed_component_sum(adj, [1 << i for i in range(v)]) - (-1) ** v * count_components(adj)
 
 

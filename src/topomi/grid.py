@@ -436,8 +436,10 @@ class SimpleGraph:
     def d_nn(self) -> int:
         return len(self.edges)
 
-    def neighbor_masks(self) -> list[int]:
-        return pack_bits([*self.edges, *((j, i) for i, j in self.edges)], self.vertex_count)
+    @cached_property
+    def neighbor_masks(self) -> tuple[int, ...]:
+        """The neighbour bitmask of each vertex, built once per graph."""
+        return tuple(pack_bits([*self.edges, *((j, i) for i, j in self.edges)], self.vertex_count))
 
 
 def restrict_css(css: GridCss, keep: Iterable[int], name: str = "") -> GridCss:
@@ -530,7 +532,8 @@ def loop_around_hole(css: GridCss, hole: Iterable[Cell], graph: SimpleGraph) -> 
 
     # the touching set must induce exactly one cycle, and the walk is it: under
     # the pinch rule, consecutive walk labels always share a wall
-    sub_edges = sum(1 for i, j in graph.edges if i in touching and j in touching)
+    within = sum(1 << i for i in touching)  # each edge inside it is seen from both ends
+    sub_edges = sum((graph.neighbor_masks[i] & within).bit_count() for i in touching) // 2
     if sub_edges != len(loop):
         raise NotACycle(
             f"induced subgraph on {sorted(touching)} has {sub_edges} edges, "

@@ -18,7 +18,8 @@ counts combinatorially:
   histogram is sparse: seen as rows of 2^``ROW_BITS`` entries, an N = 20
   table has about 10 live rows (rows with a non-zero entry) of 256.  The
   passes for the bits below ``ROW_BITS`` keep a zero row zero, so for an
-  integer table they run on the live rows alone, in place;
+  integer table they run on the live rows alone, in place, and each pass
+  for a higher bit adds only the blocks of rows that held a live row;
 * the component count of a union equals the component count of the induced
   subgraph on per-subsystem cell-components (:func:`component_counts`).
   For every induced subgraph, components = |V| - |E| + cycle rank, and
@@ -41,7 +42,8 @@ counts combinatorially:
   homotopy-faithful, so holes = components - chi and J = 2*components - chi.
   J is built in one int32 pass: the -chi feature entries and twice the
   outside-core entries share one histogram, summed over subsets once, and
-  twice the core's walked table is added on top.
+  twice the core's walked table is added to it a row of 2^``ROW_BITS``
+  entries at a time.
 
 C^N and the C of a sub-collection X need no table.  With J = 2c - chi,
 C(X) = -2 s(X) - (the weight of the features whose user set holds X),
@@ -80,13 +82,17 @@ MAX_WALK_STATES = 1 << 12
 #: the component walk takes its subsets in blocks of 2**BLOCK_BITS
 BLOCK_BITS = 16
 #: :func:`subset_sums` of an integer table runs its passes for the bits
-#: below ROW_BITS only on the live rows of 2**ROW_BITS entries.  Subset sums
-#: of the J histogram of 20 ``random-n20`` inputs (9-15 live rows of 256 at
-#: 12), mean of the best of 7 on a 2-core x86-64 VM, at 8, 10, 12 and 14:
-#: 3.9, 2.8, 2.1-2.4 and 2.8 ms, against 9.3 ms with every pass on the whole
-#: table.  The callers' histograms measured have at most 7 of 64 rows live
-#: (six-hole-eighteen); a 2^20 table with every other row live takes 12.1 ms
-#: against 9.0
+#: below ROW_BITS only on the live rows of 2**ROW_BITS entries, and those
+#: for the higher bits only on the blocks of rows that hold a live row;
+#: :func:`add_components` adds the core's table a row at a time.  On the J
+#: histograms of 20 ``random-n20`` inputs (seed 1; 9-13 live rows of 256 at
+#: 12), mean of the best of 7, two runs on a 2-core x86-64 VM, at 8, 10, 12
+#: and 14: subset sums 1.8-2.1, 1.9, 1.5-1.9 and 2.0-2.1 ms, against
+#: 8.8-9.4 ms with every pass on the whole table; add_components, subset
+#: sums included, 2.6-2.7, 1.9-2.6, 2.2 and 2.5-3.0 ms.  The callers'
+#: histograms measured have at most 7 of 64 rows live (six-hole-eighteen);
+#: a 2^20 table with every other row live takes 13.0-13.1 ms against
+#: 8.6-9.9, and one with every row live 9.2-9.3 against 8.7-8.8
 ROW_BITS = 12
 
 
@@ -111,23 +117,36 @@ def subset_sums(table: np.ndarray) -> np.ndarray:
     2^``ROW_BITS`` entries.  The passes for the bits below ``ROW_BITS``
     stay inside a row and keep a zero row zero, so those passes run on the
     live rows (rows with a non-zero entry) alone, one in-place slice per run
-    of consecutive live rows, and the passes for the higher bits run on the
-    whole table.  Float tables and small tables take every pass on the
-    whole table.  Every pass writes into the table itself, with no 2^n
-    temporary, and each entry still gets the same single additions, so the
-    result is bit-identical either way.
+    of consecutive live rows.  The pass for a higher bit i sees the rows as
+    (-1, 2, 2^(i-ROW_BITS)) blocks and adds a bit-clear source half to its
+    bit-set target half only if the source held a live row at the start,
+    one slice per run of such blocks.  The passes before it move entries
+    only within such a half, so a half with no live row at the start is
+    still zero.  Float tables and small tables take every pass on the whole
+    table.  Every pass writes into the table itself, with no 2^n temporary,
+    and a skipped addition would only have added zeros, so the result is
+    bit-identical either way.
     """
     n = len(table).bit_length() - 1
-    bits = range(n)
-    if n > ROW_BITS and np.issubdtype(table.dtype, np.integer):
-        rows = table.reshape(-1, 1 << ROW_BITS)
-        live = rows.any(axis=1)
-        # the start and stop of each run of consecutive live rows, in turn
-        edges = np.flatnonzero(np.diff(live, prepend=False, append=False))
-        for start, stop in edges.reshape(-1, 2).tolist():
-            _bit_passes(rows[start:stop], range(ROW_BITS))
-        bits = range(ROW_BITS, n)
-    return _bit_passes(table, bits)
+    if n <= ROW_BITS or not np.issubdtype(table.dtype, np.integer):
+        return _bit_passes(table, range(n))
+    rows = table.reshape(-1, 1 << ROW_BITS)
+    live = np.bitwise_or.reduce(rows, axis=1) != 0
+    for start, stop in _runs(live):
+        _bit_passes(rows[start:stop], range(ROW_BITS))
+    for i in range(ROW_BITS, n):
+        # per block of rows, whether its bit-clear half (the source) held a live row
+        sources = live.reshape(-1, 2, 1 << i - ROW_BITS)[:, 0].any(axis=1)
+        for start, stop in _runs(sources):
+            _bit_passes(table.reshape(-1, 2 << i)[start:stop], range(i, i + 1))
+    return table
+
+
+def _runs(live: np.ndarray) -> list[list[int]]:
+    """The [start, stop) of each run of consecutive True entries of ``live``, in turn."""
+    padded = np.zeros(len(live) + 2, dtype=bool)
+    padded[1:-1] = live
+    return np.flatnonzero(padded[1:] != padded[:-1]).reshape(-1, 2).tolist()
 
 
 def _bit_passes(table: np.ndarray, bits: range) -> np.ndarray:
@@ -235,7 +254,11 @@ def add_components(hist: np.ndarray, adj: list[int], groups: list[int], scale: i
     endpoint outside it), added to ``hist`` before its subset sums; the
     cycle rank plus the core's own |V| - |E| is the component count of the
     core, walked (:func:`_walk_components`) on the groups that own core
-    vertices and broadcast over the other axes.
+    vertices.  That table is spread once over a row of 2^r entries, r =
+    min(n, ``ROW_BITS``), for each setting of the k core groups at bit r
+    and above (2^(k+r) entries, at most the size of ``hist``), and added
+    over the (2,)*(n-r) x 2^r view of ``hist``, whose inner loop is one
+    whole row.
     """
     n = len(groups)
     core = _two_core(adj)
@@ -249,9 +272,12 @@ def add_components(hist: np.ndarray, adj: list[int], groups: list[int], scale: i
 
     table = _walk_components(*_induced(adj, [mask for mask in groups if mask & core], core))
     table *= scale
-    # the axes of the (2,)*n view run from the top bit down
+    # the axes of the (2,)*n view run from the top bit down; the last r form a row
     shape = [2 if groups[g] & core else 1 for g in reversed(range(n))]
-    hist.reshape((2,) * n)[...] += table.reshape(shape)
+    r = min(n, ROW_BITS)
+    high = shape[:n - r]
+    row = np.broadcast_to(table.reshape(shape), (*high, *(2,) * r)).reshape(*high, 1 << r)
+    hist.reshape(*(2,) * (n - r), 1 << r)[...] += row
     return hist
 
 
@@ -515,8 +541,10 @@ class UnionTopology:
 
         components + holes, with holes = components - chi for a pinch-free
         complex: one histogram of the -chi feature entries and twice the
-        components' outside-core entries, summed over subsets once, plus
-        twice the core's walked table.
+        components' outside-core entries, summed over subsets once
+        (:func:`subset_sums`, which skips the rows and blocks of rows that
+        are still zero), plus twice the core's walked table, added a row of
+        2^``ROW_BITS`` entries at a time (:func:`add_components`).
         """
         hist = meet_histogram(self.n, [(users, -weight) for users, weight in self._euler_features])
         adj, cv_mask, _ = self._cell_component_graph

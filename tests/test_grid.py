@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -337,6 +338,30 @@ def test_loop_around_hole_two_hole_five():
     css = builders.two_hole_five()
     loops = sorted(sorted(loop_around_hole(css, h, adjacency_graph(css))) for h in find_holes(css).holes)
     assert loops == [[0, 1, 2], [0, 3, 4]]
+
+
+def window_frame(holes: int) -> GridCss:
+    """A one-row window frame: vertical bars 0..holes between the holes, and
+    a top and a bottom bar over each hole (3 * holes + 1 subsystems)."""
+    width = 2 * holes + 1
+    labels = [OUTSIDE] * (3 * width)
+    for k in range(holes + 1):
+        labels[2 * k::width] = [k] * 3
+    for k in range(holes):
+        labels[2 * k + 1] = holes + 1 + k
+        labels[2 * width + 2 * k + 1] = 2 * holes + 1 + k
+    return GridCss(width, 3, tuple(labels), name=f"frame-{holes}")
+
+
+def test_loops_of_a_thousand_hole_frame_are_per_hole():
+    """Each loop costs its own hole's walk, not a scan of every edge of the
+    graph: the 1 000 loops of a 3 001-subsystem frame in well under 0.1 s."""
+    css = window_frame(1000)
+    holes, graph = find_holes(css).holes, adjacency_graph(css)
+    start = time.perf_counter()
+    loops = [loop_around_hole(css, hole, graph) for hole in holes]
+    assert time.perf_counter() - start < 0.1
+    assert sorted(loops) == [(1001 + k, k + 1, 2001 + k, k) for k in range(1000)]
 
 
 def test_loop_around_hole_rejects_two_arc_contact():

@@ -24,6 +24,7 @@ from topomi.grid import (
     connected_components,
     euler_characteristic,
     find_holes,
+    pack_bits,
     perimeter_links,
     region_holes,
     set_bits,
@@ -206,21 +207,100 @@ def test_j_table_is_twice_components_minus_euler(junction_css):
 @pytest.mark.parametrize("n", [20, 22])
 def test_j_table_past_the_row_cut_off_matches_flood_fill(n, monkeypatch):
     """A random CSS whose J histogram takes the row path of ``subset_sums``:
-    J at 64 seeded masks equals the flood fill, and the alternating sum of J
-    equals the C^N of the frontier walk, read before any table exists."""
+    the passes above ROW_BITS add the blocks that the histogram's live rows
+    predict, fewer entries than whole-table passes; J at 64 seeded masks
+    equals the flood fill, and the alternating sum of J equals the C^N of
+    the frontier walk, read before any table exists."""
     css = builders.random_css(random.Random(5), n, 16, 16, growth=200)
     analysis = CssAnalysis(css)
     c_n = analysis.c_n
     assert "j_table" not in analysis.__dict__  # from the walk, not the table
+    live_rows = spy_live_rows(monkeypatch)
     calls = spy_row_passes(monkeypatch)
     j = analysis.j_table
-    *runs, whole = calls
-    assert runs and {bits for _, bits in runs} == {range(ROW_BITS)}
-    assert whole == ((1 << n,), range(ROW_BITS, n))
+    (live,) = live_rows
+    runs = [shape for shape, bits in calls if bits == range(ROW_BITS)]
+    assert sum(rows for rows, _ in runs) == len(live) > 0
+    added = high_pass_additions(calls, n)
+    assert added == expected_high_additions(live, n)
+    assert sum(added) < (n - ROW_BITS) << n - 1
     rng = random.Random(n)
     for mask in [rng.randrange(1, 1 << n) for _ in range(63)] + [(1 << n) - 1]:
         assert j[mask] == boundary_component_count(union_region(css, mask)), mask
     assert alternating_sum(j.reshape((2,) * n)) == c_n
+
+
+@pytest.mark.parametrize("n", [20, 22])
+def test_j_table_matches_flood_fill_in_every_row(n):
+    """J at one seeded mask in each row of 2^ROW_BITS entries (256 and 1024
+    masks) equals the flood fill, so every row that the passes above
+    ROW_BITS add to or skip is checked against the definition."""
+    css = builders.random_css(random.Random(5), n, 16, 16, growth=200)
+    j = UnionTopology(css).j_table
+    rng = random.Random(f"rows-{n}")
+    for row in range(1 << n - ROW_BITS):
+        mask = row << ROW_BITS | rng.randrange(row == 0, 1 << ROW_BITS)
+        assert j[mask] == boundary_component_count(union_region(css, mask)), mask
+
+
+def cored_graph(rng, n, core_groups):
+    """A graph whose vertices are dealt into n groups so that exactly the
+    groups ``core_groups`` own 2-core vertices: 1-3 vertices each, shuffled
+    round a cycle with a chord; the other groups own 1-2 vertices each, hung
+    off earlier vertices as trees or left alone."""
+    owner = [g for g in core_groups for _ in range(rng.randint(1, 3))]
+    while 0 < len(owner) < 3:
+        owner.append(owner[0])
+    rng.shuffle(owner)
+    cycle = len(owner)
+    edges = [(v, (v + 1) % cycle) for v in range(cycle)] + ([(0, cycle // 2)] if cycle > 3 else [])
+    for g in sorted(set(range(n)) - set(core_groups)):
+        for _ in range(rng.randint(1, 2)):
+            owner.append(g)
+            v = len(owner) - 1
+            if v and rng.random() < 0.9:
+                edges.append((rng.randrange(v), v))
+    groups = [sum(1 << v for v, o in enumerate(owner) if o == g) for g in range(n)]
+    return neighbor_masks(len(owner), edges), groups
+
+
+def broadcast_add_components(hist, adj, groups, scale=1):
+    """``add_components`` with the core's walked table added by one broadcast
+    over the (2,)*n view of ``hist``: the reference for the row-at-a-time add."""
+    n = len(groups)
+    core = _two_core(adj)
+    owner = pack_bits(((v, g) for g, mask in enumerate(groups) for v in set_bits(mask)), len(adj))
+    outside = [v for v in range(len(adj)) if not core >> v & 1]
+    np.add.at(hist, [owner[v] for v in outside], scale)
+    edges = [owner[v] | owner[u] for v in outside for u in set_bits(adj[v]) if u < v or core >> u & 1]
+    np.add.at(hist, edges, -scale)
+    subset_sums(hist)
+    table = _walk_components(*masks._induced(adj, [mask for mask in groups if mask & core], core))
+    shape = [2 if groups[g] & core else 1 for g in reversed(range(n))]
+    hist.reshape((2,) * n)[...] += scale * table.reshape(shape)
+    return hist
+
+
+@pytest.mark.parametrize("scale", [1, 2])
+@pytest.mark.parametrize("n, core_groups", [
+    (6, ()), (20, ()),  # no core group
+    (5, range(5)), (14, range(14)),  # every group in the core
+    (16, (0, 3, 7, 11)),  # core groups only below ROW_BITS
+    (20, (12, 15, 19)), (22, (13, 21)),  # only above it
+    (13, (2, 12)), (22, (0, 5, 11, 12, 17, 21)),  # on both sides
+    (ROW_BITS, (0, 6, 11)), (3, (1,)),  # n <= ROW_BITS: one row
+])
+def test_add_components_adds_the_core_a_row_at_a_time(n, core_groups, scale):
+    """The core's table added a row of 2^ROW_BITS entries at a time equals
+    the (2,)^n broadcast, byte for byte, on a seeded sparse histogram."""
+    rng = random.Random(f"{n}-{tuple(core_groups)}-{scale}")
+    adj, groups = cored_graph(rng, n, tuple(core_groups))
+    core = _two_core(adj)
+    assert [g for g in range(n) if groups[g] & core] == list(core_groups)
+    hist = np.zeros(1 << n, dtype=np.int32)
+    hist[[rng.randrange(1 << n) for _ in range(40)]] = [rng.randint(-9, 9) for _ in range(40)]
+    want = broadcast_add_components(hist.copy(), adj, groups, scale)
+    assert masks.add_components(hist, adj, groups, scale).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n", range(7))
@@ -339,7 +419,7 @@ def test_component_counts_peak_memory(n):
 
 
 def neighbor_masks(n, edges):
-    return SimpleGraph(n, tuple(edges)).neighbor_masks()
+    return list(SimpleGraph(n, tuple(edges)).neighbor_masks)
 
 
 def bfs_counts(adj, groups):
@@ -482,7 +562,7 @@ def test_signed_component_sum_stops_at_its_state_cap(monkeypatch):
     gives up within a few vertices.  A ring needs five states at most."""
     adj = SimpleGraph(64, tuple(
         (v, u) for v in range(64) for u in (v + 1, v + 8) if u < 64 and (u == v + 8 or u % 8)
-    )).neighbor_masks()
+    )).neighbor_masks
     monkeypatch.setattr(masks, "MAX_WALK_STATES", 5)
     with pytest.raises(TooManySubsystems, match="64 groups exceeds its cap of 5 states"):
         signed_component_sum(adj, singletons(64))
@@ -576,7 +656,7 @@ def test_walk_past_its_cap_stops_on_the_greedy_order(side, monkeypatch):
     raises."""
     adj = SimpleGraph(side * side, tuple(
         (v, u) for v in range(side * side) for u in (v + 1, v + side) if u < side * side and (u == v + side or u % side)
-    )).neighbor_masks()
+    )).neighbor_masks
     monkeypatch.setattr(masks, "MAX_WALK_STATES", 5)
     assert assert_walk_takes_the_greedy_order(monkeypatch, adj, singletons(side * side))
 
@@ -741,12 +821,48 @@ def spy_row_passes(monkeypatch) -> list:
     return calls
 
 
+def spy_live_rows(monkeypatch) -> list:
+    """Record the live rows (of 2^ROW_BITS entries) of each table that
+    ``masks.subset_sums`` is given, as a set of row numbers."""
+    seen = []
+    subset_sums = masks.subset_sums
+
+    def spy(table):
+        seen.append(set(np.flatnonzero(table.reshape(-1, 1 << ROW_BITS).any(axis=1)).tolist()))
+        return subset_sums(table)
+
+    monkeypatch.setattr(masks, "subset_sums", spy)
+    return seen
+
+
+def high_pass_additions(calls, n) -> list[int]:
+    """Entries added by the recorded passes for each bit from ROW_BITS up."""
+    return [sum(rows * size // 2 for (rows, size), bits in calls if bits == range(i, i + 1))
+            for i in range(ROW_BITS, n)]
+
+
+def expected_high_additions(live: set[int], n) -> list[int]:
+    """What the passes above ROW_BITS should add, from the live rows alone:
+    the pass for bit ROW_BITS + k adds the 2^k rows of each block's half
+    without bit k when that half holds a live row, and then each row with
+    bit k is live if the row without it was."""
+    added = []
+    for k in range(n - ROW_BITS):
+        sources = {row >> k + 1 for row in live if not row >> k & 1}
+        added.append(len(sources) << k + ROW_BITS)
+        live = live | {row | 1 << k for row in live}
+    return added
+
+
 @pytest.mark.parametrize("n", range(ROW_BITS + 1, ROW_BITS + 5))
 def test_subset_sums_row_path_matches_plain_pass(n, monkeypatch):
     """Tables with no, one, a few scattered, 1/8, one more than 1/8 and all
     of their rows of 2^ROW_BITS entries live: int32 and int64 take the row
     path, float64 never does, and each equals the plain pass byte for
-    byte."""
+    byte.  On the row path the passes above ROW_BITS add just the blocks
+    that the live rows predict: fewer entries than the whole table when
+    fewer than half the rows are live, and every entry, one whole-table
+    pass per bit, when all are."""
     calls = spy_row_passes(monkeypatch)
     n_rows = 1 << n - ROW_BITS
     rng = np.random.default_rng(n)
@@ -766,10 +882,16 @@ def test_subset_sums_row_path_matches_plain_pass(n, monkeypatch):
             assert out is table
             assert out.tobytes() == want.tobytes(), (count, dtype)
             if dtype is not np.float64:  # the row path
-                *runs, whole = calls
-                assert {bits for _, bits in runs} <= {range(ROW_BITS)}
-                assert sum(shape[0] for shape, _ in runs) == count
-                assert whole == ((1 << n,), range(ROW_BITS, n))
+                runs = [shape for shape, bits in calls if bits == range(ROW_BITS)]
+                assert sum(rows for rows, _ in runs) == count
+                added = high_pass_additions(calls, n)
+                assert all(bits == range(ROW_BITS) or len(bits) == 1 and bits[0] >= ROW_BITS for _, bits in calls)
+                assert added == expected_high_additions(set(live.tolist()), n), (count, dtype)
+                if count < n_rows // 2:
+                    assert sum(added) < (n - ROW_BITS) << n - 1, (count, dtype)
+                if count == n_rows:
+                    assert calls[len(runs):] == [((1 << n - i - 1, 2 << i), range(i, i + 1))
+                                                 for i in range(ROW_BITS, n)]
             else:
                 assert calls == [((1 << n,), range(n))], (count, dtype)
 

@@ -11,8 +11,12 @@ rho(C_n) = 0, which is what makes open chains vanish and rings survive in
 the subsystem-counting identities.  Component counts and alternating sums
 come from :mod:`topomi.masks`, as for a CSS's per-subset tables.  rho is
 read from the signed component sum of the frontier walk, which needs no
-2^v table unless it passes its state cap; sigma compares whole tables.
-Every table is capped at ``masks.MAX_SUBSYSTEMS`` vertices or subsystems.
+2^v table unless it passes its state cap.  sigma reads its precondition
+from the grid's labelling and adds the full set's J, the footprint's
+components and holes, to C^N, so it needs no table either; only a failed
+precondition compares the J and induced component tables, to name the
+first offending subset mask.  Every table is capped at
+``masks.MAX_SUBSYSTEMS`` vertices or subsystems.
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ import numpy as np
 
 from .engine import CssAnalysis
 from .errors import ParseError, PreconditionViolated, ValidationError
-from .grid import GridCss, SimpleGraph, json_int, subset_letters
-from .masks import component_counts, count_components, signed_component_sum
+from .grid import OUTSIDE, GridCss, SimpleGraph, footprint_components, json_int, subset_letters
+from .masks import MAX_SUBSYSTEMS, component_counts, count_components, signed_component_sum
 
 
 def path_graph(n: int) -> SimpleGraph:
@@ -54,26 +58,71 @@ def rho(graph: SimpleGraph) -> int:
 def sigma_of_css(css: GridCss | CssAnalysis) -> int:
     """Partial alternating J sum over proper subsets, tied to -rho.
 
-    Valid only when every proper union's boundary count equals the
-    component count of the induced adjacency subgraph (in particular each
-    subsystem is a hole-free disk and no proper union encloses a hole);
-    the first violating subset mask is reported otherwise.
+    Valid only when every proper non-empty union S is a disk arrangement:
+    J(S) equals h0(S), the component count of the subgraph of the adjacency
+    graph induced by S.  For N >= 2 that holds exactly when
+    (a) every subsystem is one component of the grid's labelling,
+    (b) every subsystem walls the outside, component 0, and
+    (c) every hole is walled by every subsystem
+    (:func:`disk_arrangement_fault`); N = 1 has no proper subset.  With (a)
+    the cell-component graph is the adjacency graph, so J(S) - h0(S) counts
+    the holes of the union of S.  A proper union encloses a bounded
+    complement component exactly when a subsystem missing from it does not
+    wall component 0 (the union of all the others encloses it), or a hole
+    has all its walling subsystems in it (the union of all but a subsystem
+    not walling the hole encloses it); a split subsystem alone has J >= 2.
+
+    So no 2^N table is read on success: sigma is C^N less the full set's
+    term, and J of the full set is the footprint's components plus its
+    holes.  On failure up to ``masks.MAX_SUBSYSTEMS`` subsystems, the J and
+    induced component tables name the first violating subset mask; above
+    it, the failed condition is named, with no mask.
     """
     analysis = CssAnalysis.of(css)
     n = analysis.css.n_subsystems
-    j = analysis.j_table[1:-1]
-    h0 = induced_component_table(analysis.graph)[1:-1]
-    bad = np.flatnonzero(j != h0)
-    if bad.size:
-        k = int(bad[0])  # index of mask k + 1
-        raise PreconditionViolated(
-            f"subset mask {k + 1:#x} {subset_letters(k + 1)} has J = {j[k]} "
-            f"but induced component count {h0[k]} "
-            "(a subsystem or proper union is not a disk arrangement)",
-            mask=k + 1,
-        )
+    fault = disk_arrangement_fault(analysis.css)
+    if fault is not None:
+        if n <= MAX_SUBSYSTEMS:
+            j = analysis.j_table[1:-1]
+            h0 = induced_component_table(analysis.graph)[1:-1]
+            bad = np.flatnonzero(j != h0)
+            if bad.size:
+                k = int(bad[0])  # index of mask k + 1
+                raise PreconditionViolated(
+                    f"subset mask {k + 1:#x} {subset_letters(k + 1)} has J = {j[k]} "
+                    f"but induced component count {h0[k]} "
+                    "(a subsystem or proper union is not a disk arrangement)",
+                    mask=k + 1,
+                )
+        raise PreconditionViolated(f"{fault} (a subsystem or proper union is not a disk arrangement)")
     # C^N less the full set's term
-    return analysis.c_n - (-1) ** (n - 1) * int(analysis.j_table[-1])
+    j_full = footprint_components(analysis.css) + analysis.holes.n_h
+    return analysis.c_n - (-1) ** (n - 1) * j_full
+
+
+def disk_arrangement_fault(css: GridCss) -> str | None:
+    """The first of :func:`sigma_of_css`'s conditions (a)-(c) that ``css``
+    fails, naming the subsystem or hole, or None when every proper union is
+    a disk arrangement; read from the labelling, in O(components + walls)."""
+    n = css.n_subsystems
+    if n == 1:
+        return None
+    labels, near, holes = css.labelling
+    component: dict[int, int] = {}  # subsystem -> its one labelling component
+    for c, label in enumerate(labels):
+        if label != OUTSIDE:
+            if label in component:
+                return f"subsystem {label} has more than one component"
+            component[label] = c
+    for i in range(n):
+        if 0 not in near[component[i]]:
+            return f"subsystem {i} does not wall the outside"
+    for k, (hole, c) in enumerate(holes.items(), 1):
+        if len(near[c]) != n:  # a hole's walls are with subsystems, one component each
+            missing = min(set(range(n)).difference(labels[b] for b in near[c]))
+            x, y = min(hole, key=lambda cell: cell[::-1])
+            return f"hole {k} of {len(holes)} (column {x}, row {y}) is not walled by subsystem {missing}"
+    return None
 
 
 # ----------------------------------------------------------------------

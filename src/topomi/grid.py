@@ -480,10 +480,9 @@ def find_holes(css: GridCss) -> HoleSet:
     return HoleSet(tuple(css.labelling[2]))
 
 
-def euler_characteristic(css: GridCss) -> int:
-    """2, the plane's Euler characteristic: V - E + F of the adjacency map with
-    a face for every hole, junction corner and the outside, by Euler's formula,
-    and the chi of |I^N| = chi S_topo.  Requires an edge-connected footprint."""
+def footprint_components(css: GridCss) -> int:
+    """Edge-connected components of the footprint, the union of every
+    subsystem: the labelling's subsystem components joined along their walls."""
     labels, near, _ = css.labelling
     left, n_comp = {c for c, label in enumerate(labels) if label != OUTSIDE}, 0
     while left:
@@ -491,6 +490,14 @@ def euler_characteristic(css: GridCss) -> int:
         for c in stack:  # grows while it is read
             stack += [b for b in near[c] if b in left]
             left -= near[c]
+    return n_comp
+
+
+def euler_characteristic(css: GridCss) -> int:
+    """2, the plane's Euler characteristic: V - E + F of the adjacency map with
+    a face for every hole, junction corner and the outside, by Euler's formula,
+    and the chi of |I^N| = chi S_topo.  Requires an edge-connected footprint."""
+    n_comp = footprint_components(css)
     if n_comp != 1:
         raise DisconnectedCss(f"footprint has {n_comp} components")
     return 2

@@ -254,7 +254,8 @@ def add_components(hist: np.ndarray, adj: list[int], groups: list[int], scale: i
     endpoint outside it), added to ``hist`` before its subset sums; the
     cycle rank plus the core's own |V| - |E| is the component count of the
     core, walked (:func:`_walk_components`) on the groups that own core
-    vertices.  That table is spread once over a row of 2^r entries, r =
+    vertices; with no core vertex it is a single 0, neither walked nor
+    added.  That table is spread once over a row of 2^r entries, r =
     min(n, ``ROW_BITS``), for each setting of the k core groups at bit r
     and above (2^(k+r) entries, at most the size of ``hist``), and added
     over the (2,)*(n-r) x 2^r view of ``hist``, whose inner loop is one
@@ -269,6 +270,8 @@ def add_components(hist: np.ndarray, adj: list[int], groups: list[int], scale: i
     edges = [owner[v] | owner[u] for v in outside for u in set_bits(adj[v]) if u < v or core >> u & 1]
     np.add.at(hist, edges, -scale)
     subset_sums(hist)
+    if not core:  # no group owns a core vertex: the core's table is a single 0
+        return hist
 
     table = _walk_components(*_induced(adj, [mask for mask in groups if mask & core], core))
     table *= scale

@@ -504,8 +504,10 @@ def _count_calls(monkeypatch, targets) -> Counter:
 
 @pytest.mark.parametrize("name", ["random-n20", "six-hole-eighteen"])
 def test_information_builds_j_alone(name, monkeypatch):
-    """``multipartite_information`` builds J with one core walk, and no Euler,
-    component or sign table; C^N and each hole loop's C take one frontier walk."""
+    """``multipartite_information`` builds J with one core walk (none when no
+    subsystem owns a 2-core vertex, as in this random-n20 input), and no
+    Euler, component or sign table; C^N and each hole loop's C take one
+    frontier walk."""
     css = random_n(20) if name == "random-n20" else builders.six_hole_eighteen()
     calls = _count_calls(monkeypatch, [
         (masks, "_walk_components"), (engine, "signed_component_sum"),
@@ -517,7 +519,9 @@ def test_information_builds_j_alone(name, monkeypatch):
     assert "j_table" in built and report.per_subset_j is analysis.j_table
     assert built.isdisjoint({"euler_table", "component_table", "signs", "popcounts", "masks"}), built
     loops = sum(isinstance(loop, tuple) for loop in analysis.hole_loops)
-    assert calls == {"_walk_components": 1, "signed_component_sum": 1 + loops}
+    core_walks = int(name == "six-hole-eighteen")
+    assert bool(masks._two_core(analysis._cell_component_graph[0])) == core_walks
+    assert calls == Counter(_walk_components=core_walks, signed_component_sum=1 + loops)
 
 
 @pytest.mark.parametrize("name", ["random-n20", "six-hole-eighteen"])

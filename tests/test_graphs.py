@@ -20,7 +20,7 @@ from topomi.graphs import (
     rho,
     sigma_of_css,
 )
-from topomi.grid import MAX_VERTICES, adjacency_graph
+from topomi.grid import MAX_VERTICES, GridCss, adjacency_graph, parse_ascii
 from topomi.masks import UnionTopology, subset_signs
 
 
@@ -243,8 +243,42 @@ def test_graph_table_matches_css_component_table():
 def test_sigma_of_css_families():
     for n in range(3, 8):
         assert sigma_of_css(builders.annulus(n)) == -rho(cycle_graph(n))
-    for n in [*range(3, 8), 21, 22]:  # sigma answers up to the table cap of 24 subsystems
+    for n in [*range(3, 8), 21, 22]:
         assert sigma_of_css(builders.open_chain(n)) == -rho(path_graph(n)) == (-1) ** n
+    # past the table cap of 24 subsystems: the precondition is read from the
+    # labelling and C^N is walked, with no 2^N table
+    start = time.perf_counter()
+    for n in (32, 48):
+        assert sigma_of_css(builders.open_chain(n)) == (-1) ** n
+    assert sigma_of_css(builders.annulus(48)) == 0
+    assert time.perf_counter() - start < 1.0
+
+
+def test_sigma_above_the_cap_names_the_failed_condition():
+    """Above the table cap a failed precondition is a PreconditionViolated
+    naming the hole, with no mask, not a TooManySubsystems."""
+    css = builders.annulus_with_island(30)  # the ring's hole is not walled by the island
+    with pytest.raises(PreconditionViolated) as err:
+        sigma_of_css(css)
+    assert err.value.mask is None
+    assert str(err.value) == ("hole 1 of 1 (column 1, row 1) is not walled by subsystem 29 "
+                              "(a subsystem or proper union is not a disk arrangement)")
+
+
+@pytest.mark.parametrize("rows, fault", [
+    (["ABA"], "subsystem 0 has more than one component"),
+    (["AAA", "ABA", "AAA"], "subsystem 1 does not wall the outside"),
+    (["AAAC", "A.AC", "AAAC", "BBBB"], "hole 1 of 1 (column 1, row 1) is not walled by subsystem 1"),
+], ids=["split", "enclosed", "hole"])
+def test_sigma_names_each_condition_past_the_cap(rows, fault, monkeypatch):
+    """Each of conditions (a)-(c) is named when the tables cannot name a mask."""
+    css = parse_ascii("\n".join(rows))
+    assert graphs.disk_arrangement_fault(css) == fault
+    monkeypatch.setattr(graphs, "MAX_SUBSYSTEMS", 1)
+    with pytest.raises(PreconditionViolated) as err:
+        sigma_of_css(css)
+    assert err.value.mask is None
+    assert str(err.value) == f"{fault} (a subsystem or proper union is not a disk arrangement)"
 
 
 def test_sigma_open_chain_combines_to_zero_connectivity():
@@ -259,8 +293,6 @@ def test_sigma_open_chain_combines_to_zero_connectivity():
 
 def test_sigma_star_hub():
     # fat hub with three petals; adjacency graph is the star S_3
-    from topomi.grid import adjacency_graph, parse_ascii
-
     css = parse_ascii("\n".join([
         ".BB.",
         ".AA.",
@@ -328,7 +360,8 @@ def test_rho_and_sigma_match_the_signed_reference():
 def test_rho_and_sigma_are_exact_beyond_int32(monkeypatch):
     """Synthetic int32 tables whose alternating sums leave int32.  With the
     walk capped at 0 states, the signed sums of rho and of sigma's C^N are
-    read from ``masks.component_counts``, here the synthetic table."""
+    read from ``masks.component_counts``, here the synthetic table; sigma's
+    J of the full set is read from the labelling."""
     n = 10
     table = np.random.default_rng(5).integers(-2**31, 2**31, size=1 << n).astype(np.int32)
     table[0], table[-1] = 0, 1  # a cycle's one component, which rho counts apart
@@ -337,7 +370,57 @@ def test_rho_and_sigma_are_exact_beyond_int32(monkeypatch):
     monkeypatch.setattr(masks, "MAX_WALK_STATES", 0)  # every walk reads the table
     want = sum((-1) ** (mask.bit_count() - 1) * int(table[mask]) for mask in range(1, (1 << n) - 1))
     assert rho(cycle_graph(n)) == -want == -_signed_proper_sum(table)
-    analysis = CssAnalysis(builders.annulus(n))
-    analysis.__dict__["j_table"] = table
-    # C^N = -2 s = 2 (want - table[-1]) on 10 one-cell subsystems, less (-1)^9 J[-1]
-    assert sigma_of_css(analysis) == 2 * want - 1
+    # C^N = -2 s = 2 (want - table[-1]) on 10 one-cell subsystems, less (-1)^9
+    # J of the full ring, its one component and one hole
+    assert sigma_of_css(builders.annulus(n)) == 2 * want
+
+
+def _sigma_cases(junction_css):
+    """Every builder at N = 1-9, three hand-made grids, seeded ``random_css``
+    draws of mixed size and growth, the same with the last subsystem
+    relabelled as subsystem 0 (split unless they share a wall), and the
+    junction fixture."""
+    low = {builders.annulus: 3, builders.open_chain: 2, builders.annulus_with_island: 4,
+           builders.annulus_with_appendage: 4, builders.annulus_with_punched_hole: 2,
+           builders.annulus_with_self_handle: 2, builders.annulus_with_nn_handle: 3}
+    cases = [build(n) for build, n0 in low.items() for n in range(n0, 10)]
+    cases += [builders.far_handle_annulus(n, span) for n in range(4, 10) for span in range(2, n - 1)]
+    cases += [builders.theta_pair(), builders.two_hole_five(), builders.six_hole_eighteen()]
+    cases += [parse_ascii(text) for text in ("A", "AAA\nA.A\nAAA", "AAA\nABA\nAAA")]
+    rng = random.Random(35)
+    for k in range(500):
+        css = builders.random_css(rng, rng.randint(1 + (k >= 300), 10), rng.randint(6, 10), rng.randint(6, 10),
+                                  growth=rng.choice([0, 20, 80, 300]))
+        if k >= 300:
+            n = css.n_subsystems
+            try:
+                css = GridCss(css.width, css.height, tuple(0 if v == n - 1 else v for v in css.labels))
+            except ValidationError:  # the merge made a diagonal pinch
+                continue
+        cases.append(css)
+    return [*cases, *junction_css]
+
+
+def test_disk_arrangement_fault_agrees_with_the_tables(junction_css):
+    """The precondition read from the labelling passes exactly where the J
+    table equals the induced component table on every proper mask.  Passing
+    CSSs give sigma = the signed proper sum of the J table; failing ones
+    raise with the table's first offending mask.  N = 1 always passes."""
+    seen = set()
+    for css in _sigma_cases(junction_css):
+        analysis = CssAnalysis(css)
+        n = css.n_subsystems
+        bad = np.flatnonzero(analysis.j_table[1:-1] != induced_component_table(analysis.graph)[1:-1])
+        fault = graphs.disk_arrangement_fault(css)
+        assert (fault is None) == (bad.size == 0), (css.to_ascii(), fault)
+        if fault is None:
+            assert sigma_of_css(analysis) == _signed_proper_sum(analysis.j_table), css.to_ascii()
+        else:
+            with pytest.raises(PreconditionViolated) as err:
+                sigma_of_css(analysis)
+            assert err.value.mask == int(bad[0]) + 1
+        words = (fault or "").split()
+        seen.add((min(n, 3), fault and f"{words[0]} {words[2]}"))
+    # each condition fails at N = 2 and above, and N = 1, 2 and more pass
+    failed = {(n, kind) for n in (2, 3) for kind in ("subsystem has", "subsystem does", "hole of")}
+    assert seen >= {(1, None), (2, None), (3, None), *failed}, seen

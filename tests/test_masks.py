@@ -303,6 +303,23 @@ def test_add_components_adds_the_core_a_row_at_a_time(n, core_groups, scale):
     assert masks.add_components(hist, adj, groups, scale).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("n", [1, 6, 13, 20])
+def test_add_components_with_no_core_walks_nothing(n, monkeypatch):
+    """With no group owning a 2-core vertex the core's table is a single 0:
+    the histogram is byte-equal to the broadcast reference, and the core is
+    never walked."""
+    rng = random.Random(f"no-core-{n}")
+    adj, groups = cored_graph(rng, n, ())
+    assert _two_core(adj) == 0
+    hist = np.zeros(1 << n, dtype=np.int32)
+    hist[[rng.randrange(1 << n) for _ in range(40)]] = [rng.randint(-9, 9) for _ in range(40)]
+    want = broadcast_add_components(hist.copy(), adj, groups, 2)
+    walks = []
+    monkeypatch.setattr(masks, "_walk_components", lambda *args: walks.append(args))
+    assert masks.add_components(hist, adj, groups, 2).tobytes() == want.tobytes()
+    assert walks == []
+
+
 @pytest.mark.parametrize("n", range(7))
 def test_meet_expansion_matches_indicator(n):
     """Subset sums of ``meet_histogram`` give weight * [U & S != 0] for every user

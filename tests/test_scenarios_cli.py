@@ -637,19 +637,25 @@ def test_run_scenario_analyses_each_css_once(name, monkeypatch):
     assert len(walks) == WALKS[name]
 
 
-def test_analytic_scenarios_build_no_subset_table():
-    """Every analytic gallery scenario but the sigma checks, which compare
-    whole tables, runs with no 2^N table on its analysis."""
-    tabled = []
+def test_analytic_scenarios_build_no_subset_table(monkeypatch):
+    """No analytic gallery scenario builds a 2^N table, the sigma checks
+    included: none is left on its analysis, and no table builder of
+    ``masks`` is called, under any name it is bound to."""
+    built = []
+    for owner, name in ((masks, "add_components"), (masks, "meet_histogram"), (masks, "subset_sums"),
+                        (masks, "subset_signs"), (engine, "subset_sums"), (engine, "subset_signs")):
+        monkeypatch.setattr(owner, name, lambda *args, name=name, **kwargs: built.append(name))
+    analytic = with_sigma = 0
     for path in suite_paths(GALLERY):
         scn = load_scenario(path)
         if scn.kind == "analytic":
             result, analysis = scenarios.evaluate_scenario(scn)
-            assert result.passed
-            if set(vars(analysis)) & {"j_table", "euler_table", "component_table"}:
-                tabled.append(scn.name)
-    with_sigma = sorted(p.stem for p in GALLERY.glob("*.json") if '"sigma"' in p.read_text())
-    assert tabled == with_sigma and len(with_sigma) == 11
+            assert result.passed, scn.name
+            assert not set(vars(analysis)) & {"j_table", "euler_table", "component_table"}, scn.name
+            analytic += 1
+            with_sigma += "sigma" in scn.expected
+    assert built == []
+    assert analytic == 40 and with_sigma == 11
 
 
 def test_gallery_suite_builds_no_entropy_table(monkeypatch):

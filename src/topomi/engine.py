@@ -22,8 +22,8 @@ frontier walk over the cell-component graph (``masks.signed_component_sum``)
 with no 2^N table, and so answer beyond the cap; a walk past its state cap
 reads a table of its own sub-collection's groups, and the J table is read
 only when a caller asks for it (``multipartite_information``,
-``analyze --csv``, a failing sigma precondition, which names its first
-offending subset mask).
+``analyze --csv``); sigma reads no table, and a failing sigma precondition
+is named from the labelling.
 """
 
 from __future__ import annotations

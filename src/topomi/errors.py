@@ -61,8 +61,4 @@ class WindingRegion(TopomiError):
 
 
 class PreconditionViolated(TopomiError):
-    """A validated precondition failed; carries the offending subset mask."""
-
-    def __init__(self, message: str, mask: int | None = None):
-        super().__init__(message)
-        self.mask = mask
+    """A validated precondition failed; the message names the failed condition."""

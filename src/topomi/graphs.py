@@ -13,22 +13,19 @@ come from :mod:`topomi.masks`, as for a CSS's per-subset tables.  rho is
 read from the signed component sum of the frontier walk, which needs no
 2^v table unless it passes its state cap.  sigma reads its precondition
 from the grid's labelling and adds the full set's J, the footprint's
-components and holes, to C^N, so it needs no table either; only a failed
-precondition compares the J and induced component tables, to name the
-first offending subset mask.  Every table is capped at
-``masks.MAX_SUBSYSTEMS`` vertices or subsystems.
+components and holes, to C^N, so it needs no table either, and a failed
+precondition names the failed condition at every N.  Every table is capped
+at ``masks.MAX_SUBSYSTEMS`` vertices or subsystems.
 """
 
 from __future__ import annotations
 
 from typing import Mapping
 
-import numpy as np
-
 from .engine import CssAnalysis
 from .errors import ParseError, PreconditionViolated, ValidationError
-from .grid import OUTSIDE, GridCss, SimpleGraph, footprint_components, json_int, subset_letters
-from .masks import MAX_SUBSYSTEMS, component_counts, count_components, signed_component_sum
+from .grid import OUTSIDE, GridCss, SimpleGraph, footprint_components, hole_name, json_int
+from .masks import count_components, signed_component_sum
 
 
 def path_graph(n: int) -> SimpleGraph:
@@ -39,11 +36,6 @@ def cycle_graph(n: int) -> SimpleGraph:
     if n < 3:
         raise ValidationError("cycle graph needs at least 3 vertices")
     return SimpleGraph(n, tuple((i, (i + 1) % n) for i in range(n)))
-
-
-def induced_component_table(graph: SimpleGraph) -> np.ndarray:
-    """Components of the induced subgraph on every vertex bitmask (entry 0 is 0)."""
-    return component_counts(graph.neighbor_masks, [1 << i for i in range(graph.vertex_count)])
 
 
 def rho(graph: SimpleGraph) -> int:
@@ -72,28 +64,14 @@ def sigma_of_css(css: GridCss | CssAnalysis) -> int:
     has all its walling subsystems in it (the union of all but a subsystem
     not walling the hole encloses it); a split subsystem alone has J >= 2.
 
-    So no 2^N table is read on success: sigma is C^N less the full set's
-    term, and J of the full set is the footprint's components plus its
-    holes.  On failure up to ``masks.MAX_SUBSYSTEMS`` subsystems, the J and
-    induced component tables name the first violating subset mask; above
-    it, the failed condition is named, with no mask.
+    So no 2^N table is read: sigma is C^N less the full set's term, and J
+    of the full set is the footprint's components plus its holes.  A failure
+    names the failed condition and its subsystem or hole, at every N.
     """
     analysis = CssAnalysis.of(css)
     n = analysis.css.n_subsystems
     fault = disk_arrangement_fault(analysis.css)
     if fault is not None:
-        if n <= MAX_SUBSYSTEMS:
-            j = analysis.j_table[1:-1]
-            h0 = induced_component_table(analysis.graph)[1:-1]
-            bad = np.flatnonzero(j != h0)
-            if bad.size:
-                k = int(bad[0])  # index of mask k + 1
-                raise PreconditionViolated(
-                    f"subset mask {k + 1:#x} {subset_letters(k + 1)} has J = {j[k]} "
-                    f"but induced component count {h0[k]} "
-                    "(a subsystem or proper union is not a disk arrangement)",
-                    mask=k + 1,
-                )
         raise PreconditionViolated(f"{fault} (a subsystem or proper union is not a disk arrangement)")
     # C^N less the full set's term
     j_full = footprint_components(analysis.css) + analysis.holes.n_h
@@ -120,8 +98,7 @@ def disk_arrangement_fault(css: GridCss) -> str | None:
     for k, (hole, c) in enumerate(holes.items(), 1):
         if len(near[c]) != n:  # a hole's walls are with subsystems, one component each
             missing = min(set(range(n)).difference(labels[b] for b in near[c]))
-            x, y = min(hole, key=lambda cell: cell[::-1])
-            return f"hole {k} of {len(holes)} (column {x}, row {y}) is not walled by subsystem {missing}"
+            return f"{hole_name(k, len(holes), hole)} is not walled by subsystem {missing}"
     return None
 
 

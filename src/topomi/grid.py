@@ -403,8 +403,16 @@ def pack_bits(pairs: Iterable[tuple[int, int]], size: int) -> list[int]:
 
 
 def subset_letters(mask: int) -> str:
-    """The grid letters of the subsystems in a subset mask, as ``{A, B, C}``."""
-    return "{" + ", ".join(_ID_CHARS[i] for i in set_bits(mask)) + "}"
+    """The subsystems in a subset mask, as ``{A, B, C}``: each id by its grid
+    letter, and an id past the letters by its number, as in ``{z, 52}``."""
+    return "{" + ", ".join(_ID_CHARS[i] if i < len(_ID_CHARS) else str(i) for i in set_bits(mask)) + "}"
+
+
+def hole_name(k: int, n_holes: int, hole: Iterable[Cell]) -> str:
+    """Hole ``k`` of ``n_holes`` named by its first cell in row order, as
+    ``hole 1 of 2 (column 3, row 1)``."""
+    x, y = min(hole, key=lambda cell: cell[::-1])
+    return f"hole {k} of {n_holes} (column {x}, row {y})"
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ import numpy as np
 from . import engine, graphs, stabilizer
 from .engine import CssAnalysis
 from .errors import NotAnnular, ParseError, TooManySubsystems, TopomiError, ValidationError
-from .grid import GridCss, ascii_rows, is_json_int, parse_grid_json, read_input, subset_letters
+from .grid import GridCss, ascii_rows, hole_name, is_json_int, parse_grid_json, read_input, subset_letters
 from .model import EntropyModel
 
 
@@ -270,8 +270,7 @@ def _run_analytic(scn: Scenario, model: EntropyModel, analysis: CssAnalysis) -> 
             holes, missing = analysis.holes.holes, []
             for k, (hole, h) in enumerate(zip(holes, report.holes), 1):
                 if h.error:
-                    x, y = min(hole, key=lambda cell: cell[::-1])
-                    missing.append(f"hole {k} of {len(holes)} (column {x}, row {y}) has no loop: {h.error}")
+                    missing.append(f"{hole_name(k, len(holes), hole)} has no loop: {h.error}")
             checks.append(Check("constraint_over_log_d", False, "; ".join(missing) or "the CSS has no hole"))
         else:
             total, want = sum(abs(h.c) for h in report.holes), expected["constraint_over_log_d"]

@@ -204,6 +204,7 @@ def test_j_table_is_twice_components_minus_euler(junction_css):
         assert np.array_equal(topo.j_table, want), css.name
 
 
+@pytest.mark.installed
 @pytest.mark.parametrize("n", [20, 22])
 def test_j_table_past_the_row_cut_off_matches_flood_fill(n, monkeypatch):
     """A random CSS whose J histogram takes the row path of ``subset_sums``:
@@ -230,6 +231,7 @@ def test_j_table_past_the_row_cut_off_matches_flood_fill(n, monkeypatch):
     assert alternating_sum(j.reshape((2,) * n)) == c_n
 
 
+@pytest.mark.installed
 @pytest.mark.parametrize("n", [20, 22])
 def test_j_table_matches_flood_fill_in_every_row(n):
     """J at one seeded mask in each row of 2^ROW_BITS entries (256 and 1024

@@ -8,6 +8,8 @@ import io
 import itertools
 import json
 import math
+import random
+import string
 import subprocess
 import sys
 import tempfile
@@ -20,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from topomi import builders, engine, grid, masks, scenarios
 from topomi.cli import build_parser, main
-from topomi.errors import ParseError, TopomiError
+from topomi.errors import NotAnnular, ParseError, TopomiError
 from topomi.grid import parse_grid_json
 from topomi.model import EntropyModel
 from topomi.scenarios import (
@@ -135,6 +137,10 @@ def test_scenario_detects_wrong_expectation(tmp_path):
     assert labels == ["c_n"]
 
 
+def _labels_payload(css) -> dict:
+    return {"width": css.width, "height": css.height, "labels": list(css.labels)}
+
+
 def _with_expected(name: str, **expected) -> Scenario:
     obj = json.loads((GALLERY / f"{name}.json").read_text())
     obj["expected"] = expected
@@ -159,7 +165,7 @@ def test_failing_order_check_beyond_the_table_cap_keeps_its_label(key, got):
     """Above 24 subsystems C^N still answers, so a wrong expectation fails its
     own check, whose detail says why no sums of J by size are listed."""
     css = builders.annulus(30)
-    payload = {"width": css.width, "height": css.height, "labels": list(css.labels)}
+    payload = _labels_payload(css)
     scn = Scenario.from_dict({"name": "annulus-n30", "css": payload, "expected": {key: 3}})
     (check,) = run_scenario(scn).checks
     assert check.label == key and not check.passed
@@ -189,6 +195,62 @@ def test_failing_loop_check_names_the_first_unexpected_loop():
     assert check.detail.endswith("; loop {A, D, E, F} gives (4, 2), not expected")
 
 
+#: the builders whose N passes the 52 grid letters, by name
+WIDE_BUILDERS = {
+    "annulus": builders.annulus, "open_chain": builders.open_chain, "island": builders.annulus_with_island,
+    "appendage": builders.annulus_with_appendage, "punched": builders.annulus_with_punched_hole,
+    "self_handle": builders.annulus_with_self_handle, "nn_handle": builders.annulus_with_nn_handle,
+    "far_handle": lambda n: builders.far_handle_annulus(n, 3),
+}
+
+
+def _loop_text(loop) -> str:
+    """A loop named as a failing check names it: its ids' grid letters, and
+    the numbers of the ids past them."""
+    letters = string.ascii_uppercase + string.ascii_lowercase
+    return "loop {" + ", ".join(letters[i] if i < len(letters) else str(i) for i in sorted(loop)) + "}"
+
+
+@pytest.mark.parametrize("n", [53, 60, 80])
+def test_every_wrong_check_past_the_letters_exits_1_naming_its_loop(n, tmp_path):
+    """Each builder at N past the 52 grid letters, with each expected key in
+    turn set to a seeded wrong value, through ``analyze`` and ``analyze
+    --json``: exit 1 with no exception or traceback, one failed check, and a
+    failing ``per_hole`` or ``subloops`` check names a loop, its ids past
+    the letters by number."""
+    rng, start = random.Random(n), time.perf_counter()
+    for name, build in WIDE_BUILDERS.items():
+        css = build(n)
+        analysis = engine.CssAnalysis(css)
+        try:
+            engine.annular_order(analysis)
+            annular = True
+        except NotAnnular:
+            annular = False
+        far = 1000 + rng.randrange(1000)  # no count of these CSSs reaches 1000
+        wrong = {**dict.fromkeys(("n", "c_n", "i_over_log_d", "d_nn", "n_h", "chi", "constraint_over_log_d",
+                                  "sigma"), far),
+                 "annular": not annular, "per_hole": [{"loop_size": n, "i_over_log_d": far}],
+                 "subloops": [{"size": n, "i_over_log_d": far}]}
+        loops = [_loop_text(loop) for loop in analysis.hole_loops if not isinstance(loop, str)]
+        for key, value in wrong.items():
+            path = tmp_path / f"{name}-{key}.json"
+            path.write_text(json.dumps({"name": name, "css": _labels_payload(css), "expected": {key: value}}))
+            for flags in ([], ["--json"]):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+                    assert main(["analyze", str(path), *flags]) == 1, (name, key, out.getvalue())
+                printed = out.getvalue()
+                assert "Traceback" not in printed
+                if flags:
+                    (check,) = json.loads(printed)["checks"]
+                    assert not check["passed"], (name, key, check)
+                if key == "per_hole" and loops or key == "subloops" and name == "far_handle":
+                    assert any(f"; {loop} gives (" in printed for loop in loops), (name, key, printed)
+    # 176 runs, about 2 s at N = 80 on a 2-core VM
+    assert time.perf_counter() - start < 30
+
+
 LOOPLESS_HOLES = {
     # the ring's hole has its loop of 4; the hole punched inside A has none
     "punched": (builders.annulus_with_punched_hole(4),
@@ -203,7 +265,7 @@ def test_failing_constraint_check_names_each_hole_without_a_loop(name, tmp_path,
     detail names each hole that has none and why, or says there is no hole,
     in the scenario's result and in ``topomi analyze``, which exits 1."""
     css, detail = LOOPLESS_HOLES[name]
-    payload = {"width": css.width, "height": css.height, "labels": list(css.labels)}
+    payload = _labels_payload(css)
     obj = {"name": name, "css": payload, "expected": {"constraint_over_log_d": 2}}
     if name == "punched":
         obj["expected"]["per_hole"] = [{"loop_size": 4, "i_over_log_d": 2}]
@@ -303,7 +365,7 @@ def _write_bad_input(kind: str, path) -> None:
         obj = json.loads((GALLERY / name).read_text())
         if keys[0] == "css":
             css = parse_grid_json(obj["css"])
-            obj["css"] = {"width": css.width, "height": css.height, "labels": list(css.labels)}
+            obj["css"] = _labels_payload(css)
         parent = obj
         for key in keys[:-1]:
             parent = parent[key]
@@ -883,10 +945,11 @@ def test_cli_rho(tmp_path, capsys):
     assert "rho = -1" in capsys.readouterr().out
 
 
+@pytest.mark.installed
 def test_cli_rho_rejects_a_graph_past_the_vertex_cap(tmp_path, capsys):
     """The edge list "0 1000000" names a graph of 1000001 vertices: rho
     exits 1 with the vertex cap's TooManySubsystems before any mask is built,
-    and a path at the cap answers."""
+    not a MemoryError, and a path at the cap answers."""
     text = tmp_path / "far-edge.txt"
     text.write_text("0 1000000\n")
     start = time.perf_counter()
@@ -897,7 +960,11 @@ def test_cli_rho_rejects_a_graph_past_the_vertex_cap(tmp_path, capsys):
     assert "Traceback" not in out.out + out.err
     path = tmp_path / "path-at-cap.txt"
     path.write_text("".join(f"{i} {i + 1}\n" for i in range(grid.MAX_VERTICES - 1)))
+    start = time.perf_counter()
     assert main(["rho", str(path), "--json"]) == 0
+    # its 2-core is peeled in one worklist pass (about 0.2 s for rho on a
+    # 2-core VM, against 52 s at 10000 vertices for a peel in rounds)
+    assert time.perf_counter() - start < 10
     payload = json.loads(capsys.readouterr().out)
     assert (payload["v"], payload["rho"]) == (grid.MAX_VERTICES, -1)
 
@@ -949,27 +1016,71 @@ def test_cli_vector_trivial_phase(capsys):
     assert payload["is_zero"] is True
 
 
+@pytest.mark.installed
 def test_cli_csv_emission(tmp_path, capsys):
+    """One row per non-empty subset mask, whose signed J sum is C^N."""
     out = tmp_path / "table.csv"
-    main(["analyze", str(GALLERY / "annulus-n3.json"), "--csv", str(out)])
-    capsys.readouterr()
+    assert main(["analyze", str(GALLERY / "annulus-n3.json"), "--json", "--csv", str(out)]) == 0
+    c_n = json.loads(capsys.readouterr().out)["report"]["c_n"]
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "mask,m,J,sign"
-    assert len(lines) == 8  # header + 7 non-empty subsets
+    rows = [[int(v) for v in line.split(",")] for line in lines[1:]]
+    assert [mask for mask, *_ in rows] == list(range(1, 8))  # the 7 non-empty subsets
+    assert sum(sign * j for _, _, j, sign in rows) == c_n == 2
 
 
+@pytest.mark.installed
 def test_cli_analyze_beyond_the_table_cap(tmp_path, capsys):
-    """``analyze`` answers C^N for 30 subsystems; its ``--csv`` asks for the
-    2^30 J table and ends in the cap's TopomiError, writing no file."""
-    css = builders.annulus(30)
-    path = tmp_path / "annulus-n30.json"
-    path.write_text(json.dumps({"css": {"width": css.width, "height": css.height, "labels": list(css.labels)}}))
-    assert main(["analyze", str(path), "--json"]) == 0
-    assert json.loads(capsys.readouterr().out)["report"]["c_n"] == -2
+    """``analyze`` answers C^N for 30 and 48 subsystems; its ``--csv`` asks
+    for the 2^30 J table and ends in the cap's TopomiError, writing no file."""
+    for n in (48, 30):
+        path = tmp_path / f"annulus-n{n}.json"
+        path.write_text(json.dumps({"css": _labels_payload(builders.annulus(n))}))
+        start = time.perf_counter()
+        assert main(["analyze", str(path), "--json"]) == 0
+        # C^N comes from the frontier walk, far above the J table's cap of 24
+        # subsystems, in milliseconds: a walk gone exponential fails here
+        assert time.perf_counter() - start < 5
+        assert json.loads(capsys.readouterr().out)["report"]["c_n"] == -2
     out = tmp_path / "table.csv"
     assert main(["analyze", str(path), "--csv", str(out)]) == 1
     assert "TooManySubsystems: 30 subsystems exceed the cap of 24" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.installed
+def test_cli_analyze_names_a_failed_sigma_precondition(tmp_path, capsys):
+    """A ring of 29 arcs and an island outside it fails sigma's precondition:
+    the ring's hole is not walled by the island.  ``analyze`` exits 1 with
+    the PreconditionViolated naming the hole, above the table cap, not a
+    TooManySubsystems."""
+    path = tmp_path / "island-n30.json"
+    path.write_text(json.dumps({"css": _labels_payload(builders.annulus_with_island(30)),
+                                "expected": {"sigma": 0}}))
+    start = time.perf_counter()
+    assert main(["analyze", str(path), "--json"]) == 1
+    # sigma reads its precondition from the labelling and builds no 2^N table
+    # (milliseconds on a 2-core VM)
+    assert time.perf_counter() - start < 5
+    out = capsys.readouterr()
+    assert "PreconditionViolated: hole 1 of 1 (column 1, row 1) is not walled by subsystem 29" in out.out + out.err
+
+
+@pytest.mark.installed
+def test_cli_analyze_labels_a_grid_near_the_cell_cap(tmp_path, capsys):
+    """A 12-ring with every cell scaled to 120 x 120: 705 600 cells, near
+    ``grid.CELL_CAP``, read and analysed by ``analyze``."""
+    ring, s = builders.annulus(12), 120
+    width, height = ring.width * s, ring.height * s
+    labels = [ring.labels[y // s * ring.width + x // s] for y in range(height) for x in range(width)]
+    path = tmp_path / "annulus-n12-x120.json"
+    path.write_text(json.dumps({"css": {"width": width, "height": height, "labels": labels}}))
+    start = time.perf_counter()
+    assert main(["analyze", str(path), "--json"]) == 0
+    # the grid is labelled in one linear, iterative pass (about 2 s for the
+    # command on a 2-core VM); one that turns recursive or quadratic fails here
+    assert time.perf_counter() - start < 60
+    assert json.loads(capsys.readouterr().out)["report"]["c_n"] == -2
 
 
 def test_cli_csv_is_written_when_a_check_raises(tmp_path, monkeypatch, capsys):
@@ -1005,6 +1116,7 @@ def test_cli_analyze_bare_ascii_grid(tmp_path, capsys):
     assert payload["report"]["c_n"] == -2
 
 
+@pytest.mark.installed
 @pytest.mark.parametrize("rows, error", [
     (["AAAA", "B..C", "", "B..C", "DDDD"], "ParseError: grid row 2 is empty"),
     (["AAAA", "B..C", "#..C", "DDDD"], "ParseError: bad cell character '#' at column 0 of grid row 2"),

@@ -5,10 +5,11 @@ import json
 import math
 import random
 import re
+import time
 
 import pytest
 
-from topomi.builders import annulus, random_css
+from topomi.builders import annulus, random_css, six_hole_eighteen
 from topomi.cli import main
 from topomi.engine import connectivity_count
 from topomi.errors import (
@@ -875,6 +876,58 @@ def _scaled(css: GridCss, scale: int) -> GridCss:
     width = css.width * scale
     labels = [css.label_at(x // scale, y // scale) for y in range(css.height * scale) for x in range(width)]
     return GridCss(width, css.height * scale, tuple(labels))
+
+
+def _padded(css: GridCss, width: int, height: int) -> dict:
+    """``css`` one empty cell in from the top left of a width x height grid,
+    as a "labels" payload."""
+    labels = [css.label_at(x - 1, y - 1) if 0 < x <= css.width and 0 < y <= css.height else OUTSIDE
+              for y in range(height) for x in range(width)]
+    return {"width": width, "height": height, "labels": labels}
+
+
+#: (Lx, Ly, boundary), the grid's width and height, (CSS, scale) and its
+#: I/log2; each time is that of the ``stabilizer`` command on a 2-core VM
+LARGEST_LATTICES = {
+    # the 18-region ring, each cell scaled x2, on a 22x22 torus: the exact
+    # oracle at its region cap, where the subsets of regions number 262,143.
+    # Its pass over the regions holds 5 states (about 0.4 s, against about
+    # 2 s for a walk over the subsets)
+    "annulus-n18-torus22": ((22, 22, "torus"), (22, 22), (annulus(18), 2), 2),
+    # the same ring with 4-cell arcs on a 48x48 torus: 4608 qubits,
+    # MAX_QUBITS.  The generators and column table come from the lattice's
+    # index arithmetic (about 11 ms to build, against about 42 ms for a
+    # per-vertex build and transpose), the rasterization is one array pass,
+    # and the exact pass takes about 5 ms
+    "annulus-n18-torus48": ((48, 48, "torus"), (48, 48), (annulus(18), 4), 2),
+    # the same scaled ring on a 48x48-vertex planar patch: 47x47 faces and
+    # 4512 qubits, through build_code's planar branch, whose off-patch star
+    # edges repeat the edge opposite (well under a second)
+    "annulus-n18-planar48": ((48, 48, "planar"), (47, 47), (annulus(18), 4), 2),
+    # six-hole-eighteen, each cell scaled x2, on a 28x20 torus: 1120 qubits
+    # and 18 regions that form no ring, where the order of the pass (the
+    # regions' lowest qubits, a sweep across the lattice) matters.  It holds
+    # 20 states, and the exact pass takes about 7 ms
+    "six-hole-eighteen-torus28x20": ((28, 20, "torus"), (28, 20), (six_hole_eighteen(), 2), 0),
+}
+
+
+@pytest.mark.installed
+@pytest.mark.parametrize("name", LARGEST_LATTICES)
+def test_cli_stabilizer_answers_on_the_largest_lattices(name, tmp_path, capsys):
+    """``stabilizer`` gives the exact I/log2, matching the count, at the
+    region cap, on the largest torus and planar patch, and on the window
+    frame, each CSS one empty cell in from the lattice's corner."""
+    (lx, ly, boundary), (width, height), (css, scale), want = LARGEST_LATTICES[name]
+    lattice = {"Lx": lx, "Ly": ly, "boundary": boundary, "css": _padded(_scaled(css, scale), width, height)}
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"name": name, "kind": "stabilizer", "lattice": lattice,
+                                "expected": {"i_exact_over_log2": want, "matches_counting": True}}))
+    start = time.perf_counter()
+    assert main(["stabilizer", str(path), "--json"]) == 0
+    # a pass whose states grow like 2^N fails here
+    assert time.perf_counter() - start < 5
+    assert json.loads(capsys.readouterr().out)["passed"] is True
 
 
 def _benchmark_rings():

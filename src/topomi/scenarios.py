@@ -5,8 +5,9 @@ lattice plus regions) and an optional ``expected`` block in integer units
 (counts, multiples of log D or log 2).  Every check compares integers: a
 multiple of log D is checked as -C, the integer the engine holds (C^N, or
 the C around a loop), so a check means the same at every D >= 1.  The
-runner dispatches on payload kind, evaluates every expected key it finds
-and reports per-check pass/fail.
+runner dispatches on payload kind and reports one check per expected key:
+a check that raises a TopomiError fails alone and names the error, and an
+error before any check is the single failed ``evaluate`` check.
 """
 
 from __future__ import annotations
@@ -178,21 +179,28 @@ def evaluate_scenario(
     scn: Scenario, model: EntropyModel | None = None
 ) -> tuple[ScenarioResult, CssAnalysis | None]:
     """``run_scenario`` plus the analysis of an analytic scenario whose grid
-    parsed, even when a check then raised, else None."""
+    parsed, even when a check then raised, else None.
+
+    Each expected key is one check, in ``_KINDS`` order, and a check that
+    raises a TopomiError fails alone, labelled by its key and naming the
+    error.  An error before any check (reading the payload, the N >= 3 rule,
+    a cap) is the single failed ``evaluate`` check."""
     model = model or EntropyModel()
     start = time.perf_counter()
     analysis = None
     try:
         if scn.kind == "analytic":
             analysis = CssAnalysis(scenario_css(scn))
-            checks, report = _run_analytic(scn, model, analysis)
+            report, matchers = _run_analytic(model, analysis)
         elif scn.kind == "graph":
-            checks, report = _run_graph(scn)
+            report, matchers = _run_graph(scn)
         else:
-            checks, report = _run_stabilizer(scn)
+            report, matchers = _run_stabilizer(scn)
     except TopomiError as exc:
-        checks = [Check("evaluate", False, f"{type(exc).__name__}: {exc}")]
-        report = {}
+        checks, report = [Check("evaluate", False, f"{type(exc).__name__}: {exc}")], {}
+    else:
+        checks = [_check(key, matchers[key], scn.expected[key])
+                  for key in _KINDS[scn.kind].expected if key in scn.expected]
     checks = checks or [Check("evaluate", True, "no expectations; evaluated cleanly")]
     elapsed = time.perf_counter() - start
     passed = all(c.passed for c in checks)
@@ -200,12 +208,20 @@ def evaluate_scenario(
     return result, analysis
 
 
-def _match_int(checks: list, label: str, got: int, want: int, unit: str = "", context=None) -> None:
+def _check(key: str, match, want) -> Check:
+    """``match(want)``, or a failed check labelled ``key`` naming the TopomiError it raised."""
+    try:
+        return match(want)
+    except TopomiError as exc:
+        return Check(key, False, f"{type(exc).__name__}: {exc}")
+
+
+def _match_int(label: str, got: int, want: int, unit: str = "", context=None) -> Check:
     """One integer check; a failing one appends ``context()`` to its detail."""
     detail = f"got {got}{unit}, expected {want}"
     if got != want and context:
         detail += f"; {context()}"
-    checks.append(Check(label, got == want, detail))
+    return Check(label, got == want, detail)
 
 
 def _j_by_size(analysis: CssAnalysis) -> str:
@@ -220,7 +236,7 @@ def _j_by_size(analysis: CssAnalysis) -> str:
     return f"sums of J over the subsets of size m = 1..{n}: {sums}"
 
 
-def _match_loops(checks: list, label: str, loops, entries, size_key: str) -> None:
+def _match_loops(label: str, loops, entries, size_key: str) -> Check:
     """Compare the (size, -C) pairs of (loop, -C) ``loops`` with expected
     ``{size_key, "i_over_log_d"}`` entries; a failure names a loop in excess."""
     want = sorted((e[size_key], e["i_over_log_d"]) for e in entries)
@@ -232,66 +248,67 @@ def _match_loops(checks: list, label: str, loops, entries, size_key: str) -> Non
             letters = subset_letters(sum(1 << i for i in loop))
             detail += f"; loop {letters} gives ({len(loop)}, {units}), not expected"
             break
-    checks.append(Check(label, got == want, detail))
+    return Check(label, got == want, detail)
 
 
-def _run_analytic(scn: Scenario, model: EntropyModel, analysis: CssAnalysis) -> tuple[list[Check], dict]:
-    expected = scn.expected
+def _match_annular(analysis: CssAnalysis, want: bool) -> Check:
+    try:
+        engine.annular_order(analysis)
+        is_annular = True
+    except NotAnnular:
+        is_annular = False
+    return Check("annular", is_annular == want, f"annular={is_annular}")
+
+
+def _match_constraint(analysis: CssAnalysis, report, want: int) -> Check:
+    if report.constraint_sum is None:  # name each hole without a loop by its first cell, and why
+        holes, missing = analysis.holes.holes, []
+        for k, (hole, h) in enumerate(zip(holes, report.holes), 1):
+            if h.error:
+                missing.append(f"{hole_name(k, len(holes), hole)} has no loop: {h.error}")
+        return Check("constraint_over_log_d", False, "; ".join(missing) or "the CSS has no hole")
+    return _match_int("constraint_over_log_d", sum(abs(h.c) for h in report.holes), want, " units")
+
+
+def _match_subloops(model: EntropyModel, analysis: CssAnalysis, want) -> Check:
+    sub = engine.subloop_revival(model, analysis)
+    return _match_loops("subloops", [(sub.loop_p, -sub.c_p), (sub.loop_q, -sub.c_q)], want, "size")
+
+
+def _run_analytic(model: EntropyModel, analysis: CssAnalysis) -> tuple[dict, dict]:
+    """The report of an analytic scenario, and the check of each of its kind's expected keys."""
     report = engine.information_summary(model, analysis)
-    checks: list[Check] = []
     by_size = partial(_j_by_size, analysis)  # the context of a failing order check
-
-    if "n" in expected:
-        _match_int(checks, "n_subsystems", report.n_subsystems, expected["n"])
-    if "c_n" in expected:
-        _match_int(checks, "c_n", report.c_n, expected["c_n"], context=by_size)
-    if "i_over_log_d" in expected:
-        _match_int(checks, "i_over_log_d", -report.c_n, expected["i_over_log_d"], " units", by_size)
-    if "d_nn" in expected:
-        _match_int(checks, "d_nn", analysis.graph.d_nn, expected["d_nn"])
-    if "n_h" in expected:
-        _match_int(checks, "n_h", analysis.holes.n_h, expected["n_h"])
-    if "chi" in expected:
-        _match_int(checks, "chi", analysis.chi, expected["chi"])
-    if "annular" in expected:
-        try:
-            engine.annular_order(analysis)
-            is_annular = True
-        except NotAnnular:
-            is_annular = False
-        checks.append(
-            Check("annular", is_annular == expected["annular"], f"annular={is_annular}")
-        )
-    if "per_hole" in expected:
-        loops = [(h.loop, -h.c) for h in report.holes if h.loop]
-        _match_loops(checks, "per_hole", loops, expected["per_hole"], "loop_size")
-    if "constraint_over_log_d" in expected:
-        if report.constraint_sum is None:  # name each hole without a loop by its first cell, and why
-            holes, missing = analysis.holes.holes, []
-            for k, (hole, h) in enumerate(zip(holes, report.holes), 1):
-                if h.error:
-                    missing.append(f"{hole_name(k, len(holes), hole)} has no loop: {h.error}")
-            checks.append(Check("constraint_over_log_d", False, "; ".join(missing) or "the CSS has no hole"))
-        else:
-            total, want = sum(abs(h.c) for h in report.holes), expected["constraint_over_log_d"]
-            _match_int(checks, "constraint_over_log_d", total, want, " units")
-    if "subloops" in expected:
-        sub = engine.subloop_revival(model, analysis)
-        loops = [(sub.loop_p, -sub.c_p), (sub.loop_q, -sub.c_q)]
-        _match_loops(checks, "subloops", loops, expected["subloops"], "size")
-    if "sigma" in expected:
-        _match_int(checks, "sigma", graphs.sigma_of_css(analysis), expected["sigma"])
-    return checks, report.to_json_dict()
+    return report.to_json_dict(), {
+        "n": lambda want: _match_int("n_subsystems", report.n_subsystems, want),
+        "c_n": lambda want: _match_int("c_n", report.c_n, want, context=by_size),
+        "i_over_log_d": lambda want: _match_int("i_over_log_d", -report.c_n, want, " units", by_size),
+        "d_nn": lambda want: _match_int("d_nn", analysis.graph.d_nn, want),
+        "n_h": lambda want: _match_int("n_h", analysis.holes.n_h, want),
+        "chi": lambda want: _match_int("chi", analysis.chi, want),
+        "annular": partial(_match_annular, analysis),
+        "per_hole": lambda want: _match_loops(
+            "per_hole", [(h.loop, -h.c) for h in report.holes if h.loop], want, "loop_size"),
+        "constraint_over_log_d": partial(_match_constraint, analysis, report),
+        "subloops": partial(_match_subloops, model, analysis),
+        "sigma": lambda want: _match_int("sigma", graphs.sigma_of_css(analysis), want),
+    }
 
 
 def _run_graph(scn: Scenario):
     graph = graphs.parse_graph_json(scn.kind_payload)
-    checks: list[Check] = []
     value = graphs.rho(graph)
-    if "rho" in scn.expected:
-        _match_int(checks, "rho", value, scn.expected["rho"])
-    return checks, {"schema": "topo-mpi/1", "name": scn.name, "v": graph.vertex_count,
-                    "edges": [list(e) for e in graph.edges], "rho": value}
+    report = {"schema": "topo-mpi/1", "name": scn.name, "v": graph.vertex_count,
+              "edges": [list(e) for e in graph.edges], "rho": value}
+    return report, {"rho": partial(_match_int, "rho", value)}
+
+
+def _match_counting(value: int, region_map, want: bool) -> Check:
+    if region_map.css is None:
+        return Check("matches_counting", False, "no grid payload to count on")
+    # a torus grid is rasterized in its planar cut, which is what is counted here
+    counting = -engine.connectivity_count(region_map.css).c_n
+    return Check("matches_counting", (value == counting) == want, f"oracle {value}, counting {counting}")
 
 
 def _run_stabilizer(scn: Scenario):
@@ -300,30 +317,11 @@ def _run_stabilizer(scn: Scenario):
         raise ValidationError("N-partite information needs N >= 3")
     state = stabilizer.build_code(lattice)
     value = stabilizer.multipartite_information_exact(state, region_map)
-    checks: list[Check] = []
-    if "i_exact_over_log2" in scn.expected:
-        _match_int(checks, "i_exact_over_log2", value, scn.expected["i_exact_over_log2"])
-    if "matches_counting" in scn.expected:
-        if region_map.css is None:
-            checks.append(Check("matches_counting", False, "no grid payload to count on"))
-        else:
-            # a torus grid is rasterized in its planar cut, which is what is counted here
-            counting = -engine.connectivity_count(region_map.css).c_n
-            checks.append(Check(
-                "matches_counting",
-                (value == counting) == scn.expected["matches_counting"],
-                f"oracle {value}, counting {counting}",
-            ))
-    report = {
-        "schema": "topo-mpi/1",
-        "name": scn.name,
-        "n_qubits": lattice.n_qubits,
-        "boundary": lattice.boundary,
-        "n_regions": region_map.n_subsystems,
-        "i_exact_log2": value,
-        "i_exact_nats": value * math.log(2.0),
-    }
-    return checks, report
+    report = {"schema": "topo-mpi/1", "name": scn.name, "n_qubits": lattice.n_qubits,
+              "boundary": lattice.boundary, "n_regions": region_map.n_subsystems,
+              "i_exact_log2": value, "i_exact_nats": value * math.log(2.0)}
+    return report, {"i_exact_over_log2": partial(_match_int, "i_exact_over_log2", value),
+                     "matches_counting": partial(_match_counting, value, region_map)}
 
 
 # ----------------------------------------------------------------------

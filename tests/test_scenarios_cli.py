@@ -9,6 +9,7 @@ import itertools
 import json
 import math
 import random
+import re
 import string
 import subprocess
 import sys
@@ -201,7 +202,19 @@ WIDE_BUILDERS = {
     "appendage": builders.annulus_with_appendage, "punched": builders.annulus_with_punched_hole,
     "self_handle": builders.annulus_with_self_handle, "nn_handle": builders.annulus_with_nn_handle,
     "far_handle": lambda n: builders.far_handle_annulus(n, 3),
+    "random": lambda n: builders.random_css(random.Random(n), n, 44, 44, growth=800),
 }
+#: the builders of the wrong-check test at each N: the fixed ones at N = 53, 60 and 80, random draws at 53, 80 and 200
+WIDE_NAMES = {53: list(WIDE_BUILDERS), 60: [name for name in WIDE_BUILDERS if name != "random"],
+              80: list(WIDE_BUILDERS), 200: ["random"]}
+
+
+def _check_labels(kind: str, keys) -> list[str]:
+    """The labels of the checks of the expected ``keys`` of a ``kind``, in ``_KINDS`` order."""
+    return ["n_subsystems" if key == "n" else key for key in scenarios._KINDS[kind].expected if key in keys]
+
+
+ANALYTIC_LABELS = _check_labels("analytic", scenarios._KINDS["analytic"].expected)
 
 
 def _loop_text(loop) -> str:
@@ -211,44 +224,68 @@ def _loop_text(loop) -> str:
     return "loop {" + ", ".join(letters[i] if i < len(letters) else str(i) for i in sorted(loop)) + "}"
 
 
-@pytest.mark.parametrize("n", [53, 60, 80])
+def _all_wrong(css, rng: random.Random) -> dict:
+    """Every analytic expected key of ``css`` set to a seeded wrong value."""
+    try:
+        engine.annular_order(engine.CssAnalysis(css))
+        annular = True
+    except NotAnnular:
+        annular = False
+    far = 1000 + rng.randrange(1000)  # no count of these CSSs reaches 1000
+    return {**dict.fromkeys(("n", "c_n", "i_over_log_d", "d_nn", "n_h", "chi", "constraint_over_log_d", "sigma"), far),
+            "annular": not annular, "per_hole": [{"loop_size": css.n_subsystems, "i_over_log_d": far}],
+            "subloops": [{"size": css.n_subsystems, "i_over_log_d": far}]}
+
+
+@pytest.mark.parametrize("n", WIDE_NAMES)
 def test_every_wrong_check_past_the_letters_exits_1_naming_its_loop(n, tmp_path):
-    """Each builder at N past the 52 grid letters, with each expected key in
-    turn set to a seeded wrong value, through ``analyze`` and ``analyze
-    --json``: exit 1 with no exception or traceback, one failed check, and a
-    failing ``per_hole`` or ``subloops`` check names a loop, its ids past
-    the letters by number."""
+    """Each builder at N past the 52 grid letters, with every expected key
+    set to a seeded wrong value at once, through ``analyze`` and ``analyze
+    --json``: exit 1 with no exception or traceback, one failed check per
+    key in ``_KINDS`` order, and the failing ``per_hole`` and ``subloops``
+    checks name a loop, its ids past the letters by number."""
     rng, start = random.Random(n), time.perf_counter()
-    for name, build in WIDE_BUILDERS.items():
-        css = build(n)
-        analysis = engine.CssAnalysis(css)
-        try:
-            engine.annular_order(analysis)
-            annular = True
-        except NotAnnular:
-            annular = False
-        far = 1000 + rng.randrange(1000)  # no count of these CSSs reaches 1000
-        wrong = {**dict.fromkeys(("n", "c_n", "i_over_log_d", "d_nn", "n_h", "chi", "constraint_over_log_d",
-                                  "sigma"), far),
-                 "annular": not annular, "per_hole": [{"loop_size": n, "i_over_log_d": far}],
-                 "subloops": [{"size": n, "i_over_log_d": far}]}
-        loops = [_loop_text(loop) for loop in analysis.hole_loops if not isinstance(loop, str)]
-        for key, value in wrong.items():
-            path = tmp_path / f"{name}-{key}.json"
-            path.write_text(json.dumps({"name": name, "css": _labels_payload(css), "expected": {key: value}}))
-            for flags in ([], ["--json"]):
-                out = io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
-                    assert main(["analyze", str(path), *flags]) == 1, (name, key, out.getvalue())
-                printed = out.getvalue()
-                assert "Traceback" not in printed
-                if flags:
-                    (check,) = json.loads(printed)["checks"]
-                    assert not check["passed"], (name, key, check)
-                if key == "per_hole" and loops or key == "subloops" and name == "far_handle":
-                    assert any(f"; {loop} gives (" in printed for loop in loops), (name, key, printed)
-    # 176 runs, about 2 s at N = 80 on a 2-core VM
+    for name in WIDE_NAMES[n]:
+        css = WIDE_BUILDERS[name](n)
+        loops = [_loop_text(loop) for loop in engine.CssAnalysis(css).hole_loops if not isinstance(loop, str)]
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"name": name, "css": _labels_payload(css), "expected": _all_wrong(css, rng)}))
+        for flags in ([], ["--json"]):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+                assert main(["analyze", str(path), *flags]) == 1, (name, out.getvalue())
+            printed = out.getvalue()
+            assert "Traceback" not in printed
+            if flags:
+                checks = [(c["label"], c["passed"], c["detail"]) for c in json.loads(printed)["checks"]]
+            else:
+                lines = [line.split(": ", 1) for line in printed.splitlines()[1:]]
+                checks = [(label.split()[1], label.split()[0] == "ok", detail) for label, detail in lines]
+            assert [(label, passed) for label, passed, _ in checks] == [(label, False) for label in ANALYTIC_LABELS]
+            details = {label: detail for label, _, detail in checks}
+            if loops:
+                assert any(f"; {loop} gives (" in details["per_hole"] for loop in loops), (name, details["per_hole"])
+            if name == "far_handle":
+                assert any(f"; {loop} gives (" in details["subloops"] for loop in loops), (name, details["subloops"])
+    # 18 runs, about 0.3 s at N = 80 on a 2-core VM
     assert time.perf_counter() - start < 30
+
+
+def test_a_check_that_raises_fails_alone_naming_its_error():
+    """A ring of 52 arcs and an island with every expected key wrong: the
+    checks that raise (chi on a footprint in two pieces, subloops without
+    two holes, sigma's precondition) fail with the error's type and text,
+    and every other key still gets its own failed check."""
+    css = builders.annulus_with_island(53)
+    obj = {"name": "island-n53", "css": _labels_payload(css), "expected": _all_wrong(css, random.Random(53))}
+    result = run_scenario(Scenario.from_dict(obj))
+    assert [(c.label, c.passed) for c in result.checks] == [(label, False) for label in ANALYTIC_LABELS]
+    details = {c.label: c.detail for c in result.checks}
+    assert details["chi"] == "DisconnectedCss: footprint has 2 components"
+    assert details["subloops"].startswith("ValidationError: expected exactly 2 holes")
+    assert details["sigma"].startswith("PreconditionViolated: hole 1 of 1")
+    assert details["n_subsystems"].startswith("got 53, expected ")
+    assert result.report["n"] == 53  # the report survives a check that raised
 
 
 LOOPLESS_HOLES = {
@@ -568,22 +605,29 @@ _FREE_FORM = st.sampled_from(sorted(_FREE_KEYS)).flatmap(lambda kind: st.builds(
 _SCENARIOS = _mutated_gallery() | _scenario_objects() | _FREE_FORM
 
 _ERROR_NAMES = tuple(f"{cls.__name__}: " for cls in TopomiError.__subclasses__())
+#: the head of a detail that names an error type
+_ERROR_TYPE = re.compile(r"[A-Z]\w*: ")
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(_SCENARIOS)
 def test_json_shaped_scenarios_end_in_a_result_or_a_topomi_error(obj):
     """A scenario built from the real key vocabulary with junk values parses
-    or is a ParseError, and runs to a result whose failed evaluation names
-    the TopomiError that stopped it."""
+    or is a ParseError, and runs to a result with one check per expected key
+    in ``_KINDS`` order, or else the single check ``evaluate``, which passes
+    when nothing is expected; every failed check that names an error, and
+    a failed ``evaluate`` always does, names a TopomiError."""
     try:
         scn = Scenario.from_dict(obj)
     except ParseError:
         return
     result = run_scenario(scn)
     assert isinstance(result, ScenarioResult)
-    for check in result.checks:
-        if check.label == "evaluate" and not check.passed:
+    labels = [c.label for c in result.checks]
+    if not any(c.label == "evaluate" for c in result.failures()):
+        assert labels == (_check_labels(scn.kind, scn.expected) or ["evaluate"]), (labels, scn.expected)
+    for check in result.failures():
+        if check.label == "evaluate" or _ERROR_TYPE.match(check.detail):
             assert check.detail.startswith(_ERROR_NAMES), check.detail
 
 

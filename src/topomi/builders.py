@@ -261,15 +261,16 @@ def annulus_family(max_n: int) -> list[GridCss]:
 # ----------------------------------------------------------------------
 
 def random_css(rng: random.Random, n: int, width: int = 12, height: int = 12, growth: int = 60) -> GridCss:
-    """Random valid CSS: seeded blobs grown with local pinch rejection."""
+    """Random valid CSS: seeded blobs grown with local pinch rejection.
+
+    Every window a placed cell changes is checked as it is placed, so the
+    grid is pinch-free with ids 0..n-1; only the cell cap can reject it."""
+    if n < 1:
+        raise ValidationError("needs at least 1 subsystem")
     for _ in range(200):
         cells = _try_random_css(rng, n, width, height, growth)
-        if cells is None:
-            continue
-        try:
+        if cells is not None:
             return _grid_from_cells(width, height, cells, f"fuzz-n{n}")
-        except ValidationError:
-            continue
     raise ValidationError("random CSS generation failed to converge")
 
 

@@ -83,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _print_result(result, as_json: bool) -> None:
     if as_json:
-        payload = {"schema": "topo-mpi/1", **result.to_json_dict(), "report": result.report}
+        payload = {"schema": engine.SCHEMA, **result.to_json_dict(), "report": result.report}
         sys.stdout.write(_dump_json(payload))
         return
     status = "PASS" if result.passed else "FAIL"
@@ -157,7 +157,7 @@ def _cmd_vector(args) -> int:
     vec = entanglement_vector(model, family)
     if args.json:
         sys.stdout.write(_dump_json({
-            "schema": "topo-mpi/1",
+            "schema": engine.SCHEMA,
             "sizes": list(range(3, family.max_n + 1)),
             "magnitudes": list(vec.magnitudes),
             "normalized": list(vec.normalized),

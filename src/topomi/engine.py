@@ -58,10 +58,12 @@ from .grid import (
 from .masks import (
     UnionTopology,
     signed_component_sum,
-    subset_signs,
     subset_sums,
 )
 from .model import EntropyModel
+
+#: the schema tag of every JSON report
+SCHEMA = "topo-mpi/1"
 
 #: cap on N for the recursion check, which builds 2^N float tables
 RECURSION_CAP = 12
@@ -212,7 +214,7 @@ class InfoSummary:
 
     def to_json_dict(self) -> dict:
         return {
-            "schema": "topo-mpi/1",
+            "schema": SCHEMA,
             "name": self.name,
             "n": self.n_subsystems,
             "c_n": self.c_n,
@@ -276,17 +278,22 @@ def information_summary(model: EntropyModel, css: GridCss | CssAnalysis) -> Info
     )
 
 
+#: rows of the J table that ``write_subset_table_csv`` converts at a time
+CSV_BLOCK = 1 << 16
+
+
 def write_subset_table_csv(j_table: np.ndarray, fileobj) -> None:
-    """Debug CSV of a 2^N J table: mask, m, J, sign."""
+    """Debug CSV of a 2^N J table: mask, m, J, sign, a block of rows at a time,
+    so no 2^N array is built beside the table."""
     writer = csv.writer(fileobj)
     writer.writerow(["mask", "m", "J", "sign"])
-    masks = np.arange(1, len(j_table), dtype=np.uint32)
-    writer.writerows(zip(
-        masks.tolist(),
-        np.bitwise_count(masks).tolist(),
-        j_table[1:].tolist(),
-        subset_signs(len(j_table).bit_length() - 1)[1:].tolist(),
-    ))
+    for start in range(1, len(j_table), CSV_BLOCK):
+        stop = min(start + CSV_BLOCK, len(j_table))
+        masks = np.arange(start, stop, dtype=np.uint32)
+        m = np.bitwise_count(masks)  # uint8: the sign is read from its parity
+        writer.writerows(zip(
+            masks.tolist(), m.tolist(), j_table[start:stop].tolist(), np.where(m & 1, 1, -1).tolist(),
+        ))
 
 
 # ----------------------------------------------------------------------

@@ -94,6 +94,12 @@ def test_random_css_is_deterministic_per_seed():
     assert a.labels != c.labels
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_random_css_rejects_fewer_than_one_subsystem(n):
+    with pytest.raises(ValidationError, match="needs at least 1 subsystem"):
+        builders.random_css(random.Random(1), n, 6, 6)
+
+
 def test_annulus_family_sizes():
     family = builders.annulus_family(7)
     assert [css.n_subsystems for css in family] == [3, 4, 5, 6, 7]

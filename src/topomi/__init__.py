@@ -11,9 +11,7 @@ from .engine import (
     annular_order,
     connectivity_count,
     entanglement_vector,
-    entropy_of_region,
     information_summary,
-    model_entropy_source,
     multipartite_information,
     recursion_check,
     strong_subadditivity_combination,
@@ -27,15 +25,10 @@ from .grid import (
     GridCss,
     HoleSet,
     adjacency_graph,
-    boundary_component_count,
-    connected_components,
     euler_characteristic,
     find_holes,
     loop_around_hole,
     parse_ascii,
-    perimeter_links,
-    restrict_css,
-    union_region,
 )
 from .model import EntropyModel
 from .stabilizer import (

@@ -48,12 +48,9 @@ from .grid import (
     HoleSet,
     SimpleGraph,
     adjacency_graph,
-    boundary_component_count,
     euler_characteristic,
     find_holes,
     loop_around_hole,
-    perimeter_links,
-    union_region,
 )
 from .masks import (
     UnionTopology,
@@ -67,11 +64,6 @@ SCHEMA = "topo-mpi/1"
 
 #: cap on N for the recursion check, which builds 2^N float tables
 RECURSION_CAP = 12
-
-
-def entropy_of_region(model: EntropyModel, region) -> float:
-    """Model entropy alpha*n - J*log(D) of an explicit cell region."""
-    return model.entropy(perimeter_links(region), boundary_component_count(region))
 
 
 # ----------------------------------------------------------------------
@@ -421,15 +413,6 @@ def recursion_check(model: EntropyModel, css: GridCss | CssAnalysis) -> Recursio
 # ----------------------------------------------------------------------
 
 EntropySource = Callable[[frozenset], float]
-
-
-def model_entropy_source(model: EntropyModel, css: GridCss | CssAnalysis) -> EntropySource:
-    """Entropy of a set of subsystem ids under the topology model, from the
-    union's own cells (:func:`entropy_of_region`), so no 2^N table is built
-    and any N is answered.  ValidationError for an id outside 0..N-1,
-    EmptySubset for no ids."""
-    grid_css = CssAnalysis.of(css).css
-    return lambda ids: entropy_of_region(model, union_region(grid_css, ids))
 
 
 def strong_subadditivity_combination(css: GridCss | CssAnalysis, entropy: EntropySource) -> float:

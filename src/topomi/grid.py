@@ -8,8 +8,10 @@ their complements.  Grids containing a diagonal pinch -- a 2x2 block in
 which two regions, or a region and its complement, meet only at a corner --
 are rejected at construction time so that every boundary-curve count is
 unambiguous.  Each grid is labelled once (``GridCss.labelling``), and every
-CSS-level structure is read from that; the flood fills below stay the
-definition for an arbitrary region.
+CSS-level structure is read from that.  The flood fills over sets of cells
+below (``connected_components`` to ``union_region``, and ``restrict_css``)
+are called by no package path: they stay as the independent definition that
+the benchmark's correctness gate and the tests compare against.
 """
 
 from __future__ import annotations
@@ -342,26 +344,6 @@ def boundary_component_count(region: Iterable[Cell]) -> int:
     return n_comp + n_complement - 1
 
 
-def region_holes(region: Iterable[Cell]) -> list[Region]:
-    """Bounded complement components of a region, ordered by their first cell."""
-    cells = set(region)
-    if not cells:
-        raise EmptyRegion("holes of an empty region are undefined")
-    count, labeling = _complement_components(cells)
-    holes: list[set] = [set() for _ in range(count)]
-    for cell, k in labeling.items():
-        holes[k].add(cell)
-    return [frozenset(h) for h in holes[1:]]
-
-
-def perimeter_links(region: Iterable[Cell]) -> int:
-    """Grid edges with exactly one endpoint cell inside the region."""
-    cells = set(region)
-    if not cells:
-        raise EmptyRegion("perimeter of an empty region is undefined")
-    return sum(1 for c in cells for nb in _neighbors4(c) if nb not in cells)
-
-
 def union_region(css: GridCss, subset: Iterable[int] | int) -> Region:
     """Cells labeled by any id in ``subset`` (ids or a bitmask)."""
     if isinstance(subset, int):
@@ -484,7 +466,8 @@ class HoleSet:
 
 
 def find_holes(css: GridCss) -> HoleSet:
-    """The holes of the labelling: ``region_holes`` of the footprint, in its order."""
+    """The holes of the labelling: the footprint's bounded complement
+    components, ordered by their first cell."""
     return HoleSet(tuple(css.labelling[2]))
 
 

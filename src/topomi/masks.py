@@ -17,9 +17,9 @@ counts combinatorially:
   transposed views so that numpy's inner loop is the long axis.  Such a
   histogram is sparse: seen as rows of 2^``ROW_BITS`` entries, an N = 20
   table has about 10 live rows (rows with a non-zero entry) of 256.  The
-  passes for the bits below ``ROW_BITS`` keep a zero row zero, so for an
-  integer table they run on the live rows alone, in place, and each pass
-  for a higher bit adds only the blocks of rows that held a live row;
+  passes for the bits below ``ROW_BITS`` keep a zero row zero, so they run
+  on the live rows alone, in place, and each pass for a higher bit adds
+  only the blocks of rows that held a live row;
 * the component count of a union equals the component count of the induced
   subgraph on per-subsystem cell-components (:func:`component_counts`).
   For every induced subgraph, components = |V| - |E| + cycle rank, and
@@ -81,9 +81,9 @@ MAX_SUBSYSTEMS = 24
 MAX_WALK_STATES = 1 << 12
 #: the component walk takes its subsets in blocks of 2**BLOCK_BITS
 BLOCK_BITS = 16
-#: :func:`subset_sums` of an integer table runs its passes for the bits
-#: below ROW_BITS only on the live rows of 2**ROW_BITS entries, and those
-#: for the higher bits only on the blocks of rows that hold a live row;
+#: :func:`subset_sums` runs its passes for the bits below ROW_BITS only on
+#: the live rows of 2**ROW_BITS entries, and those for the higher bits only
+#: on the blocks of rows that hold a live row;
 #: :func:`add_components` adds the core's table a row at a time.  On the J
 #: histograms of 20 ``random-n20`` inputs (seed 1; 9-13 live rows of 256 at
 #: 12), mean of the best of 7, two runs on a 2-core x86-64 VM, at 8, 10, 12
@@ -113,30 +113,28 @@ def subset_sums(table: np.ndarray) -> np.ndarray:
     their pass iterates the transposed views in C order instead, so the inner
     loop runs along the long axis of 2^(n-i-1) entries.
 
-    An integer table with n > ``ROW_BITS`` is seen as rows of
-    2^``ROW_BITS`` entries.  The passes for the bits below ``ROW_BITS``
-    stay inside a row and keep a zero row zero, so those passes run on the
-    live rows (rows with a non-zero entry) alone, one in-place slice per run
-    of consecutive live rows.  The pass for a higher bit i sees the rows as
-    (-1, 2, 2^(i-ROW_BITS)) blocks and adds a bit-clear source half to its
-    bit-set target half only if the source held a live row at the start,
-    one slice per run of such blocks.  The passes before it move entries
-    only within such a half, so a half with no live row at the start is
-    still zero.  Float tables and small tables take every pass on the whole
-    table.  Every pass writes into the table itself, with no 2^n temporary,
-    and a skipped addition would only have added zeros, so the result is
-    bit-identical either way.
+    The table is seen as rows of 2^r entries, r = min(n, ``ROW_BITS``).
+    The passes for the bits below r stay inside a row and keep a zero row
+    zero, so those passes run on the live rows (rows with a non-zero entry)
+    alone, one in-place slice per run of consecutive live rows.  The pass
+    for a higher bit i sees the rows as (-1, 2, 2^(i-r)) blocks and adds a
+    bit-clear source half to its bit-set target half only if the source
+    held a live row at the start, one slice per run of such blocks.  The
+    passes before it move entries only within such a half, so a half with
+    no live row at the start is still zero.  Every pass writes into the
+    table itself, with no 2^n temporary, and a skipped addition would only
+    have added zeros, so the result is that of the whole-table passes bit
+    for bit, except that a float zero may stay -0.0 where they give 0.0.
     """
     n = len(table).bit_length() - 1
-    if n <= ROW_BITS or not np.issubdtype(table.dtype, np.integer):
-        return _bit_passes(table, range(n))
-    rows = table.reshape(-1, 1 << ROW_BITS)
-    live = np.bitwise_or.reduce(rows, axis=1) != 0
+    r = min(n, ROW_BITS)
+    rows = table.reshape(-1, 1 << r)
+    live = rows.any(axis=1)
     for start, stop in _runs(live):
-        _bit_passes(rows[start:stop], range(ROW_BITS))
-    for i in range(ROW_BITS, n):
+        _bit_passes(rows[start:stop], range(r))
+    for i in range(r, n):
         # per block of rows, whether its bit-clear half (the source) held a live row
-        sources = live.reshape(-1, 2, 1 << i - ROW_BITS)[:, 0].any(axis=1)
+        sources = live.reshape(-1, 2, 1 << i - r)[:, 0].any(axis=1)
         for start, stop in _runs(sources):
             _bit_passes(table.reshape(-1, 2 << i)[start:stop], range(i, i + 1))
     return table

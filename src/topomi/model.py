@@ -9,8 +9,7 @@ coefficient alpha is non-universal and cancels identically from every
 multipartite combination reported by the engine; it defaults to log(D),
 which reproduces the zero-correlation-length string-net value.  It is a
 library parameter, not a command-line option: it reaches the recursion
-check through the subset entropy table and the subadditivity combination
-through the entropy of each union's own region, never C^N or a reported
+check through the subset entropy table, never C^N or a reported
 information value.
 
 Entropies are reported in the units of the selected log base (nats for

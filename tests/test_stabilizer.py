@@ -43,6 +43,8 @@ from topomi.stabilizer import (
     torus_cut,
 )
 
+from flood_reference import perimeter_links
+
 LN2 = math.log(2)
 
 
@@ -447,8 +449,6 @@ def test_contractible_disk_matches_link_counting():
     region_map = rasterize_css(lattice, css)
     qubits = region_map.regions[0]
     assert len(qubits) == 12
-    from topomi.grid import perimeter_links
-
     n_links = perimeter_links(css.subsystem_cells(0))
     assert n_links == 8
     assert entropy_bits(state, qubits) == n_links - 1

@@ -18,12 +18,16 @@ so their alternating sum vanishes for N >= 3.  Entry points take a
 GridCss or a CssAnalysis, the one object of a CSS: its holes, hole loops,
 graph and chi and, as a UnionTopology, its 2^N tables (the only capped
 part), each computed once.  C^N and the C around each hole come from the
-frontier walk over the cell-component graph (``masks.signed_component_sum``)
-with no 2^N table, and so answer beyond the cap; a walk past its state cap
-reads a table of its own sub-collection's groups, and the J table is read
-only when a caller asks for it (``multipartite_information``,
+signed component sum over the cell-component graph
+(``masks.signed_component_sum``) with no 2^N table, and so answer beyond
+the cap: the sum is split over the blocks of the sub-collection's graph, a
+plain cycle (every hole loop of the gallery) is read in closed form, and
+only a block with a chord is walked.  A walk past its state cap reads a
+table of its own sub-collection's groups, and the J table is read only
+when a caller asks for it (``multipartite_information``,
 ``analyze --csv``); sigma reads no table, and a failing sigma precondition
-is named from the labelling.
+is named from the labelling.  The chi term of a C of 3 or 4 ids reads only
+the corners where they meet (``CssAnalysis._junctions``).
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from .errors import (
     ValidationError,
 )
 from .grid import (
+    OUTSIDE,
     GridCss,
     HoleSet,
     SimpleGraph,
@@ -76,8 +81,9 @@ class CssAnalysis(UnionTopology):
     The holes, graph and chi are read from the grid's one labelling
     (``GridCss.labelling``), and the C of each sub-collection is walked once
     and kept by its sorted ids.  Only the tables are capped: the rest answers
-    at any N, and C of any ids unless the frontier walk over them passes its
-    state cap and they number more than ``masks.MAX_SUBSYSTEMS``."""
+    at any N, and C of any ids unless the frontier walk of a block with a
+    chord passes its state cap and they number more than
+    ``masks.MAX_SUBSYSTEMS``."""
 
     @staticmethod
     def of(css: GridCss | CssAnalysis) -> CssAnalysis:
@@ -124,12 +130,14 @@ class CssAnalysis(UnionTopology):
 
         With J = 2 components - chi, this is -2 s - (the weight of the
         corners, segments and cells whose cells hold every subsystem of
-        ``ids``; 0 beyond 4 ids), s being the signed component sum of the
-        subsystems' cell-components (``masks.signed_component_sum``), so no
-        2^N table is built; a walk past its state cap reads s from the 2^k
-        component table of the k ids alone, which raises TooManySubsystems
-        above ``masks.MAX_SUBSYSTEMS`` ids.  Valid ids are computed once per
-        analysis, kept by their sorted ids.
+        ``ids``; 0 beyond 4 ids, see :meth:`_held`), s being the signed
+        component sum of the subsystems' cell-components
+        (``masks.signed_component_sum``), so no 2^N table is built: a ring
+        is a plain cycle, read in closed form, and only a block with a chord
+        is walked.  A walk past its state cap reads its block's term from
+        the 2^k component table of the k ids alone, which raises
+        TooManySubsystems above ``masks.MAX_SUBSYSTEMS`` ids.  Valid ids are
+        computed once per analysis, kept by their sorted ids.
         """
         n, keep = self.css.n_subsystems, tuple(sorted(set(ids)))
         if not keep or keep[0] < 0 or keep[-1] >= n:
@@ -142,13 +150,42 @@ class CssAnalysis(UnionTopology):
         """:meth:`c_within` of valid sorted ids, computed."""
         adj, cv_mask, _ = self._cell_component_graph
         s = signed_component_sum(adj, [cv_mask[i] for i in keep])
-        held = 0  # sum over S in ids of (-1)^|S| chi(S) is minus the weight held by all of ids
-        if len(keep) <= 4:  # a corner, the widest feature, has four cells
-            for labels, weight in self._feature_labels:
-                if len(keep) <= labels.shape[1]:
-                    rows = np.all([(labels == i).any(axis=1) for i in keep], axis=0)
-                    held += weight * int(np.count_nonzero(rows))
-        return -2 * s - held
+        # sum over S in ids of (-1)^|S| chi(S) is minus the weight held by all of ids
+        return -2 * s - self._held(keep)
+
+    def _held(self, keep: tuple[int, ...]) -> int:
+        """The weight of the corners, segments and cells whose cells hold
+        every id of ``keep``: 0 beyond 4 ids, as a corner, the widest
+        feature, has four cells.  Three or four ids are held only by
+        corners, counted from the shortest of their :attr:`_junctions`
+        lists; one or two ids scan every feature row."""
+        if len(keep) > 4:
+            return 0
+        if len(keep) > 2:
+            (_, weight), _, _ = self._feature_labels
+            shortest = min((self._junctions.get(i, ()) for i in keep), key=len)
+            return weight * sum(ids.issuperset(keep) for ids in shortest)
+        held = 0
+        for labels, weight in self._feature_labels:
+            if len(keep) <= labels.shape[1]:
+                rows = np.all([(labels == i).any(axis=1) for i in keep], axis=0)
+                held += weight * int(np.count_nonzero(rows))
+        return held
+
+    @cached_property
+    def _junctions(self) -> dict[int, list[frozenset[int]]]:
+        """Per subsystem id, the id sets of the corners where it and at least
+        two other subsystems meet, found with one sort of the corner rows."""
+        (corners, _), _, _ = self._feature_labels
+        rows = np.sort(corners, axis=1)
+        # distinct labels of a sorted row, less OUTSIDE, which sorts first
+        distinct = np.count_nonzero(rows[:, 1:] != rows[:, :-1], axis=1) + (rows[:, 0] != OUTSIDE)
+        index: dict[int, list[frozenset[int]]] = {}
+        for row in rows[distinct >= 3].tolist():
+            ids = frozenset(row).difference((OUTSIDE,))
+            for i in ids:
+                index.setdefault(i, []).append(ids)
+        return index
 
 
 def connectivity_count(css: GridCss | CssAnalysis) -> CssAnalysis:

@@ -10,12 +10,14 @@ for n >= 3 (rho(P_1) = 0 and rho(P_2) = -2) and cycle graphs give
 rho(C_n) = 0, which is what makes open chains vanish and rings survive in
 the subsystem-counting identities.  Component counts and alternating sums
 come from :mod:`topomi.masks`, as for a CSS's per-subset tables.  rho is
-read from the signed component sum of the frontier walk, which needs no
-2^v table unless it passes its state cap.  sigma reads its precondition
-from the grid's labelling and adds the full set's J, the footprint's
-components and holes, to C^N, so it needs no table either, and a failed
-precondition names the failed condition at every N.  Every table is capped
-at ``masks.MAX_SUBSYSTEMS`` vertices or subsystems.
+read from the signed component sum, split over the blocks of the graph:
+for v >= 3 only a block that holds every vertex counts, a cycle graph adds
+(-1)^v in closed form, a 2-connected graph with a chord is walked, and no
+2^v table is read unless that walk passes its state cap.  sigma reads its
+precondition from the grid's labelling and adds the full set's J, the
+footprint's components and holes, to C^N, so it needs no table either, and
+a failed precondition names the failed condition at every N.  Every table
+is capped at ``masks.MAX_SUBSYSTEMS`` vertices or subsystems.
 """
 
 from __future__ import annotations
@@ -40,9 +42,11 @@ def cycle_graph(n: int) -> SimpleGraph:
 
 def rho(graph: SimpleGraph) -> int:
     """Alternating sum of component counts over nontrivial induced subgraphs:
-    the signed sum over every vertex set (``masks.signed_component_sum``,
-    which reads the induced component table when its walk passes the state
-    cap), less the full set's term."""
+    the signed sum over every vertex set (``masks.signed_component_sum``;
+    for three vertices or more only a block that holds every vertex counts,
+    so only a 2-connected graph with a chord is walked, and its walk past
+    the state cap reads the induced component table), less the full set's
+    term."""
     v, adj = graph.vertex_count, graph.neighbor_masks
     return signed_component_sum(adj, [1 << i for i in range(v)]) - (-1) ** v * count_components(adj)
 

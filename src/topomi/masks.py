@@ -48,17 +48,21 @@ counts combinatorially:
 C^N and the C of a sub-collection X need no table.  With J = 2c - chi,
 C(X) = -2 s(X) - (the weight of the features whose user set holds X),
 where s(X) = sum over S in X of (-1)^|S| c(S) is the signed component sum
-(:func:`signed_component_sum`).  It runs on the subgraph induced by X's own
-vertices, renumbered: one dynamic-programming pass over its 2-core (for
-|X| >= 3; the whole graph for |X| <= 2) that picks each vertex as it goes
-(:func:`_next_vertex`), whose states are the in/out choices of the open
-groups and the component partition of the frontier.  The states grow with
-the width of the frontier, not with N, and the walk gives up at the step
-that leaves more than ``MAX_WALK_STATES`` of them; s(X) is then read from
-the 2^|X| component table of X's own groups, as the top Moebius
-coefficient of its (2,)*k view (:func:`alternating_sum`), in int64 and
-without a table of signs.  Every 2^n table, a CSS's or a graph's, is
-capped at ``MAX_SUBSYSTEMS`` groups.
+(:func:`signed_component_sum`).  For |X| >= 3 it is split over the blocks
+(2-connected pieces) of the subgraph X's own vertices induce, found in one
+iterative Hopcroft-Tarjan pass (:func:`_cycle_blocks`): only a block that
+meets every group of X adds a term, a plain cycle adds (-1)^|X| with no
+walk, and only a block with a chord is walked; for |X| <= 2 the whole
+subgraph is walked.  The walk (:func:`_frontier_walk`) is one
+dynamic-programming pass over the block's vertices, renumbered, that picks
+each vertex as it goes (:func:`_next_vertex`), whose states are the in/out
+choices of the open groups and the component partition of the frontier.
+The states grow with the width of the frontier, not with N, and the walk
+gives up at the step that leaves more than ``MAX_WALK_STATES`` of them; the
+block's term is then read from the 2^|X| component table of X's groups on
+that block, as the top Moebius coefficient of its (2,)*k view
+(:func:`alternating_sum`), in int64 and without a table of signs.  Every
+2^n table, a CSS's or a graph's, is capped at ``MAX_SUBSYSTEMS`` groups.
 
 The flood-fill definition stays available in :mod:`topomi.grid`; the test
 suite compares every table with it, for every width of vertex mask.
@@ -76,7 +80,7 @@ from .grid import MAX_VERTICES, OUTSIDE, GridCss, pack_bits, set_bits
 
 #: cap on the groups of any 2^n table, a CSS's subsystems or a graph's vertices (2**24 masks)
 MAX_SUBSYSTEMS = 24
-#: the frontier walk (:func:`signed_component_sum`) falls back to a table
+#: the frontier walk (:func:`_frontier_walk`) falls back to a table
 #: when one vertex leaves more states than this
 MAX_WALK_STATES = 1 << 12
 #: the component walk takes its subsets in blocks of 2**BLOCK_BITS
@@ -314,30 +318,102 @@ def signed_component_sum(adj: list[int], groups: list[int]) -> int:
     components of the subgraph induced by the union of S, with no 2^n table.
 
     ``adj[v]`` is the neighbour bitmask of vertex v and ``groups[i]`` the
-    vertex bitmask of group i; the groups are disjoint.  The walk runs on the
-    subgraph induced by their union, renumbered (:func:`_induced`), and
-    visits its core one vertex at a time, each chosen as it goes
-    (:func:`_next_vertex`): the 2-core for n >= 3 (as in
-    :func:`add_components`, a term outside it depends on at most two groups,
-    and a group with no core vertex cancels the rest), the whole union for
-    n <= 2.  A state holds the in/out choice of each open group (one with
-    visited and unvisited vertices) and the component partition of the
-    chosen frontier vertices (visited ones with an unvisited neighbour); its
-    value is the pair (sum of signs, sum of sign times closed components)
-    over the choices that lead to it, and a state whose value is (0, 0) is
-    dropped, since every later value is linear in it.  At the vertex that
-    leaves more than ``MAX_WALK_STATES`` states the walk stops, and the sum
-    is read from the :func:`component_counts` of the groups on their union, a
-    2^n table: TooManySubsystems naming both caps above ``MAX_SUBSYSTEMS``
-    groups.
+    vertex bitmask of group i; the groups are disjoint, and an empty one
+    makes the sum 0.  It runs on the subgraph induced by their union.  For
+    n <= 2 groups that whole subgraph is walked (:func:`_frontier_walk`),
+    renumbered (:func:`_induced`).  For n >= 3 it is split over the blocks
+    of the subgraph (:func:`_cycle_blocks`): components = |V| - |E| + cycle
+    rank, and the |V| and |E| terms each depend on at most two groups, so
+    their alternating sums over n >= 3 groups are 0.  Every cycle lies in
+    one block, which holds every edge between its own vertices, so the cycle
+    rank is the sum of the blocks' own.  A block's term depends only on the
+    groups it meets and cancels unless it meets all n; a block that is a
+    plain cycle (as many edges as vertices) has cycle rank 1 only when every
+    group is chosen, so it adds (-1)^n; any other block that meets every
+    group is walked on its own vertices, renumbered, and its walk past the
+    state cap reads the 2^n component table of the groups on that block.
     """
+    if not all(groups):
+        return 0
     union = 0
     for mask in groups:
         union |= mask
-    adj, groups = _induced(adj, groups, union)
-    unvisited = _two_core(adj) if len(groups) > 2 else (1 << len(adj)) - 1
-    if not all(mask & unvisited for mask in groups):
-        return 0
+    if len(groups) <= 2:
+        return _frontier_walk(*_induced(adj, groups, union))
+    total = 0
+    for block in _cycle_blocks(adj, union):
+        if all(mask & block for mask in groups):
+            if sum((adj[v] & block).bit_count() for v in set_bits(block)) == 2 * block.bit_count():
+                total += (-1) ** len(groups)  # a plain cycle
+            else:
+                total += _frontier_walk(*_induced(adj, groups, block))
+    return total
+
+
+def _cycle_blocks(adj: list[int], keep: int) -> list[int]:
+    """Vertex masks of the blocks (maximal 2-connected subgraphs) that hold a
+    cycle, i.e. have three or more vertices, of the subgraph induced by the
+    vertex mask ``keep`` of the graph with neighbour bitmasks ``adj``;
+    bridges are left out.  One iterative Hopcroft-Tarjan depth-first pass
+    over the vertices of ``keep``: a vertex's low point is the lowest
+    discovery number reached from its subtree by one edge, and a child whose
+    low point is not below its parent's number closes a block, the child's
+    subtree vertices still on the path plus the parent."""
+    order: dict[int, int] = {}  # discovery number of each vertex reached
+    low: dict[int, int] = {}
+    left: dict[int, int] = {}  # neighbours of each vertex not yet tried
+    blocks: list[int] = []
+    for root in set_bits(keep):
+        if root in order:
+            continue
+        order[root] = low[root] = len(order)
+        left[root] = adj[root] & keep
+        path, todo = [root], [root]  # todo: the depth-first stack
+        while todo:
+            v = todo[-1]
+            if left[v]:
+                bit = left[v] & -left[v]
+                left[v] ^= bit
+                u = bit.bit_length() - 1
+                if u in order:
+                    low[v] = min(low[v], order[u])
+                else:
+                    order[u] = low[u] = len(order)
+                    left[u] = adj[u] & keep
+                    path.append(u)
+                    todo.append(u)
+                continue
+            todo.pop()
+            if todo:
+                parent = todo[-1]
+                low[parent] = min(low[parent], low[v])
+                if low[v] >= order[parent]:
+                    block, w = 1 << parent, parent
+                    while w != v:
+                        w = path.pop()
+                        block |= 1 << w
+                    if block.bit_count() > 2:
+                        blocks.append(block)
+    return blocks
+
+
+def _frontier_walk(adj: list[int], groups: list[int]) -> int:
+    """:func:`signed_component_sum` of the whole graph ``adj`` over the
+    disjoint, non-empty ``groups`` that cover it, by a dynamic-programming
+    walk that visits one vertex at a time, each chosen as it goes
+    (:func:`_next_vertex`).
+
+    A state holds the in/out choice of each open group (one with visited and
+    unvisited vertices) and the component partition of the chosen frontier
+    vertices (visited ones with an unvisited neighbour); its value is the
+    pair (sum of signs, sum of sign times closed components) over the
+    choices that lead to it, and a state whose value is (0, 0) is dropped,
+    since every later value is linear in it.  At the vertex that leaves more
+    than ``MAX_WALK_STATES`` states the walk stops, and the sum is read from
+    the :func:`component_counts` of the groups on this graph, a 2^n table:
+    TooManySubsystems naming both caps above ``MAX_SUBSYSTEMS`` groups.
+    """
+    unvisited = (1 << len(adj)) - 1
     owner = {v: i for i, mask in enumerate(groups) for v in set_bits(mask)}
 
     states = {(0, ()): (1, 0)}  # (chosen open groups, frontier labels) -> (signs, closed)

@@ -50,6 +50,7 @@ from topomi.masks import UnionTopology, alternating_sum, subset_signs
 from topomi.model import EntropyModel
 
 from flood_reference import entropy_of_region, model_entropy_source, perimeter_links
+from test_grid import window_frame
 
 LN2 = math.log(2)
 D2 = EntropyModel(2.0)
@@ -352,33 +353,51 @@ def test_csv_writer_holds_one_block_of_rows_at_a_time(monkeypatch):
 def test_capped_walk_falls_back_to_the_table(monkeypatch):
     """With the walk capped at 2 states, C comes from the component table of
     its sub-collection up to 24 subsystems and is a TooManySubsystems naming
-    both caps above it; no long walk starts."""
+    both caps above it; no long walk starts.  Each C^N below but the ring's
+    walks a block with a chord, so it reads the table; the ring and the hole
+    loops are plain cycles, read in closed form."""
     monkeypatch.setattr("topomi.masks.MAX_WALK_STATES", 2)
-    for css in (builders.six_hole_eighteen(), builders.annulus(12), builders.far_handle_annulus(8, 3)):
+    tables = _count_calls(monkeypatch, [(masks, "component_counts")])
+    for css, reads in ((builders.six_hole_eighteen(), 1), (builders.annulus(12), 0),
+                       (builders.far_handle_annulus(8, 3), 1)):
         analysis = CssAnalysis(css)
         j = analysis.j_table
+        before = tables["component_counts"]
         for ids in [*analysis.hole_loops, tuple(range(css.n_subsystems))]:
             assert analysis.c_within(ids) == signed_reference(j, ids), (css.name, ids)
+        assert tables["component_counts"] - before == reads, css.name
     start = time.perf_counter()
     with pytest.raises(TooManySubsystems, match="cap of 2 states, and 30 groups exceed the table's cap of 24"):
-        CssAnalysis(builders.annulus(30)).c_n
+        CssAnalysis(builders.far_handle_annulus(30, 3)).c_n
     assert time.perf_counter() - start < 1
 
 
 def test_capped_walk_reads_a_table_of_its_own_sub_collection(monkeypatch):
     """A capped walk falls back to the 2^k table of its k groups, not to the
-    2^N J table: a 4-loop of a 30-subsystem CSS answers as the uncapped walk
-    does, while its 28-loop raises naming both caps."""
+    2^N J table: six bricks of a 70-brick wall answer as the uncapped walk
+    does, while the whole wall raises naming both caps.  A 30-subsystem far
+    handle's 4-loop and 28-loop are plain cycles, so they answer under the
+    cap, with no table."""
+    wall = brick_css(7, 10)
+    patch = (0, 1, 2, 7, 8, 9)  # three bricks of each of two rows: a block with chords
+    uncapped = CssAnalysis(wall).c_within(patch)
     css = builders.far_handle_annulus(30, 3)
     loops = sorted(CssAnalysis(css).hole_loops, key=len)
     assert [len(loop) for loop in loops] == [4, 28]
-    uncapped = CssAnalysis(css).c_within(loops[0])
     monkeypatch.setattr("topomi.masks.MAX_WALK_STATES", 2)
-    analysis = CssAnalysis(css)
-    assert analysis.c_within(loops[0]) == uncapped == -2
-    with pytest.raises(TooManySubsystems, match="cap of 2 states, and 28 groups exceed the table's cap of 24"):
-        analysis.c_within(loops[1])
+    tables = []
+    table = masks.component_counts
+    monkeypatch.setattr(masks, "component_counts", lambda adj, groups: tables.append(len(groups)) or table(adj, groups))
+    analysis = CssAnalysis(wall)
+    restricted = CssAnalysis(restrict_css(wall, patch))
+    assert analysis.c_within(patch) == uncapped == signed_reference(restricted.j_table, range(len(patch)))
+    assert tables == [6]
+    with pytest.raises(TooManySubsystems, match="cap of 2 states, and 70 groups exceed the table's cap of 24"):
+        analysis.c_n
     assert "j_table" not in vars(analysis)
+    analysis = CssAnalysis(css)
+    assert [analysis.c_within(loop) for loop in loops] == [-2, -2]
+    assert tables == [6] and "j_table" not in vars(analysis)
 
 
 RING_BUILDERS = (builders.annulus, builders.annulus_with_punched_hole,
@@ -392,6 +411,18 @@ def test_ring_c_n_beyond_the_table_cap(build, n):
     start = time.perf_counter()
     assert connectivity_count(build(n)).c_n == 2 * (-1) ** (n - 1)
     assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("n", [30, 64, pytest.param(200, marks=pytest.mark.installed)])
+@pytest.mark.parametrize("build", RING_BUILDERS, ids=lambda b: b.__name__)
+def test_ring_c_n_is_read_in_closed_form(build, n, monkeypatch):
+    """Each ring builder's cell-component graph is one plain cycle through
+    every subsystem, so C^N = 2(-1)^(N-1) comes with no walk and no table,
+    even with the walk capped at 0 states."""
+    monkeypatch.setattr(masks, "MAX_WALK_STATES", 0)
+    walks = _count_calls(monkeypatch, [(masks, "_frontier_walk"), (masks, "component_counts")])
+    assert connectivity_count(build(n)).c_n == -2
+    assert not walks
 
 
 @pytest.mark.parametrize("n", [32, 48])
@@ -434,6 +465,54 @@ def test_c_within_at_seventy_subsystems_is_the_restricted_c_n():
         want = signed_reference(restricted.j_table, range(len(ids)))
         assert analysis.c_within(ids) == want, ids
     assert sorted({len(ids) for ids in picks}) == [3, 4, 5]
+
+
+def held_by_scan(analysis: CssAnalysis, keep) -> int:
+    """The reference for ``CssAnalysis._held``: the weight of every corner,
+    segment and cell row of the grid whose cells hold every id of ``keep``."""
+    held = 0
+    for labels, weight in analysis._feature_labels:
+        rows = np.all([(labels == i).any(axis=1) for i in keep], axis=0)
+        held += weight * int(np.count_nonzero(rows))
+    return held
+
+
+def test_junction_index_matches_the_full_scan(junction_css):
+    """The chi term of three or four ids, counted from the corner index,
+    equals the scan of every feature row: on each 3- and 4-subset of the
+    ids at a junction corner, each junction's ids with one id more, and
+    seeded random keeps of 3 or 4 ids, over the junction fixture and the
+    70-brick wall."""
+    rng = random.Random(68)
+    checked = held = 0
+    for css in [*junction_css, brick_css(7, 10)]:
+        analysis = CssAnalysis(css)
+        n = css.n_subsystems
+        junctions = {ids for lists in analysis._junctions.values() for ids in lists}
+        keeps = {tuple(sorted(sub)) for ids in junctions for size in (3, 4)
+                 for sub in itertools.combinations(ids, size)}
+        keeps |= {tuple(sorted({*ids, rng.randrange(n)})) for ids in junctions}
+        keeps |= {tuple(sorted(rng.sample(range(n), rng.choice([3, 4])))) for _ in range(20)}
+        for keep in keeps:
+            if 3 <= len(keep) <= 4:
+                want = held_by_scan(analysis, keep)
+                assert analysis._held(keep) == want, (css.name, keep)
+                checked += 1
+                held += want > 0
+    assert checked > 5000 and held > 600, (checked, held)
+
+
+def test_information_of_a_thousand_hole_frame_is_per_hole():
+    """The chi term of each 4-id loop reads the corners where its ids meet,
+    not every feature row of the grid, and each loop's block is a plain
+    cycle, read with no walk: the summary of the 3 001-subsystem frame,
+    C^N and 1 000 loops of C = -2, takes about 0.09 s on a 2-core x86-64
+    VM."""
+    css = window_frame(1000)
+    start = time.perf_counter()
+    summary = information_summary(D2, css)
+    assert time.perf_counter() - start < 0.35
+    assert summary.c_n == 0 and [h.c for h in summary.holes] == [-2] * 1000
 
 
 def test_c_beyond_four_ids_builds_no_features():
@@ -565,29 +644,33 @@ def test_information_needs_three_subsystems(grid, alpha):
 
 def test_subsystem_guard(monkeypatch):
     """Above 24 subsystems C^N comes from the frontier walk while the J table
-    raises; when the walk passes its state cap too, so does C^N."""
+    raises; when the walk passes its state cap too, so does C^N.  A ring's
+    C^N is its cycle's closed form, so it answers under any cap."""
     chain = CssAnalysis(GridCss(25, 1, tuple(range(25))))
     assert connectivity_count(chain).c_n == 0
     with pytest.raises(TooManySubsystems, match="25 subsystems exceed the cap of 24"):
         chain.j_table
+    assert connectivity_count(builders.far_handle_annulus(25, 3)).c_n == 0
     monkeypatch.setattr("topomi.masks.MAX_WALK_STATES", 1)
     with pytest.raises(TooManySubsystems, match="cap of 1 states, and 25 groups exceed the table's cap of 24"):
-        connectivity_count(builders.annulus(25))
+        connectivity_count(builders.far_handle_annulus(25, 3))
+    assert connectivity_count(builders.annulus(25)).c_n == 2
 
 
 def test_cap_leaves_holes_loops_graph_and_chi(monkeypatch):
     monkeypatch.setattr("topomi.masks.MAX_SUBSYSTEMS", 4)
-    analysis = CssAnalysis(builders.annulus(5))
+    analysis = CssAnalysis(builders.far_handle_annulus(5, 2))
     assert len(analysis._cell_component_graph[1]) == 5
-    assert analysis.holes.n_h == 1
-    assert [len(loop) for loop in analysis.hole_loops] == [5]
-    assert analysis.graph.d_nn == 5
+    assert analysis.holes.n_h == 2
+    assert sorted(len(loop) for loop in analysis.hole_loops) == [3, 4]
+    assert analysis.graph.d_nn == 6
     assert analysis.chi == 2
-    assert analysis.c_n == 2  # from the frontier walk
+    assert analysis.c_n == 0  # from the frontier walk of its one block, a 5-cycle with a chord
     monkeypatch.setattr("topomi.masks.MAX_WALK_STATES", 1)
-    assert analysis.c_within(range(4, -1, -1)) == 2  # kept from c_n, not walked again
+    assert analysis.c_within(range(4, -1, -1)) == 0  # kept from c_n, not walked again
     with pytest.raises(TooManySubsystems, match="5 groups exceed the table's cap of 4"):
         CssAnalysis(analysis.css).c_within(range(4, -1, -1))
+    assert CssAnalysis(builders.annulus(5)).c_n == 2  # a plain cycle: no walk, no table
 
 
 def test_annulus_beyond_the_cap_has_chi_and_annular_order():

@@ -22,6 +22,8 @@ from topomi.graphs import (
 from topomi.grid import MAX_VERTICES, GridCss, adjacency_graph, parse_ascii
 from topomi.masks import UnionTopology, subset_signs
 
+from test_engine import brick_css
+
 
 def brute_rho(graph):
     """Direct itertools enumeration, independent of the bitmask walk."""
@@ -86,16 +88,28 @@ def test_rho_matches_brute_force_on_small_graphs():
         assert rho(graph) == brute_rho(graph)
 
 
+def chorded_cycle(n: int) -> SimpleGraph:
+    """The n-cycle plus the chord (0, n // 2): one block that is not a cycle."""
+    return SimpleGraph(n, (*cycle_graph(n).edges, (0, n // 2)))
+
+
 def test_rho_guard(monkeypatch):
     """rho needs no table on a long cycle or path; the table cap guards only
-    the table, read when the frontier walk passes its state cap."""
+    the table, read when the frontier walk of a block with a chord passes
+    its state cap.  A cycle is read in closed form under any cap."""
     assert rho(cycle_graph(40)) == 0
     assert rho(path_graph(40)) == -1
     assert rho(SimpleGraph(21, ())) == 21  # (-1)^(v-1) v on v isolated vertices
+    walked = rho(chorded_cycle(20))
+    # the signed sum is 0 (the outer cycle cancels the whole graph), so rho is -(-1)^v
+    assert walked == brute_rho(chorded_cycle(8)) == -1
     monkeypatch.setattr("topomi.masks.MAX_WALK_STATES", 1)
-    assert rho(cycle_graph(20)) == 0  # from the table
+    assert rho(chorded_cycle(20)) == walked  # from the table
     with pytest.raises(TooManySubsystems, match="cap of 1 states.*cap of 24"):
-        rho(cycle_graph(25))
+        rho(chorded_cycle(25))
+    for cap in (0, 1):
+        monkeypatch.setattr("topomi.masks.MAX_WALK_STATES", cap)
+        assert rho(cycle_graph(25)) == 0
 
 
 def test_rho_of_a_long_path():
@@ -103,6 +117,17 @@ def test_rho_of_a_long_path():
     of path ends: a 10 000-vertex path answers at once."""
     start = time.perf_counter()
     assert rho(path_graph(10_000)) == -1
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("graph", [cycle_graph, path_graph])
+def test_rho_at_the_vertex_cap(graph):
+    """The block pass is iterative: a cycle (one block, read in closed form)
+    and a path (no block with a cycle) of ``grid.MAX_VERTICES`` vertices
+    answer within a second, with no RecursionError."""
+    big = graph(MAX_VERTICES)
+    start = time.perf_counter()
+    assert rho(big) == (0 if graph is cycle_graph else -1)
     assert time.perf_counter() - start < 1
 
 
@@ -369,18 +394,19 @@ def test_rho_and_sigma_match_the_signed_reference():
 def test_rho_and_sigma_are_exact_beyond_int32(monkeypatch):
     """Synthetic int32 tables whose alternating sums leave int32.  With the
     walk capped at 0 states, the signed sums of rho and of sigma's C^N are
-    read from ``masks.component_counts``, here the synthetic table; sigma's
-    J of the full set is read from the labelling."""
+    read from ``masks.component_counts``, here the synthetic table, as the
+    graphs of both are one block that is not a cycle; sigma's J of the full
+    set is read from the labelling."""
     n = 10
     table = np.random.default_rng(5).integers(-2**31, 2**31, size=1 << n).astype(np.int32)
     table[0], table[-1] = 0, 1  # a cycle's one component, which rho counts apart
     monkeypatch.setattr(masks, "component_counts", lambda adj, groups: table)
     monkeypatch.setattr(masks, "MAX_WALK_STATES", 0)  # every walk reads the table
     want = sum((-1) ** (mask.bit_count() - 1) * int(table[mask]) for mask in range(1, (1 << n) - 1))
-    assert rho(cycle_graph(n)) == -want == -_signed_proper_sum(table)
-    # C^N = -2 s = 2 (want - table[-1]) on 10 one-cell subsystems, less (-1)^9
-    # J of the full ring, its one component and one hole
-    assert sigma_of_css(builders.annulus(n)) == 2 * want
+    assert rho(chorded_cycle(n)) == -want == -_signed_proper_sum(table)
+    # C^N = -2 s = 2 (want - table[-1]) on 10 two-cell bricks, whose graph is
+    # one block with chords, less (-1)^9 J of the full wall, its one component
+    assert sigma_of_css(brick_css(5, 2)) == 2 * want - 1
 
 
 def _sigma_cases(junction_css):

@@ -32,6 +32,7 @@ from topomi.masks import (
     BLOCK_BITS,
     ROW_BITS,
     UnionTopology,
+    _cycle_blocks,
     _two_core,
     _walk_components,
     component_counts,
@@ -577,7 +578,8 @@ def test_signed_component_sum_matches_component_counts(graph):
 
 def test_signed_component_sum_stops_at_its_state_cap(monkeypatch):
     """The 8x8 grid graph needs hundreds of states: with the cap at 5 the walk
-    gives up within a few vertices.  A ring needs five states at most."""
+    gives up within a few vertices.  A ring is a plain cycle, read in closed
+    form with no walk."""
     adj = SimpleGraph(64, tuple(
         (v, u) for v in range(64) for u in (v + 1, v + 8) if u < 64 and (u == v + 8 or u % 8)
     )).neighbor_masks
@@ -589,14 +591,65 @@ def test_signed_component_sum_stops_at_its_state_cap(monkeypatch):
     assert signed_component_sum(ring, singletons(64)) == 1
 
 
-def frontier_order(adj, core, groups, owner):
-    """The greedy vertex order of the frontier walk, built whole before its
-    first step: each step takes, among the unvisited neighbours of the
-    visited vertices (the lowest unvisited vertex when there are none), the
-    one that adds the fewest frontier vertices plus open groups, the lowest
-    on a tie.  ``groups`` are the groups' core vertex masks."""
+@st.composite
+def block_graphs(draw):
+    """A graph glued from blocks, each a bridge, a cycle, a cycle with a chord
+    or a K4, that joins the graph at one vertex already in it (a cut vertex)
+    or starts a component of its own; its vertices dealt into groups in
+    random order, and a non-empty set of the groups.  Returns the neighbour
+    masks, the groups, the ids and the (vertex mask, plain cycle) of each
+    block of three vertices or more, known from how the graph was glued."""
+    n, edges, blocks = 0, [], []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["bridge", "cycle", "chorded", "k4"]))
+        size = {"bridge": 2, "k4": 4}.get(kind) or draw(st.integers(3 + (kind == "chorded"), 6))
+        joined = bool(n) and draw(st.booleans())
+        vertices = [draw(st.integers(0, n - 1))] if joined else []
+        vertices += range(n, n + size - len(vertices))
+        n += size - joined
+        if kind == "k4":
+            local = list(itertools.combinations(range(4), 2))
+        else:
+            local = [(i, (i + 1) % size) for i in range(size if size > 2 else 1)] + [(0, 2)] * (kind == "chorded")
+        edges += [(vertices[a], vertices[b]) for a, b in local]
+        if size > 2:
+            blocks.append((sum(1 << v for v in vertices), kind == "cycle"))
+    owner = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    order = draw(st.permutations(sorted(set(owner))))
+    groups = [sum(1 << v for v in range(n) if owner[v] == i) for i in order]
+    ids = draw(st.sets(st.integers(0, len(groups) - 1), min_size=1))
+    return neighbor_masks(n, edges), groups, ids, blocks
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(block_graphs())
+def test_signed_component_sum_splits_over_blocks(graph):
+    """The blocks found are the blocks glued, and the sum agrees with the
+    component table on any set of groups: with cut vertices shared across
+    groups, bridges, and blocks that miss a group.  Over every group, only
+    the blocks with a chord that meet them all are walked (the whole graph
+    for one or two groups)."""
+    adj, groups, ids, blocks = graph
+    assert sorted(_cycle_blocks(adj, (1 << len(adj)) - 1)) == sorted(mask for mask, _ in blocks)
+    chosen = [groups[g] for g in sorted(ids)]
+    assert signed_component_sum(adj, chosen) == table_signed_sum(adj, groups, ids)
+    walked = []
+    walk = masks._frontier_walk
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(masks, "_frontier_walk", lambda *args: walked.append(args) or walk(*args))
+        assert signed_component_sum(adj, groups) == table_signed_sum(adj, groups, range(len(groups)))
+    chorded = [mask for mask, cycle in blocks if not cycle and all(g & mask for g in groups)]
+    assert len(walked) == (1 if len(groups) <= 2 else len(chorded))
+
+
+def frontier_order(adj, groups, owner):
+    """The greedy vertex order of the frontier walk over every vertex of
+    ``adj``, built whole before its first step: each step takes, among the
+    unvisited neighbours of the visited vertices (the lowest unvisited
+    vertex when there are none), the one that adds the fewest frontier
+    vertices plus open groups, the lowest on a tie."""
     order = []
-    frontier, left = 0, core
+    frontier, left = 0, (1 << len(adj)) - 1
     while left:
         near = 0
         for u in set_bits(frontier):
@@ -619,25 +672,28 @@ def frontier_order(adj, core, groups, owner):
 
 
 def assert_walk_takes_the_greedy_order(monkeypatch, adj, groups):
-    """The vertices the frontier walk of ``groups`` visits, recorded from
+    """The vertices the frontier walk visits, recorded from
     ``masks._next_vertex``, against :func:`frontier_order` on the same
-    induced graph and core: the whole order, or its prefix up to the step
-    where the walk stopped at its state cap.  Returns whether it stopped."""
+    graph: the whole order, or its prefix up to the step where the walk
+    stopped at its state cap.  The walk (``masks._frontier_walk``) is called
+    directly on the subgraph induced by the groups' union, or by its 2-core
+    for three groups or more, which holds every block that can hold a cycle
+    and is wider than any of them.  Returns whether it stopped."""
+    adj, groups = masks._induced(adj, groups, functools.reduce(operator.or_, groups))
+    if len(groups) > 2:
+        adj, groups = masks._induced(adj, groups, _two_core(adj))
+    if not all(groups):
+        return False  # signed_component_sum answers 0 with no walk
     choices, stopped = [], []
     choose, table = masks._next_vertex, masks.component_counts
     monkeypatch.setattr(masks, "_next_vertex", lambda *args: choices.append(choose(*args)) or choices[-1])
     monkeypatch.setattr(masks, "component_counts", lambda *args: stopped.append(True) or table(*args))
     try:
-        signed_component_sum(adj, groups)
+        masks._frontier_walk(adj, groups)
     except TooManySubsystems:
         stopped.append(True)
-    adj, groups = masks._induced(adj, groups, functools.reduce(operator.or_, groups))
-    core = _two_core(adj) if len(groups) > 2 else (1 << len(adj)) - 1
-    if not all(mask & core for mask in groups):
-        assert choices == []  # the sum is 0 before any step
-        return False
     owner = {v: i for i, mask in enumerate(groups) for v in set_bits(mask)}
-    order = frontier_order(adj, core, [mask & core for mask in groups], owner)
+    order = frontier_order(adj, groups, owner)
     assert choices == (order[:len(choices)] if stopped else order)
     return bool(stopped)
 

@@ -718,6 +718,10 @@ C_WITHIN_CALLS = {"annulus-n3": 2, "far-handle-n6-span3": 5, "six-hole-eighteen"
 #: sub-collection, as the annulus's hole loop is the whole CSS and the sub-loop
 #: revival reads the two loops the hole pass walked
 WALKS = {"annulus-n3": 1, "far-handle-n6-span3": 3, "six-hole-eighteen": 7}
+#: block walks (masks._frontier_walk) of the same runs: one per block that is
+#: not a plain cycle and meets every subsystem of a sub-collection, here each
+#: C^N of a ring with a chord; every hole loop is a plain cycle, read in closed form
+BLOCK_WALKS = {"annulus-n3": 0, "far-handle-n6-span3": 1, "six-hole-eighteen": 1}
 
 
 @pytest.mark.parametrize("name", sorted(C_WITHIN_CALLS))
@@ -725,6 +729,7 @@ def test_run_scenario_analyses_each_css_once(name, monkeypatch):
     builds, floods = _count_analysis_work(monkeypatch)
     c_within = _count_calls(monkeypatch, engine.CssAnalysis, "c_within")
     walks = _count_calls(monkeypatch, engine, "signed_component_sum")
+    block_walks = _count_calls(monkeypatch, masks, "_frontier_walk")
     scn = load_scenario(GALLERY / f"{name}.json")
     assert run_scenario(scn).passed
     # one analysis of the full CSS: its holes are read once, and C^N and the C
@@ -733,6 +738,7 @@ def test_run_scenario_analyses_each_css_once(name, monkeypatch):
     assert floods == builds
     assert len(c_within) == C_WITHIN_CALLS[name]
     assert len(walks) == WALKS[name]
+    assert len(block_walks) == BLOCK_WALKS[name]
 
 
 def test_analytic_scenarios_build_no_subset_table(monkeypatch):
@@ -766,10 +772,14 @@ def test_gallery_suite_builds_no_entropy_table(monkeypatch):
     tables = _count_calls(monkeypatch, engine, "subset_entropy_table")
     c_within = _count_calls(monkeypatch, engine.CssAnalysis, "c_within")
     walks = _count_calls(monkeypatch, engine, "signed_component_sum")
+    block_walks = _count_calls(monkeypatch, masks, "_frontier_walk")
     assert run_suite(GALLERY).n_failed == 0
     assert tables == []
     assert len(c_within) == 101
     assert len(walks) == 72  # one per distinct sub-collection of each analysis
+    # only the blocks with a chord are walked: the C^N of six-hole-eighteen
+    # (18 vertices, 23 edges) and of the six far-handle rings
+    assert len(block_walks) == 7
 
 
 @pytest.mark.parametrize("name", ["stab-torus8-n3-raster", "stab-planar9-n4-raster"])

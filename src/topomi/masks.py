@@ -10,40 +10,35 @@ counts combinatorially:
   corner/segment/cell features present for a mask iff it meets the
   feature's user set U.  The Moebius expansion
   [U meets S] = sum over non-empty V in U of (-1)^(|V|-1) [V in S]
-  turns each feature into at most 15 signed histogram entries (a user set
-  has at most 4 bits), so one subset sum (:func:`subset_sums`) of the
-  histogram gives the table.  Its one pass per bit runs in place; the
-  passes for bits 1 and 2, whose contiguous runs are 2 and 4 entries, walk
-  transposed views so that numpy's inner loop is the long axis.  Such a
-  histogram is sparse: seen as rows of 2^``ROW_BITS`` entries, an N = 20
-  table has about 10 live rows (rows with a non-zero entry) of 256.  The
-  passes for the bits below ``ROW_BITS`` keep a zero row zero, so they run
-  on the live rows alone, in place, and each pass for a higher bit adds
-  only the blocks of rows that held a live row;
+  turns each feature into at most 15 signed (mask, weight) entries
+  (:func:`meet_histogram`; a user set has at most 4 bits), and the table is
+  their subset sums (:func:`subset_table`): entry S sums the weights of the
+  entries whose mask lies in S.  The entries are few (about 35 distinct
+  masks at N = 20), so no 2^N histogram is filled: seen as rows of
+  2^``ROW_BITS`` entries, only the rows that hold an entry are built and
+  summed over their low bits, and the table is filled by doubling, one
+  higher bit at a time: the half with the bit is the half without it plus
+  each live row whose top bit it is, over the masks that hold that row;
 * the component count of a union equals the component count of the induced
   subgraph on per-subsystem cell-components (:func:`component_counts`).
-  For every induced subgraph, components = |V| - |E| + cycle rank, and
-  every cycle lies in the 2-core (what is left after repeatedly deleting
-  vertices of degree <= 1, peeled from one worklist).  So a subset S counts
-  +1 per vertex outside the core whose subsystem is in S and -1 per edge
-  with an endpoint outside the core whose subsystems are in S (more
-  histogram entries), plus the components of the core's own induced
-  subgraph.  Only the core is walked,
-  every subset whole, in blocks of 2^``BLOCK_BITS`` subsets
-  (:func:`_walk_components`): each numpy pass grows every subset's
-  component through per-byte neighbour tables, and one that stopped
-  growing counts it and restarts from its lowest remaining vertex (uint32,
-  uint64 or Python int vertex masks; split subsystems take no branch).
-  Each histogram term depends on at most two subsystems, so its
-  alternating sum over the subsets of three or more is 0: the component
-  part of C^N (N >= 3) comes from the core alone, and the chains and
-  appendages outside add nothing;
+  For every induced subgraph, components = |V| - |E| + cycle rank, and the
+  cycle rank is the sum of those of its blocks (2-connected pieces,
+  :func:`_cycle_blocks`).  So a subset S counts +1 per vertex whose group
+  is in S, -1 per edge whose groups are in S and +1 per plain-cycle block
+  whose groups are all in S (more entries).  The blocks with a chord are
+  walked together on their own edges, every subset whole, in blocks of
+  2^``BLOCK_BITS`` subsets (:func:`_walk_components`): each numpy pass
+  grows every subset's component through per-byte neighbour tables, and
+  one that stopped growing counts it and restarts from its lowest
+  remaining vertex (uint32, uint64 or Python int vertex masks; split
+  subsystems take no branch).  That walk counts |V| - |E| + cycle rank of
+  those blocks, so their vertices and edges add no entry;
 * pinch-freeness (enforced by grid validation) makes the complex
   homotopy-faithful, so holes = components - chi and J = 2*components - chi.
-  J is built in one int32 pass: the -chi feature entries and twice the
-  outside-core entries share one histogram, summed over subsets once, and
-  twice the core's walked table is added to it a row of 2^``ROW_BITS``
-  entries at a time.
+  J is built in one int32 table: the -chi feature entries and twice the
+  component entries are summed over subsets once, and twice the chorded
+  blocks' walked table is added to it a row of 2^``ROW_BITS`` entries at
+  a time.
 
 C^N and the C of a sub-collection X need no table.  With J = 2c - chi,
 C(X) = -2 s(X) - (the weight of the features whose user set holds X),
@@ -70,6 +65,8 @@ suite compares every table with it, for every width of vertex mask.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -85,19 +82,15 @@ MAX_SUBSYSTEMS = 24
 MAX_WALK_STATES = 1 << 12
 #: the component walk takes its subsets in blocks of 2**BLOCK_BITS
 BLOCK_BITS = 16
-#: :func:`subset_sums` runs its passes for the bits below ROW_BITS only on
-#: the live rows of 2**ROW_BITS entries, and those for the higher bits only
-#: on the blocks of rows that hold a live row;
-#: :func:`add_components` adds the core's table a row at a time.  On the J
-#: histograms of 20 ``random-n20`` inputs (seed 1; 9-13 live rows of 256 at
-#: 12), mean of the best of 7, two runs on a 2-core x86-64 VM, at 8, 10, 12
-#: and 14: subset sums 1.8-2.1, 1.9, 1.5-1.9 and 2.0-2.1 ms, against
-#: 8.8-9.4 ms with every pass on the whole table; add_components, subset
-#: sums included, 2.6-2.7, 1.9-2.6, 2.2 and 2.5-3.0 ms.  The callers'
-#: histograms measured have at most 7 of 64 rows live (six-hole-eighteen);
-#: a 2^20 table with every other row live takes 13.0-13.1 ms against
-#: 8.6-9.9, and one with every row live 9.2-9.3 against 8.7-8.8
-ROW_BITS = 12
+#: :func:`subset_table` sums its entries over the low ROW_BITS bits in the
+#: live rows of 2**ROW_BITS entries and fills the higher bits by doubling;
+#: :func:`add_components` adds the chorded blocks' table a row at a time.
+#: On the J entries of 20 ``random-n20`` inputs (seed 1), mean of the best
+#: of 7, two runs on a 2-core x86-64 VM, at 8, 9, 10, 11, 12 and 14:
+#: subset_table 1.02-1.20, 0.97-1.02, 0.91-0.95, 0.89-0.97, 1.06-1.09 and
+#: 1.45-1.51 ms; add_components, subset_table included, 1.25-1.34,
+#: 1.10-1.21, 1.09-1.12, 1.12-1.23, 1.23-1.27 and 1.67-1.76 ms
+ROW_BITS = 10
 
 
 def subset_signs(n: int) -> np.ndarray:
@@ -109,52 +102,17 @@ def subset_signs(n: int) -> np.ndarray:
 
 
 def subset_sums(table: np.ndarray) -> np.ndarray:
-    """In place over a 2^n table: entry S becomes the sum of the entries of S's subsets.
+    """In place over the last axis, of 2^n entries, of the C-ordered ``table``:
+    entry S becomes the sum of the entries of S's subsets.
 
     One pass per bit i adds each entry without bit i to its partner with it,
-    viewing the table as (2^(n-i-1), 2, 2^i).  Bits 1 and 2 leave contiguous
-    runs of only 2 and 4 entries, so numpy's inner loop would be that short;
-    their pass iterates the transposed views in C order instead, so the inner
-    loop runs along the long axis of 2^(n-i-1) entries.
-
-    The table is seen as rows of 2^r entries, r = min(n, ``ROW_BITS``).
-    The passes for the bits below r stay inside a row and keep a zero row
-    zero, so those passes run on the live rows (rows with a non-zero entry)
-    alone, one in-place slice per run of consecutive live rows.  The pass
-    for a higher bit i sees the rows as (-1, 2, 2^(i-r)) blocks and adds a
-    bit-clear source half to its bit-set target half only if the source
-    held a live row at the start, one slice per run of such blocks.  The
-    passes before it move entries only within such a half, so a half with
-    no live row at the start is still zero.  Every pass writes into the
-    table itself, with no 2^n temporary, and a skipped addition would only
-    have added zeros, so the result is that of the whole-table passes bit
-    for bit, except that a float zero may stay -0.0 where they give 0.0.
+    viewing the table as (-1, 2, 2^i).  Bits 1 and 2 leave contiguous runs
+    of only 2 and 4 entries, so numpy's inner loop would be that short;
+    their pass iterates the transposed views in C order instead, so the
+    inner loop runs along the long axis.  Every pass writes into the table
+    itself, with no temporary of its size.
     """
-    n = len(table).bit_length() - 1
-    r = min(n, ROW_BITS)
-    rows = table.reshape(-1, 1 << r)
-    live = rows.any(axis=1)
-    for start, stop in _runs(live):
-        _bit_passes(rows[start:stop], range(r))
-    for i in range(r, n):
-        # per block of rows, whether its bit-clear half (the source) held a live row
-        sources = live.reshape(-1, 2, 1 << i - r)[:, 0].any(axis=1)
-        for start, stop in _runs(sources):
-            _bit_passes(table.reshape(-1, 2 << i)[start:stop], range(i, i + 1))
-    return table
-
-
-def _runs(live: np.ndarray) -> list[list[int]]:
-    """The [start, stop) of each run of consecutive True entries of ``live``, in turn."""
-    padded = np.zeros(len(live) + 2, dtype=bool)
-    padded[1:-1] = live
-    return np.flatnonzero(padded[1:] != padded[:-1]).reshape(-1, 2).tolist()
-
-
-def _bit_passes(table: np.ndarray, bits: range) -> np.ndarray:
-    """The :func:`subset_sums` passes for ``bits``, in place over the C-ordered
-    ``table``, whose size is a multiple of 2^(top bit + 1)."""
-    for i in bits:
+    for i in range(table.shape[-1].bit_length() - 1):
         view = table.reshape(-1, 2, 1 << i)
         if i in (1, 2):
             upper = view[:, 1, :].T
@@ -164,9 +122,14 @@ def _bit_passes(table: np.ndarray, bits: range) -> np.ndarray:
     return table
 
 
-def meet_histogram(n: int, weighted_users) -> np.ndarray:
-    """The int32 2^n histogram whose subset sums give, per mask S, the total
-    weight of the (user-set array, weight) features meeting S.
+#: (masks, weights) of no entry
+NO_ENTRIES = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+
+
+def meet_histogram(weighted_users) -> tuple[np.ndarray, np.ndarray]:
+    """The (masks, weights) entries whose subset sums (:func:`subset_table`)
+    give, per mask S, the total weight of the (user-set array, weight)
+    features meeting S.
 
     [U meets S] = sum over the non-empty submasks V of U of (-1)^(|V|-1) [V
     subset of S]: each user set is spread over its submasks, walked as
@@ -175,15 +138,57 @@ def meet_histogram(n: int, weighted_users) -> np.ndarray:
     """
     users = np.concatenate([u for u, _ in weighted_users])
     weights = np.concatenate([np.full(len(u), w) for u, w in weighted_users])
-    hist = np.zeros(1 << n, dtype=np.int32)
+    keys, values = [], []
     sub = users
     while True:
         keep = sub != 0
         sub, users, weights = sub[keep], users[keep], weights[keep]
         if not sub.size:
-            return hist
-        np.add.at(hist, sub, np.where(np.bitwise_count(sub) & 1, weights, -weights))
+            return np.concatenate([*keys, sub]), np.concatenate([*values, weights])
+        keys.append(sub)
+        values.append(np.where(np.bitwise_count(sub) & 1, weights, -weights))
         sub = (sub - 1) & users
+
+
+def subset_table(n: int, entries: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The int32 2^n table whose entry S is the summed weight of the
+    (masks, weights) ``entries`` whose mask is a subset of S.
+
+    Entries of one mask are merged and those of weight 0 dropped.  Seen as
+    rows of 2^r entries, r = min(n, ``ROW_BITS``), a row is live when an
+    entry falls in it.  The live rows alone are built, as one (rows, 2^r)
+    array, and summed over the low r bits at once (:func:`subset_sums`).
+    Row H of the table is then the sum of the summed live rows R with R a
+    subset of H, and it is filled by doubling: rows 0 .. 2^j - 1 hold their
+    sums, and rows 2^j .. 2^(j+1) - 1 are a copy of them plus each live row
+    R whose top bit is j, added over the sub-view of the rows that hold R's
+    other bits.  A live row that is bit j alone is added in the copy.  So
+    no 2^n histogram is filled first, and each entry of the table is
+    written once plus once per live row it holds.
+    """
+    keys, at = np.unique(entries[0], return_inverse=True)
+    weights = np.zeros(len(keys), dtype=np.int64)
+    np.add.at(weights, at, entries[1])
+    keys, weights = keys[weights != 0], weights[weights != 0]
+    r = min(n, ROW_BITS)
+    rows, at = np.unique(keys >> r, return_inverse=True)
+    low = np.zeros((len(rows), 1 << r), dtype=np.int32)
+    low[at, keys & (1 << r) - 1] = weights
+    live = dict(zip(rows.tolist(), subset_sums(low)))
+    table = np.empty(1 << n, dtype=np.int32)
+    table[:1 << r] = live.pop(0, 0)
+    for j in range(n - r):
+        size = 1 << j + r
+        lower, upper = table[:size].reshape(-1, 1 << r), table[size:2 * size].reshape(-1, 1 << r)
+        if 1 << j in live:
+            np.add(lower, live.pop(1 << j), out=upper)
+        else:
+            upper[...] = lower
+        for row in [row for row in live if row >> j == 1]:
+            # the axes of the (2,)*j view run from bit j - 1 down
+            held = tuple(1 if row >> k & 1 else slice(None) for k in reversed(range(j)))
+            upper.reshape(*(2,) * j, 1 << r)[held] += live.pop(row)
+    return table
 
 
 def alternating_sum(view: np.ndarray) -> int:
@@ -215,23 +220,6 @@ def _user_masks(labels: np.ndarray) -> np.ndarray:
     return np.bitwise_or.reduce(bits, axis=1)
 
 
-def _two_core(adj: list[int]) -> int:
-    """Vertex mask of the 2-core: what is left after repeatedly deleting the
-    vertices of degree <= 1, each once from a worklist that a neighbour joins
-    when its degree falls to 1.  Every cycle of every induced subgraph lies in it."""
-    degree = [a.bit_count() for a in adj]
-    peel = [v for v, d in enumerate(degree) if d <= 1]
-    core = (1 << len(adj)) - 1
-    while peel:
-        v = peel.pop()
-        core ^= 1 << v
-        for u in set_bits(adj[v] & core):
-            degree[u] -= 1
-            if degree[u] == 1:
-                peel.append(u)
-    return core
-
-
 def component_counts(adj: list[int], groups: list[int]) -> np.ndarray:
     """Components of the subgraph induced by every subset of vertex groups.
 
@@ -243,52 +231,64 @@ def component_counts(adj: list[int], groups: list[int]) -> np.ndarray:
     """
     if len(groups) > MAX_SUBSYSTEMS:
         raise TooManySubsystems(f"{len(groups)} groups exceed the table's cap of {MAX_SUBSYSTEMS}")
-    return add_components(np.zeros(1 << len(groups), dtype=np.int32), adj, groups)
+    return add_components(NO_ENTRIES, adj, groups)
 
 
-def add_components(hist: np.ndarray, adj: list[int], groups: list[int], scale: int = 1) -> np.ndarray:
-    """Sum the 2^n int32 histogram ``hist`` over subsets, in place, plus ``scale``
-    times :func:`component_counts` of ``adj`` and ``groups``.
+def add_components(entries, adj: list[int], groups: list[int], scale: int = 1) -> np.ndarray:
+    """The int32 :func:`subset_table` of the (masks, weights) ``entries`` over
+    the n = len(groups) groups, plus ``scale`` times :func:`component_counts`
+    of ``adj`` and ``groups``.
 
-    Components = |V| - |E| + cycle rank for every induced subgraph, and each
-    of its cycles lies in the 2-core.  The part outside the core is weights
-    on owner masks (+1 per vertex outside the core, -1 per edge with an
-    endpoint outside it), added to ``hist`` before its subset sums; the
-    cycle rank plus the core's own |V| - |E| is the component count of the
-    core, walked (:func:`_walk_components`) on the groups that own core
-    vertices; with no core vertex it is a single 0, neither walked nor
-    added.  That table is spread once over a row of 2^r entries, r =
-    min(n, ``ROW_BITS``), for each setting of the k core groups at bit r
-    and above (2^(k+r) entries, at most the size of ``hist``), and added
-    over the (2,)*(n-r) x 2^r view of ``hist``, whose inner loop is one
-    whole row.
+    Components = |V| - |E| + cycle rank for every induced subgraph, and its
+    cycle rank is the sum of its blocks' own, each the cycle rank of the
+    subgraph a block of the whole graph (:func:`_cycle_blocks`) induces.
+    So the count joins the entries: +1 at each vertex's group bit, -1 at
+    each edge's group bits and +1 at each plain cycle's groups (a block with
+    as many edges as vertices: its cycle rank is 1 when all of it is chosen
+    and 0 otherwise), each times ``scale``.  The blocks with a chord are
+    walked instead (:func:`_walk_components`), together, on their own edges
+    and over the groups that own their vertices: that walk counts their
+    vertices, edges and cycle rank at once, so those add no entry.  With no
+    such block nothing is walked.  The walked table is spread once over a
+    row of 2^r entries, r = min(n, ``ROW_BITS``), for each setting of its
+    groups at bit r and above, and added over the (2,)*(n-r) x 2^r view of
+    the table, whose inner loop is one whole row.
     """
     n = len(groups)
-    core = _two_core(adj)
     owner = pack_bits(((v, g) for g, mask in enumerate(groups) for v in set_bits(mask)), len(adj))  # v's group's bit
-    outside = [v for v in range(len(adj)) if not core >> v & 1]
-    np.add.at(hist, [owner[v] for v in outside], scale)
-    # each edge once: from its endpoint outside the core, or the higher one if both are
-    edges = [owner[v] | owner[u] for v in outside for u in set_bits(adj[v]) if u < v or core >> u & 1]
-    np.add.at(hist, edges, -scale)
-    subset_sums(hist)
-    if not core:  # no group owns a core vertex: the core's table is a single 0
-        return hist
+    own = [0] * len(adj)  # each vertex's neighbours along a chorded block's edges
+    cycles = []
+    for block in _cycle_blocks(adj, (1 << len(adj)) - 1):
+        if _plain_cycle(adj, block):
+            cycles.append(functools.reduce(operator.or_, (owner[v] for v in set_bits(block))))
+        else:
+            for v in set_bits(block):
+                own[v] |= adj[v] & block
+    keys = [owner[v] for v in range(len(adj)) if not own[v]] + cycles
+    edges = [owner[v] | owner[u] for v in range(len(adj)) for u in set_bits(adj[v] & ~own[v]) if u < v]
+    table = subset_table(n, (np.concatenate([entries[0], np.array(keys + edges, dtype=np.int64)]),
+                             np.concatenate([entries[1], np.repeat([scale, -scale], [len(keys), len(edges)])])))
+    chorded = sum(1 << v for v in range(len(adj)) if own[v])
+    if not chorded:
+        return table
 
-    table = _walk_components(*_induced(adj, [mask for mask in groups if mask & core], core))
-    table *= scale
+    walk = _walk_components(*_induced(own, [mask for mask in groups if mask & chorded], chorded))
+    walk *= scale
     # the axes of the (2,)*n view run from the top bit down; the last r form a row
-    shape = [2 if groups[g] & core else 1 for g in reversed(range(n))]
+    shape = [2 if groups[g] & chorded else 1 for g in reversed(range(n))]
     r = min(n, ROW_BITS)
     high = shape[:n - r]
-    row = np.broadcast_to(table.reshape(shape), (*high, *(2,) * r)).reshape(*high, 1 << r)
-    hist.reshape(*(2,) * (n - r), 1 << r)[...] += row
-    return hist
+    row = np.broadcast_to(walk.reshape(shape), (*high, *(2,) * r)).reshape(*high, 1 << r)
+    table.reshape(*(2,) * (n - r), 1 << r)[...] += row
+    return table
 
 
 def _induced(adj: list[int], groups: list[int], keep: int) -> tuple[list[int], list[int]]:
     """The subgraph induced on the vertex mask ``keep``, its vertices renumbered
-    in order, and each group's part of it."""
+    in order, and each group's part of it: the graph itself when ``keep``
+    holds every vertex."""
+    if keep == (1 << len(adj)) - 1:
+        return adj, groups
     position = {v: i for i, v in enumerate(set_bits(keep))}
 
     def on_keep(mask: int) -> int:
@@ -343,8 +343,8 @@ def signed_component_sum(adj: list[int], groups: list[int]) -> int:
     total = 0
     for block in _cycle_blocks(adj, union):
         if all(mask & block for mask in groups):
-            if sum((adj[v] & block).bit_count() for v in set_bits(block)) == 2 * block.bit_count():
-                total += (-1) ** len(groups)  # a plain cycle
+            if _plain_cycle(adj, block):
+                total += (-1) ** len(groups)
             else:
                 total += _frontier_walk(*_induced(adj, groups, block))
     return total
@@ -395,6 +395,12 @@ def _cycle_blocks(adj: list[int], keep: int) -> list[int]:
                     if block.bit_count() > 2:
                         blocks.append(block)
     return blocks
+
+
+def _plain_cycle(adj: list[int], block: int) -> bool:
+    """Whether the block with vertex mask ``block`` is a plain cycle: as many
+    edges as vertices, counting every edge between its vertices."""
+    return sum((adj[v] & block).bit_count() for v in set_bits(block)) == 2 * block.bit_count()
 
 
 def _frontier_walk(adj: list[int], groups: list[int]) -> int:
@@ -562,7 +568,8 @@ class UnionTopology:
         subsystems S has V - E + F = the weight of the features with a label in S."""
         css = self.css
         labels = np.array(css.labels, dtype=np.int64).reshape(css.height, css.width)
-        grid = np.pad(labels, 1, constant_values=OUTSIDE)
+        grid = np.full((css.height + 2, css.width + 2), OUTSIDE, dtype=np.int64)
+        grid[1:-1, 1:-1] = labels
         corners = np.stack([grid[:-1, :-1], grid[:-1, 1:], grid[1:, :-1], grid[1:, 1:]], axis=-1)
         segments = np.concatenate([
             np.stack([grid[:-1, 1:-1], grid[1:, 1:-1]], axis=-1).reshape(-1, 2),
@@ -579,7 +586,7 @@ class UnionTopology:
     @cached_property
     def euler_table(self) -> np.ndarray:
         """V - E + F of the closed-cell union, per mask."""
-        return subset_sums(meet_histogram(self.n, self._euler_features))
+        return subset_table(self.n, meet_histogram(self._euler_features))
 
     @cached_property
     def boundary_links_table(self) -> np.ndarray:
@@ -587,7 +594,7 @@ class UnionTopology:
         _, (segments, _), _ = self._feature_labels
         a, b = _user_masks(segments[:, :1]), _user_masks(segments[:, 1:])
         # [a xor b meets S] = 2 [a|b meets S] - [a meets S] - [b meets S]
-        return subset_sums(meet_histogram(self.n, ((a | b, 2), (a, -1), (b, -1))))
+        return subset_table(self.n, meet_histogram(((a | b, 2), (a, -1), (b, -1))))
 
     # ------------------------------------------------------------------
     # component counts
@@ -607,22 +614,24 @@ class UnionTopology:
         adj = [sum(1 << vertex[b] for b in near[c] if b in vertex) for _, c in order]
         return adj, cv_mask, len(order)
 
+    def _add_components(self, entries, scale: int) -> np.ndarray:
+        """:func:`add_components` on the cell-component graph, over the N subsystems."""
+        self.n  # TooManySubsystems above the cap
+        adj, cv_mask, _ = self._cell_component_graph
+        return add_components(entries, adj, cv_mask, scale)
+
     @cached_property
     def component_table(self) -> np.ndarray:
-        adj, cv_mask, _ = self._cell_component_graph
-        return add_components(np.zeros(1 << self.n, dtype=np.int32), adj, cv_mask)
+        return self._add_components(NO_ENTRIES, 1)
 
     @cached_property
     def j_table(self) -> np.ndarray:
         """Disconnected-boundary count J of the union, per mask (int32).
 
         components + holes, with holes = components - chi for a pinch-free
-        complex: one histogram of the -chi feature entries and twice the
-        components' outside-core entries, summed over subsets once
-        (:func:`subset_sums`, which skips the rows and blocks of rows that
-        are still zero), plus twice the core's walked table, added a row of
-        2^``ROW_BITS`` entries at a time (:func:`add_components`).
+        complex: the -chi feature entries and twice the component entries,
+        summed over subsets once (:func:`subset_table`, which fills no 2^N
+        histogram first), plus twice the chorded blocks' walked table, added
+        a row of 2^``ROW_BITS`` entries at a time (:func:`add_components`).
         """
-        hist = meet_histogram(self.n, [(users, -weight) for users, weight in self._euler_features])
-        adj, cv_mask, _ = self._cell_component_graph
-        return add_components(hist, adj, cv_mask, scale=2)
+        return self._add_components(meet_histogram([(users, -weight) for users, weight in self._euler_features]), 2)

@@ -604,10 +604,10 @@ def _count_calls(monkeypatch, targets) -> Counter:
 
 @pytest.mark.parametrize("name", ["random-n20", "six-hole-eighteen"])
 def test_information_builds_j_alone(name, monkeypatch):
-    """``multipartite_information`` builds J with one core walk (none when no
-    subsystem owns a 2-core vertex, as in this random-n20 input), and no
-    Euler, component or sign table; C^N and each hole loop's C take one
-    frontier walk."""
+    """``multipartite_information`` builds J with one walk of the blocks with
+    a chord (none when there is no such block, as in this random-n20
+    input), and no Euler, component or sign table; C^N and each hole loop's
+    C take one frontier walk."""
     css = random_n(20) if name == "random-n20" else builders.six_hole_eighteen()
     calls = _count_calls(monkeypatch, [
         (masks, "_walk_components"), (engine, "signed_component_sum"), (masks, "subset_signs"),
@@ -618,9 +618,12 @@ def test_information_builds_j_alone(name, monkeypatch):
     assert "j_table" in built and report.per_subset_j is analysis.j_table
     assert built.isdisjoint({"euler_table", "component_table", "signs", "popcounts", "masks"}), built
     loops = sum(isinstance(loop, tuple) for loop in analysis.hole_loops)
-    core_walks = int(name == "six-hole-eighteen")
-    assert bool(masks._two_core(analysis._cell_component_graph[0])) == core_walks
-    assert calls == Counter(_walk_components=core_walks, signed_component_sum=1 + loops)
+    block_walks = int(name == "six-hole-eighteen")
+    adj = analysis._cell_component_graph[0]
+    chorded = [block for block in masks._cycle_blocks(adj, (1 << len(adj)) - 1)
+               if sum((adj[v] & block).bit_count() for v in range(len(adj)) if block >> v & 1) > 2 * block.bit_count()]
+    assert bool(chorded) == block_walks
+    assert calls == Counter(_walk_components=block_walks, signed_component_sum=1 + loops)
 
 
 @pytest.mark.parametrize("name", ["random-n20", "six-hole-eighteen"])

@@ -113,8 +113,8 @@ def test_rho_guard(monkeypatch):
 
 
 def test_rho_of_a_long_path():
-    """The 2-core is peeled in one worklist pass, not in one round per pair
-    of path ends: a 10 000-vertex path answers at once."""
+    """The blocks are found in one depth-first pass, not in one round per
+    pair of path ends: a 10 000-vertex path answers at once."""
     start = time.perf_counter()
     assert rho(path_graph(10_000)) == -1
     assert time.perf_counter() - start < 1

@@ -4,12 +4,13 @@ import functools
 import itertools
 import operator
 import random
+import time
 import tracemalloc
 from collections import Counter, deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from topomi import builders, masks, scenarios
 from topomi.engine import CssAnalysis
@@ -33,7 +34,6 @@ from topomi.masks import (
     ROW_BITS,
     UnionTopology,
     _cycle_blocks,
-    _two_core,
     _walk_components,
     component_counts,
     alternating_sum,
@@ -41,6 +41,7 @@ from topomi.masks import (
     signed_component_sum,
     subset_signs,
     subset_sums,
+    subset_table,
 )
 from flood_reference import perimeter_links, region_holes
 from test_engine import brick_css
@@ -207,24 +208,21 @@ def test_j_table_is_twice_components_minus_euler(junction_css):
 @pytest.mark.installed
 @pytest.mark.parametrize("n", [20, 22])
 def test_j_table_past_the_row_cut_off_matches_flood_fill(n, monkeypatch):
-    """A random CSS whose J histogram takes the row path of ``subset_sums``:
-    the passes above ROW_BITS add the blocks that the histogram's live rows
-    predict, fewer entries than whole-table passes; J at 64 seeded masks
+    """A random CSS whose J entries fall in a few of the rows of 2^ROW_BITS
+    entries: only those live rows are summed over their low bits, one
+    (rows, 2^ROW_BITS) array and no 2^n histogram; J at 64 seeded masks
     equals the flood fill, and the alternating sum of J equals the C^N of
     the frontier walk, read before any table exists."""
     css = builders.random_css(random.Random(5), n, 16, 16, growth=200)
     analysis = CssAnalysis(css)
     c_n = analysis.c_n
     assert "j_table" not in analysis.__dict__  # from the walk, not the table
-    live_rows = spy_live_rows(monkeypatch)
-    calls = spy_row_passes(monkeypatch)
+    entries = spy_entries(monkeypatch)
+    summed = spy_subset_sums(monkeypatch)
     j = analysis.j_table
-    (live,) = live_rows
-    runs = [shape for shape, bits in calls if bits == range(ROW_BITS)]
-    assert sum(rows for rows, _ in runs) == len(live) > 0
-    added = high_pass_additions(calls, n)
-    assert added == expected_high_additions(live, n)
-    assert sum(added) < (n - ROW_BITS) << n - 1
+    (live,) = [live_rows(*given) for given in entries]
+    assert summed == [(len(live), 1 << ROW_BITS)]
+    assert 0 < len(live) < 1 << n - ROW_BITS - 3
     rng = random.Random(n)
     for mask in [rng.randrange(1, 1 << n) for _ in range(63)] + [(1 << n) - 1]:
         assert j[mask] == boundary_component_count(union_region(css, mask)), mask
@@ -247,15 +245,16 @@ def test_j_table_matches_flood_fill_in_every_row(n):
 
 def cored_graph(rng, n, core_groups):
     """A graph whose vertices are dealt into n groups so that exactly the
-    groups ``core_groups`` own 2-core vertices: 1-3 vertices each, shuffled
-    round a cycle with a chord; the other groups own 1-2 vertices each, hung
-    off earlier vertices as trees or left alone."""
+    groups ``core_groups`` own 2-core vertices: 1-3 vertices each, at least
+    4 in all, shuffled round a cycle with a chord, so the core is the one
+    block with a chord; the other groups own 1-2 vertices each, hung off
+    earlier vertices as trees or left alone."""
     owner = [g for g in core_groups for _ in range(rng.randint(1, 3))]
-    while 0 < len(owner) < 3:
+    while 0 < len(owner) < 4:
         owner.append(owner[0])
     rng.shuffle(owner)
     cycle = len(owner)
-    edges = [(v, (v + 1) % cycle) for v in range(cycle)] + ([(0, cycle // 2)] if cycle > 3 else [])
+    edges = [(v, (v + 1) % cycle) for v in range(cycle)] + ([(0, cycle // 2)] if cycle else [])
     for g in sorted(set(range(n)) - set(core_groups)):
         for _ in range(rng.randint(1, 2)):
             owner.append(g)
@@ -266,74 +265,110 @@ def cored_graph(rng, n, core_groups):
     return neighbor_masks(len(owner), edges), groups
 
 
-def broadcast_add_components(hist, adj, groups, scale=1):
-    """``add_components`` with the core's walked table added by one broadcast
-    over the (2,)*n view of ``hist``: the reference for the row-at-a-time add."""
+def two_core(adj):
+    """Vertex mask of the 2-core: what is left after repeatedly deleting the
+    vertices of degree <= 1, each once from a worklist that a neighbour joins
+    when its degree falls to 1.  Every cycle of every induced subgraph lies in it."""
+    degree = [a.bit_count() for a in adj]
+    peel = [v for v, d in enumerate(degree) if d <= 1]
+    core = (1 << len(adj)) - 1
+    while peel:
+        v = peel.pop()
+        core ^= 1 << v
+        for u in set_bits(adj[v] & core):
+            degree[u] -= 1
+            if degree[u] == 1:
+                peel.append(u)
+    return core
+
+
+def dense_histogram(n, entries):
+    """The 2^n int32 histogram of the (masks, weights) ``entries``."""
+    hist = np.zeros(1 << n, dtype=np.int32)
+    np.add.at(hist, *entries)
+    return hist
+
+
+def broadcast_add_components(entries, adj, groups, scale=1):
+    """``add_components`` on a graph whose 2-core is its one block with a
+    chord, as :func:`cored_graph`'s are: the entries, the vertices and the
+    edges outside the core summed densely by the plain pass, plus the
+    core's walked table added by one broadcast over the (2,)*n view: the
+    reference for the sparse sums and the row-at-a-time add."""
     n = len(groups)
-    core = _two_core(adj)
+    core = two_core(adj)
     owner = pack_bits(((v, g) for g, mask in enumerate(groups) for v in set_bits(mask)), len(adj))
+    hist = dense_histogram(n, entries)
     outside = [v for v in range(len(adj)) if not core >> v & 1]
     np.add.at(hist, [owner[v] for v in outside], scale)
     edges = [owner[v] | owner[u] for v in outside for u in set_bits(adj[v]) if u < v or core >> u & 1]
     np.add.at(hist, edges, -scale)
-    subset_sums(hist)
-    table = _walk_components(*masks._induced(adj, [mask for mask in groups if mask & core], core))
-    shape = [2 if groups[g] & core else 1 for g in reversed(range(n))]
-    hist.reshape((2,) * n)[...] += scale * table.reshape(shape)
+    hist = plain_subset_sums(hist)
+    if core:
+        table = _walk_components(*masks._induced(adj, [mask for mask in groups if mask & core], core))
+        shape = [2 if groups[g] & core else 1 for g in reversed(range(n))]
+        hist.reshape((2,) * n)[...] += scale * table.reshape(shape)
     return hist
+
+
+def seeded_entries(rng, n, count=40):
+    """``count`` (mask, weight) entries on n bits, masks repeating and weights 0 included."""
+    return (np.array([rng.randrange(1 << n) for _ in range(count)], dtype=np.int64),
+            np.array([rng.randint(-9, 9) for _ in range(count)], dtype=np.int64))
 
 
 @pytest.mark.parametrize("scale", [1, 2])
 @pytest.mark.parametrize("n, core_groups", [
     (6, ()), (20, ()),  # no core group
     (5, range(5)), (14, range(14)),  # every group in the core
-    (16, (0, 3, 7, 11)),  # core groups only below ROW_BITS
+    (16, (0, 3, 7, 9)),  # core groups only below ROW_BITS
     (20, (12, 15, 19)), (22, (13, 21)),  # only above it
-    (13, (2, 12)), (22, (0, 5, 11, 12, 17, 21)),  # on both sides
-    (ROW_BITS, (0, 6, 11)), (3, (1,)),  # n <= ROW_BITS: one row
+    (13, (2, 12)), (22, (0, 5, 11, 12, 17, 21)), (12, (0, 6, 11)),  # on both sides
+    (3, (1,)), (ROW_BITS, (0, 6, ROW_BITS - 1)),  # n <= ROW_BITS: one row
 ])
 def test_add_components_adds_the_core_a_row_at_a_time(n, core_groups, scale):
-    """The core's table added a row of 2^ROW_BITS entries at a time equals
-    the (2,)^n broadcast, byte for byte, on a seeded sparse histogram."""
+    """The core, the one block with a chord, is walked and its table added a
+    row of 2^ROW_BITS entries at a time; with the seeded entries and the
+    vertices and bridges outside it summed sparsely, the table equals the
+    dense reference with a (2,)^n broadcast, byte for byte."""
     rng = random.Random(f"{n}-{tuple(core_groups)}-{scale}")
     adj, groups = cored_graph(rng, n, tuple(core_groups))
-    core = _two_core(adj)
+    core = two_core(adj)
     assert [g for g in range(n) if groups[g] & core] == list(core_groups)
-    hist = np.zeros(1 << n, dtype=np.int32)
-    hist[[rng.randrange(1 << n) for _ in range(40)]] = [rng.randint(-9, 9) for _ in range(40)]
-    want = broadcast_add_components(hist.copy(), adj, groups, scale)
-    assert masks.add_components(hist, adj, groups, scale).tobytes() == want.tobytes()
+    assert _cycle_blocks(adj, (1 << len(adj)) - 1) == ([core] if core else [])
+    entries = seeded_entries(rng, n)
+    want = broadcast_add_components(entries, adj, groups, scale)
+    assert masks.add_components(entries, adj, groups, scale).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 6, 13, 20])
 def test_add_components_with_no_core_walks_nothing(n, monkeypatch):
-    """With no group owning a 2-core vertex the core's table is a single 0:
-    the histogram is byte-equal to the broadcast reference, and the core is
-    never walked."""
+    """With no 2-core, so no block with a chord, the table is the entries'
+    and the forest's subset sums alone: byte-equal to the dense reference,
+    and nothing is walked."""
     rng = random.Random(f"no-core-{n}")
     adj, groups = cored_graph(rng, n, ())
-    assert _two_core(adj) == 0
-    hist = np.zeros(1 << n, dtype=np.int32)
-    hist[[rng.randrange(1 << n) for _ in range(40)]] = [rng.randint(-9, 9) for _ in range(40)]
-    want = broadcast_add_components(hist.copy(), adj, groups, 2)
+    assert two_core(adj) == 0
+    entries = seeded_entries(rng, n)
+    want = broadcast_add_components(entries, adj, groups, 2)
     walks = []
     monkeypatch.setattr(masks, "_walk_components", lambda *args: walks.append(args))
-    assert masks.add_components(hist, adj, groups, 2).tobytes() == want.tobytes()
+    assert masks.add_components(entries, adj, groups, 2).tobytes() == want.tobytes()
     assert walks == []
 
 
 @pytest.mark.parametrize("n", range(7))
 def test_meet_expansion_matches_indicator(n):
-    """Subset sums of ``meet_histogram`` give weight * [U & S != 0] for every user
-    set U of at most 4 bits, alone and all at once."""
+    """Subset sums of the ``meet_histogram`` entries give weight * [U & S != 0]
+    for every user set U of at most 4 bits, alone and all at once."""
     masks = np.arange(1 << n)
     users = [u for u in range(1 << n) if u.bit_count() <= 4]
     for u in users:
-        hist = meet_histogram(n, [(np.array([u]), 3)])
-        assert subset_sums(hist).tolist() == (3 * (masks & u != 0)).tolist(), u
-    hist = meet_histogram(n, [(np.array([u, u]), u - 5) for u in users])
+        table = subset_table(n, meet_histogram([(np.array([u]), 3)]))
+        assert table.tolist() == (3 * (masks & u != 0)).tolist(), u
+    table = subset_table(n, meet_histogram([(np.array([u, u]), u - 5) for u in users]))
     want = sum(2 * (u - 5) * (masks & u != 0) for u in users)
-    assert subset_sums(hist).tolist() == want.tolist()
+    assert table.tolist() == want.tolist()
 
 
 def test_disconnected_subsystem_supported():
@@ -347,13 +382,15 @@ def test_disconnected_subsystem_supported():
 
 
 @pytest.mark.parametrize("width", [150, 50])
-def test_comb_has_width_plus_one_pieces(width):
+def test_comb_has_width_plus_one_pieces(width, monkeypatch):
     topo = UnionTopology(comb(width))
     adj, _, n_cv = topo._cell_component_graph
     assert n_cv == width + 1
-    # every piece lies in the 2-core, so the walk sees Python-int (150) and uint64 (50) vertex masks
-    assert _two_core(adj) == (1 << n_cv) - 1
+    # every piece lies in one block with chords, so the walk sees Python-int (150) and uint64 (50) vertex masks
+    assert _cycle_blocks(adj, (1 << n_cv) - 1) == [(1 << n_cv) - 1]
+    walked = spy_walks(monkeypatch)
     assert topo.component_table.tolist() == [0, width // 2, width // 2, 1, 1, 1, 1, 1]
+    assert walked == [(n_cv, 3)]
 
 
 def check_sampled_blocks(css, rng):
@@ -372,13 +409,13 @@ def test_twenty_subsystems_sampled_in_every_block():
     check_sampled_blocks(builders.random_css(random.Random(4), 20, 16, 16, growth=200), random.Random(6))
 
 
-def test_six_hole_components_sampled_in_every_block():
+def test_six_hole_components_sampled_in_every_block(monkeypatch):
     css = builders.six_hole_eighteen()
-    adj, groups, _ = UnionTopology(css)._cell_component_graph
-    core = _two_core(adj)
-    # the subsystems owning core pieces span more than one block of the core walk
-    assert sum(1 for cvs in groups if cvs & core) > BLOCK_BITS
+    walked = spy_walks(monkeypatch)
     check_sampled_blocks(css, random.Random(7))
+    # the subsystems owning pieces of blocks with chords span more than one
+    # block of the walk, once for the component table and once for J
+    assert len(walked) == 2 and all(groups > BLOCK_BITS for _, groups in walked)
 
 
 def ring(k, width):
@@ -391,20 +428,35 @@ def ring(k, width):
 @pytest.mark.parametrize(
     "k, width, blocks", [(17, 1, 2), (18, 2, 4), (20, 1, 16)], ids=["C17-uint32", "C36-uint64", "C20-uint32"]
 )
-def test_ring_component_counts_match_closed_form(k, width, blocks):
-    """:func:`ring`, every table entry: the whole cycle is its 2-core, so all
-    2^k subsets are walked, over several blocks.  S has one component per
-    i in S with i + 1 (mod k) outside it; the full set has 1."""
+def test_ring_component_counts_match_closed_form(k, width, blocks, monkeypatch):
+    """:func:`ring`, every table entry.  S has one component per i in S with
+    i + 1 (mod k) outside it; the full set has 1.  The table reads the plain
+    cycle as one entry and walks nothing, and the walk of all 2^k subsets,
+    over several blocks, agrees."""
     adj, groups = ring(k, width)
-    assert _two_core(adj) == (1 << k * width) - 1
     assert 1 << k >> BLOCK_BITS == blocks
     masks = np.arange(1 << k)
     successors = masks >> 1 | (masks & 1) << (k - 1)  # bit i is bit i + 1 (mod k) of S
     expected = np.bitwise_count(masks & ~successors)
     expected[-1] = 1
+    assert np.array_equal(_walk_components(adj, groups), expected)
+    walked = spy_walks(monkeypatch)
     table = component_counts(adj, groups)
     assert table.dtype == np.int32
     assert np.array_equal(table, expected)
+    assert walked == []
+
+
+def test_ring_j_table_walks_no_subset():
+    """The J table of a 22-subsystem annulus, whose cell-components are one
+    plain cycle, in well under the second that walking its 2^22 vertex
+    masks took: about 10 ms on a 2-core VM.  Its alternating sum is C^N."""
+    css = builders.annulus(22)
+    start = time.perf_counter()
+    analysis = CssAnalysis(css)
+    j = analysis.j_table
+    assert time.perf_counter() - start < 0.25
+    assert alternating_sum(j.reshape((2,) * 22)) == analysis.c_n == -2
 
 
 def test_split_ring_component_counts_match_closed_form():
@@ -498,7 +550,7 @@ SHAPES = {
 @pytest.mark.parametrize("name", SHAPES)
 def test_component_counts_on_shapes(name):
     adj, groups, kind = SHAPES[name]
-    core = _two_core(adj)
+    core = two_core(adj)
     assert kind == ("empty" if core == 0 else "full" if core == (1 << len(adj)) - 1 else "partial")
     assert component_counts(adj, groups).tolist() == bfs_counts(adj, groups)
 
@@ -525,7 +577,7 @@ def test_two_core_matches_the_round_by_round_peel():
         core = (1 << v) - 1
         while peel := sum(1 << u for u in set_bits(core) if (adj[u] & core).bit_count() <= 1):
             core ^= peel
-        assert _two_core(adj) == core
+        assert two_core(adj) == core
         kinds.add("empty" if core == 0 else "full" if core == (1 << v) - 1 else "partial")
     assert kinds == {"empty", "full", "partial"}
 
@@ -642,6 +694,39 @@ def test_signed_component_sum_splits_over_blocks(graph):
     assert len(walked) == (1 if len(groups) <= 2 else len(chorded))
 
 
+def chorded_pair(bridge):
+    """Two 4-cycles with a chord that share vertex 0, or are joined by the
+    bridge 3-4, their vertices dealt round three groups: a
+    :func:`block_graphs` value with every group in both blocks."""
+    second = [4, 5, 6, 7] if bridge else [0, 4, 5, 6]
+    n = second[-1] + 1
+    edges = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)] + [(3, 4)] * bridge
+    edges += [(second[i], second[(i + 1) % 4]) for i in range(4)] + [(second[0], second[2])]
+    groups = [sum(1 << v for v in range(g, n, 3)) for g in range(3)]
+    blocks = [(0b1111, False), (sum(1 << v for v in second), False)]
+    return neighbor_masks(n, edges), groups, {0, 1, 2}, blocks
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(block_graphs())
+@example(chorded_pair(bridge=False))
+@example(chorded_pair(bridge=True))
+def test_component_table_from_entries_matches_the_whole_walk(graph):
+    """The component table from vertex, edge and plain-cycle entries plus
+    the walk of the blocks with a chord, on their own edges, equals the
+    walk of the whole graph: with cut vertices shared across groups and
+    between chorded blocks, bridges, and blocks that miss a group.  Only
+    the vertices of blocks with a chord are walked, once, and nothing when
+    there is none."""
+    adj, groups, _, blocks = graph
+    chorded = functools.reduce(operator.or_, (mask for mask, cycle in blocks if not cycle), 0)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        walked = spy_walks(monkeypatch)
+        table = component_counts(adj, groups)
+    assert table.tolist() == _walk_components(adj, groups).tolist()
+    assert walked == ([(chorded.bit_count(), sum(1 for mask in groups if mask & chorded))] if chorded else [])
+
+
 def frontier_order(adj, groups, owner):
     """The greedy vertex order of the frontier walk over every vertex of
     ``adj``, built whole before its first step: each step takes, among the
@@ -681,7 +766,7 @@ def assert_walk_takes_the_greedy_order(monkeypatch, adj, groups):
     and is wider than any of them.  Returns whether it stopped."""
     adj, groups = masks._induced(adj, groups, functools.reduce(operator.or_, groups))
     if len(groups) > 2:
-        adj, groups = masks._induced(adj, groups, _two_core(adj))
+        adj, groups = masks._induced(adj, groups, two_core(adj))
     if not all(groups):
         return False  # signed_component_sum answers 0 with no walk
     choices, stopped = [], []
@@ -740,6 +825,19 @@ def test_walk_past_its_cap_stops_on_the_greedy_order(side, monkeypatch):
 def test_component_counts_match_bfs(graph):
     adj, groups = graph
     assert component_counts(adj, groups).tolist() == bfs_counts(adj, groups)
+
+
+def spy_walks(monkeypatch) -> list:
+    """Record the (vertices, groups) of each ``masks._walk_components`` call."""
+    seen = []
+    walk = masks._walk_components
+
+    def spy(adj, groups):
+        seen.append((len(adj), len(groups)))
+        return walk(adj, groups)
+
+    monkeypatch.setattr(masks, "_walk_components", spy)
+    return seen
 
 
 def small_blocks(monkeypatch, block_bits=3):
@@ -881,94 +979,74 @@ def test_subset_sums_match_brute_force(n):
             assert out.tolist() == expected, dtype
 
 
-def spy_row_passes(monkeypatch) -> list:
-    """Record the (shape, bits) of every ``masks._bit_passes`` call; a 2-D
-    shape is the passes below ROW_BITS on one run of live rows."""
-    calls = []
-    bit_passes = masks._bit_passes
+def spy_entries(monkeypatch) -> list:
+    """Record the (masks, weights) entries each ``masks.subset_table`` call is given."""
+    seen = []
+    subset_table = masks.subset_table
 
-    def spy(table, bits):
-        calls.append((table.shape, bits))
-        return bit_passes(table, bits)
+    def spy(n, entries):
+        seen.append(entries)
+        return subset_table(n, entries)
 
-    monkeypatch.setattr(masks, "_bit_passes", spy)
-    return calls
+    monkeypatch.setattr(masks, "subset_table", spy)
+    return seen
 
 
-def spy_live_rows(monkeypatch) -> list:
-    """Record the live rows (of 2^ROW_BITS entries) of each table that
-    ``masks.subset_sums`` is given, as a set of row numbers."""
+def spy_subset_sums(monkeypatch) -> list:
+    """Record the shape of each table ``masks.subset_sums`` is given."""
     seen = []
     subset_sums = masks.subset_sums
 
     def spy(table):
-        seen.append(set(np.flatnonzero(table.reshape(-1, 1 << ROW_BITS).any(axis=1)).tolist()))
+        seen.append(table.shape)
         return subset_sums(table)
 
     monkeypatch.setattr(masks, "subset_sums", spy)
     return seen
 
 
-def high_pass_additions(calls, n) -> list[int]:
-    """Entries added by the recorded passes for each bit from ROW_BITS up."""
-    return [sum(rows * size // 2 for (rows, size), bits in calls if bits == range(i, i + 1))
-            for i in range(ROW_BITS, n)]
+def live_rows(keys, weights) -> set[int]:
+    """The rows of 2^ROW_BITS entries that hold a mask of non-zero summed weight."""
+    merged = Counter()
+    for key, weight in zip(keys.tolist(), weights.tolist()):
+        merged[key] += weight
+    return {key >> ROW_BITS for key, weight in merged.items() if weight}
 
 
-def expected_high_additions(live: set[int], n) -> list[int]:
-    """What the passes above ROW_BITS should add, from the live rows alone:
-    the pass for bit ROW_BITS + k adds the 2^k rows of each block's half
-    without bit k when that half holds a live row, and then each row with
-    bit k is live if the row without it was."""
-    added = []
-    for k in range(n - ROW_BITS):
-        sources = {row >> k + 1 for row in live if not row >> k & 1}
-        added.append(len(sources) << k + ROW_BITS)
-        live = live | {row | 1 << k for row in live}
-    return added
-
-
-@pytest.mark.parametrize("n", range(ROW_BITS + 1, ROW_BITS + 5))
-def test_subset_sums_row_path_matches_plain_pass(n, monkeypatch):
-    """Tables with no, one, a few scattered, 1/8, one more than 1/8 and all
-    of their rows of 2^ROW_BITS entries live: int32, int64 and float64 all
-    take the row path, and each equals the plain pass byte for byte.  The
-    passes above ROW_BITS add just the blocks that the live rows predict: fewer entries than the whole table when
-    fewer than half the rows are live, and every entry, one whole-table
-    pass per bit, when all are."""
-    calls = spy_row_passes(monkeypatch)
-    n_rows = 1 << n - ROW_BITS
+@pytest.mark.parametrize("n", [3, ROW_BITS, ROW_BITS + 1, ROW_BITS + 4])
+def test_subset_table_matches_plain_pass(n, monkeypatch):
+    """Entries in no, one, a few scattered, 1/8, one more than 1/8 and all of
+    the rows of 2^ROW_BITS entries (one row when n <= ROW_BITS), each split
+    in two entries of one mask, plus two that cancel in a row left dead:
+    the table equals the plain pass over the dense histogram, byte for
+    byte, and only the live rows are summed, as one array."""
+    summed = spy_subset_sums(monkeypatch)
+    r = min(n, ROW_BITS)
+    n_rows = 1 << n - r
     rng = np.random.default_rng(n)
     for count in sorted({0, 1, min(3, n_rows), n_rows // 8, n_rows // 8 + 1, n_rows}):
         live = rng.choice(n_rows, count, replace=False)
-        for dtype in (np.int32, np.int64, np.float64):
-            rows = np.zeros((n_rows, 1 << ROW_BITS), dtype=dtype)
-            if dtype is np.float64:
-                rows[live] = rng.normal(size=(count, 1 << ROW_BITS))
-            else:
-                rows[live] = rng.integers(-50, 50, size=(count, 1 << ROW_BITS))
-            rows[live, rng.integers(1 << ROW_BITS, size=count)] = 7  # no live row is all zero
-            table = rows.reshape(-1)
-            want = plain_subset_sums(table)
-            calls.clear()
-            out = subset_sums(table)
-            assert out is table
-            assert out.tobytes() == want.tobytes(), (count, dtype)
-            runs = [shape for shape, bits in calls if bits == range(ROW_BITS)]
-            assert sum(rows for rows, _ in runs) == count
-            added = high_pass_additions(calls, n)
-            assert all(bits == range(ROW_BITS) or len(bits) == 1 and bits[0] >= ROW_BITS for _, bits in calls)
-            assert added == expected_high_additions(set(live.tolist()), n), (count, dtype)
-            if count < n_rows // 2:
-                assert sum(added) < (n - ROW_BITS) << n - 1, (count, dtype)
-            if count == n_rows:
-                assert calls[len(runs):] == [((1 << n - i - 1, 2 << i), range(i, i + 1))
-                                             for i in range(ROW_BITS, n)]
+        low = np.array([rng.choice(1 << r, min(5, 1 << r), replace=False) for _ in live], dtype=np.int64)
+        keys = (live[:, None] << r | low).reshape(-1)
+        weights = rng.choice([-1, 1], size=keys.size) * rng.integers(1, 50, size=keys.size)
+        part = rng.integers(-50, 50, size=keys.size)
+        keys, weights = np.concatenate([keys, keys]), np.concatenate([part, weights - part])
+        if count < n_rows:
+            dead = np.setdiff1d(np.arange(n_rows), live)[0] << r | 1
+            keys, weights = np.append(keys, [dead, dead]), np.append(weights, [7, -7])
+        entries = (keys, weights)
+        want = plain_subset_sums(dense_histogram(n, entries))
+        summed.clear()
+        table = subset_table(n, entries)
+        assert table.dtype == np.int32
+        assert table.tobytes() == want.tobytes(), count
+        assert summed == [(count, 1 << r)]
 
 
 def test_subset_sums_allocate_no_table():
     """The passes on a 2^20 int32 table (4 MB) stay in place: no transposed
-    copy.  With every other row live, the row path copies no row."""
+    copy.  The table of entries in 16 of its rows of 2^ROW_BITS is built
+    with no 2^20 histogram beside it."""
     table = np.ones(1 << 20, dtype=np.int32)
     tracemalloc.start()
     try:
@@ -979,17 +1057,18 @@ def test_subset_sums_allocate_no_table():
     assert peak < 1 << 20, peak
     assert table[-1] == 1 << 20
 
-    rows = np.zeros((1 << 20 - ROW_BITS, 1 << ROW_BITS), dtype=np.int32)
-    rows[::2] = 1
-    table = rows.reshape(-1)
-    want = plain_subset_sums(table)
+    rng = np.random.default_rng(20)
+    rows = rng.choice(1 << 20 - ROW_BITS, 16, replace=False)
+    keys = (rows[:, None] << ROW_BITS | rng.integers(1 << ROW_BITS, size=(16, 8))).reshape(-1)
+    entries = (keys, rng.integers(1, 9, size=keys.size))
+    want = plain_subset_sums(dense_histogram(20, entries))
     tracemalloc.start()
     try:
-        subset_sums(table)
+        table = subset_table(20, entries)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1 << 18, peak  # a copy of the live rows would be 2 MB
+    assert peak < (1 << 22) + (1 << 19), peak  # the table is 4 MB; a histogram beside it would make 8
     assert np.array_equal(table, want)
 
 

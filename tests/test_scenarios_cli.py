@@ -747,8 +747,8 @@ def test_analytic_scenarios_build_no_subset_table(monkeypatch):
     is left on its analysis, and no table builder of ``masks`` is called,
     under any name it is bound to."""
     built = []
-    for owner, name in ((masks, "add_components"), (masks, "meet_histogram"), (masks, "subset_sums"),
-                        (masks, "subset_signs"), (engine, "subset_sums")):
+    for owner, name in ((masks, "add_components"), (masks, "meet_histogram"), (masks, "subset_table"),
+                        (masks, "subset_sums"), (masks, "subset_signs"), (engine, "subset_sums")):
         monkeypatch.setattr(owner, name, lambda *args, name=name, **kwargs: built.append(name))
     assert not hasattr(engine, "subset_signs") and not hasattr(scenarios, "np")
     rng = random.Random(40)
@@ -1013,7 +1013,7 @@ def test_cli_rho_rejects_a_graph_past_the_vertex_cap(tmp_path, capsys):
     path.write_text("".join(f"{i} {i + 1}\n" for i in range(grid.MAX_VERTICES - 1)))
     start = time.perf_counter()
     assert main(["rho", str(path), "--json"]) == 0
-    # its 2-core is peeled in one worklist pass (about 0.2 s for rho on a
+    # its blocks are found in one depth-first pass (about 0.2 s for rho on a
     # 2-core VM, against 52 s at 10000 vertices for a peel in rounds)
     assert time.perf_counter() - start < 10
     payload = json.loads(capsys.readouterr().out)

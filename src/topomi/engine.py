@@ -27,12 +27,12 @@ table of its own sub-collection's groups, and the J table is read only
 when a caller asks for it (``multipartite_information``,
 ``analyze --csv``); sigma reads no table, and a failing sigma precondition
 is named from the labelling.  The chi term of a C of 3 or 4 ids reads only
-the corners where they meet (``CssAnalysis._junctions``).
+the corners where they meet, which the grid's validation scan recorded
+(``GridCss.junctions``, indexed by ``CssAnalysis._junctions``).
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -48,7 +48,6 @@ from .errors import (
     ValidationError,
 )
 from .grid import (
-    OUTSIDE,
     GridCss,
     HoleSet,
     SimpleGraph,
@@ -157,14 +156,14 @@ class CssAnalysis(UnionTopology):
         """The weight of the corners, segments and cells whose cells hold
         every id of ``keep``: 0 beyond 4 ids, as a corner, the widest
         feature, has four cells.  Three or four ids are held only by
-        corners, counted from the shortest of their :attr:`_junctions`
-        lists; one or two ids scan every feature row."""
+        corners, each of weight 1, counted from the shortest of their
+        :attr:`_junctions` lists with no feature row built; one or two ids
+        scan every feature row."""
         if len(keep) > 4:
             return 0
         if len(keep) > 2:
-            (_, weight), _, _ = self._feature_labels
             shortest = min((self._junctions.get(i, ()) for i in keep), key=len)
-            return weight * sum(ids.issuperset(keep) for ids in shortest)
+            return sum(ids.issuperset(keep) for ids in shortest)
         held = 0
         for labels, weight in self._feature_labels:
             if len(keep) <= labels.shape[1]:
@@ -175,14 +174,10 @@ class CssAnalysis(UnionTopology):
     @cached_property
     def _junctions(self) -> dict[int, list[frozenset[int]]]:
         """Per subsystem id, the id sets of the corners where it and at least
-        two other subsystems meet, found with one sort of the corner rows."""
-        (corners, _), _, _ = self._feature_labels
-        rows = np.sort(corners, axis=1)
-        # distinct labels of a sorted row, less OUTSIDE, which sorts first
-        distinct = np.count_nonzero(rows[:, 1:] != rows[:, :-1], axis=1) + (rows[:, 0] != OUTSIDE)
+        two other subsystems meet: the grid's junction corners
+        (``GridCss.junctions``), recorded by its validation scan."""
         index: dict[int, list[frozenset[int]]] = {}
-        for row in rows[distinct >= 3].tolist():
-            ids = frozenset(row).difference((OUTSIDE,))
+        for ids in self.css.junctions:
             for i in ids:
                 index.setdefault(i, []).append(ids)
         return index
@@ -312,17 +307,27 @@ CSV_BLOCK = 1 << 16
 
 
 def write_subset_table_csv(j_table: np.ndarray, fileobj) -> None:
-    """Debug CSV of a 2^N J table: mask, m, J, sign, a block of rows at a time,
-    so no 2^N array is built beside the table."""
-    writer = csv.writer(fileobj)
-    writer.writerow(["mask", "m", "J", "sign"])
+    """Debug CSV of a 2^N J table: mask, m, J, sign, with the ``\\r\\n`` row
+    ends of ``csv.writer``, written a block of rows at a time, each block as
+    one string (:func:`_csv_rows`), so no 2^N array is built beside the table."""
+    fileobj.write("mask,m,J,sign\r\n")
     for start in range(1, len(j_table), CSV_BLOCK):
-        stop = min(start + CSV_BLOCK, len(j_table))
-        masks = np.arange(start, stop, dtype=np.uint32)
-        m = np.bitwise_count(masks)  # uint8: the sign is read from its parity
-        writer.writerows(zip(
-            masks.tolist(), m.tolist(), j_table[start:stop].tolist(), np.where(m & 1, 1, -1).tolist(),
-        ))
+        fileobj.write(_csv_rows(start, j_table[start:start + CSV_BLOCK]))
+
+
+def _csv_rows(start: int, j: np.ndarray) -> str:
+    """The CSV rows of the masks from ``start`` on, whose J values are ``j``:
+    the masks' strings interleaved with each row's ``,m,J,sign`` tail, looked
+    up from the block's distinct (J, m) pairs."""
+    stop = start + len(j)
+    m = np.bitwise_count(np.arange(start, stop, dtype=np.uint32))
+    # each (J, m) as J * 32 + m, as m <= 24 < 32
+    pairs, row_pair = np.unique(j.astype(np.int64) * 32 + m, return_inverse=True)
+    tails = np.array([f",{k & 31},{k >> 5},{k % 2 * 2 - 1}\r\n" for k in pairs.tolist()], dtype=object)
+    parts = [""] * (2 * len(j))
+    parts[::2] = map(str, range(start, stop))
+    parts[1::2] = tails[row_pair].tolist()
+    return "".join(parts)
 
 
 # ----------------------------------------------------------------------

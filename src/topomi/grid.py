@@ -7,8 +7,10 @@ Euler characteristic) is computed with 4-adjacency for both regions and
 their complements.  Grids containing a diagonal pinch -- a 2x2 block in
 which two regions, or a region and its complement, meet only at a corner --
 are rejected at construction time so that every boundary-curve count is
-unambiguous.  Each grid is labelled once (``GridCss.labelling``), and every
-CSS-level structure is read from that.  The flood fills over sets of cells
+unambiguous.  The same window scan records the junction corners, where three
+or more subsystems meet (``GridCss.junctions``).  Each grid is labelled once
+(``GridCss.labelling``), and every other CSS-level structure is read from
+that and the scan.  The flood fills over sets of cells
 below (``connected_components`` to ``union_region``, and ``restrict_css``)
 are called by no package path: they stay as the independent definition that
 the benchmark's correctness gate and the tests compare against.
@@ -19,6 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
 from .errors import (
@@ -42,6 +45,9 @@ MAX_VERTICES = 1 << 14
 #: subsystem id -> single character used by the ASCII format
 _ID_CHARS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
 
+#: ASCII cell character -> label
+_CHAR_LABELS = {".": OUTSIDE, **{ch: k for k, ch in enumerate(_ID_CHARS)}}
+
 Cell = tuple[int, int]
 Region = frozenset  # frozenset[Cell]
 
@@ -57,7 +63,9 @@ class GridCss:
 
     ``labels`` is row-major; value ``OUTSIDE`` (-1) marks background cells,
     values ``0..n_subsystems-1`` mark subsystem cells.  Every id in that
-    range must occur at least once.
+    range must occur at least once.  ``junctions`` holds the id set of each
+    2x2 window of cells where three or more subsystems meet, in row-major
+    order (:func:`_reject_diagonal_pinches`).
     """
 
     width: int
@@ -65,6 +73,7 @@ class GridCss:
     labels: tuple[int, ...]
     name: str = ""
     n_subsystems: int = field(init=False, repr=False, compare=False)
+    junctions: tuple[frozenset[int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0:
@@ -77,7 +86,7 @@ class GridCss:
             raise ValidationError(
                 f"expected {self.width * self.height} labels, got {len(self.labels)}"
             )
-        present = sorted({v for v in self.labels if v != OUTSIDE})
+        present = sorted(set(self.labels) - {OUTSIDE})
         if not present:
             raise ValidationError("grid contains no subsystem cells")
         if present[0] < 0 or present != list(range(len(present))):
@@ -85,7 +94,7 @@ class GridCss:
                 f"subsystem ids must be exactly 0..{len(present) - 1}, got {present}"
             )
         object.__setattr__(self, "n_subsystems", len(present))
-        _reject_diagonal_pinches(self)
+        object.__setattr__(self, "junctions", _reject_diagonal_pinches(self))
 
     @cached_property
     def labelling(self) -> tuple[tuple[int, ...], tuple[set[int], ...], dict[Region, int]]:
@@ -173,20 +182,31 @@ def _padded(css: GridCss) -> list[int]:
     return cells + [OUTSIDE] * (w + 1)
 
 
-def _reject_diagonal_pinches(css: GridCss) -> None:
+def _reject_diagonal_pinches(css: GridCss) -> tuple[frozenset[int], ...]:
     """Reject corner-only contacts (:func:`window_pinch`): the 2x2 windows
-    whose four edges all separate different labels.
+    whose four edges all separate different labels.  Returns the junction
+    corners: the id set, OUTSIDE left out, of each window holding three or
+    more subsystems, in row-major order.
 
     Every window is scanned, including a virtual OUTSIDE border.  Under this
     rule every union of subsystems, and every complement of such a union,
     has identical 4-adjacency and homotopy component structure.
     """
     row, cells = css.width + 2, _padded(css)
+    junctions = []
     # a window across the wrap of two padded rows has two border cells side by side
     for k, (a, b, c, d) in enumerate(zip(cells, cells[1:], cells[row:], cells[row + 1:])):
         if a != b and a != c and b != d and c != d:
             x, y = k % row - 1, k // row - 1
             raise ValidationError(f"{window_pinch(a, b, c, d)} at cells ({x},{y})..({x + 1},{y + 1})")
+        # with no pinch, a window of three labels or more has both diagonals
+        # split, and is no straight wall between two labels
+        if a != d and b != c and (a != b or c != d) and (a != c or b != d):
+            ids = {a, b, c, d}
+            ids.discard(OUTSIDE)
+            if len(ids) > 2:
+                junctions.append(frozenset(ids))
+    return tuple(junctions)
 
 
 # ----------------------------------------------------------------------
@@ -251,14 +271,11 @@ def parse_grid_json(obj: Mapping, name: str = "") -> GridCss:
             raise ParseError(f"grid row {j} holds a newline: {row!r}")
         if len(row) != width:
             raise ParseError(f"grid row {j} is ragged: expected {width} cells, got {len(row)}")
-        for i, ch in enumerate(row):
-            if ch == ".":
-                labels.append(OUTSIDE)
-            else:
-                k = _ID_CHARS.find(ch)
-                if k < 0:
-                    raise ParseError(f"bad cell character {ch!r} at column {i} of grid row {j}")
-                labels.append(k)
+        try:
+            labels += map(_CHAR_LABELS.__getitem__, row)
+        except KeyError:
+            i, ch = next((i, ch) for i, ch in enumerate(row) if ch not in _CHAR_LABELS)
+            raise ParseError(f"bad cell character {ch!r} at column {i} of grid row {j}") from None
     try:
         return GridCss(width, len(rows), tuple(labels), name=name)
     except ValidationError as exc:
@@ -540,31 +557,39 @@ def loop_around_hole(css: GridCss, hole: Iterable[Cell], graph: SimpleGraph) -> 
     return tuple(loop)
 
 
+#: the cells around a corner (x, y), clockwise from the north-east one, as offsets
+_CORNER_CELLS = ((0, -1), (0, 0), (-1, 0), (-1, -1))
+
+#: the headings east, south, west and north, clockwise, as steps
+_HEADINGS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
+
 def _boundary_walk_labels(css: GridCss, hole: frozenset) -> list[int]:
     """Labels of cells just outside the hole along its clockwise boundary.
 
-    Directed boundary edges of a pinch-free cell set form disjoint simple
-    loops; the loop through the topmost-leftmost corner is the outer
-    boundary, traversed clockwise in screen coordinates.
+    The boundary of a pinch-free cell set is disjoint simple loops; the
+    outer one passes the north edge of the hole's first cell in row order,
+    and is walked from its west corner heading east, the hole on the right.
+    At each corner the walk turns left into the hole's cell ahead on the
+    left, else goes straight along its cell ahead on the right, else turns
+    right, so it tests hole membership only at the corners it visits.
+    Heading h from a corner, the cell on the left is the corner's
+    ``_CORNER_CELLS[h]`` and the one on the right the next of them.
     """
-    # corner -> (next corner, outside cell) for each directed boundary edge
-    step: dict[Cell, tuple[Cell, Cell]] = {}
-    for (x, y) in hole:
-        if (x, y - 1) not in hole:
-            step[(x, y)] = ((x + 1, y), (x, y - 1))
-        if (x + 1, y) not in hole:
-            step[(x + 1, y)] = ((x + 1, y + 1), (x + 1, y))
-        if (x, y + 1) not in hole:
-            step[(x + 1, y + 1)] = ((x, y + 1), (x, y + 1))
-        if (x - 1, y) not in hole:
-            step[(x, y + 1)] = ((x, y), (x - 1, y))
-    start = min(step, key=lambda c: (c[1], c[0]))
-    labels: list[int] = []
-    cur = start
+    x0, y0 = min(hole, key=itemgetter(1, 0))
+    labels, w = css.labels, css.width
+    x, y, h, out = x0, y0, 0, []
     while True:
-        nxt, outside_cell = step[cur]
-        labels.append(css.label_at(*outside_cell))
-        cur = nxt
-        if cur == start:
-            break
-    return labels
+        dx, dy = _CORNER_CELLS[h]
+        out.append(labels[(y + dy) * w + x + dx])  # a hole lies inside the grid
+        dx, dy = _HEADINGS[h]
+        x, y = x + dx, y + dy
+        if x == x0 and y == y0:
+            return out
+        dx, dy = _CORNER_CELLS[h]
+        if (x + dx, y + dy) in hole:
+            h = (h - 1) % 4
+        else:
+            dx, dy = _CORNER_CELLS[(h + 1) % 4]
+            if (x + dx, y + dy) not in hole:
+                h = (h + 1) % 4

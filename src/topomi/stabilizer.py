@@ -139,9 +139,9 @@ class StabilizerState:
         if len(self.columns) != 2 * self.n:
             raise ValidationError(f"{len(self.columns)} columns for {self.n} qubits; need {2 * self.n}")
         top = 1 << self.n
-        for c, column in enumerate(self.columns):
-            if not 0 <= column < top:
-                raise ValidationError(f"column {c} is {column}; columns lie in 0..2**{self.n} - 1")
+        if self.columns and (min(self.columns) < 0 or max(self.columns) >= top):
+            c = next(c for c, column in enumerate(self.columns) if not 0 <= column < top)
+            raise ValidationError(f"column {c} is {self.columns[c]}; columns lie in 0..2**{self.n} - 1")
 
     @classmethod
     def from_rows(cls, n: int, rows: Sequence[int]) -> StabilizerState:
@@ -190,9 +190,9 @@ def _echelon(rows: Iterable[int]) -> dict[int, int]:
 def _sides(grid: np.ndarray, axis: int, size: int, mode: str) -> list[np.ndarray]:
     """The entries of ``grid`` before and after each of ``size`` places
     between its entries along ``axis``.  ``mode`` "wrap" wraps around the
-    torus; "edge" repeats the one entry beside a place at the patch's edge."""
-    padded = np.pad(grid, [(1, 1) if a == axis else (0, 0) for a in range(2)], mode=mode)
-    return [padded.take(range(size), axis), padded.take(range(1, size + 1), axis)]
+    torus; "clip" repeats the one entry beside a place at the patch's edge."""
+    places = np.arange(-1, size)
+    return [grid.take(places[:-1], axis, mode=mode), grid.take(places[1:], axis, mode=mode)]
 
 
 def _pairs(grid: np.ndarray, axis: int, size: int) -> list[np.ndarray]:
@@ -214,7 +214,7 @@ def build_code(lattice: CodeLattice) -> StabilizerState:
     """
     n, lx, ly = lattice.n_qubits, lattice.lx, lattice.ly
     cols, rows = lattice.face_shape
-    mode = "wrap" if lattice.periodic else "edge"
+    mode = "wrap" if lattice.periodic else "clip"
     h, v = lattice.edge_qubits
     star = np.arange(lx * ly).reshape(ly, lx)  # generator of the star at vertex (i, j)
     face = star.size - 1 + np.arange(rows * cols).reshape(rows, cols)  # of the plaquette at face (i, j)
@@ -251,7 +251,7 @@ def _as_qubit_mask(state: StabilizerState, qubits: Iterable[int]) -> int:
 def _column_echelon(state: StabilizerState, qubits: Iterable[int]) -> dict[int, int]:
     """An echelon basis of the qubits' X and Z columns in ``state.columns``."""
     cols, n = state.columns, state.n
-    return _echelon(c for q in qubits for c in (cols[q], cols[q + n]))
+    return _echelon([c for q in qubits for c in (cols[q], cols[q + n])])
 
 
 def entropy_bits(state: StabilizerState, qubits: Iterable[int]) -> int:
@@ -275,6 +275,12 @@ class QubitRegionMap:
     css: GridCss | None = None  # the grid the regions were rasterized from, if any
 
     def __post_init__(self):
+        # one union, a size sum and its bounds; the loop below names the first offender
+        qubits = set().union(*self.regions)
+        if all(self.regions) and len(qubits) == sum(map(len, self.regions)) and (
+            not qubits or 0 <= min(qubits) and max(qubits) < self.n_qubits
+        ):
+            return
         seen: set[int] = set()
         for k, region in enumerate(self.regions):
             if not region:
@@ -548,7 +554,7 @@ def rasterize_css(lattice: CodeLattice, css: GridCss) -> QubitRegionMap:
     by an OUTSIDE cell: an edge takes its north (west) cell's label if it
     has one, else its south (east) cell's, written at the edge's qubit in
     :attr:`CodeLattice.edge_qubits`, and a region is the qubits its label
-    owns.
+    owns, grouped by one stable sort of the owners.
     """
     cols, rows = lattice.face_shape
     if (css.width, css.height) != (cols, rows):
@@ -557,7 +563,8 @@ def rasterize_css(lattice: CodeLattice, css: GridCss) -> QubitRegionMap:
         )
     if lattice.periodic:
         css = torus_cut(css)  # so every face across the seam is OUTSIDE, as off the grid
-    labels = np.pad(np.array(css.labels).reshape(rows, cols), 1, constant_values=OUTSIDE)
+    labels = np.full((rows + 2, cols + 2), OUTSIDE)
+    labels[1:-1, 1:-1] = np.reshape(css.labels, (rows, cols))
     # horizontal edge (i,j)-(i+1,j): faces (i, j-1) north / (i, j) south,
     # vertical edge (i,j)-(i,j+1): faces (i-1, j) west / (i, j) east
     north, south = labels[:lattice.ly, 1:-1], labels[1:lattice.ly + 1, 1:-1]
@@ -566,8 +573,12 @@ def rasterize_css(lattice: CodeLattice, css: GridCss) -> QubitRegionMap:
     owner = np.empty(lattice.n_qubits, labels.dtype)
     owner[h] = np.where(north != OUTSIDE, north, south)
     owner[v] = np.where(west != OUTSIDE, west, east)
-    regions = (np.flatnonzero(owner == k).tolist() for k in range(css.n_subsystems))
-    return QubitRegionMap(lattice.n_qubits, tuple(frozenset(r) for r in regions), css)
+    # the qubits grouped by owner, OUTSIDE's first
+    order = np.argsort(owner, kind="stable")
+    bounds = np.searchsorted(owner[order], np.arange(css.n_subsystems + 1)).tolist()
+    qubits = order.tolist()
+    regions = tuple(frozenset(qubits[a:b]) for a, b in zip(bounds, bounds[1:]))
+    return QubitRegionMap(lattice.n_qubits, regions, css)
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,10 @@
 The package reads every J, perimeter and hole from one labelling pass per
 grid (``GridCss.labelling``).  These functions compute the same quantities
 of an explicit cell set by flood fills of their own, so the tests compare
-the package against an independent definition.  The rest of that layer
+the package against an independent definition; ``boundary_walk_labels``
+is the hole-boundary walk over a dict of every boundary edge of the hole's
+cells, against which the package's corner-by-corner walk is checked.  The
+rest of that layer
 (``connected_components``, ``boundary_component_count``, ``union_region``,
 ``restrict_css``) stays in ``topomi.grid``, where the benchmark's
 correctness gate binds it.  The file's name does not start with ``test_``,
@@ -60,3 +63,33 @@ def model_entropy_source(model: EntropyModel, css: GridCss | CssAnalysis) -> Ent
     EmptySubset for no ids."""
     grid_css = CssAnalysis.of(css).css
     return lambda ids: entropy_of_region(model, union_region(grid_css, ids))
+
+
+def boundary_walk_labels(css: GridCss, hole: frozenset) -> list[int]:
+    """Labels of cells just outside the hole along its clockwise boundary.
+
+    Directed boundary edges of a pinch-free cell set form disjoint simple
+    loops; the loop through the topmost-leftmost corner is the outer
+    boundary, traversed clockwise in screen coordinates.
+    """
+    # corner -> (next corner, outside cell) for each directed boundary edge
+    step: dict[Cell, tuple[Cell, Cell]] = {}
+    for (x, y) in hole:
+        if (x, y - 1) not in hole:
+            step[(x, y)] = ((x + 1, y), (x, y - 1))
+        if (x + 1, y) not in hole:
+            step[(x + 1, y)] = ((x + 1, y + 1), (x + 1, y))
+        if (x, y + 1) not in hole:
+            step[(x + 1, y + 1)] = ((x, y + 1), (x, y + 1))
+        if (x - 1, y) not in hole:
+            step[(x, y + 1)] = ((x, y), (x - 1, y))
+    start = min(step, key=lambda c: (c[1], c[0]))
+    labels: list[int] = []
+    cur = start
+    while True:
+        nxt, outside_cell = step[cur]
+        labels.append(css.label_at(*outside_cell))
+        cur = nxt
+        if cur == start:
+            break
+    return labels

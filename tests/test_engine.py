@@ -7,8 +7,7 @@ import math
 import random
 import time
 import tracemalloc
-from collections import Counter, deque
-from functools import partial
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -40,8 +39,10 @@ from topomi.errors import (
 from topomi.grid import (
     OUTSIDE,
     GridCss,
+    _boundary_walk_labels,
     boundary_component_count,
     euler_characteristic,
+    find_holes,
     parse_ascii,
     restrict_css,
     union_region,
@@ -49,7 +50,7 @@ from topomi.grid import (
 from topomi.masks import UnionTopology, alternating_sum, subset_signs
 from topomi.model import EntropyModel
 
-from flood_reference import entropy_of_region, model_entropy_source, perimeter_links
+from flood_reference import boundary_walk_labels, entropy_of_region, model_entropy_source, perimeter_links
 from test_grid import window_frame
 
 LN2 = math.log(2)
@@ -332,22 +333,24 @@ def test_csv_sign_column_is_the_signed_reference():
     assert int(sign @ j) == report.c_n == 2
 
 
-def test_csv_writer_holds_one_block_of_rows_at_a_time(monkeypatch):
+def test_csv_writer_holds_one_block_of_rows_at_a_time():
     """Writing the 2^20 J table of a random N = 20 CSS allocates less than
-    twice the table's bytes: its rows are converted a block at a time, not
-    as 2^20-entry lists beside the table.  The rows are drained rather than
-    formatted, since tracing a million formatted rows takes about 20 s."""
-    drain = partial(deque, maxlen=0)
-    monkeypatch.setattr(engine.csv, "writer", lambda fileobj: SimpleNamespace(writerow=drain, writerows=drain))
+    twice the table's bytes: its rows are formatted a block at a time, each
+    block one string that the file's ``write`` takes and drops here, not as
+    2^20-entry lists beside the table."""
     j_table = CssAnalysis(random_n(20)).j_table
+    written = []
     tracemalloc.start()
     try:
-        write_subset_table_csv(j_table, None)
+        write_subset_table_csv(j_table, SimpleNamespace(write=lambda text: written.append(len(text))))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # about 5 MB against a 4 MB table; whole-table lists peaked at 65 MB
+    # about 6.4 MB against a 4 MB table; whole-table lists peaked at 65 MB
     assert peak < 2 * j_table.nbytes, (peak, j_table.nbytes)
+    buf = io.StringIO()
+    write_subset_table_csv(j_table, buf)
+    assert len(written) == 1 + len(j_table) // engine.CSV_BLOCK and sum(written) == len(buf.getvalue())
 
 
 def test_capped_walk_falls_back_to_the_table(monkeypatch):
@@ -515,16 +518,59 @@ def test_information_of_a_thousand_hole_frame_is_per_hole():
     assert summary.c_n == 0 and [h.c for h in summary.holes] == [-2] * 1000
 
 
-def test_c_beyond_four_ids_builds_no_features():
+def test_c_of_three_ids_or_more_builds_no_features():
     """No corner, segment or cell holds five subsystems, so the C of five ids
-    or more has no held term and builds no feature rows; four ids do."""
+    or more has no held term; three or four ids are held only at the junction
+    corners the grid's validation scan recorded.  Neither builds feature
+    rows; one or two ids do."""
     for css in (builders.annulus(12), brick_css(3, 3)):
         analysis = CssAnalysis(css)
-        assert analysis.c_n == signed_reference(CssAnalysis(css).j_table, range(css.n_subsystems))
-        assert analysis.c_within(range(5)) == signed_reference(CssAnalysis(css).j_table, range(5))
+        j_table = CssAnalysis(css).j_table
+        assert analysis.c_n == signed_reference(j_table, range(css.n_subsystems))
+        for ids in (range(5), range(4), range(1, 5), range(3), range(2, 5)):
+            assert analysis.c_within(ids) == signed_reference(j_table, ids), (css.name, ids)
         assert "_feature_labels" not in analysis.__dict__
-        analysis.c_within(range(4))
+        assert analysis.c_within(range(2)) == signed_reference(j_table, range(2))
         assert "_feature_labels" in analysis.__dict__
+
+
+def scan_cases(junction_css) -> list[GridCss]:
+    """The junction fixture, the builders, seeded random 16x16 CSS, brick
+    walls and window frames."""
+    built = [
+        *builders.annulus_family(12), builders.open_chain(6), builders.annulus_with_island(6),
+        builders.annulus_with_appendage(6), builders.annulus_with_punched_hole(8),
+        builders.annulus_with_self_handle(6), builders.annulus_with_nn_handle(6),
+        builders.far_handle_annulus(8, 3), builders.theta_pair(), builders.two_hole_five(),
+        builders.six_hole_eighteen(),
+    ]
+    rng = random.Random(43)
+    randoms = [builders.random_css(rng, rng.randint(3, 20), 16, 16, growth=rng.choice([60, 200])) for _ in range(30)]
+    return [*junction_css, *built, *randoms, brick_css(3, 3), brick_css(7, 10), window_frame(3), window_frame(40)]
+
+
+def test_validation_scan_records_the_junction_corners(junction_css):
+    """The junction corners of the grid's validation scan are, in order, the
+    id sets of the corner rows of the feature decomposition that hold three
+    or more distinct subsystems."""
+    found = 0
+    for css in scan_cases(junction_css):
+        corners = CssAnalysis(css)._feature_labels[0][0].tolist()
+        want = [ids for ids in (frozenset(row) - {OUTSIDE} for row in corners) if len(ids) >= 3]
+        assert list(css.junctions) == want, css.name
+        found += len(want)
+    assert found == 710, found
+
+
+def test_hole_walk_matches_the_dict_walk(junction_css):
+    """The corner-by-corner walk around each hole records the labels of the
+    walk over a dict of every boundary edge of the hole's cells."""
+    walked = 0
+    for css in scan_cases(junction_css):
+        for hole in find_holes(css).holes:
+            assert _boundary_walk_labels(css, hole) == boundary_walk_labels(css, hole), css.name
+            walked += 1
+    assert walked == 262, walked
 
 
 @pytest.mark.installed

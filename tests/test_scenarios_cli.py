@@ -820,6 +820,22 @@ def test_cli_csv_reads_and_analyses_once(tmp_path, monkeypatch, capsys):
     )
 
 
+def test_cli_csv_of_a_22_subsystem_ring_in_seconds(tmp_path, capsys):
+    """``analyze --csv`` of a 22-subsystem ring writes its 2^22 - 1 rows a
+    block at a time, each block one string: about 1.4 s on a 2-core x86-64
+    VM, against 5-6 s for rows written through ``csv.writer``."""
+    path = tmp_path / "annulus-n22.json"
+    path.write_text(json.dumps({"css": _labels_payload(builders.annulus(22))}))
+    out = tmp_path / "table.csv"
+    start = time.perf_counter()
+    assert main(["analyze", str(path), "--csv", str(out)]) == 0
+    assert time.perf_counter() - start < 3
+    table = out.read_bytes()
+    assert table.count(b"\r\n") == 1 << 22
+    assert table.startswith(b"mask,m,J,sign\r\n1,1,1,1\r\n")
+    assert table.endswith(b"\r\n4194303,22,2,-1\r\n")
+
+
 def test_cli_options_belong_to_their_command():
     parser = build_parser()
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))

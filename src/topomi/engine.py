@@ -17,23 +17,24 @@ terms need no evaluation: a grid segment borders at most two subsystems,
 so their alternating sum vanishes for N >= 3.  Entry points take a
 GridCss or a CssAnalysis, the one object of a CSS: its holes, hole loops,
 graph and chi and, as a UnionTopology, its 2^N tables (the only capped
-part), each computed once.  C^N and the C around each hole come from the
-signed component sum over the cell-component graph
-(``masks.signed_component_sum``) with no 2^N table, and so answer beyond
-the cap: the sum is split over the blocks of the sub-collection's graph, a
-plain cycle (every hole loop of the gallery) is read in closed form, and
-only a block with a chord is walked.  A walk past its state cap reads a
-table of its own sub-collection's groups, and the J table is read only
+part), each computed once.  C of a sub-collection reads only the grid's
+labelling, its cell-component graph and the junction corners of its
+validation scan (``GridCss.junctions``), no 2^N table, and so answers
+beyond the cap: one or two ids give the J of their unions
+(``grid.union_boundary_count``); from three on, the signed component sum
+(``masks.signed_component_sum``) is split over the blocks of the
+sub-collection's graph, a plain cycle (every hole loop of the gallery) is
+read in closed form, only a block with a chord is walked, and a walk past
+its state cap reads a table of its own groups.  The J table is read only
 when a caller asks for it (``multipartite_information``,
 ``analyze --csv``); sigma reads no table, and a failing sigma precondition
-is named from the labelling.  The chi term of a C of 3 or 4 ids reads only
-the corners where they meet, which the grid's validation scan recorded
-(``GridCss.junctions``, indexed by ``CssAnalysis._junctions``).
+is named from the labelling.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable
@@ -55,6 +56,7 @@ from .grid import (
     euler_characteristic,
     find_holes,
     loop_around_hole,
+    union_boundary_count,
 )
 from .masks import (
     UnionTopology,
@@ -127,16 +129,17 @@ class CssAnalysis(UnionTopology):
         """C of the sub-collection ``ids`` (the C^N of ``restrict_css(css, ids)``):
         the alternating sum of J over the non-empty subsets of ``ids``.
 
-        With J = 2 components - chi, this is -2 s - (the weight of the
-        corners, segments and cells whose cells hold every subsystem of
-        ``ids``; 0 beyond 4 ids, see :meth:`_held`), s being the signed
-        component sum of the subsystems' cell-components
-        (``masks.signed_component_sum``), so no 2^N table is built: a ring
-        is a plain cycle, read in closed form, and only a block with a chord
-        is walked.  A walk past its state cap reads its block's term from
-        the 2^k component table of the k ids alone, which raises
-        TooManySubsystems above ``masks.MAX_SUBSYSTEMS`` ids.  Valid ids are
-        computed once per analysis, kept by their sorted ids.
+        One or two ids give J(i), or J(i) + J(j) - J(ij), read from the
+        labelling (``grid.union_boundary_count``).  From three on, with
+        J = 2 components - chi, this is -2 s - (the junction corners of
+        exactly ``ids``, as only a corner holds three subsystems and none
+        four; 0 beyond three ids), s being the signed component sum of the
+        subsystems' cell-components (``masks.signed_component_sum``), so no
+        2^N table is built: a ring is a plain cycle, read in closed form,
+        and only a block with a chord is walked.  A walk past its state cap
+        reads its block's term from the 2^k component table of the k ids
+        alone, which raises TooManySubsystems above ``masks.MAX_SUBSYSTEMS``
+        ids.  Valid ids are computed once per analysis, kept by their sorted ids.
         """
         n, keep = self.css.n_subsystems, tuple(sorted(set(ids)))
         if not keep or keep[0] < 0 or keep[-1] >= n:
@@ -147,40 +150,19 @@ class CssAnalysis(UnionTopology):
 
     def _c_of(self, keep: tuple[int, ...]) -> int:
         """:meth:`c_within` of valid sorted ids, computed."""
+        if len(keep) <= 2:  # J(i), or J(i) + J(j) - J(ij)
+            c = sum(union_boundary_count(self.css, [i]) for i in keep)
+            return c if len(keep) == 1 else c - union_boundary_count(self.css, keep)
         adj, cv_mask, _ = self._cell_component_graph
         s = signed_component_sum(adj, [cv_mask[i] for i in keep])
-        # sum over S in ids of (-1)^|S| chi(S) is minus the weight held by all of ids
-        return -2 * s - self._held(keep)
-
-    def _held(self, keep: tuple[int, ...]) -> int:
-        """The weight of the corners, segments and cells whose cells hold
-        every id of ``keep``: 0 beyond 4 ids, as a corner, the widest
-        feature, has four cells.  Three or four ids are held only by
-        corners, each of weight 1, counted from the shortest of their
-        :attr:`_junctions` lists with no feature row built; one or two ids
-        scan every feature row."""
-        if len(keep) > 4:
-            return 0
-        if len(keep) > 2:
-            shortest = min((self._junctions.get(i, ()) for i in keep), key=len)
-            return sum(ids.issuperset(keep) for ids in shortest)
-        held = 0
-        for labels, weight in self._feature_labels:
-            if len(keep) <= labels.shape[1]:
-                rows = np.all([(labels == i).any(axis=1) for i in keep], axis=0)
-                held += weight * int(np.count_nonzero(rows))
-        return held
+        # sum over S in keep of (-1)^|S| chi(S) is minus the junction corners
+        # of keep, which hold three ids: no window holds four subsystems
+        return -2 * s - (self._junction_counts[frozenset(keep)] if len(keep) == 3 else 0)
 
     @cached_property
-    def _junctions(self) -> dict[int, list[frozenset[int]]]:
-        """Per subsystem id, the id sets of the corners where it and at least
-        two other subsystems meet: the grid's junction corners
-        (``GridCss.junctions``), recorded by its validation scan."""
-        index: dict[int, list[frozenset[int]]] = {}
-        for ids in self.css.junctions:
-            for i in ids:
-                index.setdefault(i, []).append(ids)
-        return index
+    def _junction_counts(self) -> Counter[frozenset[int]]:
+        """The junction corners (``GridCss.junctions``) per set of three ids."""
+        return Counter(map(frozenset, self.css.junctions))
 
 
 def connectivity_count(css: GridCss | CssAnalysis) -> CssAnalysis:

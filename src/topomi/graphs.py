@@ -14,10 +14,10 @@ read from the signed component sum, split over the blocks of the graph:
 for v >= 3 only a block that holds every vertex counts, a cycle graph adds
 (-1)^v in closed form, a 2-connected graph with a chord is walked, and no
 2^v table is read unless that walk passes its state cap.  sigma reads its
-precondition from the grid's labelling and adds the full set's J, the
-footprint's components and holes, to C^N, so it needs no table either, and
-a failed precondition names the failed condition at every N.  Every table
-is capped at ``masks.MAX_SUBSYSTEMS`` vertices or subsystems.
+precondition from the grid's labelling and adds the full set's J, two
+component counts over the same labelling, to C^N, so it needs no table
+either, and a failed precondition names the failed condition at every N.
+Every table is capped at ``masks.MAX_SUBSYSTEMS`` vertices or subsystems.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Mapping
 
 from .engine import CssAnalysis
 from .errors import ParseError, PreconditionViolated, ValidationError
-from .grid import OUTSIDE, GridCss, SimpleGraph, footprint_components, hole_name, json_int
+from .grid import OUTSIDE, GridCss, SimpleGraph, hole_name, json_int, union_boundary_count
 from .masks import count_components, signed_component_sum
 
 
@@ -68,9 +68,10 @@ def sigma_of_css(css: GridCss | CssAnalysis) -> int:
     has all its walling subsystems in it (the union of all but a subsystem
     not walling the hole encloses it); a split subsystem alone has J >= 2.
 
-    So no 2^N table is read: sigma is C^N less the full set's term, and J
-    of the full set is the footprint's components plus its holes.  A failure
-    names the failed condition and its subsystem or hole, at every N.
+    So no 2^N table is read: sigma is C^N less the full set's term, whose J,
+    the footprint's components plus its holes, is read from the labelling
+    (``grid.union_boundary_count``).  A failure names the failed condition
+    and its subsystem or hole, at every N.
     """
     analysis = CssAnalysis.of(css)
     n = analysis.css.n_subsystems
@@ -78,7 +79,7 @@ def sigma_of_css(css: GridCss | CssAnalysis) -> int:
     if fault is not None:
         raise PreconditionViolated(f"{fault} (a subsystem or proper union is not a disk arrangement)")
     # C^N less the full set's term
-    j_full = footprint_components(analysis.css) + analysis.holes.n_h
+    j_full = union_boundary_count(analysis.css, range(n))
     return analysis.c_n - (-1) ** (n - 1) * j_full
 
 

@@ -7,13 +7,14 @@ Euler characteristic) is computed with 4-adjacency for both regions and
 their complements.  Grids containing a diagonal pinch -- a 2x2 block in
 which two regions, or a region and its complement, meet only at a corner --
 are rejected at construction time so that every boundary-curve count is
-unambiguous.  The same window scan records the junction corners, where three
-or more subsystems meet (``GridCss.junctions``).  Each grid is labelled once
-(``GridCss.labelling``), and every other CSS-level structure is read from
-that and the scan.  The flood fills over sets of cells
-below (``connected_components`` to ``union_region``, and ``restrict_css``)
-are called by no package path: they stay as the independent definition that
-the benchmark's correctness gate and the tests compare against.
+unambiguous; so no window holds four labels.  The same window scan records
+the junction corners, windows of three subsystems (``GridCss.junctions``).
+Each grid is labelled once (``GridCss.labelling``), and every other
+CSS-level structure, J included, is read from that and the scan.  The flood
+fills over sets of cells below (``connected_components`` to
+``union_region``, and ``restrict_css``) are called by no package path: they
+stay as the independent definition that the benchmark's correctness gate
+and the tests compare against.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping
+from typing import Container, Iterable, Iterator, Mapping
 
 from .errors import (
     DisconnectedCss,
@@ -63,9 +64,9 @@ class GridCss:
 
     ``labels`` is row-major; value ``OUTSIDE`` (-1) marks background cells,
     values ``0..n_subsystems-1`` mark subsystem cells.  Every id in that
-    range must occur at least once.  ``junctions`` holds the id set of each
-    2x2 window of cells where three or more subsystems meet, in row-major
-    order (:func:`_reject_diagonal_pinches`).
+    range must occur at least once.  ``junctions`` holds the labels
+    ``(a, b, c, d)`` of each 2x2 window ``a b / c d`` of three subsystems,
+    in row-major order (:func:`_reject_diagonal_pinches`).
     """
 
     width: int
@@ -73,7 +74,7 @@ class GridCss:
     labels: tuple[int, ...]
     name: str = ""
     n_subsystems: int = field(init=False, repr=False, compare=False)
-    junctions: tuple[frozenset[int], ...] = field(init=False, repr=False, compare=False)
+    junctions: tuple[tuple[int, int, int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0:
@@ -182,11 +183,11 @@ def _padded(css: GridCss) -> list[int]:
     return cells + [OUTSIDE] * (w + 1)
 
 
-def _reject_diagonal_pinches(css: GridCss) -> tuple[frozenset[int], ...]:
+def _reject_diagonal_pinches(css: GridCss) -> tuple[tuple[int, int, int, int], ...]:
     """Reject corner-only contacts (:func:`window_pinch`): the 2x2 windows
-    whose four edges all separate different labels.  Returns the junction
-    corners: the id set, OUTSIDE left out, of each window holding three or
-    more subsystems, in row-major order.
+    whose four edges all separate different labels.  So no window left holds
+    four labels.  Returns the junction corners: the labels ``(a, b, c, d)``
+    of each window ``a b / c d`` of three subsystems, in row-major order.
 
     Every window is scanned, including a virtual OUTSIDE border.  Under this
     rule every union of subsystems, and every complement of such a union,
@@ -199,13 +200,10 @@ def _reject_diagonal_pinches(css: GridCss) -> tuple[frozenset[int], ...]:
         if a != b and a != c and b != d and c != d:
             x, y = k % row - 1, k // row - 1
             raise ValidationError(f"{window_pinch(a, b, c, d)} at cells ({x},{y})..({x + 1},{y + 1})")
-        # with no pinch, a window of three labels or more has both diagonals
-        # split, and is no straight wall between two labels
-        if a != d and b != c and (a != b or c != d) and (a != c or b != d):
-            ids = {a, b, c, d}
-            ids.discard(OUTSIDE)
-            if len(ids) > 2:
-                junctions.append(frozenset(ids))
+        # with no pinch, a window with both diagonals split that is no
+        # straight wall between two labels holds exactly three labels
+        if a != d and b != c and (a != b or c != d) and (a != c or b != d) and OUTSIDE not in (a, b, c, d):
+            junctions.append((a, b, c, d))
     return tuple(junctions)
 
 
@@ -488,11 +486,11 @@ def find_holes(css: GridCss) -> HoleSet:
     return HoleSet(tuple(css.labelling[2]))
 
 
-def footprint_components(css: GridCss) -> int:
-    """Edge-connected components of the footprint, the union of every
-    subsystem: the labelling's subsystem components joined along their walls."""
+def joined_components(css: GridCss, keep: Container[int]) -> int:
+    """Edge-connected components of the cells, padding included, whose label is
+    in ``keep`` (OUTSIDE allowed): the labelling's components joined along their walls."""
     labels, near, _ = css.labelling
-    left, n_comp = {c for c, label in enumerate(labels) if label != OUTSIDE}, 0
+    left, n_comp = {c for c, label in enumerate(labels) if label in keep}, 0
     while left:
         n_comp, stack = n_comp + 1, [left.pop()]
         for c in stack:  # grows while it is read
@@ -501,11 +499,20 @@ def footprint_components(css: GridCss) -> int:
     return n_comp
 
 
+def union_boundary_count(css: GridCss, ids: Iterable[int]) -> int:
+    """J of the union of the subsystems ``ids`` (``boundary_component_count``):
+    its components plus those of everything else, OUTSIDE and the other
+    subsystems, less the one holding the outside."""
+    union = set(ids)
+    rest = {OUTSIDE, *range(css.n_subsystems)} - union
+    return joined_components(css, union) + joined_components(css, rest) - 1
+
+
 def euler_characteristic(css: GridCss) -> int:
     """2, the plane's Euler characteristic: V - E + F of the adjacency map with
     a face for every hole, junction corner and the outside, by Euler's formula,
     and the chi of |I^N| = chi S_topo.  Requires an edge-connected footprint."""
-    n_comp = footprint_components(css)
+    n_comp = joined_components(css, range(css.n_subsystems))
     if n_comp != 1:
         raise DisconnectedCss(f"footprint has {n_comp} components")
     return 2

@@ -10,8 +10,8 @@ counts combinatorially:
   corner/segment/cell features present for a mask iff it meets the
   feature's user set U.  The Moebius expansion
   [U meets S] = sum over non-empty V in U of (-1)^(|V|-1) [V in S]
-  turns each feature into at most 15 signed (mask, weight) entries
-  (:func:`meet_histogram`; a user set has at most 4 bits), and the table is
+  turns each feature into at most 7 signed (mask, weight) entries
+  (:func:`meet_histogram`; a user set has at most 3 bits), and the table is
   their subset sums (:func:`subset_table`): entry S sums the weights of the
   entries whose mask lies in S.  The entries are few (about 35 distinct
   masks at N = 20), so no 2^N histogram is filled: seen as rows of
@@ -40,8 +40,10 @@ counts combinatorially:
   blocks' walked table is added to it a row of 2^``ROW_BITS`` entries at
   a time.
 
-C^N and the C of a sub-collection X need no table.  With J = 2c - chi,
-C(X) = -2 s(X) - (the weight of the features whose user set holds X),
+C^N and the C of a sub-collection X read no table and none of these
+features.  For |X| <= 2 it is the J of unions (``grid.union_boundary_count``);
+beyond, with J = 2c - chi, C(X) = -2 s(X) - (the features whose user set
+holds X: the junction corners of X's ids if they are three, none beyond),
 where s(X) = sum over S in X of (-1)^|S| c(S) is the signed component sum
 (:func:`signed_component_sum`).  For |X| >= 3 it is split over the blocks
 (2-connected pieces) of the subgraph X's own vertices induce, found in one
@@ -133,8 +135,9 @@ def meet_histogram(weighted_users) -> tuple[np.ndarray, np.ndarray]:
 
     [U meets S] = sum over the non-empty submasks V of U of (-1)^(|V|-1) [V
     subset of S]: each user set is spread over its submasks, walked as
-    V -> (V - 1) & U.  A grid's user sets have at most 4 bits, so every
-    partial subset sum is bounded by 15 times the summed |weight|.
+    V -> (V - 1) & U.  A grid's user sets have at most 3 bits (no window
+    holds four labels), so every partial subset sum is bounded by 7 times
+    the summed |weight|.
     """
     users = np.concatenate([u for u, _ in weighted_users])
     weights = np.concatenate([np.full(len(u), w) for u, w in weighted_users])

@@ -45,6 +45,7 @@ from topomi.grid import (
     find_holes,
     parse_ascii,
     restrict_css,
+    union_boundary_count,
     union_region,
 )
 from topomi.masks import UnionTopology, alternating_sum, subset_signs
@@ -452,8 +453,9 @@ def brick_css(cols: int, rows: int) -> GridCss:
 
 def test_c_within_at_seventy_subsystems_is_the_restricted_c_n():
     """Above 62 subsystems an int64 mask per feature would overflow; the chi
-    term of a 3- or 4-subsystem C reads only their own features.  Each C
-    inside the 70-brick CSS equals the J-table C^N of its restricted CSS."""
+    term of a 3-subsystem C counts only their junction corners, and a C of
+    more subsystems has none.  Each C inside the 70-brick CSS equals the
+    J-table C^N of its restricted CSS."""
     css = brick_css(7, 10)
     analysis = CssAnalysis(css)
     corners = analysis._feature_labels[0][0]
@@ -471,7 +473,7 @@ def test_c_within_at_seventy_subsystems_is_the_restricted_c_n():
 
 
 def held_by_scan(analysis: CssAnalysis, keep) -> int:
-    """The reference for ``CssAnalysis._held``: the weight of every corner,
+    """The chi term of C by its definition: the weight of every corner,
     segment and cell row of the grid whose cells hold every id of ``keep``."""
     held = 0
     for labels, weight in analysis._feature_labels:
@@ -481,33 +483,31 @@ def held_by_scan(analysis: CssAnalysis, keep) -> int:
 
 
 def test_junction_index_matches_the_full_scan(junction_css):
-    """The chi term of three or four ids, counted from the corner index,
-    equals the scan of every feature row: on each 3- and 4-subset of the
-    ids at a junction corner, each junction's ids with one id more, and
-    seeded random keeps of 3 or 4 ids, over the junction fixture and the
-    70-brick wall."""
+    """The chi term of three ids, counted from the junction corners of the
+    grid's validation scan, equals the scan of every feature row, and that
+    scan finds no chi term of four ids: on each junction's ids, each
+    junction's ids with one id more, and seeded random keeps of 3 or 4 ids,
+    over the junction fixture and the 70-brick wall."""
     rng = random.Random(68)
     checked = held = 0
     for css in [*junction_css, brick_css(7, 10)]:
         analysis = CssAnalysis(css)
         n = css.n_subsystems
-        junctions = {ids for lists in analysis._junctions.values() for ids in lists}
-        keeps = {tuple(sorted(sub)) for ids in junctions for size in (3, 4)
-                 for sub in itertools.combinations(ids, size)}
+        junctions = set(map(frozenset, css.junctions))
+        keeps = {tuple(sorted(ids)) for ids in junctions}
         keeps |= {tuple(sorted({*ids, rng.randrange(n)})) for ids in junctions}
         keeps |= {tuple(sorted(rng.sample(range(n), rng.choice([3, 4])))) for _ in range(20)}
         for keep in keeps:
-            if 3 <= len(keep) <= 4:
-                want = held_by_scan(analysis, keep)
-                assert analysis._held(keep) == want, (css.name, keep)
-                checked += 1
-                held += want > 0
+            want = held_by_scan(analysis, keep)
+            assert want == (analysis._junction_counts[frozenset(keep)] if len(keep) == 3 else 0), (css.name, keep)
+            checked += 1
+            held += want > 0
     assert checked > 5000 and held > 600, (checked, held)
 
 
 def test_information_of_a_thousand_hole_frame_is_per_hole():
-    """The chi term of each 4-id loop reads the corners where its ids meet,
-    not every feature row of the grid, and each loop's block is a plain
+    """Each 4-id loop has no chi term, as no window holds four labels, so
+    no feature row of the grid is read, and each loop's block is a plain
     cycle, read with no walk: the summary of the 3 001-subsystem frame,
     C^N and 1 000 loops of C = -2, takes about 0.09 s on a 2-core x86-64
     VM."""
@@ -518,20 +518,19 @@ def test_information_of_a_thousand_hole_frame_is_per_hole():
     assert summary.c_n == 0 and [h.c for h in summary.holes] == [-2] * 1000
 
 
-def test_c_of_three_ids_or_more_builds_no_features():
-    """No corner, segment or cell holds five subsystems, so the C of five ids
-    or more has no held term; three or four ids are held only at the junction
-    corners the grid's validation scan recorded.  Neither builds feature
-    rows; one or two ids do."""
+def test_c_of_one_to_five_ids_builds_no_features():
+    """C of one or two ids is read from the labelling, of three ids from the
+    junction corners the grid's validation scan recorded, and of more ids
+    has no chi term: no C of one to five ids builds the feature rows of the
+    2^N tables."""
     for css in (builders.annulus(12), brick_css(3, 3)):
         analysis = CssAnalysis(css)
         j_table = CssAnalysis(css).j_table
         assert analysis.c_n == signed_reference(j_table, range(css.n_subsystems))
-        for ids in (range(5), range(4), range(1, 5), range(3), range(2, 5)):
+        for ids in (range(1), range(3, 4), range(2), range(1, 3), range(3), range(2, 5), range(4), range(1, 5),
+                    range(5)):
             assert analysis.c_within(ids) == signed_reference(j_table, ids), (css.name, ids)
         assert "_feature_labels" not in analysis.__dict__
-        assert analysis.c_within(range(2)) == signed_reference(j_table, range(2))
-        assert "_feature_labels" in analysis.__dict__
 
 
 def scan_cases(junction_css) -> list[GridCss]:
@@ -551,15 +550,53 @@ def scan_cases(junction_css) -> list[GridCss]:
 
 def test_validation_scan_records_the_junction_corners(junction_css):
     """The junction corners of the grid's validation scan are, in order, the
-    id sets of the corner rows of the feature decomposition that hold three
-    or more distinct subsystems."""
+    corner rows of the feature decomposition, as windows, that hold three or
+    more distinct subsystems."""
     found = 0
     for css in scan_cases(junction_css):
         corners = CssAnalysis(css)._feature_labels[0][0].tolist()
-        want = [ids for ids in (frozenset(row) - {OUTSIDE} for row in corners) if len(ids) >= 3]
+        want = [tuple(row) for row in corners if len(set(row) - {OUTSIDE}) >= 3]
         assert list(css.junctions) == want, css.name
         found += len(want)
     assert found == 710, found
+
+
+def test_no_window_holds_four_labels(junction_css):
+    """The invariant the C of three ids or more rests on: the pinch rule
+    leaves no 2x2 window of a valid grid, its OUTSIDE border included, with
+    four distinct labels, OUTSIDE counted.  On the scan cases and seeded
+    dense ``random_css`` draws of up to 30 subsystems."""
+    rng = random.Random(44)
+    draws = [builders.random_css(rng, rng.randint(3, 30), rng.randint(4, 24), rng.randint(4, 24),
+                                 growth=rng.choice([20, 200, 600])) for _ in range(60)]
+    seen = Counter()
+    for css in [*scan_cases(junction_css), *draws]:
+        grid = np.pad(np.array(css.labels).reshape(css.height, css.width), 1, constant_values=OUTSIDE)
+        windows = np.sort(np.stack([grid[:-1, :-1], grid[:-1, 1:], grid[1:, :-1], grid[1:, 1:]], axis=-1), axis=-1)
+        distinct = 1 + np.count_nonzero(np.diff(windows, axis=-1), axis=-1)
+        seen.update(distinct.ravel().tolist())
+    assert set(seen) == {1, 2, 3} and seen[3] > 1000, seen
+
+
+@pytest.mark.installed
+def test_union_boundary_count_matches_the_flood_fill(junction_css):
+    """J read from the labelling (``grid.union_boundary_count``) equals the
+    flood fill of the union's own cells on seeded 1-, 2- and 3-id unions and
+    the full set of every scan case, and the C of one and two ids equals the
+    signed reference of the J table on the junction fixture."""
+    rng = random.Random(45)
+    checked = 0
+    for css in scan_cases(junction_css):
+        n = css.n_subsystems
+        for ids in [*(rng.sample(range(n), k) for k in (1, 2, 3) if k <= n), range(n)]:
+            assert union_boundary_count(css, ids) == boundary_component_count(union_region(css, ids)), (css.name, ids)
+            checked += 1
+    assert checked > 1000, checked
+    for css in junction_css:
+        analysis, n = CssAnalysis(css), css.n_subsystems
+        j = analysis.j_table
+        for ids in [*itertools.combinations(range(n), 1), *rng.sample(list(itertools.combinations(range(n), 2)), 4)]:
+            assert analysis.c_within(ids) == signed_reference(j, ids), (css.name, ids)
 
 
 def test_hole_walk_matches_the_dict_walk(junction_css):

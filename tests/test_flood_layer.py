@@ -3,7 +3,9 @@
 Every number the package computes is read from the grid's one labelling
 (``GridCss.labelling``).  The flood-fill layer of ``topomi.grid`` stays
 defined for the benchmark's correctness gate and the tests; only its own
-function bodies may call it.
+function bodies may call it.  The feature rows of the cell complex serve
+only the 2^N tables of ``topomi.masks``: C reads the labelling and the
+junction corners instead.
 """
 
 import ast
@@ -22,10 +24,10 @@ LAYER = frozenset({
 })
 
 
-def layer_reads(source: str, exempt=frozenset()) -> list[str]:
-    """Each read of a layer name, as a name, an attribute or an imported
-    name, outside the bodies of the functions named in ``exempt``; a
-    docstring naming one is no read."""
+def layer_reads(source: str, exempt=frozenset(), names=LAYER) -> list[str]:
+    """Each read of one of ``names``, the layer's by default, as a name, an
+    attribute or an imported name, outside the bodies of the functions named
+    in ``exempt``; a docstring naming one is no read."""
     found, stack = [], [ast.parse(source)]
     while stack:
         node = stack.pop()
@@ -39,7 +41,7 @@ def layer_reads(source: str, exempt=frozenset()) -> list[str]:
             name = node.name
         else:
             name = None
-        if name in LAYER:
+        if name in names:
             found.append((node.lineno, name))
         stack.extend(ast.iter_child_nodes(node))
     return [f"line {line}: {name}" for line, name in sorted(found)]
@@ -64,6 +66,11 @@ def test_layer_reads_are_found():
 def test_module_reads_no_flood_fill(path):
     exempt = LAYER if path.name == "grid.py" else frozenset()
     assert layer_reads(path.read_text(), exempt) == []
+
+
+def test_only_masks_reads_the_feature_rows():
+    readers = [path.name for path in MODULES if layer_reads(path.read_text(), names={"_feature_labels"})]
+    assert readers == ["masks.py"]
 
 
 def test_layer_is_defined_in_grid_and_not_exported():

@@ -6,7 +6,9 @@ import math
 import random
 import re
 import time
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from topomi.builders import annulus, random_css, six_hole_eighteen
@@ -149,11 +151,12 @@ def _gallery_lattices() -> list[CodeLattice]:
 
 #: build_code skips the checks of StabilizerState.from_rows: every square side from 2
 #: to 24 (the benchmark's 16x16 and 24x24 tori among them), rectangles of
-#: both shapes, on both boundaries, and the gallery's lattices
+#: both shapes and the 48x48 lattices of LARGEST_LATTICES (the torus at
+#: MAX_QUBITS), on both boundaries, and the gallery's lattices
 BUILT_LATTICES = [
     *(CodeLattice(lx, ly, boundary) for boundary in ("torus", "planar")
       for lx, ly in [*((side, side) for side in range(2, 25)),
-                     (2, 3), (3, 2), (3, 4), (4, 9), (11, 5), (16, 7), (18, 22), (24, 13)]),
+                     (2, 3), (3, 2), (3, 4), (4, 9), (11, 5), (16, 7), (18, 22), (24, 13), (48, 48)]),
     *_gallery_lattices(),
 ]
 
@@ -746,10 +749,15 @@ def test_rasterize_rejects_winding():
         rasterize_css(lattice, css)
 
 
+#: footprints that meet every row, and every column, of a 4x4 torus
+WINDS_ROWS = "A...\nAA..\n.A..\n.A.."
+WINDS_COLUMNS = "AA..\n.AAA\n....\n...."
+
+
 def test_torus_cut_rejects_a_footprint_meeting_every_row():
     # no cell meets another across the seam, but no row is left to cut along
     lattice = CodeLattice(4, 4, "torus")
-    css = parse_ascii("A...\nAA..\n.A..\n.A..")
+    css = parse_ascii(WINDS_ROWS)
     with pytest.raises(WindingRegion, match="footprint meets every row of the 4x4 torus"):
         rasterize_css(lattice, css)
     # rolled so that the empty row 0 and column 1 come last: A is whole again
@@ -777,12 +785,12 @@ def test_a_pinch_across_the_seam_names_the_roll(tmp_path, capsys):
     assert f"FAIL evaluate: ValidationError: {SEAM_PINCH_TEXT}\n" in capsys.readouterr().out
 
 
-def _on_torus(css: GridCss, dx: int, dy: int, side: int = 9) -> GridCss:
+def _on_torus(css: GridCss, dx: int, dy: int, side: int = 9, name: str = "") -> GridCss:
     """``css`` placed at offset (dx, dy) on a side x side torus grid, wrapping."""
     labels = [OUTSIDE] * side * side
     for k, label in enumerate(css.labels):
         labels[(k // css.width + dy) % side * side + (k % css.width + dx) % side] = label
-    return GridCss(side, side, tuple(labels))
+    return GridCss(side, side, tuple(labels), name=name)
 
 
 def test_torus_cut_counts_every_placement_alike():
@@ -895,14 +903,14 @@ LARGEST_LATTICES = {
     # 2 s for a walk over the subsets)
     "annulus-n18-torus22": ((22, 22, "torus"), (22, 22), (annulus(18), 2), 2),
     # the same ring with 4-cell arcs on a 48x48 torus: 4608 qubits,
-    # MAX_QUBITS.  The generators and column table come from the lattice's
-    # index arithmetic (about 11 ms to build, against about 42 ms for a
-    # per-vertex build and transpose), the rasterization is one array pass,
-    # and the exact pass takes about 5 ms
+    # MAX_QUBITS.  The generators and column table come from two grids of
+    # generator bits (about 5 ms to build, against about 40 ms for a
+    # per-vertex build and transpose), the rasterization is one walk over
+    # the cells (under 1 ms), and the exact pass takes about 7 ms
     "annulus-n18-torus48": ((48, 48, "torus"), (48, 48), (annulus(18), 4), 2),
     # the same scaled ring on a 48x48-vertex planar patch: 47x47 faces and
-    # 4512 qubits, through build_code's planar branch, whose off-patch star
-    # edges repeat the edge opposite (well under a second)
+    # 4512 qubits, through build_code's patch padding, where a plaquette
+    # past the last row or column is the zero entry (well under a second)
     "annulus-n18-planar48": ((48, 48, "planar"), (47, 47), (annulus(18), 4), 2),
     # six-hole-eighteen, each cell scaled x2, on a 28x20 torus: 1120 qubits
     # and 18 regions that form no ring, where the order of the pass (the
@@ -951,20 +959,113 @@ def _planar_fuzz():
         yield CodeLattice(width + 1, height + 1, "planar"), css
 
 
+#: patch footprints that reach the grid's edge on all four sides: a full
+#: patch, and an L along the top row and the left column
+EDGE_FOOTPRINTS = ("AAAB\nAAAB\nCCCC", "AAAAA\nB....\nB....\nB....")
+
+
+def _edge_footprints():
+    for text in EDGE_FOOTPRINTS:
+        css = parse_ascii(text)
+        yield CodeLattice(css.width + 1, css.height + 1, "planar"), css
+
+
+def _largest_cases():
+    """The 48x48 torus and patch of LARGEST_LATTICES, each with its CSS."""
+    for name in ("annulus-n18-torus48", "annulus-n18-planar48"):
+        (lx, ly, boundary), (width, height), (css, scale), _ = LARGEST_LATTICES[name]
+        yield CodeLattice(lx, ly, boundary), parse_grid_json(_padded(_scaled(css, scale), width, height))
+
+
 def test_rasterize_matches_the_per_edge_assignment():
-    """The one-pass owners give every region, and the grid kept, of the
-    per-edge assignment, on the planar patch and on the torus's cut (every
-    benchmark ring needs one)."""
+    """The cell walk gives every region, and the grid kept, of the
+    per-edge assignment, on the planar patch (footprints on its edge among
+    them) and on the torus's cut (every benchmark ring needs one), up to
+    the 48x48 lattices."""
     n_rolled = 0
-    cases = [*_rasterized_cases(), *_benchmark_rings(), *_planar_fuzz()]
+    cases = [*_rasterized_cases(), *_benchmark_rings(), *_planar_fuzz(), *_edge_footprints(), *_largest_cases()]
     for lattice, css in cases:
         region_map = rasterize_css(lattice, css)
         reference = _rasterize_by_edge(lattice, css)
         assert region_map.regions == reference.regions
         assert region_map.css == reference.css
         n_rolled += region_map.css is not css
-    assert len(cases) == 62 + 24 + 40
+    assert len(cases) == 62 + 24 + 40 + 2 + 2
     assert n_rolled == 25 + 24
+
+
+def _cut_by_roll(css: GridCss) -> GridCss:
+    """The torus cut by whole-array numpy: the empty rows and columns from
+    an ``all`` along each axis, the grid rolled by ``np.roll``."""
+    labels = np.array(css.labels).reshape(css.height, css.width)
+    empty_rows = np.flatnonzero((labels == OUTSIDE).all(axis=1))
+    empty_cols = np.flatnonzero((labels == OUTSIDE).all(axis=0))
+    if not (empty_rows.size and empty_cols.size):
+        what = "column" if empty_rows.size else "row"
+        raise WindingRegion(f"footprint meets every {what} of the {css.width}x{css.height} torus")
+    shift = (css.height - 1 - int(empty_rows[-1]), css.width - 1 - int(empty_cols[-1]))
+    if shift == (0, 0):
+        return css
+    rolled = np.roll(labels, shift, axis=(0, 1))
+    try:
+        return GridCss(css.width, css.height, tuple(rolled.ravel().tolist()), name=css.name)
+    except ValidationError as exc:
+        raise ValidationError(f"{exc} of the grid rolled by {shift[1]} columns and {shift[0]} rows") from exc
+
+
+def _cut_or_error(cut, css: GridCss):
+    """``cut(css)``, or the type and text of the error it raises."""
+    try:
+        return cut(css)
+    except (ValidationError, WindingRegion) as exc:
+        return type(exc), str(exc)
+
+
+def _tight_placements(count: int = 30) -> list[GridCss]:
+    """Seeded random CSS, each named, placed on a torus at most two cells
+    wider than itself: some roll, some lie in place and some meet every row
+    or column.  A placement that pinches as given is no torus grid and is
+    drawn again."""
+    rng = random.Random(45)
+    placements: list[GridCss] = []
+    while len(placements) < count:
+        width, height = rng.randint(3, 7), rng.randint(3, 7)
+        side = max(width, height) + rng.randint(0, 2)
+        try:
+            css = random_css(rng, rng.randint(2, 5), width, height, growth=rng.choice([20, 60, 150]))
+            placements.append(_on_torus(css, rng.randrange(side), rng.randrange(side), side,
+                                        name=f"placement-{len(placements)}"))
+        except ValidationError:
+            continue
+    return placements
+
+
+def test_torus_cut_matches_the_roll_reference():
+    """torus_cut gives the grid and name of the whole-array roll, ``css``
+    itself when nothing rolls, and the same error type and text, on every
+    torus case the rasterizer is checked on (the benchmark rings among
+    them), tight placements and the three error texts.  The per-edge
+    reference calls torus_cut itself, so only this catches a wrong but
+    self-consistent cut."""
+    grids = [css for lattice, css in [*_rasterized_cases(), *_benchmark_rings()] if lattice.periodic]
+    grids += _tight_placements()
+    grids += [parse_ascii(text) for text in (WINDS_ROWS, WINDS_COLUMNS, SEAM_PINCH)]
+    outcomes = Counter()
+    for css in grids:
+        cut, reference = _cut_or_error(torus_cut, css), _cut_or_error(_cut_by_roll, css)
+        assert cut == reference
+        if isinstance(cut, GridCss):
+            assert cut.name == reference.name == css.name
+            assert (cut is css) == (reference is css)
+            outcomes["kept" if cut is css else "rolled"] += 1
+        else:
+            outcomes[cut[0].__name__] += 1
+    assert outcomes == {"kept": 6 + 7, "rolled": 49 + 17, "WindingRegion": 6 + 2, "ValidationError": 1}
+    assert [_cut_or_error(torus_cut, grid) for grid in grids[-3:]] == [
+        (WindingRegion, "footprint meets every row of the 4x4 torus"),
+        (WindingRegion, "footprint meets every column of the 4x4 torus"),
+        (ValidationError, SEAM_PINCH_TEXT),
+    ]
 
 
 def test_parse_lattice_scenario_regions_and_css():

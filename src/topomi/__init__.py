@@ -14,12 +14,11 @@ from .engine import (
     information_summary,
     multipartite_information,
     recursion_check,
-    strong_subadditivity_combination,
     subloop_revival,
     subset_entropy_table,
 )
 from .errors import TopomiError
-from .graphs import SimpleGraph, cycle_graph, path_graph, rho, sigma_of_css
+from .graphs import SimpleGraph, rho, sigma_of_css
 from .grid import (
     OUTSIDE,
     GridCss,
@@ -35,12 +34,10 @@ from .stabilizer import (
     CodeLattice,
     QubitRegionMap,
     StabilizerState,
-    brute_force_entropy,
     build_code,
     entropy_bits,
     multipartite_information_exact,
     rasterize_css,
-    region_entropy_source,
 )
 
 __version__ = "0.1.0"

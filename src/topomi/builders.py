@@ -251,11 +251,6 @@ def six_hole_eighteen() -> GridCss:
     return parse_ascii("\n".join(ascii_rows), name="six-hole-eighteen")
 
 
-def annulus_family(max_n: int) -> list[GridCss]:
-    """Plain annuli of every size 3..max_n (entanglement-vector input)."""
-    return [annulus(p) for p in range(3, max_n + 1)]
-
-
 # ----------------------------------------------------------------------
 # fuzzing
 # ----------------------------------------------------------------------

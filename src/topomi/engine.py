@@ -37,7 +37,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -430,26 +430,6 @@ def recursion_check(model: EntropyModel, css: GridCss | CssAnalysis) -> Recursio
     singles = sum(float(s[1 << i]) for i in range(n))
     tail = (-1) ** n * (singles - float(s[-1]))
     return RecursionResult(lhs, middle + tail)
-
-
-# ----------------------------------------------------------------------
-# strong subadditivity combination
-# ----------------------------------------------------------------------
-
-EntropySource = Callable[[frozenset], float]
-
-
-def strong_subadditivity_combination(css: GridCss | CssAnalysis, entropy: EntropySource) -> float:
-    """S_union + sum_i (S_i - S_{i, i+1 mod N}) over the annular cyclic order.
-
-    Equals -2 log(D) under the topology model; with a physical entropy
-    source it is bounded above by 0, with equality only in a trivial phase.
-    """
-    order = annular_order(css)  # every subsystem, in ring order
-    value = entropy(frozenset(order))
-    for i, j in zip(order, order[1:] + order[:1]):
-        value += entropy(frozenset([i])) - entropy(frozenset([i, j]))
-    return value
 
 
 # ----------------------------------------------------------------------

@@ -35,8 +35,7 @@ class TooManySubsystems(TopomiError):
 class TooManyQubits(TopomiError):
     """A guard on the qubits tripped: the cap on a code lattice
     (``stabilizer.MAX_QUBITS``), raised by ``CodeLattice`` before anything
-    is built, or the dense state-vector oracle's cap
-    (``stabilizer.BRUTE_CAP``)."""
+    is built."""
 
 
 class DisconnectedCss(TopomiError):

@@ -25,19 +25,9 @@ from __future__ import annotations
 from typing import Mapping
 
 from .engine import CssAnalysis
-from .errors import ParseError, PreconditionViolated, ValidationError
+from .errors import ParseError, PreconditionViolated
 from .grid import OUTSIDE, GridCss, SimpleGraph, hole_name, json_int, union_boundary_count
 from .masks import count_components, signed_component_sum
-
-
-def path_graph(n: int) -> SimpleGraph:
-    return SimpleGraph(n, tuple((i, i + 1) for i in range(n - 1)))
-
-
-def cycle_graph(n: int) -> SimpleGraph:
-    if n < 3:
-        raise ValidationError("cycle graph needs at least 3 vertices")
-    return SimpleGraph(n, tuple((i, (i + 1) % n) for i in range(n)))
 
 
 def rho(graph: SimpleGraph) -> int:

@@ -23,18 +23,14 @@ regions' joint column spans.
 That is one pass over the regions in the order of their lowest qubits, a
 sweep across the lattice, whose states are the subspaces the regions
 behind share with those ahead: a handful on a ring of regions, where a
-walk over the subsets would visit 2^N - 1.  A dense state-vector
-construction provides an independent oracle for small systems.
+walk over the subsets would visit 2^N - 1.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
-
-import numpy as np
 
 from .errors import (
     EmptyRegion,
@@ -47,9 +43,6 @@ from .errors import (
 )
 from .grid import OUTSIDE, GridCss, json_int, pack_bits, parse_grid_json, set_bits
 
-#: dense 2**n state vectors
-BRUTE_CAP = 12
-
 #: regions of an exact I^N; its pass over the regions keeps one state per
 #: subspace shared by the regions behind and ahead, and a scattered map can
 #: have thousands
@@ -58,8 +51,6 @@ EXACT_SUBSET_CAP = 18
 #: qubits of a code lattice (a 48 x 48 torus); its generators and column
 #: table build in about 5 ms on a 2-core x86-64 VM
 MAX_QUBITS = 4608
-
-LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -97,25 +88,27 @@ class CodeLattice:
         return cols * self.ly + self.lx * rows
 
     @cached_property
-    def edge_qubits(self) -> tuple[np.ndarray, np.ndarray]:
-        """The qubit numbering, two read-only grids: horizontal edge
-        (i, j)-(i+1, j) has its qubit at ``[j, i]`` of the first, numbered
-        row by row and first; vertical edge (i, j)-(i, j+1) at ``[j, i]`` of
+    def edge_qubits(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+        """The qubit numbering, two grids of nested tuples: horizontal edge
+        (i, j)-(i+1, j) has its qubit at ``[j][i]`` of the first, numbered
+        row by row and first; vertical edge (i, j)-(i, j+1) at ``[j][i]`` of
         the second, row by row after them."""
         cols, rows = self.face_shape
-        qubits = np.arange(self.n_qubits)
-        qubits.setflags(write=False)
-        return qubits[:cols * self.ly].reshape(self.ly, cols), qubits[cols * self.ly:].reshape(rows, self.lx)
+        first = cols * self.ly
+        return (
+            tuple(tuple(range(j * cols, (j + 1) * cols)) for j in range(self.ly)),
+            tuple(tuple(range(first + j * self.lx, first + (j + 1) * self.lx)) for j in range(rows)),
+        )
 
-    def _edge_qubit(self, grid: np.ndarray, i: int, j: int, what: str) -> int:
-        """The qubit at ``[j, i]`` of one of :attr:`edge_qubits`, wrapped on
+    def _edge_qubit(self, grid: tuple[tuple[int, ...], ...], i: int, j: int, what: str) -> int:
+        """The qubit at ``[j][i]`` of one of :attr:`edge_qubits`, wrapped on
         the torus; nothing lies beyond the edge of the patch."""
-        height, width = grid.shape
+        height, width = len(grid), len(grid[0])
         if self.periodic:
             i, j = i % width, j % height
         if not (0 <= i < width and 0 <= j < height):
             raise ValidationError(f"no {what} at ({i},{j})")
-        return int(grid[j, i])
+        return grid[j][i]
 
     def h_edge(self, i: int, j: int) -> int:
         """Qubit on the edge (i, j)-(i+1, j)."""
@@ -168,11 +161,6 @@ class StabilizerState:
                 raise ValidationError(f"generators {a} and {b} anticommute")
         return cls(n, tuple(cols))
 
-    @cached_property
-    def rows(self) -> tuple[int, ...]:
-        """The generators, read off the columns; only the dense oracle reads them."""
-        return tuple(pack_bits(((g, c) for c, column in enumerate(self.columns) for g in set_bits(column)), self.n))
-
 
 def _echelon(rows: Iterable[int]) -> dict[int, int]:
     """An echelon basis of the rows' GF(2) span: highest bit -> vector."""
@@ -216,7 +204,7 @@ def build_code(lattice: CodeLattice) -> StabilizerState:
         faces[-1][-1] = 0
     else:
         faces = [row + [0] for row in faces] + [[0] * (cols + 1)]
-    h, v = (grid.tolist() for grid in lattice.edge_qubits)
+    h, v = lattice.edge_qubits
     x, z = [0] * n, [0] * n
     for j in range(ly):
         s, t, f, g = stars[j], stars[j + 1 - ly], faces[j], faces[j - 1]
@@ -467,58 +455,6 @@ def multipartite_information_exact(state: StabilizerState, region_map: QubitRegi
     return (-1) ** (n + 1) * _signed_rank_sum(bases)[0]
 
 
-def region_entropy_source(state: StabilizerState, region_map: QubitRegionMap):
-    """Entropy in nats of a set of region ids, for the subadditivity combination."""
-
-    def source(ids: Iterable[int]) -> float:
-        return entropy_bits(state, region_map.union(ids)) * LN2
-
-    return source
-
-
-# ----------------------------------------------------------------------
-# dense independent oracle
-# ----------------------------------------------------------------------
-
-def brute_force_entropy(state: StabilizerState, qubits: Iterable[int]) -> float:
-    """Entropy (nats) from the dense ground-state vector.
-
-    Builds the state by projecting |0...0> onto the +1 eigenspace of every
-    generator, then diagonalizes the reduced density matrix.  Independent
-    of the GF(2) rank route; capped at 12 qubits.
-    """
-    n = state.n
-    if n > BRUTE_CAP:
-        raise TooManyQubits(f"{n} qubits exceed the dense-oracle cap of {BRUTE_CAP}")
-    mask = _as_qubit_mask(state, qubits)
-
-    dim = 1 << n
-    idx = np.arange(dim, dtype=np.int64)
-    psi = np.zeros(dim)
-    psi[0] = 1.0
-    full = (1 << n) - 1
-    for row in state.rows:
-        x = row & full
-        z = row >> n
-        signs = 1.0 - 2.0 * (np.bitwise_count(idx & z) % 2)
-        psi = 0.5 * (psi + (signs * psi)[idx ^ x])
-    norm = math.sqrt(float(psi @ psi))
-    if norm < 1e-12:
-        raise ValidationError("generators project |0...0> to zero; no +1 ground state")
-    psi /= norm
-
-    region = sorted(q for q in range(n) if mask >> q & 1)
-    rest = [q for q in range(n) if not mask >> q & 1]
-    # qubit q is bit q of the index, i.e. axis n-1-q of the reshaped tensor
-    tensor = psi.reshape([2] * n)
-    perm = [n - 1 - q for q in region] + [n - 1 - q for q in rest]
-    matrix = np.transpose(tensor, perm).reshape(1 << len(region), -1)
-    # eigenvalues of rho_A are squared singular values of the bipartition
-    lams = np.linalg.svd(matrix, compute_uv=False) ** 2
-    lams = lams[lams > 1e-14]
-    return float(-(lams * np.log(lams)).sum())
-
-
 # ----------------------------------------------------------------------
 # grid CSS -> qubit regions
 # ----------------------------------------------------------------------
@@ -581,7 +517,7 @@ def rasterize_css(lattice: CodeLattice, css: GridCss) -> QubitRegionMap:
         )
     if lattice.periodic:
         css = torus_cut(css)  # so every face across the seam is OUTSIDE, as off the grid
-    h, v = (grid.tolist() for grid in lattice.edge_qubits)
+    h, v = lattice.edge_qubits
     labels = css.labels
     regions: list[list[int]] = [[] for _ in range(css.n_subsystems)]
     above = (OUTSIDE,) * cols  # the row off the grid

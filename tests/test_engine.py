@@ -22,7 +22,6 @@ from topomi.engine import (
     entanglement_vector,
     information_summary,
     multipartite_information,
-    strong_subadditivity_combination,
     recursion_check,
     subloop_revival,
     subset_entropy_table,
@@ -52,6 +51,7 @@ from topomi.masks import UnionTopology, alternating_sum, subset_signs
 from topomi.model import EntropyModel
 
 from flood_reference import boundary_walk_labels, entropy_of_region, model_entropy_source, perimeter_links
+from oracle_reference import annulus_family, strong_subadditivity_combination
 from test_grid import window_frame
 
 LN2 = math.log(2)
@@ -537,7 +537,7 @@ def scan_cases(junction_css) -> list[GridCss]:
     """The junction fixture, the builders, seeded random 16x16 CSS, brick
     walls and window frames."""
     built = [
-        *builders.annulus_family(12), builders.open_chain(6), builders.annulus_with_island(6),
+        *annulus_family(12), builders.open_chain(6), builders.annulus_with_island(6),
         builders.annulus_with_appendage(6), builders.annulus_with_punched_hole(8),
         builders.annulus_with_self_handle(6), builders.annulus_with_nn_handle(6),
         builders.far_handle_annulus(8, 3), builders.theta_pair(), builders.two_hole_five(),
@@ -1054,21 +1054,21 @@ def test_model_entropies_match_the_subset_entropy_table():
 # ----------------------------------------------------------------------
 
 def test_entanglement_vector_topological():
-    family = CssFamily(tuple(builders.annulus_family(6)))
+    family = CssFamily(tuple(annulus_family(6)))
     vec = entanglement_vector(D2, family)
     assert not vec.is_zero
     assert all(abs(x - 1.0) < 1e-12 for x in vec.normalized)
 
 
 def test_entanglement_vector_trivial_phase():
-    family = CssFamily(tuple(builders.annulus_family(6)))
+    family = CssFamily(tuple(annulus_family(6)))
     vec = entanglement_vector(EntropyModel(1.0), family)
     assert vec.is_zero
     assert all(x == 0.0 for x in vec.normalized)
 
 
 def test_family_rejects_non_annular_member():
-    members = builders.annulus_family(5)
+    members = annulus_family(5)
     members[1] = builders.open_chain(4)
     with pytest.raises(NotAnnular):
         CssFamily(tuple(members))

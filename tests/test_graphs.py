@@ -12,16 +12,15 @@ from topomi.engine import CssAnalysis
 from topomi.errors import ParseError, PreconditionViolated, TooManySubsystems, ValidationError
 from topomi.graphs import (
     SimpleGraph,
-    cycle_graph,
     parse_graph_json,
     parse_graph_text,
-    path_graph,
     rho,
     sigma_of_css,
 )
 from topomi.grid import MAX_VERTICES, GridCss, adjacency_graph, parse_ascii
 from topomi.masks import UnionTopology, subset_signs
 
+from oracle_reference import cycle_graph, path_graph
 from test_engine import brick_css
 
 

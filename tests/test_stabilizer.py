@@ -35,17 +35,16 @@ from topomi.stabilizer import (
     _region_bases,
     _signed_rank_sum,
     _split,
-    brute_force_entropy,
     build_code,
     entropy_bits,
     multipartite_information_exact,
     parse_lattice_scenario,
     rasterize_css,
-    region_entropy_source,
     torus_cut,
 )
 
 from flood_reference import perimeter_links
+from oracle_reference import brute_force_entropy, generator_rows, region_entropy_source
 
 LN2 = math.log(2)
 
@@ -110,7 +109,8 @@ def test_lattice_numbering_from_first_principles(lattice):
     assert numbering == list(range(lattice.n_qubits))
     assert {type(q) for q in numbering} == {int}
     # the grids behind them are shared by every reader, so none may write to them
-    assert not any(grid.flags.writeable for grid in lattice.edge_qubits)
+    h, v = lattice.edge_qubits
+    assert {type(lattice.edge_qubits), type(h), type(v), *(type(row) for row in (*h, *v))} == {tuple}
 
 
 @pytest.mark.parametrize("lattice", LATTICES, ids=_lattice_id)
@@ -136,7 +136,7 @@ def test_build_code_rank_and_commutation():
                     CodeLattice(2, 2, "planar"), CodeLattice(3, 4, "planar")):
         state = build_code(lattice)
         assert state.n == lattice.n_qubits
-        assert len(state.rows) == state.n
+        assert len(generator_rows(state)) == state.n
 
 
 def _gallery_lattices() -> list[CodeLattice]:
@@ -166,7 +166,7 @@ def test_build_code_generators_pass_every_check(lattice):
     """The star and plaquette generators build_code makes unchecked are
     independent and commute: StabilizerState.from_rows accepts them."""
     state = build_code(lattice)
-    assert StabilizerState.from_rows(state.n, state.rows) == state
+    assert StabilizerState.from_rows(state.n, generator_rows(state)) == state
 
 
 def _per_vertex_rows(lattice: CodeLattice) -> tuple[int, ...]:
@@ -214,9 +214,9 @@ def test_build_code_matches_the_per_vertex_construction(lattice):
     the rows read off it are those generators."""
     state = build_code(lattice)
     rows = _per_vertex_rows(lattice)
-    assert state.rows == rows
+    assert generator_rows(state) == rows
     assert state.columns == _bit_transpose(state.n, rows)
-    assert state.columns == StabilizerState.from_rows(state.n, state.rows).columns
+    assert state.columns == StabilizerState.from_rows(state.n, generator_rows(state)).columns
 
 
 def test_gallery_lattices_are_all_there():
@@ -228,8 +228,8 @@ def test_torus_row_budget():
     lattice = CodeLattice(3, 3, "torus")
     state = build_code(lattice)
     n = state.n
-    x_rows = sum(1 for r in state.rows if r < (1 << n))
-    z_rows = len(state.rows) - x_rows
+    x_rows = sum(1 for r in generator_rows(state) if r < (1 << n))
+    z_rows = len(generator_rows(state)) - x_rows
     assert (x_rows, z_rows) == (8, 10)
 
 
@@ -264,7 +264,7 @@ def _random_pauli_rows(rng: random.Random) -> tuple[int, list[int]]:
     lattice = rng.choice([CodeLattice(2, 2, "torus"), CodeLattice(2, 2, "planar"),
                           CodeLattice(2, 3, "planar"), CodeLattice(3, 2, "torus")])
     state = build_code(lattice)
-    n, rows = state.n, list(state.rows)
+    n, rows = state.n, list(generator_rows(state))
     for _ in range(3 * n):
         q = rng.randrange(n)
         move = rng.randrange(3)
@@ -319,7 +319,7 @@ def test_state_validation_rejects_anticommuting():
 def test_state_checks_the_column_table_shape():
     """The constructor takes a column table: 2n columns of n bits each."""
     state = StabilizerState(1, (0b0, 0b1))  # |0>, stabilized by Z
-    assert state.rows == (0b10,)
+    assert generator_rows(state) == (0b10,)
     assert StabilizerState.from_rows(1, (0b10,)) == state
     with pytest.raises(ValidationError, match=re.escape("3 columns for 1 qubits; need 2")):
         StabilizerState(1, (0, 1, 0))
@@ -895,27 +895,27 @@ def _padded(css: GridCss, width: int, height: int) -> dict:
 
 
 #: (Lx, Ly, boundary), the grid's width and height, (CSS, scale) and its
-#: I/log2; each time is that of the ``stabilizer`` command on a 2-core VM
+#: I/log2; each time is that of the ``stabilizer`` command through
+#: ``topomi.cli.main``, warm, on a 2-core x86-64 VM (the range of runs)
 LARGEST_LATTICES = {
     # the 18-region ring, each cell scaled x2, on a 22x22 torus: the exact
     # oracle at its region cap, where the subsets of regions number 262,143.
-    # Its pass over the regions holds 5 states (about 0.4 s, against about
-    # 2 s for a walk over the subsets)
+    # Its pass over the regions holds 5 states (4-7 ms)
     "annulus-n18-torus22": ((22, 22, "torus"), (22, 22), (annulus(18), 2), 2),
     # the same ring with 4-cell arcs on a 48x48 torus: 4608 qubits,
-    # MAX_QUBITS.  The generators and column table come from two grids of
-    # generator bits (about 5 ms to build, against about 40 ms for a
-    # per-vertex build and transpose), the rasterization is one walk over
-    # the cells (under 1 ms), and the exact pass takes about 7 ms
+    # MAX_QUBITS (12-20 ms).  The generators and column table come from two
+    # grids of generator bits (3-5 ms to build, against about 43 ms for a
+    # per-vertex build and transpose), the grid's parse, cut and
+    # rasterization take 1-2 ms, and the exact pass 4-8 ms
     "annulus-n18-torus48": ((48, 48, "torus"), (48, 48), (annulus(18), 4), 2),
     # the same scaled ring on a 48x48-vertex planar patch: 47x47 faces and
     # 4512 qubits, through build_code's patch padding, where a plaquette
-    # past the last row or column is the zero entry (well under a second)
+    # past the last row or column is the zero entry (12-19 ms)
     "annulus-n18-planar48": ((48, 48, "planar"), (47, 47), (annulus(18), 4), 2),
     # six-hole-eighteen, each cell scaled x2, on a 28x20 torus: 1120 qubits
     # and 18 regions that form no ring, where the order of the pass (the
     # regions' lowest qubits, a sweep across the lattice) matters.  It holds
-    # 20 states, and the exact pass takes about 7 ms
+    # 20 states, and the exact pass takes 6-10 ms (10-17 ms in all)
     "six-hole-eighteen-torus28x20": ((28, 20, "torus"), (28, 20), (six_hole_eighteen(), 2), 0),
 }
 

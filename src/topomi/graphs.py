@@ -113,9 +113,10 @@ def parse_graph_json(obj: Mapping) -> SimpleGraph:
 
 
 def parse_graph_text(text: str) -> SimpleGraph:
-    """Parse edge-list lines ``i j``; vertex count is 1 + max id."""
+    """Parse edge-list lines ``i j``; vertex count is 1 + max id.  An error
+    names its line by its number in the text, counted from 1."""
     edges = []
-    for lineno, line in enumerate(text.splitlines()):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

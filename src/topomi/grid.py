@@ -10,11 +10,11 @@ are rejected at construction time so that every boundary-curve count is
 unambiguous; so no window holds four labels.  The same window scan records
 the junction corners, windows of three subsystems (``GridCss.junctions``).
 Each grid is labelled once (``GridCss.labelling``), and every other
-CSS-level structure, J included, is read from that and the scan.  The flood
-fills over sets of cells below (``connected_components`` to
-``union_region``, and ``restrict_css``) are called by no package path: they
-stay as the independent definition that the benchmark's correctness gate
-and the tests compare against.
+CSS-level structure, J included, is read from that and the scan; a hole is
+its first cell, the seed of its flood.  The flood fills over sets of cells
+below (``connected_components`` to ``union_region``, and ``restrict_css``)
+are called by no package path: they stay as the independent definition
+that the benchmark's correctness gate and the tests compare against.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import itemgetter
 from typing import Container, Iterable, Iterator, Mapping
 
 from .errors import (
@@ -98,14 +97,14 @@ class GridCss:
         object.__setattr__(self, "junctions", _reject_diagonal_pinches(self))
 
     @cached_property
-    def labelling(self) -> tuple[tuple[int, ...], tuple[set[int], ...], dict[Region, int]]:
+    def labelling(self) -> tuple[tuple[int, ...], tuple[set[int], ...], dict[Cell, int]]:
         """The grid's one labelling, from which every CSS-level structure is read:
         the 4-connected same-label components of the grid padded by one OUTSIDE
         cell on every side, by one flood each from its first cell, so numbered
         in row-major order of their first cells.  Component 0 is the outside;
         every other OUTSIDE component is a hole.  Returns the label of each
         component, the components sharing a grid edge with each, and the
-        cells of each hole, in component order, -> its component."""
+        first cell (x, y) of each hole, its seed, -> its component."""
         row, cells = self.width + 2, _padded(self)
         n = len(cells)
         cells += [None] * row  # read, also at negative indices, off the padding
@@ -127,7 +126,7 @@ class GridCss:
                         near[c].add(other)
                         near[other].add(c)
             if label == OUTSIDE and c:
-                holes[frozenset((k % row - 1, k // row - 1) for k in stack)] = c
+                holes[seed % row - 1, seed // row - 1] = c
         return tuple(labels), tuple(near), holes
 
     def label_at(self, x: int, y: int) -> int:
@@ -405,10 +404,10 @@ def subset_letters(mask: int) -> str:
     return "{" + ", ".join(_ID_CHARS[i] if i < len(_ID_CHARS) else str(i) for i in set_bits(mask)) + "}"
 
 
-def hole_name(k: int, n_holes: int, hole: Iterable[Cell]) -> str:
-    """Hole ``k`` of ``n_holes`` named by its first cell in row order, as
-    ``hole 1 of 2 (column 3, row 1)``."""
-    x, y = min(hole, key=lambda cell: cell[::-1])
+def hole_name(k: int, n_holes: int, hole: Cell) -> str:
+    """Hole ``k`` of ``n_holes`` named by its first cell (:func:`find_holes`),
+    as ``hole 1 of 2 (column 3, row 1)``."""
+    x, y = hole
     return f"hole {k} of {n_holes} (column {x}, row {y})"
 
 
@@ -471,9 +470,9 @@ def adjacency_graph(css: GridCss) -> SimpleGraph:
 
 @dataclass(frozen=True)
 class HoleSet:
-    """Bounded complement components of the full CSS footprint."""
+    """Bounded complement components of the full CSS footprint, by first cell."""
 
-    holes: tuple[Region, ...]
+    holes: tuple[Cell, ...]
 
     @property
     def n_h(self) -> int:
@@ -482,7 +481,7 @@ class HoleSet:
 
 def find_holes(css: GridCss) -> HoleSet:
     """The holes of the labelling: the footprint's bounded complement
-    components, ordered by their first cell."""
+    components, each as its first cell in row order, in that order."""
     return HoleSet(tuple(css.labelling[2]))
 
 
@@ -518,25 +517,26 @@ def euler_characteristic(css: GridCss) -> int:
     return 2
 
 
-def loop_around_hole(css: GridCss, hole: Iterable[Cell], graph: SimpleGraph) -> tuple[int, ...]:
+def loop_around_hole(css: GridCss, hole: Cell, graph: SimpleGraph) -> tuple[int, ...]:
     """Subsystems around a hole, in clockwise first-touch order.
 
-    ``hole`` must be one of ``find_holes(css).holes`` (else ValidationError)
-    and ``graph`` is ``adjacency_graph(css)``.  Walks the hole's boundary
-    clockwise recording the adjacent subsystem of each boundary edge,
-    collapsing consecutive repeats.  The touching set must induce a single
-    cycle in the adjacency graph; a subsystem touching the hole on two
-    separated arcs, or a second structure inside the hole, raises NotACycle.
+    ``hole`` is a hole's first cell, one of ``find_holes(css).holes`` (else
+    ValidationError), and ``graph`` is ``adjacency_graph(css)``.  Walks the
+    hole's boundary clockwise recording the adjacent subsystem of each
+    boundary edge, collapsing consecutive repeats.  The touching set must
+    induce a single cycle in the adjacency graph; a subsystem touching the
+    hole on two separated arcs, or a second structure inside the hole,
+    raises NotACycle.
     """
-    hole, (labels, near, holes) = frozenset(hole), css.labelling
-    if hole not in holes:
-        raise ValidationError("region is not a hole of this CSS")
-    touching = {labels[c] for c in near[holes[hole]]}
+    labels, near, holes = css.labelling
+    try:
+        c = holes[hole]
+    except (KeyError, TypeError):  # TypeError: a value that cannot be a key
+        raise ValidationError("not a hole of this CSS (a hole is its first cell)") from None
+    touching = {labels[b] for b in near[c]}
 
-    loop: list[int] = []
-    for lbl in _boundary_walk_labels(css, hole):
-        if not loop or loop[-1] != lbl:
-            loop.append(lbl)
+    walk = _boundary_walk_labels(css, hole)
+    loop = [lbl for k, lbl in enumerate(walk) if not k or lbl != walk[k - 1]]
     if len(loop) > 1 and loop[0] == loop[-1]:
         loop.pop()
     if set(loop) != touching:
@@ -567,36 +567,36 @@ def loop_around_hole(css: GridCss, hole: Iterable[Cell], graph: SimpleGraph) -> 
 #: the cells around a corner (x, y), clockwise from the north-east one, as offsets
 _CORNER_CELLS = ((0, -1), (0, 0), (-1, 0), (-1, -1))
 
-#: the headings east, south, west and north, clockwise, as steps
-_HEADINGS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
-
-def _boundary_walk_labels(css: GridCss, hole: frozenset) -> list[int]:
+def _boundary_walk_labels(css: GridCss, hole: Cell) -> list[int]:
     """Labels of cells just outside the hole along its clockwise boundary.
 
     The boundary of a pinch-free cell set is disjoint simple loops; the
-    outer one passes the north edge of the hole's first cell in row order,
-    and is walked from its west corner heading east, the hole on the right.
-    At each corner the walk turns left into the hole's cell ahead on the
-    left, else goes straight along its cell ahead on the right, else turns
-    right, so it tests hole membership only at the corners it visits.
-    Heading h from a corner, the cell on the left is the corner's
-    ``_CORNER_CELLS[h]`` and the one on the right the next of them.
+    outer one passes the north edge of the hole's first cell ``hole``, and
+    is walked from its west corner heading east, the hole on the right.
+    At each corner the walk turns left into the cell ahead on the left if
+    it is in the hole, else goes straight if the cell ahead on the right
+    is, else turns right.  Heading h from a corner, the cell on the left is
+    the corner's ``_CORNER_CELLS[h]`` and the one on the right the next.
+    A cell ahead is in the hole exactly when it is OUTSIDE, by the pinch
+    rule: the one on the right shares an edge with the hole cell behind
+    it, and an OUTSIDE one on the left beside a subsystem cell on the right
+    would meet that hole cell only diagonally, the cell behind on the left
+    being a subsystem cell.  A hole never touches the grid's edge, so every
+    cell tested lies inside the grid.
     """
-    x0, y0 = min(hole, key=itemgetter(1, 0))
     labels, w = css.labels, css.width
-    x, y, h, out = x0, y0, 0, []
+    # corner (x, y) is index y * w + x, its cells and the steps east, south,
+    # west and north are index offsets; no corner of a hole cell is on the edge
+    left, step = [dy * w + dx for dx, dy in _CORNER_CELLS], (1, w, -1, -w)
+    start = p = hole[1] * w + hole[0]
+    h, out = 0, []
     while True:
-        dx, dy = _CORNER_CELLS[h]
-        out.append(labels[(y + dy) * w + x + dx])  # a hole lies inside the grid
-        dx, dy = _HEADINGS[h]
-        x, y = x + dx, y + dy
-        if x == x0 and y == y0:
+        out.append(labels[p + left[h]])
+        p += step[h]
+        if p == start:
             return out
-        dx, dy = _CORNER_CELLS[h]
-        if (x + dx, y + dy) in hole:
+        if labels[p + left[h]] == OUTSIDE:
             h = (h - 1) % 4
-        else:
-            dx, dy = _CORNER_CELLS[(h + 1) % 4]
-            if (x + dx, y + dy) not in hole:
-                h = (h + 1) % 4
+        elif labels[p + left[(h + 1) % 4]] != OUTSIDE:
+            h = (h + 1) % 4

@@ -550,11 +550,10 @@ def parse_lattice_scenario(obj: Mapping) -> tuple[CodeLattice, QubitRegionMap]:
     """
     if not isinstance(obj, Mapping) or not {"Lx", "Ly"} <= obj.keys():
         raise ParseError("a lattice must be an object with integer 'Lx' and 'Ly'")
-    lattice = CodeLattice(
-        json_int(obj["Lx"], "lattice 'Lx'"),
-        json_int(obj["Ly"], "lattice 'Ly'"),
-        str(obj.get("boundary", "torus")),
-    )
+    boundary = obj.get("boundary", "torus")
+    if not isinstance(boundary, str):
+        raise ParseError(f"lattice 'boundary' must be a string, got {boundary!r}")
+    lattice = CodeLattice(json_int(obj["Lx"], "lattice 'Lx'"), json_int(obj["Ly"], "lattice 'Ly'"), boundary)
     if "regions" in obj and "css" in obj:
         raise ParseError("a lattice takes 'regions' or 'css', not both")
     if "css" in obj:

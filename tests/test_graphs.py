@@ -359,6 +359,11 @@ def test_graph_validation_and_parsing():
     assert graph.vertex_count == 3
     with pytest.raises(ParseError):
         parse_graph_text("0 1 2\n")
+    # lines are numbered as in the file, from 1, comments and blank lines counted
+    with pytest.raises(ParseError, match="^line 4: "):
+        parse_graph_text("# c\n\n0 1\n1 x\n")
+    with pytest.raises(ParseError, match="^line 1: expected 'i j'"):
+        parse_graph_text("0\n")
     with pytest.raises(ParseError):
         parse_graph_json({"edges": []})
 

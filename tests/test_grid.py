@@ -384,43 +384,34 @@ def test_loop_around_hole_rejects_self_handle_hole():
 
 
 def test_loop_around_hole_validates_argument(junction_css):
-    """The check read from a region's own cells is membership in find_holes.
+    """A hole is given as its first cell, one of find_holes(css).holes.
 
-    Each hole is accepted (a loop or NotACycle); a hole minus any one cell,
-    a hole plus an outer cell, the union of two holes, a subsystem cell and
-    an off-grid cell are each a ValidationError.
+    Each hole's first cell is accepted (a loop or NotACycle); every other
+    in-grid cell, two off-grid cells, and a hole's first cell as a list or
+    as the set holding it, are each a ValidationError.
     """
     css = builders.annulus(4)
     with pytest.raises(ValidationError):
-        loop_around_hole(css, frozenset({(0, 0)}), adjacency_graph(css))
+        loop_around_hole(css, (0, 0), adjacency_graph(css))
 
-    counts = dict.fromkeys(("holes", "minus", "plus", "union", "subsystem", "off-grid"), 0)
+    counts = dict.fromkeys(("holes", "cell", "off-grid", "other value"), 0)
     for css in junction_css:
         graph = adjacency_graph(css)
         holes = find_holes(css).holes
-        in_holes = set().union(*holes)
-        cells = [(x, y) for y in range(css.height) for x in range(css.width)]
-        outer = [c for c in cells if css.label_at(*c) == OUTSIDE and c not in in_holes]
-        # a subsystem cell is the hardest case when its four neighbours are subsystem cells
-        inner = [(x, y) for x, y in cells if OUTSIDE not in {
-            css.label_at(x + dx, y + dy) for dx, dy in ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))}]
-        not_holes = [("subsystem", frozenset({c})) for c in inner]
-        not_holes += [("off-grid", frozenset({(-1, 0)})), ("off-grid", frozenset({(css.width, css.height - 1)}))]
+        not_holes = [("cell", (x, y)) for y in range(css.height) for x in range(css.width) if (x, y) not in holes]
+        not_holes += [("off-grid", (-1, 0)), ("off-grid", (css.width, css.height - 1))]
         for hole in holes:
             try:
                 loop_around_hole(css, hole, graph)
             except NotACycle:
                 pass
             counts["holes"] += 1
-            not_holes += [("minus", hole - {c}) for c in hole]
-            not_holes += [("plus", hole | {c}) for c in outer[:1]]
-        not_holes += [("union", a | b) for a, b in zip(holes, holes[1:])]
-        for kind, region in not_holes:
+            not_holes += [("other value", list(hole)), ("other value", frozenset({hole}))]
+        for kind, value in not_holes:
             with pytest.raises(ValidationError, match="not a hole"):
-                loop_around_hole(css, region, graph)
+                loop_around_hole(css, value, graph)
             counts[kind] += 1
-    assert counts == {"holes": 189, "minus": 468, "plus": 146, "union": 47,
-                      "subsystem": 6096, "off-grid": 600}, counts
+    assert counts == {"holes": 189, "cell": 19011, "off-grid": 600, "other value": 378}, counts
 
 
 def test_restrict_css():

@@ -174,11 +174,13 @@ def test_labelling_matches_flood_fill_reference(junction_css):
         assert analysis._cell_component_graph == reference_cell_component_graph(css), css.name
         split += analysis._cell_component_graph[2] > css.n_subsystems
         footprint = union_region(css, range(css.n_subsystems))
-        assert find_holes(css).holes == tuple(region_holes(footprint)), css.name
+        reference = region_holes(footprint)
+        first_cells = tuple(min(cells, key=lambda cell: cell[::-1]) for cells in reference)
+        assert find_holes(css).holes == first_cells, css.name
         labels, near, hole_components = css.labelling
-        for hole, c in hole_components.items():
+        for cells, c in zip(reference, hole_components.values()):
             assert {labels[b] for b in near[c]} == {
-                css.label_at(*nb) for x, y in hole for nb in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1))
+                css.label_at(*nb) for x, y in cells for nb in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1))
             } - {OUTSIDE}
             holes += 1
         assert adjacency_graph(css) == reference_adjacency_graph(css), css.name

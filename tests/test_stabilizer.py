@@ -17,6 +17,7 @@ from topomi.engine import connectivity_count
 from topomi.errors import (
     EmptyRegion,
     LatticeTooSmall,
+    ParseError,
     TooManyQubits,
     TooManySubsystems,
     ValidationError,
@@ -1078,6 +1079,12 @@ def test_parse_lattice_scenario_regions_and_css():
     assert region_map.css is None
     with pytest.raises(ValidationError):
         parse_lattice_scenario({"Lx": 2, "Ly": 2})
+    # a boundary that is not a string is a malformed payload; an unknown one is invalid
+    for boundary in (None, 5, ["torus"]):
+        with pytest.raises(ParseError, match=f"^lattice 'boundary' must be a string, got {re.escape(repr(boundary))}$"):
+            parse_lattice_scenario({"Lx": 2, "Ly": 2, "boundary": boundary, "regions": {"A": [0]}})
+    with pytest.raises(ValidationError, match="^boundary must be 'torus' or 'planar', got 'klein'$"):
+        parse_lattice_scenario({"Lx": 2, "Ly": 2, "boundary": "klein", "regions": {"A": [0]}})
     payload = load_scenario(gallery_dir() / "stab-torus8-n3-raster.json").payload["lattice"]
     _, region_map = parse_lattice_scenario(payload)
     assert region_map.css == parse_grid_json(payload["css"])

@@ -21,7 +21,8 @@ part), each computed once.  C of a sub-collection reads only the grid's
 labelling, its cell-component graph and the junction corners of its
 validation scan (``GridCss.junctions``), no 2^N table, and so answers
 beyond the cap: one or two ids give the J of their unions
-(``grid.union_boundary_count``); from three on, the signed component sum
+(``grid.union_boundary_count``, two ``grid.count_components`` over the
+labelling's walls); from three on, the signed component sum
 (``masks.signed_component_sum``) is split over the blocks of the
 sub-collection's graph, a plain cycle (every hole loop of the gallery) is
 read in closed form, only a block with a chord is walked, and a walk past

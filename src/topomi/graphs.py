@@ -8,15 +8,17 @@ where H0 counts connected components and "nontrivial" excludes the empty
 vertex set and the full vertex set.  Path graphs give rho(P_n) = (-1)^(n-1)
 for n >= 3 (rho(P_1) = 0 and rho(P_2) = -2) and cycle graphs give
 rho(C_n) = 0, which is what makes open chains vanish and rings survive in
-the subsystem-counting identities.  Component counts and alternating sums
-come from :mod:`topomi.masks`, as for a CSS's per-subset tables.  rho is
-read from the signed component sum, split over the blocks of the graph:
+the subsystem-counting identities.  Alternating sums come from
+:mod:`topomi.masks`, as for a CSS's per-subset tables, and the full set's
+component count from ``grid.count_components``, as J's and chi's do.  rho
+is read from the signed component sum, split over the blocks of the graph:
 for v >= 3 only a block that holds every vertex counts, a cycle graph adds
 (-1)^v in closed form, a 2-connected graph with a chord is walked, and no
 2^v table is read unless that walk passes its state cap.  sigma reads its
 precondition from the grid's labelling and adds the full set's J, two
-component counts over the same labelling, to C^N, so it needs no table
-either, and a failed precondition names the failed condition at every N.
+``grid.count_components`` over the same labelling, to C^N, so it needs no
+table either, and a failed precondition names the failed condition at
+every N.
 Every table is capped at ``masks.MAX_SUBSYSTEMS`` vertices or subsystems.
 """
 
@@ -26,8 +28,8 @@ from typing import Mapping
 
 from .engine import CssAnalysis
 from .errors import ParseError, PreconditionViolated
-from .grid import OUTSIDE, GridCss, SimpleGraph, hole_name, json_int, union_boundary_count
-from .masks import count_components, signed_component_sum
+from .grid import OUTSIDE, GridCss, SimpleGraph, count_components, hole_name, json_int, set_bits, union_boundary_count
+from .masks import signed_component_sum
 
 
 def rho(graph: SimpleGraph) -> int:
@@ -36,9 +38,10 @@ def rho(graph: SimpleGraph) -> int:
     for three vertices or more only a block that holds every vertex counts,
     so only a 2-connected graph with a chord is walked, and its walk past
     the state cap reads the induced component table), less the full set's
-    term."""
+    term, whose components ``grid.count_components`` counts."""
     v, adj = graph.vertex_count, graph.neighbor_masks
-    return signed_component_sum(adj, [1 << i for i in range(v)]) - (-1) ** v * count_components(adj)
+    near = [set(set_bits(mask)) for mask in adj]
+    return signed_component_sum(adj, [1 << i for i in range(v)]) - (-1) ** v * count_components(near, range(v))
 
 
 def sigma_of_css(css: GridCss | CssAnalysis) -> int:
@@ -113,8 +116,9 @@ def parse_graph_json(obj: Mapping) -> SimpleGraph:
 
 
 def parse_graph_text(text: str) -> SimpleGraph:
-    """Parse edge-list lines ``i j``; vertex count is 1 + max id.  An error
-    names its line by its number in the text, counted from 1."""
+    """Parse edge-list lines ``i j``, each id a run of ASCII digits 0-9; vertex
+    count is 1 + max id.  An error names its line by its number in the text,
+    counted from 1."""
     edges = []
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -123,10 +127,10 @@ def parse_graph_text(text: str) -> SimpleGraph:
         parts = line.split()
         if len(parts) != 2:
             raise ParseError(f"line {lineno}: expected 'i j', got {line!r}")
-        try:
-            edges.append((int(parts[0]), int(parts[1])))
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from exc
+        for token in parts:
+            if not (token.isascii() and token.isdigit()):
+                raise ParseError(f"line {lineno}: vertex id {token!r} is not a run of digits 0-9")
+        edges.append((int(parts[0]), int(parts[1])))
     if not edges:
         raise ParseError("no edges found")
     v = 1 + max(max(i, j) for i, j in edges)

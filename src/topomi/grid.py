@@ -10,11 +10,14 @@ are rejected at construction time so that every boundary-curve count is
 unambiguous; so no window holds four labels.  The same window scan records
 the junction corners, windows of three subsystems (``GridCss.junctions``).
 Each grid is labelled once (``GridCss.labelling``), and every other
-CSS-level structure, J included, is read from that and the scan; a hole is
-its first cell, the seed of its flood.  The flood fills over sets of cells
-below (``connected_components`` to ``union_region``, and ``restrict_css``)
-are called by no package path: they stay as the independent definition
-that the benchmark's correctness gate and the tests compare against.
+CSS-level structure is read from that and the scan; a hole is its first
+cell, the seed of its flood.  J and chi count the labelling's components
+joined over their walls with ``count_components``, the one component
+count, which rho runs on a graph's neighbour sets.  The flood fills over
+sets of cells below (``connected_components`` to ``union_region``, and
+``restrict_css``) are called by no package path: they stay as the
+independent definition that the benchmark's correctness gate and the
+tests compare against.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Container, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     DisconnectedCss,
@@ -485,33 +488,34 @@ def find_holes(css: GridCss) -> HoleSet:
     return HoleSet(tuple(css.labelling[2]))
 
 
-def joined_components(css: GridCss, keep: Container[int]) -> int:
-    """Edge-connected components of the cells, padding included, whose label is
-    in ``keep`` (OUTSIDE allowed): the labelling's components joined along their walls."""
-    labels, near, _ = css.labelling
-    left, n_comp = {c for c, label in enumerate(labels) if label in keep}, 0
+def count_components(near: Sequence[set[int]], keep: Iterable[int]) -> int:
+    """Components of the subgraph induced by the vertices ``keep``, where
+    ``near[v]`` is the set of v's neighbours: the one count behind J, chi and rho."""
+    left, n_comp = set(keep), 0
     while left:
         n_comp, stack = n_comp + 1, [left.pop()]
-        for c in stack:  # grows while it is read
-            stack += [b for b in near[c] if b in left]
-            left -= near[c]
+        for v in stack:  # grows while it is read
+            stack += [b for b in near[v] if b in left]
+            left -= near[v]
     return n_comp
 
 
 def union_boundary_count(css: GridCss, ids: Iterable[int]) -> int:
     """J of the union of the subsystems ``ids`` (``boundary_component_count``):
-    its components plus those of everything else, OUTSIDE and the other
-    subsystems, less the one holding the outside."""
+    the components of the labelling's components in it, plus those of the
+    rest, OUTSIDE and the other subsystems, less the one holding the outside."""
+    labels, near, _ = css.labelling
     union = set(ids)
-    rest = {OUTSIDE, *range(css.n_subsystems)} - union
-    return joined_components(css, union) + joined_components(css, rest) - 1
+    inside = count_components(near, (c for c, label in enumerate(labels) if label in union))
+    return inside + count_components(near, (c for c, label in enumerate(labels) if label not in union)) - 1
 
 
 def euler_characteristic(css: GridCss) -> int:
     """2, the plane's Euler characteristic: V - E + F of the adjacency map with
     a face for every hole, junction corner and the outside, by Euler's formula,
     and the chi of |I^N| = chi S_topo.  Requires an edge-connected footprint."""
-    n_comp = joined_components(css, range(css.n_subsystems))
+    labels, near, _ = css.labelling
+    n_comp = count_components(near, (c for c, label in enumerate(labels) if label != OUTSIDE))
     if n_comp != 1:
         raise DisconnectedCss(f"footprint has {n_comp} components")
     return 2

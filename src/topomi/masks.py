@@ -300,22 +300,6 @@ def _induced(adj: list[int], groups: list[int], keep: int) -> tuple[list[int], l
     return [on_keep(adj[v]) for v in position], [on_keep(mask) for mask in groups]
 
 
-def count_components(adj: list[int]) -> int:
-    """Components of the whole graph with neighbour bitmasks ``adj``."""
-    count, left = 0, (1 << len(adj)) - 1
-    while left:
-        count += 1
-        comp = frontier = left & -left
-        while frontier:
-            near = 0
-            for v in set_bits(frontier):
-                near |= adj[v]
-            frontier = near & ~comp
-            comp |= frontier
-        left &= ~comp
-    return count
-
-
 def signed_component_sum(adj: list[int], groups: list[int]) -> int:
     """The sum over every subset S of the groups of (-1)^|S| times the
     components of the subgraph induced by the union of S, with no 2^n table.

@@ -40,6 +40,8 @@ from topomi.grid import (
     GridCss,
     _boundary_walk_labels,
     boundary_component_count,
+    connected_components,
+    count_components,
     euler_characteristic,
     find_holes,
     parse_ascii,
@@ -610,6 +612,25 @@ def test_union_boundary_count_matches_the_flood_fill(junction_css):
         j = analysis.j_table
         for ids in [*itertools.combinations(range(n), 1), *rng.sample(list(itertools.combinations(range(n), 2)), 4)]:
             assert analysis.c_within(ids) == signed_reference(j, ids), (css.name, ids)
+
+
+def test_count_components_matches_the_flood_fill(junction_css):
+    """``grid.count_components`` over the labelling's walls counts, for seeded
+    1-, 2- and 3-id unions and the full set of every scan case, the union's
+    components and those of the rest of the padded grid as the flood fill of
+    the same cells does: the rest is the outside and the union's holes."""
+    rng = random.Random(48)
+    checked = 0
+    for css in scan_cases(junction_css):
+        labels, near, _ = css.labelling
+        n = css.n_subsystems
+        for ids in [*(rng.sample(range(n), k) for k in (1, 2, 3) if k <= n), range(n)]:
+            union = union_region(css, ids)
+            inside = count_components(near, (c for c, label in enumerate(labels) if label in ids))
+            rest = count_components(near, (c for c, label in enumerate(labels) if label not in ids))
+            assert (inside, rest) == (connected_components(union)[0], 1 + len(region_holes(union))), (css.name, ids)
+            checked += 1
+    assert checked > 1000, checked
 
 
 def test_hole_walk_matches_the_dict_walk(junction_css):

@@ -2,7 +2,9 @@
 
 import itertools
 import random
+import re
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from topomi.graphs import (
     rho,
     sigma_of_css,
 )
-from topomi.grid import MAX_VERTICES, GridCss, adjacency_graph, parse_ascii
+from topomi.grid import MAX_VERTICES, GridCss, adjacency_graph, count_components, parse_ascii, set_bits
 from topomi.masks import UnionTopology, subset_signs
 
 from oracle_reference import cycle_graph, path_graph
@@ -109,6 +111,82 @@ def test_rho_guard(monkeypatch):
     for cap in (0, 1):
         monkeypatch.setattr("topomi.masks.MAX_WALK_STATES", cap)
         assert rho(cycle_graph(25)) == 0
+
+
+def union_find_components(v: int, edges, keep) -> int:
+    """Components of the subgraph that the vertices ``keep`` induce, by a
+    union-find over the edges with both ends kept."""
+    keep = set(keep)
+    root = {u: u for u in keep}
+
+    def find(u):
+        while root[u] != u:
+            root[u] = root[root[u]]
+            u = root[u]
+        return u
+
+    for i, j in edges:
+        if i in keep and j in keep:
+            root[find(i)] = find(j)
+    return len({find(u) for u in keep})
+
+
+def random_graph(rng: random.Random, v: int) -> SimpleGraph:
+    """A seeded graph on v vertices: a forest, or each pair an edge with a
+    drawn density, isolated vertices included."""
+    if rng.random() < 0.3:  # a forest: each vertex but the roots hangs from an earlier one
+        edges = [(rng.randrange(u), u) for u in range(1, v) if rng.random() < 0.8]
+    else:
+        p = rng.choice([0.05, 0.15, 0.3, 0.6])
+        edges = [pair for pair in itertools.combinations(range(v), 2) if rng.random() < p]
+    return SimpleGraph(v, tuple(edges))
+
+
+def test_count_components_matches_a_union_find():
+    """``grid.count_components`` over a graph's neighbour sets equals a
+    union-find on seeded random graphs, forests and isolated vertices
+    included, and random kept vertex subsets, the empty one among them."""
+    rng = random.Random(48)
+    checked = Counter()
+    for _ in range(300):
+        graph = random_graph(rng, rng.randint(1, 40))
+        v = graph.vertex_count
+        near = [set(set_bits(mask)) for mask in graph.neighbor_masks]
+        for keep in (range(v), rng.sample(range(v), rng.randint(0, v)), []):
+            got = count_components(near, keep)
+            assert got == union_find_components(v, graph.edges, keep), (graph, keep)
+            checked[min(got, 3)] += 1
+    assert checked[0] >= 300 and checked[1] > 100 and checked[3] > 200, checked
+
+
+def is_two_connected(graph: SimpleGraph) -> bool:
+    """At least three vertices, connected, and still connected with any one
+    vertex removed, by the union-find."""
+    v = graph.vertex_count
+    return v >= 3 and all(union_find_components(v, graph.edges, set(range(v)) - {cut}) == 1
+                          for cut in [None, *range(v)])
+
+
+def test_rho_of_a_graph_that_is_not_two_connected():
+    """With v >= 3 vertices and no block holding every vertex, the signed
+    component sum over every vertex set is 0, so rho = -(-1)^v c(G): on
+    every graph of 3 to 5 vertices that is not 2-connected, and on seeded
+    random ones of up to 16, disconnected graphs and forests included.
+    This checks the block split against a union-find, with no walk."""
+    graphs_ = [SimpleGraph(v, edges) for v in (3, 4, 5)
+               for k in range(v * (v - 1) // 2 + 1)
+               for edges in itertools.combinations(itertools.combinations(range(v), 2), k)]
+    rng = random.Random(49)
+    graphs_ += [random_graph(rng, rng.randint(3, 16)) for _ in range(300)]
+    checked = Counter()
+    for graph in graphs_:
+        if is_two_connected(graph):
+            continue
+        v = graph.vertex_count
+        c = union_find_components(v, graph.edges, range(v))
+        assert rho(graph) == -(-1) ** v * c, graph
+        checked[min(c, 2)] += 1
+    assert checked[1] > 500 and checked[2] > 500, checked
 
 
 def test_rho_of_a_long_path():
@@ -364,6 +442,10 @@ def test_graph_validation_and_parsing():
         parse_graph_text("# c\n\n0 1\n1 x\n")
     with pytest.raises(ParseError, match="^line 1: expected 'i j'"):
         parse_graph_text("0\n")
+    # a vertex id is a run of ASCII digits: no sign, separator, point or other script
+    for token in ("1_0", "+1", "-1", "\u0661", "1.0"):
+        with pytest.raises(ParseError, match=f"^line 2: vertex id '{re.escape(token)}' is not a run of digits"):
+            parse_graph_text(f"0 1\n0 {token}\n")
     with pytest.raises(ParseError):
         parse_graph_json({"edges": []})
 

@@ -1010,6 +1010,12 @@ def test_cli_rho(tmp_path, capsys):
     text.write_text("0 1\n1 2\n2 3\n")
     assert main(["rho", str(text)]) == 0
     assert "rho = -1" in capsys.readouterr().out
+    # "1_0" is not read as vertex 10
+    text.write_text("0 1_0\n")
+    assert main(["rho", str(text)]) == 1
+    out = capsys.readouterr()
+    assert "ParseError: line 1: vertex id '1_0' is not a run of digits 0-9" in out.out + out.err
+    assert "Traceback" not in out.out + out.err
 
 
 @pytest.mark.installed

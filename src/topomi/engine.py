@@ -56,6 +56,7 @@ from .grid import (
     adjacency_graph,
     euler_characteristic,
     find_holes,
+    index_int,
     loop_around_hole,
     union_boundary_count,
 )
@@ -140,9 +141,9 @@ class CssAnalysis(UnionTopology):
         and only a block with a chord is walked.  A walk past its state cap
         reads its block's term from the 2^k component table of the k ids
         alone, which raises TooManySubsystems above ``masks.MAX_SUBSYSTEMS``
-        ids.  Valid ids are computed once per analysis, kept by their sorted ids.
+        ids.  Ids pass ``operator.index``; valid ones are computed once, kept sorted.
         """
-        n, keep = self.css.n_subsystems, tuple(sorted(set(ids)))
+        n, keep = self.css.n_subsystems, tuple(sorted({index_int(i, "subsystem id") for i in ids}))
         if not keep or keep[0] < 0 or keep[-1] >= n:
             raise ValidationError(f"no sub-collection {list(keep)} of {n} subsystems")
         if keep not in self._c_memo:

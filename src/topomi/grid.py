@@ -23,6 +23,7 @@ tests compare against.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -148,16 +149,9 @@ class GridCss:
 
     def to_ascii(self) -> str:
         if self.n_subsystems > len(_ID_CHARS):
-            raise ValidationError(
-                f"ASCII format carries at most {len(_ID_CHARS)} subsystem ids"
-            )
-        rows = []
-        for y in range(self.height):
-            row = self.labels[y * self.width : (y + 1) * self.width]
-            rows.append(
-                "".join("." if v == OUTSIDE else _ID_CHARS[v] for v in row)
-            )
-        return "\n".join(rows)
+            raise ValidationError(f"ASCII format carries at most {len(_ID_CHARS)} subsystem ids")
+        chars = ["." if v == OUTSIDE else _ID_CHARS[v] for v in self.labels]
+        return "\n".join("".join(chars[y * self.width:(y + 1) * self.width]) for y in range(self.height))
 
 
 def window_pinch(a: int, b: int, c: int, d: int) -> str | None:
@@ -223,6 +217,14 @@ def json_int(value, what: str) -> int:
     if not is_json_int(value):
         raise ParseError(f"{what} must be an integer, got {value!r}")
     return value
+
+
+def index_int(value, what: str) -> int:
+    """``operator.index(value)``: an int, bool or numpy integer; else ValidationError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{what} must be an integer, got {value!r}") from None
 
 
 def ascii_rows(text: str) -> list[str]:
@@ -422,13 +424,14 @@ class SimpleGraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "vertex_count", index_int(self.vertex_count, "vertex count"))
         if self.vertex_count < 1:
             raise ValidationError("graph needs at least one vertex")
         if self.vertex_count > MAX_VERTICES:
             raise TooManySubsystems(f"{self.vertex_count} vertices exceed the graph cap of {MAX_VERTICES}")
         seen = set()
         for edge in self.edges:
-            i, j = edge
+            i, j = (index_int(end, "an edge end") for end in edge)
             if i == j:
                 raise ValidationError(f"self-loop at vertex {i}")
             if not (0 <= i < self.vertex_count and 0 <= j < self.vertex_count):

@@ -14,11 +14,11 @@ generator matrix restricted to the columns of A (Fattal, Cafaro, Haas and
 Chuang, quant-ph/0406168).  A state is its column table (column c as an
 integer over the generators): rank(G|_A) is the rank of A's X and Z
 columns in it.  The code ORs each column from two grids of generator bits,
-one of the stars and one of the plaquettes, on Python lists;
-``StabilizerState.from_rows`` checks given generators and transposes them
-once.  The exact I^N, for up to 18 regions, reduces each region's columns
-to a basis of their span: for two regions or more the |A| terms cancel in
-the alternating sum, which leaves the signed sum of the dimensions of the
+one of the stars and one of the plaquettes, on Python lists, and checks
+none (the tests do, with ``oracle_reference.state_from_rows``).  The exact
+I^N, for up to 18 regions, reduces each region's columns to a basis of
+their span: for two regions or more the |A| terms cancel in the
+alternating sum, which leaves the signed sum of the dimensions of the
 regions' joint column spans.
 That is one pass over the regions in the order of their lowest qubits, a
 sweep across the lattice, whose states are the subspaces the regions
@@ -41,7 +41,7 @@ from .errors import (
     ValidationError,
     WindingRegion,
 )
-from .grid import OUTSIDE, GridCss, json_int, pack_bits, parse_grid_json, set_bits
+from .grid import OUTSIDE, GridCss, json_int, parse_grid_json, set_bits
 
 #: regions of an exact I^N; its pass over the regions keeps one state per
 #: subspace shared by the regions behind and ahead, and a scattered map can
@@ -100,31 +100,13 @@ class CodeLattice:
             tuple(tuple(range(first + j * self.lx, first + (j + 1) * self.lx)) for j in range(rows)),
         )
 
-    def _edge_qubit(self, grid: tuple[tuple[int, ...], ...], i: int, j: int, what: str) -> int:
-        """The qubit at ``[j][i]`` of one of :attr:`edge_qubits`, wrapped on
-        the torus; nothing lies beyond the edge of the patch."""
-        height, width = len(grid), len(grid[0])
-        if self.periodic:
-            i, j = i % width, j % height
-        if not (0 <= i < width and 0 <= j < height):
-            raise ValidationError(f"no {what} at ({i},{j})")
-        return grid[j][i]
-
-    def h_edge(self, i: int, j: int) -> int:
-        """Qubit on the edge (i, j)-(i+1, j)."""
-        return self._edge_qubit(self.edge_qubits[0], i, j, "horizontal edge")
-
-    def v_edge(self, i: int, j: int) -> int:
-        """Qubit on the edge (i, j)-(i, j+1)."""
-        return self._edge_qubit(self.edge_qubits[1], i, j, "vertical edge")
-
 
 @dataclass(frozen=True)
 class StabilizerState:
     """Pure stabilizer state of ``n`` qubits as the column table of its
     generator matrix: bit g of column c is bit c of generator g, columns
     0..n-1 the qubits' X parts and n..2n-1 their Z parts.  Only the table's
-    shape is checked here; :meth:`from_rows` checks generators."""
+    shape is checked, not the generators."""
 
     n: int
     columns: tuple[int, ...]
@@ -136,30 +118,6 @@ class StabilizerState:
         if self.columns and (min(self.columns) < 0 or max(self.columns) >= top):
             c = next(c for c, column in enumerate(self.columns) if not 0 <= column < top)
             raise ValidationError(f"column {c} is {self.columns[c]}; columns lie in 0..2**{self.n} - 1")
-
-    @classmethod
-    def from_rows(cls, n: int, rows: Sequence[int]) -> StabilizerState:
-        """The state of n independent commuting generators (X part in the low
-        ``n`` bits, Z part in the high ``n``), checked and transposed once."""
-        if len(rows) != n:
-            raise ValidationError(f"{len(rows)} generators for {n} qubits")
-        for g, row in enumerate(rows):
-            if not 0 <= row < 1 << 2 * n:
-                raise ValidationError(f"generator {g} is {row}; rows lie in 0..2**{2 * n} - 1")
-        if len(_echelon(rows)) != n:
-            raise ValidationError("generators are not independent over GF(2)")
-        cols = pack_bits(((c, g) for g, row in enumerate(rows) for c in set_bits(row)), 2 * n)
-        # bit b of the XOR of row a's opposite-type columns is the symplectic
-        # product of generators a and b; report the first anticommuting pair
-        for a, row in enumerate(rows):
-            products = 0
-            for c in set_bits(row):
-                products ^= cols[c + n if c < n else c - n]
-            later = products >> (a + 1)
-            if later:
-                b = a + (later & -later).bit_length()
-                raise ValidationError(f"generators {a} and {b} anticommute")
-        return cls(n, tuple(cols))
 
 
 def _echelon(rows: Iterable[int]) -> dict[int, int]:
@@ -183,7 +141,7 @@ def build_code(lattice: CodeLattice) -> StabilizerState:
     zero or two edges, so the generators commute; without the last star (and
     on the torus the last plaquette, with the two non-contractible Z loops)
     they are independent, so the state takes its column table without the
-    checks of :meth:`StabilizerState.from_rows`.  An edge's X column is the
+    checks of ``state_from_rows`` in the tests.  An edge's X column is the
     OR of the bits of the two stars at its ends, its Z column that of the
     two plaquettes beside it, read from two grids of generator bits: one of
     the stars, the last 0, and one of the plaquettes, the last 0 on the
@@ -293,15 +251,6 @@ class QubitRegionMap:
     @property
     def n_subsystems(self) -> int:
         return len(self.regions)
-
-    def union(self, ids: Iterable[int]) -> frozenset:
-        """The qubits of the regions ``ids``; ValidationError for an id outside 0..N-1."""
-        out: set[int] = set()
-        for i in ids:
-            if not 0 <= i < len(self.regions):
-                raise ValidationError(f"no region {i} of {len(self.regions)}")
-            out |= self.regions[i]
-        return frozenset(out)
 
 
 def _region_bases(state: StabilizerState, region_map: QubitRegionMap) -> list[list[int]]:

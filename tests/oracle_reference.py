@@ -2,18 +2,20 @@
 
 The dense state-vector entropy (``brute_force_entropy``) checks the GF(2)
 ranks of ``topomi.stabilizer`` independently, from the generators read off
-the state's column table (``generator_rows``); ``region_entropy_source`` and
-``strong_subadditivity_combination`` compute the subadditivity combination
-from any entropy source; ``annulus_family``, ``path_graph`` and
-``cycle_graph`` are inputs whose answers are known in closed form.  The
-file's name does not start with ``test_``, so pytest does not collect it;
-the test modules import it from ``tests/``.
+the state's column table (``generator_rows``); ``state_from_rows`` is the
+checked way back from generators to a state, ``h_edge`` and ``v_edge`` look
+up an edge's qubit, and ``region_union`` joins regions by id;
+``region_entropy_source`` and ``strong_subadditivity_combination`` compute
+the subadditivity combination from any entropy source; ``annulus_family``,
+``path_graph`` and ``cycle_graph`` are inputs whose answers are known in
+closed form.  The file's name does not start with ``test_``, so pytest does
+not collect it; the test modules import it from ``tests/``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -21,7 +23,7 @@ from topomi.builders import annulus
 from topomi.engine import CssAnalysis, annular_order
 from topomi.errors import TooManyQubits, ValidationError
 from topomi.grid import GridCss, SimpleGraph, pack_bits, set_bits
-from topomi.stabilizer import QubitRegionMap, StabilizerState, _as_qubit_mask, entropy_bits
+from topomi.stabilizer import CodeLattice, QubitRegionMap, StabilizerState, _as_qubit_mask, _echelon, entropy_bits
 
 #: dense 2**n state vectors
 BRUTE_CAP = 12
@@ -34,6 +36,61 @@ EntropySource = Callable[[frozenset], float]
 def generator_rows(state: StabilizerState) -> tuple[int, ...]:
     """The generators, read off the columns: the dense oracle's input."""
     return tuple(pack_bits(((g, c) for c, column in enumerate(state.columns) for g in set_bits(column)), state.n))
+
+
+def state_from_rows(n: int, rows: Sequence[int]) -> StabilizerState:
+    """The state of n independent commuting generators (X part in the low
+    ``n`` bits, Z part in the high ``n``), checked and transposed once."""
+    if len(rows) != n:
+        raise ValidationError(f"{len(rows)} generators for {n} qubits")
+    for g, row in enumerate(rows):
+        if not 0 <= row < 1 << 2 * n:
+            raise ValidationError(f"generator {g} is {row}; rows lie in 0..2**{2 * n} - 1")
+    if len(_echelon(rows)) != n:
+        raise ValidationError("generators are not independent over GF(2)")
+    cols = pack_bits(((c, g) for g, row in enumerate(rows) for c in set_bits(row)), 2 * n)
+    # bit b of the XOR of row a's opposite-type columns is the symplectic
+    # product of generators a and b; report the first anticommuting pair
+    for a, row in enumerate(rows):
+        products = 0
+        for c in set_bits(row):
+            products ^= cols[c + n if c < n else c - n]
+        later = products >> (a + 1)
+        if later:
+            b = a + (later & -later).bit_length()
+            raise ValidationError(f"generators {a} and {b} anticommute")
+    return StabilizerState(n, tuple(cols))
+
+
+def _edge_qubit(lattice: CodeLattice, grid: tuple[tuple[int, ...], ...], i: int, j: int, what: str) -> int:
+    """The qubit at ``[j][i]`` of one of :attr:`CodeLattice.edge_qubits`,
+    wrapped on the torus; nothing lies beyond the edge of the patch."""
+    height, width = len(grid), len(grid[0])
+    if lattice.periodic:
+        i, j = i % width, j % height
+    if not (0 <= i < width and 0 <= j < height):
+        raise ValidationError(f"no {what} at ({i},{j})")
+    return grid[j][i]
+
+
+def h_edge(lattice: CodeLattice, i: int, j: int) -> int:
+    """Qubit on the edge (i, j)-(i+1, j)."""
+    return _edge_qubit(lattice, lattice.edge_qubits[0], i, j, "horizontal edge")
+
+
+def v_edge(lattice: CodeLattice, i: int, j: int) -> int:
+    """Qubit on the edge (i, j)-(i, j+1)."""
+    return _edge_qubit(lattice, lattice.edge_qubits[1], i, j, "vertical edge")
+
+
+def region_union(region_map: QubitRegionMap, ids: Iterable[int]) -> frozenset:
+    """The qubits of the regions ``ids``; ValidationError for an id outside 0..N-1."""
+    out: set[int] = set()
+    for i in ids:
+        if not 0 <= i < len(region_map.regions):
+            raise ValidationError(f"no region {i} of {len(region_map.regions)}")
+        out |= region_map.regions[i]
+    return frozenset(out)
 
 
 def brute_force_entropy(state: StabilizerState, qubits: Iterable[int]) -> float:
@@ -79,7 +136,7 @@ def region_entropy_source(state: StabilizerState, region_map: QubitRegionMap):
     """Entropy in nats of a set of region ids, for the subadditivity combination."""
 
     def source(ids: Iterable[int]) -> float:
-        return entropy_bits(state, region_map.union(ids)) * LN2
+        return entropy_bits(state, region_union(region_map, ids)) * LN2
 
     return source
 

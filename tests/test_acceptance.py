@@ -38,9 +38,11 @@ from oracle_reference import (
     annulus_family,
     brute_force_entropy,
     cycle_graph,
+    h_edge,
     path_graph,
     region_entropy_source,
     strong_subadditivity_combination,
+    v_edge,
 )
 
 LN2 = math.log(2)
@@ -236,7 +238,7 @@ def test_criterion_11_subadditivity():
         assert value <= 1e-12
 
     lattice = CodeLattice(4, 4, "torus")
-    h, v = lattice.h_edge, lattice.v_edge
+    h, v = functools.partial(h_edge, lattice), functools.partial(v_edge, lattice)
     region_map = QubitRegionMap(lattice.n_qubits, (
         frozenset({h(0, 1), v(1, 1), v(1, 0), h(2, 2)}),
         frozenset({h(1, 1), h(2, 1), v(2, 0), v(2, 2)}),

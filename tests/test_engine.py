@@ -5,6 +5,7 @@ import io
 import itertools
 import math
 import random
+import re
 import time
 import tracemalloc
 from collections import Counter
@@ -668,6 +669,21 @@ def test_c_within_rejects_ids_outside_the_css():
             with pytest.raises(ValidationError):
                 analysis.c_within(ids)
     assert analysis._c_memo == {}
+
+
+def test_c_within_takes_ids_through_operator_index():
+    """An id that is no integer is a ValidationError naming it, never a bare
+    TypeError or a C; ints, bools and numpy integers read the same C."""
+    analysis = CssAnalysis(builders.annulus(6))
+    for ids in ([0.5], [0.5, 1, 2], [1, 2.0], ["1"], [None]):
+        bad = next(i for i in ids if not isinstance(i, int))
+        with pytest.raises(ValidationError, match=f"^subsystem id must be an integer, got {re.escape(repr(bad))}$"):
+            analysis.c_within(ids)
+    assert analysis._c_memo == {}
+    assert analysis.c_within([True, 2, 3]) == analysis.c_within((1, 2, 3))
+    assert analysis.c_within(np.arange(3)) == analysis.c_within([np.int8(0), np.uint64(1), 2]) == analysis.c_within([0, 1, 2])
+    assert set(analysis._c_memo) == {(1, 2, 3), (0, 1, 2)}
+    assert {type(i) for key in analysis._c_memo for i in key} == {int}
 
 
 def test_c_within_keeps_each_sub_collection_once():

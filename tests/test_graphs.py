@@ -450,6 +450,23 @@ def test_graph_validation_and_parsing():
         parse_graph_json({"edges": []})
 
 
+def test_graph_vertex_count_and_edge_ends_are_integers():
+    """A vertex count or edge end that is no integer is a ValidationError at
+    construction, not a TypeError in rho; ints, bools and numpy integers pass."""
+    for args, text in (
+        ((3, ((0, 1.5),)), "an edge end must be an integer, got 1.5"),
+        ((3, (("0", 1),)), "an edge end must be an integer, got '0'"),
+        ((2.0, ((0, 1),)), "vertex count must be an integer, got 2.0"),
+        ((None, ()), "vertex count must be an integer, got None"),
+    ):
+        with pytest.raises(ValidationError, match=f"^{re.escape(text)}$"):
+            SimpleGraph(*args)
+    graph = SimpleGraph(np.int64(3), ((np.int32(2), True),))
+    assert graph == SimpleGraph(3, ((1, 2),))
+    assert {type(graph.vertex_count), *(type(end) for edge in graph.edges for end in edge)} == {int}
+    assert rho(graph) == rho(SimpleGraph(3, ((1, 2),)))
+
+
 def _signed_proper_sum(table) -> int:
     """The signed-tensordot reference over the proper non-empty masks, in int64."""
     n = len(table).bit_length() - 1

@@ -7,6 +7,7 @@ import random
 import re
 import time
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -45,7 +46,15 @@ from topomi.stabilizer import (
 )
 
 from flood_reference import perimeter_links
-from oracle_reference import brute_force_entropy, generator_rows, region_entropy_source
+from oracle_reference import (
+    brute_force_entropy,
+    generator_rows,
+    h_edge,
+    region_entropy_source,
+    region_union,
+    state_from_rows,
+    v_edge,
+)
 
 LN2 = math.log(2)
 
@@ -105,8 +114,8 @@ def _edge_ends(lattice: CodeLattice) -> tuple[list, list]:
 def test_lattice_numbering_from_first_principles(lattice):
     horizontal, vertical = _edge_ends(lattice)
     # every qubit once, as a Python int: horizontal edges first, each orientation row-major
-    numbering = [lattice.h_edge(*a) for a, _ in horizontal]
-    numbering += [lattice.v_edge(*a) for a, _ in vertical]
+    numbering = [h_edge(lattice, *a) for a, _ in horizontal]
+    numbering += [v_edge(lattice, *a) for a, _ in vertical]
     assert numbering == list(range(lattice.n_qubits))
     assert {type(q) for q in numbering} == {int}
     # the grids behind them are shared by every reader, so none may write to them
@@ -120,8 +129,8 @@ def test_lattice_edges_off_the_patch(lattice):
     lx, ly = lattice.lx, lattice.ly
     torus = lattice.boundary == "torus"
     for method, what, sites in (
-        (lattice.h_edge, "horizontal edge", [(-1, 0), (lx - 1, 0), (0, ly)]),
-        (lattice.v_edge, "vertical edge", [(-1, 0), (lx, 0), (0, ly - 1)]),
+        (partial(h_edge, lattice), "horizontal edge", [(-1, 0), (lx - 1, 0), (0, ly)]),
+        (partial(v_edge, lattice), "vertical edge", [(-1, 0), (lx, 0), (0, ly - 1)]),
     ):
         for i, j in sites:
             if torus:
@@ -150,7 +159,7 @@ def _gallery_lattices() -> list[CodeLattice]:
     return lattices
 
 
-#: build_code skips the checks of StabilizerState.from_rows: every square side from 2
+#: build_code skips the checks of state_from_rows: every square side from 2
 #: to 24 (the benchmark's 16x16 and 24x24 tori among them), rectangles of
 #: both shapes and the 48x48 lattices of LARGEST_LATTICES (the torus at
 #: MAX_QUBITS), on both boundaries, and the gallery's lattices
@@ -165,9 +174,9 @@ BUILT_LATTICES = [
 @pytest.mark.parametrize("lattice", BUILT_LATTICES, ids=_lattice_id)
 def test_build_code_generators_pass_every_check(lattice):
     """The star and plaquette generators build_code makes unchecked are
-    independent and commute: StabilizerState.from_rows accepts them."""
+    independent and commute: state_from_rows accepts them."""
     state = build_code(lattice)
-    assert StabilizerState.from_rows(state.n, generator_rows(state)) == state
+    assert state_from_rows(state.n, generator_rows(state)) == state
 
 
 def _per_vertex_rows(lattice: CodeLattice) -> tuple[int, ...]:
@@ -217,7 +226,7 @@ def test_build_code_matches_the_per_vertex_construction(lattice):
     rows = _per_vertex_rows(lattice)
     assert generator_rows(state) == rows
     assert state.columns == _bit_transpose(state.n, rows)
-    assert state.columns == StabilizerState.from_rows(state.n, generator_rows(state)).columns
+    assert state.columns == state_from_rows(state.n, generator_rows(state)).columns
 
 
 def test_gallery_lattices_are_all_there():
@@ -294,7 +303,7 @@ def test_column_commutation_check_names_the_first_pair():
             continue
         pair = _first_anticommuting_pair(n, rows)
         if pair is None:
-            state = StabilizerState.from_rows(n, tuple(rows))
+            state = state_from_rows(n, tuple(rows))
             assert all(
                 (state.columns[c] >> g & 1) == (row >> c & 1)
                 for g, row in enumerate(rows) for c in range(2 * n)
@@ -303,7 +312,7 @@ def test_column_commutation_check_names_the_first_pair():
         else:
             message = re.escape(f"generators {pair[0]} and {pair[1]} anticommute") + "$"
             with pytest.raises(ValidationError, match=message):
-                StabilizerState.from_rows(n, tuple(rows))
+                state_from_rows(n, tuple(rows))
             outcomes["anticommute"] += 1
     assert min(outcomes.values()) >= 80, outcomes
 
@@ -311,17 +320,17 @@ def test_column_commutation_check_names_the_first_pair():
 def test_state_validation_rejects_anticommuting():
     # X on qubit 0 and Z on qubit 0 anticommute
     with pytest.raises(ValidationError):
-        StabilizerState.from_rows(2, (0b01, 0b01 << 2))
+        state_from_rows(2, (0b01, 0b01 << 2))
     # dependent rows
     with pytest.raises(ValidationError):
-        StabilizerState.from_rows(2, (0b01, 0b01))
+        state_from_rows(2, (0b01, 0b01))
 
 
 def test_state_checks_the_column_table_shape():
     """The constructor takes a column table: 2n columns of n bits each."""
     state = StabilizerState(1, (0b0, 0b1))  # |0>, stabilized by Z
     assert generator_rows(state) == (0b10,)
-    assert StabilizerState.from_rows(1, (0b10,)) == state
+    assert state_from_rows(1, (0b10,)) == state
     with pytest.raises(ValidationError, match=re.escape("3 columns for 1 qubits; need 2")):
         StabilizerState(1, (0, 1, 0))
     with pytest.raises(ValidationError, match=re.escape("column 1 is 2; columns lie in 0..2**1 - 1")):
@@ -346,11 +355,11 @@ def test_state_validation_rejects_rows_outside_their_bits():
     """A row holds 2n bits: one with a higher bit, or a negative one, is
     rejected by the generator's index."""
     with pytest.raises(ValidationError, match="^generator 0 is 4;"):
-        StabilizerState.from_rows(1, (0b100,))
+        state_from_rows(1, (0b100,))
     with pytest.raises(ValidationError, match="^generator 1 is -1;"):
-        StabilizerState.from_rows(2, (0b0001, -1))
+        state_from_rows(2, (0b0001, -1))
     with pytest.raises(ValidationError, match="^generator 1 is 16;"):
-        StabilizerState.from_rows(2, (0b0001, 1 << 4))
+        state_from_rows(2, (0b0001, 1 << 4))
 
 
 def _span(vectors) -> set[int]:
@@ -475,7 +484,7 @@ def test_region_entropy_source_rejects_unknown_ids():
     """On a 4x4 torus with 3 regions, ids -1 and 3 name no region and no id
     names no qubit."""
     lattice = CodeLattice(4, 4, "torus")
-    h, v = lattice.h_edge, lattice.v_edge
+    h, v = partial(h_edge, lattice), partial(v_edge, lattice)
     region_map = QubitRegionMap(lattice.n_qubits, (
         frozenset({h(0, 1), v(1, 1), v(1, 0), h(2, 2)}),
         frozenset({h(1, 1), h(2, 1), v(2, 0), v(2, 2)}),
@@ -504,7 +513,7 @@ def _alternating_entropy_sum(entropy, region_map: QubitRegionMap) -> int:
     n = region_map.n_subsystems
     total = 0
     for mask in range(1, 1 << n):
-        s = entropy(region_map.union(i for i in range(n) if mask >> i & 1))
+        s = entropy(region_union(region_map, (i for i in range(n) if mask >> i & 1)))
         total += s if mask.bit_count() % 2 else -s
     return total
 
@@ -852,7 +861,7 @@ def test_rasterized_subsystem_owns_south_edge_of_each_cell():
         for k, label in enumerate(css.labels):
             if label != OUTSIDE:
                 x, y = k % css.width, k // css.width
-                assert lattice.h_edge(x, y + 1) in region_map.regions[label]
+                assert h_edge(lattice, x, y + 1) in region_map.regions[label]
         n_cases += 1
     assert n_cases == 62
 
@@ -873,10 +882,10 @@ def _rasterize_by_edge(lattice: CodeLattice, css: GridCss) -> QubitRegionMap:
     cols, rows = lattice.face_shape
     for j in range(lattice.ly):
         for i in range(cols):
-            assign(lattice.h_edge(i, j), css.label_at(i, j - 1), css.label_at(i, j))
+            assign(h_edge(lattice, i, j), css.label_at(i, j - 1), css.label_at(i, j))
     for j in range(rows):
         for i in range(lattice.lx):
-            assign(lattice.v_edge(i, j), css.label_at(i - 1, j), css.label_at(i, j))
+            assign(v_edge(lattice, i, j), css.label_at(i - 1, j), css.label_at(i, j))
     return QubitRegionMap(lattice.n_qubits, tuple(frozenset(r) for r in regions), css)
 
 

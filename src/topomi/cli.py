@@ -102,9 +102,11 @@ def _cmd_analyze(args) -> int:
         elif analysis is None:
             print("no CSV written: the grid did not parse", file=sys.stderr)
         else:
-            j_table = analysis.j_table  # TooManySubsystems before any file is opened
+            from .masks import write_subset_table_csv
+
+            j_table = analysis.tables.j_table  # TooManySubsystems before any file is opened
             with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-                engine.write_subset_table_csv(j_table, fh)
+                write_subset_table_csv(j_table, fh)
     _print_result(result, args.json)
     return 0 if result.passed else 1
 

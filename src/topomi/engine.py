@@ -16,20 +16,19 @@ information values are C^N scaled by the topological entropy.  The link
 terms need no evaluation: a grid segment borders at most two subsystems,
 so their alternating sum vanishes for N >= 3.  Entry points take a
 GridCss or a CssAnalysis, the one object of a CSS: its holes, hole loops,
-graph and chi and, as a UnionTopology, its 2^N tables (the only capped
-part), each computed once.  C of a sub-collection reads only the grid's
-labelling, its cell-component graph and the junction corners of its
-validation scan (``GridCss.junctions``), no 2^N table, and so answers
-beyond the cap: one or two ids give the J of their unions
-(``grid.union_boundary_count``, two ``grid.count_components`` over the
-labelling's walls); from three on, the signed component sum
-(``masks.signed_component_sum``) is split over the blocks of the
-sub-collection's graph, a plain cycle (every hole loop of the gallery) is
-read in closed form, only a block with a chord is walked, and a walk past
-its state cap reads a table of its own groups.  The J table is read only
-when a caller asks for it (``multipartite_information``,
-``analyze --csv``); sigma reads no table, and a failing sigma precondition
-is named from the labelling.
+graph and chi and, in ``tables``, its 2^N tables (the only capped part),
+each computed once.  C of a sub-collection reads only the grid's
+labelling, its cell-component graph (``GridCss.cell_components``) and the
+junction corners of its validation scan (``GridCss.junctions``), no 2^N
+table, and so answers beyond the cap: one or two ids give the J of their
+unions (``grid.union_boundary_count``, two ``grid.count_components`` over
+the labelling's walls); from three on, the signed component sum
+(``walk.signed_component_sum``) is split over the blocks of the
+sub-collection's graph, a ring read in closed form, a block with a chord
+walked, and a walk past its state cap reads a table of its own groups.
+The J table, and with it numpy, is loaded only when a caller asks for it
+(``multipartite_information``, ``analyze --csv``); sigma reads no table,
+and a failing sigma precondition is named from the labelling.
 """
 
 from __future__ import annotations
@@ -38,9 +37,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import (
     DisconnectedCss,
@@ -60,12 +57,12 @@ from .grid import (
     loop_around_hole,
     union_boundary_count,
 )
-from .masks import (
-    UnionTopology,
-    signed_component_sum,
-    subset_sums,
-)
 from .model import EntropyModel
+from .walk import signed_component_sum
+
+if TYPE_CHECKING:  # annotations only: numpy comes with the first 2^N table
+    import numpy as np
+    from . import masks
 
 #: the schema tag of every JSON report
 SCHEMA = "topo-mpi/1"
@@ -78,19 +75,29 @@ RECURSION_CAP = 12
 # one analysis per CSS, the connectivity count and the information value
 # ----------------------------------------------------------------------
 
-class CssAnalysis(UnionTopology):
-    """Holes, hole loops, adjacency graph, chi and C of one CSS on top of its
-    2^N tables, each computed on first use and kept as long as the analysis.
-    The holes, graph and chi are read from the grid's one labelling
-    (``GridCss.labelling``), and the C of each sub-collection is walked once
-    and kept by its sorted ids.  Only the tables are capped: the rest answers
-    at any N, and C of any ids unless the frontier walk of a block with a
-    chord passes its state cap and they number more than
+@dataclass(frozen=True)
+class CssAnalysis:
+    """Holes, hole loops, adjacency graph, chi and C of one CSS, and its 2^N
+    tables (:attr:`tables`), each computed on first use and kept as long as
+    the analysis.  The holes, graph and chi are read from the grid's one
+    labelling (``GridCss.labelling``), and the C of each sub-collection is
+    walked once and kept by its sorted ids.  Only the tables are capped: the
+    rest answers at any N, and C of any ids unless the frontier walk of a
+    block with a chord passes its state cap and they number more than
     ``masks.MAX_SUBSYSTEMS``."""
+
+    css: GridCss
 
     @staticmethod
     def of(css: GridCss | CssAnalysis) -> CssAnalysis:
         return css if isinstance(css, CssAnalysis) else CssAnalysis(css)
+
+    @cached_property
+    def tables(self) -> masks.UnionTopology:
+        """The CSS's per-mask tables (``masks.UnionTopology``), the one capped part."""
+        from . import masks
+
+        return masks.UnionTopology(self.css)
 
     @cached_property
     def holes(self) -> HoleSet:
@@ -136,13 +143,15 @@ class CssAnalysis(UnionTopology):
         J = 2 components - chi, this is -2 s - (the junction corners of
         exactly ``ids``, as only a corner holds three subsystems and none
         four; 0 beyond three ids), s being the signed component sum of the
-        subsystems' cell-components (``masks.signed_component_sum``), so no
+        subsystems' cell-components (``walk.signed_component_sum``), so no
         2^N table is built: a ring is a plain cycle, read in closed form,
         and only a block with a chord is walked.  A walk past its state cap
         reads its block's term from the 2^k component table of the k ids
         alone, which raises TooManySubsystems above ``masks.MAX_SUBSYSTEMS``
-        ids.  Ids pass ``operator.index``; valid ones are computed once, kept sorted.
+        ids.  Ids, a collection, pass ``operator.index``; valid ones are computed once, kept sorted.
         """
+        if not isinstance(ids, Iterable):
+            raise ValidationError(f"subsystem ids must be a collection of integers, got {ids!r}")
         n, keep = self.css.n_subsystems, tuple(sorted({index_int(i, "subsystem id") for i in ids}))
         if not keep or keep[0] < 0 or keep[-1] >= n:
             raise ValidationError(f"no sub-collection {list(keep)} of {n} subsystems")
@@ -155,7 +164,7 @@ class CssAnalysis(UnionTopology):
         if len(keep) <= 2:  # J(i), or J(i) + J(j) - J(ij)
             c = sum(union_boundary_count(self.css, [i]) for i in keep)
             return c if len(keep) == 1 else c - union_boundary_count(self.css, keep)
-        adj, cv_mask, _ = self._cell_component_graph
+        adj, cv_mask, _ = self.css.cell_components
         s = signed_component_sum(adj, [cv_mask[i] for i in keep])
         # sum over S in keep of (-1)^|S| chi(S) is minus the junction corners
         # of keep, which hold three ids: no window holds four subsystems
@@ -183,8 +192,8 @@ def _information_value(model: EntropyModel, analysis: CssAnalysis) -> tuple[int,
 
 def subset_entropy_table(model: EntropyModel, css: GridCss | CssAnalysis) -> np.ndarray:
     """Model entropy of every subset union, indexed by bitmask (entry 0 = 0)."""
-    analysis = CssAnalysis.of(css)
-    return model.entropy(analysis.boundary_links_table, analysis.j_table)
+    tables = CssAnalysis.of(css).tables
+    return model.entropy(tables.boundary_links_table, tables.j_table)
 
 
 # ----------------------------------------------------------------------
@@ -248,7 +257,7 @@ class InfoReport(InfoSummary):
 def multipartite_information(model: EntropyModel, css: GridCss | CssAnalysis) -> InfoReport:
     """:func:`information_summary` plus the 2^N J table, built in this call."""
     analysis = CssAnalysis.of(css)
-    return InfoReport(**vars(information_summary(model, analysis)), per_subset_j=analysis.j_table)
+    return InfoReport(**vars(information_summary(model, analysis)), per_subset_j=analysis.tables.j_table)
 
 
 def information_summary(model: EntropyModel, css: GridCss | CssAnalysis) -> InfoSummary:
@@ -284,34 +293,6 @@ def information_summary(model: EntropyModel, css: GridCss | CssAnalysis) -> Info
         holes=tuple(hole_reports),
         constraint_sum=constraint_sum,
     )
-
-
-#: rows of the J table that ``write_subset_table_csv`` converts at a time
-CSV_BLOCK = 1 << 16
-
-
-def write_subset_table_csv(j_table: np.ndarray, fileobj) -> None:
-    """Debug CSV of a 2^N J table: mask, m, J, sign, with the ``\\r\\n`` row
-    ends of ``csv.writer``, written a block of rows at a time, each block as
-    one string (:func:`_csv_rows`), so no 2^N array is built beside the table."""
-    fileobj.write("mask,m,J,sign\r\n")
-    for start in range(1, len(j_table), CSV_BLOCK):
-        fileobj.write(_csv_rows(start, j_table[start:start + CSV_BLOCK]))
-
-
-def _csv_rows(start: int, j: np.ndarray) -> str:
-    """The CSV rows of the masks from ``start`` on, whose J values are ``j``:
-    the masks' strings interleaved with each row's ``,m,J,sign`` tail, looked
-    up from the block's distinct (J, m) pairs."""
-    stop = start + len(j)
-    m = np.bitwise_count(np.arange(start, stop, dtype=np.uint32))
-    # each (J, m) as J * 32 + m, as m <= 24 < 32
-    pairs, row_pair = np.unique(j.astype(np.int64) * 32 + m, return_inverse=True)
-    tails = np.array([f",{k & 31},{k >> 5},{k % 2 * 2 - 1}\r\n" for k in pairs.tolist()], dtype=object)
-    parts = [""] * (2 * len(j))
-    parts[::2] = map(str, range(start, stop))
-    parts[1::2] = tails[row_pair].tolist()
-    return "".join(parts)
 
 
 # ----------------------------------------------------------------------
@@ -410,9 +391,11 @@ def recursion_check(model: EntropyModel, css: GridCss | CssAnalysis) -> Recursio
           + (-1)^N (sum_i S_i - S_union).
 
     By inclusion-exclusion the expansion holds for any set function S, so
-    the residual measures only float rounding in ``subset_sums``.  No
+    the residual measures only float rounding in ``masks.subset_sums``.  No
     scenario runs it; it stays a library check of the subset transform.
     """
+    from .masks import subset_sums
+
     analysis = CssAnalysis.of(css)
     n = analysis.css.n_subsystems
     if n < 2:
@@ -420,8 +403,8 @@ def recursion_check(model: EntropyModel, css: GridCss | CssAnalysis) -> Recursio
     if n > RECURSION_CAP:
         raise TooManySubsystems(f"recursion check capped at N = {RECURSION_CAP}")
     s = subset_entropy_table(model, analysis)
-    info = subset_sums(analysis.signs * s)  # I_R for every subset R
-    popcounts = analysis.popcounts
+    info = subset_sums(analysis.tables.signs * s)  # I_R for every subset R
+    popcounts = analysis.tables.popcounts
 
     lhs = float(info[-1])
     middle = 0.0

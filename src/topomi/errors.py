@@ -27,7 +27,7 @@ class TooManySubsystems(TopomiError):
     """A guard on the work that grows with N tripped: the cap on every 2**n
     table (``masks.MAX_SUBSYSTEMS``), over a CSS's subsystems or a graph's
     vertices, named with the frontier walk's state cap
-    (``masks.MAX_WALK_STATES``) when the walk fell back to the table; the
+    (``walk.MAX_WALK_STATES``) when the walk fell back to the table; the
     vertex cap of a graph (``grid.MAX_VERTICES``); the exact pass's region
     cap (``stabilizer.EXACT_SUBSET_CAP``) or ``engine.RECURSION_CAP``."""
 

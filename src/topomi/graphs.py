@@ -8,9 +8,9 @@ where H0 counts connected components and "nontrivial" excludes the empty
 vertex set and the full vertex set.  Path graphs give rho(P_n) = (-1)^(n-1)
 for n >= 3 (rho(P_1) = 0 and rho(P_2) = -2) and cycle graphs give
 rho(C_n) = 0, which is what makes open chains vanish and rings survive in
-the subsystem-counting identities.  Alternating sums come from
-:mod:`topomi.masks`, as for a CSS's per-subset tables, and the full set's
-component count from ``grid.count_components``, as J's and chi's do.  rho
+the subsystem-counting identities.  The alternating sum comes from
+:mod:`topomi.walk`, as a CSS's C does, and the full set's component count
+from ``grid.count_components``, as J's and chi's do.  rho
 is read from the signed component sum, split over the blocks of the graph:
 for v >= 3 only a block that holds every vertex counts, a cycle graph adds
 (-1)^v in closed form, a 2-connected graph with a chord is walked, and no
@@ -29,12 +29,12 @@ from typing import Mapping
 from .engine import CssAnalysis
 from .errors import ParseError, PreconditionViolated
 from .grid import OUTSIDE, GridCss, SimpleGraph, count_components, hole_name, json_int, set_bits, union_boundary_count
-from .masks import signed_component_sum
+from .walk import signed_component_sum
 
 
 def rho(graph: SimpleGraph) -> int:
     """Alternating sum of component counts over nontrivial induced subgraphs:
-    the signed sum over every vertex set (``masks.signed_component_sum``;
+    the signed sum over every vertex set (``walk.signed_component_sum``;
     for three vertices or more only a block that holds every vertex counts,
     so only a 2-connected graph with a chord is walked, and its walk past
     the state cap reads the induced component table), less the full set's

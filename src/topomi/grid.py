@@ -133,6 +133,20 @@ class GridCss:
                 holes[seed % row - 1, seed // row - 1] = c
         return tuple(labels), tuple(near), holes
 
+    @cached_property
+    def cell_components(self) -> tuple[list[int], list[int], int]:
+        """Cell-components of each subsystem and their wall adjacency: the grid's
+        labelling, numbered by subsystem and, within one, in first-cell order."""
+        labels, near, _ = self.labelling
+        order = sorted((label, c) for c, label in enumerate(labels) if label != OUTSIDE)
+        if len(order) > MAX_VERTICES:
+            raise TooManySubsystems(f"{len(order)} cell-components exceed the graph cap of {MAX_VERTICES}")
+        vertex = {c: v for v, (_, c) in enumerate(order)}
+        # the cell-components of each subsystem, as a vertex mask
+        cv_mask = pack_bits(((label, v) for v, (label, _) in enumerate(order)), self.n_subsystems)
+        adj = [sum(1 << vertex[b] for b in near[c] if b in vertex) for _, c in order]
+        return adj, cv_mask, len(order)
+
     def label_at(self, x: int, y: int) -> int:
         """Label of cell (x, y); OUTSIDE for coordinates off the grid."""
         if 0 <= x < self.width and 0 <= y < self.height:
@@ -431,7 +445,10 @@ class SimpleGraph:
             raise TooManySubsystems(f"{self.vertex_count} vertices exceed the graph cap of {MAX_VERTICES}")
         seen = set()
         for edge in self.edges:
-            i, j = (index_int(end, "an edge end") for end in edge)
+            ends = tuple(edge) if isinstance(edge, Iterable) else ()
+            if len(ends) != 2:
+                raise ValidationError(f"edge {edge!r} is not a pair of vertex ids")
+            i, j = (index_int(end, "an edge end") for end in ends)
             if i == j:
                 raise ValidationError(f"self-loop at vertex {i}")
             if not (0 <= i < self.vertex_count and 0 <= j < self.vertex_count):

@@ -9,12 +9,13 @@ import re
 import time
 import tracemalloc
 from collections import Counter
+from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from topomi import builders, engine, masks
+from topomi import builders, engine, masks, walk
 from topomi.engine import (
     CssAnalysis,
     CssFamily,
@@ -26,7 +27,6 @@ from topomi.engine import (
     recursion_check,
     subloop_revival,
     subset_entropy_table,
-    write_subset_table_csv,
 )
 from topomi.errors import (
     DisconnectedCss,
@@ -50,7 +50,7 @@ from topomi.grid import (
     union_boundary_count,
     union_region,
 )
-from topomi.masks import UnionTopology, alternating_sum, subset_signs
+from topomi.masks import UnionTopology, alternating_sum, subset_signs, write_subset_table_csv
 from topomi.model import EntropyModel
 
 from flood_reference import boundary_walk_labels, entropy_of_region, model_entropy_source, perimeter_links, region_holes
@@ -96,7 +96,7 @@ def test_annular_universality_at_22():
     ring, with no 2^22 table."""
     analysis = connectivity_count(builders.annulus(22))
     assert analysis.c_n == -2
-    assert "j_table" not in vars(analysis)
+    assert "tables" not in vars(analysis)
 
 
 def test_vanishing_set():
@@ -118,8 +118,8 @@ def test_deformation_invariance():
 def test_per_subset_table_covers_everything():
     css = builders.annulus(4)
     result = connectivity_count(css)
-    assert len(result.j_table) == 16
-    assert all(result.j_table[1:] >= 1)
+    assert len(result.tables.j_table) == 16
+    assert all(result.tables.j_table[1:] >= 1)
 
 
 def test_alternating_binomial_identity():
@@ -291,7 +291,7 @@ def test_c_within_matches_signed_reference(junction_css):
     nonzero = Counter()
     for css in [*_analytic_gallery_css(), *junction_css, random_n(20)]:
         analysis = CssAnalysis(css)
-        n, j = css.n_subsystems, analysis.j_table
+        n, j = css.n_subsystems, analysis.tables.j_table
         loops = [loop for loop in analysis.hole_loops if not isinstance(loop, str)]
         picks = [tuple(rng.sample(range(n), k)) for k in range(1, n + 1)]
         for ids in [*loops, *picks, tuple(range(n))]:
@@ -342,7 +342,7 @@ def test_csv_writer_holds_one_block_of_rows_at_a_time():
     twice the table's bytes: its rows are formatted a block at a time, each
     block one string that the file's ``write`` takes and drops here, not as
     2^20-entry lists beside the table."""
-    j_table = CssAnalysis(random_n(20)).j_table
+    j_table = CssAnalysis(random_n(20)).tables.j_table
     written = []
     tracemalloc.start()
     try:
@@ -354,7 +354,7 @@ def test_csv_writer_holds_one_block_of_rows_at_a_time():
     assert peak < 2 * j_table.nbytes, (peak, j_table.nbytes)
     buf = io.StringIO()
     write_subset_table_csv(j_table, buf)
-    assert len(written) == 1 + len(j_table) // engine.CSV_BLOCK and sum(written) == len(buf.getvalue())
+    assert len(written) == 1 + len(j_table) // masks.CSV_BLOCK and sum(written) == len(buf.getvalue())
 
 
 def test_capped_walk_falls_back_to_the_table(monkeypatch):
@@ -363,12 +363,12 @@ def test_capped_walk_falls_back_to_the_table(monkeypatch):
     both caps above it; no long walk starts.  Each C^N below but the ring's
     walks a block with a chord, so it reads the table; the ring and the hole
     loops are plain cycles, read in closed form."""
-    monkeypatch.setattr("topomi.masks.MAX_WALK_STATES", 2)
+    monkeypatch.setattr("topomi.walk.MAX_WALK_STATES", 2)
     tables = _count_calls(monkeypatch, [(masks, "component_counts")])
     for css, reads in ((builders.six_hole_eighteen(), 1), (builders.annulus(12), 0),
                        (builders.far_handle_annulus(8, 3), 1)):
         analysis = CssAnalysis(css)
-        j = analysis.j_table
+        j = analysis.tables.j_table
         before = tables["component_counts"]
         for ids in [*analysis.hole_loops, tuple(range(css.n_subsystems))]:
             assert analysis.c_within(ids) == signed_reference(j, ids), (css.name, ids)
@@ -391,20 +391,20 @@ def test_capped_walk_reads_a_table_of_its_own_sub_collection(monkeypatch):
     css = builders.far_handle_annulus(30, 3)
     loops = sorted(CssAnalysis(css).hole_loops, key=len)
     assert [len(loop) for loop in loops] == [4, 28]
-    monkeypatch.setattr("topomi.masks.MAX_WALK_STATES", 2)
+    monkeypatch.setattr("topomi.walk.MAX_WALK_STATES", 2)
     tables = []
     table = masks.component_counts
     monkeypatch.setattr(masks, "component_counts", lambda adj, groups: tables.append(len(groups)) or table(adj, groups))
     analysis = CssAnalysis(wall)
     restricted = CssAnalysis(restrict_css(wall, patch))
-    assert analysis.c_within(patch) == uncapped == signed_reference(restricted.j_table, range(len(patch)))
+    assert analysis.c_within(patch) == uncapped == signed_reference(restricted.tables.j_table, range(len(patch)))
     assert tables == [6]
     with pytest.raises(TooManySubsystems, match="cap of 2 states, and 70 groups exceed the table's cap of 24"):
         analysis.c_n
-    assert "j_table" not in vars(analysis)
+    assert "tables" not in vars(analysis)
     analysis = CssAnalysis(css)
     assert [analysis.c_within(loop) for loop in loops] == [-2, -2]
-    assert tables == [6] and "j_table" not in vars(analysis)
+    assert tables == [6] and "tables" not in vars(analysis)
 
 
 RING_BUILDERS = (builders.annulus, builders.annulus_with_punched_hole,
@@ -426,8 +426,8 @@ def test_ring_c_n_is_read_in_closed_form(build, n, monkeypatch):
     """Each ring builder's cell-component graph is one plain cycle through
     every subsystem, so C^N = 2(-1)^(N-1) comes with no walk and no table,
     even with the walk capped at 0 states."""
-    monkeypatch.setattr(masks, "MAX_WALK_STATES", 0)
-    walks = _count_calls(monkeypatch, [(masks, "_frontier_walk"), (masks, "component_counts")])
+    monkeypatch.setattr(walk, "MAX_WALK_STATES", 0)
+    walks = _count_calls(monkeypatch, [(walk, "_frontier_walk"), (masks, "component_counts")])
     assert connectivity_count(build(n)).c_n == -2
     assert not walks
 
@@ -461,7 +461,7 @@ def test_c_within_at_seventy_subsystems_is_the_restricted_c_n():
     J-table C^N of its restricted CSS."""
     css = brick_css(7, 10)
     analysis = CssAnalysis(css)
-    corners = analysis._feature_labels[0][0]
+    corners = analysis.tables._feature_labels[0][0]
     junctions = {tuple(sorted(set(row))) for row in corners.tolist() if min(row) >= 56 and len(set(row)) == 3}
     assert len(junctions) >= 10
     rng = random.Random(70)
@@ -470,7 +470,7 @@ def test_c_within_at_seventy_subsystems_is_the_restricted_c_n():
     picks += [tuple(rng.sample(range(55, 70), 5)) for _ in range(4)]
     for ids in picks:
         restricted = CssAnalysis(restrict_css(css, ids))
-        want = signed_reference(restricted.j_table, range(len(ids)))
+        want = signed_reference(restricted.tables.j_table, range(len(ids)))
         assert analysis.c_within(ids) == want, ids
     assert sorted({len(ids) for ids in picks}) == [3, 4, 5]
 
@@ -479,7 +479,7 @@ def held_by_scan(analysis: CssAnalysis, keep) -> int:
     """The chi term of C by its definition: the weight of every corner,
     segment and cell row of the grid whose cells hold every id of ``keep``."""
     held = 0
-    for labels, weight in analysis._feature_labels:
+    for labels, weight in analysis.tables._feature_labels:
         rows = np.all([(labels == i).any(axis=1) for i in keep], axis=0)
         held += weight * int(np.count_nonzero(rows))
     return held
@@ -541,12 +541,12 @@ def test_c_of_one_to_five_ids_builds_no_features():
     2^N tables."""
     for css in (builders.annulus(12), brick_css(3, 3)):
         analysis = CssAnalysis(css)
-        j_table = CssAnalysis(css).j_table
+        j_table = CssAnalysis(css).tables.j_table
         assert analysis.c_n == signed_reference(j_table, range(css.n_subsystems))
         for ids in (range(1), range(3, 4), range(2), range(1, 3), range(3), range(2, 5), range(4), range(1, 5),
                     range(5)):
             assert analysis.c_within(ids) == signed_reference(j_table, ids), (css.name, ids)
-        assert "_feature_labels" not in analysis.__dict__
+        assert "tables" not in analysis.__dict__
 
 
 def scan_cases(junction_css) -> list[GridCss]:
@@ -570,7 +570,7 @@ def test_validation_scan_records_the_junction_corners(junction_css):
     more distinct subsystems."""
     found = 0
     for css in scan_cases(junction_css):
-        corners = CssAnalysis(css)._feature_labels[0][0].tolist()
+        corners = CssAnalysis(css).tables._feature_labels[0][0].tolist()
         want = [tuple(row) for row in corners if len(set(row) - {OUTSIDE}) >= 3]
         assert list(css.junctions) == want, css.name
         found += len(want)
@@ -610,7 +610,7 @@ def test_union_boundary_count_matches_the_flood_fill(junction_css):
     assert checked > 1000, checked
     for css in junction_css:
         analysis, n = CssAnalysis(css), css.n_subsystems
-        j = analysis.j_table
+        j = analysis.tables.j_table
         for ids in [*itertools.combinations(range(n), 1), *rng.sample(list(itertools.combinations(range(n), 2)), 4)]:
             assert analysis.c_within(ids) == signed_reference(j, ids), (css.name, ids)
 
@@ -678,6 +678,9 @@ def test_c_within_takes_ids_through_operator_index():
     for ids in ([0.5], [0.5, 1, 2], [1, 2.0], ["1"], [None]):
         bad = next(i for i in ids if not isinstance(i, int))
         with pytest.raises(ValidationError, match=f"^subsystem id must be an integer, got {re.escape(repr(bad))}$"):
+            analysis.c_within(ids)
+    for ids in (2, np.int64(2), None, 1.5):  # one id, or none, in place of a collection
+        with pytest.raises(ValidationError, match=f"^subsystem ids must be a collection of integers, got {re.escape(repr(ids))}$"):
             analysis.c_within(ids)
     assert analysis._c_memo == {}
     assert analysis.c_within([True, 2, 3]) == analysis.c_within((1, 2, 3))
@@ -750,16 +753,34 @@ def test_information_builds_j_alone(name, monkeypatch):
     ])
     analysis = CssAnalysis(css)
     report = multipartite_information(D2, analysis)
-    built = set(vars(analysis))
-    assert "j_table" in built and report.per_subset_j is analysis.j_table
+    built = set(vars(analysis.tables))
+    assert "j_table" in built and report.per_subset_j is analysis.tables.j_table
     assert built.isdisjoint({"euler_table", "component_table", "signs", "popcounts", "masks"}), built
     loops = sum(isinstance(loop, tuple) for loop in analysis.hole_loops)
     block_walks = int(name == "six-hole-eighteen")
-    adj = analysis._cell_component_graph[0]
-    chorded = [block for block in masks._cycle_blocks(adj, (1 << len(adj)) - 1)
+    adj = analysis.css.cell_components[0]
+    chorded = [block for block in walk._cycle_blocks(adj, (1 << len(adj)) - 1)
                if sum((adj[v] & block).bit_count() for v in range(len(adj)) if block >> v & 1) > 2 * block.bit_count()]
     assert bool(chorded) == block_walks
     assert calls == Counter(_walk_components=block_walks, signed_component_sum=1 + loops)
+
+
+@pytest.mark.parametrize("name", ["random-n20", "six-hole-eighteen"])
+def test_information_labels_the_grid_and_builds_its_graph_once(name, monkeypatch):
+    """``multipartite_information`` labels the grid once and builds its
+    cell-component graph once: C^N, the hole loops' C and the J table share
+    ``GridCss.cell_components``."""
+    built = Counter()
+    for attr in ("labelling", "cell_components"):
+        func = vars(GridCss)[attr].func
+        prop = cached_property(lambda css, func=func, attr=attr: built.update([attr]) or func(css))
+        prop.__set_name__(GridCss, attr)
+        monkeypatch.setattr(GridCss, attr, prop)
+    css = random_n(20) if name == "random-n20" else builders.six_hole_eighteen()
+    analysis = CssAnalysis(css)
+    multipartite_information(D2, analysis)
+    assert built == Counter(labelling=1, cell_components=1)
+    assert analysis.tables._cell_component_graph is css.cell_components
 
 
 @pytest.mark.parametrize("name", ["random-n20", "six-hole-eighteen"])
@@ -770,7 +791,7 @@ def test_information_summary_builds_no_table(name, monkeypatch):
     calls = _count_calls(monkeypatch, [(masks, "_walk_components"), (masks, "meet_histogram")])
     analysis = CssAnalysis(css)
     summary = information_summary(D2, analysis)
-    assert not calls and "j_table" not in vars(analysis)
+    assert not calls and "tables" not in vars(analysis)
     assert summary.to_json_dict() == multipartite_information(D2, css).to_json_dict()
 
 
@@ -788,9 +809,9 @@ def test_subsystem_guard(monkeypatch):
     chain = CssAnalysis(GridCss(25, 1, tuple(range(25))))
     assert connectivity_count(chain).c_n == 0
     with pytest.raises(TooManySubsystems, match="25 subsystems exceed the cap of 24"):
-        chain.j_table
+        chain.tables.j_table
     assert connectivity_count(builders.far_handle_annulus(25, 3)).c_n == 0
-    monkeypatch.setattr("topomi.masks.MAX_WALK_STATES", 1)
+    monkeypatch.setattr("topomi.walk.MAX_WALK_STATES", 1)
     with pytest.raises(TooManySubsystems, match="cap of 1 states, and 25 groups exceed the table's cap of 24"):
         connectivity_count(builders.far_handle_annulus(25, 3))
     assert connectivity_count(builders.annulus(25)).c_n == 2
@@ -799,13 +820,13 @@ def test_subsystem_guard(monkeypatch):
 def test_cap_leaves_holes_loops_graph_and_chi(monkeypatch):
     monkeypatch.setattr("topomi.masks.MAX_SUBSYSTEMS", 4)
     analysis = CssAnalysis(builders.far_handle_annulus(5, 2))
-    assert len(analysis._cell_component_graph[1]) == 5
+    assert len(analysis.css.cell_components[1]) == 5
     assert analysis.holes.n_h == 2
     assert sorted(len(loop) for loop in analysis.hole_loops) == [3, 4]
     assert analysis.graph.d_nn == 6
     assert analysis.chi == 2
     assert analysis.c_n == 0  # from the frontier walk of its one block, a 5-cycle with a chord
-    monkeypatch.setattr("topomi.masks.MAX_WALK_STATES", 1)
+    monkeypatch.setattr("topomi.walk.MAX_WALK_STATES", 1)
     assert analysis.c_within(range(4, -1, -1)) == 0  # kept from c_n, not walked again
     with pytest.raises(TooManySubsystems, match="5 groups exceed the table's cap of 4"):
         CssAnalysis(analysis.css).c_within(range(4, -1, -1))
@@ -1074,8 +1095,7 @@ def test_ssa_combination_beyond_the_table_cap(n):
     assert n > masks.MAX_SUBSYSTEMS
     value = strong_subadditivity_combination(analysis, model_entropy_source(D2, analysis))
     assert value == pytest.approx(-2 * LN2, abs=1e-9)
-    tables = {"masks", "popcounts", "signs", "euler_table", "boundary_links_table", "component_table", "j_table"}
-    assert not tables & set(vars(analysis))
+    assert "tables" not in vars(analysis)
 
 
 def test_model_entropy_source_rejects_unknown_ids():

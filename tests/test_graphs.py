@@ -9,7 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from topomi import builders, graphs, masks
+from topomi import builders, graphs, masks, walk
 from topomi.engine import CssAnalysis
 from topomi.errors import ParseError, PreconditionViolated, TooManySubsystems, ValidationError
 from topomi.graphs import (
@@ -104,12 +104,12 @@ def test_rho_guard(monkeypatch):
     walked = rho(chorded_cycle(20))
     # the signed sum is 0 (the outer cycle cancels the whole graph), so rho is -(-1)^v
     assert walked == brute_rho(chorded_cycle(8)) == -1
-    monkeypatch.setattr("topomi.masks.MAX_WALK_STATES", 1)
+    monkeypatch.setattr("topomi.walk.MAX_WALK_STATES", 1)
     assert rho(chorded_cycle(20)) == walked  # from the table
     with pytest.raises(TooManySubsystems, match="cap of 1 states.*cap of 24"):
         rho(chorded_cycle(25))
     for cap in (0, 1):
-        monkeypatch.setattr("topomi.masks.MAX_WALK_STATES", cap)
+        monkeypatch.setattr("topomi.walk.MAX_WALK_STATES", cap)
         assert rho(cycle_graph(25)) == 0
 
 
@@ -396,7 +396,7 @@ def test_sigma_open_chain_combines_to_zero_connectivity():
     css = builders.open_chain(4)
     sigma = sigma_of_css(css)
     assert sigma == 1
-    j_full = int(connectivity_count(css).j_table[-1])
+    j_full = int(connectivity_count(css).tables.j_table[-1])
     assert sigma + (-1) ** 3 * j_full == 0
 
 
@@ -451,9 +451,14 @@ def test_graph_validation_and_parsing():
 
 
 def test_graph_vertex_count_and_edge_ends_are_integers():
-    """A vertex count or edge end that is no integer is a ValidationError at
-    construction, not a TypeError in rho; ints, bools and numpy integers pass."""
+    """A vertex count or edge end that is no integer, or an edge that is no
+    pair, is a ValidationError at construction, not a TypeError or ValueError
+    here or in rho; ints, bools and numpy integers pass."""
     for args, text in (
+        ((3, ((0, 1, 2),)), "edge (0, 1, 2) is not a pair of vertex ids"),
+        ((3, ((0,),)), "edge (0,) is not a pair of vertex ids"),
+        ((3, (5,)), "edge 5 is not a pair of vertex ids"),
+        ((3, (None,)), "edge None is not a pair of vertex ids"),
         ((3, ((0, 1.5),)), "an edge end must be an integer, got 1.5"),
         ((3, (("0", 1),)), "an edge end must be an integer, got '0'"),
         ((2.0, ((0, 1),)), "vertex count must be an integer, got 2.0"),
@@ -489,7 +494,7 @@ def test_rho_and_sigma_match_the_signed_reference():
             sigma = sigma_of_css(analysis)
         except PreconditionViolated:
             continue
-        assert sigma == _signed_proper_sum(analysis.j_table), css.name
+        assert sigma == _signed_proper_sum(analysis.tables.j_table), css.name
         checked += 1
     assert checked == 13
 
@@ -504,7 +509,7 @@ def test_rho_and_sigma_are_exact_beyond_int32(monkeypatch):
     table = np.random.default_rng(5).integers(-2**31, 2**31, size=1 << n).astype(np.int32)
     table[0], table[-1] = 0, 1  # a cycle's one component, which rho counts apart
     monkeypatch.setattr(masks, "component_counts", lambda adj, groups: table)
-    monkeypatch.setattr(masks, "MAX_WALK_STATES", 0)  # every walk reads the table
+    monkeypatch.setattr(walk, "MAX_WALK_STATES", 0)  # every walk reads the table
     want = sum((-1) ** (mask.bit_count() - 1) * int(table[mask]) for mask in range(1, (1 << n) - 1))
     assert rho(chorded_cycle(n)) == -want == -_signed_proper_sum(table)
     # C^N = -2 s = 2 (want - table[-1]) on 10 two-cell bricks, whose graph is
@@ -548,11 +553,11 @@ def test_disk_arrangement_fault_agrees_with_the_tables(junction_css):
         analysis = CssAnalysis(css)
         n = css.n_subsystems
         h0 = masks.component_counts(analysis.graph.neighbor_masks, [1 << i for i in range(n)])
-        bad = np.flatnonzero(analysis.j_table[1:-1] != h0[1:-1])
+        bad = np.flatnonzero(analysis.tables.j_table[1:-1] != h0[1:-1])
         fault = graphs.disk_arrangement_fault(css)
         assert (fault is None) == (bad.size == 0), (css.to_ascii(), fault)
         if fault is None:
-            assert sigma_of_css(analysis) == _signed_proper_sum(analysis.j_table), css.to_ascii()
+            assert sigma_of_css(analysis) == _signed_proper_sum(analysis.tables.j_table), css.to_ascii()
         else:
             with pytest.raises(PreconditionViolated) as err:
                 sigma_of_css(analysis)

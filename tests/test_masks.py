@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from topomi import builders, masks, scenarios
+from topomi import builders, masks, scenarios, walk
 from topomi.engine import CssAnalysis
 from topomi.errors import DisconnectedCss, TooManySubsystems
 from topomi.grid import (
@@ -33,16 +33,15 @@ from topomi.masks import (
     BLOCK_BITS,
     ROW_BITS,
     UnionTopology,
-    _cycle_blocks,
     _walk_components,
     component_counts,
     alternating_sum,
     meet_histogram,
-    signed_component_sum,
     subset_signs,
     subset_sums,
     subset_table,
 )
+from topomi.walk import _cycle_blocks, signed_component_sum
 from flood_reference import perimeter_links, region_holes
 from test_engine import brick_css
 
@@ -171,8 +170,8 @@ def test_labelling_matches_flood_fill_reference(junction_css):
     disconnected = split = holes = 0
     for css in cases:
         analysis = CssAnalysis(css)
-        assert analysis._cell_component_graph == reference_cell_component_graph(css), css.name
-        split += analysis._cell_component_graph[2] > css.n_subsystems
+        assert css.cell_components == reference_cell_component_graph(css), css.name
+        split += css.cell_components[2] > css.n_subsystems
         footprint = union_region(css, range(css.n_subsystems))
         reference = region_holes(footprint)
         first_cells = tuple(min(cells, key=lambda cell: cell[::-1]) for cells in reference)
@@ -218,10 +217,10 @@ def test_j_table_past_the_row_cut_off_matches_flood_fill(n, monkeypatch):
     css = builders.random_css(random.Random(5), n, 16, 16, growth=200)
     analysis = CssAnalysis(css)
     c_n = analysis.c_n
-    assert "j_table" not in analysis.__dict__  # from the walk, not the table
+    assert "tables" not in analysis.__dict__  # from the walk, not the table
     entries = spy_entries(monkeypatch)
     summed = spy_subset_sums(monkeypatch)
-    j = analysis.j_table
+    j = analysis.tables.j_table
     (live,) = [live_rows(*given) for given in entries]
     assert summed == [(len(live), 1 << ROW_BITS)]
     assert 0 < len(live) < 1 << n - ROW_BITS - 3
@@ -307,7 +306,7 @@ def broadcast_add_components(entries, adj, groups, scale=1):
     np.add.at(hist, edges, -scale)
     hist = plain_subset_sums(hist)
     if core:
-        table = _walk_components(*masks._induced(adj, [mask for mask in groups if mask & core], core))
+        table = _walk_components(*walk._induced(adj, [mask for mask in groups if mask & core], core))
         shape = [2 if groups[g] & core else 1 for g in reversed(range(n))]
         hist.reshape((2,) * n)[...] += scale * table.reshape(shape)
     return hist
@@ -456,7 +455,7 @@ def test_ring_j_table_walks_no_subset():
     css = builders.annulus(22)
     start = time.perf_counter()
     analysis = CssAnalysis(css)
-    j = analysis.j_table
+    j = analysis.tables.j_table
     assert time.perf_counter() - start < 0.25
     assert alternating_sum(j.reshape((2,) * 22)) == analysis.c_n == -2
 
@@ -559,11 +558,13 @@ def test_component_counts_on_shapes(name):
 
 def test_cell_component_graph_cap():
     """One row of single cells of one subsystem, one cell-component past
-    grid.MAX_VERTICES: the graph raises before any mask is built."""
+    grid.MAX_VERTICES: the graph raises before any mask is built, read from
+    the grid or from its tables."""
     labels = (0, OUTSIDE) * MAX_VERTICES + (0,)
-    topo = UnionTopology(GridCss(len(labels), 1, labels))
-    with pytest.raises(TooManySubsystems, match=f"^{MAX_VERTICES + 1} cell-components exceed the graph cap of "):
-        topo._cell_component_graph
+    css = GridCss(len(labels), 1, labels)
+    for read in (lambda: css.cell_components, lambda: UnionTopology(css)._cell_component_graph):
+        with pytest.raises(TooManySubsystems, match=f"^{MAX_VERTICES + 1} cell-components exceed the graph cap of "):
+            read()
 
 
 def test_two_core_matches_the_round_by_round_peel():
@@ -637,7 +638,7 @@ def test_signed_component_sum_stops_at_its_state_cap(monkeypatch):
     adj = SimpleGraph(64, tuple(
         (v, u) for v in range(64) for u in (v + 1, v + 8) if u < 64 and (u == v + 8 or u % 8)
     )).neighbor_masks
-    monkeypatch.setattr(masks, "MAX_WALK_STATES", 5)
+    monkeypatch.setattr(walk, "MAX_WALK_STATES", 5)
     with pytest.raises(TooManySubsystems, match="64 groups exceeds its cap of 5 states"):
         signed_component_sum(adj, singletons(64))
     ring = neighbor_masks(64, [(i, (i + 1) % 64) for i in range(64)])
@@ -688,9 +689,9 @@ def test_signed_component_sum_splits_over_blocks(graph):
     chosen = [groups[g] for g in sorted(ids)]
     assert signed_component_sum(adj, chosen) == table_signed_sum(adj, groups, ids)
     walked = []
-    walk = masks._frontier_walk
+    frontier_walk = walk._frontier_walk
     with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(masks, "_frontier_walk", lambda *args: walked.append(args) or walk(*args))
+        monkeypatch.setattr(walk, "_frontier_walk", lambda *args: walked.append(args) or frontier_walk(*args))
         assert signed_component_sum(adj, groups) == table_signed_sum(adj, groups, range(len(groups)))
     chorded = [mask for mask, cycle in blocks if not cycle and all(g & mask for g in groups)]
     assert len(walked) == (1 if len(groups) <= 2 else len(chorded))
@@ -760,23 +761,23 @@ def frontier_order(adj, groups, owner):
 
 def assert_walk_takes_the_greedy_order(monkeypatch, adj, groups):
     """The vertices the frontier walk visits, recorded from
-    ``masks._next_vertex``, against :func:`frontier_order` on the same
+    ``walk._next_vertex``, against :func:`frontier_order` on the same
     graph: the whole order, or its prefix up to the step where the walk
-    stopped at its state cap.  The walk (``masks._frontier_walk``) is called
+    stopped at its state cap.  The walk (``walk._frontier_walk``) is called
     directly on the subgraph induced by the groups' union, or by its 2-core
     for three groups or more, which holds every block that can hold a cycle
     and is wider than any of them.  Returns whether it stopped."""
-    adj, groups = masks._induced(adj, groups, functools.reduce(operator.or_, groups))
+    adj, groups = walk._induced(adj, groups, functools.reduce(operator.or_, groups))
     if len(groups) > 2:
-        adj, groups = masks._induced(adj, groups, two_core(adj))
+        adj, groups = walk._induced(adj, groups, two_core(adj))
     if not all(groups):
         return False  # signed_component_sum answers 0 with no walk
     choices, stopped = [], []
-    choose, table = masks._next_vertex, masks.component_counts
-    monkeypatch.setattr(masks, "_next_vertex", lambda *args: choices.append(choose(*args)) or choices[-1])
+    choose, table = walk._next_vertex, masks.component_counts
+    monkeypatch.setattr(walk, "_next_vertex", lambda *args: choices.append(choose(*args)) or choices[-1])
     monkeypatch.setattr(masks, "component_counts", lambda *args: stopped.append(True) or table(*args))
     try:
-        masks._frontier_walk(adj, groups)
+        walk._frontier_walk(adj, groups)
     except TooManySubsystems:
         stopped.append(True)
     owner = {v: i for i, mask in enumerate(groups) for v in set_bits(mask)}
@@ -794,7 +795,7 @@ def test_walk_takes_the_greedy_order_on_grids(junction_css, monkeypatch):
     loops = 0
     for css in [*gallery, brick_css(10, 10), *junction_css]:
         analysis = CssAnalysis(css)
-        adj, cv_mask, _ = analysis._cell_component_graph
+        adj, cv_mask, _ = analysis.css.cell_components
         ids = [loop for loop in analysis.hole_loops if not isinstance(loop, str)]
         loops += len(ids)
         for keep in [range(css.n_subsystems), *ids]:
@@ -818,7 +819,7 @@ def test_walk_past_its_cap_stops_on_the_greedy_order(side, monkeypatch):
     adj = SimpleGraph(side * side, tuple(
         (v, u) for v in range(side * side) for u in (v + 1, v + side) if u < side * side and (u == v + side or u % side)
     )).neighbor_masks
-    monkeypatch.setattr(masks, "MAX_WALK_STATES", 5)
+    monkeypatch.setattr(walk, "MAX_WALK_STATES", 5)
     assert assert_walk_takes_the_greedy_order(monkeypatch, adj, singletons(side * side))
 
 
@@ -832,11 +833,11 @@ def test_component_counts_match_bfs(graph):
 def spy_walks(monkeypatch) -> list:
     """Record the (vertices, groups) of each ``masks._walk_components`` call."""
     seen = []
-    walk = masks._walk_components
+    walk_components = masks._walk_components
 
     def spy(adj, groups):
         seen.append((len(adj), len(groups)))
-        return walk(adj, groups)
+        return walk_components(adj, groups)
 
     monkeypatch.setattr(masks, "_walk_components", spy)
     return seen
@@ -1166,11 +1167,11 @@ def test_connected_set_sum_matches_tables_at_junctions(junction_css):
     n_split = 0
     for css in [*junction_css, *fuzzed_cases()[25:]]:
         analysis = CssAnalysis(css)
-        adj, groups, _ = analysis._cell_component_graph
+        adj, groups, _ = analysis.css.cell_components
         counts = connected_set_counts(css.n_subsystems, connected_set_terms(adj, groups))
-        assert np.array_equal(counts, analysis.component_table), css
+        assert np.array_equal(counts, analysis.tables.component_table), css
         signs = subset_signs(css.n_subsystems)
-        assert 2 * int(signs @ counts) - int(signs @ analysis.euler_table) == analysis.c_n, css
+        assert 2 * int(signs @ counts) - int(signs @ analysis.tables.euler_table) == analysis.c_n, css
         n_split += len(adj) > css.n_subsystems
     assert n_split == 20
 
@@ -1189,12 +1190,12 @@ def test_junction_c_n_is_one_signed_connected_set_term(seed, junction_css):
     n = analysis.css.n_subsystems
     loops = analysis.hole_loops
     assert loops and all(isinstance(loop, tuple) and len(loop) < n for loop in loops)
-    adj, groups, _ = analysis._cell_component_graph
+    adj, groups, _ = analysis.css.cell_components
     signed = sum(
         count * (-1) ** near.bit_count()
         for (inside, near), count in connected_set_terms(adj, groups).items()
         if inside | near == (1 << n) - 1
     )
-    m_chi = int(subset_signs(n) @ analysis.euler_table)
+    m_chi = int(subset_signs(n) @ analysis.tables.euler_table)
     assert abs(signed) == 1 and m_chi == 0
     assert 2 * (-1) ** (n - 1) * signed - m_chi == analysis.c_n == JUNCTION_SEEDS[seed]

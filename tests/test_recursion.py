@@ -88,7 +88,7 @@ def test_recursion_builds_entropy_table_once(monkeypatch):
     assert len(calls) == 1
     # the signed sum of the subset entropies, which is I^N, summed in another order
     analysis = CssAnalysis(css)
-    signed = float((analysis.signs * subset_entropy_table(D2, analysis)).sum())
+    signed = float((analysis.tables.signs * subset_entropy_table(D2, analysis)).sum())
     assert result.lhs == pytest.approx(signed, abs=1e-12)
     assert result.lhs == pytest.approx(-analysis.c_n * D2.s_topo, abs=1e-12)
 

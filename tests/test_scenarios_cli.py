@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from topomi import builders, engine, grid, masks, scenarios
+from topomi import builders, engine, grid, masks, scenarios, walk
 from topomi.cli import build_parser, main
 from topomi.errors import NotAnnular, ParseError, TopomiError
 from topomi.grid import parse_grid_json
@@ -690,35 +690,42 @@ def _count_calls(monkeypatch, owner, name: str) -> list:
     return calls
 
 
-def _count_analysis_work(monkeypatch) -> tuple[list, list]:
-    """Record the CSS of every UnionTopology build and footprint flood (find_holes)."""
+def _count_analysis_work(monkeypatch) -> tuple[list, list, list]:
+    """Record the CSS of every CssAnalysis build, footprint flood (find_holes)
+    and set of 2^N tables (UnionTopology build)."""
     builds: list = []
     floods: list = []
-    init = masks.UnionTopology.__init__
+    tables: list = []
     find_holes = grid.find_holes
 
-    def counting_init(self, css):
-        builds.append(css)
-        init(self, css)
+    def counting_init(cls, record):
+        init = cls.__init__
+
+        def counting(self, css):
+            record.append(css)
+            init(self, css)
+
+        monkeypatch.setattr(cls, "__init__", counting)
 
     def counting_find_holes(css):
         floods.append(css)
         return find_holes(css)
 
-    monkeypatch.setattr(masks.UnionTopology, "__init__", counting_init)
+    counting_init(engine.CssAnalysis, builds)
+    counting_init(masks.UnionTopology, tables)
     for module in (grid, engine):
         monkeypatch.setattr(module, "find_holes", counting_find_holes)
-    return builds, floods
+    return builds, floods, tables
 
 
 #: CssAnalysis.c_within calls of a scenario run: one for C^N, one per hole loop
 #: and one per loop of the sub-loop revival
 C_WITHIN_CALLS = {"annulus-n3": 2, "far-handle-n6-span3": 5, "six-hole-eighteen": 7}
-#: frontier walks (masks.signed_component_sum) of the same runs: one per distinct
+#: frontier walks (walk.signed_component_sum) of the same runs: one per distinct
 #: sub-collection, as the annulus's hole loop is the whole CSS and the sub-loop
 #: revival reads the two loops the hole pass walked
 WALKS = {"annulus-n3": 1, "far-handle-n6-span3": 3, "six-hole-eighteen": 7}
-#: block walks (masks._frontier_walk) of the same runs: one per block that is
+#: block walks (walk._frontier_walk) of the same runs: one per block that is
 #: not a plain cycle and meets every subsystem of a sub-collection, here each
 #: C^N of a ring with a chord; every hole loop is a plain cycle, read in closed form
 BLOCK_WALKS = {"annulus-n3": 0, "far-handle-n6-span3": 1, "six-hole-eighteen": 1}
@@ -726,16 +733,17 @@ BLOCK_WALKS = {"annulus-n3": 0, "far-handle-n6-span3": 1, "six-hole-eighteen": 1
 
 @pytest.mark.parametrize("name", sorted(C_WITHIN_CALLS))
 def test_run_scenario_analyses_each_css_once(name, monkeypatch):
-    builds, floods = _count_analysis_work(monkeypatch)
+    builds, floods, tables = _count_analysis_work(monkeypatch)
     c_within = _count_calls(monkeypatch, engine.CssAnalysis, "c_within")
     walks = _count_calls(monkeypatch, engine, "signed_component_sum")
-    block_walks = _count_calls(monkeypatch, masks, "_frontier_walk")
+    block_walks = _count_calls(monkeypatch, walk, "_frontier_walk")
     scn = load_scenario(GALLERY / f"{name}.json")
     assert run_scenario(scn).passed
     # one analysis of the full CSS: its holes are read once, and C^N and the C
     # of every hole loop come from it, each distinct sub-collection walked once
     assert builds == [scenarios.scenario_css(scn)]
     assert floods == builds
+    assert tables == []
     assert len(c_within) == C_WITHIN_CALLS[name]
     assert len(walks) == WALKS[name]
     assert len(block_walks) == BLOCK_WALKS[name]
@@ -748,9 +756,9 @@ def test_analytic_scenarios_build_no_subset_table(monkeypatch):
     under any name it is bound to."""
     built = []
     for owner, name in ((masks, "add_components"), (masks, "meet_histogram"), (masks, "subset_table"),
-                        (masks, "subset_sums"), (masks, "subset_signs"), (engine, "subset_sums")):
+                        (masks, "subset_sums"), (masks, "subset_signs")):
         monkeypatch.setattr(owner, name, lambda *args, name=name, **kwargs: built.append(name))
-    assert not hasattr(engine, "subset_signs") and not hasattr(scenarios, "np")
+    assert not {"subset_sums", "subset_signs", "np", "masks"} & (set(vars(engine)) | set(vars(scenarios)))
     rng = random.Random(40)
     analytic = with_sigma = 0
     for path in suite_paths(GALLERY):
@@ -760,7 +768,7 @@ def test_analytic_scenarios_build_no_subset_table(monkeypatch):
             for run, passes in ((scn, True), (wrong, False)):
                 result, analysis = scenarios.evaluate_scenario(run)
                 assert [c.passed for c in result.checks] == [passes] * len(result.checks), scn.name
-                assert not set(vars(analysis)) & {"j_table", "euler_table", "component_table"}, scn.name
+                assert "tables" not in vars(analysis), scn.name
             analytic += 1
             with_sigma += "sigma" in scn.expected
     assert built == []
@@ -769,12 +777,13 @@ def test_analytic_scenarios_build_no_subset_table(monkeypatch):
 
 def test_gallery_suite_builds_no_entropy_table(monkeypatch):
     # every check compares integers: no float 2^N table is built
-    tables = _count_calls(monkeypatch, engine, "subset_entropy_table")
+    entropy_tables = _count_calls(monkeypatch, engine, "subset_entropy_table")
+    _, _, tables = _count_analysis_work(monkeypatch)
     c_within = _count_calls(monkeypatch, engine.CssAnalysis, "c_within")
     walks = _count_calls(monkeypatch, engine, "signed_component_sum")
-    block_walks = _count_calls(monkeypatch, masks, "_frontier_walk")
+    block_walks = _count_calls(monkeypatch, walk, "_frontier_walk")
     assert run_suite(GALLERY).n_failed == 0
-    assert tables == []
+    assert entropy_tables == [] and tables == []
     assert len(c_within) == 101
     assert len(walks) == 72  # one per distinct sub-collection of each analysis
     # only the blocks with a chord are walked: the C^N of six-hole-eighteen
@@ -800,7 +809,7 @@ def test_rasterized_stabilizer_scenario_validates_its_grid_once(name, monkeypatc
 
 
 def test_cli_csv_reads_and_analyses_once(tmp_path, monkeypatch, capsys):
-    builds, floods = _count_analysis_work(monkeypatch)
+    builds, floods, tables = _count_analysis_work(monkeypatch)
     reads = []
     read_input = scenarios.read_input
 
@@ -812,8 +821,8 @@ def test_cli_csv_reads_and_analyses_once(tmp_path, monkeypatch, capsys):
     out = tmp_path / "table.csv"
     assert main(["analyze", str(GALLERY / "annulus-n3.json"), "--csv", str(out)]) == 0
     assert len(reads) == 1
-    # the full CSS only: its hole loop is read from the same tables
-    assert len(builds) == len(floods) == 1
+    # the full CSS only, and its one set of tables
+    assert len(builds) == len(floods) == len(tables) == 1
     assert out.read_bytes() == (
         b"mask,m,J,sign\r\n1,1,1,1\r\n2,1,1,1\r\n3,2,1,-1\r\n4,1,1,1\r\n"
         b"5,2,1,-1\r\n6,2,1,-1\r\n7,3,2,1\r\n"
@@ -1076,11 +1085,11 @@ def test_cli_vector(capsys):
 
 
 def test_cli_vector_analyses_each_member_once(monkeypatch, capsys):
-    builds, floods = _count_analysis_work(monkeypatch)
+    builds, floods, tables = _count_analysis_work(monkeypatch)
     assert main(["vector", str(GALLERY / "family"), "--json"]) == 0
-    # one flood (the annular check) and one set of tables (|I^p|) per member
+    # one analysis and one flood (the annular check) per member; |I^p| reads no table
     assert [css.n_subsystems for css in floods] == [3, 4, 5, 6]
-    assert builds == floods
+    assert builds == floods and tables == []
 
 
 def test_cli_vector_trivial_phase(capsys):
@@ -1173,13 +1182,13 @@ def test_cli_analyze_labels_a_grid_near_the_cell_cap(tmp_path, capsys):
 def test_cli_csv_is_written_when_a_check_raises(tmp_path, monkeypatch, capsys):
     """Two subsystems have no N-partite information, so the scenario fails,
     but its grid parsed and its J table is written, from the one analysis."""
-    builds, _ = _count_analysis_work(monkeypatch)
+    builds, _, tables = _count_analysis_work(monkeypatch)
     path = tmp_path / "pair.json"
     path.write_text(json.dumps({"css": {"ascii": ["AB"]}}))
     out = tmp_path / "table.csv"
     assert main(["analyze", str(path), "--csv", str(out)]) == 1
     assert "ValidationError: N-partite information needs N >= 3" in capsys.readouterr().out
-    assert len(builds) == 1
+    assert len(builds) == len(tables) == 1
     assert out.read_bytes() == b"mask,m,J,sign\r\n1,1,1,1\r\n2,1,1,1\r\n3,2,1,-1\r\n"
 
 
@@ -1258,3 +1267,31 @@ def test_cli_entry_point_runs():
         capture_output=True, text=True,
     )
     assert proc.returncode == 0
+
+
+#: run ``topomi.cli.main`` on the arguments, or only ``import topomi`` with
+#: none, in a fresh process, and print the exit code and whether numpy loaded
+_NUMPY_PROBE = (
+    "import contextlib, io, sys\n"
+    "import topomi\n"
+    "from topomi.cli import main\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    code = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+    "print(code, 'numpy' in sys.modules)\n"
+)
+
+
+@pytest.mark.installed
+def test_only_the_csv_table_imports_numpy(tmp_path):
+    """``import topomi`` and every command but ``analyze --csv`` leave numpy
+    unimported: C, rho, sigma and the oracle build no 2^N table, and only
+    :mod:`topomi.masks`, which builds them, imports numpy."""
+    plain = [[]]
+    for name in ("annulus-n3", "six-hole-eighteen", "graph-cycle-n5", "stab-torus4-n3", "stab-torus8-n3-raster"):
+        plain += [["analyze", str(GALLERY / f"{name}.json")], ["analyze", str(GALLERY / f"{name}.json"), "--json"]]
+    plain += [["suite"], ["suite", "--json"], ["rho", str(GALLERY / "graph-cycle-n5.json")],
+              ["stabilizer", str(GALLERY / "stab-torus4-n3.json"), "--json"], ["vector", str(GALLERY / "family")]]
+    csv = ["analyze", str(GALLERY / "annulus-n3.json"), "--csv", str(tmp_path / "j.csv")]
+    for args, loads in [*((args, False) for args in plain), (csv, True)]:
+        proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *args], capture_output=True, text=True, timeout=60)
+        assert proc.stdout.split() == ["0", str(loads)], (args, proc.stdout, proc.stderr)

@@ -9,7 +9,7 @@ the cycle graph in id order.
 from __future__ import annotations
 
 import random
-from typing import Sequence
+from collections.abc import Sequence
 
 from .errors import ValidationError
 from .grid import OUTSIDE, GridCss, parse_ascii, window_pinch

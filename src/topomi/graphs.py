@@ -24,7 +24,7 @@ Every table is capped at ``masks.MAX_SUBSYSTEMS`` vertices or subsystems.
 
 from __future__ import annotations
 
-from typing import Mapping
+from collections.abc import Mapping
 
 from .engine import CssAnalysis
 from .errors import ParseError, PreconditionViolated

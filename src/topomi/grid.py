@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import json
 import operator
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     DisconnectedCss,

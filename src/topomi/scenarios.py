@@ -17,10 +17,11 @@ from __future__ import annotations
 import math
 import time
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 from . import engine, graphs, stabilizer
 from .engine import SCHEMA, CssAnalysis

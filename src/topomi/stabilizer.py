@@ -19,18 +19,18 @@ none (the tests do, with ``oracle_reference.state_from_rows``).  The exact
 I^N, for up to 18 regions, reduces each region's columns to a basis of
 their span: for two regions or more the |A| terms cancel in the
 alternating sum, which leaves the signed sum of the dimensions of the
-regions' joint column spans.
-That is one pass over the regions in the order of their lowest qubits, a
-sweep across the lattice, whose states are the subspaces the regions
-behind share with those ahead: a handful on a ring of regions, where a
-walk over the subsets would visit 2^N - 1.
+regions' joint column spans.  One elimination hands each region's overlap
+with the regions ahead to one pass over the regions in the order of their
+lowest qubits, a sweep across the lattice, whose states are the subspaces
+the regions behind share with those ahead: a handful on a ring of regions,
+where a walk over the subsets would visit 2^N - 1.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     EmptyRegion,
@@ -41,7 +41,7 @@ from .errors import (
     ValidationError,
     WindingRegion,
 )
-from .grid import OUTSIDE, GridCss, json_int, parse_grid_json, set_bits
+from .grid import OUTSIDE, GridCss, index_int, json_int, parse_grid_json, set_bits
 
 #: regions of an exact I^N; its pass over the regions keeps one state per
 #: subspace shared by the regions behind and ahead, and a scattered map can
@@ -62,6 +62,8 @@ class CodeLattice:
     boundary: str = "torus"  # "torus" or "planar"
 
     def __post_init__(self):
+        for name in ("lx", "ly"):
+            object.__setattr__(self, name, index_int(getattr(self, name), f"lattice {name}"))
         if self.boundary not in ("torus", "planar"):
             raise ValidationError(f"boundary must be 'torus' or 'planar', got {self.boundary!r}")
         if self.lx < 2 or self.ly < 2:
@@ -112,6 +114,7 @@ class StabilizerState:
     columns: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "n", index_int(self.n, "qubit count"))
         if len(self.columns) != 2 * self.n:
             raise ValidationError(f"{len(self.columns)} columns for {self.n} qubits; need {2 * self.n}")
         top = 1 << self.n
@@ -231,6 +234,7 @@ class QubitRegionMap:
     css: GridCss | None = None  # the grid the regions were rasterized from, if any
 
     def __post_init__(self):
+        object.__setattr__(self, "n_qubits", index_int(self.n_qubits, "qubit count"))
         # one union, a size sum and its bounds; the loop below names the first offender
         qubits = set().union(*self.regions)
         if all(self.regions) and len(qubits) == sum(map(len, self.regions)) and (
@@ -302,39 +306,39 @@ def _split(rows: tuple[int, ...], dim: int) -> int:
     return len(rows)
 
 
-def _flag_basis(spaces: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]], list[int]]:
-    """A basis b_0, b_1, ... adapted to the flag Z_{N-1} <= ... <= Z_0,
-    Z_j = the span of ``spaces[j:]``, each space's vectors in it, and dim Z_j
-    for j = 0..N (dim Z_N = 0).
+def _overlaps(spaces: Sequence[Sequence[int]]) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Each space's overlap V_j & Z_{j+1} with the spaces after it, Z_j the
+    span of ``spaces[j:]``, and dim Z_j for j = 0..N (dim Z_N = 0).
 
-    b_0..b_{dim Z_j - 1} span Z_j, so a subspace of Z_j meets Z_{j+1} in the
-    rows of its reduced echelon basis (in these coordinates) whose pivot lies
-    below bit dim Z_{j+1} (:func:`_split`).  The spaces are eliminated last
-    first, and each vector of ``spaces[j]`` independent of those before it
-    is the next basis vector itself, so V_j holds b_t for every bit t of Z_j
-    above Z_{j+1}.
+    The spaces are eliminated last first, and each vector of ``spaces[j]``
+    independent of those before it is the next basis vector b_t itself, so
+    the first dim Z_j of b_0, b_1, ... span Z_j and V_j holds b_t for every
+    bit t of Z_j above Z_{j+1}.  In these flag coordinates a subspace of Z_j
+    meets Z_{j+1} in the rows of its reduced echelon basis whose pivot lies
+    below bit dim Z_{j+1} (:func:`_split`), and the coordinates' bits below
+    it of the vectors that reduce to 0 span the overlap, kept as a reduced
+    echelon basis (:func:`_join`).
     """
-    basis: list[int] = []
     pivots: dict[int, tuple[int, int]] = {}  # highest bit -> (vector, its coordinates)
-    coordinates: list[list[int]] = [[] for _ in spaces]
+    overlaps: list[tuple[int, ...]] = [()] * len(spaces)
     dims = [0] * (len(spaces) + 1)
     for j in reversed(range(len(spaces))):
+        low, kept = (1 << len(pivots)) - 1, []
         for v in spaces[j]:
-            r, c = v, 0  # v = r + the vectors whose coordinates XOR to c
-            while r:
-                top = r.bit_length() - 1
+            c = 0  # the vector read = v + the basis vectors of coordinates c
+            while v:
+                top = v.bit_length() - 1
                 if top not in pivots:
-                    new = 1 << len(basis)
-                    pivots[top] = (r, new ^ c)
-                    basis.append(v)
-                    c = new
+                    pivots[top] = (v, (1 << len(pivots)) ^ c)
                     break
                 p, pc = pivots[top]
-                r ^= p
+                v ^= p
                 c ^= pc
-            coordinates[j].append(c)
-        dims[j] = len(basis)
-    return basis, coordinates, dims
+            else:
+                kept.append(c & low)
+        overlaps[j] = _join((), kept)
+        dims[j] = len(pivots)
+    return overlaps, dims
 
 
 def _signed_rank_sum(spaces: Sequence[Sequence[int]]) -> tuple[int, int]:
@@ -346,24 +350,23 @@ def _signed_rank_sum(spaces: Sequence[Sequence[int]]) -> tuple[int, int]:
     dim V_j - dim(W_T & V_j), which depends only on W = W_T & Z_j, and
     (W_T + V_j) & Z_{j+1} = (W + V_j) & Z_{j+1}.  So the subsets that reach
     step j with the same W share one state, keyed by its reduced echelon
-    basis in the flag coordinates (:func:`_flag_basis`), whose value is
+    basis in the flag coordinates of :func:`_overlaps`, whose value is
     (sum of signs, sum of sign * dim W_T): leaving V_j out negates it and
-    keeps W & Z_{j+1}, taking V_j in adds sign * (dimension gained) to the
-    second term, and a state whose value is (0, 0) is dropped.  The states
-    number with the relations between the spaces behind and ahead of the
-    step, not with 2^N.
+    keeps W & Z_{j+1} (:func:`_split`), taking V_j in adds
+    sign * (dimension gained) to the second term, and a state whose value
+    is (0, 0) is dropped.  The states number with the relations between
+    the spaces behind and ahead of the step, not with 2^N.
 
     V_j holds the basis vector of each bit of Z_j above Z_{j+1}, so W + V_j
     is those bits plus (W + V_j) & Z_{j+1}, which W's rows with their high
-    bits dropped span together with V_j & Z_{j+1}.
+    bits dropped span together with the overlap V_j & Z_{j+1}.
     """
-    _, coordinates, dims = _flag_basis(spaces)
+    overlaps, dims = _overlaps(spaces)
     states: dict[tuple[int, ...], tuple[int, int]] = {(): (1, 0)}
     peak = 1
-    for j, space in enumerate(coordinates):
+    for j, within in enumerate(overlaps):
         ahead = dims[j + 1]
         low = (1 << ahead) - 1
-        within = _join((), [c & low for c in space])  # V_j & Z_{j+1}
         step: dict[tuple[int, ...], tuple[int, int]] = {}
         for key, (sign, total) in states.items():
             below = key[_split(key, ahead):]
@@ -388,10 +391,10 @@ def multipartite_information_exact(state: StabilizerState, region_map: QubitRegi
         I^N = (-1)^(N+1) sum_{T} (-1)^(N-|T|) dim W_T,   W_T = sum_{j in T} V_j,
 
     with V_j the span of region j's X and Z columns, reduced to a basis
-    (:func:`_region_bases`).  The sum is one pass over the regions in the
-    order of their lowest qubits, whose states are the subspaces the
-    regions placed share with those still ahead (:func:`_signed_rank_sum`),
-    a handful on a ring of any length.  N = 1 is S(A_1) itself.
+    (:func:`_region_bases`).  The sum is one pass over the regions' overlaps
+    (:func:`_overlaps`) in the order of their lowest qubits, whose states are
+    the subspaces the regions placed share with those still ahead
+    (:func:`_signed_rank_sum`), a handful on a ring.  N = 1 is S(A_1) itself.
     """
     n = region_map.n_subsystems
     if n > EXACT_SUBSET_CAP:

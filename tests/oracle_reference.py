@@ -6,9 +6,11 @@ the state's column table (``generator_rows``); ``state_from_rows`` is the
 checked way back from generators to a state, ``h_edge`` and ``v_edge`` look
 up an edge's qubit, and ``region_union`` joins regions by id;
 ``region_entropy_source`` and ``strong_subadditivity_combination`` compute
-the subadditivity combination from any entropy source; ``annulus_family``,
-``path_graph`` and ``cycle_graph`` are inputs whose answers are known in
-closed form.  The file's name does not start with ``test_``, so pytest does
+the subadditivity combination from any entropy source; ``flag_basis`` is
+the exact pass's elimination with its basis and coordinates kept, which
+``flag_overlaps`` reduces to the overlaps of ``stabilizer._overlaps``;
+``annulus_family``, ``path_graph`` and ``cycle_graph`` are inputs whose
+answers are known in closed form.  The file's name does not start with ``test_``, so pytest does
 not collect it; the test modules import it from ``tests/``.
 """
 
@@ -23,7 +25,15 @@ from topomi.builders import annulus
 from topomi.engine import CssAnalysis, annular_order
 from topomi.errors import TooManyQubits, ValidationError
 from topomi.grid import GridCss, SimpleGraph, pack_bits, set_bits
-from topomi.stabilizer import CodeLattice, QubitRegionMap, StabilizerState, _as_qubit_mask, _echelon, entropy_bits
+from topomi.stabilizer import (
+    CodeLattice,
+    QubitRegionMap,
+    StabilizerState,
+    _as_qubit_mask,
+    _echelon,
+    _join,
+    entropy_bits,
+)
 
 #: dense 2**n state vectors
 BRUTE_CAP = 12
@@ -81,6 +91,50 @@ def h_edge(lattice: CodeLattice, i: int, j: int) -> int:
 def v_edge(lattice: CodeLattice, i: int, j: int) -> int:
     """Qubit on the edge (i, j)-(i, j+1)."""
     return _edge_qubit(lattice, lattice.edge_qubits[1], i, j, "vertical edge")
+
+
+def flag_basis(spaces: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]], list[int]]:
+    """A basis b_0, b_1, ... adapted to the flag Z_{N-1} <= ... <= Z_0,
+    Z_j = the span of ``spaces[j:]``, each space's vectors in it, and dim Z_j
+    for j = 0..N (dim Z_N = 0).
+
+    b_0..b_{dim Z_j - 1} span Z_j, so a subspace of Z_j meets Z_{j+1} in the
+    rows of its reduced echelon basis (in these coordinates) whose pivot lies
+    below bit dim Z_{j+1} (``stabilizer._split``).  The spaces are eliminated
+    last first, and each vector of ``spaces[j]`` independent of those before
+    it is the next basis vector itself, so V_j holds b_t for every bit t of
+    Z_j above Z_{j+1}.
+    """
+    basis: list[int] = []
+    pivots: dict[int, tuple[int, int]] = {}  # highest bit -> (vector, its coordinates)
+    coordinates: list[list[int]] = [[] for _ in spaces]
+    dims = [0] * (len(spaces) + 1)
+    for j in reversed(range(len(spaces))):
+        for v in spaces[j]:
+            r, c = v, 0  # v = r + the vectors whose coordinates XOR to c
+            while r:
+                top = r.bit_length() - 1
+                if top not in pivots:
+                    new = 1 << len(basis)
+                    pivots[top] = (r, new ^ c)
+                    basis.append(v)
+                    c = new
+                    break
+                p, pc = pivots[top]
+                r ^= p
+                c ^= pc
+            coordinates[j].append(c)
+        dims[j] = len(basis)
+    return basis, coordinates, dims
+
+
+def flag_overlaps(spaces: Sequence[Sequence[int]]) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Each space's overlap V_j & Z_{j+1}, the reduced echelon basis of its
+    coordinates' bits below dim Z_{j+1}, and the dimensions, from
+    :func:`flag_basis`."""
+    _, coordinates, dims = flag_basis(spaces)
+    low = [(1 << dims[j + 1]) - 1 for j in range(len(spaces))]
+    return [_join((), [c & low[j] for c in space]) for j, space in enumerate(coordinates)], dims
 
 
 def region_union(region_map: QubitRegionMap, ids: Iterable[int]) -> frozenset:

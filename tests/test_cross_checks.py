@@ -15,6 +15,7 @@ from topomi.stabilizer import (
     CodeLattice,
     QubitRegionMap,
     _echelon,
+    _overlaps,
     _region_bases,
     _signed_rank_sum,
     build_code,
@@ -24,6 +25,7 @@ from topomi.stabilizer import (
 )
 
 from oracle_reference import (
+    flag_overlaps,
     h_edge,
     region_entropy_source,
     region_union,
@@ -226,6 +228,20 @@ def test_twelve_arc_ring_relations_are_the_non_additive_entropy(side, scale):
     stacked = [v for basis in bases for v in basis]
     union = entropy_bits(state, region_union(region_map, range(12)))
     assert len(stacked) - len(_echelon(stacked)) == sum(entropies) - union > 0
+
+
+@pytest.mark.parametrize("side, scale", TWELVE_ARC_LATTICES)
+def test_overlaps_match_the_reference_basis_on_twelve_arc_rings(side, scale):
+    """On the benchmark's rings the elimination hands over the overlaps and
+    dimensions the reference flag basis gives; the last region has none
+    ahead, and the others overlap those ahead."""
+    lattice = CodeLattice(side, side, "torus")
+    state = build_code(lattice)
+    for seed in range(3):
+        bases = _region_bases(state, rasterize_css(lattice, twelve_arc_ring(side, scale, seed)))
+        overlaps, dims = _overlaps(bases)
+        assert (overlaps, dims) == flag_overlaps(bases)
+        assert all(overlaps[:-1]) and overlaps[-1] == ()
 
 
 ANALYTIC_GALLERY = [

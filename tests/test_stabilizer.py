@@ -32,8 +32,8 @@ from topomi.stabilizer import (
     QubitRegionMap,
     StabilizerState,
     _echelon,
-    _flag_basis,
     _join,
+    _overlaps,
     _region_bases,
     _signed_rank_sum,
     _split,
@@ -48,6 +48,8 @@ from topomi.stabilizer import (
 from flood_reference import perimeter_links
 from oracle_reference import (
     brute_force_entropy,
+    flag_basis,
+    flag_overlaps,
     generator_rows,
     h_edge,
     region_entropy_source,
@@ -77,6 +79,32 @@ def test_lattice_too_small():
         CodeLattice(1, 4, "torus")
     with pytest.raises(ValidationError):
         CodeLattice(3, 3, "weird")
+
+
+@pytest.mark.parametrize("make, value", [
+    (lambda: CodeLattice(3.5, 3, "torus"), "3.5"),
+    (lambda: CodeLattice("4", 3, "torus"), "'4'"),
+    (lambda: CodeLattice(None, 3, "torus"), "None"),
+    (lambda: CodeLattice(3, 2.5, "planar"), "2.5"),
+    (lambda: StabilizerState(2.0, (0, 1, 0, 1)), "2.0"),
+    (lambda: StabilizerState("2", (0, 1, 0, 1)), "'2'"),
+    (lambda: QubitRegionMap(4.0, (frozenset({0}),)), "4.0"),
+    (lambda: QubitRegionMap("4", (frozenset({0}),)), "'4'"),
+], ids=["lx-float", "lx-str", "lx-none", "ly-float", "n-float", "n-str", "map-float", "map-str"])
+def test_scalar_fields_that_are_no_integer_are_named(make, value):
+    """A lattice side, a state's qubit count or a map's qubit count that is
+    no integer is a ValidationError naming it, not a bare TypeError later
+    or a string doubled into the column count."""
+    with pytest.raises(ValidationError, match=f"must be an integer, got {re.escape(value)}$"):
+        make()
+
+
+def test_numpy_integer_scalar_fields_are_ints():
+    lattice = CodeLattice(np.int64(4), np.int64(4), "torus")
+    assert type(lattice.lx) is type(lattice.n_qubits) is int and lattice.n_qubits == 32
+    state = build_code(lattice)
+    assert type(StabilizerState(np.int64(state.n), state.columns).n) is int
+    assert type(QubitRegionMap(np.int64(32), (frozenset({0}),)).n_qubits) is int
 
 
 def test_lattice_qubit_cap():
@@ -663,13 +691,17 @@ def test_join_is_the_reduced_basis_of_the_sum():
 def test_flag_basis_intersection_matches_span_enumeration():
     """In the flag coordinates, a subspace W of Z_j meets Z_{j+1} in the rows
     of its reduced basis below bit dim Z_{j+1}, as span enumeration finds,
-    and V_j holds the basis vector of each bit of Z_j above Z_{j+1}."""
+    and V_j holds the basis vector of each bit of Z_j above Z_{j+1}; the
+    elimination's overlaps are those the reference basis gives, and each
+    spans V_j & Z_{j+1}."""
     rng = random.Random(1723)
     cut_somewhere = 0
     for _ in range(200):
         width, n = rng.randint(1, 6), rng.randint(1, 5)
         spaces = _random_spaces(rng, width, n)
-        basis, coordinates, dims = _flag_basis(spaces)
+        basis, coordinates, dims = flag_basis(spaces)
+        overlaps, got_dims = _overlaps(spaces)
+        assert (overlaps, got_dims) == flag_overlaps(spaces)
 
         def vector(c):  # coordinates back to a vector
             out = 0
@@ -685,6 +717,7 @@ def test_flag_basis_intersection_matches_span_enumeration():
             assert len(z_j) == 1 << dims[j] and _span(basis[:dims[j]]) == z_j
             assert [vector(c) for c in coordinates[j]] == list(spaces[j])
             assert all(basis[t] in _span(spaces[j]) for t in range(dims[j + 1], dims[j]))
+            assert {vector(c) for c in _span(overlaps[j])} == _span(spaces[j]) & z_next
             w = [rng.randrange(1 << dims[j]) for _ in range(rng.randint(0, 3))] if dims[j] else []
             rows = _join((), w)
             cut = _split(rows, dims[j + 1])

@@ -250,7 +250,10 @@ class InfoSummary:
 
 @dataclass(frozen=True)
 class InfoReport(InfoSummary):
-    """The summary plus the J of every subset mask."""
+    """The summary plus the J of every subset mask, the analysis's
+    ``tables.j_table``: int8, int16 or int32, the narrowest that holds
+    L - 1 for the L components of the grid's labelling, which bounds every
+    J.  Widen it before arithmetic that can leave that range."""
 
     per_subset_j: np.ndarray
 

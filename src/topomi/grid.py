@@ -80,17 +80,26 @@ class GridCss:
     junctions: tuple[tuple[int, int, int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name in ("width", "height"):
+            object.__setattr__(self, name, index_int(getattr(self, name), f"grid {name}"))
         if self.width <= 0 or self.height <= 0:
             raise ValidationError("grid dimensions must be positive")
         if self.width * self.height > CELL_CAP:
             raise ValidationError(
                 f"grid has {self.width * self.height} cells, cap is {CELL_CAP}"
             )
+        try:
+            object.__setattr__(self, "labels", tuple(self.labels))  # no copy of a tuple
+            distinct = set(self.labels)
+        except TypeError:
+            raise ValidationError(f"grid labels must be a sequence of integers, got {self.labels!r}") from None
         if len(self.labels) != self.width * self.height:
             raise ValidationError(
                 f"expected {self.width * self.height} labels, got {len(self.labels)}"
             )
-        present = sorted(set(self.labels) - {OUTSIDE})
+        for value in distinct:  # each distinct value once, not each cell
+            index_int(value, "a grid label")
+        present = sorted(distinct - {OUTSIDE})
         if not present:
             raise ValidationError("grid contains no subsystem cells")
         if present[0] < 0 or present != list(range(len(present))):
@@ -251,6 +260,8 @@ def parse_ascii(text: str, name: str = "") -> GridCss:
     """Parse the one-character-per-cell text format: each line is a row of
     :func:`parse_grid_json`'s ``"ascii"`` list, but for the empty lines and
     the comments (:func:`ascii_rows`)."""
+    if not isinstance(text, str):
+        raise ParseError(f"grid text must be a string, got {text!r}")
     return parse_grid_json({"ascii": ascii_rows(text)}, name)
 
 

@@ -35,10 +35,15 @@ counts combinatorially:
   those blocks, so their vertices and edges add no entry;
 * pinch-freeness (enforced by grid validation) makes the complex
   homotopy-faithful, so holes = components - chi and J = 2*components - chi.
-  J is built in one int32 table: the -chi feature entries and twice the
+  J is built in one table: the -chi feature entries and twice the
   component entries are summed over subsets once, and twice the chorded
   blocks' walked table is added to it a row of 2^``ROW_BITS`` entries at
-  a time.
+  a time.  That table is the narrowest of int8, int16 and int32 that holds
+  L - 1, L being the number of components of the grid's labelling, which
+  bounds every J (:attr:`UnionTopology.j_table`).  Its sums are taken in
+  that type modulo 2^bits, which is exact as every final entry lies in
+  [0, L - 1]; widen before arithmetic that can leave the range.  The Euler,
+  link and component tables are int32.
 
 C and rho read no table (:mod:`topomi.walk`) unless a walk passes its state
 cap, and then its block's :func:`alternating_sum`.  This is the one module
@@ -134,9 +139,13 @@ def meet_histogram(weighted_users) -> tuple[np.ndarray, np.ndarray]:
         sub = (sub - 1) & users
 
 
-def subset_table(n: int, entries: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """The int32 2^n table whose entry S is the summed weight of the
-    (masks, weights) ``entries`` whose mask is a subset of S.
+def subset_table(n: int, entries: tuple[np.ndarray, np.ndarray], dtype=np.int32) -> np.ndarray:
+    """The 2^n table of signed integer ``dtype`` whose entry S is the summed
+    weight of the (masks, weights) ``entries`` whose mask is a subset of S.
+
+    The sums are taken in ``dtype`` itself, modulo 2^bits: numpy's integer
+    add and its narrowing assignment wrap, so a partial sum may leave the
+    type's range, and each entry is exact when its final value lies in it.
 
     Entries of one mask are merged and those of weight 0 dropped.  Seen as
     rows of 2^r entries, r = min(n, ``ROW_BITS``), a row is live when an
@@ -156,10 +165,10 @@ def subset_table(n: int, entries: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     keys, weights = keys[weights != 0], weights[weights != 0]
     r = min(n, ROW_BITS)
     rows, at = np.unique(keys >> r, return_inverse=True)
-    low = np.zeros((len(rows), 1 << r), dtype=np.int32)
+    low = np.zeros((len(rows), 1 << r), dtype=dtype)
     low[at, keys & (1 << r) - 1] = weights
     live = dict(zip(rows.tolist(), subset_sums(low)))
-    table = np.empty(1 << n, dtype=np.int32)
+    table = np.empty(1 << n, dtype=dtype)
     table[:1 << r] = live.pop(0, 0)
     for j in range(n - r):
         size = 1 << j + r
@@ -181,7 +190,7 @@ def alternating_sum(view: np.ndarray) -> int:
 
     That is the empty-set entry plus (-1)**(k-1) times the top Moebius
     coefficient, read by halving each axis as ``view[1] - view[0]``, the
-    first time into int64, so an int32 table sums exactly and no table of
+    first time into int64, so a narrow table sums exactly and no table of
     signs is built.
     """
     top = view
@@ -218,10 +227,11 @@ def component_counts(adj: list[int], groups: list[int]) -> np.ndarray:
     return add_components(NO_ENTRIES, adj, groups)
 
 
-def add_components(entries, adj: list[int], groups: list[int], scale: int = 1) -> np.ndarray:
-    """The int32 :func:`subset_table` of the (masks, weights) ``entries`` over
-    the n = len(groups) groups, plus ``scale`` times :func:`component_counts`
-    of ``adj`` and ``groups``.
+def add_components(entries, adj: list[int], groups: list[int], scale: int = 1, dtype=np.int32) -> np.ndarray:
+    """The :func:`subset_table` of ``dtype`` of the (masks, weights)
+    ``entries`` over the n = len(groups) groups, plus ``scale`` times
+    :func:`component_counts` of ``adj`` and ``groups``, summed modulo
+    2^bits of ``dtype`` as in :func:`subset_table`.
 
     Components = |V| - |E| + cycle rank for every induced subgraph, and its
     cycle rank is the sum of its blocks' own, each the cycle rank of the
@@ -233,10 +243,11 @@ def add_components(entries, adj: list[int], groups: list[int], scale: int = 1) -
     walked instead (:func:`_walk_components`), together, on their own edges
     and over the groups that own their vertices: that walk counts their
     vertices, edges and cycle rank at once, so those add no entry.  With no
-    such block nothing is walked.  The walked table is spread once over a
-    row of 2^r entries, r = min(n, ``ROW_BITS``), for each setting of its
-    groups at bit r and above, and added over the (2,)*(n-r) x 2^r view of
-    the table, whose inner loop is one whole row.
+    such block nothing is walked.  The walked table, cast to ``dtype``
+    (which wraps, as the sums do), is spread once over a row of 2^r
+    entries, r = min(n, ``ROW_BITS``), for each setting of its groups at
+    bit r and above, and added over the (2,)*(n-r) x 2^r view of the
+    table, whose inner loop is one whole row.
     """
     n = len(groups)
     owner = pack_bits(((v, g) for g, mask in enumerate(groups) for v in set_bits(mask)), len(adj))  # v's group's bit
@@ -251,13 +262,14 @@ def add_components(entries, adj: list[int], groups: list[int], scale: int = 1) -
     keys = [owner[v] for v in range(len(adj)) if not own[v]] + cycles
     edges = [owner[v] | owner[u] for v in range(len(adj)) for u in set_bits(adj[v] & ~own[v]) if u < v]
     table = subset_table(n, (np.concatenate([entries[0], np.array(keys + edges, dtype=np.int64)]),
-                             np.concatenate([entries[1], np.repeat([scale, -scale], [len(keys), len(edges)])])))
+                             np.concatenate([entries[1], np.repeat([scale, -scale], [len(keys), len(edges)])])),
+                         dtype)
     chorded = sum(1 << v for v in range(len(adj)) if own[v])
     if not chorded:
         return table
 
     walk = _walk_components(*_induced(own, [mask for mask in groups if mask & chorded], chorded))
-    walk *= scale
+    walk = (walk * scale).astype(dtype)  # narrowed modulo 2^bits, so the add below stays in dtype
     # the axes of the (2,)*n view run from the top bit down; the last r form a row
     shape = [2 if groups[g] & chorded else 1 for g in reversed(range(n))]
     r = min(n, ROW_BITS)
@@ -375,11 +387,11 @@ class UnionTopology:
         """The grid's cell-component graph (``GridCss.cell_components``)."""
         return self.css.cell_components
 
-    def _add_components(self, entries, scale: int) -> np.ndarray:
+    def _add_components(self, entries, scale: int, dtype=np.int32) -> np.ndarray:
         """:func:`add_components` on the cell-component graph, over the N subsystems."""
         self.n  # TooManySubsystems above the cap
         adj, cv_mask, _ = self._cell_component_graph
-        return add_components(entries, adj, cv_mask, scale)
+        return add_components(entries, adj, cv_mask, scale, dtype)
 
     @cached_property
     def component_table(self) -> np.ndarray:
@@ -387,7 +399,17 @@ class UnionTopology:
 
     @cached_property
     def j_table(self) -> np.ndarray:
-        """Disconnected-boundary count J of the union, per mask (int32).
+        """Disconnected-boundary count J of the union, per mask, in the
+        narrowest of int8, int16 and int32 that holds L - 1, L being the
+        number of components of the grid's labelling.
+
+        J(S) <= L - 1: each component of S's union holds a labelling
+        component with a label in S, and each hole of the union holds one
+        that is not component 0, the outside.  The bound is tight (a
+        subsystem with k one-cell holes, one of them filled by another).
+        Every J lies in [0, L - 1], so the sums taken modulo 2^bits
+        (:func:`subset_table`) are exact; widen before arithmetic that can
+        leave the range.
 
         components + holes, with holes = components - chi for a pinch-free
         complex: the -chi feature entries and twice the component entries,
@@ -395,11 +417,15 @@ class UnionTopology:
         histogram first), plus twice the chorded blocks' walked table, added
         a row of 2^``ROW_BITS`` entries at a time (:func:`add_components`).
         """
-        return self._add_components(meet_histogram([(users, -weight) for users, weight in self._euler_features]), 2)
+        bound = len(self.css.labelling[0]) - 1
+        dtype = next(t for t in (np.int8, np.int16, np.int32) if bound <= np.iinfo(t).max)
+        entries = meet_histogram([(users, -weight) for users, weight in self._euler_features])
+        return self._add_components(entries, 2, dtype)
 
 
-#: rows of the J table that ``write_subset_table_csv`` converts at a time
-CSV_BLOCK = 1 << 16
+#: rows of the J table that ``write_subset_table_csv`` converts at a time;
+#: its peak memory, about 100 bytes a row, scales with this (0.8 MB at 2^13)
+CSV_BLOCK = 1 << 13
 
 
 def write_subset_table_csv(j_table: np.ndarray, fileobj) -> None:

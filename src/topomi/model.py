@@ -19,6 +19,7 @@ Entropies are reported in the units of the selected log base (nats for
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -33,14 +34,14 @@ class EntropyModel:
     log_base: str = "e"
 
     def __post_init__(self):
-        if self.log_base not in _BASE_SCALE:
+        if not (isinstance(self.log_base, str) and self.log_base in _BASE_SCALE):
             raise ValidationError(f"log_base must be 'e' or '2', got {self.log_base!r}")
-        if not 1.0 <= self.quantum_dimension < math.inf:
+        if not (isinstance(self.quantum_dimension, numbers.Real) and 1.0 <= self.quantum_dimension < math.inf):
             raise ValidationError(
-                f"quantum dimension must be finite and >= 1, got {self.quantum_dimension}"
+                f"quantum dimension must be finite and >= 1, got {self.quantum_dimension!r}"
             )
-        if self.alpha is not None and not 0 <= self.alpha < math.inf:
-            raise ValidationError(f"alpha must be finite and >= 0, got {self.alpha}")
+        if self.alpha is not None and not (isinstance(self.alpha, numbers.Real) and 0 <= self.alpha < math.inf):
+            raise ValidationError(f"alpha must be finite and >= 0, got {self.alpha!r}")
 
     def log(self, x: float) -> float:
         """log of x in the selected base."""

@@ -350,7 +350,7 @@ def test_csv_writer_holds_one_block_of_rows_at_a_time():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # about 6.4 MB against a 4 MB table; whole-table lists peaked at 65 MB
+    # about 0.8 MB against a 1 MB int8 table; whole-table lists peaked at 65 MB
     assert peak < 2 * j_table.nbytes, (peak, j_table.nbytes)
     buf = io.StringIO()
     write_subset_table_csv(j_table, buf)

@@ -80,6 +80,35 @@ def test_cell_cap():
         GridCss(2048, 2048, ())
 
 
+@pytest.mark.parametrize("args, match", [
+    ((2.0, 2, (0,) * 4), "grid width must be an integer, got 2.0"),
+    ((2, "2", (0,) * 4), "grid height must be an integer, got '2'"),
+    ((2, 2, None), "grid labels must be a sequence of integers, got None"),
+    ((2, 2, 7), "grid labels must be a sequence of integers, got 7"),
+    ((2, 2, (0, 0, [1], 0)), r"grid labels must be a sequence of integers"),
+    ((2, 2, (0, 0, "a", 0)), "a grid label must be an integer, got 'a'"),
+    ((2, 1, (0, 1.0)), "a grid label must be an integer, got 1.0"),
+    ((2, 2, "AAAA"), "a grid label must be an integer, got 'A'"),
+])
+def test_grid_fields_that_are_no_integers_are_validation_errors(args, match):
+    with pytest.raises(ValidationError, match=f"^{match}"):
+        GridCss(*args)
+
+
+def test_grid_integer_fields_are_read_as_ints():
+    """A bool width or height is stored as its int value, and labels given
+    as a list are stored as a tuple."""
+    css = GridCss(True, True, [0])
+    assert (type(css.width), type(css.height), css.width, css.height) == (int, int, 1, 1)
+    assert css.labels == (0,) and css == GridCss(1, 1, (0,))
+
+
+def test_parse_ascii_of_no_string_is_a_parse_error():
+    for text in (5, None, b"AB", ["AB"]):
+        with pytest.raises(ParseError, match="^grid text must be a string, got "):
+            parse_ascii(text)
+
+
 def test_ascii_round_trip():
     css = builders.two_hole_five()
     again = parse_ascii(css.to_ascii())

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 import operator
 import random
 import time
@@ -195,15 +196,61 @@ def test_labelling_matches_flood_fill_reference(junction_css):
     assert (disconnected, split, holes) == (74, 20, 247)
 
 
+def j_dtype(css):
+    """The narrowest of int8, int16 and int32 that holds L - 1, L being the
+    number of components of the grid's labelling."""
+    bound = len(css.labelling[0]) - 1
+    return np.int8 if bound <= 127 else np.int16 if bound <= 32767 else np.int32
+
+
+def assert_j_is_twice_components_minus_euler(css):
+    """J in the dtype the labelling bounds, at most L - 1 and equal to
+    2 components - chi formed in int64."""
+    topo = UnionTopology(css)
+    want = 2 * topo.component_table.astype(np.int64) - topo.euler_table.astype(np.int64)
+    assert topo.j_table.dtype == j_dtype(css), css.name
+    assert want.max() <= len(css.labelling[0]) - 1, css.name
+    assert np.array_equal(topo.j_table, want), css.name
+    return topo.j_table
+
+
 def test_j_table_is_twice_components_minus_euler(junction_css):
-    """The one-pass int32 J against 2 components - chi formed in int64."""
-    cases = [*fuzzed_cases(), *junction_css, builders.six_hole_eighteen(),
-             builders.random_css(random.Random(4), 20, 16, 16, growth=200)]
+    """The one-pass J, in the exact dtype the labelling bounds, against
+    2 components - chi formed in int64, on the fuzzed and junction grids,
+    the analytic gallery and seeded random CSS up to N = 20."""
+    gallery = [scenarios.scenario_css(scenarios.load_scenario(path))
+               for path in scenarios.suite_paths(scenarios.gallery_dir())
+               if scenarios.load_scenario(path).kind == "analytic"]
+    rng = random.Random(53)
+    cases = [*fuzzed_cases(), *junction_css, *gallery, builders.six_hole_eighteen(),
+             builders.random_css(random.Random(4), 20, 16, 16, growth=200),
+             *(builders.random_css(rng, n, 16, 16, growth=200) for n in (3, 8, 12, 16, 20))]
     for css in cases:
-        topo = UnionTopology(css)
-        want = 2 * topo.component_table.astype(np.int64) - topo.euler_table.astype(np.int64)
-        assert topo.j_table.dtype == np.int32
-        assert np.array_equal(topo.j_table, want), css.name
+        assert_j_is_twice_components_minus_euler(css)
+
+
+def holed_subsystem(k):
+    """Subsystem 0 with k one-cell holes on a lattice of pitch 2, the first
+    filled by subsystem 1: L = k + 2 labelling components, and J(0) = k + 1
+    = L - 1 meets the bound."""
+    cols = math.isqrt(k - 1) + 1
+    rows = -(-k // cols)
+    width, height = 2 * cols + 1, 2 * rows + 1
+    labels = [0] * (width * height)
+    for h in range(k):
+        labels[(2 * (h // cols) + 1) * width + 2 * (h % cols) + 1] = OUTSIDE if h else 1
+    return GridCss(width, height, tuple(labels), name=f"holed-{k}")
+
+
+@pytest.mark.parametrize("k, dtype", [(126, np.int8), (127, np.int16), (32766, np.int16), (32767, np.int32)])
+def test_j_table_dtype_edges_on_the_tight_bound(k, dtype):
+    """At each edge of the dtype rule, J(0) = L - 1 is the type's largest
+    value or one past it, and the table holds it exactly."""
+    css = holed_subsystem(k)
+    assert len(css.labelling[0]) - 1 == k + 1
+    j = assert_j_is_twice_components_minus_euler(css)
+    assert j.dtype == dtype
+    assert j.tolist() == [0, k + 1, 1, k]
 
 
 @pytest.mark.installed
@@ -340,6 +387,22 @@ def test_add_components_adds_the_core_a_row_at_a_time(n, core_groups, scale):
     entries = seeded_entries(rng, n)
     want = broadcast_add_components(entries, adj, groups, scale)
     assert masks.add_components(entries, adj, groups, scale).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16])
+@pytest.mark.parametrize("n, core_groups", [(6, ()), (14, range(14)), (22, (0, 5, 11, 12, 17, 21))])
+def test_narrow_add_components_is_the_int32_table_modulo_its_bits(n, core_groups, dtype):
+    """Summed in int8 or int16, with weights that carry partial and final
+    sums past the type's range, the table is the int32 one wrapped modulo
+    2^bits, byte for byte, core walk included: an entry that fits the
+    narrow type is exact."""
+    rng = random.Random(f"narrow-{n}-{tuple(core_groups)}")
+    adj, groups = cored_graph(rng, n, tuple(core_groups))
+    keys, weights = seeded_entries(rng, n)
+    entries = (keys, weights * 1009)
+    wide = masks.add_components(entries, adj, groups, 2)
+    assert np.abs(wide).max() > np.iinfo(dtype).max
+    assert masks.add_components(entries, adj, groups, 2, dtype).tobytes() == wide.astype(dtype).tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 6, 13, 20])
@@ -987,9 +1050,9 @@ def spy_entries(monkeypatch) -> list:
     seen = []
     subset_table = masks.subset_table
 
-    def spy(n, entries):
+    def spy(n, entries, dtype=np.int32):
         seen.append(entries)
-        return subset_table(n, entries)
+        return subset_table(n, entries, dtype)
 
     monkeypatch.setattr(masks, "subset_table", spy)
     return seen

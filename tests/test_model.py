@@ -50,3 +50,15 @@ def test_rejects_non_finite_parameters(kwargs):
     with pytest.raises(ValidationError, match="finite"):
         EntropyModel(**kwargs)
 
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"alpha": "a"}, "alpha must be finite and >= 0, got 'a'"),
+    ({"alpha": [1.0]}, r"alpha must be finite and >= 0, got \[1.0\]"),
+    ({"quantum_dimension": "2"}, "quantum dimension must be finite and >= 1, got '2'"),
+    ({"quantum_dimension": None}, "quantum dimension must be finite and >= 1, got None"),
+    ({"log_base": ["e"]}, r"log_base must be 'e' or '2', got \['e'\]"),
+])
+def test_parameters_that_are_no_numbers_are_validation_errors(kwargs, match):
+    with pytest.raises(ValidationError, match=f"^{match}$"):
+        EntropyModel(**kwargs)

@@ -166,7 +166,8 @@ class CssAnalysis:
             c = sum(union_boundary_count(self.css, [i]) for i in keep)
             return c if len(keep) == 1 else c - union_boundary_count(self.css, keep)
         adj, cv_mask, _ = self.css.cell_components
-        s = signed_component_sum(adj, [cv_mask[i] for i in keep])
+        blocks = self.css.cell_blocks if len(keep) == len(cv_mask) else None  # of the whole graph
+        s = signed_component_sum(adj, [cv_mask[i] for i in keep], blocks)
         # sum over S in keep of (-1)^|S| chi(S) is minus the junction corners
         # of keep, which hold three ids: no window holds four subsystems
         return -2 * s - (self._junction_counts[frozenset(keep)] if len(keep) == 3 else 0)

@@ -156,6 +156,15 @@ class GridCss:
         adj = [sum(1 << vertex[b] for b in near[c] if b in vertex) for _, c in order]
         return adj, cv_mask, len(order)
 
+    @cached_property
+    def cell_blocks(self) -> list[int]:
+        """The blocks that hold a cycle of the whole cell-component graph
+        (``walk._cycle_blocks``), found once for C^N and the J table."""
+        from .walk import _cycle_blocks
+
+        adj, _, n_vertices = self.cell_components
+        return _cycle_blocks(adj, (1 << n_vertices) - 1)
+
     def label_at(self, x: int, y: int) -> int:
         """Label of cell (x, y); OUTSIDE for coordinates off the grid."""
         if 0 <= x < self.width and 0 <= y < self.height:

@@ -8,13 +8,13 @@ counts combinatorially:
 * the union of closed cells is a cubical complex whose Euler characteristic
   V - E + F, like the perimeter-link count, is a weighted sum over
   corner/segment/cell features present for a mask iff it meets the
-  feature's user set U.  The Moebius expansion
-  [U meets S] = sum over non-empty V in U of (-1)^(|V|-1) [V in S]
-  turns each feature into at most 7 signed (mask, weight) entries
-  (:func:`meet_histogram`; a user set has at most 3 bits), and the table is
+  feature's user set U.  Totalled per distinct U first (about 35 at
+  N = 20), the Moebius expansion [U meets S] = sum over non-empty V in U
+  of (-1)^(|V|-1) [V in S] spreads each U into at most 7 signed entries
+  of one {mask: weight} dict (:func:`meet_entries`), and the table is
   their subset sums (:func:`subset_table`): entry S sums the weights of the
-  entries whose mask lies in S.  The entries are few (about 35 distinct
-  masks at N = 20), so no 2^N histogram is filled: seen as rows of
+  entries whose mask lies in S.  The entries are few, so no 2^N histogram
+  is filled: seen as rows of
   2^``ROW_BITS`` entries, only the rows that hold an entry are built and
   summed over their low bits, and the table is filled by doubling, one
   higher bit at a time: the half with the bit is the half without it plus
@@ -22,10 +22,11 @@ counts combinatorially:
 * the component count of a union equals the component count of the induced
   subgraph on per-subsystem cell-components (:func:`component_counts`).
   For every induced subgraph, components = |V| - |E| + cycle rank, and the
-  cycle rank is the sum of those of its blocks (2-connected pieces,
-  :func:`_cycle_blocks`).  So a subset S counts +1 per vertex whose group
-  is in S, -1 per edge whose groups are in S and +1 per plain-cycle block
-  whose groups are all in S (more entries).  The blocks with a chord are
+  cycle rank is the sum of those of its blocks (2-connected pieces, found
+  once per grid: ``GridCss.cell_blocks``).  So a subset S counts +1 per
+  vertex whose group is in S, -1 per edge whose groups are in S and +1 per
+  plain-cycle block whose groups are all in S (more entries, in the same
+  dict).  The blocks with a chord are
   walked together on their own edges, every subset whole, in blocks of
   2^``BLOCK_BITS`` subsets (:func:`_walk_components`): each numpy pass
   grows every subset's component through per-byte neighbour tables, and
@@ -63,7 +64,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import TooManySubsystems
-from .grid import OUTSIDE, GridCss, pack_bits, set_bits
+from .grid import GridCss, pack_bits, set_bits
 from .walk import _cycle_blocks, _induced, _plain_cycle
 
 #: cap on the groups of any 2^n table, a CSS's subsystems or a graph's vertices (2**24 masks)
@@ -73,11 +74,10 @@ BLOCK_BITS = 16
 #: :func:`subset_table` sums its entries over the low ROW_BITS bits in the
 #: live rows of 2**ROW_BITS entries and fills the higher bits by doubling;
 #: :func:`add_components` adds the chorded blocks' table a row at a time.
-#: On the J entries of 20 ``random-n20`` inputs (seed 1), mean of the best
-#: of 7, two runs on a 2-core x86-64 VM, at 8, 9, 10, 11, 12 and 14:
-#: subset_table 1.02-1.20, 0.97-1.02, 0.91-0.95, 0.89-0.97, 1.06-1.09 and
-#: 1.45-1.51 ms; add_components, subset_table included, 1.25-1.34,
-#: 1.10-1.21, 1.09-1.12, 1.12-1.23, 1.23-1.27 and 1.67-1.76 ms
+#: add_components on the merged J entries of 20 ``random-n20`` inputs (seed
+#: 1, int8 tables), mean of the best of 7, five runs on a 2-core x86-64 VM,
+#: at 8, 9, 10, 11, 12 and 14: 0.26-0.32, 0.24-0.27, 0.25, 0.26-0.28,
+#: 0.30-0.35 and 0.53-0.55 ms
 ROW_BITS = 10
 
 
@@ -110,59 +110,51 @@ def subset_sums(table: np.ndarray) -> np.ndarray:
     return table
 
 
-#: (masks, weights) of no entry
-NO_ENTRIES = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
-
-
-def meet_histogram(weighted_users) -> tuple[np.ndarray, np.ndarray]:
-    """The (masks, weights) entries whose subset sums (:func:`subset_table`)
+def meet_entries(weighted_users) -> dict[int, int]:
+    """The {mask: weight} entries whose subset sums (:func:`subset_table`)
     give, per mask S, the total weight of the (user-set array, weight)
     features meeting S.
 
-    [U meets S] = sum over the non-empty submasks V of U of (-1)^(|V|-1) [V
-    subset of S]: each user set is spread over its submasks, walked as
-    V -> (V - 1) & U.  A grid's user sets have at most 3 bits (no window
-    holds four labels), so every partial subset sum is bounded by 7 times
-    the summed |weight|.
+    The weights are first totalled per distinct user set, in one pass.
+    Then [U meets S] = sum over the non-empty submasks V of U of
+    (-1)^(|V|-1) [V subset of S] spreads each distinct set over its
+    submasks, walked as V -> (V - 1) & U, into one dict of Python ints.  A
+    grid's user sets have at most 3 bits (no window holds four labels), so
+    a set spreads into at most 7 entries.
     """
-    users = np.concatenate([u for u, _ in weighted_users])
-    weights = np.concatenate([np.full(len(u), w) for u, w in weighted_users])
-    keys, values = [], []
-    sub = users
-    while True:
-        keep = sub != 0
-        sub, users, weights = sub[keep], users[keep], weights[keep]
-        if not sub.size:
-            return np.concatenate([*keys, sub]), np.concatenate([*values, weights])
-        keys.append(sub)
-        values.append(np.where(np.bitwise_count(sub) & 1, weights, -weights))
-        sub = (sub - 1) & users
+    users = np.concatenate([u.ravel() for u, _ in weighted_users])
+    sets, at = np.unique(users, return_inverse=True)
+    weights = np.repeat([w for _, w in weighted_users], [u.size for u, _ in weighted_users])
+    entries: dict[int, int] = {}
+    for u, w in zip(sets.tolist(), np.bincount(at, weights).astype(np.int64).tolist()):
+        sub = u if w else 0  # a set whose weights cancel adds nothing
+        while sub:
+            entries[sub] = entries.get(sub, 0) + (w if sub.bit_count() & 1 else -w)
+            sub = (sub - 1) & u
+    return entries
 
 
-def subset_table(n: int, entries: tuple[np.ndarray, np.ndarray], dtype=np.int32) -> np.ndarray:
+def subset_table(n: int, entries: dict[int, int], dtype=np.int32) -> np.ndarray:
     """The 2^n table of signed integer ``dtype`` whose entry S is the summed
-    weight of the (masks, weights) ``entries`` whose mask is a subset of S.
+    weight of the {mask: weight} ``entries`` whose mask is a subset of S.
 
     The sums are taken in ``dtype`` itself, modulo 2^bits: numpy's integer
     add and its narrowing assignment wrap, so a partial sum may leave the
     type's range, and each entry is exact when its final value lies in it.
 
-    Entries of one mask are merged and those of weight 0 dropped.  Seen as
-    rows of 2^r entries, r = min(n, ``ROW_BITS``), a row is live when an
-    entry falls in it.  The live rows alone are built, as one (rows, 2^r)
-    array, and summed over the low r bits at once (:func:`subset_sums`).
-    Row H of the table is then the sum of the summed live rows R with R a
-    subset of H, and it is filled by doubling: rows 0 .. 2^j - 1 hold their
-    sums, and rows 2^j .. 2^(j+1) - 1 are a copy of them plus each live row
-    R whose top bit is j, added over the sub-view of the rows that hold R's
-    other bits.  A live row that is bit j alone is added in the copy.  So
-    no 2^n histogram is filled first, and each entry of the table is
-    written once plus once per live row it holds.
+    The entries come merged, one weight per mask, and those of weight 0 are
+    dropped.  Seen as rows of 2^r entries, r = min(n, ``ROW_BITS``), a row
+    is live when an entry falls in it.  The live rows alone are built, as
+    one (rows, 2^r) array, and summed over the low r bits at once
+    (:func:`subset_sums`).  Row H of the table is then the sum of the summed
+    live rows R with R a subset of H, and it is filled by doubling: rows
+    0 .. 2^j - 1 hold their sums, and rows 2^j .. 2^(j+1) - 1 are a copy of
+    them plus each live row R whose top bit is j, added over the sub-view of
+    the rows that hold R's other bits.  A live row that is bit j alone is
+    added in the copy.  So no 2^n histogram is filled first, and each entry
+    of the table is written once plus once per live row it holds.
     """
-    keys, at = np.unique(entries[0], return_inverse=True)
-    weights = np.zeros(len(keys), dtype=np.int64)
-    np.add.at(weights, at, entries[1])
-    keys, weights = keys[weights != 0], weights[weights != 0]
+    keys, weights = np.array([item for item in entries.items() if item[1]], dtype=np.int64).reshape(-1, 2).T
     r = min(n, ROW_BITS)
     rows, at = np.unique(keys >> r, return_inverse=True)
     low = np.zeros((len(rows), 1 << r), dtype=dtype)
@@ -207,12 +199,6 @@ def _or_table(items: list[int], dtype) -> np.ndarray:
     return table
 
 
-def _user_masks(labels: np.ndarray) -> np.ndarray:
-    """Per row of subsystem labels, the int64 mask of its subsystems; OUTSIDE adds no bit."""
-    bits = np.where(labels == OUTSIDE, 0, np.left_shift(1, labels.clip(0)))
-    return np.bitwise_or.reduce(bits, axis=1)
-
-
 def component_counts(adj: list[int], groups: list[int]) -> np.ndarray:
     """Components of the subgraph induced by every subset of vertex groups.
 
@@ -224,20 +210,21 @@ def component_counts(adj: list[int], groups: list[int]) -> np.ndarray:
     """
     if len(groups) > MAX_SUBSYSTEMS:
         raise TooManySubsystems(f"{len(groups)} groups exceed the table's cap of {MAX_SUBSYSTEMS}")
-    return add_components(NO_ENTRIES, adj, groups)
+    return add_components({}, adj, groups)
 
 
-def add_components(entries, adj: list[int], groups: list[int], scale: int = 1, dtype=np.int32) -> np.ndarray:
-    """The :func:`subset_table` of ``dtype`` of the (masks, weights)
+def add_components(entries, adj: list[int], groups: list[int], scale=1, dtype=np.int32, blocks=None) -> np.ndarray:
+    """The :func:`subset_table` of ``dtype`` of the {mask: weight}
     ``entries`` over the n = len(groups) groups, plus ``scale`` times
     :func:`component_counts` of ``adj`` and ``groups``, summed modulo
     2^bits of ``dtype`` as in :func:`subset_table`.
 
     Components = |V| - |E| + cycle rank for every induced subgraph, and its
     cycle rank is the sum of its blocks' own, each the cycle rank of the
-    subgraph a block of the whole graph (:func:`_cycle_blocks`) induces.
-    So the count joins the entries: +1 at each vertex's group bit, -1 at
-    each edge's group bits and +1 at each plain cycle's groups (a block with
+    subgraph a block of the whole graph induces: ``blocks``, the graph's
+    :func:`_cycle_blocks` when not given.  So the count joins the entries,
+    added to the dict itself: +1 at each vertex's group bit, -1 at each
+    edge's group bits and +1 at each plain cycle's groups (a block with
     as many edges as vertices: its cycle rank is 1 when all of it is chosen
     and 0 otherwise), each times ``scale``.  The blocks with a chord are
     walked instead (:func:`_walk_components`), together, on their own edges
@@ -252,18 +239,20 @@ def add_components(entries, adj: list[int], groups: list[int], scale: int = 1, d
     n = len(groups)
     owner = pack_bits(((v, g) for g, mask in enumerate(groups) for v in set_bits(mask)), len(adj))  # v's group's bit
     own = [0] * len(adj)  # each vertex's neighbours along a chorded block's edges
-    cycles = []
-    for block in _cycle_blocks(adj, (1 << len(adj)) - 1):
+    for block in _cycle_blocks(adj, (1 << len(adj)) - 1) if blocks is None else blocks:
         if _plain_cycle(adj, block):
-            cycles.append(functools.reduce(operator.or_, (owner[v] for v in set_bits(block))))
+            key = functools.reduce(operator.or_, (owner[v] for v in set_bits(block)))
+            entries[key] = entries.get(key, 0) + scale
         else:
             for v in set_bits(block):
                 own[v] |= adj[v] & block
-    keys = [owner[v] for v in range(len(adj)) if not own[v]] + cycles
-    edges = [owner[v] | owner[u] for v in range(len(adj)) for u in set_bits(adj[v] & ~own[v]) if u < v]
-    table = subset_table(n, (np.concatenate([entries[0], np.array(keys + edges, dtype=np.int64)]),
-                             np.concatenate([entries[1], np.repeat([scale, -scale], [len(keys), len(edges)])])),
-                         dtype)
+    for v, near in enumerate(adj):
+        if not own[v]:
+            entries[owner[v]] = entries.get(owner[v], 0) + scale
+        for u in set_bits(near & ~own[v] & (1 << v) - 1):
+            key = owner[v] | owner[u]
+            entries[key] = entries.get(key, 0) - scale
+    table = subset_table(n, entries, dtype)
     chorded = sum(1 << v for v in range(len(adj)) if own[v])
     if not chorded:
         return table
@@ -342,41 +331,35 @@ class UnionTopology:
     # ------------------------------------------------------------------
 
     @cached_property
-    def _feature_labels(self):
-        """(labels, weight) of the corners, segments and cells: one row per
-        feature, holding the labels of the cells around it (its four cells,
-        the cells on either side of each horizontal then vertical segment, or
-        the cell itself; OUTSIDE off the grid).  The closed-cell union of
-        subsystems S has V - E + F = the weight of the features with a label in S."""
+    def _cell_bits(self) -> np.ndarray:
+        """The grid padded by one OUTSIDE cell on every side, each cell as its
+        user set: 1 << its label, 0 for OUTSIDE."""
         css = self.css
-        labels = np.array(css.labels, dtype=np.int64).reshape(css.height, css.width)
-        grid = np.full((css.height + 2, css.width + 2), OUTSIDE, dtype=np.int64)
-        grid[1:-1, 1:-1] = labels
-        corners = np.stack([grid[:-1, :-1], grid[:-1, 1:], grid[1:, :-1], grid[1:, 1:]], axis=-1)
-        segments = np.concatenate([
-            np.stack([grid[:-1, 1:-1], grid[1:, 1:-1]], axis=-1).reshape(-1, 2),
-            np.stack([grid[1:-1, :-1], grid[1:-1, 1:]], axis=-1).reshape(-1, 2),
-        ])
-        return (corners.reshape(-1, 4), 1), (segments, -1), (labels.reshape(-1, 1), 1)
+        bit = np.array([1 << i for i in range(self.n)] + [0], dtype=np.int64)  # OUTSIDE, -1, reads the 0
+        bits = np.zeros((css.height + 2, css.width + 2), dtype=np.int64)
+        bits[1:-1, 1:-1] = bit[np.array(css.labels).reshape(css.height, css.width)]
+        return bits
 
-    @property
-    def _euler_features(self):
-        """(user sets, weight) of the corners, segments and cells: the closed-cell
-        union of mask S has V - E + F = the weight of the features meeting S."""
-        return tuple((_user_masks(labels), weight) for labels, weight in self._feature_labels)
+    def _euler_entries(self, sign: int) -> dict[int, int]:
+        """:func:`meet_entries` of the corners, segments and cells, each the OR of
+        its cells' bits: the union of mask S has V - E + F = the weight of those meeting S."""
+        bits = self._cell_bits
+        across = bits[:-1] | bits[1:]  # each horizontal segment's two sides, the border columns included
+        return meet_entries(((across[:, :-1] | across[:, 1:], sign), (across[:, 1:-1], -sign),
+                             ((bits[:, :-1] | bits[:, 1:])[1:-1], -sign), (bits[1:-1, 1:-1], sign)))
 
     @cached_property
     def euler_table(self) -> np.ndarray:
         """V - E + F of the closed-cell union, per mask."""
-        return subset_table(self.n, meet_histogram(self._euler_features))
+        return subset_table(self.n, self._euler_entries(1))
 
     @cached_property
     def boundary_links_table(self) -> np.ndarray:
         """Perimeter links of the union, per mask: segments with exactly one side in it."""
-        _, (segments, _), _ = self._feature_labels
-        a, b = _user_masks(segments[:, :1]), _user_masks(segments[:, 1:])
+        n, bits = self.n, self._cell_bits
+        sides = ((bits[:-1, 1:-1], bits[1:, 1:-1]), (bits[1:-1, :-1], bits[1:-1, 1:]))  # horizontal, vertical
         # [a xor b meets S] = 2 [a|b meets S] - [a meets S] - [b meets S]
-        return subset_table(self.n, meet_histogram(((a | b, 2), (a, -1), (b, -1))))
+        return subset_table(n, meet_entries([(a | b, 2) for a, b in sides] + [(a, -1) for side in sides for a in side]))
 
     # ------------------------------------------------------------------
     # component counts
@@ -387,15 +370,15 @@ class UnionTopology:
         """The grid's cell-component graph (``GridCss.cell_components``)."""
         return self.css.cell_components
 
-    def _add_components(self, entries, scale: int, dtype=np.int32) -> np.ndarray:
-        """:func:`add_components` on the cell-component graph, over the N subsystems."""
+    def _add_components(self, entries: dict[int, int], scale: int, dtype=np.int32) -> np.ndarray:
+        """:func:`add_components` on the cell-component graph and its ``GridCss.cell_blocks``."""
         self.n  # TooManySubsystems above the cap
         adj, cv_mask, _ = self._cell_component_graph
-        return add_components(entries, adj, cv_mask, scale, dtype)
+        return add_components(entries, adj, cv_mask, scale, dtype, self.css.cell_blocks)
 
     @cached_property
     def component_table(self) -> np.ndarray:
-        return self._add_components(NO_ENTRIES, 1)
+        return self._add_components({}, 1)
 
     @cached_property
     def j_table(self) -> np.ndarray:
@@ -419,8 +402,7 @@ class UnionTopology:
         """
         bound = len(self.css.labelling[0]) - 1
         dtype = next(t for t in (np.int8, np.int16, np.int32) if bound <= np.iinfo(t).max)
-        entries = meet_histogram([(users, -weight) for users, weight in self._euler_features])
-        return self._add_components(entries, 2, dtype)
+        return self._add_components(self._euler_entries(-1), 2, dtype)
 
 
 #: rows of the J table that ``write_subset_table_csv`` converts at a time;

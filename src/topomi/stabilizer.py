@@ -118,8 +118,12 @@ class StabilizerState:
         if len(self.columns) != 2 * self.n:
             raise ValidationError(f"{len(self.columns)} columns for {self.n} qubits; need {2 * self.n}")
         top = 1 << self.n
-        if self.columns and (min(self.columns) < 0 or max(self.columns) >= top):
-            c = next(c for c, column in enumerate(self.columns) if not 0 <= column < top)
+        try:
+            bad = self.columns and (min(self.columns) < 0 or max(self.columns) >= top)
+        except TypeError:  # a value no int compares with, named below
+            bad = True
+        if bad:
+            c = next(c for c, column in enumerate(self.columns) if not 0 <= index_int(column, f"column {c}") < top)
             raise ValidationError(f"column {c} is {self.columns[c]}; columns lie in 0..2**{self.n} - 1")
 
 
@@ -237,16 +241,19 @@ class QubitRegionMap:
         object.__setattr__(self, "n_qubits", index_int(self.n_qubits, "qubit count"))
         # one union, a size sum and its bounds; the loop below names the first offender
         qubits = set().union(*self.regions)
-        if all(self.regions) and len(qubits) == sum(map(len, self.regions)) and (
-            not qubits or 0 <= min(qubits) and max(qubits) < self.n_qubits
-        ):
-            return
+        try:
+            if all(self.regions) and len(qubits) == sum(map(len, self.regions)) and (
+                not qubits or 0 <= min(qubits) and max(qubits) < self.n_qubits
+            ):
+                return
+        except TypeError:  # a qubit no int compares with, named below
+            pass
         seen: set[int] = set()
         for k, region in enumerate(self.regions):
             if not region:
                 raise ValidationError(f"region {k} is empty")
             for q in region:
-                if not 0 <= q < self.n_qubits:
+                if not 0 <= index_int(q, f"a qubit of region {k}") < self.n_qubits:
                     raise ValidationError(f"region {k}: qubit {q} out of range")
                 if q in seen:
                     raise ValidationError(f"qubit {q} appears in two regions")

@@ -42,7 +42,7 @@ def _induced(adj: list[int], groups: list[int], keep: int) -> tuple[list[int], l
     return [on_keep(adj[v]) for v in position], [on_keep(mask) for mask in groups]
 
 
-def signed_component_sum(adj: list[int], groups: list[int]) -> int:
+def signed_component_sum(adj: list[int], groups: list[int], blocks=None) -> int:
     """The sum over every subset S of the groups of (-1)^|S| times the
     components of the subgraph induced by the union of S, with no 2^n table.
 
@@ -61,6 +61,7 @@ def signed_component_sum(adj: list[int], groups: list[int]) -> int:
     group is chosen, so it adds (-1)^n; any other block that meets every
     group is walked on its own vertices, renumbered, and its walk past the
     state cap reads the 2^n component table of the groups on that block.
+    ``blocks``, when given, are the subgraph's, found beforehand.
     """
     if not all(groups):
         return 0
@@ -70,7 +71,7 @@ def signed_component_sum(adj: list[int], groups: list[int]) -> int:
     if len(groups) <= 2:
         return _frontier_walk(*_induced(adj, groups, union))
     total = 0
-    for block in _cycle_blocks(adj, union):
+    for block in _cycle_blocks(adj, union) if blocks is None else blocks:
         if all(mask & block for mask in groups):
             if _plain_cycle(adj, block):
                 total += (-1) ** len(groups)

@@ -55,6 +55,7 @@ from topomi.model import EntropyModel
 
 from flood_reference import boundary_walk_labels, entropy_of_region, model_entropy_source, perimeter_links, region_holes
 from oracle_reference import annulus_family, strong_subadditivity_combination
+from table_reference import feature_labels
 from test_grid import window_frame
 
 LN2 = math.log(2)
@@ -461,7 +462,7 @@ def test_c_within_at_seventy_subsystems_is_the_restricted_c_n():
     J-table C^N of its restricted CSS."""
     css = brick_css(7, 10)
     analysis = CssAnalysis(css)
-    corners = analysis.tables._feature_labels[0][0]
+    corners = feature_labels(css)[0][0]
     junctions = {tuple(sorted(set(row))) for row in corners.tolist() if min(row) >= 56 and len(set(row)) == 3}
     assert len(junctions) >= 10
     rng = random.Random(70)
@@ -479,7 +480,7 @@ def held_by_scan(analysis: CssAnalysis, keep) -> int:
     """The chi term of C by its definition: the weight of every corner,
     segment and cell row of the grid whose cells hold every id of ``keep``."""
     held = 0
-    for labels, weight in analysis.tables._feature_labels:
+    for labels, weight in feature_labels(analysis.css):
         rows = np.all([(labels == i).any(axis=1) for i in keep], axis=0)
         held += weight * int(np.count_nonzero(rows))
     return held
@@ -570,7 +571,7 @@ def test_validation_scan_records_the_junction_corners(junction_css):
     more distinct subsystems."""
     found = 0
     for css in scan_cases(junction_css):
-        corners = CssAnalysis(css).tables._feature_labels[0][0].tolist()
+        corners = feature_labels(css)[0][0].tolist()
         want = [tuple(row) for row in corners if len(set(row) - {OUTSIDE}) >= 3]
         assert list(css.junctions) == want, css.name
         found += len(want)
@@ -767,19 +768,32 @@ def test_information_builds_j_alone(name, monkeypatch):
 
 @pytest.mark.parametrize("name", ["random-n20", "six-hole-eighteen"])
 def test_information_labels_the_grid_and_builds_its_graph_once(name, monkeypatch):
-    """``multipartite_information`` labels the grid once and builds its
-    cell-component graph once: C^N, the hole loops' C and the J table share
-    ``GridCss.cell_components``."""
+    """``multipartite_information`` labels the grid once, builds its
+    cell-component graph once and finds the blocks of that whole graph
+    once: C^N, the hole loops' C and the J table share
+    ``GridCss.cell_components``, and C^N and the J table share
+    ``GridCss.cell_blocks``."""
     built = Counter()
-    for attr in ("labelling", "cell_components"):
+    for attr in ("labelling", "cell_components", "cell_blocks"):
         func = vars(GridCss)[attr].func
         prop = cached_property(lambda css, func=func, attr=attr: built.update([attr]) or func(css))
         prop.__set_name__(GridCss, attr)
         monkeypatch.setattr(GridCss, attr, prop)
+    whole = []  # the vertex masks of the _cycle_blocks calls on the whole graph
+    cycle_blocks = walk._cycle_blocks
+
+    def counting(adj, keep):
+        if keep == (1 << len(adj)) - 1:
+            whole.append(keep)
+        return cycle_blocks(adj, keep)
+
+    monkeypatch.setattr(walk, "_cycle_blocks", counting)
+    monkeypatch.setattr(masks, "_cycle_blocks", counting)
     css = random_n(20) if name == "random-n20" else builders.six_hole_eighteen()
     analysis = CssAnalysis(css)
     multipartite_information(D2, analysis)
-    assert built == Counter(labelling=1, cell_components=1)
+    assert built == Counter(labelling=1, cell_components=1, cell_blocks=1)
+    assert len(whole) == 1
     assert analysis.tables._cell_component_graph is css.cell_components
 
 
@@ -788,7 +802,7 @@ def test_information_summary_builds_no_table(name, monkeypatch):
     """The summary (C^N, chi and the hole loops) walks no subset table, and its
     JSON is the full report's."""
     css = random_n(20) if name == "random-n20" else builders.six_hole_eighteen()
-    calls = _count_calls(monkeypatch, [(masks, "_walk_components"), (masks, "meet_histogram")])
+    calls = _count_calls(monkeypatch, [(masks, "_walk_components"), (masks, "meet_entries")])
     analysis = CssAnalysis(css)
     summary = information_summary(D2, analysis)
     assert not calls and "tables" not in vars(analysis)

@@ -69,7 +69,7 @@ def test_module_reads_no_flood_fill(path):
 
 
 def test_only_masks_reads_the_feature_rows():
-    readers = [path.name for path in MODULES if layer_reads(path.read_text(), names={"_feature_labels"})]
+    readers = [path.name for path in MODULES if layer_reads(path.read_text(), names={"_cell_bits"})]
     assert readers == ["masks.py"]
 
 

@@ -37,13 +37,14 @@ from topomi.masks import (
     _walk_components,
     component_counts,
     alternating_sum,
-    meet_histogram,
+    meet_entries,
     subset_signs,
     subset_sums,
     subset_table,
 )
 from topomi.walk import _cycle_blocks, signed_component_sum
 from flood_reference import perimeter_links, region_holes
+from table_reference import dense_j_table, meet_histogram
 from test_engine import brick_css
 
 
@@ -229,6 +230,24 @@ def test_j_table_is_twice_components_minus_euler(junction_css):
         assert_j_is_twice_components_minus_euler(css)
 
 
+def test_j_table_is_the_reference_construction_in_every_mask():
+    """Every mask of J, and its dtype, equals the reference construction:
+    each feature row spread on its own and the component entries, summed by
+    the plain dense pass over an int64 histogram (``dense_j_table``), on ten
+    seeded random CSS of N = 20 and on six-hole-eighteen, whose
+    cell-component graph has a block with a chord.  A fault confined to one
+    row of the table shows here; an alternating sum or sampled masks can
+    miss it."""
+    cases = [builders.random_css(random.Random(f"full-table-{i}"), 20, 16, 16, growth=200) for i in range(10)]
+    cases.append(builders.six_hole_eighteen())
+    adj = cases[-1].cell_components[0]
+    assert not all(walk._plain_cycle(adj, block) for block in _cycle_blocks(adj, (1 << len(adj)) - 1))
+    for css in cases:
+        j = UnionTopology(css).j_table
+        assert j.dtype == j_dtype(css), css.name
+        assert np.array_equal(j, dense_j_table(css)), css.name
+
+
 def holed_subsystem(k):
     """Subsystem 0 with k one-cell holes on a lattice of pitch 2, the first
     filled by subsystem 1: L = k + 2 labelling components, and J(0) = k + 1
@@ -268,7 +287,7 @@ def test_j_table_past_the_row_cut_off_matches_flood_fill(n, monkeypatch):
     entries = spy_entries(monkeypatch)
     summed = spy_subset_sums(monkeypatch)
     j = analysis.tables.j_table
-    (live,) = [live_rows(*given) for given in entries]
+    (live,) = [live_rows(given) for given in entries]
     assert summed == [(len(live), 1 << ROW_BITS)]
     assert 0 < len(live) < 1 << n - ROW_BITS - 3
     rng = random.Random(n)
@@ -331,10 +350,18 @@ def two_core(adj):
 
 
 def dense_histogram(n, entries):
-    """The 2^n int32 histogram of the (masks, weights) ``entries``."""
+    """The 2^n int32 histogram of the {mask: weight} ``entries``."""
     hist = np.zeros(1 << n, dtype=np.int32)
-    np.add.at(hist, *entries)
+    hist[list(entries)] = list(entries.values())
     return hist
+
+
+def merged(keys, weights) -> dict[int, int]:
+    """The {mask: weight} entries of the (masks, weights) arrays, the weights of one mask summed."""
+    out = Counter()
+    for key, weight in zip(keys.tolist(), weights.tolist()):
+        out[key] += weight
+    return dict(out)
 
 
 def broadcast_add_components(entries, adj, groups, scale=1):
@@ -360,9 +387,10 @@ def broadcast_add_components(entries, adj, groups, scale=1):
 
 
 def seeded_entries(rng, n, count=40):
-    """``count`` (mask, weight) entries on n bits, masks repeating and weights 0 included."""
-    return (np.array([rng.randrange(1 << n) for _ in range(count)], dtype=np.int64),
-            np.array([rng.randint(-9, 9) for _ in range(count)], dtype=np.int64))
+    """``count`` (mask, weight) draws on n bits, merged into {mask: weight}
+    entries: masks repeat, and weights 0 are included."""
+    return merged(np.array([rng.randrange(1 << n) for _ in range(count)], dtype=np.int64),
+                  np.array([rng.randint(-9, 9) for _ in range(count)], dtype=np.int64))
 
 
 @pytest.mark.parametrize("scale", [1, 2])
@@ -386,7 +414,7 @@ def test_add_components_adds_the_core_a_row_at_a_time(n, core_groups, scale):
     assert _cycle_blocks(adj, (1 << len(adj)) - 1) == ([core] if core else [])
     entries = seeded_entries(rng, n)
     want = broadcast_add_components(entries, adj, groups, scale)
-    assert masks.add_components(entries, adj, groups, scale).tobytes() == want.tobytes()
+    assert masks.add_components(dict(entries), adj, groups, scale).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.int16])
@@ -398,9 +426,8 @@ def test_narrow_add_components_is_the_int32_table_modulo_its_bits(n, core_groups
     narrow type is exact."""
     rng = random.Random(f"narrow-{n}-{tuple(core_groups)}")
     adj, groups = cored_graph(rng, n, tuple(core_groups))
-    keys, weights = seeded_entries(rng, n)
-    entries = (keys, weights * 1009)
-    wide = masks.add_components(entries, adj, groups, 2)
+    entries = {key: weight * 1009 for key, weight in seeded_entries(rng, n).items()}
+    wide = masks.add_components(dict(entries), adj, groups, 2)
     assert np.abs(wide).max() > np.iinfo(dtype).max
     assert masks.add_components(entries, adj, groups, 2, dtype).tobytes() == wide.astype(dtype).tobytes()
 
@@ -417,22 +444,28 @@ def test_add_components_with_no_core_walks_nothing(n, monkeypatch):
     want = broadcast_add_components(entries, adj, groups, 2)
     walks = []
     monkeypatch.setattr(masks, "_walk_components", lambda *args: walks.append(args))
-    assert masks.add_components(entries, adj, groups, 2).tobytes() == want.tobytes()
+    assert masks.add_components(dict(entries), adj, groups, 2).tobytes() == want.tobytes()
     assert walks == []
 
 
 @pytest.mark.parametrize("n", range(7))
 def test_meet_expansion_matches_indicator(n):
-    """Subset sums of the ``meet_histogram`` entries give weight * [U & S != 0]
-    for every user set U of at most 4 bits, alone and all at once."""
+    """Subset sums of the ``meet_entries`` entries give weight * [U & S != 0]
+    for every user set U of at most 4 bits, alone and all at once, and the
+    entries are those of each feature spread on its own (the reference
+    ``meet_histogram``), merged."""
     masks = np.arange(1 << n)
     users = [u for u in range(1 << n) if u.bit_count() <= 4]
     for u in users:
-        table = subset_table(n, meet_histogram([(np.array([u]), 3)]))
+        table = subset_table(n, meet_entries([(np.array([u]), 3)]))
         assert table.tolist() == (3 * (masks & u != 0)).tolist(), u
-    table = subset_table(n, meet_histogram([(np.array([u, u]), u - 5) for u in users]))
+    features = [(np.array([[u], [u]]), u - 5) for u in users]
+    entries = meet_entries(features)
     want = sum(2 * (u - 5) * (masks & u != 0) for u in users)
-    assert table.tolist() == want.tolist()
+    assert subset_table(n, entries).tolist() == want.tolist()
+    spread = merged(*meet_histogram([(users.ravel(), weight) for users, weight in features]))
+    assert {key: weight for key, weight in entries.items() if weight} == {
+        key: weight for key, weight in spread.items() if weight}
 
 
 def test_disconnected_subsystem_supported():
@@ -1046,7 +1079,7 @@ def test_subset_sums_match_brute_force(n):
 
 
 def spy_entries(monkeypatch) -> list:
-    """Record the (masks, weights) entries each ``masks.subset_table`` call is given."""
+    """Record the {mask: weight} entries each ``masks.subset_table`` call is given."""
     seen = []
     subset_table = masks.subset_table
 
@@ -1071,21 +1104,18 @@ def spy_subset_sums(monkeypatch) -> list:
     return seen
 
 
-def live_rows(keys, weights) -> set[int]:
-    """The rows of 2^ROW_BITS entries that hold a mask of non-zero summed weight."""
-    merged = Counter()
-    for key, weight in zip(keys.tolist(), weights.tolist()):
-        merged[key] += weight
-    return {key >> ROW_BITS for key, weight in merged.items() if weight}
+def live_rows(entries) -> set[int]:
+    """The rows of 2^ROW_BITS entries that hold a mask of non-zero weight."""
+    return {key >> ROW_BITS for key, weight in entries.items() if weight}
 
 
 @pytest.mark.parametrize("n", [3, ROW_BITS, ROW_BITS + 1, ROW_BITS + 4])
 def test_subset_table_matches_plain_pass(n, monkeypatch):
     """Entries in no, one, a few scattered, 1/8, one more than 1/8 and all of
-    the rows of 2^ROW_BITS entries (one row when n <= ROW_BITS), each split
-    in two entries of one mask, plus two that cancel in a row left dead:
-    the table equals the plain pass over the dense histogram, byte for
-    byte, and only the live rows are summed, as one array."""
+    the rows of 2^ROW_BITS entries (one row when n <= ROW_BITS), plus one of
+    weight 0 in a row left dead: the table equals the plain pass over the
+    dense histogram, byte for byte, and only the live rows are summed, as
+    one array."""
     summed = spy_subset_sums(monkeypatch)
     r = min(n, ROW_BITS)
     n_rows = 1 << n - r
@@ -1095,12 +1125,9 @@ def test_subset_table_matches_plain_pass(n, monkeypatch):
         low = np.array([rng.choice(1 << r, min(5, 1 << r), replace=False) for _ in live], dtype=np.int64)
         keys = (live[:, None] << r | low).reshape(-1)
         weights = rng.choice([-1, 1], size=keys.size) * rng.integers(1, 50, size=keys.size)
-        part = rng.integers(-50, 50, size=keys.size)
-        keys, weights = np.concatenate([keys, keys]), np.concatenate([part, weights - part])
+        entries = dict(zip(keys.tolist(), weights.tolist()))
         if count < n_rows:
-            dead = np.setdiff1d(np.arange(n_rows), live)[0] << r | 1
-            keys, weights = np.append(keys, [dead, dead]), np.append(weights, [7, -7])
-        entries = (keys, weights)
+            entries[int(np.setdiff1d(np.arange(n_rows), live)[0]) << r | 1] = 0
         want = plain_subset_sums(dense_histogram(n, entries))
         summed.clear()
         table = subset_table(n, entries)
@@ -1126,7 +1153,7 @@ def test_subset_sums_allocate_no_table():
     rng = np.random.default_rng(20)
     rows = rng.choice(1 << 20 - ROW_BITS, 16, replace=False)
     keys = (rows[:, None] << ROW_BITS | rng.integers(1 << ROW_BITS, size=(16, 8))).reshape(-1)
-    entries = (keys, rng.integers(1, 9, size=keys.size))
+    entries = merged(keys, rng.integers(1, 9, size=keys.size))
     want = plain_subset_sums(dense_histogram(20, entries))
     tracemalloc.start()
     try:

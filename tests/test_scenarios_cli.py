@@ -755,7 +755,7 @@ def test_analytic_scenarios_build_no_subset_table(monkeypatch):
     is left on its analysis, and no table builder of ``masks`` is called,
     under any name it is bound to."""
     built = []
-    for owner, name in ((masks, "add_components"), (masks, "meet_histogram"), (masks, "subset_table"),
+    for owner, name in ((masks, "add_components"), (masks, "meet_entries"), (masks, "subset_table"),
                         (masks, "subset_sums"), (masks, "subset_signs")):
         monkeypatch.setattr(owner, name, lambda *args, name=name, **kwargs: built.append(name))
     assert not {"subset_sums", "subset_signs", "np", "masks"} & (set(vars(engine)) | set(vars(scenarios)))

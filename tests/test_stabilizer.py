@@ -99,6 +99,19 @@ def test_scalar_fields_that_are_no_integer_are_named(make, value):
         make()
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: StabilizerState(1, ("a", 1)), "column 0 must be an integer, got 'a'"),
+    (lambda: StabilizerState(1, (0, None)), "column 1 must be an integer, got None"),
+    (lambda: QubitRegionMap(4, (frozenset({"a"}),)), "a qubit of region 0 must be an integer, got 'a'"),
+    (lambda: QubitRegionMap(4, (frozenset({0}), frozenset({"b"}))), "a qubit of region 1 must be an integer, got 'b'"),
+], ids=["column-str", "column-none", "qubit-str", "second-region-str"])
+def test_columns_and_qubits_that_no_int_compares_with_are_named(make, message):
+    """A column or a qubit that no int compares with is a ValidationError
+    naming it, not the bare TypeError of the range check's comparison."""
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        make()
+
+
 def test_numpy_integer_scalar_fields_are_ints():
     lattice = CodeLattice(np.int64(4), np.int64(4), "torus")
     assert type(lattice.lx) is type(lattice.n_qubits) is int and lattice.n_qubits == 32

@@ -9,16 +9,18 @@ counts combinatorially:
   V - E + F, like the perimeter-link count, is a weighted sum over
   corner/segment/cell features present for a mask iff it meets the
   feature's user set U.  Totalled per distinct U first (about 35 at
-  N = 20), the Moebius expansion [U meets S] = sum over non-empty V in U
-  of (-1)^(|V|-1) [V in S] spreads each U into at most 7 signed entries
-  of one {mask: weight} dict (:func:`meet_entries`), and the table is
-  their subset sums (:func:`subset_table`): entry S sums the weights of the
-  entries whose mask lies in S.  The entries are few, so no 2^N histogram
-  is filled: seen as rows of
-  2^``ROW_BITS`` entries, only the rows that hold an entry are built and
-  summed over their low bits, and the table is filled by doubling, one
-  higher bit at a time: the half with the bit is the half without it plus
-  each live row whose top bit it is, over the masks that hold that row;
+  N = 20), from the counts of one ``np.unique`` over the user sets tagged
+  with the index of their (users, weight) pair, the Moebius expansion
+  [U meets S] = sum over non-empty V in U of (-1)^(|V|-1) [V in S] spreads
+  each U into at most 7 signed entries of one {mask: weight} dict
+  (:func:`meet_entries`), and the table is their subset sums
+  (:func:`subset_table`): entry S sums the weights of the entries whose
+  mask lies in S.  The entries are few, so no 2^N histogram is filled:
+  seen as rows of 2^``ROW_BITS`` entries, the entries are grouped by row
+  in Python, only the rows that hold one are built and summed over their
+  low bits, and the table is filled by doubling, one higher bit at a time:
+  the half with the bit is the half without it plus each live row whose
+  top bit it is, over the masks that hold that row;
 * the component count of a union equals the component count of the induced
   subgraph on per-subsystem cell-components (:func:`component_counts`).
   For every induced subgraph, components = |V| - |E| + cycle rank, and the
@@ -76,8 +78,8 @@ BLOCK_BITS = 16
 #: :func:`add_components` adds the chorded blocks' table a row at a time.
 #: add_components on the merged J entries of 20 ``random-n20`` inputs (seed
 #: 1, int8 tables), mean of the best of 7, five runs on a 2-core x86-64 VM,
-#: at 8, 9, 10, 11, 12 and 14: 0.26-0.32, 0.24-0.27, 0.25, 0.26-0.28,
-#: 0.30-0.35 and 0.53-0.55 ms
+#: at 8, 9, 10, 11, 12 and 14: 0.23-0.31, 0.21-0.23, 0.21-0.23, 0.22-0.23,
+#: 0.25-0.27 and 0.44-0.47 ms
 ROW_BITS = 10
 
 
@@ -94,15 +96,17 @@ def subset_sums(table: np.ndarray) -> np.ndarray:
     entry S becomes the sum of the entries of S's subsets.
 
     One pass per bit i adds each entry without bit i to its partner with it,
-    viewing the table as (-1, 2, 2^i).  Bits 1 and 2 leave contiguous runs
-    of only 2 and 4 entries, so numpy's inner loop would be that short;
-    their pass iterates the transposed views in C order instead, so the
-    inner loop runs along the long axis.  Every pass writes into the table
+    viewing the table as (-1, 2, 2^i).  Bits 1, 2 and 3 leave contiguous
+    runs of only 2, 4 and 8 entries, so numpy's inner loop would be that
+    short; their pass iterates the transposed views in C order instead, so
+    the inner loop runs along the long axis.  On the live rows of a
+    ``random-n20`` J table (12-17 x 1024, int8) that is faster for bit 3
+    too, but not for bit 4 (runs of 16).  Every pass writes into the table
     itself, with no temporary of its size.
     """
     for i in range(table.shape[-1].bit_length() - 1):
         view = table.reshape(-1, 2, 1 << i)
-        if i in (1, 2):
+        if i in (1, 2, 3):
             upper = view[:, 1, :].T
             np.add(upper, view[:, 0, :].T, out=upper, order="C")
         else:
@@ -112,21 +116,31 @@ def subset_sums(table: np.ndarray) -> np.ndarray:
 
 def meet_entries(weighted_users) -> dict[int, int]:
     """The {mask: weight} entries whose subset sums (:func:`subset_table`)
-    give, per mask S, the total weight of the (user-set array, weight)
-    features meeting S.
+    give, per mask S, the total weight of the features meeting S, given as
+    a sequence of (user-set array, weight) pairs; no pairs give no entries.
 
-    The weights are first totalled per distinct user set, in one pass.
-    Then [U meets S] = sum over the non-empty submasks V of U of
-    (-1)^(|V|-1) [V subset of S] spreads each distinct set over its
+    The weights are first totalled per distinct user set, from one
+    ``np.unique(keys, return_counts=True)``.  A feature's key is its user
+    set shifted left by (pairs - 1).bit_length() bits, a field that holds
+    the index of its pair for any number of pairs.  So a distinct key is
+    one user set under one weight, and its count times that weight adds to
+    the set's total.  Then [U meets S] = sum over the non-empty submasks V
+    of U of (-1)^(|V|-1) [V subset of S] spreads each distinct set over its
     submasks, walked as V -> (V - 1) & U, into one dict of Python ints.  A
     grid's user sets have at most 3 bits (no window holds four labels), so
     a set spreads into at most 7 entries.
     """
-    users = np.concatenate([u.ravel() for u, _ in weighted_users])
-    sets, at = np.unique(users, return_inverse=True)
-    weights = np.repeat([w for _, w in weighted_users], [u.size for u, _ in weighted_users])
+    if not weighted_users:
+        return {}
+    field = (len(weighted_users) - 1).bit_length()
+    keys = np.concatenate([users.ravel() << field | i for i, (users, _) in enumerate(weighted_users)])
+    keys, counts = np.unique(keys, return_counts=True)
+    totals: dict[int, int] = {}
+    for key, count in zip(keys.tolist(), counts.tolist()):
+        u = key >> field
+        totals[u] = totals.get(u, 0) + count * weighted_users[key & (1 << field) - 1][1]
     entries: dict[int, int] = {}
-    for u, w in zip(sets.tolist(), np.bincount(at, weights).astype(np.int64).tolist()):
+    for u, w in totals.items():
         sub = u if w else 0  # a set whose weights cancel adds nothing
         while sub:
             entries[sub] = entries.get(sub, 0) + (w if sub.bit_count() & 1 else -w)
@@ -144,27 +158,35 @@ def subset_table(n: int, entries: dict[int, int], dtype=np.int32) -> np.ndarray:
 
     The entries come merged, one weight per mask, and those of weight 0 are
     dropped.  Seen as rows of 2^r entries, r = min(n, ``ROW_BITS``), a row
-    is live when an entry falls in it.  The live rows alone are built, as
-    one (rows, 2^r) array, and summed over the low r bits at once
-    (:func:`subset_sums`).  Row H of the table is then the sum of the summed
-    live rows R with R a subset of H, and it is filled by doubling: rows
-    0 .. 2^j - 1 hold their sums, and rows 2^j .. 2^(j+1) - 1 are a copy of
-    them plus each live row R whose top bit is j, added over the sub-view of
-    the rows that hold R's other bits.  A live row that is bit j alone is
-    added in the copy.  So no 2^n histogram is filled first, and each entry
-    of the table is written once plus once per live row it holds.
+    is live when an entry falls in it.  The entries are grouped into their
+    live rows in Python, and the live rows alone are built: one (rows, 2^r)
+    array of zeros, filled by one fancy assignment from an int64 array of
+    the weights (which wraps into ``dtype``), and summed over the low r bits
+    at once (:func:`subset_sums`).  Row H of the table is then the sum of
+    the summed live rows R with R a subset of H, and it is filled by
+    doubling: rows 0 .. 2^j - 1 hold their sums, and rows 2^j .. 2^(j+1) - 1
+    are a copy of them plus each live row R whose top bit is j, added over
+    the sub-view of the rows that hold R's other bits.  A live row that is
+    bit j alone is added in the copy.  So no 2^n histogram is filled first,
+    and each entry of the table is written once plus once per live row it
+    holds.
     """
-    keys, weights = np.array([item for item in entries.items() if item[1]], dtype=np.int64).reshape(-1, 2).T
     r = min(n, ROW_BITS)
-    rows, at = np.unique(keys >> r, return_inverse=True)
+    rows: dict[int, int] = {}  # each live row's index in the array of live rows
+    at, cols, weights = [], [], []
+    for key, weight in entries.items():
+        if weight:
+            at.append(rows.setdefault(key >> r, len(rows)))
+            cols.append(key & (1 << r) - 1)
+            weights.append(weight)
     low = np.zeros((len(rows), 1 << r), dtype=dtype)
-    low[at, keys & (1 << r) - 1] = weights
-    live = dict(zip(rows.tolist(), subset_sums(low)))
+    low[at, cols] = np.array(weights, dtype=np.int64)
+    live = dict(zip(rows, subset_sums(low)))
     table = np.empty(1 << n, dtype=dtype)
-    table[:1 << r] = live.pop(0, 0)
+    by_row = table.reshape(-1, 1 << r)
+    by_row[0] = live.pop(0, 0)
     for j in range(n - r):
-        size = 1 << j + r
-        lower, upper = table[:size].reshape(-1, 1 << r), table[size:2 * size].reshape(-1, 1 << r)
+        lower, upper = by_row[:1 << j], by_row[1 << j:2 << j]
         if 1 << j in live:
             np.add(lower, live.pop(1 << j), out=upper)
         else:
@@ -333,11 +355,13 @@ class UnionTopology:
     @cached_property
     def _cell_bits(self) -> np.ndarray:
         """The grid padded by one OUTSIDE cell on every side, each cell as its
-        user set: 1 << its label, 0 for OUTSIDE."""
+        user set: 1 << its label, 0 for OUTSIDE.  The labels are read with
+        one ``np.fromiter`` of known count and looked up in the bits."""
         css = self.css
         bit = np.array([1 << i for i in range(self.n)] + [0], dtype=np.int64)  # OUTSIDE, -1, reads the 0
         bits = np.zeros((css.height + 2, css.width + 2), dtype=np.int64)
-        bits[1:-1, 1:-1] = bit[np.array(css.labels).reshape(css.height, css.width)]
+        labels = np.fromiter(css.labels, np.intp, count=css.width * css.height)
+        bits[1:-1, 1:-1] = bit[labels.reshape(css.height, css.width)]
         return bits
 
     def _euler_entries(self, sign: int) -> dict[int, int]:

@@ -239,14 +239,16 @@ class QubitRegionMap:
 
     def __post_init__(self):
         object.__setattr__(self, "n_qubits", index_int(self.n_qubits, "qubit count"))
-        # one union, a size sum and its bounds; the loop below names the first offender
+        # one union, its sum's type (int when every qubit is an int or a bool; a
+        # float or a numpy integer takes the loop below, which names the float),
+        # a size sum and its bounds; the loop below names the first offender
         qubits = set().union(*self.regions)
         try:
-            if all(self.regions) and len(qubits) == sum(map(len, self.regions)) and (
+            if type(sum(qubits)) is int and all(self.regions) and len(qubits) == sum(map(len, self.regions)) and (
                 not qubits or 0 <= min(qubits) and max(qubits) < self.n_qubits
             ):
                 return
-        except TypeError:  # a qubit no int compares with, named below
+        except TypeError:  # a qubit no int adds to or compares with, named below
             pass
         seen: set[int] = set()
         for k, region in enumerate(self.regions):

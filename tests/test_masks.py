@@ -448,6 +448,26 @@ def test_add_components_with_no_core_walks_nothing(n, monkeypatch):
     assert walks == []
 
 
+def test_meet_entries_of_many_pairs_are_the_merged_reference():
+    """300 (user sets, weight) pairs, more than a pair index of 8 bits can
+    tell apart, with user sets shared across pairs and weights that cancel:
+    the entries are those of each feature spread on its own (the reference
+    ``meet_histogram``), merged.  No pairs give no entries."""
+    rng = np.random.default_rng(300)
+    n = 12
+    features = []
+    for _ in range(300):
+        bits = (1 << rng.integers(0, n, size=(rng.integers(0, 5), 3))) * (rng.random((1, 3)) < 0.7)
+        features.append((np.bitwise_or.reduce(bits, axis=1, initial=0), int(rng.integers(-3, 4))))
+    every = np.concatenate([users for users, _ in features])
+    assert len(np.unique(every)) < len(every) / 2
+    entries = meet_entries(features)
+    spread = merged(*meet_histogram(features))
+    assert {key: weight for key, weight in entries.items() if weight} == {
+        key: weight for key, weight in spread.items() if weight}
+    assert meet_entries([]) == {}
+
+
 @pytest.mark.parametrize("n", range(7))
 def test_meet_expansion_matches_indicator(n):
     """Subset sums of the ``meet_entries`` entries give weight * [U & S != 0]
@@ -1058,7 +1078,7 @@ def plain_subset_sums(table):
 @pytest.mark.parametrize("n", range(11))
 def test_subset_sums_match_brute_force(n):
     """In place, in int32, int64 and float64, for the long-axis passes of
-    bits 1 and 2 and every other bit."""
+    bits 1, 2 and 3 and every other bit."""
     rng = np.random.default_rng(n)
     for dtype in (np.int32, np.int64, np.float64):
         if dtype is np.float64:
@@ -1109,19 +1129,22 @@ def live_rows(entries) -> set[int]:
     return {key >> ROW_BITS for key, weight in entries.items() if weight}
 
 
-@pytest.mark.parametrize("n", [3, ROW_BITS, ROW_BITS + 1, ROW_BITS + 4])
+@pytest.mark.parametrize("n", [3, ROW_BITS, ROW_BITS + 1, ROW_BITS + 4, 20])
 def test_subset_table_matches_plain_pass(n, monkeypatch):
     """Entries in no, one, a few scattered, 1/8, one more than 1/8 and all of
     the rows of 2^ROW_BITS entries (one row when n <= ROW_BITS), plus one of
     weight 0 in a row left dead: the table equals the plain pass over the
     dense histogram, byte for byte, and only the live rows are summed, as
-    one array."""
+    one array.  At n = 20 the scattered live rows reach mask bits 18 and 19,
+    so every entry of a table as large as a ``random-n20`` J is compared."""
     summed = spy_subset_sums(monkeypatch)
     r = min(n, ROW_BITS)
     n_rows = 1 << n - r
     rng = np.random.default_rng(n)
+    reach = 0  # the high bits the scattered live rows hold
     for count in sorted({0, 1, min(3, n_rows), n_rows // 8, n_rows // 8 + 1, n_rows}):
         live = rng.choice(n_rows, count, replace=False)
+        reach |= int(np.bitwise_or.reduce(live, initial=0)) if count < n_rows else 0
         low = np.array([rng.choice(1 << r, min(5, 1 << r), replace=False) for _ in live], dtype=np.int64)
         keys = (live[:, None] << r | low).reshape(-1)
         weights = rng.choice([-1, 1], size=keys.size) * rng.integers(1, 50, size=keys.size)
@@ -1134,6 +1157,8 @@ def test_subset_table_matches_plain_pass(n, monkeypatch):
         assert table.dtype == np.int32
         assert table.tobytes() == want.tobytes(), count
         assert summed == [(count, 1 << r)]
+    if n == 20:
+        assert reach >> n - r - 2 == 3, reach
 
 
 def test_subset_sums_allocate_no_table():

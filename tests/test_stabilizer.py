@@ -112,6 +112,19 @@ def test_columns_and_qubits_that_no_int_compares_with_are_named(make, message):
         make()
 
 
+@pytest.mark.parametrize("regions, message", [
+    ((frozenset({1.0}),), "a qubit of region 0 must be an integer, got 1.0"),
+    ((frozenset({0, 1}), frozenset({2.0, 3})), "a qubit of region 1 must be an integer, got 2.0"),
+], ids=["float", "second-region-float"])
+def test_a_float_qubit_in_range_is_named(regions, message):
+    """A float qubit compares with ints and lies in range, but the exact pass
+    cannot shift by it: the map is not built, and the ValidationError names
+    it.  Bool and numpy integer qubits are still built."""
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        QubitRegionMap(4, regions)
+    assert QubitRegionMap(4, (frozenset({True}), frozenset({np.int64(2)}))).n_subsystems == 2
+
+
 def test_numpy_integer_scalar_fields_are_ints():
     lattice = CodeLattice(np.int64(4), np.int64(4), "torus")
     assert type(lattice.lx) is type(lattice.n_qubits) is int and lattice.n_qubits == 32

@@ -17,12 +17,15 @@ terms need no evaluation: a grid segment borders at most two subsystems,
 so their alternating sum vanishes for N >= 3.  Entry points take a
 GridCss or a CssAnalysis, the one object of a CSS: its holes, hole loops,
 graph and chi and, in ``tables``, its 2^N tables (the only capped part),
-each computed once.  C of a sub-collection reads only the grid's
-labelling, its cell-component graph (``GridCss.cell_components``) and the
-junction corners of its validation scan (``GridCss.junctions``), no 2^N
-table, and so answers beyond the cap: one or two ids give the J of their
-unions (``grid.union_boundary_count``, two ``grid.count_components`` over
-the labelling's walls); from three on, the signed component sum
+each computed once.  The grid arrives labelled: its constructor's one
+pass validated it, recorded its junction corners
+(``GridCss.junctions``), labelled it (``GridCss.labelling``) and counted
+its footprint's components, which chi reads.  C of a sub-collection
+reads only that labelling, its cell-component graph
+(``GridCss.cell_components``) and the junction corners, no 2^N table,
+and so answers beyond the cap: one or two ids give the J of their unions
+(``grid.union_boundary_count``, two ``grid.count_components`` over the
+labelling's walls); from three on, the signed component sum
 (``walk.signed_component_sum``) is split over the blocks of the
 sub-collection's graph, a ring read in closed form, a block with a chord
 walked, and a walk past its state cap reads a table of its own groups.

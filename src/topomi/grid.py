@@ -7,17 +7,21 @@ Euler characteristic) is computed with 4-adjacency for both regions and
 their complements.  Grids containing a diagonal pinch -- a 2x2 block in
 which two regions, or a region and its complement, meet only at a corner --
 are rejected at construction time so that every boundary-curve count is
-unambiguous; so no window holds four labels.  The same window scan records
-the junction corners, windows of three subsystems (``GridCss.junctions``).
-Each grid is labelled once (``GridCss.labelling``), and every other
-CSS-level structure is read from that and the scan; a hole is its first
-cell, the seed of its flood.  J and chi count the labelling's components
-joined over their walls with ``count_components``, the one component
-count, which rho runs on a graph's neighbour sets.  The flood fills over
-sets of cells below (``connected_components`` to ``union_region``, and
-``restrict_css``) are called by no package path: they stay as the
-independent definition that the benchmark's correctness gate and the
-tests compare against.
+unambiguous; so no window holds four labels.  The constructor validates
+and labels each grid in one row-major union-find pass (``_scan``): it
+rejects the first pinch window, records the junction corners, windows of
+three subsystems (``GridCss.junctions``), and labels the grid once
+(``GridCss.labelling``), numbering its components in first-cell order;
+it also counts the footprint's components (``GridCss.footprint_components``,
+chi's connectivity check).  Every other CSS-level structure is read from
+these; a hole is its first cell.  J and chi's footprint count come from
+the labelling's components joined over their walls by ``count_components``,
+the one component count, which rho runs on a graph's neighbour sets.
+``SimpleGraph`` takes a fast path when its edges are plain int pairs.  The
+flood fills over sets of cells below (``connected_components`` to
+``union_region``, and ``restrict_css``) are called by no package path:
+they stay as the independent definition that the benchmark's correctness
+gate and the tests compare against.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import operator
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, islice
 
 from .errors import (
     DisconnectedCss,
@@ -67,9 +72,17 @@ class GridCss:
 
     ``labels`` is row-major; value ``OUTSIDE`` (-1) marks background cells,
     values ``0..n_subsystems-1`` mark subsystem cells.  Every id in that
-    range must occur at least once.  ``junctions`` holds the labels
+    range must occur at least once.  The constructor's one pass
+    (:func:`_scan`) sets the rest.  ``junctions`` holds the labels
     ``(a, b, c, d)`` of each 2x2 window ``a b / c d`` of three subsystems,
-    in row-major order (:func:`_reject_diagonal_pinches`).
+    in row-major order.  ``labelling``, the grid's one labelling, from which
+    every CSS-level structure is read, is the 4-connected same-label
+    components of the grid padded by one OUTSIDE cell on every side,
+    numbered in row-major order of their first cells: component 0 is the
+    outside, and every other OUTSIDE component is a hole.  It holds the
+    label of each component, the components sharing a grid edge with each,
+    and the first cell (x, y) of each hole -> its component.
+    ``footprint_components`` counts the components of the subsystem cells.
     """
 
     width: int
@@ -78,6 +91,9 @@ class GridCss:
     name: str = ""
     n_subsystems: int = field(init=False, repr=False, compare=False)
     junctions: tuple[tuple[int, int, int, int], ...] = field(init=False, repr=False, compare=False)
+    labelling: tuple[tuple[int, ...], tuple[set[int], ...], dict[Cell, int]] = field(
+        init=False, repr=False, compare=False)
+    footprint_components: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("width", "height"):
@@ -107,40 +123,12 @@ class GridCss:
                 f"subsystem ids must be exactly 0..{len(present) - 1}, got {present}"
             )
         object.__setattr__(self, "n_subsystems", len(present))
-        object.__setattr__(self, "junctions", _reject_diagonal_pinches(self))
-
-    @cached_property
-    def labelling(self) -> tuple[tuple[int, ...], tuple[set[int], ...], dict[Cell, int]]:
-        """The grid's one labelling, from which every CSS-level structure is read:
-        the 4-connected same-label components of the grid padded by one OUTSIDE
-        cell on every side, by one flood each from its first cell, so numbered
-        in row-major order of their first cells.  Component 0 is the outside;
-        every other OUTSIDE component is a hole.  Returns the label of each
-        component, the components sharing a grid edge with each, and the
-        first cell (x, y) of each hole, its seed, -> its component."""
-        row, cells = self.width + 2, _padded(self)
-        n = len(cells)
-        cells += [None] * row  # read, also at negative indices, off the padding
-        comp, labels, near, holes = [-1] * (n + row), [], [], {}
-        for seed in range(n):
-            if comp[seed] >= 0:
-                continue
-            c, label = len(labels), cells[seed]
-            labels.append(label)
-            near.append(set())
-            comp[seed], stack = c, [seed]
-            for k in stack:  # the stack grows while it is read, and ends as the component
-                for nb in (k - row, k - 1, k + 1, k + row):
-                    other = comp[nb]
-                    if other < 0 and cells[nb] == label:
-                        comp[nb] = c
-                        stack.append(nb)
-                    elif 0 <= other != c:  # a wall with a component flooded before
-                        near[c].add(other)
-                        near[other].add(c)
-            if label == OUTSIDE and c:
-                holes[seed % row - 1, seed // row - 1] = c
-        return tuple(labels), tuple(near), holes
+        junctions, labelling = _scan(self)
+        object.__setattr__(self, "junctions", junctions)
+        object.__setattr__(self, "labelling", labelling)
+        labels, near, _ = labelling
+        footprint = count_components(near, (c for c, label in enumerate(labels) if label != OUTSIDE))
+        object.__setattr__(self, "footprint_components", footprint)
 
     @cached_property
     def cell_components(self) -> tuple[list[int], list[int], int]:
@@ -211,28 +199,87 @@ def _padded(css: GridCss) -> list[int]:
     return cells + [OUTSIDE] * (w + 1)
 
 
-def _reject_diagonal_pinches(css: GridCss) -> tuple[tuple[int, int, int, int], ...]:
-    """Reject corner-only contacts (:func:`window_pinch`): the 2x2 windows
-    whose four edges all separate different labels.  So no window left holds
-    four labels.  Returns the junction corners: the labels ``(a, b, c, d)``
-    of each window ``a b / c d`` of three subsystems, in row-major order.
+def _scan(css: GridCss) -> tuple[tuple[tuple[int, int, int, int], ...], tuple]:
+    """Validate and label the grid in one row-major pass over the cells of the
+    grid padded by one OUTSIDE cell on every side (a union-find labelling, as
+    Hoshen and Kopelman's, Phys. Rev. B 14, 3438 (1976)).
 
-    Every window is scanned, including a virtual OUTSIDE border.  Under this
-    rule every union of subsystems, and every complement of such a union,
-    has identical 4-adjacency and homotopy component structure.
+    At each cell d it reads the window ``a b / c d`` of d and its upper-left,
+    upper and left neighbours.  A window whose four edges all separate
+    different labels is a corner-only contact (:func:`window_pinch`): the
+    first in row-major order is a ValidationError naming it, so no window
+    left holds four labels.  A window of three subsystems is a junction
+    corner; they are returned as ``(a, b, c, d)``, in row-major order.
+    Under this rule every union of subsystems, and every complement of such
+    a union, has identical 4-adjacency and homotopy component structure.
+
+    d joins c and b when it shares their label, and otherwise starts a
+    provisional label; the walls between labels are kept as pairs of
+    provisional labels.  A union keeps the lower root, so each component's
+    root is the provisional label of its first cell, and the components are
+    numbered in row-major order of their first cells.  Returns the
+    junctions and the labelling (:attr:`GridCss.labelling`).
     """
     row, cells = css.width + 2, _padded(css)
+    n = len(cells)
+    # per provisional label: its parent, lower, or itself at a root; its first cell
+    parent, first = [0], [0]
+    # the provisional label of each cell; the top border and the next left border are the outside's, 0
+    lab = [0] * n
+    walls: set[tuple[int, int]] = set()
     junctions = []
-    # a window across the wrap of two padded rows has two border cells side by side
-    for k, (a, b, c, d) in enumerate(zip(cells, cells[1:], cells[row:], cells[row + 1:])):
-        if a != b and a != c and b != d and c != d:
-            x, y = k % row - 1, k // row - 1
-            raise ValidationError(f"{window_pinch(a, b, c, d)} at cells ({x},{y})..({x + 1},{y + 1})")
+    left = 0  # the provisional label of the cell before
+    # a window across the wrap of two padded rows has four border cells
+    for j, a, b, c, d, up in zip(range(row + 1, n), cells, cells[1:], cells[row:], cells[row + 1:],
+                                 islice(lab, 1, None)):
+        if c == d and b == d:
+            if up != left:
+                ru, rl = up, left
+                while parent[ru] != ru:
+                    parent[ru] = ru = parent[parent[ru]]
+                while parent[rl] != rl:
+                    parent[rl] = rl = parent[parent[rl]]
+                if ru < rl:
+                    parent[rl] = left = ru
+                else:
+                    parent[ru] = left = rl
+            lab[j] = left
+            continue
+        if c == d:
+            walls.add((up, left))
+        elif b == d:
+            walls.add((left, up))
+            left = up
+        else:
+            if a != b and a != c:
+                x, y = j % row - 2, j // row - 2
+                raise ValidationError(f"{window_pinch(a, b, c, d)} at cells ({x},{y})..({x + 1},{y + 1})")
+            walls.add((left, len(parent)))
+            walls.add((up, len(parent)))
+            left = len(parent)
+            parent.append(left)
+            first.append(j)
+        lab[j] = left
         # with no pinch, a window with both diagonals split that is no
         # straight wall between two labels holds exactly three labels
         if a != d and b != c and (a != b or c != d) and (a != c or b != d) and OUTSIDE not in (a, b, c, d):
             junctions.append((a, b, c, d))
-    return tuple(junctions)
+    final, labels, holes = [], [], {}  # the component of each provisional label
+    for p, q in enumerate(parent):
+        if p != q:  # q < p: a label of the same component, numbered already
+            final.append(final[q])
+            continue
+        seed, c = first[p], len(labels)
+        final.append(c)
+        labels.append(cells[seed])
+        if cells[seed] == OUTSIDE and c:
+            holes[seed % row - 1, seed // row - 1] = c
+    near: list[set[int]] = [set() for _ in labels]
+    for p, q in walls:
+        p, q = final[p], final[q]
+        near[p].add(q)
+        near[q].add(p)
+    return tuple(junctions), (tuple(labels), tuple(near), holes)
 
 
 # ----------------------------------------------------------------------
@@ -463,6 +510,10 @@ class SimpleGraph:
             raise ValidationError("graph needs at least one vertex")
         if self.vertex_count > MAX_VERTICES:
             raise TooManySubsystems(f"{self.vertex_count} vertices exceed the graph cap of {MAX_VERTICES}")
+        plain = _plain_edges(self.edges, self.vertex_count)
+        if plain is not None:
+            object.__setattr__(self, "edges", plain)
+            return
         seen = set()
         for edge in self.edges:
             ends = tuple(edge) if isinstance(edge, Iterable) else ()
@@ -487,6 +538,25 @@ class SimpleGraph:
     def neighbor_masks(self) -> tuple[int, ...]:
         """The neighbour bitmask of each vertex, built once per graph."""
         return tuple(pack_bits([*self.edges, *((j, i) for i, j in self.edges)], self.vertex_count))
+
+
+def _plain_edges(edges, n: int) -> tuple[tuple[int, int], ...] | None:
+    """The sorted edges of :class:`SimpleGraph` in the common case, or None:
+    ``edges`` is a tuple of ``(i, j)`` tuples of two distinct ``int`` ends in
+    0..n-1, and no pair repeats either way round.  Anything else takes the
+    constructor's loop, which names the offending edge."""
+    if type(edges) is not tuple or set(map(type, edges)) - {tuple}:
+        return None
+    try:
+        keys = sorted({(i, j) if i < j else (j, i) for i, j in edges})
+    except (TypeError, ValueError):  # an edge that is no pair, or ends that do not compare
+        return None
+    ends = list(chain.from_iterable(keys))
+    if len(keys) != len(edges) or set(map(type, ends)) - {int} or any(map(operator.eq, ends[::2], ends[1::2])):
+        return None
+    if keys and not (0 <= keys[0][0] and max(ends[1::2]) < n):
+        return None
+    return tuple(keys)
 
 
 def restrict_css(css: GridCss, keep: Iterable[int], name: str = "") -> GridCss:
@@ -553,11 +623,10 @@ def union_boundary_count(css: GridCss, ids: Iterable[int]) -> int:
 def euler_characteristic(css: GridCss) -> int:
     """2, the plane's Euler characteristic: V - E + F of the adjacency map with
     a face for every hole, junction corner and the outside, by Euler's formula,
-    and the chi of |I^N| = chi S_topo.  Requires an edge-connected footprint."""
-    labels, near, _ = css.labelling
-    n_comp = count_components(near, (c for c, label in enumerate(labels) if label != OUTSIDE))
-    if n_comp != 1:
-        raise DisconnectedCss(f"footprint has {n_comp} components")
+    and the chi of |I^N| = chi S_topo.  Requires an edge-connected footprint,
+    whose components the constructor counted (``GridCss.footprint_components``)."""
+    if css.footprint_components != 1:
+        raise DisconnectedCss(f"footprint has {css.footprint_components} components")
     return 2
 
 

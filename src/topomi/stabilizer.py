@@ -369,6 +369,12 @@ def _signed_rank_sum(spaces: Sequence[Sequence[int]]) -> tuple[int, int]:
     V_j holds the basis vector of each bit of Z_j above Z_{j+1}, so W + V_j
     is those bits plus (W + V_j) & Z_{j+1}, which W's rows with their high
     bits dropped span together with the overlap V_j & Z_{j+1}.
+
+    The ``dims[j] - ahead`` in the dimension gained is the same for every
+    state at step j, so a mutant such as ``dims[j] + ahead`` changes no
+    result: a term that depends only on the step adds to W_T's dimension
+    for every T that holds j, and those T carry alternating signs that sum
+    to 0 for N >= 2; at N = 1, ``ahead`` is 0.
     """
     overlaps, dims = _overlaps(spaces)
     states: dict[tuple[int, ...], tuple[int, int]] = {(): (1, 0)}

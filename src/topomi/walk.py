@@ -88,27 +88,34 @@ def _cycle_blocks(adj: list[int], keep: int) -> list[int]:
     over the vertices of ``keep``: a vertex's low point is the lowest
     discovery number reached from its subtree by one edge, and a child whose
     low point is not below its parent's number closes a block, the child's
-    subtree vertices still on the path plus the parent."""
-    order: dict[int, int] = {}  # discovery number of each vertex reached
-    low: dict[int, int] = {}
-    left: dict[int, int] = {}  # neighbours of each vertex not yet tried
+    subtree vertices still on the path plus the parent.  Its state is kept in
+    lists indexed by vertex."""
+    n = len(adj)
+    order = [-1] * n  # discovery number of each vertex reached, -1 before
+    low = [0] * n
+    left = [0] * n  # neighbours of each vertex not yet tried
+    reached = 0
     blocks: list[int] = []
     for root in set_bits(keep):
-        if root in order:
+        if order[root] >= 0:
             continue
-        order[root] = low[root] = len(order)
+        order[root] = low[root] = reached
+        reached += 1
         left[root] = adj[root] & keep
         path, todo = [root], [root]  # todo: the depth-first stack
         while todo:
             v = todo[-1]
-            if left[v]:
-                bit = left[v] & -left[v]
-                left[v] ^= bit
+            rest = left[v]
+            if rest:
+                bit = rest & -rest
+                left[v] = rest ^ bit
                 u = bit.bit_length() - 1
-                if u in order:
-                    low[v] = min(low[v], order[u])
+                if order[u] >= 0:
+                    if order[u] < low[v]:
+                        low[v] = order[u]
                 else:
-                    order[u] = low[u] = len(order)
+                    order[u] = low[u] = reached
+                    reached += 1
                     left[u] = adj[u] & keep
                     path.append(u)
                     todo.append(u)
@@ -116,7 +123,8 @@ def _cycle_blocks(adj: list[int], keep: int) -> list[int]:
             todo.pop()
             if todo:
                 parent = todo[-1]
-                low[parent] = min(low[parent], low[v])
+                if low[v] < low[parent]:
+                    low[parent] = low[v]
                 if low[v] >= order[parent]:
                     block, w = 1 << parent, parent
                     while w != v:

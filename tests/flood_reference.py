@@ -1,12 +1,17 @@
 """The flood fills over sets of cells that the tests read as the reference.
 
-The package reads every J, perimeter and hole from one labelling pass per
-grid (``GridCss.labelling``).  These functions compute the same quantities
-of an explicit cell set by flood fills of their own, so the tests compare
-the package against an independent definition; ``boundary_walk_labels``
-is the hole-boundary walk over a dict of every boundary edge of the hole's
-cells, against which the package's corner-by-corner walk is checked.  The
-rest of that layer
+The package validates and labels each grid in one union-find pass
+(``grid._scan``, run by the constructor) and reads every J, perimeter and
+hole from that labelling (``GridCss.labelling``).  ``pinch_scan`` and
+``flood_labelling`` are the two passes it replaced, kept unchanged: the
+window scan that rejected corner-only contacts and recorded the junction
+corners, and the flood from each component's first cell.  The other
+functions compute the same quantities of an explicit cell set by flood
+fills of their own, so the tests compare the package against an
+independent definition; ``boundary_walk_labels`` is the hole-boundary
+walk over a dict of every boundary edge of the hole's cells, against
+which the package's corner-by-corner walk is checked.  The rest of that
+layer
 (``connected_components``, ``boundary_component_count``, ``union_region``,
 ``restrict_css``) stays in ``topomi.grid``, where the benchmark's
 correctness gate binds it.  The file's name does not start with ``test_``,
@@ -18,8 +23,9 @@ from __future__ import annotations
 from typing import Iterable
 
 from topomi.engine import CssAnalysis
-from topomi.errors import EmptyRegion
+from topomi.errors import EmptyRegion, ValidationError
 from topomi.grid import (
+    OUTSIDE,
     Cell,
     GridCss,
     Region,
@@ -27,10 +33,77 @@ from topomi.grid import (
     _neighbors4,
     boundary_component_count,
     union_region,
+    window_pinch,
 )
 from topomi.model import EntropyModel
 
 from oracle_reference import EntropySource
+
+
+def padded(css) -> list[int]:
+    """The labels, row-major, of the grid padded by one OUTSIDE cell on every side."""
+    w = css.width
+    cells = [OUTSIDE] * (w + 3)  # the top border and the first left border
+    for y in range(css.height):
+        cells += css.labels[y * w:(y + 1) * w]
+        cells += (OUTSIDE, OUTSIDE)  # this right border, the next left border
+    return cells + [OUTSIDE] * (w + 1)
+
+
+def pinch_scan(css) -> tuple[tuple[int, int, int, int], ...]:
+    """Reject corner-only contacts (``grid.window_pinch``): the 2x2 windows
+    whose four edges all separate different labels.  So no window left holds
+    four labels.  Returns the junction corners: the labels ``(a, b, c, d)``
+    of each window ``a b / c d`` of three subsystems, in row-major order.
+
+    ``css`` needs only ``width``, ``height`` and ``labels``, so a grid that
+    ``GridCss`` rejects can be scanned.  Every window is scanned, including
+    a virtual OUTSIDE border.
+    """
+    row, cells = css.width + 2, padded(css)
+    junctions = []
+    # a window across the wrap of two padded rows has two border cells side by side
+    for k, (a, b, c, d) in enumerate(zip(cells, cells[1:], cells[row:], cells[row + 1:])):
+        if a != b and a != c and b != d and c != d:
+            x, y = k % row - 1, k // row - 1
+            raise ValidationError(f"{window_pinch(a, b, c, d)} at cells ({x},{y})..({x + 1},{y + 1})")
+        # with no pinch, a window with both diagonals split that is no
+        # straight wall between two labels holds exactly three labels
+        if a != d and b != c and (a != b or c != d) and (a != c or b != d) and OUTSIDE not in (a, b, c, d):
+            junctions.append((a, b, c, d))
+    return tuple(junctions)
+
+
+def flood_labelling(css) -> tuple[tuple[int, ...], tuple[set[int], ...], dict[Cell, int]]:
+    """The 4-connected same-label components of the grid padded by one
+    OUTSIDE cell on every side, by one flood each from its first cell, so
+    numbered in row-major order of their first cells.  Component 0 is the
+    outside; every other OUTSIDE component is a hole.  Returns the label of
+    each component, the components sharing a grid edge with each, and the
+    first cell (x, y) of each hole, its seed, -> its component."""
+    row, cells = css.width + 2, padded(css)
+    n = len(cells)
+    cells += [None] * row  # read, also at negative indices, off the padding
+    comp, labels, near, holes = [-1] * (n + row), [], [], {}
+    for seed in range(n):
+        if comp[seed] >= 0:
+            continue
+        c, label = len(labels), cells[seed]
+        labels.append(label)
+        near.append(set())
+        comp[seed], stack = c, [seed]
+        for k in stack:  # the stack grows while it is read, and ends as the component
+            for nb in (k - row, k - 1, k + 1, k + row):
+                other = comp[nb]
+                if other < 0 and cells[nb] == label:
+                    comp[nb] = c
+                    stack.append(nb)
+                elif 0 <= other != c:  # a wall with a component flooded before
+                    near[c].add(other)
+                    near[other].add(c)
+        if label == OUTSIDE and c:
+            holes[seed % row - 1, seed // row - 1] = c
+    return tuple(labels), tuple(near), holes
 
 
 def region_holes(region: Iterable[Cell]) -> list[Region]:

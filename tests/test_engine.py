@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from topomi import builders, engine, masks, walk
+from topomi import builders, engine, grid, masks, walk
 from topomi.engine import (
     CssAnalysis,
     CssFamily,
@@ -525,13 +525,15 @@ def test_information_of_a_thousand_hole_frame_is_per_hole():
 def test_information_of_a_wide_annulus_walks_its_hole_from_one_cell():
     """The 801 x 801 grid of annulus(1600) holds one hole of 638 401 cells.
     Its loop is walked from the hole's first cell over the labels, so no
-    set of the hole's cells is built: the summary takes 0.31-0.51 s on a
-    2-core x86-64 VM, nearly all of it the grid's labelling, against
-    0.92-1.39 s when each hole was keyed by the set of its cells."""
-    css = builders.annulus(1600)
+    set of the hole's cells is built, and the grid is validated and
+    labelled by its constructor's one pass: building it and its summary
+    take 0.13-0.14 s on a 2-core x86-64 VM, nearly all of it that pass,
+    against 0.36-0.38 s when the constructor's window scan was followed by
+    a flood of every cell at first use."""
     start = time.perf_counter()
+    css = builders.annulus(1600)
     summary = information_summary(D2, css)
-    assert time.perf_counter() - start < 0.6
+    assert time.perf_counter() - start < 0.3
     assert [h.c for h in summary.holes] == [-2]
 
 
@@ -768,17 +770,20 @@ def test_information_builds_j_alone(name, monkeypatch):
 
 @pytest.mark.parametrize("name", ["random-n20", "six-hole-eighteen"])
 def test_information_labels_the_grid_and_builds_its_graph_once(name, monkeypatch):
-    """``multipartite_information`` labels the grid once, builds its
+    """Each grid is labelled once, by its constructor (``grid._scan``), and
+    ``multipartite_information`` labels nothing again: it builds the
     cell-component graph once and finds the blocks of that whole graph
     once: C^N, the hole loops' C and the J table share
     ``GridCss.cell_components``, and C^N and the J table share
     ``GridCss.cell_blocks``."""
     built = Counter()
-    for attr in ("labelling", "cell_components", "cell_blocks"):
+    for attr in ("cell_components", "cell_blocks"):
         func = vars(GridCss)[attr].func
         prop = cached_property(lambda css, func=func, attr=attr: built.update([attr]) or func(css))
         prop.__set_name__(GridCss, attr)
         monkeypatch.setattr(GridCss, attr, prop)
+    scan = grid._scan
+    monkeypatch.setattr(grid, "_scan", lambda css: built.update(["labelling"]) or scan(css))
     whole = []  # the vertex masks of the _cycle_blocks calls on the whole graph
     cycle_blocks = walk._cycle_blocks
 
@@ -790,10 +795,12 @@ def test_information_labels_the_grid_and_builds_its_graph_once(name, monkeypatch
     monkeypatch.setattr(walk, "_cycle_blocks", counting)
     monkeypatch.setattr(masks, "_cycle_blocks", counting)
     css = random_n(20) if name == "random-n20" else builders.six_hole_eighteen()
+    assert built == Counter(labelling=1)
     analysis = CssAnalysis(css)
     multipartite_information(D2, analysis)
     assert built == Counter(labelling=1, cell_components=1, cell_blocks=1)
     assert len(whole) == 1
+    assert analysis.css.labelling is css.labelling
     assert analysis.tables._cell_component_graph is css.cell_components
 
 

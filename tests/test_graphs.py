@@ -453,14 +453,9 @@ def test_graph_validation_and_parsing():
 def test_graph_vertex_count_and_edge_ends_are_integers():
     """A vertex count or edge end that is no integer, or an edge that is no
     pair, is a ValidationError at construction, not a TypeError or ValueError
-    here or in rho; ints, bools and numpy integers pass."""
+    here or in rho (each edge case in the test below); ints, bools and numpy
+    integers pass."""
     for args, text in (
-        ((3, ((0, 1, 2),)), "edge (0, 1, 2) is not a pair of vertex ids"),
-        ((3, ((0,),)), "edge (0,) is not a pair of vertex ids"),
-        ((3, (5,)), "edge 5 is not a pair of vertex ids"),
-        ((3, (None,)), "edge None is not a pair of vertex ids"),
-        ((3, ((0, 1.5),)), "an edge end must be an integer, got 1.5"),
-        ((3, (("0", 1),)), "an edge end must be an integer, got '0'"),
         ((2.0, ((0, 1),)), "vertex count must be an integer, got 2.0"),
         ((None, ()), "vertex count must be an integer, got None"),
     ):
@@ -470,6 +465,48 @@ def test_graph_vertex_count_and_edge_ends_are_integers():
     assert graph == SimpleGraph(3, ((1, 2),))
     assert {type(graph.vertex_count), *(type(end) for edge in graph.edges for end in edge)} == {int}
     assert rho(graph) == rho(SimpleGraph(3, ((1, 2),)))
+
+
+@pytest.mark.parametrize("args, want", [
+    ((3, ((np.int64(0), np.int32(1)), (np.uint8(2), np.int16(1)))), ((0, 1), (1, 2))),
+    ((3, ((True, False), (False, 2))), ((0, 1), (0, 2))),
+    ((3, ([0, 1], [2, 1])), ((0, 1), (1, 2))),
+    ((3, ((0, 1), [1, 2])), ((0, 1), (1, 2))),
+    ((3, [(0, 1), (2, 1)]), ((0, 1), (1, 2))),
+    ((4, ((3, 0), (2, 1), (1, 0))), ((0, 1), (0, 3), (1, 2))),
+    ((3, ()), ()),
+    ((3, ((1, 2), (2, 1))), "duplicate edge (1, 2)"),
+    ((3, ((0, 1), (1, 2), (0, 1))), "duplicate edge (0, 1)"),
+    ((3, ((1, 1),)), "self-loop at vertex 1"),
+    ((3, ((0, 1), (2, 2))), "self-loop at vertex 2"),
+    ((3, ((True, 1),)), "self-loop at vertex 1"),
+    ((3, ((0, 3),)), "edge (0, 3) out of range"),
+    ((3, ((-1, 0),)), "edge (-1, 0) out of range"),
+    ((3, ((0, 1, 2),)), "edge (0, 1, 2) is not a pair of vertex ids"),
+    ((3, ((0,),)), "edge (0,) is not a pair of vertex ids"),
+    ((3, (5,)), "edge 5 is not a pair of vertex ids"),
+    ((3, (None,)), "edge None is not a pair of vertex ids"),
+    ((3, ("01",)), "an edge end must be an integer, got '0'"),
+    ((3, (("0", 1),)), "an edge end must be an integer, got '0'"),
+    ((3, ((0, "1"),)), "an edge end must be an integer, got '1'"),
+    ((3, ((None, 1),)), "an edge end must be an integer, got None"),
+    ((3, ((0, 1.5),)), "an edge end must be an integer, got 1.5"),
+])
+def test_graph_fast_path_keeps_the_boundary(args, want):
+    """Tuples of two distinct in-range ``int`` ends take a fast path in
+    ``SimpleGraph``; every other input builds the same sorted edges as the
+    checking loop, or raises the same ValidationError naming the offender:
+    numpy-integer and bool ends, list edges, reversed pairs, repeats either
+    way round, self-loops, out-of-range ends, 3-tuples, strings, floats and
+    None."""
+    if isinstance(want, str):
+        with pytest.raises(ValidationError) as err:
+            SimpleGraph(*args)
+        assert str(err.value) == want
+    else:
+        graph = SimpleGraph(*args)
+        assert graph.edges == want
+        assert {type(end) for edge in graph.edges for end in edge} <= {int}
 
 
 def _signed_proper_sum(table) -> int:

@@ -160,6 +160,22 @@ def test_outside_pinch_rejected():
         parse_ascii(".A\nB.")
 
 
+@pytest.mark.parametrize("rows, text", [
+    (["AB", "BA"], "diagonal pinch of label 0 at cells (0,0)..(1,1)"),
+    ([".A.", "..B"], "subsystems 0 and 1 meet only diagonally at cells (1,0)..(2,1)"),
+    (["..A", ".A."], "diagonal pinch of label -1 at cells (1,0)..(2,1)"),
+])
+def test_a_pinch_message_names_the_grid_and_its_window(rows, text):
+    """``parse_grid_json`` puts the grid's name, or ``ascii grid`` for an
+    unnamed one, before the constructor's message, which names the window:
+    a same-label diagonal, two subsystems meeting only diagonally, and an
+    OUTSIDE pinch."""
+    for name, prefix in (("frame", "frame"), ("", "ascii grid")):
+        with pytest.raises(ValidationError) as err:
+            parse_grid_json({"ascii": rows}, name)
+        assert str(err.value) == f"{prefix}: {text}"
+
+
 def reference_pinches(width, height, labels):
     """Every corner-only contact, as its ValidationError text and window, by
     the window scan over ``label_at`` with a virtual OUTSIDE border, in

@@ -13,8 +13,10 @@ rejects the first pinch window, records the junction corners, windows of
 three subsystems (``GridCss.junctions``), and labels the grid once
 (``GridCss.labelling``), numbering its components in first-cell order;
 it also counts the footprint's components (``GridCss.footprint_components``,
-chi's connectivity check).  Every other CSS-level structure is read from
-these; a hole is its first cell.  J and chi's footprint count come from
+chi's connectivity check) and records the 2x2 windows that the Euler
+characteristic of every union is read from (``GridCss.corners``).
+Every other CSS-level structure is read from these; a hole is its first
+cell.  J and chi's footprint count come from
 the labelling's components joined over their walls by ``count_components``,
 the one component count, which rho runs on a graph's neighbour sets.
 ``SimpleGraph`` takes a fast path when its edges are plain int pairs.  The
@@ -83,6 +85,11 @@ class GridCss:
     label of each component, the components sharing a grid edge with each,
     and the first cell (x, y) of each hole -> its component.
     ``footprint_components`` counts the components of the subsystem cells.
+    ``corners`` holds two tuples of the 2x2 windows ``a b / c d`` of the
+    padded grid that Euler characteristics are read from, each in row-major
+    order: ``(c, a, d)`` of each window whose lower-left label c is in no
+    other of its cells, and ``(b, a, d)`` of each whose upper-right label b
+    is in no other.
     """
 
     width: int
@@ -94,6 +101,7 @@ class GridCss:
     labelling: tuple[tuple[int, ...], tuple[set[int], ...], dict[Cell, int]] = field(
         init=False, repr=False, compare=False)
     footprint_components: int = field(init=False, repr=False, compare=False)
+    corners: tuple[tuple[tuple[int, int, int], ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("width", "height"):
@@ -123,9 +131,10 @@ class GridCss:
                 f"subsystem ids must be exactly 0..{len(present) - 1}, got {present}"
             )
         object.__setattr__(self, "n_subsystems", len(present))
-        junctions, labelling = _scan(self)
+        junctions, labelling, corners = _scan(self)
         object.__setattr__(self, "junctions", junctions)
         object.__setattr__(self, "labelling", labelling)
+        object.__setattr__(self, "corners", corners)
         labels, near, _ = labelling
         footprint = count_components(near, (c for c, label in enumerate(labels) if label != OUTSIDE))
         object.__setattr__(self, "footprint_components", footprint)
@@ -199,7 +208,7 @@ def _padded(css: GridCss) -> list[int]:
     return cells + [OUTSIDE] * (w + 1)
 
 
-def _scan(css: GridCss) -> tuple[tuple[tuple[int, int, int, int], ...], tuple]:
+def _scan(css: GridCss) -> tuple[tuple[tuple[int, int, int, int], ...], tuple, tuple]:
     """Validate and label the grid in one row-major pass over the cells of the
     grid padded by one OUTSIDE cell on every side (a union-find labelling, as
     Hoshen and Kopelman's, Phys. Rev. B 14, 3438 (1976)).
@@ -208,17 +217,31 @@ def _scan(css: GridCss) -> tuple[tuple[tuple[int, int, int, int], ...], tuple]:
     upper and left neighbours.  A window whose four edges all separate
     different labels is a corner-only contact (:func:`window_pinch`): the
     first in row-major order is a ValidationError naming it, so no window
-    left holds four labels.  A window of three subsystems is a junction
-    corner; they are returned as ``(a, b, c, d)``, in row-major order.
-    Under this rule every union of subsystems, and every complement of such
-    a union, has identical 4-adjacency and homotopy component structure.
+    left holds four labels.  Under this rule every union of subsystems, and
+    every complement of such a union, has identical 4-adjacency and homotopy
+    component structure.
+
+    Every other window is uniform, a straight wall between two labels (two
+    cells each), or holds some label in one cell only.  The pass records
+    the windows that chi is read from (:attr:`GridCss.corners`), OUTSIDE
+    included: each whose lower-left cell c holds a label no other of its
+    cells holds, as ``(c, a, d)``, and each whose upper-right cell b does,
+    as ``(b, a, d)``.  Let each lattice vertex own the cell north-east of
+    it and that cell's west and south edges.  Then V - E + F of the union
+    of a set S of subsystems counts +1 at each window where S holds c
+    alone, -1 where S holds every cell but b, and -1 where S holds a and d
+    only: the bit-quad count of chi (:mod:`topomi.masks`).  No window holds
+    S on one diagonal only, for then each of its four edges would part a
+    cell of S from one outside S, two different labels, and the window
+    would be a pinch.  A window of three subsystems is a junction corner,
+    returned as ``(a, b, c, d)``, in row-major order.
 
     d joins c and b when it shares their label, and otherwise starts a
     provisional label; the walls between labels are kept as pairs of
     provisional labels.  A union keeps the lower root, so each component's
     root is the provisional label of its first cell, and the components are
     numbered in row-major order of their first cells.  Returns the
-    junctions and the labelling (:attr:`GridCss.labelling`).
+    junctions, the labelling (:attr:`GridCss.labelling`) and the corners.
     """
     row, cells = css.width + 2, _padded(css)
     n = len(cells)
@@ -227,7 +250,7 @@ def _scan(css: GridCss) -> tuple[tuple[tuple[int, int, int, int], ...], tuple]:
     # the provisional label of each cell; the top border and the next left border are the outside's, 0
     lab = [0] * n
     walls: set[tuple[int, int]] = set()
-    junctions = []
+    junctions, sw, ne = [], [], []
     left = 0  # the provisional label of the cell before
     # a window across the wrap of two padded rows has four border cells
     for j, a, b, c, d, up in zip(range(row + 1, n), cells, cells[1:], cells[row:], cells[row + 1:],
@@ -247,9 +270,17 @@ def _scan(css: GridCss) -> tuple[tuple[tuple[int, int, int, int], ...], tuple]:
             continue
         if c == d:
             walls.add((up, left))
+            if a != b:  # b's label is in no other cell
+                ne.append((b, a, d))
+                if a != d and OUTSIDE not in (a, b, c, d):
+                    junctions.append((a, b, c, d))
         elif b == d:
             walls.add((left, up))
             left = up
+            if a != c:  # c's label is in no other cell
+                sw.append((c, a, d))
+                if a != d and OUTSIDE not in (a, b, c, d):
+                    junctions.append((a, b, c, d))
         else:
             if a != b and a != c:
                 x, y = j % row - 2, j // row - 2
@@ -259,11 +290,14 @@ def _scan(css: GridCss) -> tuple[tuple[tuple[int, int, int, int], ...], tuple]:
             left = len(parent)
             parent.append(left)
             first.append(j)
+            if b != c:  # three labels, a's twice; else d alone differs, and chi reads nothing here
+                if a == b:
+                    sw.append((c, a, d))
+                else:
+                    ne.append((b, a, d))
+                if OUTSIDE not in (a, b, c, d):
+                    junctions.append((a, b, c, d))
         lab[j] = left
-        # with no pinch, a window with both diagonals split that is no
-        # straight wall between two labels holds exactly three labels
-        if a != d and b != c and (a != b or c != d) and (a != c or b != d) and OUTSIDE not in (a, b, c, d):
-            junctions.append((a, b, c, d))
     final, labels, holes = [], [], {}  # the component of each provisional label
     for p, q in enumerate(parent):
         if p != q:  # q < p: a label of the same component, numbered already
@@ -279,7 +313,7 @@ def _scan(css: GridCss) -> tuple[tuple[tuple[int, int, int, int], ...], tuple]:
         p, q = final[p], final[q]
         near[p].add(q)
         near[q].add(p)
-    return tuple(junctions), (tuple(labels), tuple(near), holes)
+    return tuple(junctions), (tuple(labels), tuple(near), holes), (tuple(sw), tuple(ne))
 
 
 # ----------------------------------------------------------------------

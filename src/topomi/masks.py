@@ -6,16 +6,25 @@ a flood fill per mask is exact but O(2^N * cells); instead we decompose the
 counts combinatorially:
 
 * the union of closed cells is a cubical complex whose Euler characteristic
-  V - E + F, like the perimeter-link count, is a weighted sum over
-  corner/segment/cell features present for a mask iff it meets the
-  feature's user set U.  Totalled per distinct U first (about 35 at
-  N = 20), from the counts of one ``np.unique`` over the user sets tagged
-  with the index of their (users, weight) pair, the Moebius expansion
-  [U meets S] = sum over non-empty V in U of (-1)^(|V|-1) [V in S] spreads
-  each U into at most 7 signed entries of one {mask: weight} dict
-  (:func:`meet_entries`), and the table is their subset sums
+  V - E + F is read from the grid's 2x2 windows ``a b / c d`` by a bit-quad
+  count, after S. B. Gray (IEEE Trans. Comput. C-20, 551 (1971)): let
+  each lattice vertex own the cell north-east of it and that cell's west
+  and south edges, and chi(S) is the number of windows where S holds c
+  alone, less those where S holds every cell but b, less those where S
+  holds a and d only, which the pinch rule leaves none of.  The grid's
+  one pass records the windows that can count (``GridCss.corners``), and
+  they spread into signed entries of one {mask: weight} dict in Python,
+  with no numpy call (``UnionTopology._chi_entries``).  The table is
+  their subset sums
   (:func:`subset_table`): entry S sums the weights of the entries whose
-  mask lies in S.  The entries are few, so no 2^N histogram is filled:
+  mask lies in S.  The perimeter-link count is a weighted sum over the
+  segments, each present for a mask iff it meets the segment's user set
+  U, the subsystems on its two sides.  Totalled per distinct U first, from
+  the counts of one ``np.unique`` over the user sets tagged with the index
+  of their (users, weight) pair, the Moebius expansion
+  [U meets S] = sum over non-empty V in U of (-1)^(|V|-1) [V in S] spreads
+  each U into signed entries of the same kind (:func:`meet_entries`).
+  The entries are few, so no 2^N histogram is filled:
   seen as rows of 2^``ROW_BITS`` entries, the entries are grouped by row
   in Python, only the rows that hold one are built and summed over their
   low bits, and the table is filled by doubling, one higher bit at a time:
@@ -38,7 +47,7 @@ counts combinatorially:
   those blocks, so their vertices and edges add no entry;
 * pinch-freeness (enforced by grid validation) makes the complex
   homotopy-faithful, so holes = components - chi and J = 2*components - chi.
-  J is built in one table: the -chi feature entries and twice the
+  J is built in one table: the -chi corner entries and twice the
   component entries are summed over subsets once, and twice the chorded
   blocks' walked table is added to it a row of 2^``ROW_BITS`` entries at
   a time.  That table is the narrowest of int8, int16 and int32 that holds
@@ -349,7 +358,46 @@ class UnionTopology:
         return subset_signs(self.n)
 
     # ------------------------------------------------------------------
-    # feature decomposition of the cell complex
+    # chi from the grid's corner windows
+    # ------------------------------------------------------------------
+
+    def _chi_entries(self, sign: int) -> dict[int, int]:
+        """The {mask: weight} entries whose subset sums (:func:`subset_table`)
+        are ``sign`` times chi of each union, read from the grid's corner
+        windows ``a b / c d`` (``GridCss.corners``) by the bit-quad count:
+        chi(S) is the number of windows where S holds c alone less those
+        where S holds every cell but b.
+
+        A window whose label c is in no other cell gives
+        [c in S][a not in S][d not in S] (b's label is a's or d's): +1 at
+        c, -1 at c with a and at c with d, +1 at all three.  One whose label
+        b is in no other cell gives -[a in S][d in S][b not in S]: -1 at a
+        with d, +1 at all three.  Bits are ORed, so an L-corner, where a and
+        d share a label, comes out right with the same terms.  OUTSIDE is
+        never in S: it reads a bit above the subsystems' here, and the
+        terms holding it are dropped."""
+        sw, ne = self.css.corners
+        bit = [1 << i for i in range(self.css.n_subsystems + 1)]  # OUTSIDE, -1, reads the last
+        entries: dict[int, int] = {}
+        get = entries.get
+        for c, a, d in sw:
+            for mask, weight in ((0, 1), (bit[a], -1), (bit[d], -1), (bit[a] | bit[d], 1)):
+                mask |= bit[c]
+                entries[mask] = get(mask, 0) + weight
+        for b, a, d in ne:
+            mask = bit[a] | bit[d]
+            entries[mask] = get(mask, 0) - 1
+            entries[mask | bit[b]] = get(mask | bit[b], 0) + 1
+        top = bit[-1]
+        return {mask: sign * weight for mask, weight in entries.items() if mask < top}
+
+    @cached_property
+    def euler_table(self) -> np.ndarray:
+        """V - E + F of the closed-cell union, per mask."""
+        return subset_table(self.n, self._chi_entries(1))
+
+    # ------------------------------------------------------------------
+    # the perimeter links from the feature rows
     # ------------------------------------------------------------------
 
     @cached_property
@@ -363,19 +411,6 @@ class UnionTopology:
         labels = np.fromiter(css.labels, np.intp, count=css.width * css.height)
         bits[1:-1, 1:-1] = bit[labels.reshape(css.height, css.width)]
         return bits
-
-    def _euler_entries(self, sign: int) -> dict[int, int]:
-        """:func:`meet_entries` of the corners, segments and cells, each the OR of
-        its cells' bits: the union of mask S has V - E + F = the weight of those meeting S."""
-        bits = self._cell_bits
-        across = bits[:-1] | bits[1:]  # each horizontal segment's two sides, the border columns included
-        return meet_entries(((across[:, :-1] | across[:, 1:], sign), (across[:, 1:-1], -sign),
-                             ((bits[:, :-1] | bits[:, 1:])[1:-1], -sign), (bits[1:-1, 1:-1], sign)))
-
-    @cached_property
-    def euler_table(self) -> np.ndarray:
-        """V - E + F of the closed-cell union, per mask."""
-        return subset_table(self.n, self._euler_entries(1))
 
     @cached_property
     def boundary_links_table(self) -> np.ndarray:
@@ -419,14 +454,14 @@ class UnionTopology:
         leave the range.
 
         components + holes, with holes = components - chi for a pinch-free
-        complex: the -chi feature entries and twice the component entries,
+        complex: the -chi corner entries and twice the component entries,
         summed over subsets once (:func:`subset_table`, which fills no 2^N
         histogram first), plus twice the chorded blocks' walked table, added
         a row of 2^``ROW_BITS`` entries at a time (:func:`add_components`).
         """
         bound = len(self.css.labelling[0]) - 1
         dtype = next(t for t in (np.int8, np.int16, np.int32) if bound <= np.iinfo(t).max)
-        return self._add_components(self._euler_entries(-1), 2, dtype)
+        return self._add_components(self._chi_entries(-1), 2, dtype)
 
 
 #: rows of the J table that ``write_subset_table_csv`` converts at a time;

@@ -117,13 +117,15 @@ class StabilizerState:
         object.__setattr__(self, "n", index_int(self.n, "qubit count"))
         if len(self.columns) != 2 * self.n:
             raise ValidationError(f"{len(self.columns)} columns for {self.n} qubits; need {2 * self.n}")
+        # a column that is no int is named if it is no integer either, and
+        # made an int otherwise (a bool or a numpy integer); the exact pass
+        # shifts and XORs the columns, and a float would pass the range check
+        if list(map(type, self.columns)).count(int) != len(self.columns):
+            object.__setattr__(self, "columns", tuple(
+                int(index_int(column, f"column {c}")) for c, column in enumerate(self.columns)))
         top = 1 << self.n
-        try:
-            bad = self.columns and (min(self.columns) < 0 or max(self.columns) >= top)
-        except TypeError:  # a value no int compares with, named below
-            bad = True
-        if bad:
-            c = next(c for c, column in enumerate(self.columns) if not 0 <= index_int(column, f"column {c}") < top)
+        if self.columns and (min(self.columns) < 0 or max(self.columns) >= top):
+            c = next(c for c, column in enumerate(self.columns) if not 0 <= column < top)
             raise ValidationError(f"column {c} is {self.columns[c]}; columns lie in 0..2**{self.n} - 1")
 
 

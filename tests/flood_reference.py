@@ -8,10 +8,11 @@ window scan that rejected corner-only contacts and recorded the junction
 corners, and the flood from each component's first cell.  The other
 functions compute the same quantities of an explicit cell set by flood
 fills of their own, so the tests compare the package against an
-independent definition; ``boundary_walk_labels`` is the hole-boundary
-walk over a dict of every boundary edge of the hole's cells, against
-which the package's corner-by-corner walk is checked.  The rest of that
-layer
+independent definition: ``union_euler`` is chi of a union, against which
+the chi table of the grid's corner windows is checked, and
+``boundary_walk_labels`` is the hole-boundary walk over a dict of every
+boundary edge of the hole's cells, against which the package's
+corner-by-corner walk is checked.  The rest of that layer
 (``connected_components``, ``boundary_component_count``, ``union_region``,
 ``restrict_css``) stays in ``topomi.grid``, where the benchmark's
 correctness gate binds it.  The file's name does not start with ``test_``,
@@ -32,6 +33,7 @@ from topomi.grid import (
     _complement_components,
     _neighbors4,
     boundary_component_count,
+    connected_components,
     union_region,
     window_pinch,
 )
@@ -116,6 +118,13 @@ def region_holes(region: Iterable[Cell]) -> list[Region]:
     for cell, k in labeling.items():
         holes[k].add(cell)
     return [frozenset(h) for h in holes[1:]]
+
+
+def union_euler(css: GridCss, mask: int) -> int:
+    """chi of the union of the subsystems in ``mask``: its components less
+    its holes, the bounded components of its complement, by flood fills."""
+    region = union_region(css, mask)
+    return connected_components(region)[0] - (_complement_components(set(region))[0] - 1)
 
 
 def perimeter_links(region: Iterable[Cell]) -> int:

@@ -7,8 +7,11 @@ of the table only (``masks.subset_table``).  Here every feature row is kept
 (:func:`feature_labels`), each feature is spread on its own
 (:func:`meet_histogram`), and the entries are summed by the plain dense
 pass: an int64 histogram of all 2^N masks, then ``masks.subset_sums``
-(:func:`dense_j_table`).  The file's name does not start with ``test_``,
-so pytest does not collect it; the test modules import it from ``tests/``.
+(:func:`dense_j_table`).  ``topomi.masks`` reads chi's entries from the
+grid's corner windows (``GridCss.corners``); :func:`euler_entries` is the
+feature-row construction it replaced, kept unchanged.  The file's name does
+not start with ``test_``, so pytest does not collect it; the test modules
+import it from ``tests/``.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import operator
 import numpy as np
 
 from topomi.grid import OUTSIDE, GridCss, pack_bits, set_bits
-from topomi.masks import _walk_components, subset_sums
+from topomi.masks import UnionTopology, _walk_components, meet_entries, subset_sums
 from topomi.walk import _cycle_blocks, _induced, _plain_cycle
 
 
@@ -38,6 +41,15 @@ def feature_labels(css: GridCss):
         np.stack([grid[1:-1, :-1], grid[1:-1, 1:]], axis=-1).reshape(-1, 2),
     ])
     return (corners.reshape(-1, 4), 1), (segments, -1), (labels.reshape(-1, 1), 1)
+
+
+def euler_entries(topo: UnionTopology, sign: int) -> dict[int, int]:
+    """:func:`meet_entries` of the corners, segments and cells, each the OR of
+    its cells' bits: the union of mask S has V - E + F = the weight of those meeting S."""
+    bits = topo._cell_bits
+    across = bits[:-1] | bits[1:]  # each horizontal segment's two sides, the border columns included
+    return meet_entries(((across[:, :-1] | across[:, 1:], sign), (across[:, 1:-1], -sign),
+                         ((bits[:, :-1] | bits[:, 1:])[1:-1], -sign), (bits[1:-1, 1:-1], sign)))
 
 
 def user_masks(labels: np.ndarray) -> np.ndarray:

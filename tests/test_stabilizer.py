@@ -125,6 +125,33 @@ def test_a_float_qubit_in_range_is_named(regions, message):
     assert QubitRegionMap(4, (frozenset({True}), frozenset({np.int64(2)}))).n_subsystems == 2
 
 
+@pytest.mark.parametrize("columns, message", [
+    ((0.0, 1.0), "column 0 must be an integer, got 0.0"),
+    ((0, 1.0), "column 1 must be an integer, got 1.0"),
+    ((np.int64(0), np.float64(1.0)), f"column 1 must be an integer, got {np.float64(1.0)!r}"),
+], ids=["float", "second-float", "numpy-float"])
+def test_a_float_column_in_range_is_named(columns, message):
+    """A float column compares with ints and lies in range, but the exact
+    pass cannot XOR or shift it: the state is not built, and the
+    ValidationError names the column, not a bare AttributeError at the first
+    entropy."""
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        StabilizerState(1, columns)
+
+
+def test_numpy_integer_and_bool_columns_are_ints():
+    """A numpy integer or a bool column is made an int, so the entropies
+    read the same state as from plain ints; out of range it is named."""
+    state = build_code(CodeLattice(4, 4, "torus"))  # 32 qubits: every column fits an int64
+    mixed = StabilizerState(state.n, tuple(map(np.int64, state.columns)))
+    assert mixed == state and set(map(type, mixed.columns)) == {int}
+    small = StabilizerState(1, (np.uint8(0), True))
+    assert small.columns == (0, 1) and list(map(type, small.columns)) == [int, int]
+    assert entropy_bits(StabilizerState(1, (np.int32(0), np.int32(1))), [0]) == 0
+    with pytest.raises(ValidationError, match=re.escape("column 1 is 2; columns lie in 0..2**1 - 1")):
+        StabilizerState(1, (np.int64(0), np.int64(2)))
+
+
 def test_numpy_integer_scalar_fields_are_ints():
     lattice = CodeLattice(np.int64(4), np.int64(4), "torus")
     assert type(lattice.lx) is type(lattice.n_qubits) is int and lattice.n_qubits == 32
